@@ -98,10 +98,14 @@ def _grid_from_args(args) -> PlaneGrid:
     return PlaneGrid(boxes=(box,), resolution=args.res)
 
 
-def _add_common(p):
+def _add_output(p):
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--t", type=float, default=0.3, help="semigroup time")
+
+
+def _add_common(p):
+    _add_output(p)
     p.add_argument("--n", type=int, default=1, help="dimension")
     p.add_argument("--N", type=int, default=48, help="spectral truncation")
     p.add_argument("--quad", type=int, default=128, help="quadrature order")
@@ -160,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--res", type=int, default=64)
 
     p = sub.add_parser("special", help="twisted-semigroup checks")
-    _add_common(p)
+    _add_output(p)
     p.add_argument("--action", choices=("eigen", "intertwine", "envelope"), required=True)
     p.add_argument("--alpha", type=int, default=0)
     p.add_argument("--beta", type=int, default=0)

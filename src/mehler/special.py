@@ -1,16 +1,24 @@
 """Special Hermite functions, twisted convolution, and the twisted semigroup.
 
-The special Hermite functions are built from the Hermite basis by the
+The special Hermite functions are defined from the Hermite basis by the
 oscillatory integral
 
     Phi_{ab}(x, u) = (2 pi)^{-n/2} int e^{i x.xi}
                      Phi_a(xi + u/2) Phi_b(xi - u/2) dxi,
 
 an orthonormal basis of L^2(C^n) and eigenfunctions of the twisted
-Laplacian with eigenvalue 2|b| + n.  Substituting complex (z, w) for
-(x, u) keeps the xi-integral on the real line, where the Gaussian decay of
-the Hermite factors persists, so the same quadrature evaluates the entire
-extension to C^{2n}.
+Laplacian with eigenvalue 2|b| + n.  They are evaluated by the classical
+Laguerre closed form of that integral (Thangavelu, Lectures on Hermite and
+Laguerre Expansions, 1993, sec. 1.3; Folland, Harmonic Analysis in Phase
+Space, 1989, ch. 1), per coordinate
+
+    Phi_{ab}(x, u) = (2 pi)^{-1/2} i^d (k!/(k+d)!)^{1/2} (zeta/sqrt 2)^d
+                     L_k^d((x^2 + u^2)/2) e^{-(x^2 + u^2)/4}
+
+with d = |a - b|, k = min(a, b), and zeta = x - iu for a >= b, x + iu
+otherwise.  Read with the bilinear square x^2 + u^2, the formula is the
+entire extension to complex (z, w) in C^{2n}.  The defining integral
+survives only as a test oracle.
 
 Twisted convolution
 
@@ -44,9 +52,9 @@ import numpy as np
 
 from .indices import MultiIndex, as_index, multi_indices, oscillator_eigenvalue
 from .kernels import special_plain_bound, special_schwartz_bound
-from .quadrature import PlaneGrid, QuadRule, gauss_hermite_rule
+from .quadrature import PlaneGrid
 from .semigroup import EnvelopeReport, CalibrationResult
-from .specfun import hermite_eval, laguerre_ladder
+from .specfun import laguerre_ladder
 from .taylor import TaylorScalar
 from . import taylor
 
@@ -127,67 +135,59 @@ TwistedFunction = SpecialHermiteBasis | Gaussian2n | PolyGaussian2n | SampledGri
 # ---------------------------------------------------------------------------
 
 
-def _phi1(a: int, b: int, z, w, rule: QuadRule):
-    """One-dimensional Phi_{ab}(z, w), broadcast over arrays z, w."""
-    xi = rule.nodes
-    cw = rule.weights * np.exp(xi**2)
+def _phi1(a: int, b: int, z, w):
+    """One-dimensional Phi_{ab}(z, w) by the Laguerre closed form,
+    broadcast over arrays z, w."""
     z = np.asarray(z)
     w = np.asarray(w)
-    zx = z[..., None]
-    wx = w[..., None]
-    kmax = max(a, b)
-    hp = hermite_eval(kmax, xi + wx / 2.0)
-    hm = hermite_eval(kmax, xi - wx / 2.0)
-    integrand = np.exp(1j * zx * xi) * hp[a] * hm[b]
-    return (2.0 * math.pi) ** -0.5 * np.sum(cw * integrand, axis=-1)
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(w))):
+        raise ValueError("argument must be finite")
+    d, k = abs(a - b), min(a, b)
+    coef = 1j**d * math.sqrt(
+        math.factorial(k) / math.factorial(k + d) / (2.0**d * 2.0 * math.pi)
+    )
+    # the Gaussian and the constant per coordinate, before broadcasting: one
+    # exp per value of z and of w, not per (z, w) pair
+    z2, w2 = z * z, w * w
+    val = (coef * np.exp(-0.25 * z2)) * np.exp(-0.25 * w2)
+    if d:
+        zeta = z - 1j * w if a >= b else z + 1j * w
+        for _ in range(d):
+            val *= zeta
+    if k:
+        val *= laguerre_ladder(k, d, 0.5 * (z2 + w2))[k]
+    return val
 
 
-def special_hermite_eval(alpha, beta, z, w, rule: QuadRule | None = None):
+def special_hermite_eval(alpha, beta, z, w):
     """Phi_{alpha beta} at (z, w) in C^{2n}; coordinates broadcast.
 
     For n > 1 the defining integral factorizes, so the value is the product
-    of one-dimensional factors.  ``rule`` should have order >= 64; the
-    integrand is a polynomial times exp(-xi^2) on the real line, which the
-    compensated Gauss-Hermite rule integrates essentially exactly for
-    bounded |Re z|.
+    of one-dimensional factors.
     """
     alpha = as_index(alpha)
     beta = as_index(beta)
     if len(alpha) != len(beta):
         raise ValueError("alpha and beta must have the same dimension")
-    rule = rule or gauss_hermite_rule(64)
-    if rule.order < 64:
-        raise ValueError("rule order must be >= 64 for the defining integral")
     n = len(alpha)
     if n == 1:
-        return _phi1(alpha[0], beta[0], z, w, rule)
+        return _phi1(alpha[0], beta[0], z, w)
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
     if z.shape[-1] != n or w.shape[-1] != n:
         raise ValueError(f"expected trailing coordinate axis of length {n}")
     val = 1.0
     for j in range(n):
-        val = val * _phi1(alpha[j], beta[j], z[..., j], w[..., j], rule)
+        val = val * _phi1(alpha[j], beta[j], z[..., j], w[..., j])
     return val
 
 
-def special_hermite_matrix(a: int, b: int, Z, W, rule: QuadRule):
+def special_hermite_matrix(a: int, b: int, Z, W):
     """Phi_{ab} on the product of a flat Z-plane array and a flat W-plane
-    array, returned as a (len(Z), len(W)) matrix.
-
-    Exploits separability of the defining integral: the z-dependence enters
-    only through e^{i z xi}, so the matrix is a single matmul.
-    """
-    xi = rule.nodes
-    cw = rule.weights * np.exp(xi**2)
+    array, returned as a (len(Z), len(W)) matrix."""
     Z = np.asarray(Z, dtype=complex).ravel()
     W = np.asarray(W, dtype=complex).ravel()
-    kmax = max(a, b)
-    hp = hermite_eval(kmax, xi[:, None] + W[None, :] / 2.0)
-    hm = hermite_eval(kmax, xi[:, None] - W[None, :] / 2.0)
-    B = cw[:, None] * hp[a] * hm[b]
-    A = np.exp(1j * Z[:, None] * xi[None, :])
-    return (2.0 * math.pi) ** -0.5 * (A @ B)
+    return _phi1(a, b, Z[:, None], W[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +265,14 @@ class GaussianImage:
 # ---------------------------------------------------------------------------
 
 
-def twisted_eval(f, X, U, rule: QuadRule | None = None):
+def twisted_eval(f, X, U):
     """Values of f at real phase-space points (vectorized)."""
     X = np.asarray(X)
     U = np.asarray(U)
     if isinstance(f, SpecialHermiteBasis):
         if f.dimension != 1:
             raise ValueError("vectorized evaluation is one-dimensional")
-        return special_hermite_eval(f.alpha, f.beta, X, U, rule)
+        return special_hermite_eval(f.alpha, f.beta, X, U)
     if isinstance(f, Gaussian2n):
         return np.exp(-0.5 * f.a * (X**2 + U**2))
     if isinstance(f, PolyGaussian2n):
@@ -287,13 +287,13 @@ def twisted_eval(f, X, U, rule: QuadRule | None = None):
     raise TypeError(f"cannot evaluate {type(f).__name__}")
 
 
-def twisted_eval_entire(g, Z, W, rule: QuadRule | None = None):
+def twisted_eval_entire(g, Z, W):
     """Values of g at complexified phase-space points; refuses members
     without an entire form."""
     if isinstance(g, SampledGrid):
         raise ValueError("sampled data has no entire continuation")
     if isinstance(g, (Gaussian2n, PolyGaussian2n, SpecialHermiteBasis)):
-        return twisted_eval(g, np.asarray(Z, dtype=complex), np.asarray(W, dtype=complex), rule)
+        return twisted_eval(g, np.asarray(Z, dtype=complex), np.asarray(W, dtype=complex))
     if callable(g):
         return g(np.asarray(Z, dtype=complex), np.asarray(W, dtype=complex))
     raise TypeError(f"cannot evaluate {type(g).__name__}")
@@ -328,14 +328,7 @@ def default_twisted_grid(t: float = 0.4, resolution: int = 96) -> PlaneGrid:
     return PlaneGrid(boxes=((-h, h, -h, h),), resolution=resolution)
 
 
-def twisted_conv(
-    f,
-    g,
-    z,
-    w,
-    grid: PlaneGrid,
-    rule: QuadRule | None = None,
-) -> complex:
+def twisted_conv(f, g, z, w, grid: PlaneGrid) -> complex:
     """(f x g)(z, w) for a real or complexified phase-space point.
 
     The integration runs over the real plane grid; for complex (z, w) the
@@ -343,8 +336,8 @@ def twisted_conv(
     have one (closed forms and basis members do; sampled data does not).
     """
     X, U, Wt = grid.nodes()
-    fv = twisted_eval(f, X, U, rule)
-    gv = twisted_eval_entire(g, z - X, w - U, rule)
+    fv = twisted_eval(f, X, U)
+    gv = twisted_eval_entire(g, z - X, w - U)
     phase = np.exp(-0.5j * (X * w - z * U))
     return complex(np.sum(Wt * fv * gv * phase))
 
@@ -356,7 +349,6 @@ def special_semigroup_apply(
     w,
     mode: str = "kernel",
     grid: PlaneGrid | None = None,
-    rule: QuadRule | None = None,
     truncation: int = 24,
 ) -> complex:
     """Twisted heat semigroup applied to f, evaluated at (z, w) in C^2.
@@ -370,11 +362,11 @@ def special_semigroup_apply(
         raise ValueError("t must be positive")
     grid = grid or default_twisted_grid(t)
     if mode == "kernel":
-        return twisted_conv(f, heat_profile(t), z, w, grid, rule)
+        return twisted_conv(f, heat_profile(t), z, w, grid)
     if mode != "spectral":
         raise ValueError(f"unknown mode {mode!r}")
     X, U, Wt = grid.nodes()
-    fv = twisted_eval(f, X, U, rule)
+    fv = twisted_eval(f, X, U)
     phase = np.exp(-0.5j * (X * w - z * U))
     base = Wt * fv * phase
     q = (z - X) ** 2 + (w - U) ** 2
@@ -387,11 +379,11 @@ def special_semigroup_apply(
     return complex(total / (2.0 * math.pi))
 
 
-def laguerre_project(f, k: int, z, w, grid: PlaneGrid, rule: QuadRule | None = None) -> complex:
+def laguerre_project(f, k: int, z, w, grid: PlaneGrid) -> complex:
     """Eigenspace projection (2 pi)^{-n} (f x phi_k) at a real point."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    val = twisted_conv(f, laguerre_profile(k), z, w, grid, rule)
+    val = twisted_conv(f, laguerre_profile(k), z, w, grid)
     return val / (2.0 * math.pi)
 
 
@@ -428,19 +420,14 @@ class SpecialExpansion:
             return 0j
 
 
-def special_expand(
-    f,
-    truncation: int,
-    grid: PlaneGrid,
-    rule: QuadRule | None = None,
-) -> SpecialExpansion:
+def special_expand(f, truncation: int, grid: PlaneGrid) -> SpecialExpansion:
     """d_{ab} = (f, Phi_ab)_{L^2(C)} by plane quadrature (n = 1)."""
     pairs = SpecialExpansion.pair_list(1, truncation)
     X, U, Wt = grid.nodes()
-    fv = twisted_eval(f, X, U, rule)
+    fv = twisted_eval(f, X, U)
     vals = []
     for a, b in pairs:
-        basis = special_hermite_eval(a, b, X, U, rule)
+        basis = special_hermite_eval(a, b, X, U)
         vals.append(np.sum(Wt * fv * np.conj(basis)))
     return SpecialExpansion(1, truncation, pairs, np.asarray(vals))
 
@@ -521,7 +508,6 @@ class _FiniteDiffFunction:
 
     f: object
     which: str  # "x" or "u"
-    rule: QuadRule | None = None
     step: float = 1e-3
 
     def __call__(self, X, U):
@@ -533,21 +519,21 @@ class _FiniteDiffFunction:
         c = [-1.0, 8.0, -8.0, 1.0]
         acc = 0.0
         for (dx, du), cc in zip(shifts, c):
-            acc = acc + cc * twisted_eval(self.f, X + dx, U + du, self.rule)
+            acc = acc + cc * twisted_eval(self.f, X + dx, U + du)
         return acc / (12 * h)
 
 
-def _derivative_op(f, which: str, a_coef: float, rule):
+def _derivative_op(f, which: str, a_coef: float):
     """(d/dx - a x) f or (d/du - a u) f, analytic when f is closed form."""
     pg = _as_polygauss(f)
     if pg is not None:
         d = pg_dx(pg) if which == "x" else pg_du(pg)
         mul = pg_mul_x(pg) if which == "x" else pg_mul_u(pg)
         return pg_add(d, pg_scale(mul, -a_coef))
-    base = _FiniteDiffFunction(f, which, rule)
+    base = _FiniteDiffFunction(f, which)
     if which == "x":
-        return lambda X, U: base(X, U) - a_coef * X * twisted_eval(f, X, U, rule)
-    return lambda X, U: base(X, U) - a_coef * U * twisted_eval(f, X, U, rule)
+        return lambda X, U: base(X, U) - a_coef * X * twisted_eval(f, X, U)
+    return lambda X, U: base(X, U) - a_coef * U * twisted_eval(f, X, U)
 
 
 @dataclass(frozen=True)
@@ -582,7 +568,6 @@ def intertwine_check(
     t: float,
     convention: int = +1,
     grid: PlaneGrid | None = None,
-    rule: QuadRule | None = None,
     points=_DEFAULT_POINTS,
 ) -> IntertwineReport:
     """Residuals of both first-order relations under a sign convention.
@@ -601,17 +586,17 @@ def intertwine_check(
     a = convention * 0.5 / math.tanh(t)
     b = 0.5j
 
-    fx = _derivative_op(f, "x", a, rule)
-    fu = _derivative_op(f, "u", a, rule)
+    fx = _derivative_op(f, "x", a)
+    fu = _derivative_op(f, "u", a)
 
     res_x = 0.0
     res_u = 0.0
     for z, w in points:
-        Ef = twisted_conv(f, heat_profile(t), z, w, grid, rule)
-        lhs_x = twisted_conv(fx, heat_profile(t), z, w, grid, rule)
+        Ef = twisted_conv(f, heat_profile(t), z, w, grid)
+        lhs_x = twisted_conv(fx, heat_profile(t), z, w, grid)
         rhs_x = (-a * z + b * w) * Ef
         res_x = max(res_x, abs(lhs_x - rhs_x) / (1.0 + abs(rhs_x)))
-        lhs_u = twisted_conv(fu, heat_profile(t), z, w, grid, rule)
+        lhs_u = twisted_conv(fu, heat_profile(t), z, w, grid)
         rhs_u = -(b * z + a * w) * Ef
         res_u = max(res_u, abs(lhs_u - rhs_u) / (1.0 + abs(rhs_u)))
     return IntertwineReport(
@@ -627,7 +612,6 @@ def composed_intertwine_residual(
     f,
     t: float,
     grid: PlaneGrid | None = None,
-    rule: QuadRule | None = None,
     points=_DEFAULT_POINTS,
 ) -> float:
     """Residual of the composed relation e^{-tL}(T f) = z w e^{-tL} f.
@@ -657,8 +641,8 @@ def composed_intertwine_residual(
 
     res = 0.0
     for z, w in points:
-        Ef = twisted_conv(pg, heat_profile(t), z, w, grid, rule)
-        lhs = twisted_conv(Tf, heat_profile(t), z, w, grid, rule)
+        Ef = twisted_conv(pg, heat_profile(t), z, w, grid)
+        lhs = twisted_conv(Tf, heat_profile(t), z, w, grid)
         rhs = z * w * Ef
         res = max(res, abs(lhs - rhs) / (1.0 + abs(rhs)))
     return res
@@ -672,9 +656,6 @@ def composed_intertwine_residual(
 class SpecialHandle:
     """An evaluable entire function on C^{2n} (n = 1)."""
 
-    def eval_pair(self, z: complex, w: complex) -> complex:
-        raise NotImplementedError
-
     def eval_matrix(self, Z: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Values on the product of flat Z-plane and W-plane arrays."""
         raise NotImplementedError
@@ -687,7 +668,6 @@ class SpecialEigenHandle(SpecialHandle):
     alpha: MultiIndex
     beta: MultiIndex
     time: float
-    rule: QuadRule | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", as_index(self.alpha))
@@ -699,15 +679,8 @@ class SpecialEigenHandle(SpecialHandle):
         lam = oscillator_eigenvalue(self.beta)
         return math.exp(-lam * self.time)
 
-    def eval_pair(self, z, w) -> complex:
-        val = special_hermite_eval(self.alpha, self.beta, z, w, self.rule)
-        return complex(self._damp() * val)
-
     def eval_matrix(self, Z, W) -> np.ndarray:
-        rule = self.rule or gauss_hermite_rule(64)
-        return self._damp() * special_hermite_matrix(
-            self.alpha[0], self.beta[0], Z, W, rule
-        )
+        return self._damp() * special_hermite_matrix(self.alpha[0], self.beta[0], Z, W)
 
 
 @dataclass(frozen=True)
@@ -717,20 +690,17 @@ class ClosedFormSpecialHandle(SpecialHandle):
     fn: object
     label: str = ""
 
-    def eval_pair(self, z, w) -> complex:
-        return complex(self.fn(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)))
-
     def eval_matrix(self, Z, W) -> np.ndarray:
         Z = np.asarray(Z, dtype=complex).ravel()
         W = np.asarray(W, dtype=complex).ravel()
         return self.fn(Z[:, None], W[None, :])
 
 
-def special_image_handle(f, t: float, rule: QuadRule | None = None) -> SpecialHandle:
+def special_image_handle(f, t: float) -> SpecialHandle:
     """Image of a twisted test function under the twisted heat semigroup,
     in a form evaluable on 4-dimensional grids."""
     if isinstance(f, SpecialHermiteBasis):
-        return SpecialEigenHandle(f.alpha, f.beta, t, rule)
+        return SpecialEigenHandle(f.alpha, f.beta, t)
     if isinstance(f, Gaussian2n):
         return ClosedFormSpecialHandle(GaussianImage(f.a, t), label="gaussian-image")
     raise ValueError(
@@ -809,10 +779,7 @@ def bergman_norm_special(
 
 
 def calibrate_weight_special(
-    t: float,
-    pairs: list[tuple] | None,
-    grid: PlaneGrid,
-    rule: QuadRule | None = None,
+    t: float, pairs: list[tuple] | None, grid: PlaneGrid
 ) -> CalibrationResult:
     """Calibration constant kappa* of the twisted Bergman weight (n = 1).
 
@@ -824,11 +791,10 @@ def calibrate_weight_special(
     if pairs is None:
         pairs = [((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (1,))]
     pairs = [(as_index(a), as_index(b)) for a, b in pairs]
-    rule = rule or gauss_hermite_rule(64)
 
     ratios: dict = {}
     for a, b in pairs:
-        handle = SpecialEigenHandle(a, b, t, rule)
+        handle = SpecialEigenHandle(a, b, t)
         # strip the eigen-damping: integrate |Phi_ab|^2 W_t itself
         raw = bergman_norm_special(handle, t, 0, grid) / handle._damp() ** 2
         lam = oscillator_eigenvalue(b)
@@ -844,8 +810,8 @@ def calibrate_weight_special(
         acc = 0j
         for lo in range(0, len(Zc), _BLOCK):
             hi = min(lo + _BLOCK, len(Zc))
-            F1 = special_hermite_matrix(a1[0], b1[0], Zc[lo:hi], Wc, rule)
-            F2 = special_hermite_matrix(a2[0], b2[0], Zc[lo:hi], Wc, rule)
+            F1 = special_hermite_matrix(a1[0], b1[0], Zc[lo:hi], Wc)
+            F2 = special_hermite_matrix(a2[0], b2[0], Zc[lo:hi], Wc)
             weight = _twisted_weight_block(t, 0, Yz[lo:hi], Uw, Xz[lo:hi], Vw)
             acc += np.sum((Wz[lo:hi])[:, None] * F1 * np.conj(F2) * weight * Ww[None, :])
         max_off = max(max_off, abs(acc))
@@ -865,7 +831,6 @@ def special_envelope(
     m: int,
     grid: PlaneGrid,
     kind: str = "special-schwartz",
-    rule: QuadRule | None = None,
     stability_threshold: float = 0.05,
 ) -> EnvelopeReport:
     """Sup of |e^{-tL}f|^2 / bound over a C^2 grid (n = 1).
@@ -884,7 +849,7 @@ def special_envelope(
         raise ValueError(f"unknown envelope kind {kind!r}")
     if f is None:
         return EnvelopeReport(0.0, (0.0, 0.0, 0.0, 0.0), bound, grid, True, 0.0)
-    handle = special_image_handle(f, t, rule)
+    handle = special_image_handle(f, t)
 
     def scan(g: PlaneGrid):
         Xz, Yz, _ = _plane_nodes(g, 0)

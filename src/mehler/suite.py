@@ -129,6 +129,9 @@ class SuiteConfig:
         for key in self.tol:
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance key {key!r}")
+        # reports are strict JSON, which has no inf or nan
+        if not all(math.isfinite(v) for v in (*self.t, *b, *self.tol.values())):
+            raise ConfigError("t, grid box and tolerances must be finite")
 
     def tolerance(self, name: str) -> float:
         return float(self.tol.get(name, DEFAULT_TOLERANCES[name]))
@@ -207,7 +210,8 @@ class CheckResult:
             "name": self.name,
             "theorem": self.theorem,
             "status": self.status,
-            "metric": self.metric,
+            # a crashed check has no finite metric; strict JSON has no inf
+            "metric": self.metric if math.isfinite(self.metric) else None,
             "tol": self.tol,
             "details": self.details,
         }
@@ -241,7 +245,9 @@ class SuiteReport:
         }
 
     def to_json(self, indent: int | None = 2, include_timing: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timing), indent=indent, sort_keys=True)
+        return json.dumps(
+            self.to_dict(include_timing), indent=indent, sort_keys=True, allow_nan=False
+        )
 
     def lines(self) -> list[str]:
         out = []
@@ -731,18 +737,19 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
     config = config or SuiteConfig()
     config.validate()
     results: list[CheckResult] = []
-    for fn in CHECKS:
+    # CHECKS and DEFAULT_TOLERANCES list the checks in the same order
+    for name, fn in zip(DEFAULT_TOLERANCES, CHECKS, strict=True):
         start = time.perf_counter()
         try:
             res = fn(config)
         except Exception as exc:  # isolation: a crash is a failed check
             doc = (fn.__doc__ or fn.__name__).strip().splitlines()[0]
             res = CheckResult(
-                name=fn.__name__.removeprefix("check_").replace("_", "-"),
+                name=name,
                 theorem="",
                 status="fail",
                 metric=float("inf"),
-                tol=0.0,
+                tol=config.tolerance(name),
                 details=f"error: {exc!r} ({doc})",
             )
         res.seconds = time.perf_counter() - start

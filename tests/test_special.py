@@ -27,8 +27,14 @@ from mehler import (
     special_semigroup_apply,
     twisted_conv,
 )
-from mehler.quadrature import PlaneGrid
-from mehler.special import GaussianImage, SpecialEigenHandle, twisted_eval_entire
+from mehler.quadrature import PlaneGrid, gauss_hermite_rule
+from mehler.special import (
+    GaussianImage,
+    SpecialEigenHandle,
+    special_hermite_matrix,
+    twisted_eval_entire,
+)
+from mehler.specfun import hermite_eval
 
 TWO_PI = 2 * math.pi
 
@@ -59,6 +65,78 @@ def test_ground_state_radial_profile():
     assert got == pytest.approx(TWO_PI**-0.5 * math.exp(-1.0), rel=1e-12)
     got2 = special_hermite_eval((0,), (0,), 0.0, 2.0)
     assert got2 == pytest.approx(got, rel=1e-12)
+
+
+def _defining_integral(a, b, z, w):
+    """Oracle: Phi_ab(z, w) = (2 pi)^{-1/2} int e^{i z xi} h_a(xi + w/2)
+    h_b(xi - w/2) dxi by the 64-node compensated Gauss-Hermite sum."""
+    rule = gauss_hermite_rule(64)
+    xi = rule.nodes
+    cw = rule.weights * np.exp(xi**2)
+    zx = np.asarray(z)[..., None]
+    wx = np.asarray(w)[..., None]
+    hp = hermite_eval(max(a, b), xi + wx / 2.0)
+    hm = hermite_eval(max(a, b), xi - wx / 2.0)
+    return TWO_PI**-0.5 * np.sum(cw * np.exp(1j * zx * xi) * hp[a] * hm[b], axis=-1)
+
+
+def _complex_points(rng, size):
+    return rng.uniform(-4, 4, size) + 1j * rng.uniform(-2, 2, size)
+
+
+def test_closed_form_matches_defining_integral():
+    rng = np.random.default_rng(7)
+    z, w = _complex_points(rng, 200), _complex_points(rng, 200)
+    for a in range(6):
+        for b in range(6):
+            ref = _defining_integral(a, b, z, w)
+            got = special_hermite_eval((a,), (b,), z, w)
+            assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) < 1e-13
+
+
+def test_closed_form_product_in_two_dimensions():
+    rng = np.random.default_rng(8)
+    z = _complex_points(rng, (50, 2))
+    w = _complex_points(rng, (50, 2))
+    got = special_hermite_eval((1, 3), (2, 0), z, w)
+    ref = _defining_integral(1, 2, z[:, 0], w[:, 0]) * _defining_integral(
+        3, 0, z[:, 1], w[:, 1]
+    )
+    assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "a, b, z, w",
+    [
+        (3, 5, 0.7 + 0.3j, -0.4 + 0.5j),
+        (10, 12, -1.2 - 0.4j, 0.9 + 0.2j),
+        (15, 15, 0.7 + 0.3j, -0.4 + 0.5j),
+        (20, 7, -1.2 - 0.4j, 0.9 + 0.2j),
+    ],
+    ids=["3-5", "10-12", "15-15", "20-7"],
+)
+def test_closed_form_matches_mpmath_integral(a, b, z, w):
+    import mpmath
+
+    def h(k, x):
+        norm = mpmath.sqrt(mpmath.mpf(2) ** k * mpmath.factorial(k) * mpmath.sqrt(mpmath.pi))
+        return mpmath.hermite(k, x) * mpmath.exp(-x * x / 2) / norm
+
+    with mpmath.workdps(20):
+        zm, wm = mpmath.mpc(z), mpmath.mpc(w)
+        integral = mpmath.quad(
+            lambda xi: mpmath.exp(1j * zm * xi) * h(a, xi + wm / 2) * h(b, xi - wm / 2),
+            [-mpmath.inf, -8, -4, 0, 4, 8, mpmath.inf],
+        )
+        ref = complex(integral / mpmath.sqrt(2 * mpmath.pi))
+    got = complex(special_hermite_eval((a,), (b,), z, w))
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_rejects_non_finite_arguments():
+    for z, w in [(np.nan, 0.0), (0.5, complex(0.0, np.inf))]:
+        with pytest.raises(ValueError, match="finite"):
+            special_hermite_eval((1,), (0,), z, w)
 
 
 def test_orthonormality_on_plane():
@@ -264,17 +342,14 @@ def test_special_envelope_rejects_unknown_kind():
         special_envelope(SpecialHermiteBasis((0,), (0,)), 0.5, 0, _env_grid(), kind="x")
 
 
-def test_matrix_path_matches_pointwise_evaluation():
-    from mehler.special import special_hermite_matrix
-    from mehler import gauss_hermite_rule
-
-    rule = gauss_hermite_rule(64)
+@pytest.mark.parametrize("a, b", [(0, 0), (1, 2), (2, 1), (1, 1), (3, 0)])
+def test_matrix_path_matches_pointwise_evaluation(a, b):
     Z = np.array([0.3 + 0.2j, -0.8 + 0.5j, 1.1 - 0.4j])
     W = np.array([0.0 + 0.0j, 0.6 - 0.3j])
-    mat = special_hermite_matrix(1, 2, Z, W, rule)
+    mat = special_hermite_matrix(a, b, Z, W)
     for i, z in enumerate(Z):
         for j, w in enumerate(W):
-            direct = special_hermite_eval((1,), (2,), z, w, rule)
+            direct = special_hermite_eval((a,), (b,), z, w)
             assert abs(mat[i, j] - direct) < 1e-12
 
 

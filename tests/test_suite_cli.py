@@ -102,6 +102,10 @@ def test_invalid_configs_rejected():
         SuiteConfig.from_json("not json")
     with pytest.raises(ConfigError):
         SuiteConfig(tol={"no-such-check": 1.0})
+    with pytest.raises(ConfigError):
+        SuiteConfig(tol={"determinism": math.inf})
+    with pytest.raises(ConfigError):
+        SuiteConfig(t=(0.3, math.nan))
 
 
 def test_report_json_shape(default_report):
@@ -113,6 +117,32 @@ def test_report_json_shape(default_report):
         assert set(check) == {
             "name", "theorem", "status", "metric", "tol", "details", "seconds",
         }
+
+
+def test_crashed_check_keeps_registered_name_and_strict_json(monkeypatch):
+    from mehler import suite
+
+    def crash(config):
+        raise RuntimeError("boom")
+
+    def stub(config):
+        return suite.CheckResult("stub", "", "pass", 0.5, 1.0)
+
+    checks = [stub] * len(CHECKS)
+    checks[0] = checks[-1] = crash
+    monkeypatch.setattr(suite, "CHECKS", checks)
+    report = run_suite(SuiteConfig())
+    for res in (report.checks[0], report.checks[-1]):
+        assert res.status == "fail"
+        assert isinstance(res.metric, float) and res.metric == math.inf
+        assert "boom" in res.details
+    assert report.checks[0].name == "hermite-orthonormality"
+    assert report.checks[-1].name == "determinism"
+    assert report.checks[0].tol == SuiteConfig().tolerance("hermite-orthonormality")
+    data = json.loads(report.to_json(), parse_constant=pytest.fail)
+    assert data["checks"][0]["metric"] is None
+    assert data["checks"][1]["metric"] == 0.5
+    assert data["summary"]["fail"] == 2
 
 
 def test_single_check_determinism():
@@ -215,6 +245,11 @@ def test_cli_special_intertwine(capsys):
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["validated"] == "+coth(t)/2"
+
+
+def test_cli_special_rejects_unused_flags(capsys):
+    for flag in ("--quad", "--N", "--n", "--seed"):
+        assert cli_main(["special", "--action", "eigen", flag, "64"]) == 2
 
 
 def test_cli_special_envelope_csv(tmp_path):
