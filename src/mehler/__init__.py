@@ -12,7 +12,6 @@ from .indices import (
     MultiIndex,
     as_index,
     as_point,
-    bilinear_square,
     multi_indices,
     oscillator_eigenvalue,
 )
@@ -83,11 +82,12 @@ from .special import (
     twisted_conv,
 )
 from .specfun import (
+    HermiteOverflowError,
     LogComplex,
     hermite_eval,
     hermite_log_eval,
+    hermite_log_ladder,
     hermite_tensor,
-    hermite_tensor_log,
     laguerre_eval,
     laguerre_function,
     laguerre_function_entire,

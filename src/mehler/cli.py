@@ -36,6 +36,7 @@ from .semigroup import (
     semigroup_apply,
     semigroup_handle,
 )
+from .specfun import HermiteOverflowError
 from .special import (
     Gaussian2n,
     SpecialEigenHandle,
@@ -98,18 +99,18 @@ def _grid_from_args(args) -> PlaneGrid:
     return PlaneGrid(boxes=(box,), resolution=args.res)
 
 
-def _add_output(p):
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--t", type=float, default=0.3, help="semigroup time")
+_FLAGS = {
+    "out": dict(default=None, help="output path (default stdout)"),
+    "t": dict(type=float, default=0.3, help="semigroup time"),
+    "N": dict(type=int, default=48, help="spectral truncation"),
+    "quad": dict(type=int, default=128, help="quadrature order"),
+}
 
 
-def _add_common(p):
-    _add_output(p)
-    p.add_argument("--n", type=int, default=1, help="dimension")
-    p.add_argument("--N", type=int, default=48, help="spectral truncation")
-    p.add_argument("--quad", type=int, default=128, help="quadrature order")
-    p.add_argument("--seed", type=int, default=12345)
+def _add_flags(p, *names):
+    """Add the shared flags ``names`` (keys of ``_FLAGS``) to subparser ``p``."""
+    for name in names:
+        p.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,17 +131,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, action="append", default=None)
 
     p = sub.add_parser("calibrate", help="calibrate the Bergman weight constant")
-    _add_common(p)
+    _add_flags(p, "out", "t")
     p.add_argument("--res", type=int, default=128)
 
     p = sub.add_parser("transform", help="evaluate a heat-transform image")
-    _add_common(p)
+    _add_flags(p, "out", "t", "N", "quad")
     p.add_argument("--f", type=parse_test_function, default=HermiteBasis((0,)))
     p.add_argument("--mode", choices=("spectral", "kernel"), default="spectral")
     p.add_argument("--z", type=_parse_complex, default=0j, help="point re[,im]")
 
     p = sub.add_parser("kernels", help="scan a kernel or weight to CSV")
-    _add_common(p)
+    _add_flags(p, "out", "t")
     p.add_argument(
         "--kind",
         choices=("mehler", "weight", "special-heat", "twisted-weight"),
@@ -152,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=_parse_complex, default=0j, help="second argument")
 
     p = sub.add_parser("envelope", help="growth-envelope scan to CSV")
-    _add_common(p)
+    _add_flags(p, "out", "t", "N", "quad")
     p.add_argument("--f", type=parse_test_function, default=HermiteBasis((0,)))
     p.add_argument("--m", type=int, default=0)
     p.add_argument(
@@ -164,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--res", type=int, default=64)
 
     p = sub.add_parser("special", help="twisted-semigroup checks")
-    _add_output(p)
+    _add_flags(p, "out", "t")
     p.add_argument("--action", choices=("eigen", "intertwine", "envelope"), required=True)
     p.add_argument("--alpha", type=int, default=0)
     p.add_argument("--beta", type=int, default=0)
@@ -175,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--res", type=int, default=32)
 
     p = sub.add_parser("stft", help="windowed-transform growth envelope")
-    _add_common(p)
+    _add_flags(p, "out", "quad")
     p.add_argument("--f", type=parse_test_function, default=HermiteBasis((0,)))
     p.add_argument("--a", type=float, default=2.0, help="window width parameter")
     p.add_argument("--m", type=int, default=0)
@@ -183,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--res", type=int, default=48)
 
     p = sub.add_parser("bridge", help="heat/windowed-transform identity residual")
-    _add_common(p)
+    _add_flags(p, "t", "N", "quad")
     p.add_argument("--f", type=parse_test_function, default=HermiteBasis((0,)))
 
     return parser
@@ -239,7 +240,7 @@ def _cmd_suite(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     grid = default_bergman_grid(args.t, resolution=args.res)
-    cal = calibrate_weight(args.t, args.n, [(k,) for k in range(5)], grid)
+    cal = calibrate_weight(args.t, 1, [(k,) for k in range(5)], grid)
     _emit(
         args,
         {
@@ -405,7 +406,7 @@ def cli_main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, HermiteOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

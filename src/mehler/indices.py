@@ -80,14 +80,3 @@ def as_point(z, dimension: int | None = None) -> np.ndarray:
         raise ValueError("point coordinates must be finite")
     return z
 
-
-def bilinear_square(z) -> complex:
-    """sum(z_j**2) without conjugation; real part is x^2 - y^2."""
-    z = np.asarray(z)
-    return complex(np.sum(z * z))
-
-
-def abs_square(z) -> float:
-    """|z|^2 = sum |z_j|^2."""
-    z = np.asarray(z)
-    return float(np.sum(np.abs(z) ** 2))

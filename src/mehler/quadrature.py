@@ -52,10 +52,9 @@ class QuadRule:
         return len(self.nodes)
 
 
-@lru_cache(maxsize=64)
-def _hermite_nodes(q: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = roots_hermite(q)
-    return x, w
+# (nodes, weights) per order; the rules below never hand out these arrays
+_hermite_nodes = lru_cache(maxsize=64)(roots_hermite)
+_legendre_nodes = lru_cache(maxsize=64)(roots_legendre)
 
 
 def gauss_hermite_rule(q: int) -> QuadRule:
@@ -76,7 +75,7 @@ def gauss_legendre_rule(q: int, a: float = -1.0, b: float = 1.0) -> QuadRule:
         raise ValueError("q must be >= 1")
     if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
         raise ValueError(f"invalid interval [{a}, {b}]")
-    x, w = roots_legendre(q)
+    x, w = _legendre_nodes(q)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return QuadRule(
         nodes=mid + half * x, weights=half * w, kind="gauss-legendre", interval=(a, b)

@@ -9,10 +9,14 @@ entire functions of z, evaluated by the forward three-term recurrence
     h_{k+1}(z) = z sqrt(2/(k+1)) h_k(z) - sqrt(k/(k+1)) h_{k-1}(z)
 
 seeded with h_0(z) = pi^(-1/4) exp(-z^2/2).  Off the real axis |h_k(x+iy)|
-grows like exp(y^2/2), so a log-domain form (:class:`LogComplex`) is
-provided that never overflows at desk scale (|Im z| <= 30, k <= 128): the
-Gaussian factor is kept as an exponent and only the polynomial part runs
-through the recurrence, with rescaling.
+grows like exp(y^2/2), so one rescaled recurrence over arrays of points
+carries only the polynomial parts P_k = h_k / h_0 and keeps the Gaussian
+factor and the scale as exponents.  It yields per-order log-domain values
+(:func:`hermite_log_ladder`, :class:`LogComplex` for one order) and weighted
+sums (:func:`hermite_series`), and never overflows at desk scale
+(|Im z| <= 30, k <= 128); a value whose modulus does not fit a double
+raises :class:`HermiteOverflowError`.  :func:`hermite_eval` is the plain
+linear-domain ladder for real or near-real nodes.
 
 Laguerre polynomials L_k^a and the Laguerre functions
 
@@ -30,7 +34,14 @@ from .indices import as_index, as_point
 
 LOG_H0 = -0.25 * math.log(math.pi)  # log of h_0(0)
 
+LOG_DBL_MAX = float(np.log(np.finfo(float).max))
+
 _RESCALE = 1e140
+_RESCALE_PART = _RESCALE / math.sqrt(2.0)
+
+
+class HermiteOverflowError(OverflowError):
+    """A Hermite-series value whose modulus exceeds the largest double."""
 
 
 @dataclass(frozen=True)
@@ -56,16 +67,6 @@ class LogComplex:
         if v == 0:
             return cls(-math.inf, 0.0)
         return cls(math.log(abs(v)), _wrap_phase(math.atan2(v.imag, v.real)))
-
-    def __mul__(self, other: "LogComplex") -> "LogComplex":
-        if not isinstance(other, LogComplex):
-            return NotImplemented
-        if self.log_magnitude == -math.inf or other.log_magnitude == -math.inf:
-            return LogComplex(-math.inf, 0.0)
-        return LogComplex(
-            self.log_magnitude + other.log_magnitude,
-            _wrap_phase(self.phase + other.phase),
-        )
 
 
 def _wrap_phase(p: float) -> float:
@@ -114,62 +115,98 @@ def hermite_eval(k_max: int, z) -> np.ndarray:
     return out
 
 
-def hermite_poly_ladder(k_max: int, z) -> np.ndarray:
-    """Polynomial parts P_k = h_k / h_0 (P_0 = 1, P_1 = sqrt(2) z, ...).
+def _poly_parts(k_max: int, z: np.ndarray):
+    """Yield (P_k, m_k) for k = 0, ..., k_max over the complex points ``z``.
 
-    These satisfy the same recurrence as h_k and stay far from overflow at
-    desk scale, which is what makes the log-domain evaluation work.
+    P_k = h_k / h_0, except that where max(|P_{k-1}|, |P_k|) passes 1e140
+    both are divided by it; ``m_k`` holds those divisors (1 elsewhere), or
+    is None when step k rescaled no point.  So h_k = h_0 P_k prod_{j<=k} m_j.
+    P_k is computed in the buffer of P_{k-2}, so use it before the
+    generator advances twice.
     """
-    z = _check_finite(z)
-    dtype = complex if np.iscomplexobj(z) else float
-    z = np.asarray(z, dtype=dtype)
-    out = np.empty((k_max + 1,) + z.shape, dtype=dtype)
-    out[0] = np.ones_like(z)
-    if k_max >= 1:
-        out[1] = math.sqrt(2.0) * z
-    for k in range(1, k_max):
-        out[k + 1] = (
-            z * math.sqrt(2.0 / (k + 1)) * out[k]
-            - math.sqrt(k / (k + 1.0)) * out[k - 1]
-        )
-    return out
+    prev, cur = np.zeros_like(z), np.ones_like(z)
+    yield cur, None
+    for j in range(k_max):
+        a, b = math.sqrt(2.0 / (j + 1)), math.sqrt(j / (j + 1.0))
+        prev *= -b
+        prev += z * a * cur
+        prev, cur = cur, prev
+        # |P_{k-1}| <= 1e140 holds after every step, so only P_k can pass;
+        # max(|Re|, |Im|) <= 1e140 / sqrt(2) rules that out without np.abs.
+        m = None
+        if np.abs(cur.reshape(-1).view(float)).max() > _RESCALE_PART:
+            m = np.maximum(np.abs(prev), np.abs(cur))
+            m[m <= _RESCALE] = 1.0
+            prev /= m
+            cur /= m
+        yield cur, m
+
+
+def hermite_log_ladder(k_max: int, z) -> tuple[np.ndarray, np.ndarray]:
+    """(log|h_k(z)|, arg h_k(z)) for k = 0, ..., k_max, overflow-safe.
+
+    Returns two real arrays of shape (k_max + 1,) + shape(z).  The Gaussian
+    seed contributes its exponent -z^2/2 directly and the polynomial part
+    comes from one rescaled recurrence, so no intermediate overflows.  The
+    argument is not reduced to (-pi, pi]; zeros give log|h_k| = -inf.
+    """
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    z = np.asarray(_check_finite(z), dtype=complex)
+    parts = np.empty((k_max + 1,) + z.shape, dtype=complex)
+    log_m = np.zeros((k_max + 1,) + z.shape)
+    for k, (p, m) in enumerate(_poly_parts(k_max, z)):
+        parts[k] = p
+        if m is not None:
+            log_m[k] = np.log(m)
+    shift = np.cumsum(log_m, axis=0)
+    x, y = z.real, z.imag
+    # -z^2/2 = -(x^2 - y^2)/2 - i x y
+    with np.errstate(divide="ignore"):
+        log_mod = LOG_H0 - 0.5 * (x * x - y * y) + shift + np.log(np.abs(parts))
+    return log_mod, np.angle(parts) - x * y
 
 
 def hermite_log_eval(k: int, z) -> LogComplex:
-    """h_k(z) in overflow-safe log form (scalar z).
-
-    The Gaussian seed contributes the exponent -z^2/2 directly; the
-    polynomial part is run through the recurrence with rescaling whenever
-    its magnitude passes 1e140, so no intermediate ever overflows.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError("argument must be finite")
-    x, y = z.real, z.imag
-    # -z^2/2 = -(x^2 - y^2)/2 - i x y
-    base_log = LOG_H0 - 0.5 * (x * x - y * y)
-    base_phase = -x * y
-
-    p_prev, p_cur = 0.0 + 0.0j, 1.0 + 0.0j
-    shift = 0.0
-    for j in range(k):
-        p_next = z * math.sqrt(2.0 / (j + 1)) * p_cur - math.sqrt(
-            j / (j + 1.0)
-        ) * p_prev
-        p_prev, p_cur = p_cur, p_next
-        m = max(abs(p_prev), abs(p_cur))
-        if m > _RESCALE:
-            p_prev /= m
-            p_cur /= m
-            shift += math.log(m)
-    if p_cur == 0:
+    """h_k(z) in overflow-safe log form (scalar z): the last row of
+    :func:`hermite_log_ladder`."""
+    log_mod, arg = hermite_log_ladder(k, complex(z))
+    if log_mod[k] == -math.inf:
         return LogComplex(-math.inf, 0.0)
-    return LogComplex(
-        base_log + shift + math.log(abs(p_cur)),
-        _wrap_phase(base_phase + math.atan2(p_cur.imag, p_cur.real)),
-    )
+    return LogComplex(float(log_mod[k]), _wrap_phase(float(arg[k])))
+
+
+def hermite_series(coef, z) -> np.ndarray:
+    """sum_k coef[k] h_k(z) over an array of points.
+
+    Accumulated inside the rescaled recurrence up to the last nonzero
+    coefficient, with h_0 and the scale applied in log form at the end.
+    Raises :class:`HermiteOverflowError` if a modulus exceeds a double.
+    """
+    z = np.asarray(_check_finite(z), dtype=complex)
+    top = int(np.max(np.flatnonzero(coef), initial=0))
+    acc = np.zeros_like(z)
+    log_m = np.zeros(z.shape)
+    for k, (p, m) in enumerate(_poly_parts(top, z)):
+        if m is not None:
+            acc /= m
+            log_m = log_m + np.log(m)
+        acc += coef[k] * p
+    return mul_exp(acc, LOG_H0 - 0.5 * z * z + log_m)
+
+
+def mul_exp(value, log_scale) -> np.ndarray:
+    """value * exp(log_scale), formed in log form; raises
+    :class:`HermiteOverflowError` where the modulus would exceed the
+    largest double."""
+    with np.errstate(divide="ignore"):
+        log_mod = np.real(log_scale) + np.log(np.abs(value))
+    if not np.all(log_mod <= LOG_DBL_MAX):
+        raise HermiteOverflowError(
+            f"log-modulus {float(np.max(log_mod))!r} exceeds the "
+            f"largest double (log {LOG_DBL_MAX!r})"
+        )
+    return np.exp(log_mod + 1j * (np.imag(log_scale) + np.angle(value)))
 
 
 def hermite_tensor(alpha, z) -> complex:
@@ -180,16 +217,6 @@ def hermite_tensor(alpha, z) -> complex:
     for a_j, z_j in zip(alpha, z):
         val *= hermite_eval(a_j, z_j)[a_j]
     return complex(val)
-
-
-def hermite_tensor_log(alpha, z) -> LogComplex:
-    """Log-domain variant of :func:`hermite_tensor`."""
-    alpha = as_index(alpha)
-    z = as_point(z, dimension=len(alpha))
-    out = LogComplex(0.0, 0.0)
-    for a_j, z_j in zip(alpha, z):
-        out = out * hermite_log_eval(a_j, z_j)
-    return out
 
 
 def laguerre_eval(k: int, type_a: int, r) -> float | np.ndarray:

@@ -9,9 +9,13 @@ Sobolev norms of any integer order (negative orders reach distributions)
 are plain weighted l^2 norms of the coefficients.
 
 Spectral data evaluates anywhere on C^n through the entire extension of
-the basis; scalar evaluation assembles terms in log-domain so large
-imaginary parts cannot overflow, and reports the magnitude of the last
-coefficient shell as a truncation indicator.
+the basis, and both evaluators are views of the one rescaled Hermite
+recurrence in :mod:`mehler.specfun`.  At a point, :func:`eval_entire`
+takes one log-domain ladder per coordinate, gathers the terms of all
+multi-indices at once and reports the magnitude of the last coefficient
+shell as a truncation indicator.  On a grid, ``SpectralHandle.eval_grid``
+accumulates the weighted sum inside the recurrence.  A value whose modulus
+exceeds the largest double raises :class:`~mehler.specfun.HermiteOverflowError`.
 """
 
 import csv
@@ -22,7 +26,7 @@ import numpy as np
 
 from .indices import MultiIndex, as_index, as_point, multi_indices
 from .quadrature import QuadRule, gauss_legendre_rule
-from .specfun import hermite_eval, hermite_log_eval
+from .specfun import hermite_eval, hermite_log_ladder, hermite_series, mul_exp
 
 # ---------------------------------------------------------------------------
 # Test functions (tagged union)
@@ -367,7 +371,8 @@ def eval_entire(
     """Value of the heat transform sum_alpha c_alpha e^{-(2|alpha|+n)t} Phi_alpha(z).
 
     Scalar ``z`` in C^n.  Terms are assembled from log-domain basis values,
-    so nothing overflows at desk scale.  With ``with_tail=True`` also
+    so nothing overflows at desk scale; a result that does not fit a double
+    raises :class:`~mehler.specfun.HermiteOverflowError`.  With ``with_tail=True`` also
     returns the summed magnitude of the last coefficient shell relative to
     the result, a truncation indicator (values above ~1e-6 mean the
     truncation is doing visible damage).
@@ -375,39 +380,18 @@ def eval_entire(
     if t <= 0:
         raise ValueError("t must be positive")
     z = as_point(z, dimension=e.dimension)
-    ladders = [
-        (
-            np.array([lc.log_magnitude for lc in col]),
-            np.array([lc.phase for lc in col]),
-        )
-        for col in (
-            [hermite_log_eval(k, z_j) for k in range(e.truncation + 1)]
-            for z_j in z
-        )
-    ]
-    logmag = np.empty(len(e.indices))
-    phase = np.empty(len(e.indices))
-    for i, alpha in enumerate(e.indices):
-        lm = 0.0
-        ph = 0.0
-        for j, a_j in enumerate(alpha):
-            lm += ladders[j][0][a_j]
-            ph += ladders[j][1][a_j]
-        logmag[i] = lm
-        phase[i] = ph
-    lam = e.eigenvalues()
-    logmag = logmag - lam * t
-    weights = e.values * np.exp(1j * phase)
-
-    finite = np.abs(e.values) > 0
-    if not np.any(finite):
-        return (0j, 0.0) if with_tail else 0j
-    peak = float(np.max(logmag[finite]))
+    log_mod, arg = hermite_log_ladder(e.truncation, z)
+    # row alpha_j of coordinate j's ladder, for every alpha at once
+    idx = np.array(e.indices), np.arange(e.dimension)
+    logmag = log_mod[idx].sum(axis=1) - e.eigenvalues() * t
+    weights = e.values * np.exp(1j * arg[idx].sum(axis=1))
+    logmag[e.values == 0] = -math.inf
+    peak = float(np.max(logmag))
     if peak == -math.inf:
-        # every contributing basis value vanishes at z
+        # no coefficients, or every contributing basis value vanishes at z
         return (0j, 0.0) if with_tail else 0j
     terms = weights * np.exp(logmag - peak)
-    total = np.exp(peak) * np.sum(terms)
+    total = mul_exp(np.sum(terms), peak)
     if not with_tail:
         return complex(total)
     shell = e.degrees() == e.truncation
@@ -462,11 +446,9 @@ class SpectralHandle(EntireHandle):
     def eval_grid(self, X, Y) -> np.ndarray:
         if self.expansion.dimension != 1:
             raise ValueError("grid evaluation is one-dimensional")
-        Z = np.asarray(X) + 1j * np.asarray(Y)
-        ladder = hermite_eval(self.expansion.truncation, Z)
         lam = self.expansion.eigenvalues()
         coef = self.expansion.values * np.exp(-lam * self.time)
-        return np.tensordot(coef, ladder, axes=(0, 0))
+        return hermite_series(coef, np.asarray(X) + 1j * np.asarray(Y))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from mehler import (
     Dirac,
     Gaussian,
     HermiteBasis,
+    HermiteOverflowError,
     PolyGaussian,
     apply_multiplier,
     complex_heat,
@@ -20,6 +21,7 @@ from mehler import (
     expansion_to_csv,
     gauss_hermite_rule,
     heat,
+    hermite_log_ladder,
     integrate_rn,
     mehler_kernel,
     power,
@@ -194,14 +196,39 @@ def test_eval_entire_reports_truncation(gh128):
     assert val == pytest.approx(eval_entire(e, 0.4, [0.5]))
 
 
-def test_spectral_handle_grid_matches_pointwise(gh128):
-    e = expand(Gaussian(2.0), 32, rule=gh128, dimension=1)
-    handle = SpectralHandle(e, 0.4)
-    X = np.array([0.0, 0.5, -1.0])
-    Y = np.array([0.0, 0.3, -0.8])
+@pytest.mark.parametrize("N", [32, 128])
+@pytest.mark.parametrize("source", ["gaussian", "trailing-zeros"])
+def test_spectral_handle_grid_matches_pointwise(N, source):
+    if source == "gaussian":
+        e = expand(Gaussian(2.0), N, rule=gauss_hermite_rule(160), dimension=1)
+    else:
+        entries = (((0,), 1.0 + 0j), ((3,), -0.5 + 2j), ((5,), 0.25j))
+        e = expand(CoefficientList(1, N, entries), N, dimension=1)
+    t = 0.4
+    handle = SpectralHandle(e, t)
+    X = np.array([0.0, 0.5, -1.0, 2.5, -0.5, 0.5])
+    Y = np.array([0.0, 0.3, -0.8, 12.0, -25.0, 30.0])
     grid_vals = handle.eval_grid(X, Y)
-    for i in range(3):
-        assert abs(grid_vals[i] - handle.eval([complex(X[i], Y[i])])) < 1e-12
+    # agreement is judged against the sum of the term moduli
+    log_mod, _ = hermite_log_ladder(N, X + 1j * Y)
+    with np.errstate(divide="ignore"):
+        log_coef = np.log(np.abs(e.values)) - e.eigenvalues() * t
+    scale = np.sum(np.exp(log_mod + log_coef[:, None]), axis=0)
+    for i in range(len(X)):
+        point = handle.eval([complex(X[i], Y[i])])
+        assert abs(grid_vals[i] - point) <= 1e-12 * scale[i]
+
+
+def test_overflow_raises_named_error(gh128):
+    e = expand(HermiteBasis((3,)), 48, rule=gh128, dimension=1)
+    handle = SpectralHandle(e, 0.3)
+    z = 0.5 + 40j
+    with pytest.raises(HermiteOverflowError):
+        handle.eval([z])
+    with pytest.raises(HermiteOverflowError):
+        handle.eval_grid(np.array([0.0, z.real]), np.array([0.0, z.imag]))
+    with pytest.raises(HermiteOverflowError):
+        eval_entire(e, 0.3, [z], with_tail=True)
 
 
 def test_coefficient_csv_round_trip(tmp_path, gh128):

@@ -197,6 +197,14 @@ def test_cli_transform(capsys):
     assert data["value"][0] == pytest.approx(math.exp(-0.3) * math.pi**-0.25, rel=1e-9)
 
 
+def test_cli_transform_overflow_exits_1(capsys):
+    code = cli_main(["transform", "--f", "h3", "--z", "0.5,40"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_cli_calibrate(capsys):
     code = cli_main(["calibrate", "--t", "0.25", "--res", "96"])
     assert code == 0
@@ -250,6 +258,23 @@ def test_cli_special_intertwine(capsys):
 def test_cli_special_rejects_unused_flags(capsys):
     for flag in ("--quad", "--N", "--n", "--seed"):
         assert cli_main(["special", "--action", "eigen", flag, "64"]) == 2
+
+
+# flags each subcommand does not read; argparse rejects them before any work
+UNUSED_FLAGS = {
+    "calibrate": ("--N", "--quad", "--seed", "--n", "--format"),
+    "transform": ("--seed", "--n", "--format"),
+    "kernels": ("--N", "--quad", "--seed", "--n", "--format"),
+    "envelope": ("--seed", "--n", "--format"),
+    "stft": ("--N", "--seed", "--n", "--t", "--format"),
+    "bridge": ("--seed", "--n", "--out", "--format"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNUSED_FLAGS))
+def test_cli_rejects_unused_flags(command, capsys):
+    for flag in UNUSED_FLAGS[command]:
+        assert cli_main([command, flag, "2"]) == 2, flag
 
 
 def test_cli_special_envelope_csv(tmp_path):
