@@ -136,7 +136,7 @@ def _poly_parts(k_max: int, z: np.ndarray):
         m = None
         if np.abs(cur.reshape(-1).view(float)).max() > _RESCALE_PART:
             m = np.maximum(np.abs(prev), np.abs(cur))
-            m[m <= _RESCALE] = 1.0
+            m = np.where(m > _RESCALE, m, 1.0)
             prev /= m
             cur /= m
         yield cur, m

@@ -391,13 +391,14 @@ def eval_entire(
         # no coefficients, or every contributing basis value vanishes at z
         return (0j, 0.0) if with_tail else 0j
     terms = weights * np.exp(logmag - peak)
-    total = mul_exp(np.sum(terms), peak)
+    scaled = np.sum(terms)
+    total = complex(mul_exp(scaled, peak))
     if not with_tail:
-        return complex(total)
+        return total
+    # both sides carry the factor exp(peak), which may itself overflow
     shell = e.degrees() == e.truncation
-    tail = float(np.exp(peak) * np.sum(np.abs(terms[shell])))
-    denom = max(abs(total), np.finfo(float).tiny)
-    return complex(total), tail / denom
+    tail = float(np.sum(np.abs(terms[shell])))
+    return total, tail / max(abs(scaled), np.finfo(float).tiny)
 
 
 # ---------------------------------------------------------------------------

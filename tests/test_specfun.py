@@ -11,11 +11,13 @@ from mehler import (
     LogComplex,
     hermite_eval,
     hermite_log_eval,
+    hermite_log_ladder,
     hermite_tensor,
     laguerre_eval,
     laguerre_function,
     laguerre_function_entire,
 )
+from mehler.specfun import hermite_series
 
 PI14 = math.pi ** -0.25
 
@@ -113,7 +115,7 @@ def test_log_eval_on_imaginary_axis():
     assert lc.phase == pytest.approx(0.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("k", [40, 64, 128])
+@pytest.mark.parametrize("k", [40, 64, 128, 200])
 @pytest.mark.parametrize("z", [5 + 5j, 20 + 30j, -25 - 12j, 0.5 + 30j])
 def test_log_eval_matches_extended_precision_recurrence(k, z):
     import mpmath
@@ -137,6 +139,27 @@ def test_log_eval_matches_extended_precision_recurrence(k, z):
     assert got.log_magnitude == pytest.approx(ref_log, rel=1e-12)
     got_unit = complex(math.cos(got.phase), math.sin(got.phase))
     assert abs(got_unit - ref_unit) <= 1e-12
+
+
+def test_rescaled_recurrence_past_1e140_on_arrays():
+    # at k = 200 the polynomial part passes 1e140 at both imaginary points,
+    # so the rescale branch runs in the ladder and in the weighted sum
+    z = np.array([20 + 30j, 0.5 + 30j, 5 + 5j, -25 - 12j])
+    log_mod, arg = hermite_log_ladder(200, z)
+    for j, z_j in enumerate(z):
+        for k in (0, 100, 174, 175, 196, 200):
+            lc = hermite_log_eval(k, z_j)
+            assert log_mod[k, j] == pytest.approx(lc.log_magnitude, rel=1e-14)
+            unit = np.exp(1j * arg[k, j])
+            assert abs(unit - np.exp(1j * lc.phase)) <= 1e-13
+    coef = np.exp(-2.0 * np.arange(201)) * (1 - 0.5j) ** np.arange(201)
+    log_terms = np.log(np.abs(coef))[:, None] + log_mod
+    ref = np.sum(np.exp(log_terms + 1j * (np.angle(coef)[:, None] + arg)), axis=0)
+    got = hermite_series(coef, z)
+    scale = np.sum(np.exp(log_terms), axis=0)
+    assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+    for j, z_j in enumerate(z):
+        assert hermite_series(coef, z_j) == pytest.approx(got[j], rel=1e-13)
 
 
 def test_log_eval_never_overflows_at_desk_scale():

@@ -1,6 +1,7 @@
 """Expansions, multipliers, Sobolev norms, entire evaluation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from mehler import (
     expansion_to_csv,
     gauss_hermite_rule,
     heat,
+    hermite_log_eval,
     hermite_log_ladder,
     integrate_rn,
     mehler_kernel,
@@ -194,6 +196,25 @@ def test_eval_entire_reports_truncation(gh128):
     val, tail = eval_entire(e, 0.4, [0.5], with_tail=True)
     assert tail < 1e-10
     assert val == pytest.approx(eval_entire(e, 0.4, [0.5]))
+
+
+def test_truncation_indicator_when_a_basis_value_exceeds_a_double():
+    # |e^{-lam t} h_128(0.5+35i)| ~ e^866 does not fit a double, but its
+    # coefficient 1e-250 brings the term and the sum back into range
+    e = expand(
+        CoefficientList(1, 128, (((0,), 1.0 + 0j), ((128,), 1e-250 + 0j))),
+        128,
+        dimension=1,
+    )
+    t, z = 0.01, 0.5 + 35j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, tail = eval_entire(e, t, [z], with_tail=True)
+    log_tail = (
+        math.log(1e-250) - 257 * t + hermite_log_eval(128, z).log_magnitude
+    )
+    assert math.isfinite(abs(val))
+    assert tail == pytest.approx(math.exp(log_tail - math.log(abs(val))), rel=1e-10)
 
 
 @pytest.mark.parametrize("N", [32, 128])
