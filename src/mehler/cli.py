@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

@@ -254,6 +254,22 @@ def special_heat_from_square(t: float, q, dimension: int = 1):
     return pref * np.exp(-0.25 / math.tanh(t) * np.asarray(q, dtype=complex))
 
 
+def twisted_weight_profile(t: float, m: int, q, dimension: int = 1):
+    """The factor of the twisted weight that depends on q = |y|^2 + |v|^2
+    alone: d^{2m}/dt^{2m} of p_{2t}(2y, 2v) = (2 pi sinh 2t)^{-n}
+    exp(-coth(2t) q), elementwise over a real array ``q``.
+    """
+    q = np.asarray(q, dtype=float)
+    if m == 0:
+        pref = (2.0 * math.pi * math.sinh(2 * t)) ** (-dimension)
+        return pref * np.exp(-(1.0 / math.tanh(2 * t)) * q)
+    T = TaylorScalar.variable(t, 2 * m)
+    sinh2 = taylor.sinh(T * 2.0)
+    pref = sinh2.power(-float(dimension)) * (2.0 * math.pi) ** (-dimension)
+    series = pref * (taylor.coth(T * 2.0) * (-q)).exp()
+    return series.derivative(2 * m)
+
+
 def twisted_bergman_weight(t: float, m: int, z, w, dimension: int = 1):
     """Weight on C^{2n}: 4^n e^{uy - vx} p_{2t}(2y, 2v), and its 2m-th time
     derivative for m > 0 (signed).  ``z = x + iy``, ``w = u + iv``,
@@ -269,15 +285,7 @@ def twisted_bergman_weight(t: float, m: int, z, w, dimension: int = 1):
     y2 = sum(np.asarray(a.imag, dtype=float) ** 2 for a in zs)
     v2 = sum(np.asarray(u.imag, dtype=float) ** 2 for u in ws)
     envelope = (4.0**dimension) * np.exp(cross)
-    if m == 0:
-        s2t = math.sinh(2 * t)
-        pref = (2.0 * math.pi * s2t) ** (-dimension)
-        return envelope * pref * np.exp(-(1.0 / math.tanh(2 * t)) * (y2 + v2))
-    T = TaylorScalar.variable(t, 2 * m)
-    sinh2 = taylor.sinh(T * 2.0)
-    pref = sinh2.power(-float(dimension)) * (2.0 * math.pi) ** (-dimension)
-    series = pref * (taylor.coth(T * 2.0) * (-(y2 + v2))).exp()
-    return envelope * series.derivative(2 * m)
+    return envelope * twisted_weight_profile(t, m, y2 + v2, dimension)
 
 
 # ---------------------------------------------------------------------------

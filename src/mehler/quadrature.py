@@ -12,7 +12,7 @@ so results are bit-reproducible for a given rule/grid.
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import roots_hermite, roots_legendre
@@ -195,7 +195,14 @@ class PlaneGrid:
         return x, w
 
     def nodes(self) -> tuple[np.ndarray, ...]:
-        """Flattened coordinate arrays plus the weight array (last)."""
+        """Flattened coordinate arrays plus the weight array (last).
+
+        Built once per grid and shared by every caller, so read-only.
+        """
+        return self._nodes
+
+    @cached_property
+    def _nodes(self) -> tuple[np.ndarray, ...]:
         axes = [self.axis(k) for k in range(2 * self.ncoords)]
         grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
         coords = [g.ravel() for g in grids]
@@ -203,7 +210,10 @@ class PlaneGrid:
         weights = wgrids[0].ravel().copy()
         for wg in wgrids[1:]:
             weights *= wg.ravel()
-        return (*coords, weights)
+        out = (*coords, weights)
+        for a in out:
+            a.flags.writeable = False
+        return out
 
     def refine(self, factor: int = 2) -> "PlaneGrid":
         if self.kind == "trapezoid":

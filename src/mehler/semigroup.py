@@ -42,7 +42,7 @@ from .spectral import (
     expand,
     gaussian_decay_rate,
 )
-from .specfun import hermite_eval
+from .specfun import HermiteOverflowError, hermite_eval
 
 
 @dataclass(frozen=True)
@@ -140,13 +140,26 @@ class KernelImageHandle(EntireHandle):
 
     def eval(self, z) -> complex:
         z = as_point(z, dimension=1)
-        ker = mehler_kernel(self.time, z[0], self._nodes)
-        return complex(np.sum(self._samples * ker))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ker = mehler_kernel(self.time, z[0], self._nodes)
+            val = np.sum(self._samples * ker)
+        return complex(_finite_kernel_sum(val))
 
     def eval_grid(self, X, Y) -> np.ndarray:
         Z = (np.asarray(X) + 1j * np.asarray(Y)).ravel()
-        ker = mehler_kernel(self.time, Z[:, None], self._nodes[None, :])
-        return ker @ self._samples
+        with np.errstate(over="ignore", invalid="ignore"):
+            ker = mehler_kernel(self.time, Z[:, None], self._nodes[None, :])
+            vals = ker @ self._samples
+        return _finite_kernel_sum(vals)
+
+
+def _finite_kernel_sum(vals):
+    """``vals``, or HermiteOverflowError where a kernel sum left the doubles."""
+    if not np.all(np.isfinite(vals)):
+        raise HermiteOverflowError(
+            "kernel-mode image exceeds the largest double at a requested point"
+        )
+    return vals
 
 
 def semigroup_handle(

@@ -43,6 +43,16 @@ first-order relations are
 (the u-direction multiplier differs in sign from the x-direction one; this
 is forced by the phase convention of the twisted convolution).  The check
 runs both relations under both signs of a and records which sign passes.
+
+Weighted norms on C^2 (n = 1) integrate against the 2m-th time derivative
+of the weight W_t(x, y, u, v) = 4 e^{yu - xv} S(y^2 + v^2), with S the
+(2 pi sinh 2t)^{-1}-normalized profile of
+:func:`mehler.kernels.twisted_weight_profile`.  The weight factors over
+coordinate pairs: the 4-D quadrature weight is the product of a (y, u), an
+(x, v) and a (y, v) table, so the time-derivative jet of S runs on the
+(y, v) table alone.  The sums run over blocks of whole z-plane rows
+against the whole w-plane, each holding at most 2^18 entries, so memory
+stays bounded at any resolution.
 """
 
 import math
@@ -51,14 +61,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .indices import MultiIndex, as_index, multi_indices, oscillator_eigenvalue
-from .kernels import special_plain_bound, special_schwartz_bound
+from .kernels import special_plain_bound, special_schwartz_bound, twisted_weight_profile
 from .quadrature import PlaneGrid
 from .semigroup import EnvelopeReport, CalibrationResult
 from .specfun import laguerre_ladder
-from .taylor import TaylorScalar
-from . import taylor
 
-_BLOCK = 2048
+# Most 4-D entries (z-plane rows x the whole w-plane) one block holds.
+_BLOCK_ENTRIES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -726,26 +735,49 @@ def default_special_grid(t: float = 0.4, resolution: int = 40, drop: float = 1e-
 
 
 def _plane_nodes(grid: PlaneGrid, which: int):
-    x, wx = grid.axis(2 * which)
-    y, wy = grid.axis(2 * which + 1)
-    X = np.repeat(x, len(y))
-    Y = np.tile(y, len(x))
-    W = np.repeat(wx, len(y)) * np.tile(wy, len(x))
-    return X, Y, W
+    """Flattened (x, y) nodes of one complex coordinate, x-major."""
+    x, _ = grid.axis(2 * which)
+    y, _ = grid.axis(2 * which + 1)
+    return np.repeat(x, len(y)), np.tile(y, len(x))
 
 
-def _twisted_weight_block(t: float, m: int, Yb, Ub, Xb, Vb):
-    """d^{2m}/dt^{2m} W_t on an (len(b), Mw) block, dimension 1."""
-    cross = Yb[:, None] * Ub[None, :] - Xb[:, None] * Vb[None, :]
-    yv2 = np.add.outer(Yb**2, Vb**2)
-    envelope = 4.0 * np.exp(cross)
-    if m == 0:
-        pref = 1.0 / (2.0 * math.pi * math.sinh(2 * t))
-        return envelope * pref * np.exp(-(1.0 / math.tanh(2 * t)) * yv2)
-    T = TaylorScalar.variable(t, 2 * m)
-    pref = taylor.sinh(T * 2.0).power(-1.0) * (2.0 * math.pi) ** -1
-    series = pref * (taylor.coth(T * 2.0) * (-yv2)).exp()
-    return envelope * series.derivative(2 * m)
+def _z_row_slices(grid: PlaneGrid):
+    """Slices of the flattened z-plane, each covering whole x-rows and,
+    against the whole w-plane, at most _BLOCK_ENTRIES entries (one x-row
+    at least)."""
+    n = grid.resolution
+    rows = max(1, _BLOCK_ENTRIES // n**3)
+    for x0 in range(0, n, rows):
+        yield slice(x0 * n, min(x0 + rows, n) * n)
+
+
+def _weight_blocks(grid: PlaneGrid, t: float, m: int):
+    """(z-row slice, block) pairs covering the 4-D grid, dimension 1.
+
+    A block holds the quadrature weight times d^{2m}/dt^{2m} W_t on the
+    product of its z-rows with the w-plane, shaped (rows, len(w-plane)).
+    W_t = 4 e^{yu - xv} S_m(y^2 + v^2) factors over coordinate pairs, so the
+    block is a product of three per-axis tables and the jet S_m runs on the
+    (y, v) table only.
+    """
+    (x, wx), (y, wy), (u, wu), (v, wv) = (grid.axis(k) for k in range(4))
+    yu = 4.0 * np.exp(np.multiply.outer(y, u)) * np.multiply.outer(wy, wu)
+    xv = np.exp(-np.multiply.outer(x, v)) * np.multiply.outer(wx, wv)
+    s = twisted_weight_profile(t, m, np.add.outer(y**2, v**2))
+    # S_m joins the (y, u) table before the (x, v) one, so no intermediate
+    # grows past e^{yu - xv}
+    yuv = yu[:, :, None] * s[:, None, :]
+    n = grid.resolution
+    for rows in _z_row_slices(grid):
+        block = xv[rows.start // n : rows.stop // n, None, None, :] * yuv
+        yield rows, block.reshape(rows.stop - rows.start, n * n)
+
+
+def _complex_planes(grid: PlaneGrid):
+    """The flattened z-plane and w-plane points of a grid over C^2."""
+    Xz, Yz = _plane_nodes(grid, 0)
+    Uw, Vw = _plane_nodes(grid, 1)
+    return Xz + 1j * Yz, Uw + 1j * Vw
 
 
 def bergman_norm_special(
@@ -757,24 +789,21 @@ def bergman_norm_special(
 ) -> float:
     """kappa* int |F|^2 d^{2m}/dt^{2m} W_t over C^2 (n = 1 only).
 
-    The 4-dimensional quadrature is evaluated in blocks over the z-plane
-    to bound memory; the weight derivative uses jet arithmetic blockwise.
+    The weight W_t(x, y, u, v) = 4 e^{yu - xv} S_m(y^2 + v^2) factors into
+    per-axis tables over (y, u), (x, v) and (y, v); the jet for S_m runs on
+    the (y, v) table alone.  The 4-dimensional quadrature is summed over
+    blocks of whole z-plane rows, each at most 2^18 entries (one row at
+    least), so memory stays bounded at any resolution.
     """
     if grid.ncoords != 2:
         raise ValueError("need a two-coordinate grid over C^2")
     if m < 0:
         raise ValueError("m must be >= 0")
-    Xz, Yz, Wz = _plane_nodes(grid, 0)
-    Uw, Vw, Ww = _plane_nodes(grid, 1)
-    Zc = Xz + 1j * Yz
-    Wc = Uw + 1j * Vw
+    Zc, Wc = _complex_planes(grid)
     total = 0.0
-    for lo in range(0, len(Zc), _BLOCK):
-        hi = min(lo + _BLOCK, len(Zc))
-        F = handle.eval_matrix(Zc[lo:hi], Wc)
-        weight = _twisted_weight_block(t, m, Yz[lo:hi], Uw, Xz[lo:hi], Vw)
-        block = np.abs(F) ** 2 * weight
-        total += float(np.sum((Wz[lo:hi] @ block) * Ww))
+    for rows, block in _weight_blocks(grid, t, m):
+        F = handle.eval_matrix(Zc[rows], Wc)
+        total += float(np.sum((F.real**2 + F.imag**2) * block))
     return kappa_star * total
 
 
@@ -784,37 +813,32 @@ def calibrate_weight_special(
     """Calibration constant kappa* of the twisted Bergman weight (n = 1).
 
     Diagonal probes integrate |Phi_ab|^2 W_t; ratios
-    e^{2(2|b|+n)t} / integral must be flat over (a, b); off-diagonals must
-    vanish.  kappa* comes out near 2^{-n}: the weight is built from the
-    (2 pi sinh t)^{-n}-normalized profile, 2^n times the spectral one.
+    e^{2(2|b|+n)t} / integral must be flat over (a, b); off-diagonals
+    between the first pair and the next two must vanish.  kappa* comes out
+    near 2^{-n}: the weight is built from the (2 pi sinh t)^{-n}-normalized
+    profile, 2^n times the spectral one.  All probes share one sweep over
+    the weight blocks.
     """
     if pairs is None:
         pairs = [((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (1,))]
     pairs = [(as_index(a), as_index(b)) for a, b in pairs]
 
-    ratios: dict = {}
-    for a, b in pairs:
-        handle = SpecialEigenHandle(a, b, t)
-        # strip the eigen-damping: integrate |Phi_ab|^2 W_t itself
-        raw = bergman_norm_special(handle, t, 0, grid) / handle._damp() ** 2
-        lam = oscillator_eigenvalue(b)
-        ratios[(a, b)] = math.exp(2 * lam * t) / raw
+    Zc, Wc = _complex_planes(grid)
+    raw = [0.0] * len(pairs)
+    off = [0j] * len(pairs[1:3])
+    for rows, block in _weight_blocks(grid, t, 0):
+        for k, (a, b) in enumerate(pairs):
+            F = special_hermite_matrix(a[0], b[0], Zc[rows], Wc)
+            if k == 0:
+                F0 = F
+            raw[k] += float(np.sum((F.real**2 + F.imag**2) * block))
+            if 0 < k < 3:
+                off[k - 1] += complex(np.sum(F0 * np.conj(F) * block))
 
-    max_off = 0.0
-    probe_offdiag = [(pairs[0], p) for p in pairs[1:3]]
-    Xz, Yz, Wz = _plane_nodes(grid, 0)
-    Uw, Vw, Ww = _plane_nodes(grid, 1)
-    Zc = Xz + 1j * Yz
-    Wc = Uw + 1j * Vw
-    for (a1, b1), (a2, b2) in probe_offdiag:
-        acc = 0j
-        for lo in range(0, len(Zc), _BLOCK):
-            hi = min(lo + _BLOCK, len(Zc))
-            F1 = special_hermite_matrix(a1[0], b1[0], Zc[lo:hi], Wc)
-            F2 = special_hermite_matrix(a2[0], b2[0], Zc[lo:hi], Wc)
-            weight = _twisted_weight_block(t, 0, Yz[lo:hi], Uw, Xz[lo:hi], Vw)
-            acc += np.sum((Wz[lo:hi])[:, None] * F1 * np.conj(F2) * weight * Ww[None, :])
-        max_off = max(max_off, abs(acc))
+    ratios: dict = {}
+    for (a, b), r in zip(pairs, raw):
+        ratios[(a, b)] = math.exp(2 * oscillator_eigenvalue(b) * t) / r
+    max_off = max((abs(c) for c in off), default=0.0)
 
     vals = np.array(list(ratios.values()))
     if vals.max() / vals.min() - 1.0 > 1e-2:
@@ -852,17 +876,16 @@ def special_envelope(
     handle = special_image_handle(f, t)
 
     def scan(g: PlaneGrid):
-        Xz, Yz, _ = _plane_nodes(g, 0)
-        Uw, Vw, _ = _plane_nodes(g, 1)
+        Xz, Yz = _plane_nodes(g, 0)
+        Uw, Vw = _plane_nodes(g, 1)
         Zc = Xz + 1j * Yz
         Wc = Uw + 1j * Vw
         best = -math.inf
         arg = (0.0, 0.0, 0.0, 0.0)
-        for lo in range(0, len(Zc), _BLOCK):
-            hi = min(lo + _BLOCK, len(Zc))
-            F = handle.eval_matrix(Zc[lo:hi], Wc)
+        for rows in _z_row_slices(g):
+            F = handle.eval_matrix(Zc[rows], Wc)
             logb = bound.log_eval(
-                Xz[lo:hi, None], Yz[lo:hi, None], Uw[None, :], Vw[None, :]
+                Xz[rows, None], Yz[rows, None], Uw[None, :], Vw[None, :]
             )
             with np.errstate(divide="ignore"):
                 lr = 2.0 * np.log(np.abs(F)) - logb
@@ -870,8 +893,8 @@ def special_envelope(
             if lr[i, j] > best:
                 best = float(lr[i, j])
                 arg = (
-                    float(Xz[lo + i]),
-                    float(Yz[lo + i]),
+                    float(Xz[rows.start + i]),
+                    float(Yz[rows.start + i]),
                     float(Uw[j]),
                     float(Vw[j]),
                 )

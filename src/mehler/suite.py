@@ -11,7 +11,9 @@ from the timing fields.
 
 import json
 import math
+import os
 import time
+import traceback
 import zlib
 from dataclasses import dataclass, field
 
@@ -744,13 +746,15 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
             res = fn(config)
         except Exception as exc:  # isolation: a crash is a failed check
             doc = (fn.__doc__ or fn.__name__).strip().splitlines()[0]
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
             res = CheckResult(
                 name=name,
                 theorem="",
                 status="fail",
                 metric=float("inf"),
                 tol=config.tolerance(name),
-                details=f"error: {exc!r} ({doc})",
+                details=f"error: {exc!r} ({doc}) at {where}",
             )
         res.seconds = time.perf_counter() - start
         results.append(res)

@@ -182,3 +182,15 @@ def test_four_dimensional_grid_nodes():
     X, Y, U, V, W = grid.nodes()
     assert len(X) == 4**4
     assert W.sum() == pytest.approx(grid.total_weight)
+
+
+def test_plane_nodes_built_once_and_read_only():
+    grid = PlaneGrid(boxes=((-1.0, 1.0, -2.0, 2.0),), resolution=8)
+    first = grid.nodes()
+    assert all(a is b for a, b in zip(first, grid.nodes()))
+    for a in first:
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    fresh = PlaneGrid(boxes=((-1.0, 1.0, -2.0, 2.0),), resolution=8).nodes()
+    for a, b in zip(first, fresh):
+        np.testing.assert_array_equal(a, b)

@@ -1,6 +1,7 @@
 """Heat transform: modes, calibration, weighted norms, envelopes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from mehler import (
     tempered_bound,
 )
 from mehler.quadrature import PlaneGrid
+from mehler.specfun import HermiteOverflowError
 from mehler.spectral import CoefficientList, eval_test_function
 
 PI14 = math.pi ** -0.25
@@ -78,6 +80,18 @@ def test_kernel_mode_bump_support_quadrature(gh128):
     )
     # bump expansions converge slowly; modes agree to quadrature/truncation level
     assert abs(got - spectral) / abs(got) < 1e-5
+
+
+def test_kernel_mode_overflow_raises_named_error(gh128):
+    handle = semigroup_handle(HermiteBasis((3,)), 0.3, "kernel", rule=gh128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HermiteOverflowError):
+            handle.eval([0.5 + 40j])
+        with pytest.raises(HermiteOverflowError):
+            handle.eval_grid(np.array([0.0, 0.5]), np.array([0.0, 40.0]))
+        row = handle.eval_grid(np.array([0.0, 0.5]), np.array([0.0, 4.0]))
+    assert np.all(np.isfinite(row))
 
 
 def test_calibration_constant(calibration_025):

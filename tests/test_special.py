@@ -27,6 +27,8 @@ from mehler import (
     special_semigroup_apply,
     twisted_conv,
 )
+from mehler import special
+from mehler.kernels import twisted_bergman_weight
 from mehler.quadrature import PlaneGrid, gauss_hermite_rule
 from mehler.special import (
     GaussianImage,
@@ -303,6 +305,105 @@ def test_twisted_norm_zero_function(grid4):
         label="zero",
     )
     assert bergman_norm_special(zero, 0.4, 0, grid4) == 0.0
+
+
+def _grid_planes(grid):
+    """Flattened z- and w-plane points with their quadrature weights."""
+    (x, wx), (y, wy), (u, wu), (v, wv) = (grid.axis(k) for k in range(4))
+    Z = (x[:, None] + 1j * y[None, :]).ravel()
+    W = (u[:, None] + 1j * v[None, :]).ravel()
+    return Z, np.outer(wx, wy).ravel(), W, np.outer(wu, wv).ravel()
+
+
+def _dense_weight(t, m, grid):
+    """Quadrature weights times d^{2m}/dt^{2m} W_t on the whole 4-D product."""
+    Z, wz, W, ww = _grid_planes(grid)
+    return wz[:, None] * twisted_bergman_weight(t, m, Z[:, None], W[None, :]) * ww[None, :]
+
+
+@pytest.mark.parametrize(
+    "t, m, entries",
+    [(t, m, None) for t in (0.25, 0.6) for m in (0, 1, 2)] + [(0.6, 2, 5 * 48**3)],
+)
+def test_weight_blocks_match_pointwise_weight(monkeypatch, t, m, entries):
+    # the default budget gives 24 blocks of 2 x-rows at resolution 48;
+    # 5 x-rows per block leaves a ragged last block of 3
+    if entries is not None:
+        monkeypatch.setattr(special, "_BLOCK_ENTRIES", entries)
+    grid = default_special_grid(t, resolution=48)
+    Z, wz, W, ww = _grid_planes(grid)
+    # e^{yu} e^{-xv} against e^{yu - xv}: both round the exponent, whose
+    # terms reach |yu| + |xv|; subnormal entries keep only absolute accuracy
+    reach = 2 * max(abs(Z.imag).max() * abs(W.real).max(), 1.0)
+    rtol = 4 * reach * np.finfo(float).eps
+    atol = np.finfo(float).tiny
+    blocks = list(special._weight_blocks(grid, t, m))
+    assert len(blocks) > 2
+    stop = 0
+    for rows, block in blocks:
+        assert rows.start == stop and rows.stop - rows.start == len(block)
+        assert rows.start % 48 == 0 and rows.stop % 48 == 0
+        assert block.shape == (len(block), len(W))
+        assert block.size <= max(special._BLOCK_ENTRIES, 48**3)
+        ref = (
+            wz[rows, None]
+            * twisted_bergman_weight(t, m, Z[rows, None], W[None, :])
+            * ww[None, :]
+        )
+        np.testing.assert_allclose(block, ref, rtol=rtol, atol=atol)
+        stop = rows.stop
+    assert stop == len(Z)
+    if entries is not None:
+        assert len(blocks[-1][1]) == 3 * 48
+
+
+def _dense_calibration(t, pairs, grid):
+    Z, _, W, _ = _grid_planes(grid)
+    weight = _dense_weight(t, 0, grid)
+    mats = [special_hermite_matrix(a[0], b[0], Z, W) for a, b in pairs]
+    raw = [float(np.sum(np.abs(F) ** 2 * weight)) for F in mats]
+    ratios = {
+        (a, b): math.exp(2 * (2 * b[0] + 1) * t) / r for (a, b), r in zip(pairs, raw)
+    }
+    off = [abs(np.sum(mats[0] * np.conj(F) * weight)) for F in mats[1:3]]
+    return ratios, max(off, default=0.0), max(raw)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        None,
+        [((0,), (0,))],
+        [((1,), (1,)), ((0,), (1,))],
+        [((0,), (0,)), ((2,), (0,)), ((1,), (1,)), ((0,), (2,)), ((2,), (2,))],
+    ],
+    ids=["default", "one-pair", "two-pairs", "five-pairs"],
+)
+def test_calibration_matches_dense_reference(grid4, pairs):
+    t = 0.4
+    cal = calibrate_weight_special(t, pairs, grid4)
+    ref_pairs = pairs or [((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (1,))]
+    ratios, max_off, diag_scale = _dense_calibration(t, ref_pairs, grid4)
+    assert list(cal.ratios) == list(ratios)
+    for key, r in ratios.items():
+        assert cal.ratios[key] == pytest.approx(r, rel=1e-12)
+    kappa = math.exp(np.mean(np.log(list(ratios.values()))))
+    assert cal.kappa == pytest.approx(kappa, rel=1e-12)
+    assert abs(cal.max_offdiagonal - max_off) <= 1e-15 * diag_scale
+    if len(ref_pairs) == 1:
+        assert cal.max_offdiagonal == 0.0
+
+
+@pytest.mark.parametrize("ab", [((0,), (1,)), ((2,), (1,))])
+def test_order_two_norm_matches_dense_reference(grid4, ab):
+    t = 0.4
+    Z, _, W, _ = _grid_planes(grid4)
+    handle = SpecialEigenHandle(*ab, t)
+    terms = np.abs(handle.eval_matrix(Z, W)) ** 2 * _dense_weight(t, 2, grid4)
+    # the order-2 weight changes sign, so judge the two summation orders
+    # against the sum of |terms|
+    got = bergman_norm_special(handle, t, 2, grid4)
+    assert abs(got - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
 
 
 def _env_grid():

@@ -132,10 +132,12 @@ def test_crashed_check_keeps_registered_name_and_strict_json(monkeypatch):
     checks[0] = checks[-1] = crash
     monkeypatch.setattr(suite, "CHECKS", checks)
     report = run_suite(SuiteConfig())
+    raise_line = crash.__code__.co_firstlineno + 1
     for res in (report.checks[0], report.checks[-1]):
         assert res.status == "fail"
         assert isinstance(res.metric, float) and res.metric == math.inf
         assert "boom" in res.details
+        assert res.details.endswith(f" at test_suite_cli.py:{raise_line}")
     assert report.checks[0].name == "hermite-orthonormality"
     assert report.checks[-1].name == "determinism"
     assert report.checks[0].tol == SuiteConfig().tolerance("hermite-orthonormality")
@@ -199,6 +201,14 @@ def test_cli_transform(capsys):
 
 def test_cli_transform_overflow_exits_1(capsys):
     code = cli_main(["transform", "--f", "h3", "--z", "0.5,40"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_cli_transform_kernel_overflow_exits_1(capsys):
+    code = cli_main(["transform", "--f", "h3", "--z", "0.5,40", "--mode", "kernel"])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
