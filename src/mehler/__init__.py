@@ -52,6 +52,7 @@ from .semigroup import (
     bergman_norm,
     calibrate_weight,
     default_bergman_grid,
+    envelope,
     envelope_ratio,
     recover_coefficients,
     reproduce,

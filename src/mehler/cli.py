@@ -339,19 +339,13 @@ def _cmd_special(args) -> int:
         return 0 if rep_p.passes() != rep_m.passes() else 1
     # envelope: CSV over a 2-D (y, v) slice at fixed (x, u)
     box = tuple(args.box) if args.box else (-5.0, 5.0, -5.0, 5.0)
-    ys = np.linspace(box[0], box[1], args.res)
-    vs = np.linspace(box[2], box[3], args.res)
-    handle = SpecialEigenHandle(*ab, args.t)
-    Z = args.x + 1j * ys
-    W = args.u + 1j * vs
-    F = handle.eval_matrix(Z, W)
-    bound = special_schwartz_bound(args.t, args.m)
-    rows = []
-    for i, y in enumerate(ys):
-        for j, v in enumerate(vs):
-            b = float(bound.eval(args.x, y, args.u, v))
-            a2 = float(np.abs(F[i, j]) ** 2)
-            rows.append((y, v, a2, b, a2 / b))
+    Y, V = np.meshgrid(
+        np.linspace(box[0], box[1], args.res), np.linspace(box[2], box[3], args.res),
+        indexing="ij",
+    )
+    absF2 = np.abs(SpecialEigenHandle(*ab, args.t).eval_grid(args.x, Y, args.u, V)) ** 2
+    b = special_schwartz_bound(args.t, args.m).eval(args.x, Y, args.u, V)
+    rows = zip(Y.ravel(), V.ravel(), absF2.ravel(), b.ravel(), (absF2 / b).ravel())
     _write_rows(args.out, ["y", "v", "absF2", "bound", "ratio"], rows)
     return 0
 

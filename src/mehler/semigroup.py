@@ -8,8 +8,11 @@ kappa that makes the weighted basis orthogonality an exact isometry (the
 raw weight normalization is off by a dimension-dependent factor; for n = 1
 kappa comes out at (2 pi)^{-1/2}, independent of t).  With kappa in hand,
 ``bergman_norm`` evaluates the weighted squared norms of any integer
-Sobolev order, ``reproduce`` runs the reproducing identity, and
-``envelope_ratio`` measures growth-bound envelopes on plane grids.
+Sobolev order, and ``reproduce`` runs the reproducing identity.
+``envelope`` is the package's one growth-envelope scan: the sup of
+|F|^2 / bound (or |F| / bound) on a plane grid and at twice its resolution,
+over blocks of broadcastable real coordinates fed to ``handle.eval_grid``
+and ``bound.log_eval``, so images on C and on C^2 share it.
 """
 
 import math
@@ -101,13 +104,18 @@ class MehlerSliceHandle(EntireHandle):
 
     def eval(self, z) -> complex:
         z = as_point(z, dimension=self.dimension)
-        if self.dimension == 1:
-            return complex(mehler_kernel(self.time, z[0], self.source[0]))
-        return complex(mehler_kernel(self.time, z, self.source, self.dimension))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.dimension == 1:
+                val = mehler_kernel(self.time, z[0], self.source[0])
+            else:
+                val = mehler_kernel(self.time, z, self.source, self.dimension)
+        return complex(_finite_kernel_sum(val))
 
     def eval_grid(self, X, Y) -> np.ndarray:
         Z = np.asarray(X) + 1j * np.asarray(Y)
-        return mehler_kernel(self.time, Z, self.source[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = mehler_kernel(self.time, Z, self.source[0])
+        return _finite_kernel_sum(vals)
 
 
 class KernelImageHandle(EntireHandle):
@@ -346,45 +354,82 @@ def recover_coefficients(
 # ---------------------------------------------------------------------------
 
 
+# Most 4-D entries (z-plane rows x the whole w-plane) one scan block holds.
+_BLOCK_ENTRIES = 1 << 18
+
+# Relative move of the sup under refinement below which an envelope is stable.
+_STABILITY = 0.05
+
+
+def _plane_nodes(grid: PlaneGrid, which: int):
+    """Flattened (x, y) nodes of one complex coordinate, x-major."""
+    x, _ = grid.axis(2 * which)
+    y, _ = grid.axis(2 * which + 1)
+    return np.repeat(x, len(y)), np.tile(y, len(x))
+
+
+def _z_row_slices(grid: PlaneGrid):
+    """Slices of the flattened z-plane, each covering whole x-rows and,
+    against the whole w-plane, at most _BLOCK_ENTRIES entries (one x-row
+    at least)."""
+    n = grid.resolution
+    rows = max(1, _BLOCK_ENTRIES // n**3)
+    for x0 in range(0, n, rows):
+        yield slice(x0 * n, min(x0 + rows, n) * n)
+
+
+def _coordinate_blocks(grid: PlaneGrid):
+    """Broadcastable real coordinate arrays covering the grid's nodes: one
+    block (X, Y) for one coordinate; for two, z-row slices (X, Y) shaped
+    (rows, 1) against the whole w-plane (U, V) shaped (1, w-plane)."""
+    if grid.ncoords == 1:
+        X, Y, _ = grid.nodes()
+        yield X, Y
+        return
+    X, Y = _plane_nodes(grid, 0)
+    U, V = _plane_nodes(grid, 1)
+    for rows in _z_row_slices(grid):
+        yield X[rows, None], Y[rows, None], U[None, :], V[None, :]
+
+
 def _sup_ratio_on(handle: EntireHandle, bound: BoundSpec, grid: PlaneGrid):
-    X, Y, W = grid.nodes()
-    F = handle.eval_grid(X, Y)
-    absF = np.abs(F)
-    log_bound = bound.log_eval(X, Y)
-    with np.errstate(divide="ignore"):
-        log_num = np.log(absF) if bound.on_modulus else 2.0 * np.log(absF)
-    log_ratio = np.where(absF > 0, log_num - log_bound, -np.inf)
-    i = int(np.argmax(log_ratio))
-    sup = float(np.exp(log_ratio[i])) if np.isfinite(log_ratio[i]) else 0.0
-    return sup, (float(X[i]), float(Y[i]))
+    """Sup of |F|^p / bound over the grid's nodes and the node attaining it
+    (p = 1 for bounds on the modulus, 2 otherwise)."""
+    best, arg = -math.inf, None
+    for block in _coordinate_blocks(grid):
+        with np.errstate(divide="ignore"):
+            log_abs = np.log(np.abs(handle.eval_grid(*block)))
+        log_ratio = (log_abs if bound.on_modulus else 2.0 * log_abs) - bound.log_eval(*block)
+        # argmax lands on the first NaN if there is one
+        i = np.unravel_index(int(np.argmax(log_ratio)), log_ratio.shape)
+        if not log_ratio[i] < math.inf:
+            raise HermiteOverflowError("envelope ratio is NaN or infinite at a grid node")
+        if arg is None or log_ratio[i] > best:
+            best = float(log_ratio[i])
+            arg = tuple(float(np.broadcast_to(c, log_ratio.shape)[i]) for c in block)
+    return (float(np.exp(best)) if best > -math.inf else 0.0), arg
 
 
-def envelope_ratio(
-    handle: EntireHandle,
-    bound: BoundSpec,
-    grid: PlaneGrid,
-    stability_threshold: float = 0.05,
-) -> EnvelopeReport:
+def envelope(handle: EntireHandle, bound: BoundSpec, grid: PlaneGrid) -> EnvelopeReport:
     """Sup over the grid of |F|^2 / bound (or |F| / bound for bounds stated
     on the modulus), with the argmax and a refinement-stability flag.
 
     The sup is recomputed at doubled resolution; ``stable`` records whether
-    it moved by less than ``stability_threshold`` relatively.
+    it moved by less than 5% relatively.  Grids over one complex coordinate
+    and over two (with ``handle.eval_grid(X, Y, U, V)``) scan alike.
     """
     sup_coarse, _ = _sup_ratio_on(handle, bound, grid)
     sup_fine, argmax = _sup_ratio_on(handle, bound, grid.refine(2))
     if sup_fine == 0.0:
         stable = sup_coarse == 0.0
     else:
-        stable = abs(sup_fine - sup_coarse) / sup_fine < stability_threshold
-    return EnvelopeReport(
-        sup_ratio=sup_fine,
-        argmax=argmax,
-        bound=bound,
-        grid=grid,
-        stable=stable,
-        sup_coarse=sup_coarse,
-    )
+        stable = abs(sup_fine - sup_coarse) / sup_fine < _STABILITY
+    return EnvelopeReport(sup_fine, argmax, bound, grid, stable, sup_coarse)
+
+
+def envelope_ratio(handle: EntireHandle, bound: BoundSpec, grid: PlaneGrid) -> EnvelopeReport:
+    """The growth envelope of a heat-transform image; see :func:`envelope`."""
+    return envelope(handle, bound, grid)
 
 
 def schwartz_image_check(

@@ -53,8 +53,14 @@ coordinate pairs: the 4-D quadrature weight is the product of a (y, u), an
 (y, v) table alone.  The sums run over blocks of whole z-plane rows
 against the whole w-plane, each holding at most 2^18 entries, so memory
 stays bounded at any resolution.
+
+Twisted heat images are :class:`mehler.spectral.EntireHandle` objects on
+C^2, evaluated by ``eval_grid(X, Y, U, V)`` on broadcastable real arrays;
+``special_envelope`` hands one and its bound to
+:func:`mehler.semigroup.envelope`.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,11 +69,15 @@ import numpy as np
 from .indices import MultiIndex, as_index, multi_indices, oscillator_eigenvalue
 from .kernels import special_plain_bound, special_schwartz_bound, twisted_weight_profile
 from .quadrature import PlaneGrid
-from .semigroup import EnvelopeReport, CalibrationResult
+from .semigroup import (
+    CalibrationResult,
+    EnvelopeReport,
+    _plane_nodes,
+    _z_row_slices,
+    envelope,
+)
 from .specfun import laguerre_ladder
-
-# Most 4-D entries (z-plane rows x the whole w-plane) one block holds.
-_BLOCK_ENTRIES = 1 << 18
+from .spectral import EntireHandle
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +341,12 @@ def _sampled_eval(f: SampledGrid, X, U):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def default_twisted_grid(t: float = 0.4, resolution: int = 96) -> PlaneGrid:
-    """Integration grid for twisted convolutions at desk scale."""
+    """Integration grid for twisted convolutions at desk scale.
+
+    Memoized: value-equal calls share one grid and so one node build.
+    """
     h = math.sqrt(34.5 / (0.25 + 0.25 / math.tanh(t))) + 3.0
     return PlaneGrid(boxes=((-h, h, -h, h),), resolution=resolution)
 
@@ -662,16 +676,8 @@ def composed_intertwine_residual(
 # ---------------------------------------------------------------------------
 
 
-class SpecialHandle:
-    """An evaluable entire function on C^{2n} (n = 1)."""
-
-    def eval_matrix(self, Z: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """Values on the product of flat Z-plane and W-plane arrays."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class SpecialEigenHandle(SpecialHandle):
+class SpecialEigenHandle(EntireHandle):
     """Twisted heat image of a basis member: e^{-(2|b|+n)t} Phi_ab."""
 
     alpha: MultiIndex
@@ -688,24 +694,24 @@ class SpecialEigenHandle(SpecialHandle):
         lam = oscillator_eigenvalue(self.beta)
         return math.exp(-lam * self.time)
 
-    def eval_matrix(self, Z, W) -> np.ndarray:
-        return self._damp() * special_hermite_matrix(self.alpha[0], self.beta[0], Z, W)
+    def eval_grid(self, X, Y, U, V) -> np.ndarray:
+        Z = np.asarray(X) + 1j * np.asarray(Y)
+        W = np.asarray(U) + 1j * np.asarray(V)
+        return self._damp() * _phi1(self.alpha[0], self.beta[0], Z, W)
 
 
 @dataclass(frozen=True)
-class ClosedFormSpecialHandle(SpecialHandle):
-    """Wraps a vectorized closed form fn(Z, W)."""
+class ClosedFormSpecialHandle(EntireHandle):
+    """Wraps a vectorized closed form fn(Z, W) on C^2."""
 
     fn: object
     label: str = ""
 
-    def eval_matrix(self, Z, W) -> np.ndarray:
-        Z = np.asarray(Z, dtype=complex).ravel()
-        W = np.asarray(W, dtype=complex).ravel()
-        return self.fn(Z[:, None], W[None, :])
+    def eval_grid(self, X, Y, U, V) -> np.ndarray:
+        return self.fn(np.asarray(X) + 1j * np.asarray(Y), np.asarray(U) + 1j * np.asarray(V))
 
 
-def special_image_handle(f, t: float) -> SpecialHandle:
+def special_image_handle(f, t: float) -> EntireHandle:
     """Image of a twisted test function under the twisted heat semigroup,
     in a form evaluable on 4-dimensional grids."""
     if isinstance(f, SpecialHermiteBasis):
@@ -734,23 +740,6 @@ def default_special_grid(t: float = 0.4, resolution: int = 40, drop: float = 1e-
     return PlaneGrid(boxes=(box_z, box_w), resolution=resolution)
 
 
-def _plane_nodes(grid: PlaneGrid, which: int):
-    """Flattened (x, y) nodes of one complex coordinate, x-major."""
-    x, _ = grid.axis(2 * which)
-    y, _ = grid.axis(2 * which + 1)
-    return np.repeat(x, len(y)), np.tile(y, len(x))
-
-
-def _z_row_slices(grid: PlaneGrid):
-    """Slices of the flattened z-plane, each covering whole x-rows and,
-    against the whole w-plane, at most _BLOCK_ENTRIES entries (one x-row
-    at least)."""
-    n = grid.resolution
-    rows = max(1, _BLOCK_ENTRIES // n**3)
-    for x0 in range(0, n, rows):
-        yield slice(x0 * n, min(x0 + rows, n) * n)
-
-
 def _weight_blocks(grid: PlaneGrid, t: float, m: int):
     """(z-row slice, block) pairs covering the 4-D grid, dimension 1.
 
@@ -773,15 +762,8 @@ def _weight_blocks(grid: PlaneGrid, t: float, m: int):
         yield rows, block.reshape(rows.stop - rows.start, n * n)
 
 
-def _complex_planes(grid: PlaneGrid):
-    """The flattened z-plane and w-plane points of a grid over C^2."""
-    Xz, Yz = _plane_nodes(grid, 0)
-    Uw, Vw = _plane_nodes(grid, 1)
-    return Xz + 1j * Yz, Uw + 1j * Vw
-
-
 def bergman_norm_special(
-    handle: SpecialHandle,
+    handle: EntireHandle,
     t: float,
     m: int,
     grid: PlaneGrid,
@@ -799,10 +781,11 @@ def bergman_norm_special(
         raise ValueError("need a two-coordinate grid over C^2")
     if m < 0:
         raise ValueError("m must be >= 0")
-    Zc, Wc = _complex_planes(grid)
+    X, Y = _plane_nodes(grid, 0)
+    U, V = _plane_nodes(grid, 1)
     total = 0.0
     for rows, block in _weight_blocks(grid, t, m):
-        F = handle.eval_matrix(Zc[rows], Wc)
+        F = handle.eval_grid(X[rows, None], Y[rows, None], U[None, :], V[None, :])
         total += float(np.sum((F.real**2 + F.imag**2) * block))
     return kappa_star * total
 
@@ -821,9 +804,12 @@ def calibrate_weight_special(
     """
     if pairs is None:
         pairs = [((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (1,))]
+    if not pairs:
+        raise ValueError("pairs must name at least one (alpha, beta) probe")
     pairs = [(as_index(a), as_index(b)) for a, b in pairs]
 
-    Zc, Wc = _complex_planes(grid)
+    (Xz, Yz), (Uw, Vw) = _plane_nodes(grid, 0), _plane_nodes(grid, 1)
+    Zc, Wc = Xz + 1j * Yz, Uw + 1j * Vw
     raw = [0.0] * len(pairs)
     off = [0j] * len(pairs[1:3])
     for rows, block in _weight_blocks(grid, t, 0):
@@ -855,13 +841,12 @@ def special_envelope(
     m: int,
     grid: PlaneGrid,
     kind: str = "special-schwartz",
-    stability_threshold: float = 0.05,
 ) -> EnvelopeReport:
     """Sup of |e^{-tL}f|^2 / bound over a C^2 grid (n = 1).
 
     ``kind`` selects the full polynomial denominator ("special-schwartz")
     or the plain variant with the (1 + y^2 + v^2) denominator
-    ("special-plain").
+    ("special-plain").  The scan is :func:`mehler.semigroup.envelope`.
     """
     if grid.ncoords != 2:
         raise ValueError("need a two-coordinate grid over C^2")
@@ -873,37 +858,4 @@ def special_envelope(
         raise ValueError(f"unknown envelope kind {kind!r}")
     if f is None:
         return EnvelopeReport(0.0, (0.0, 0.0, 0.0, 0.0), bound, grid, True, 0.0)
-    handle = special_image_handle(f, t)
-
-    def scan(g: PlaneGrid):
-        Xz, Yz = _plane_nodes(g, 0)
-        Uw, Vw = _plane_nodes(g, 1)
-        Zc = Xz + 1j * Yz
-        Wc = Uw + 1j * Vw
-        best = -math.inf
-        arg = (0.0, 0.0, 0.0, 0.0)
-        for rows in _z_row_slices(g):
-            F = handle.eval_matrix(Zc[rows], Wc)
-            logb = bound.log_eval(
-                Xz[rows, None], Yz[rows, None], Uw[None, :], Vw[None, :]
-            )
-            with np.errstate(divide="ignore"):
-                lr = 2.0 * np.log(np.abs(F)) - logb
-            i, j = np.unravel_index(int(np.argmax(lr)), lr.shape)
-            if lr[i, j] > best:
-                best = float(lr[i, j])
-                arg = (
-                    float(Xz[rows.start + i]),
-                    float(Yz[rows.start + i]),
-                    float(Uw[j]),
-                    float(Vw[j]),
-                )
-        return (math.exp(best) if best > -math.inf else 0.0), arg
-
-    sup_coarse, _ = scan(grid)
-    sup_fine, argmax = scan(grid.refine(2))
-    stable = (
-        sup_fine == sup_coarse == 0.0
-        or abs(sup_fine - sup_coarse) / max(sup_fine, 1e-300) < stability_threshold
-    )
-    return EnvelopeReport(sup_fine, argmax, bound, grid, stable, sup_coarse)
+    return envelope(special_image_handle(f, t), bound, grid)

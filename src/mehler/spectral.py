@@ -407,15 +407,17 @@ def eval_entire(
 
 
 class EntireHandle:
-    """An evaluable entire function on C^n (n = dimension)."""
+    """An evaluable entire function on C^n (n = dimension); ``eval_grid``
+    takes broadcastable real coordinates, (X, Y) for z = x + iy and
+    (X, Y, U, V) for (x + iy, u + iv) on C^2."""
 
     dimension: int = 1
 
     def eval(self, z) -> complex:
         raise NotImplementedError
 
-    def eval_grid(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Vectorized values at x + iy for flat arrays (dimension 1 only)."""
+    def eval_grid(self, X: np.ndarray, Y: np.ndarray, *UV: np.ndarray) -> np.ndarray:
+        """Vectorized values at the points of broadcastable real arrays."""
         raise NotImplementedError
 
 

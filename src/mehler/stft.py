@@ -19,7 +19,8 @@ identity is asserted there.
 
 Envelope checks: |T_a f| against (1+x^2+y^2)^m e^{y^2/(2a)} for tempered f,
 and |e^{-tH} f| against e^{-coth(2t)(x^2-y^2)/2} e^{R|x|/sinh 2t} for f
-supported in a ball of radius R.
+supported in a ball of radius R.  Both build a handle and a bound and run
+the one envelope scan, :func:`mehler.semigroup.envelope`.
 """
 
 import math
@@ -34,7 +35,7 @@ from .semigroup import (
     EnvelopeReport,
     KernelImageHandle,
     MehlerSliceHandle,
-    _sup_ratio_on,
+    envelope,
     semigroup_handle,
 )
 from .spectral import (
@@ -278,22 +279,13 @@ def pw_envelope(
     grid: PlaneGrid,
     c: float = 1.0,
     rule: QuadRule | None = None,
-    stability_threshold: float = 0.05,
 ) -> EnvelopeReport:
     """Sup of |T_a f| / ((1+x^2+y^2)^m e^{y^2/(2a)}) over the grid.
 
     Works in both regimes a > 1 and a < 1; the transform is evaluated by
     direct quadrature either way.
     """
-    handle = _StftHandle(f, a, c, rule)
-    bound = stft_bound(a, m)
-    sup_coarse, _ = _sup_ratio_on(handle, bound, grid)
-    sup_fine, argmax = _sup_ratio_on(handle, bound, grid.refine(2))
-    stable = (
-        sup_fine == sup_coarse == 0.0
-        or abs(sup_fine - sup_coarse) / max(sup_fine, 1e-300) < stability_threshold
-    )
-    return EnvelopeReport(sup_fine, argmax, bound, grid, stable, sup_coarse)
+    return envelope(_StftHandle(f, a, c, rule), stft_bound(a, m), grid)
 
 
 def compact_growth_check(
@@ -302,7 +294,6 @@ def compact_growth_check(
     grid: PlaneGrid,
     radius: float | None = None,
     rule: QuadRule | None = None,
-    stability_threshold: float = 0.05,
 ) -> EnvelopeReport:
     """Sup of |e^{-tH} f| / (e^{-coth(2t)(x^2-y^2)/2} e^{R|x|/sinh 2t}).
 
@@ -320,10 +311,4 @@ def compact_growth_check(
     else:
         raise ValueError("compact-support checks need a point mass or a bump")
     bound = compact_bound(t, radius if radius is not None else default_radius)
-    sup_coarse, _ = _sup_ratio_on(handle, bound, grid)
-    sup_fine, argmax = _sup_ratio_on(handle, bound, grid.refine(2))
-    stable = (
-        sup_fine == sup_coarse == 0.0
-        or abs(sup_fine - sup_coarse) / max(sup_fine, 1e-300) < stability_threshold
-    )
-    return EnvelopeReport(sup_fine, argmax, bound, grid, stable, sup_coarse)
+    return envelope(handle, bound, grid)

@@ -27,7 +27,7 @@ from mehler import (
     special_semigroup_apply,
     twisted_conv,
 )
-from mehler import special
+from mehler import semigroup, special
 from mehler.kernels import twisted_bergman_weight
 from mehler.quadrature import PlaneGrid, gauss_hermite_rule
 from mehler.special import (
@@ -307,6 +307,18 @@ def test_twisted_norm_zero_function(grid4):
     assert bergman_norm_special(zero, 0.4, 0, grid4) == 0.0
 
 
+def test_calibration_rejects_empty_pairs(grid4):
+    with pytest.raises(ValueError, match="pairs"):
+        calibrate_weight_special(0.4, [], grid4)
+
+
+def test_default_twisted_grid_is_shared():
+    grid = default_twisted_grid(0.3)
+    assert default_twisted_grid(0.3) is grid
+    assert default_twisted_grid(0.3).nodes()[0] is grid.nodes()[0]
+    assert default_twisted_grid(0.3, 64) is not grid
+
+
 def _grid_planes(grid):
     """Flattened z- and w-plane points with their quadrature weights."""
     (x, wx), (y, wy), (u, wu), (v, wv) = (grid.axis(k) for k in range(4))
@@ -329,7 +341,7 @@ def test_weight_blocks_match_pointwise_weight(monkeypatch, t, m, entries):
     # the default budget gives 24 blocks of 2 x-rows at resolution 48;
     # 5 x-rows per block leaves a ragged last block of 3
     if entries is not None:
-        monkeypatch.setattr(special, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", entries)
     grid = default_special_grid(t, resolution=48)
     Z, wz, W, ww = _grid_planes(grid)
     # e^{yu} e^{-xv} against e^{yu - xv}: both round the exponent, whose
@@ -344,7 +356,7 @@ def test_weight_blocks_match_pointwise_weight(monkeypatch, t, m, entries):
         assert rows.start == stop and rows.stop - rows.start == len(block)
         assert rows.start % 48 == 0 and rows.stop % 48 == 0
         assert block.shape == (len(block), len(W))
-        assert block.size <= max(special._BLOCK_ENTRIES, 48**3)
+        assert block.size <= max(semigroup._BLOCK_ENTRIES, 48**3)
         ref = (
             wz[rows, None]
             * twisted_bergman_weight(t, m, Z[rows, None], W[None, :])
@@ -399,7 +411,8 @@ def test_order_two_norm_matches_dense_reference(grid4, ab):
     t = 0.4
     Z, _, W, _ = _grid_planes(grid4)
     handle = SpecialEigenHandle(*ab, t)
-    terms = np.abs(handle.eval_matrix(Z, W)) ** 2 * _dense_weight(t, 2, grid4)
+    F = handle.eval_grid(Z.real[:, None], Z.imag[:, None], W.real[None, :], W.imag[None, :])
+    terms = np.abs(F) ** 2 * _dense_weight(t, 2, grid4)
     # the order-2 weight changes sign, so judge the two summation orders
     # against the sum of |terms|
     got = bergman_norm_special(handle, t, 2, grid4)

@@ -4,9 +4,12 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mehler.cli import cli_main, parse_test_function
+from mehler.kernels import special_schwartz_bound
+from mehler.special import special_hermite_eval
 from mehler.spectral import Dirac, Gaussian, HermiteBasis, PolyGaussian
 from mehler.suite import (
     CHECKS,
@@ -298,6 +301,37 @@ def test_cli_special_envelope_csv(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["y", "v", "absF2", "bound", "ratio"]
     assert len(rows) == 1 + 8 * 8
+
+
+def test_cli_special_envelope_csv_matches_pointwise_values(tmp_path):
+    t, m, x, u = 0.5, 1, 0.3, -0.2
+    out = tmp_path / "slice.csv"
+    code = cli_main(
+        ["special", "--action", "envelope", "--t", str(t), "--m", str(m),
+         "--alpha", "1", "--beta", "2", "--x", str(x), "--u", str(u), "--res", "7",
+         "--box", "-4", "3", "-2", "5", "--out", str(out)]
+    )
+    assert code == 0
+    with open(out) as fh:
+        rows = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+    ys, vs = np.linspace(-4, 3, 7), np.linspace(-2, 5, 7)
+    assert [(r[0], r[1]) for r in rows] == [(y, v) for y in ys for v in vs]
+    bound = special_schwartz_bound(t, m)
+    damp = math.exp(-5 * t)
+    for y, v, absF2, b, ratio in rows:
+        assert b == float(bound.eval(x, y, u, v))
+        ref = abs(damp * special_hermite_eval((1,), (2,), x + 1j * y, u + 1j * v)) ** 2
+        assert absF2 == pytest.approx(ref, rel=1e-13)
+        assert ratio == absF2 / b
+
+
+def test_cli_transform_point_mass_kernel_overflow_exits_1(capsys):
+    code = cli_main(["transform", "--f", "dirac:0.5", "--z", "0.5,40", "--mode", "kernel"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "exceeds the largest double" in captured.err
 
 
 def test_cli_stft_csv(tmp_path):
