@@ -19,10 +19,8 @@ from .kernels import (
     BoundSpec,
     bergman_weight,
     bergman_weight_dt,
-    bound_eval,
     compact_bound,
     mehler_kernel,
-    mehler_kernel_log,
     mehler_spectral,
     reproducing_kernel,
     reproducing_kernel_spectral,
@@ -84,7 +82,6 @@ from .special import (
 )
 from .specfun import (
     HermiteOverflowError,
-    LogComplex,
     hermite_eval,
     hermite_log_eval,
     hermite_log_ladder,

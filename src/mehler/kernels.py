@@ -31,7 +31,7 @@ import numpy as np
 
 from . import taylor
 from .quadrature import gauss_legendre_rule
-from .specfun import LogComplex, hermite_eval, _wrap_phase
+from .specfun import HermiteOverflowError, hermite_eval
 from .taylor import TaylorScalar
 
 # ---------------------------------------------------------------------------
@@ -66,36 +66,28 @@ def mehler_kernel(t: float, z, w, dimension: int = 1):
     return pref * np.exp(expo)
 
 
-def mehler_kernel_log(t: float, z, w, dimension: int = 1) -> LogComplex:
-    """Scalar log-domain heat kernel (never overflows)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    zs = [complex(v) for v in np.atleast_1d(np.asarray(z, dtype=complex))]
-    ws = [complex(v) for v in np.atleast_1d(np.asarray(w, dtype=complex))]
-    if len(zs) != dimension or len(ws) != dimension:
-        raise ValueError("dimension mismatch")
-    s2t = math.sinh(2 * t)
-    c2t = math.cosh(2 * t) / s2t
-    expo = sum(
-        -0.5 * c2t * (a * a + b * b) + a * b / s2t for a, b in zip(zs, ws)
-    )
-    log_pref = -0.5 * dimension * math.log(2.0 * math.pi * s2t)
-    return LogComplex(log_pref + expo.real, _wrap_phase(expo.imag))
+def _spectral_sum(coef, a, b):
+    """sum_k coef[k] h_k(a) h_k(b), elementwise over complex ``a`` and ``b``.
+
+    Raises :class:`HermiteOverflowError` where the sum leaves the doubles.
+    """
+    n = len(coef) - 1
+    ha = hermite_eval(n, np.asarray(a, dtype=complex))
+    hb = hermite_eval(n, np.asarray(b, dtype=complex))
+    total = np.tensordot(coef, ha * hb, axes=(0, 0))
+    if not np.all(np.isfinite(total)):
+        raise HermiteOverflowError("spectral kernel sum exceeds the largest double")
+    return total
 
 
-def mehler_spectral(t: float, z, w, truncation: int = 48, dimension: int = 1):
-    """Spectral sum sum_k e^{-(2k+n)t} h_k(z) h_k(w) (dimension 1 only).
+def mehler_spectral(t: float, z, w, truncation: int = 48):
+    """Spectral sum sum_k e^{-(2k+1)t} h_k(z) h_k(w) on C.
 
     The independent cross-check for the closed form; truncated at
     ``truncation`` with geometric tail e^{-2t} per step.
     """
-    if dimension != 1:
-        raise ValueError("spectral cross-check is one-dimensional")
-    hz = hermite_eval(truncation, np.asarray(z, dtype=complex))
-    hw = hermite_eval(truncation, np.asarray(w, dtype=complex))
     k = np.arange(truncation + 1)
-    damp = np.exp(-(2 * k + 1) * t)
-    return np.tensordot(damp, hz * hw, axes=(0, 0))
+    return _spectral_sum(np.exp(-(2 * k + 1) * t), z, w)
 
 
 # ---------------------------------------------------------------------------
@@ -192,33 +184,22 @@ def reproducing_kernel(
     # m < 0: distribution-order kernel via the spectral sum
     if dimension != 1:
         raise ValueError("negative-order kernels are one-dimensional at desk scale")
-    k = np.arange(truncation + 1)
-    lam = 2 * k + 1
-    hz = hermite_eval(truncation, np.conj(z))
-    hw = hermite_eval(truncation, w)
-    coef = lam ** (2 * abs(m)) * np.exp(-2.0 * lam * t)
-    return np.tensordot(coef, hz * hw, axes=(0, 0))
+    return reproducing_kernel_spectral(t, m, z, w, truncation)
 
 
-def reproducing_kernel_spectral(
-    t: float, m: int, z, w, dimension: int = 1, truncation: int = 48
-):
-    """Spectral evaluation of the order-m kernel (dimension 1).
+def reproducing_kernel_spectral(t: float, m: int, z, w, truncation: int = 48):
+    """Spectral evaluation of the order-m kernel on C.
 
     For m > 0 this includes the (2 lam)^{-2m} scaling that the shifted-time
     integral produces, so the two routes agree directly.
     """
-    if dimension != 1:
-        raise ValueError("spectral route is one-dimensional")
     k = np.arange(truncation + 1)
     lam = (2 * k + 1).astype(float)
     if m > 0:
         coef = (2.0 * lam) ** (-2 * m) * np.exp(-2.0 * lam * t)
     else:
         coef = lam ** (-2 * m) * np.exp(-2.0 * lam * t)
-    hz = hermite_eval(truncation, np.conj(np.asarray(z, dtype=complex)))
-    hw = hermite_eval(truncation, np.asarray(w, dtype=complex))
-    return np.tensordot(coef, hz * hw, axes=(0, 0))
+    return _spectral_sum(coef, np.conj(np.asarray(z, dtype=complex)), w)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +381,3 @@ def compact_bound(t: float, radius: float) -> BoundSpec:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     return BoundSpec("compact", t=t, radius=radius)
-
-
-def bound_eval(bound: BoundSpec, X, Y, U=None, V=None) -> np.ndarray:
-    """Positive value of a growth bound at grid points (log-domain inside)."""
-    return bound.eval(X, Y, U, V)

@@ -125,14 +125,11 @@ class KernelImageHandle(EntireHandle):
     members use a scaled Gauss-Hermite rule.
     """
 
-    def __init__(self, f: TestFunction, time: float, rule: QuadRule, dimension: int = 1):
-        if dimension != 1:
-            raise ValueError("kernel-mode images are one-dimensional at desk scale")
+    def __init__(self, f: TestFunction, time: float, rule: QuadRule):
         if time <= 0:
             raise ValueError("time must be positive")
         self.f = f
         self.time = time
-        self.dimension = 1
         if isinstance(f, Bump):
             leg = gauss_legendre_rule(max(rule.order, 64), -f.radius, f.radius)
             self._nodes = leg.nodes
@@ -178,13 +175,21 @@ def semigroup_handle(
     truncation: int = 48,
     rule: QuadRule | None = None,
 ) -> EntireHandle:
-    """The heat-transform image of ``f`` as an evaluable entire function."""
+    """The heat-transform image of ``f`` as an evaluable entire function.
+
+    Kernel mode runs on R^n, n > 1, for point masses only.
+    """
     if t <= 0:
         raise ValueError("t must be positive")
     if isinstance(f, Dirac) and mode == "kernel":
         return MehlerSliceHandle(t, f.point, dimension)
     if mode == "kernel":
-        return KernelImageHandle(f, t, rule or gauss_hermite_rule(128), dimension)
+        if dimension != 1:
+            raise ValueError(
+                f"mode 'kernel' needs dimension 1 for {type(f).__name__} "
+                f"(got {dimension}); only point masses run it on R^n"
+            )
+        return KernelImageHandle(f, t, rule or gauss_hermite_rule(128))
     if mode != "spectral":
         raise ValueError(f"unknown mode {mode!r}")
     rule = rule or gauss_hermite_rule(max(128, truncation + 1))
@@ -213,7 +218,6 @@ def semigroup_apply(
 
 def default_bergman_grid(
     t: float,
-    dimension: int = 1,
     resolution: int = 128,
     degree_margin: int = 10,
     drop: float = 1e-15,
@@ -223,8 +227,6 @@ def default_bergman_grid(
     Decay rates of |F|^2 U_t for F in the image of L^2:
     1 - tanh(2t) along x, coth(2t) - 1 along y.
     """
-    if dimension != 1:
-        raise ValueError("plane grids are one-dimensional at desk scale")
     gx = 1.0 - math.tanh(2 * t)
     gy = 1.0 / math.tanh(2 * t) - 1.0
     return PlaneGrid(
@@ -271,6 +273,8 @@ def calibrate_weight(
         raise ValueError("calibration grids are one-dimensional at desk scale")
     if alphas is None:
         alphas = [(k,) for k in range(5)]
+    if not alphas:
+        raise ValueError("alphas must name at least one probe index")
     alphas = [as_index(a) for a in alphas]
     kmax = max(sum(a) for a in alphas)
     pairs = offdiag_pairs or [
@@ -331,13 +335,10 @@ def recover_coefficients(
     t: float,
     truncation: int,
     rule: QuadRule,
-    dimension: int = 1,
 ) -> HermiteExpansion:
     """Round-trip recovery: read Hermite coefficients of the original
-    function from the restriction of its image to R^n,
-    c_alpha = e^{(2|alpha|+n) t} * int F(x) Phi_alpha(x) dx."""
-    if dimension != 1:
-        raise ValueError("round-trips are one-dimensional at desk scale")
+    function from the restriction of its image to R,
+    c_k = e^{(2k+1) t} * int F(x) h_k(x) dx."""
     nodes, weights = rule.nodes, rule.weights
     comp = weights * np.exp(nodes**2)
     F = handle.eval_grid(nodes, np.zeros_like(nodes))
@@ -437,7 +438,6 @@ def schwartz_image_check(
     t: float,
     m_list: list[int],
     grid: PlaneGrid,
-    dimension: int = 1,
     truncation: int = 48,
     rule: QuadRule | None = None,
 ) -> list[EnvelopeReport]:
@@ -448,5 +448,5 @@ def schwartz_image_check(
     """
     from .kernels import schwartz_image_bound
 
-    handle = semigroup_handle(f, t, "spectral", dimension, truncation, rule)
+    handle = semigroup_handle(f, t, "spectral", truncation=truncation, rule=rule)
     return [envelope_ratio(handle, schwartz_image_bound(t, m), grid) for m in m_list]

@@ -12,11 +12,12 @@ seeded with h_0(z) = pi^(-1/4) exp(-z^2/2).  Off the real axis |h_k(x+iy)|
 grows like exp(y^2/2), so one rescaled recurrence over arrays of points
 carries only the polynomial parts P_k = h_k / h_0 and keeps the Gaussian
 factor and the scale as exponents.  It yields per-order log-domain values
-(:func:`hermite_log_ladder`, :class:`LogComplex` for one order) and weighted
-sums (:func:`hermite_series`), and never overflows at desk scale
+(:func:`hermite_log_ladder`, :func:`hermite_log_eval` for one order) and
+weighted sums (:func:`hermite_series`), and never overflows at desk scale
 (|Im z| <= 30, k <= 128); a value whose modulus does not fit a double
 raises :class:`HermiteOverflowError`.  :func:`hermite_eval` is the plain
-linear-domain ladder for real or near-real nodes.
+linear-domain ladder for real or near-real nodes; it raises the same error
+when its top order leaves the doubles.
 
 Laguerre polynomials L_k^a and the Laguerre functions
 
@@ -26,7 +27,6 @@ are evaluated by the standard recurrence in k at fixed type a.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,38 +42,6 @@ _RESCALE_PART = _RESCALE / math.sqrt(2.0)
 
 class HermiteOverflowError(OverflowError):
     """A Hermite-series value whose modulus exceeds the largest double."""
-
-
-@dataclass(frozen=True)
-class LogComplex:
-    """A complex number in polar-log form exp(log_magnitude) * exp(i*phase).
-
-    ``log_magnitude = -inf`` encodes exact zero.  Phase is kept in (-pi, pi].
-    """
-
-    log_magnitude: float
-    phase: float
-
-    def value(self) -> complex:
-        if self.log_magnitude == -math.inf:
-            return 0.0 + 0.0j
-        return math.exp(self.log_magnitude) * complex(
-            math.cos(self.phase), math.sin(self.phase)
-        )
-
-    @classmethod
-    def from_value(cls, v: complex) -> "LogComplex":
-        v = complex(v)
-        if v == 0:
-            return cls(-math.inf, 0.0)
-        return cls(math.log(abs(v)), _wrap_phase(math.atan2(v.imag, v.real)))
-
-
-def _wrap_phase(p: float) -> float:
-    p = math.remainder(p, 2.0 * math.pi)
-    if p <= -math.pi:
-        p += 2.0 * math.pi
-    return p
 
 
 def _check_finite(z) -> np.ndarray:
@@ -97,6 +65,12 @@ def hermite_eval(k_max: int, z) -> np.ndarray:
     -------
     ndarray of shape (k_max + 1,) + shape(z)
         Entry k is h_k(z).  Real input gives a real array.
+
+    Raises
+    ------
+    HermiteOverflowError
+        If h_{k_max}(z) is not finite.  Once a row overflows every later
+        row is inf or NaN, so the top row decides.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -111,6 +85,11 @@ def hermite_eval(k_max: int, z) -> np.ndarray:
         out[k + 1] = (
             z * math.sqrt(2.0 / (k + 1)) * out[k]
             - math.sqrt(k / (k + 1.0)) * out[k - 1]
+        )
+    if not np.all(np.isfinite(out[k_max])):
+        raise HermiteOverflowError(
+            f"h_{k_max} exceeds the largest double at a requested point; "
+            "use hermite_log_ladder off the real axis"
         )
     return out
 
@@ -167,13 +146,11 @@ def hermite_log_ladder(k_max: int, z) -> tuple[np.ndarray, np.ndarray]:
     return log_mod, np.angle(parts) - x * y
 
 
-def hermite_log_eval(k: int, z) -> LogComplex:
-    """h_k(z) in overflow-safe log form (scalar z): the last row of
-    :func:`hermite_log_ladder`."""
+def hermite_log_eval(k: int, z) -> tuple[float, float]:
+    """(log|h_k(z)|, arg h_k(z)) at a scalar z: the last row of
+    :func:`hermite_log_ladder`, with the argument likewise unreduced."""
     log_mod, arg = hermite_log_ladder(k, complex(z))
-    if log_mod[k] == -math.inf:
-        return LogComplex(-math.inf, 0.0)
-    return LogComplex(float(log_mod[k]), _wrap_phase(float(arg[k])))
+    return float(log_mod[k]), float(arg[k])
 
 
 def hermite_series(coef, z) -> np.ndarray:

@@ -216,14 +216,13 @@ def special_hermite_matrix(a: int, b: int, Z, W):
 
 @dataclass(frozen=True)
 class HeatProfile:
-    """Spectrally normalized twisted heat kernel profile.
+    """Spectrally normalized twisted heat kernel profile on C^2 (n = 1).
 
-    (2 pi)^{-n} (2 sinh t)^{-n} exp(-coth(t) (z^2 + w^2)/4); this is the
+    (2 pi)^{-1} (2 sinh t)^{-1} exp(-coth(t) (z^2 + w^2)/4); this is the
     profile whose twisted convolution reproduces the damped eigenspace sum.
     """
 
     t: float
-    dimension: int = 1
 
     def __post_init__(self):
         if self.t <= 0:
@@ -231,29 +230,29 @@ class HeatProfile:
 
     def __call__(self, z, w):
         q = np.asarray(z) ** 2 + np.asarray(w) ** 2
-        pref = ((2.0 * math.pi) * (2.0 * math.sinh(self.t))) ** (-self.dimension)
+        pref = ((2.0 * math.pi) * (2.0 * math.sinh(self.t))) ** -1
         return pref * np.exp(-0.25 / math.tanh(self.t) * q)
 
 
 @dataclass(frozen=True)
 class LaguerreProfile:
-    """phi_k as an entire function of (z, w) through the bilinear square."""
+    """phi_k = L_k^0(q/2) e^{-q/4} as an entire function of (z, w) in C^2
+    through the bilinear square q = z^2 + w^2."""
 
     k: int
-    dimension: int = 1
 
     def __call__(self, z, w):
         q = np.asarray(z) ** 2 + np.asarray(w) ** 2
-        lad = laguerre_ladder(self.k, self.dimension - 1, q / 2.0)
+        lad = laguerre_ladder(self.k, 0, q / 2.0)
         return lad[self.k] * np.exp(-q / 4.0)
 
 
-def heat_profile(t: float, dimension: int = 1) -> HeatProfile:
-    return HeatProfile(t, dimension)
+def heat_profile(t: float) -> HeatProfile:
+    return HeatProfile(t)
 
 
-def laguerre_profile(k: int, dimension: int = 1) -> LaguerreProfile:
-    return LaguerreProfile(k, dimension)
+def laguerre_profile(k: int) -> LaguerreProfile:
+    return LaguerreProfile(k)
 
 
 @dataclass(frozen=True)

@@ -209,9 +209,6 @@ class HermiteExpansion:
         mask = self.degrees() == self.truncation
         return float(np.sum(np.abs(self.values[mask]) ** 2))
 
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2)))
-
 
 def expand(
     f: TestFunction,
@@ -443,9 +440,6 @@ class SpectralHandle(EntireHandle):
     def eval(self, z) -> complex:
         return eval_entire(self.expansion, self.time, z)
 
-    def eval_with_tail(self, z) -> tuple[complex, float]:
-        return eval_entire(self.expansion, self.time, z, with_tail=True)
-
     def eval_grid(self, X, Y) -> np.ndarray:
         if self.expansion.dimension != 1:
             raise ValueError("grid evaluation is one-dimensional")
@@ -456,28 +450,15 @@ class SpectralHandle(EntireHandle):
 
 @dataclass(frozen=True)
 class ClosedFormHandle(EntireHandle):
-    """Wraps a vectorized closed form fn(Z) of the complex variable."""
+    """Wraps a vectorized closed form fn(Z) of one complex variable."""
 
     fn: object
-    dimension: int = 1
-    label: str = ""
 
     def eval(self, z) -> complex:
-        z = as_point(z, dimension=self.dimension)
-        if self.dimension == 1:
-            return complex(self.fn(np.asarray([z[0]]))[0])
-        return complex(self.fn(z))
+        return complex(self.fn(as_point(z, dimension=1))[0])
 
     def eval_grid(self, X, Y) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(X) + 1j * np.asarray(Y)))
-
-
-def zero_handle(dimension: int = 1) -> ClosedFormHandle:
-    return ClosedFormHandle(
-        fn=lambda Z: np.zeros_like(np.asarray(Z), dtype=complex),
-        dimension=dimension,
-        label="zero",
-    )
 
 
 # ---------------------------------------------------------------------------

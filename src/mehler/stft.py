@@ -110,15 +110,12 @@ def windowed_transform(
     x: float,
     y: float,
     rule: QuadRule | None = None,
-    dimension: int = 1,
 ) -> complex:
-    """V_g f(x, y) by scaled Gauss-Hermite quadrature (dimension 1).
+    """V_g f(x, y) on R by scaled Gauss-Hermite quadrature.
 
     Point masses short-circuit to the closed form
     (2 pi)^{-1/2} g(u0 - y) e^{-i x u0}.
     """
-    if dimension != 1:
-        raise ValueError("windowed transforms are one-dimensional at desk scale")
     if isinstance(f, Dirac):
         u0 = f.point[0]
         return complex(
@@ -143,14 +140,11 @@ def gauss_stft(
     z,
     c: float = 1.0,
     rule: QuadRule | None = None,
-    dimension: int = 1,
 ) -> complex:
     """T_a f(z) = (2 pi)^{-1/2} int f(u) c e^{-a u^2/2} e^{-i z u} du,
     entire in z.  Vectorized over an array z."""
     if a <= 0 or c <= 0:
         raise ValueError("a and c must be positive")
-    if dimension != 1:
-        raise ValueError("one-dimensional at desk scale")
     z = np.asarray(z, dtype=complex)
     if isinstance(f, Dirac):
         u0 = f.point[0]
@@ -261,7 +255,6 @@ class _StftHandle(EntireHandle):
         self.a = a
         self.c = c
         self.rule = rule
-        self.dimension = 1
 
     def eval(self, z) -> complex:
         z = as_point(z, dimension=1)

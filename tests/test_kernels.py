@@ -8,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mehler import (
+    HermiteOverflowError,
     bergman_weight,
     bergman_weight_dt,
-    bound_eval,
     compact_bound,
     hermite_eval,
     integrate_plane,
     integrate_rn,
     mehler_kernel,
-    mehler_kernel_log,
     mehler_spectral,
     reproducing_kernel,
     reproducing_kernel_spectral,
@@ -85,11 +84,28 @@ def test_heat_kernel_eigenfunction_integral(gh128):
     assert val == pytest.approx(expected, rel=1e-12)
 
 
-def test_heat_kernel_log_matches_linear():
+def test_heat_kernel_matches_mpmath_spectral_sum():
+    # Mehler's formula sum_k e^{-(2k+1)t} h_k(z) h_k(w) at 50 digits, with
+    # h_k from the three-term recurrence in mpmath
+    import mpmath
+
+    t = 0.4
     for z, w in [(0.5 + 0.5j, -0.2), (2.0 + 1.5j, 1.0 - 0.7j)]:
-        lin = complex(mehler_kernel(0.4, z, w))
-        log = mehler_kernel_log(0.4, z, w).value()
-        assert abs(log - lin) / abs(lin) < 1e-12
+        with mpmath.workdps(50):
+            zm, wm = mpmath.mpc(z), mpmath.mpc(w)
+            h0 = mpmath.pi ** mpmath.mpf("-0.25")
+            hz, hz_prev = h0 * mpmath.exp(-zm * zm / 2), mpmath.mpc(0)
+            hw, hw_prev = h0 * mpmath.exp(-wm * wm / 2), mpmath.mpc(0)
+            ref = mpmath.mpc(0)
+            for k in range(250):
+                ref += mpmath.exp(-(2 * k + 1) * mpmath.mpf(t)) * hz * hw
+                a = mpmath.sqrt(mpmath.mpf(2) / (k + 1))
+                b = mpmath.sqrt(mpmath.mpf(k) / (k + 1))
+                hz, hz_prev = a * zm * hz - b * hz_prev, hz
+                hw, hw_prev = a * wm * hw - b * hw_prev, hw
+            ref = complex(ref)
+        got = complex(mehler_kernel(t, z, w))
+        assert abs(got - ref) / abs(ref) < 1e-12
 
 
 def test_heat_kernel_rejects_bad_time():
@@ -156,6 +172,22 @@ def test_weight_derivative_spectral_identity(calibration_025, bergman_grid_025):
             lam = 2 * k + 1
             expected = 2.0 ** (2 * m) * lam ** (2 * m) * math.exp(2 * lam * t) / kappa
             assert val == pytest.approx(expected, rel=1e-5)
+
+
+@pytest.mark.parametrize(
+    "spectral_sum",
+    [
+        lambda: mehler_spectral(0.3, 30j, 30j),
+        lambda: reproducing_kernel(0.3, -1, 30j, 30j),
+        lambda: reproducing_kernel_spectral(0.3, 1, 30j, 30j),
+    ],
+    ids=["mehler_spectral", "reproducing_kernel", "reproducing_kernel_spectral"],
+)
+def test_spectral_sum_overflow_is_named(spectral_sum):
+    # each h_k(30j) fits a double, but the products h_k(z) h_k(w) do not
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(HermiteOverflowError):
+            spectral_sum()
 
 
 def test_reproducing_kernel_order_zero():
@@ -258,20 +290,20 @@ def test_twisted_weight_derivative_matches_finite_differences():
 
 def test_bound_sobolev_embed_normalization():
     b = sobolev_embed_bound(0.3, 0)
-    assert bound_eval(b, 0.0, 0.0) == pytest.approx(1.0)
+    assert b.eval(0.0, 0.0) == pytest.approx(1.0)
     assert not b.on_modulus
 
 
 def test_bound_tempered_value():
     b = tempered_bound(0.3, 1)
-    got = bound_eval(b, 1.0, 1.0)
+    got = b.eval(1.0, 1.0)
     expected = 9.0 * math.exp(-math.tanh(0.6) + 1.0 / math.tanh(0.6))
     assert got == pytest.approx(expected, rel=1e-13)
 
 
 def test_bound_compact_value():
     b = compact_bound(0.5, 0.5)
-    got = bound_eval(b, 2.0, 0.0)
+    got = b.eval(2.0, 0.0)
     expected = math.exp(-0.5 / math.tanh(1.0) * 4.0) * math.exp(
         0.5 * 2.0 / math.sinh(1.0)
     )
@@ -282,7 +314,7 @@ def test_bound_compact_value():
 def test_bound_stft_is_modulus_kind():
     b = stft_bound(2.0, 1)
     assert b.on_modulus
-    assert bound_eval(b, 0.0, 0.0) == pytest.approx(1.0)
+    assert b.eval(0.0, 0.0) == pytest.approx(1.0)
 
 
 def test_bound_rejects_bad_parameters():

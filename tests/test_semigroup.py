@@ -31,7 +31,7 @@ from mehler import (
 )
 from mehler.quadrature import PlaneGrid
 from mehler.specfun import HermiteOverflowError
-from mehler.spectral import CoefficientList, eval_test_function
+from mehler.spectral import ClosedFormHandle, CoefficientList, eval_test_function
 
 PI14 = math.pi ** -0.25
 
@@ -94,10 +94,25 @@ def test_kernel_mode_overflow_raises_named_error(gh128):
     assert np.all(np.isfinite(row))
 
 
+def test_kernel_mode_refuses_dimension_two():
+    with pytest.raises(ValueError, match="mode 'kernel'"):
+        semigroup_handle(Gaussian(1.0), 0.3, "kernel", 2)
+    # point masses run kernel mode on R^2
+    handle = semigroup_handle(Dirac((0.5, -0.3)), 0.3, "kernel", 2)
+    got = handle.eval([0.2 + 0.1j, 0.4])
+    ref = mehler_kernel(0.3, 0.2 + 0.1j, 0.5) * mehler_kernel(0.3, 0.4, -0.3)
+    assert got == pytest.approx(ref, rel=1e-13)
+
+
 def test_calibration_constant(calibration_025):
     assert calibration_025.kappa == pytest.approx((2 * math.pi) ** -0.5, rel=1e-7)
     assert calibration_025.spread < 1e-5
     assert calibration_025.max_offdiagonal < 1e-9
+
+
+def test_calibration_rejects_empty_alphas(bergman_grid_025):
+    with pytest.raises(ValueError, match="alphas"):
+        calibrate_weight(0.25, 1, [], bergman_grid_025)
 
 
 def test_calibration_time_independent(calibration_025):
@@ -178,9 +193,8 @@ def test_reproduce_matches_direct_evaluation(gh128):
 
 
 def test_reproduce_zero_function(bergman_grid_025, calibration_025):
-    from mehler.spectral import zero_handle
-
-    got = reproduce(zero_handle(), 0.25, [0.5], bergman_grid_025, calibration_025.kappa)
+    zero = ClosedFormHandle(fn=lambda Z: np.zeros_like(Z, dtype=complex))
+    got = reproduce(zero, 0.25, [0.5], bergman_grid_025, calibration_025.kappa)
     assert got == 0
 
 

@@ -210,9 +210,7 @@ def test_truncation_indicator_when_a_basis_value_exceeds_a_double():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         val, tail = eval_entire(e, t, [z], with_tail=True)
-    log_tail = (
-        math.log(1e-250) - 257 * t + hermite_log_eval(128, z).log_magnitude
-    )
+    log_tail = math.log(1e-250) - 257 * t + hermite_log_eval(128, z)[0]
     assert math.isfinite(abs(val))
     assert tail == pytest.approx(math.exp(log_tail - math.log(abs(val))), rel=1e-10)
 
