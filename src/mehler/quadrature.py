@@ -260,3 +260,37 @@ def integrate_plane_refined(g, grid: PlaneGrid, factor: int = 2):
     coarse = integrate_plane(g, grid)
     fine = integrate_plane(g, grid.refine(factor))
     return fine, abs(fine - coarse)
+
+
+# Most multiply-adds (rows x inner x columns) one real matrix product holds.
+_PRODUCT_ENTRIES = 1 << 18
+
+
+def real_matmul(a, b) -> np.ndarray:
+    """``a @ b`` for real or complex 2-D arrays, by small real matrix products.
+
+    The tensor-grid contractions join per-axis tables with one matrix
+    product.  A complex product is split into the real products of its
+    parts, and the rows of ``a`` into blocks of at most 2^18 multiply-adds
+    per product.  Both keep OpenBLAS on its calling thread: it hands larger
+    real products, and complex matrix-vector products already at 96 x 96,
+    to its thread pool.  On a 2-CPU machine, waking that pool between the
+    elementwise work of a scan cost 8-15 ms per product, where the blocked
+    real products of a 97 x 128 by 128 x 97 complex-by-real product take
+    0.1-0.2 ms.  The flops are the same.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    rows = max(1, _PRODUCT_ENTRIES // max(1, b.size))
+    if a.shape[0] > rows:
+        return np.concatenate(
+            [real_matmul(a[i : i + rows], b) for i in range(0, a.shape[0], rows)]
+        )
+    if not np.iscomplexobj(b):
+        if not np.iscomplexobj(a):
+            return a @ b
+        return (a.real @ b) + 1j * (a.imag @ b)
+    if not np.iscomplexobj(a):
+        return (a @ b.real) + 1j * (a @ b.imag)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    return (ar @ br - ai @ bi) + 1j * (ar @ bi + ai @ br)

@@ -8,11 +8,15 @@ kappa that makes the weighted basis orthogonality an exact isometry (the
 raw weight normalization is off by a dimension-dependent factor; for n = 1
 kappa comes out at (2 pi)^{-1/2}, independent of t).  With kappa in hand,
 ``bergman_norm`` evaluates the weighted squared norms of any integer
-Sobolev order, and ``reproduce`` runs the reproducing identity.
+Sobolev order, and ``reproduce`` runs the reproducing identity at one
+point or a batch of points: its kernel K_{2t}(z, conj w) factors over the
+real axes of the grid, so the integral is a z-side table on x, one (x, y)
+table and a z-side table on y joined by one matrix product.
 ``envelope`` is the package's one growth-envelope scan: the sup of
 |F|^2 / bound (or |F| / bound) on a plane grid and at twice its resolution,
 over blocks of broadcastable real coordinates fed to ``handle.eval_grid``
-and ``bound.log_eval``, so images on C and on C^2 share it.
+and ``bound.log_eval``, so images on C and on C^2 share it.  On C the block
+is the open mesh x (column) by y (row), and no flattened nodes are built.
 """
 
 import math
@@ -33,6 +37,7 @@ from .quadrature import (
     gauss_hermite_rule,
     gauss_legendre_rule,
     gaussian_box,
+    real_matmul,
 )
 from .spectral import (
     Bump,
@@ -101,6 +106,11 @@ class MehlerSliceHandle(EntireHandle):
         self.time = time
         self.dimension = dimension
         self.source = np.atleast_1d(np.asarray(source, dtype=float))
+        if len(self.source) != dimension:
+            raise ValueError(
+                f"dimension mismatch: point mass in R^{len(self.source)}, "
+                f"dimension {dimension}"
+            )
 
     def eval(self, z) -> complex:
         z = as_point(z, dimension=self.dimension)
@@ -112,6 +122,8 @@ class MehlerSliceHandle(EntireHandle):
         return complex(_finite_kernel_sum(val))
 
     def eval_grid(self, X, Y) -> np.ndarray:
+        if self.dimension != 1:
+            raise ValueError("grid evaluation is one-dimensional")
         Z = np.asarray(X) + 1j * np.asarray(Y)
         with np.errstate(over="ignore", invalid="ignore"):
             vals = mehler_kernel(self.time, Z, self.source[0])
@@ -151,9 +163,9 @@ class KernelImageHandle(EntireHandle):
         return complex(_finite_kernel_sum(val))
 
     def eval_grid(self, X, Y) -> np.ndarray:
-        Z = (np.asarray(X) + 1j * np.asarray(Y)).ravel()
+        Z = np.asarray(X) + 1j * np.asarray(Y)
         with np.errstate(over="ignore", invalid="ignore"):
-            ker = mehler_kernel(self.time, Z[:, None], self._nodes[None, :])
+            ker = mehler_kernel(self.time, Z[..., None], self._nodes)
             vals = ker @ self._samples
         return _finite_kernel_sum(vals)
 
@@ -316,18 +328,60 @@ def reproduce(
     z,
     grid: PlaneGrid,
     kappa: float,
-) -> complex:
+):
     """Right-hand side of the reproducing identity:
-    int F(w) conj(K(z, w)) kappa U_t(w) dw, which must return F(z)."""
-    z = as_point(z, dimension=1)
-    X, Y, W = grid.nodes()
-    Wc = X + 1j * Y
+    int F(w) conj(K(z, w)) kappa U_t(w) dw, which must return F(z).
+
+    ``z`` is one point of C (a complex, or a sequence of length 1), giving a
+    complex, or P points shaped (P, 1), giving an array of P values.  The
+    conjugated order-0 kernel is K_{2t}(z, conj w) on the tensor grid's
+    nodes w = x + iy, and it factors over the real axes:
+
+        K_{2t}(z, x - iy) = pref A(z, x) T(x, y) B(z, y),
+
+    with A = e^{-c(z^2 + x^2)/2 + zx/s - icab} (z = a + ib), the x-part with
+    every Gaussian in z that goes with the z-linear term, so |A| <= 1;
+    B = e^{cb^2/2 - izy/s}; and one cross table T = e^{cy^2/2 + icxy}, where
+    s = sinh 4t and c = coth 4t.  T joins F, the weight U_t and the node
+    weights in one (x, y) table, and all points cost one matrix product.
+    """
+    zs = np.asarray(z, dtype=complex)
+    single = zs.ndim < 2
+    if single:
+        zs = as_point(zs, dimension=1)
+    elif zs.ndim != 2 or zs.shape[1] != 1:
+        raise ValueError(f"points must be shaped (P, 1), got {zs.shape}")
+    elif not np.all(np.isfinite(zs)):
+        raise ValueError("point coordinates must be finite")
+    zs = zs.reshape(-1)
+    x, wx = grid.axis(0)
+    y, wy = grid.axis(1)
+    X, Y = x[:, None], y[None, :]
     F = handle.eval_grid(X, Y)
-    # conj of the order-0 reproducing kernel in its second argument:
-    # sum e^{-2 lam t} Phi(z) Phi(conj w) = K^(0) evaluated at (conj z, w) conjugated
-    ker = mehler_kernel(2 * t, z[0], np.conj(Wc))
-    U = bergman_weight(t, Wc)
-    return complex(np.sum(W * F * ker * U) * kappa)
+    s = math.sinh(4 * t)
+    c = math.cosh(4 * t) / s
+    # U_t(x + iy) = 2 (sinh 4t)^{-1/2} e^{tanh(2t) x^2 - coth(2t) y^2}, in one
+    # exponent with the kernel's w-only part
+    table = (
+        (2.0 / math.sqrt(s)) * np.multiply.outer(wx, wy) * F
+        * np.exp(
+            math.tanh(2 * t) * X * X
+            + (0.5 * c - 1.0 / math.tanh(2 * t)) * Y * Y
+            + 1j * c * X * Y
+        )
+    )
+    a, b = zs.real[:, None], zs.imag[:, None]
+    zc = zs[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = np.exp(-0.5 * c * (a * a + x * x) + zc * x / s - 1j * c * a * b)
+        B = np.exp(0.5 * c * b * b - 1j * zc * y / s)
+        vals = np.sum(real_matmul(A, table) * B, axis=1)
+        vals *= (2.0 * math.pi * s) ** -0.5 * kappa
+    if not np.all(np.isfinite(vals)):
+        raise HermiteOverflowError(
+            "reproducing integral exceeds the largest double at a requested point"
+        )
+    return complex(vals[0]) if single else vals
 
 
 def recover_coefficients(
@@ -380,12 +434,13 @@ def _z_row_slices(grid: PlaneGrid):
 
 
 def _coordinate_blocks(grid: PlaneGrid):
-    """Broadcastable real coordinate arrays covering the grid's nodes: one
-    block (X, Y) for one coordinate; for two, z-row slices (X, Y) shaped
-    (rows, 1) against the whole w-plane (U, V) shaped (1, w-plane)."""
+    """Broadcastable real coordinate arrays covering the grid's nodes: for
+    one coordinate the open mesh x (column) by y (row), so no flattened
+    nodes are built; for two, z-row slices (X, Y) shaped (rows, 1) against
+    the whole w-plane (U, V) shaped (1, w-plane).  Row-major order matches
+    ``grid.nodes()`` either way."""
     if grid.ncoords == 1:
-        X, Y, _ = grid.nodes()
-        yield X, Y
+        yield grid.axis(0)[0][:, None], grid.axis(1)[0][None, :]
         return
     X, Y = _plane_nodes(grid, 0)
     U, V = _plane_nodes(grid, 1)

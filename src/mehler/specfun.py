@@ -78,14 +78,16 @@ def hermite_eval(k_max: int, z) -> np.ndarray:
     dtype = complex if np.iscomplexobj(z) else float
     z = np.asarray(z, dtype=dtype)
     out = np.empty((k_max + 1,) + z.shape, dtype=dtype)
-    out[0] = math.pi ** -0.25 * np.exp(-(z**2) / 2.0)
-    if k_max >= 1:
-        out[1] = math.sqrt(2.0) * z * out[0]
-    for k in range(1, k_max):
-        out[k + 1] = (
-            z * math.sqrt(2.0 / (k + 1)) * out[k]
-            - math.sqrt(k / (k + 1.0)) * out[k - 1]
-        )
+    # an overflowing ladder is reported below by name, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[0] = math.pi ** -0.25 * np.exp(-(z**2) / 2.0)
+        if k_max >= 1:
+            out[1] = math.sqrt(2.0) * z * out[0]
+        for k in range(1, k_max):
+            out[k + 1] = (
+                z * math.sqrt(2.0 / (k + 1)) * out[k]
+                - math.sqrt(k / (k + 1.0)) * out[k - 1]
+            )
     if not np.all(np.isfinite(out[k_max])):
         raise HermiteOverflowError(
             f"h_{k_max} exceeds the largest double at a requested point; "

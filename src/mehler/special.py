@@ -34,6 +34,13 @@ square).  The variant normalized as (2 pi sinh t)^{-n}, exposed by
 what the weight on C^{2n} is built from, and the weight calibration
 constant kappa* absorbs exactly that factor (kappa* ~ 2^{-n}).
 
+``twisted_conv`` takes arrays of points.  With the heat profile the
+displaced profile and the phase factor into an x-part and a u-part,
+e^{-c(z-x)^2 - ixw/2} and e^{-c(w-u)^2 + izu/2} with c = coth(t)/4, so all
+points cost one matrix product against the weighted table of f on the
+grid's tensor nodes.  Profiles that do not factor (Laguerre profiles,
+callables) keep the dense sum over the nodes, broadcast over the points.
+
 Intertwining relations: with a = coth(t)/2 and b = i/2, the validated
 first-order relations are
 
@@ -68,7 +75,7 @@ import numpy as np
 
 from .indices import MultiIndex, as_index, multi_indices, oscillator_eigenvalue
 from .kernels import special_plain_bound, special_schwartz_bound, twisted_weight_profile
-from .quadrature import PlaneGrid
+from .quadrature import PlaneGrid, real_matmul
 from .semigroup import (
     CalibrationResult,
     EnvelopeReport,
@@ -350,18 +357,41 @@ def default_twisted_grid(t: float = 0.4, resolution: int = 96) -> PlaneGrid:
     return PlaneGrid(boxes=((-h, h, -h, h),), resolution=resolution)
 
 
-def twisted_conv(f, g, z, w, grid: PlaneGrid) -> complex:
-    """(f x g)(z, w) for a real or complexified phase-space point.
+def twisted_conv(f, g, z, w, grid: PlaneGrid):
+    """(f x g)(z, w) at real or complexified phase-space points.
 
-    The integration runs over the real plane grid; for complex (z, w) the
-    displaced factor g and the phase use the entire continuation, so g must
-    have one (closed forms and basis members do; sampled data does not).
+    ``z`` and ``w`` are scalars, giving a complex, or broadcastable arrays
+    of points, giving an array of their broadcast shape.  The integration
+    runs over the real plane grid; for complex (z, w) the displaced factor
+    g and the phase use the entire continuation, so g must have one
+    (closed forms and basis members do; sampled data does not).
+
+    With the heat profile the sum factors over the grid's x and u axes:
+    g(z - x, w - u) e^{-i(xw - zu)/2} = pref A(z, w, x) B(z, w, u) with
+    A = e^{-c(z - x)^2 - ixw/2}, B = e^{-c(w - u)^2 + izu/2} and
+    c = coth(t)/4, so every point is pref sum_ij A_i (W o F)_ij B_j and all
+    points cost one matrix product against the weighted table of f.
+    Profiles that do not factor (:class:`LaguerreProfile`, callables) keep
+    the dense sum over the nodes, broadcast over the points.
     """
-    X, U, Wt = grid.nodes()
-    fv = twisted_eval(f, X, U)
-    gv = twisted_eval_entire(g, z - X, w - U)
-    phase = np.exp(-0.5j * (X * w - z * U))
-    return complex(np.sum(Wt * fv * gv * phase))
+    zs, ws = np.broadcast_arrays(np.asarray(z), np.asarray(w))
+    shape = zs.shape
+    zs, ws = zs.reshape(-1, 1), ws.reshape(-1, 1)
+    if isinstance(g, HeatProfile):
+        (x, wx), (u, wu) = grid.axis(0), grid.axis(1)
+        table = np.multiply.outer(wx, wu) * twisted_eval(f, x[:, None], u[None, :])
+        c = 0.25 / math.tanh(g.t)
+        A = np.exp(-c * (zs - x) ** 2 - 0.5j * x * ws)
+        B = np.exp(-c * (ws - u) ** 2 + 0.5j * zs * u)
+        pref = ((2.0 * math.pi) * (2.0 * math.sinh(g.t))) ** -1
+        vals = pref * np.sum(real_matmul(A, table) * B, axis=1)
+    else:
+        X, U, Wt = grid.nodes()
+        fv = Wt * twisted_eval(f, X, U)
+        gv = twisted_eval_entire(g, zs - X, ws - U)
+        phase = np.exp(-0.5j * (X * ws - zs * U))
+        vals = np.sum(fv * gv * phase, axis=1)
+    return complex(vals[0]) if not shape else vals.reshape(shape)
 
 
 def special_semigroup_apply(
@@ -372,11 +402,12 @@ def special_semigroup_apply(
     mode: str = "kernel",
     grid: PlaneGrid | None = None,
     truncation: int = 24,
-) -> complex:
+):
     """Twisted heat semigroup applied to f, evaluated at (z, w) in C^2.
 
-    Kernel mode convolves with the spectrally normalized heat profile;
-    spectral mode sums the damped Laguerre projections up to ``truncation``.
+    Kernel mode convolves with the spectrally normalized heat profile and
+    takes arrays of points as :func:`twisted_conv` does; spectral mode sums
+    the damped Laguerre projections up to ``truncation`` at one point.
     Both agree, and on basis members reproduce the eigenvalue damping
     e^{-(2|beta|+n) t}.
     """
@@ -387,6 +418,8 @@ def special_semigroup_apply(
         return twisted_conv(f, heat_profile(t), z, w, grid)
     if mode != "spectral":
         raise ValueError(f"unknown mode {mode!r}")
+    if np.ndim(z) or np.ndim(w):
+        raise ValueError("spectral mode evaluates one point (z, w)")
     X, U, Wt = grid.nodes()
     fv = twisted_eval(f, X, U)
     phase = np.exp(-0.5j * (X * w - z * U))
@@ -611,23 +644,30 @@ def intertwine_check(
     fx = _derivative_op(f, "x", a)
     fu = _derivative_op(f, "u", a)
 
-    res_x = 0.0
-    res_u = 0.0
-    for z, w in points:
-        Ef = twisted_conv(f, heat_profile(t), z, w, grid)
-        lhs_x = twisted_conv(fx, heat_profile(t), z, w, grid)
-        rhs_x = (-a * z + b * w) * Ef
-        res_x = max(res_x, abs(lhs_x - rhs_x) / (1.0 + abs(rhs_x)))
-        lhs_u = twisted_conv(fu, heat_profile(t), z, w, grid)
-        rhs_u = -(b * z + a * w) * Ef
-        res_u = max(res_u, abs(lhs_u - rhs_u) / (1.0 + abs(rhs_u)))
+    z, w = _point_arrays(points)
+    Ef = twisted_conv(f, heat_profile(t), z, w, grid)
+    rhs_x = (-a * z + b * w) * Ef
+    rhs_u = -(b * z + a * w) * Ef
+    lhs_x = twisted_conv(fx, heat_profile(t), z, w, grid)
+    lhs_u = twisted_conv(fu, heat_profile(t), z, w, grid)
     return IntertwineReport(
         convention=convention,
         a_value=a,
-        residual_x=res_x,
-        residual_u=res_u,
+        residual_x=_max_residual(lhs_x, rhs_x),
+        residual_u=_max_residual(lhs_u, rhs_u),
         points=tuple(points),
     )
+
+
+def _point_arrays(points):
+    """The z and w coordinates of a sequence of (z, w) points, as arrays."""
+    pts = np.asarray(points, dtype=complex).reshape(-1, 2)
+    return pts[:, 0], pts[:, 1]
+
+
+def _max_residual(lhs, rhs) -> float:
+    """max |lhs - rhs| / (1 + |rhs|) over the points."""
+    return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
 
 
 def composed_intertwine_residual(
@@ -661,13 +701,10 @@ def composed_intertwine_residual(
     Wf = op_zw(pg, b, -a)
     Tf = op_zw(Wf, -a, -b)
 
-    res = 0.0
-    for z, w in points:
-        Ef = twisted_conv(pg, heat_profile(t), z, w, grid)
-        lhs = twisted_conv(Tf, heat_profile(t), z, w, grid)
-        rhs = z * w * Ef
-        res = max(res, abs(lhs - rhs) / (1.0 + abs(rhs)))
-    return res
+    z, w = _point_arrays(points)
+    Ef = twisted_conv(pg, heat_profile(t), z, w, grid)
+    lhs = twisted_conv(Tf, heat_profile(t), z, w, grid)
+    return _max_residual(lhs, z * w * Ef)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,238 @@
+"""Tensor-grid contractions against the dense per-point sums they replace.
+
+The windowed transform, the twisted heat convolution and the reproducing
+integral each factor over the real axes of a plane grid and run as one
+matrix product over all requested points.  Every such path is checked here
+against the sum over ``grid.nodes()`` written out in the test, and every
+``EntireHandle.eval_grid`` against the shape contract of the envelope
+scan's open mesh.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from mehler import (
+    Bump,
+    Dirac,
+    Gaussian,
+    Gaussian2n,
+    HermiteBasis,
+    HermiteOverflowError,
+    bergman_weight,
+    compact_growth_check,
+    default_bergman_grid,
+    envelope_ratio,
+    gauss_stft,
+    mehler_kernel,
+    pw_envelope,
+    reproduce,
+    semigroup_handle,
+    sobolev_embed_bound,
+    special_semigroup_apply,
+    twisted_conv,
+)
+from mehler.quadrature import PlaneGrid
+from mehler.semigroup import MehlerSliceHandle
+from mehler.special import (
+    ClosedFormSpecialHandle,
+    GaussianImage,
+    PolyGaussian2n,
+    SpecialEigenHandle,
+    default_twisted_grid,
+    heat_profile,
+    laguerre_profile,
+    twisted_eval,
+    twisted_eval_entire,
+)
+from mehler.spectral import ClosedFormHandle, EntireHandle
+from mehler.stft import _StftHandle
+
+KAPPA = (2 * math.pi) ** -0.5
+
+# ---------------------------------------------------------------------------
+# The eval_grid shape contract
+# ---------------------------------------------------------------------------
+
+HANDLES = {
+    "SpectralHandle": lambda: semigroup_handle(HermiteBasis((2,)), 0.3, "spectral"),
+    "ClosedFormHandle": lambda: ClosedFormHandle(fn=lambda Z: np.exp(-0.5 * Z * Z)),
+    "MehlerSliceHandle": lambda: MehlerSliceHandle(0.3, 0.5),
+    "KernelImageHandle": lambda: semigroup_handle(Gaussian(1.0), 0.3, "kernel"),
+    "SpecialEigenHandle": lambda: SpecialEigenHandle((1,), (0,), 0.4),
+    "ClosedFormSpecialHandle": lambda: ClosedFormSpecialHandle(GaussianImage(1.0, 0.4)),
+    "_StftHandle": lambda: _StftHandle(HermiteBasis((1,)), 2.0, 1.0, None),
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_handle_class_is_covered():
+    names = {c.__name__ for c in _subclasses(EntireHandle) if c.__module__.startswith("mehler.")}
+    assert names == set(HANDLES)
+
+
+@pytest.mark.parametrize("name", list(HANDLES))
+def test_eval_grid_returns_the_broadcast_shape(name):
+    handle = HANDLES[name]()
+    x = np.linspace(-1.5, 1.5, 5)
+    y = np.linspace(-1.0, 1.0, 4)
+    if isinstance(handle, (SpecialEigenHandle, ClosedFormSpecialHandle)):
+        # the C^2 scan: z-rows (column) against the w-plane (row)
+        cols = (x[:, None], 0.5 * x[:, None], y[None, :], -0.5 * y[None, :])
+    else:
+        cols = (x[:, None], y[None, :])
+    mesh = handle.eval_grid(*cols)
+    assert mesh.shape == (5, 4)
+    flat = handle.eval_grid(*(np.broadcast_to(c, (5, 4)).ravel() for c in cols))
+    np.testing.assert_allclose(mesh, flat.reshape(5, 4), rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# Windowed transform
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "f, a",
+    [(HermiteBasis((1,)), 2.0), (Gaussian(1.0), 0.5), (Bump(1.5), 1.0), (Dirac(0.3), 1.5)],
+    ids=["hermite", "gaussian", "bump", "point-mass"],
+)
+def test_stft_mesh_product_matches_gauss_stft(f, a):
+    x = np.linspace(-5.0, 5.0, 21)
+    y = np.linspace(-3.0, 3.0, 13)
+    handle = _StftHandle(f, a, 0.7, None)
+    mesh = handle.eval_grid(x[:, None], y[None, :])
+    Z = x[:, None] + 1j * y[None, :]
+    flat = gauss_stft(f, a, Z.ravel(), c=0.7).reshape(Z.shape)
+    assert mesh.shape == Z.shape
+    np.testing.assert_allclose(mesh, flat, rtol=1e-12, atol=1e-12 * np.max(np.abs(flat)))
+
+
+# ---------------------------------------------------------------------------
+# Twisted convolution
+# ---------------------------------------------------------------------------
+
+
+def _dense_conv(f, g, z, w, grid):
+    """The convolution sum at one point over grid.nodes(), and the sum of
+    the moduli of its terms."""
+    X, U, Wt = grid.nodes()
+    terms = (
+        Wt * twisted_eval(f, X, U) * twisted_eval_entire(g, z - X, w - U)
+        * np.exp(-0.5j * (X * w - z * U))
+    )
+    return terms.sum(), np.abs(terms).sum()
+
+
+def _points(kind):
+    rng = np.random.default_rng(7)
+    z, w = rng.uniform(-1.5, 1.5, (2, 6))
+    if kind == "complex":
+        z = z + 1j * rng.uniform(-0.8, 0.8, 6)
+        w = w + 1j * rng.uniform(-0.8, 0.8, 6)
+    return z, w
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("profile", ["heat", "laguerre"])
+@pytest.mark.parametrize("t", [0.4, 0.5])
+def test_twisted_conv_point_arrays_match_dense_sum(t, profile, kind):
+    grid = default_twisted_grid(t)
+    g = heat_profile(t) if profile == "heat" else laguerre_profile(2)
+    f = PolyGaussian2n((((0, 0), 1.0), ((1, 0), 0.5j), ((0, 2), -0.3)), 1.0)
+    z, w = _points(kind)
+    got = twisted_conv(f, g, z, w, grid)
+    assert got.shape == z.shape
+    for p in range(len(z)):
+        ref, scale = _dense_conv(f, g, z[p], w[p], grid)
+        assert abs(got[p] - ref) <= 1e-12 * scale
+    # one point still gives a complex
+    one = twisted_conv(f, g, z[0], w[0], grid)
+    assert isinstance(one, complex) and one == pytest.approx(got[0], rel=1e-12)
+
+
+def test_semigroup_kernel_mode_takes_point_arrays():
+    z, w = _points("complex")
+    got = special_semigroup_apply(Gaussian2n(1.0), 0.4, z, w, "kernel")
+    np.testing.assert_allclose(got, GaussianImage(1.0, 0.4)(z, w), rtol=1e-9)
+    with pytest.raises(ValueError, match="one point"):
+        special_semigroup_apply(Gaussian2n(1.0), 0.4, z, w, "spectral")
+
+
+# ---------------------------------------------------------------------------
+# Reproducing integral
+# ---------------------------------------------------------------------------
+
+
+def _dense_reproduce(handle, t, z, grid):
+    X, Y, W = grid.nodes()
+    Wc = X + 1j * Y
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (
+            KAPPA * W * handle.eval_grid(X, Y) * mehler_kernel(2 * t, z, np.conj(Wc))
+            * bergman_weight(t, Wc)
+        )
+    return terms.sum(), np.abs(terms).sum()
+
+
+def test_reproduce_points_match_single_calls():
+    t = 0.3
+    grid = default_bergman_grid(t, resolution=64)
+    handle = semigroup_handle(HermiteBasis((2,)), t, "spectral")
+    rng = np.random.default_rng(3)
+    zs = (rng.uniform(-1.5, 1.5, 7) + 1j * rng.uniform(-1.5, 1.5, 7))[:, None]
+    got = reproduce(handle, t, zs, grid, KAPPA)
+    assert got.shape == (7,)
+    single = np.array([reproduce(handle, t, z, grid, KAPPA) for z in zs])
+    np.testing.assert_allclose(got, single, rtol=1e-13)
+    for z, g in zip(zs[:, 0], got):
+        ref, scale = _dense_reproduce(handle, t, z, grid)
+        assert abs(g - ref) <= 1e-12 * scale
+    with pytest.raises(ValueError, match=r"\(P, 1\)"):
+        reproduce(handle, t, np.zeros((3, 2)), grid, KAPPA)
+
+
+@pytest.mark.parametrize("z", [30.0, -30.0 + 0.5j, 30.0 - 4.0j])
+def test_split_reproducing_kernel_far_along_the_real_axis(z):
+    # e^{-c z^2/2} and e^{zx/s} share one exponent, so |Re z| = 30 neither
+    # underflows the Gaussian nor overflows the linear term
+    t = 0.3
+    grid = default_bergman_grid(t, resolution=64)
+    handle = semigroup_handle(HermiteBasis((1,)), t, "spectral")
+    got = reproduce(handle, t, [z], grid, KAPPA)
+    ref, scale = _dense_reproduce(handle, t, z, grid)
+    assert np.isfinite(got) and np.isfinite(scale) and scale > 0
+    assert abs(got - ref) <= 1e-12 * scale
+
+
+def test_split_reproducing_kernel_overflow_is_named():
+    t = 0.3
+    grid = default_bergman_grid(t, resolution=64)
+    handle = semigroup_handle(HermiteBasis((1,)), t, "spectral")
+    with pytest.raises(HermiteOverflowError):
+        reproduce(handle, t, [0.5 + 40j], grid, KAPPA)
+
+
+# ---------------------------------------------------------------------------
+# The envelope scan's open mesh
+# ---------------------------------------------------------------------------
+
+
+def test_one_coordinate_envelope_builds_no_flattened_nodes(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the scan built the flattened nodes")
+
+    monkeypatch.setattr(PlaneGrid, "nodes", refuse)
+    grid = PlaneGrid(boxes=((-6.0, 6.0, -4.0, 4.0),), resolution=25, kind="trapezoid")
+    handle = semigroup_handle(HermiteBasis((2,)), 0.3, "spectral")
+    assert envelope_ratio(handle, sobolev_embed_bound(0.3, 1), grid).sup_ratio > 0
+    assert pw_envelope(HermiteBasis((0,)), 2.0, 0, grid).sup_ratio > 0
+    assert compact_growth_check(Dirac(0.5), 0.5, grid).sup_ratio > 0
+    assert compact_growth_check(Bump(1.0), 0.5, grid).sup_ratio > 0
+

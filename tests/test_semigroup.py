@@ -30,6 +30,7 @@ from mehler import (
     tempered_bound,
 )
 from mehler.quadrature import PlaneGrid
+from mehler.semigroup import MehlerSliceHandle
 from mehler.specfun import HermiteOverflowError
 from mehler.spectral import ClosedFormHandle, CoefficientList, eval_test_function
 
@@ -102,6 +103,19 @@ def test_kernel_mode_refuses_dimension_two():
     got = handle.eval([0.2 + 0.1j, 0.4])
     ref = mehler_kernel(0.3, 0.2 + 0.1j, 0.5) * mehler_kernel(0.3, 0.4, -0.3)
     assert got == pytest.approx(ref, rel=1e-13)
+
+
+def test_point_mass_slice_checks_its_dimension():
+    # a point mass in R^2 at the default dimension 1 used to give the
+    # one-coordinate slice K_t(z, 0.5) silently
+    with pytest.raises(ValueError, match="dimension"):
+        semigroup_handle(Dirac((0.5, -0.3)), 0.3, "kernel")
+    with pytest.raises(ValueError, match="dimension"):
+        MehlerSliceHandle(0.3, 0.5, 2)
+    # at dimension 2 the grid form, which is one-dimensional, refuses
+    handle = MehlerSliceHandle(0.3, (0.5, -0.3), 2)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        handle.eval_grid(np.array([0.0, 0.5]), np.array([0.0, 0.1]))
 
 
 def test_calibration_constant(calibration_025):
