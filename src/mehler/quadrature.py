@@ -267,7 +267,8 @@ _PRODUCT_ENTRIES = 1 << 18
 
 
 def real_matmul(a, b) -> np.ndarray:
-    """``a @ b`` for real or complex 2-D arrays, by small real matrix products.
+    """``a @ b`` for a complex 2-D ``a`` and a real or complex 2-D ``b``, by
+    small real matrix products.
 
     The tensor-grid contractions join per-axis tables with one matrix
     product.  A complex product is split into the real products of its
@@ -287,10 +288,6 @@ def real_matmul(a, b) -> np.ndarray:
             [real_matmul(a[i : i + rows], b) for i in range(0, a.shape[0], rows)]
         )
     if not np.iscomplexobj(b):
-        if not np.iscomplexobj(a):
-            return a @ b
         return (a.real @ b) + 1j * (a.imag @ b)
-    if not np.iscomplexobj(a):
-        return (a @ b.real) + 1j * (a @ b.imag)
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     return (ar @ br - ai @ bi) + 1j * (ar @ bi + ai @ br)
