@@ -171,11 +171,6 @@ class PlaneGrid:
             raise ValueError("resolution must be >= 2")
         if self.kind not in ("gauss-legendre", "trapezoid"):
             raise ValueError(f"unknown grid kind {self.kind!r}")
-        n_nodes = self.resolution ** (2 * len(boxes))
-        if n_nodes > _MAX_PLANE_NODES:
-            raise ValueError(
-                f"grid would have {n_nodes} nodes; refusing beyond {_MAX_PLANE_NODES}"
-            )
 
     @property
     def ncoords(self) -> int:
@@ -203,6 +198,11 @@ class PlaneGrid:
 
     @cached_property
     def _nodes(self) -> tuple[np.ndarray, ...]:
+        n_nodes = self.resolution ** (2 * self.ncoords)
+        if n_nodes > _MAX_PLANE_NODES:
+            raise ValueError(
+                f"grid would have {n_nodes} nodes; refusing beyond {_MAX_PLANE_NODES}"
+            )
         axes = [self.axis(k) for k in range(2 * self.ncoords)]
         grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
         coords = [g.ravel() for g in grids]

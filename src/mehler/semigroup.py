@@ -14,9 +14,9 @@ real axes of the grid, so the integral is a z-side table on x, one (x, y)
 table and a z-side table on y joined by one matrix product.
 ``envelope`` is the package's one growth-envelope scan: the sup of
 |F|^2 / bound (or |F| / bound) on a plane grid and at twice its resolution,
-over blocks of broadcastable real coordinates fed to ``handle.eval_grid``
-and ``bound.log_eval``, so images on C and on C^2 share it.  On C the block
-is the open mesh x (column) by y (row), and no flattened nodes are built.
+over x-slices of one open mesh of the grid's real axes (x, y on C; x, y, u,
+v on C^2) fed to ``handle.eval_grid`` and ``bound.log_eval``, so images on C
+and on C^2 share it and no flattened nodes are built.
 """
 
 import math
@@ -72,6 +72,21 @@ class CalibrationResult:
     def spread(self) -> float:
         vals = np.array(list(self.ratios.values()))
         return float(vals.max() / vals.min() - 1.0)
+
+    @classmethod
+    def from_ratios(
+        cls, ratios: dict, max_off: float, t: float, dimension: int, flatness: float
+    ) -> "CalibrationResult":
+        """kappa as the geometric mean of ``ratios``; RuntimeError when their
+        spread exceeds ``flatness``."""
+        vals = np.array(list(ratios.values()))
+        if vals.max() / vals.min() - 1.0 > flatness:
+            raise RuntimeError(
+                f"calibration ratios vary beyond {flatness:g} across indices: "
+                "quadrature or weight-formula defect"
+            )
+        kappa = float(np.exp(np.mean(np.log(vals))))
+        return cls(kappa, ratios, float(max_off), t, dimension)
 
 
 @dataclass(frozen=True)
@@ -310,16 +325,7 @@ def calibrate_weight(
         val = np.sum(WU * ladder[sum(a)] * np.conj(ladder[sum(b)]))
         max_off = max(max_off, float(abs(val)))
 
-    vals = np.array(list(ratios.values()))
-    if vals.max() / vals.min() - 1.0 > 1e-3:
-        raise RuntimeError(
-            "calibration ratios vary beyond 1e-3 across indices: "
-            "quadrature or weight-formula defect"
-        )
-    kappa = float(np.exp(np.mean(np.log(vals))))
-    return CalibrationResult(
-        kappa=kappa, ratios=ratios, max_offdiagonal=max_off, t=t, dimension=dimension
-    )
+    return CalibrationResult.from_ratios(ratios, max_off, t, dimension, 1e-3)
 
 
 def reproduce(
@@ -409,50 +415,34 @@ def recover_coefficients(
 # ---------------------------------------------------------------------------
 
 
-# Most 4-D entries (z-plane rows x the whole w-plane) one scan block holds.
+# Most entries (x-nodes times the nodes of every other axis) one block holds.
 _BLOCK_ENTRIES = 1 << 18
 
 # Relative move of the sup under refinement below which an envelope is stable.
 _STABILITY = 0.05
 
 
-def _plane_nodes(grid: PlaneGrid, which: int):
-    """Flattened (x, y) nodes of one complex coordinate, x-major."""
-    x, _ = grid.axis(2 * which)
-    y, _ = grid.axis(2 * which + 1)
-    return np.repeat(x, len(y)), np.tile(y, len(x))
+def _mesh_blocks(grid: PlaneGrid):
+    """(x-slice, coordinates) pairs walking every node of the grid.
 
-
-def _z_row_slices(grid: PlaneGrid):
-    """Slices of the flattened z-plane, each covering whole x-rows and,
-    against the whole w-plane, at most _BLOCK_ENTRIES entries (one x-row
-    at least)."""
+    The coordinates are the open mesh (``np.ix_``) of all real axes, one
+    complex coordinate or two alike, cut along x into blocks of at most
+    _BLOCK_ENTRIES entries (one x-node at least), so no flattened nodes are
+    built.  Row-major order matches ``grid.nodes()``.
+    """
+    x, *rest = (grid.axis(k)[0] for k in range(2 * grid.ncoords))
     n = grid.resolution
-    rows = max(1, _BLOCK_ENTRIES // n**3)
-    for x0 in range(0, n, rows):
-        yield slice(x0 * n, min(x0 + rows, n) * n)
-
-
-def _coordinate_blocks(grid: PlaneGrid):
-    """Broadcastable real coordinate arrays covering the grid's nodes: for
-    one coordinate the open mesh x (column) by y (row), so no flattened
-    nodes are built; for two, z-row slices (X, Y) shaped (rows, 1) against
-    the whole w-plane (U, V) shaped (1, w-plane).  Row-major order matches
-    ``grid.nodes()`` either way."""
-    if grid.ncoords == 1:
-        yield grid.axis(0)[0][:, None], grid.axis(1)[0][None, :]
-        return
-    X, Y = _plane_nodes(grid, 0)
-    U, V = _plane_nodes(grid, 1)
-    for rows in _z_row_slices(grid):
-        yield X[rows, None], Y[rows, None], U[None, :], V[None, :]
+    step = max(1, _BLOCK_ENTRIES // n ** len(rest))
+    for x0 in range(0, n, step):
+        rows = slice(x0, min(x0 + step, n))
+        yield rows, np.ix_(x[rows], *rest)
 
 
 def _sup_ratio_on(handle: EntireHandle, bound: BoundSpec, grid: PlaneGrid):
     """Sup of |F|^p / bound over the grid's nodes and the node attaining it
     (p = 1 for bounds on the modulus, 2 otherwise)."""
     best, arg = -math.inf, None
-    for block in _coordinate_blocks(grid):
+    for _, block in _mesh_blocks(grid):
         with np.errstate(divide="ignore"):
             log_abs = np.log(np.abs(handle.eval_grid(*block)))
         log_ratio = (log_abs if bound.on_modulus else 2.0 * log_abs) - bound.log_eval(*block)

@@ -57,9 +57,10 @@ of the weight W_t(x, y, u, v) = 4 e^{yu - xv} S(y^2 + v^2), with S the
 :func:`mehler.kernels.twisted_weight_profile`.  The weight factors over
 coordinate pairs: the 4-D quadrature weight is the product of a (y, u), an
 (x, v) and a (y, v) table, so the time-derivative jet of S runs on the
-(y, v) table alone.  The sums run over blocks of whole z-plane rows
-against the whole w-plane, each holding at most 2^18 entries, so memory
-stays bounded at any resolution.
+(y, v) table alone.  The sums run over x-slices of the grid's open mesh
+(the same blocks the envelope scan walks), each holding at most 2^18
+entries, so memory stays bounded at any resolution and no plane is
+flattened.
 
 Twisted heat images are :class:`mehler.spectral.EntireHandle` objects on
 C^2, evaluated by ``eval_grid(X, Y, U, V)`` on broadcastable real arrays;
@@ -76,13 +77,7 @@ import numpy as np
 from .indices import MultiIndex, as_index, multi_indices, oscillator_eigenvalue
 from .kernels import special_plain_bound, special_schwartz_bound, twisted_weight_profile
 from .quadrature import PlaneGrid, real_matmul
-from .semigroup import (
-    CalibrationResult,
-    EnvelopeReport,
-    _plane_nodes,
-    _z_row_slices,
-    envelope,
-)
+from .semigroup import CalibrationResult, EnvelopeReport, _mesh_blocks, envelope
 from .specfun import laguerre_ladder
 from .spectral import EntireHandle
 
@@ -777,13 +772,13 @@ def default_special_grid(t: float = 0.4, resolution: int = 40, drop: float = 1e-
 
 
 def _weight_blocks(grid: PlaneGrid, t: float, m: int):
-    """(z-row slice, block) pairs covering the 4-D grid, dimension 1.
+    """(coordinates, weight) pairs over the blocks of
+    :func:`mehler.semigroup._mesh_blocks`, dimension 1.
 
-    A block holds the quadrature weight times d^{2m}/dt^{2m} W_t on the
-    product of its z-rows with the w-plane, shaped (rows, len(w-plane)).
-    W_t = 4 e^{yu - xv} S_m(y^2 + v^2) factors over coordinate pairs, so the
-    block is a product of three per-axis tables and the jet S_m runs on the
-    (y, v) table only.
+    The weight is the quadrature weight times d^{2m}/dt^{2m} W_t on the
+    block's open mesh, shaped (x-nodes, y, u, v).  W_t = 4 e^{yu - xv}
+    S_m(y^2 + v^2) factors over coordinate pairs, so the weight is a product
+    of three per-axis tables and the jet S_m runs on the (y, v) table only.
     """
     (x, wx), (y, wy), (u, wu), (v, wv) = (grid.axis(k) for k in range(4))
     yu = 4.0 * np.exp(np.multiply.outer(y, u)) * np.multiply.outer(wy, wu)
@@ -792,10 +787,8 @@ def _weight_blocks(grid: PlaneGrid, t: float, m: int):
     # S_m joins the (y, u) table before the (x, v) one, so no intermediate
     # grows past e^{yu - xv}
     yuv = yu[:, :, None] * s[:, None, :]
-    n = grid.resolution
-    for rows in _z_row_slices(grid):
-        block = xv[rows.start // n : rows.stop // n, None, None, :] * yuv
-        yield rows, block.reshape(rows.stop - rows.start, n * n)
+    for rows, mesh in _mesh_blocks(grid):
+        yield mesh, xv[rows, None, None, :] * yuv
 
 
 def bergman_norm_special(
@@ -810,19 +803,17 @@ def bergman_norm_special(
     The weight W_t(x, y, u, v) = 4 e^{yu - xv} S_m(y^2 + v^2) factors into
     per-axis tables over (y, u), (x, v) and (y, v); the jet for S_m runs on
     the (y, v) table alone.  The 4-dimensional quadrature is summed over
-    blocks of whole z-plane rows, each at most 2^18 entries (one row at
-    least), so memory stays bounded at any resolution.
+    x-slices of the grid's open mesh, each at most 2^18 entries (one x-node
+    at least), so memory stays bounded at any resolution.
     """
     if grid.ncoords != 2:
         raise ValueError("need a two-coordinate grid over C^2")
     if m < 0:
         raise ValueError("m must be >= 0")
-    X, Y = _plane_nodes(grid, 0)
-    U, V = _plane_nodes(grid, 1)
     total = 0.0
-    for rows, block in _weight_blocks(grid, t, m):
-        F = handle.eval_grid(X[rows, None], Y[rows, None], U[None, :], V[None, :])
-        total += float(np.sum((F.real**2 + F.imag**2) * block))
+    for mesh, weight in _weight_blocks(grid, t, m):
+        F = handle.eval_grid(*mesh)
+        total += float(np.sum((F.real**2 + F.imag**2) * weight))
     return kappa_star * total
 
 
@@ -844,31 +835,24 @@ def calibrate_weight_special(
         raise ValueError("pairs must name at least one (alpha, beta) probe")
     pairs = [(as_index(a), as_index(b)) for a, b in pairs]
 
-    (Xz, Yz), (Uw, Vw) = _plane_nodes(grid, 0), _plane_nodes(grid, 1)
-    Zc, Wc = Xz + 1j * Yz, Uw + 1j * Vw
     raw = [0.0] * len(pairs)
     off = [0j] * len(pairs[1:3])
-    for rows, block in _weight_blocks(grid, t, 0):
+    for (X, Y, U, V), weight in _weight_blocks(grid, t, 0):
+        Z, W = X + 1j * Y, U + 1j * V
         for k, (a, b) in enumerate(pairs):
-            F = special_hermite_matrix(a[0], b[0], Zc[rows], Wc)
+            F = special_hermite_eval(a, b, Z, W)
             if k == 0:
                 F0 = F
-            raw[k] += float(np.sum((F.real**2 + F.imag**2) * block))
+            raw[k] += float(np.sum((F.real**2 + F.imag**2) * weight))
             if 0 < k < 3:
-                off[k - 1] += complex(np.sum(F0 * np.conj(F) * block))
+                off[k - 1] += complex(np.sum(F0 * np.conj(F) * weight))
 
-    ratios: dict = {}
-    for (a, b), r in zip(pairs, raw):
-        ratios[(a, b)] = math.exp(2 * oscillator_eigenvalue(b) * t) / r
+    ratios = {
+        (a, b): math.exp(2 * oscillator_eigenvalue(b) * t) / r
+        for (a, b), r in zip(pairs, raw)
+    }
     max_off = max((abs(c) for c in off), default=0.0)
-
-    vals = np.array(list(ratios.values()))
-    if vals.max() / vals.min() - 1.0 > 1e-2:
-        raise RuntimeError("twisted calibration ratios vary beyond 1e-2")
-    kappa = float(np.exp(np.mean(np.log(vals))))
-    return CalibrationResult(
-        kappa=kappa, ratios=ratios, max_offdiagonal=float(max_off), t=t, dimension=1
-    )
+    return CalibrationResult.from_ratios(ratios, max_off, t, 1, 1e-2)
 
 
 def special_envelope(

@@ -11,6 +11,7 @@ from the timing fields.
 
 import json
 import math
+import numbers
 import os
 import time
 import traceback
@@ -94,6 +95,15 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 }
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int; ConfigError unless it is a whole number."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Serializable configuration of the verification suite."""
@@ -109,8 +119,10 @@ class SuiteConfig:
     seed: int = 12345
 
     def __post_init__(self):
+        for name in ("n", "N", "quad", "grid_res", "seed"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
         object.__setattr__(self, "t", tuple(float(v) for v in self.t))
-        object.__setattr__(self, "m", tuple(int(v) for v in self.m))
+        object.__setattr__(self, "m", tuple(_whole("m", v) for v in self.m))
         object.__setattr__(self, "grid_box", tuple(float(v) for v in self.grid_box))
         self.validate()
 
@@ -168,18 +180,23 @@ class SuiteConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
-        grid = data.get("grid", {})
+        grid, tol = data.get("grid", {}), data.get("tol", {})
+        if not (isinstance(grid, dict) and isinstance(tol, dict)):
+            raise ConfigError("config 'grid' and 'tol' must be JSON objects")
+        unknown = set(grid) - {"box", "res"}
+        if unknown:
+            raise ConfigError(f"unknown grid keys {sorted(unknown)}")
         try:
             return cls(
-                n=int(data.get("n", 1)),
-                N=int(data.get("N", 48)),
-                quad=int(data.get("quad", 128)),
+                n=data.get("n", 1),
+                N=data.get("N", 48),
+                quad=data.get("quad", 128),
                 t=tuple(data.get("t", (0.3, 0.5))),
                 m=tuple(data.get("m", (0, 1, 2))),
                 grid_box=tuple(grid.get("box", (-8.0, 8.0, -6.0, 6.0))),
-                grid_res=int(grid.get("res", 128)),
-                tol={str(k): float(v) for k, v in data.get("tol", {}).items()},
-                seed=int(data.get("seed", 12345)),
+                grid_res=grid.get("res", 128),
+                tol={str(k): float(v) for k, v in tol.items()},
+                seed=data.get("seed", 12345),
             )
         except (TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):

@@ -100,11 +100,11 @@ def test_envelope_matches_dense_reference(monkeypatch, case):
     run, values, bound, grid = CASES[case]
     ragged = case.endswith("ragged")
     if ragged:
-        # the refined grid (resolution 20) scans in 3-row blocks, the last
-        # one 2 rows
+        # the refined grid (resolution 20) scans in slices of 3 x-nodes, the
+        # last one 2
         monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", 3 * 20**3)
-        sizes = [s.stop - s.start for s in semigroup._z_row_slices(grid.refine(2))]
-        assert sizes == [3 * 20] * 6 + [2 * 20]
+        sizes = [s.stop - s.start for s, _ in semigroup._mesh_blocks(grid.refine(2))]
+        assert sizes == [3] * 6 + [2]
     rep = run(grid)
     if ragged:
         # the sup sits in the last, ragged block
@@ -160,3 +160,14 @@ def test_point_mass_envelope_overflow_is_loud():
             handle.eval_grid(np.array([0.0, 0.5]), np.array([0.0, 40.0]))
         row = handle.eval_grid(np.array([0.0, 0.5]), np.array([0.0, 4.0]))
     assert np.all(np.isfinite(row))
+
+
+def test_scan_runs_past_the_flattened_node_limit():
+    # the refined grid has 68 nodes per axis, 21 381 376 in all: too many to
+    # flatten, but the scan walks x-slices of its open mesh
+    grid = _space(34)
+    rep = special_envelope(SpecialHermiteBasis((0,), (0,)), 0.5, 1, grid)
+    assert math.isfinite(rep.sup_ratio) and rep.sup_ratio > 0
+    assert rep.stable
+    with pytest.raises(ValueError, match="21381376 nodes"):
+        grid.refine(2).nodes()

@@ -30,7 +30,7 @@ from mehler import (
     tempered_bound,
 )
 from mehler.quadrature import PlaneGrid
-from mehler.semigroup import MehlerSliceHandle
+from mehler.semigroup import CalibrationResult, MehlerSliceHandle
 from mehler.specfun import HermiteOverflowError
 from mehler.spectral import ClosedFormHandle, CoefficientList, eval_test_function
 
@@ -127,6 +127,17 @@ def test_calibration_constant(calibration_025):
 def test_calibration_rejects_empty_alphas(bergman_grid_025):
     with pytest.raises(ValueError, match="alphas"):
         calibrate_weight(0.25, 1, [], bergman_grid_025)
+
+
+def test_calibration_finish_is_geometric_mean_within_flatness():
+    # both calibrations end here: C with flatness 1e-3, C^2 with 1e-2
+    ratios = {(0,): 1.0, (1,): 1.005}
+    cal = CalibrationResult.from_ratios(ratios, 2e-17, 0.3, 1, 1e-2)
+    assert cal.kappa == pytest.approx(math.sqrt(1.005), rel=1e-15)
+    assert cal.ratios == ratios and cal.max_offdiagonal == 2e-17
+    assert (cal.t, cal.dimension) == (0.3, 1)
+    with pytest.raises(RuntimeError, match="vary beyond 0.001"):
+        CalibrationResult.from_ratios(ratios, 0.0, 0.3, 1, 1e-3)
 
 
 def test_calibration_time_independent(calibration_025):

@@ -338,35 +338,40 @@ def _dense_weight(t, m, grid):
     [(t, m, None) for t in (0.25, 0.6) for m in (0, 1, 2)] + [(0.6, 2, 5 * 48**3)],
 )
 def test_weight_blocks_match_pointwise_weight(monkeypatch, t, m, entries):
-    # the default budget gives 24 blocks of 2 x-rows at resolution 48;
-    # 5 x-rows per block leaves a ragged last block of 3
+    # the default budget gives 24 blocks of 2 x-nodes at resolution 48;
+    # 5 x-nodes per block leaves a ragged last block of 3
     if entries is not None:
         monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", entries)
     grid = default_special_grid(t, resolution=48)
-    Z, wz, W, ww = _grid_planes(grid)
+    (x, wx), (y, wy), (u, wu), (v, wv) = (grid.axis(k) for k in range(4))
     # e^{yu} e^{-xv} against e^{yu - xv}: both round the exponent, whose
     # terms reach |yu| + |xv|; subnormal entries keep only absolute accuracy
-    reach = 2 * max(abs(Z.imag).max() * abs(W.real).max(), 1.0)
+    reach = 2 * max(abs(y).max() * abs(u).max(), 1.0)
     rtol = 4 * reach * np.finfo(float).eps
     atol = np.finfo(float).tiny
     blocks = list(special._weight_blocks(grid, t, m))
     assert len(blocks) > 2
     stop = 0
-    for rows, block in blocks:
-        assert rows.start == stop and rows.stop - rows.start == len(block)
-        assert rows.start % 48 == 0 and rows.stop % 48 == 0
-        assert block.shape == (len(block), len(W))
+    for (X, Y, U, V), block in blocks:
+        # the open mesh of the four axes, cut along x in order
+        rows = slice(stop, stop + X.size)
+        assert X.shape == (X.size, 1, 1, 1) and np.array_equal(X.ravel(), x[rows])
+        for axis, c in ((1, Y), (2, U), (3, V)):
+            assert c.shape[axis] == c.size == 48
+        assert np.array_equal(Y.ravel(), y)
+        assert np.array_equal(U.ravel(), u) and np.array_equal(V.ravel(), v)
+        assert block.shape == (X.size, 48, 48, 48)
         assert block.size <= max(semigroup._BLOCK_ENTRIES, 48**3)
         ref = (
-            wz[rows, None]
-            * twisted_bergman_weight(t, m, Z[rows, None], W[None, :])
-            * ww[None, :]
+            wx[rows, None, None, None] * wy[:, None, None]
+            * twisted_bergman_weight(t, m, X + 1j * Y, U + 1j * V)
+            * wu[:, None] * wv
         )
         np.testing.assert_allclose(block, ref, rtol=rtol, atol=atol)
         stop = rows.stop
-    assert stop == len(Z)
+    assert stop == 48
     if entries is not None:
-        assert len(blocks[-1][1]) == 3 * 48
+        assert blocks[-1][0][0].size == 3
 
 
 def _dense_calibration(t, pairs, grid):
@@ -381,17 +386,24 @@ def _dense_calibration(t, pairs, grid):
     return ratios, max(off, default=0.0), max(raw)
 
 
+# 5 x-nodes per block at resolution 32: six blocks and a ragged last one of 2
+_RAGGED = 5 * 32**3
+
+
 @pytest.mark.parametrize(
-    "pairs",
+    "pairs, entries",
     [
-        None,
-        [((0,), (0,))],
-        [((1,), (1,)), ((0,), (1,))],
-        [((0,), (0,)), ((2,), (0,)), ((1,), (1,)), ((0,), (2,)), ((2,), (2,))],
+        (None, None),
+        ([((0,), (0,))], None),
+        ([((1,), (1,)), ((0,), (1,))], None),
+        ([((0,), (0,)), ((2,), (0,)), ((1,), (1,)), ((0,), (2,)), ((2,), (2,))], None),
+        (None, _RAGGED),
     ],
-    ids=["default", "one-pair", "two-pairs", "five-pairs"],
+    ids=["default", "one-pair", "two-pairs", "five-pairs", "ragged"],
 )
-def test_calibration_matches_dense_reference(grid4, pairs):
+def test_calibration_matches_dense_reference(monkeypatch, grid4, pairs, entries):
+    if entries is not None:
+        monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", entries)
     t = 0.4
     cal = calibrate_weight_special(t, pairs, grid4)
     ref_pairs = pairs or [((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (1,))]
@@ -406,8 +418,14 @@ def test_calibration_matches_dense_reference(grid4, pairs):
         assert cal.max_offdiagonal == 0.0
 
 
-@pytest.mark.parametrize("ab", [((0,), (1,)), ((2,), (1,))])
-def test_order_two_norm_matches_dense_reference(grid4, ab):
+@pytest.mark.parametrize(
+    "ab, entries",
+    [(((0,), (1,)), None), (((2,), (1,)), None), (((2,), (1,)), _RAGGED)],
+    ids=["ab0", "ab1", "ragged"],
+)
+def test_order_two_norm_matches_dense_reference(monkeypatch, grid4, ab, entries):
+    if entries is not None:
+        monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", entries)
     t = 0.4
     Z, _, W, _ = _grid_planes(grid4)
     handle = SpecialEigenHandle(*ab, t)

@@ -47,6 +47,38 @@ def test_statuses_from_enumerated_set(default_report):
     assert {c.status for c in default_report.checks} <= {"pass", "fail", "skipped"}
 
 
+# The default report: name, theorem tag, tolerance, status and metric of
+# each check, in order.  A pinned value changes only with a stated reason.
+PINNED_REPORT = [
+    ("hermite-orthonormality", "eq. (2.1)", 1e-10, "pass", 3.6193270602780103e-14),
+    ("mehler-spectral-bridge", "Thm 2.1", 1e-08, "pass", 3.444384363444445e-12),
+    ("heat-isometry", "Thm 2.1", 1e-05, "pass", 1.4432899320127035e-15),
+    ("complex-orthogonality", "eq. (2.1)", 1e-09, "pass", 5.473130255223998e-14),
+    ("derivative-weight-identity", "Prop 2.2", 0.0001, "pass", 2.105311809659556e-15),
+    ("reproducing-property", "Thm 4.1", 1e-05, "pass", 3.242545809935977e-16),
+    ("sobolev-embedding-envelopes", "Thm 4.1", 0.05, "pass", 0.013465995903673702),
+    ("schwartz-image-envelopes", "Thm 4.2", 0.01, "pass", 2.220446049250313e-16),
+    ("intertwining-relations", "Lemma 4.3", 1e-06, "pass", 6.657017524033023e-16),
+    ("twisted-isometry", "Thm 3.1", 0.0001, "pass", 1.940752088813724e-06),
+    ("twisted-sobolev-identity", "Thm 3.2", 0.001, "pass", 1.6320292112305247e-06),
+    ("projection-algebra", "Thm 3.1", 1e-06, "pass", 8.500525886227588e-13),
+    ("tempered-envelope", "Thm 5.1", 0.01, "pass", 1.1324274851176597e-14),
+    ("stft-bridge", "Thm 5.3", 1e-06, "pass", 5.295391274202732e-16),
+    ("compact-support", "Thm 5.4", 0.01, "pass", 4.8405723873656825e-14),
+    ("sobolev-image-isometry", "Thm 2.3", 0.0001, "pass", 2.900577611716175e-15),
+    ("twisted-schwartz-envelope", "Thm 4.4", 0.05, "pass", 0.00798637850500085),
+    ("twisted-plain-envelope", "eq. (4.7)", 0.05, "pass", 0.017823076292759074),
+    ("determinism", "harness", 0.0, "pass", 0.0),
+]
+
+
+def test_default_report_matches_pinned_values(default_report):
+    got = [(c.name, c.theorem, c.tol, c.status) for c in default_report.checks]
+    assert got == [row[:4] for row in PINNED_REPORT]
+    for check, (*_, tol, _, metric) in zip(default_report.checks, PINNED_REPORT):
+        assert abs(check.metric - metric) <= 1e-3 * tol, check.name
+
+
 def test_determinism_byte_identical():
     a = run_suite(SuiteConfig()).to_json(include_timing=False)
     b = run_suite(SuiteConfig()).to_json(include_timing=False)
@@ -109,6 +141,32 @@ def test_invalid_configs_rejected():
         SuiteConfig(tol={"determinism": math.inf})
     with pytest.raises(ConfigError):
         SuiteConfig(t=(0.3, math.nan))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"grid": {"resolution": 64}},
+        {"grid": [1, 2]},
+        {"tol": []},
+        {"N": 4.5},
+        {"seed": 1.5},
+        {"grid": {"res": 64.5}},
+        {"m": [0, 1.5]},
+    ],
+    ids=["grid-key", "grid-list", "tol-list", "N", "seed", "res", "m"],
+)
+def test_config_refuses_what_the_checks_would_ignore(data):
+    # each of these used to run at a default or a truncated value, or
+    # escape as AttributeError
+    with pytest.raises(ConfigError):
+        SuiteConfig.from_dict(data)
+
+
+def test_config_accepts_whole_floats():
+    config = SuiteConfig.from_dict({"N": 32.0, "m": [0, 1.0], "grid": {"res": 64.0}})
+    assert (config.N, config.m, config.grid_res) == (32, (0, 1), 64)
+    assert isinstance(config.N, int) and isinstance(config.grid_res, int)
 
 
 def test_report_json_shape(default_report):
@@ -371,7 +429,9 @@ def test_cli_suite_reduced(tmp_path, capsys):
 
 def test_cli_suite_bad_config(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text('{"n": 3}')
-    code = cli_main(["suite", "--config", str(cfg_path)])
-    assert code == 2
-    assert "config error" in capsys.readouterr().err
+    # a non-object grid used to escape as AttributeError
+    for text in ('{"n": 3}', '{"grid": [1, 2]}'):
+        cfg_path.write_text(text)
+        code = cli_main(["suite", "--config", str(cfg_path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
