@@ -41,7 +41,6 @@ from .quadrature import (
     gauss_legendre_rule,
     gaussian_box,
     integrate_plane,
-    integrate_plane_refined,
     integrate_rn,
 )
 from .semigroup import (
@@ -52,7 +51,6 @@ from .semigroup import (
     default_bergman_grid,
     envelope,
     envelope_ratio,
-    recover_coefficients,
     reproduce,
     schwartz_image_check,
     semigroup_apply,
@@ -61,7 +59,6 @@ from .semigroup import (
 from .special import (
     Gaussian2n,
     PolyGaussian2n,
-    SampledGrid,
     SpecialExpansion,
     SpecialHermiteBasis,
     bergman_norm_special,
@@ -86,8 +83,6 @@ from .specfun import (
     hermite_log_eval,
     hermite_log_ladder,
     hermite_tensor,
-    laguerre_eval,
-    laguerre_function,
     laguerre_function_entire,
 )
 from .spectral import (
@@ -97,31 +92,20 @@ from .spectral import (
     Gaussian,
     HermiteBasis,
     HermiteExpansion,
-    MultiplierSpec,
     PolyGaussian,
     SpectralHandle,
     TestFunction,
-    apply_multiplier,
-    complex_heat,
     eval_entire,
     expand,
-    expansion_from_csv,
-    expansion_to_csv,
-    heat,
-    power,
     sobolev_norm,
 )
 from .stft import (
     BridgeReport,
-    WindowSpec,
     bridge_constant,
     bridge_residual,
     compact_growth_check,
     gauss_stft,
-    gaussian_window,
-    general_window,
     pw_envelope,
-    windowed_transform,
 )
 from .taylor import TaylorScalar
 

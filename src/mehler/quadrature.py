@@ -228,13 +228,6 @@ class PlaneGrid:
         )
         return replace(self, boxes=boxes)
 
-    @property
-    def total_weight(self) -> float:
-        vol = 1.0
-        for b in self.boxes:
-            vol *= (b[1] - b[0]) * (b[3] - b[2])
-        return vol
-
 
 def integrate_plane(g, grid: PlaneGrid):
     """Integrate g over the grid's truncated box(es).
@@ -251,15 +244,6 @@ def integrate_plane(g, grid: PlaneGrid):
         raise QuadratureError(f"non-finite integrand sample at node {node}", node=node)
     total = np.sum(weights * samples)
     return complex(total) if np.iscomplexobj(samples) else float(total)
-
-
-def integrate_plane_refined(g, grid: PlaneGrid, factor: int = 2):
-    """Integrate on the grid and once more at ``factor`` times the
-    resolution; returns (refined value, |change|) so callers can judge
-    convergence."""
-    coarse = integrate_plane(g, grid)
-    fine = integrate_plane(g, grid.refine(factor))
-    return fine, abs(fine - coarse)
 
 
 # Most multiply-adds (rows x inner x columns) one real matrix product holds.

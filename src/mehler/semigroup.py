@@ -24,12 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indices import MultiIndex, as_index, as_point, multi_indices, oscillator_eigenvalue
+from .indices import MultiIndex, as_index, as_point, oscillator_eigenvalue
 from .kernels import (
     BoundSpec,
     bergman_weight,
     bergman_weight_dt,
     mehler_kernel,
+    schwartz_image_bound,
 )
 from .quadrature import (
     PlaneGrid,
@@ -43,7 +44,6 @@ from .spectral import (
     Bump,
     Dirac,
     EntireHandle,
-    HermiteExpansion,
     SpectralHandle,
     TestFunction,
     eval_test_function,
@@ -390,26 +390,6 @@ def reproduce(
     return complex(vals[0]) if single else vals
 
 
-def recover_coefficients(
-    handle: EntireHandle,
-    t: float,
-    truncation: int,
-    rule: QuadRule,
-) -> HermiteExpansion:
-    """Round-trip recovery: read Hermite coefficients of the original
-    function from the restriction of its image to R,
-    c_k = e^{(2k+1) t} * int F(x) h_k(x) dx."""
-    nodes, weights = rule.nodes, rule.weights
-    comp = weights * np.exp(nodes**2)
-    F = handle.eval_grid(nodes, np.zeros_like(nodes))
-    ladder = hermite_eval(truncation, nodes)
-    raw = ladder @ (comp * F)
-    idx = tuple(multi_indices(1, truncation))
-    lam = np.array([2 * sum(a) + 1 for a in idx], dtype=float)
-    values = raw * np.exp(lam * t)
-    return HermiteExpansion(1, truncation, idx, values, source="roundtrip")
-
-
 # ---------------------------------------------------------------------------
 # Envelopes
 # ---------------------------------------------------------------------------
@@ -491,7 +471,5 @@ def schwartz_image_check(
     For a test function of rapid decrease every report must come back
     finite and refinement-stable.
     """
-    from .kernels import schwartz_image_bound
-
     handle = semigroup_handle(f, t, "spectral", truncation=truncation, rule=rule)
     return [envelope_ratio(handle, schwartz_image_bound(t, m), grid) for m in m_list]

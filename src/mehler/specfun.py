@@ -198,25 +198,12 @@ def hermite_tensor(alpha, z) -> complex:
     return complex(val)
 
 
-def laguerre_eval(k: int, type_a: int, r) -> float | np.ndarray:
-    """Laguerre polynomial L_k^{type_a}(r) by the three-term recurrence.
-
-    Accepts real or complex (entire continuation) scalar/array ``r``.
-    """
-    if k < 0:
+def laguerre_ladder(k_max: int, type_a: int, r) -> np.ndarray:
+    """L_0^a(r), ..., L_{k_max}^a(r); shape (k_max+1,) + shape(r)."""
+    if k_max < 0:
         raise ValueError("k must be >= 0")
     if type_a < 0:
         raise ValueError("type must be >= 0")
-    r = _check_finite(r)
-    ladder = laguerre_ladder(k, type_a, r)
-    out = ladder[k]
-    if np.ndim(out) == 0:
-        return out.item()
-    return out
-
-
-def laguerre_ladder(k_max: int, type_a: int, r) -> np.ndarray:
-    """L_0^a(r), ..., L_{k_max}^a(r); shape (k_max+1,) + shape(r)."""
     r = _check_finite(r)
     dtype = complex if np.iscomplexobj(r) else float
     r = np.asarray(r, dtype=dtype)
@@ -229,18 +216,6 @@ def laguerre_ladder(k_max: int, type_a: int, r) -> np.ndarray:
             (2 * k + 1 + type_a - r) * out[k] - (k + type_a) * out[k - 1]
         ) / (k + 1.0)
     return out
-
-
-def laguerre_function(k: int, z, dimension: int | None = None):
-    """Laguerre function phi_k(z) = L_k^{n-1}(|z|^2/2) exp(-|z|^2/4).
-
-    ``z`` is a (real) point of C^n identified with R^{2n}; the radial
-    profile depends on z only through |z|^2.
-    """
-    z = as_point(z, dimension=dimension)
-    n = len(z)
-    s = float(np.sum(np.abs(z) ** 2))
-    return laguerre_function_entire(k, s, n)
 
 
 def laguerre_function_entire(k: int, s, dimension: int):

@@ -136,21 +136,6 @@ class PolyGaussian2n:
             raise ValueError("PolyGaussian2n width parameter must be positive")
 
 
-@dataclass(frozen=True)
-class SampledGrid:
-    """Samples on a tensor grid in R^2 with bilinear interpolation.
-
-    Real-argument evaluation only; complexified operations refuse it.
-    """
-
-    xs: tuple[float, ...]
-    us: tuple[float, ...]
-    values: tuple[tuple[float, ...], ...]
-
-
-TwistedFunction = SpecialHermiteBasis | Gaussian2n | PolyGaussian2n | SampledGrid
-
-
 # ---------------------------------------------------------------------------
 # Special Hermite evaluation
 # ---------------------------------------------------------------------------
@@ -300,41 +285,19 @@ def twisted_eval(f, X, U):
         for (j, k), c in f.terms:
             acc += c * X**j * U**k
         return acc * np.exp(-0.5 * f.a * (X**2 + U**2))
-    if isinstance(f, SampledGrid):
-        return _sampled_eval(f, X, U)
     if callable(f):
         return f(X, U)
     raise TypeError(f"cannot evaluate {type(f).__name__}")
 
 
 def twisted_eval_entire(g, Z, W):
-    """Values of g at complexified phase-space points; refuses members
-    without an entire form."""
-    if isinstance(g, SampledGrid):
-        raise ValueError("sampled data has no entire continuation")
+    """Values of g (a closed form, a basis member or an entire callable) at
+    complexified phase-space points."""
     if isinstance(g, (Gaussian2n, PolyGaussian2n, SpecialHermiteBasis)):
         return twisted_eval(g, np.asarray(Z, dtype=complex), np.asarray(W, dtype=complex))
     if callable(g):
         return g(np.asarray(Z, dtype=complex), np.asarray(W, dtype=complex))
     raise TypeError(f"cannot evaluate {type(g).__name__}")
-
-
-def _sampled_eval(f: SampledGrid, X, U):
-    xs = np.asarray(f.xs)
-    us = np.asarray(f.us)
-    vals = np.asarray(f.values)
-    X = np.clip(np.asarray(X, dtype=float), xs[0], xs[-1])
-    U = np.clip(np.asarray(U, dtype=float), us[0], us[-1])
-    i = np.clip(np.searchsorted(xs, X) - 1, 0, len(xs) - 2)
-    j = np.clip(np.searchsorted(us, U) - 1, 0, len(us) - 2)
-    tx = (X - xs[i]) / (xs[i + 1] - xs[i])
-    tu = (U - us[j]) / (us[j + 1] - us[j])
-    return (
-        vals[i, j] * (1 - tx) * (1 - tu)
-        + vals[i + 1, j] * tx * (1 - tu)
-        + vals[i, j + 1] * (1 - tx) * tu
-        + vals[i + 1, j + 1] * tx * tu
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +321,7 @@ def twisted_conv(f, g, z, w, grid: PlaneGrid):
     ``z`` and ``w`` are scalars, giving a complex, or broadcastable arrays
     of points, giving an array of their broadcast shape.  The integration
     runs over the real plane grid; for complex (z, w) the displaced factor
-    g and the phase use the entire continuation, so g must have one
-    (closed forms and basis members do; sampled data does not).
+    g and the phase use the entire continuation of g.
 
     With the heat profile the sum factors over the grid's x and u axes:
     g(z - x, w - u) e^{-i(xw - zu)/2} = pref A(z, w, x) B(z, w, u) with

@@ -1,12 +1,11 @@
-"""Hermite expansions, spectral multipliers, Sobolev norms, entire evaluation.
+"""Hermite expansions, Sobolev norms, entire evaluation.
 
 A function or tempered distribution enters as a :data:`TestFunction`; its
 spectral representation is a :class:`HermiteExpansion`, a finite coefficient
 vector over multi-indices |alpha| <= N in graded lexicographic order.
-Multipliers act diagonally on the oscillator eigenvalues 2|alpha| + n:
-heat factors exp(-t L), complex-time heat factors, and integer powers.
 Sobolev norms of any integer order (negative orders reach distributions)
-are plain weighted l^2 norms of the coefficients.
+are plain weighted l^2 norms of the coefficients over the oscillator
+eigenvalues 2|alpha| + n.
 
 Spectral data evaluates anywhere on C^n through the entire extension of
 the basis, and both evaluators are views of the one rescaled Hermite
@@ -18,7 +17,6 @@ accumulates the weighted sum inside the recurrence.  A value whose modulus
 exceeds the largest double raises :class:`~mehler.specfun.HermiteOverflowError`.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -204,11 +202,6 @@ class HermiteExpansion:
             self.dimension, self.truncation, self.indices, values, self.source
         )
 
-    def last_shell_energy(self) -> float:
-        """sum over |alpha| = truncation of |c_alpha|^2 (tail indicator)."""
-        mask = self.degrees() == self.truncation
-        return float(np.sum(np.abs(self.values[mask]) ** 2))
-
 
 def expand(
     f: TestFunction,
@@ -302,49 +295,8 @@ def expand(
 
 
 # ---------------------------------------------------------------------------
-# Multipliers and norms
+# Norms
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MultiplierSpec:
-    """Diagonal spectral multiplier m(2|alpha| + n)."""
-
-    kind: str
-    t: float = 0.0
-    theta: float = 0.0
-    exponent: int = 0
-
-    def factor(self, eigenvalue: np.ndarray) -> np.ndarray:
-        lam = np.asarray(eigenvalue, dtype=float)
-        if self.kind == "heat":
-            return np.exp(-self.t * lam).astype(complex)
-        if self.kind == "complex-heat":
-            return np.exp(-(self.t + 1j * self.theta) * lam)
-        if self.kind == "power":
-            return (lam**self.exponent).astype(complex)
-        raise ValueError(f"unknown multiplier kind {self.kind!r}")
-
-
-def heat(t: float) -> MultiplierSpec:
-    if t <= 0:
-        raise ValueError("heat multiplier requires t > 0")
-    return MultiplierSpec("heat", t=t)
-
-
-def complex_heat(t: float, theta: float) -> MultiplierSpec:
-    if t <= 0:
-        raise ValueError("complex-heat multiplier requires t > 0")
-    return MultiplierSpec("complex-heat", t=t, theta=theta)
-
-
-def power(m: int) -> MultiplierSpec:
-    return MultiplierSpec("power", exponent=int(m))
-
-
-def apply_multiplier(e: HermiteExpansion, spec: MultiplierSpec) -> HermiteExpansion:
-    """c_alpha -> m(2|alpha| + n) c_alpha, exactly (no quadrature)."""
-    return e.with_values(e.values * spec.factor(e.eigenvalues()))
 
 
 def sobolev_norm(e: HermiteExpansion, m: int) -> float:
@@ -460,28 +412,3 @@ class ClosedFormHandle(EntireHandle):
     def eval_grid(self, X, Y) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(X) + 1j * np.asarray(Y)))
 
-
-# ---------------------------------------------------------------------------
-# CSV interchange for coefficient data
-# ---------------------------------------------------------------------------
-
-
-def expansion_to_csv(e: HermiteExpansion, path) -> None:
-    """Rows alpha_1,...,alpha_n,re,im with round-trip decimal formatting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for alpha, c in zip(e.indices, e.values):
-            writer.writerow([*alpha, repr(float(c.real)), repr(float(c.imag))])
-
-
-def expansion_from_csv(path, dimension: int, truncation: int) -> HermiteExpansion:
-    entries = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            alpha = tuple(int(v) for v in row[:dimension])
-            c = complex(float(row[dimension]), float(row[dimension + 1]))
-            entries.append((alpha, c))
-    clist = CoefficientList(dimension, truncation, tuple(entries))
-    return expand(clist, truncation, dimension=dimension)

@@ -1,13 +1,13 @@
-"""Windowed Fourier transform, its Gaussian-window form, and growth checks.
+"""The Gaussian-windowed Fourier transform and its growth checks.
 
-The windowed transform of f against a window g is
+With the Gaussian window c e^{-a|u|^2/2} the windowed Fourier transform of
+f at zero translation is
 
-    V_g f(x, y) = (2 pi)^{-n/2} int f(u) g(u - y) e^{-i x.u} du;
+    T_a f(x) = (2 pi)^{-n/2} int f(u) c e^{-a|u|^2/2} e^{-i x.u} du,
 
-with the Gaussian window c e^{-a|u|^2/2} and zero translation this becomes
-the transform T_a f(x), which extends to an entire function of x -> z even
-for tempered f.  For a > 1, writing a = coth(2t) ties T_a to the oscillator
-heat transform through
+which extends to an entire function of x -> z even for tempered f.  For
+a > 1, writing a = coth(2t) ties T_a to the oscillator heat transform
+through
 
     e^{-tH} f(z) = e^{-coth(2t) z^2 / 2} T_a f(i z / sinh 2t),
 
@@ -62,44 +62,6 @@ from .spectral import (
 _EFFECTIVE_SUPPORT = math.sqrt(-math.log(1e-18))  # half-width of e^{-s^2} support
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    """A window function: Gaussian c e^{-a|x|^2/2} or a general member."""
-
-    kind: str
-    a: float = 1.0
-    c: float = 1.0
-    fn: TestFunction | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "general"):
-            raise ValueError(f"unknown window kind {self.kind!r}")
-        if self.kind == "gaussian" and (self.a <= 0 or self.c <= 0):
-            raise ValueError("gaussian window requires a > 0 and c > 0")
-
-    def eval(self, u):
-        if self.kind == "gaussian":
-            return self.c * np.exp(-0.5 * self.a * np.asarray(u) ** 2)
-        return eval_test_function(self.fn, u)
-
-
-def gaussian_window(a: float, c: float = 1.0) -> WindowSpec:
-    return WindowSpec("gaussian", a=a, c=c)
-
-
-def general_window(f: TestFunction) -> WindowSpec:
-    return WindowSpec("general", fn=f)
-
-
-def _window_decay(w: WindowSpec) -> float:
-    if w.kind == "gaussian":
-        return 0.5 * w.a
-    rate = gaussian_decay_rate(w.fn)
-    if rate is None:
-        raise ValueError("window must have Gaussian decay")
-    return rate
-
-
 def _oscillation_guard(rule: QuadRule, freq: float, scale: float) -> None:
     """Refuse rules too coarse for the oscillation e^{-i freq u}.
 
@@ -114,36 +76,6 @@ def _oscillation_guard(rule: QuadRule, freq: float, scale: float) -> None:
             f"rule order {rule.order} too coarse for frequency {freq:.3g} "
             f"(need >= {math.ceil(needed)})"
         )
-
-
-def windowed_transform(
-    f: TestFunction,
-    window: WindowSpec,
-    x: float,
-    y: float,
-    rule: QuadRule | None = None,
-) -> complex:
-    """V_g f(x, y) on R by scaled Gauss-Hermite quadrature.
-
-    Point masses short-circuit to the closed form
-    (2 pi)^{-1/2} g(u0 - y) e^{-i x u0}.
-    """
-    if isinstance(f, Dirac):
-        u0 = f.point[0]
-        return complex(
-            (2 * math.pi) ** -0.5 * window.eval(u0 - y) * np.exp(-1j * x * u0)
-        )
-    rule = rule or gauss_hermite_rule(128)
-    gamma = gaussian_decay_rate(f)
-    if gamma is None and not isinstance(f, Bump):
-        raise ValueError(f"{type(f).__name__} has no quadrature route")
-    rate = (gamma or 0.5) + _window_decay(window)
-    scale = 1.0 / math.sqrt(rate)
-    _oscillation_guard(rule, x, scale)
-    u = scale * rule.nodes
-    wq = scale * rule.weights * np.exp(rule.nodes**2)
-    vals = eval_test_function(f, u) * window.eval(u - y) * np.exp(-1j * x * u)
-    return complex((2 * math.pi) ** -0.5 * np.sum(wq * vals))
 
 
 def _stft_nodes(f: TestFunction, a: float, c: float, rule: QuadRule | None, x):

@@ -35,6 +35,7 @@ from .semigroup import (
     default_bergman_grid,
     envelope_ratio,
     reproduce,
+    schwartz_image_check,
     semigroup_handle,
 )
 from .special import (
@@ -133,6 +134,8 @@ class SuiteConfig:
             raise ConfigError("N must be in [0, 128]")
         if not 1 <= self.quad <= 512:
             raise ConfigError("quad must be in [1, 512]")
+        if not self.m or any(v < 0 for v in self.m):
+            raise ConfigError("m must be a non-empty list of orders >= 0")
         if not self.t or any(v <= 0 for v in self.t):
             raise ConfigError("t must be a non-empty list of positive reals")
         if self.grid_res < 2:
@@ -390,9 +393,8 @@ def check_derivative_weight_identity(config: SuiteConfig) -> CheckResult:
     rule = gauss_hermite_rule(config.quad)
     grid = default_bergman_grid(t, resolution=config.grid_res, degree_margin=14)
     cal = calibrate_weight(t, 1, [(k,) for k in range(5)], grid)
-    orders = tuple(m for m in config.m if m >= 1) or (1, 2)
     worst = 0.0
-    for m in orders:
+    for m in config.m:
         for k in range(4):
             handle = semigroup_handle(
                 HermiteBasis((k,)), t, "spectral", truncation=config.N, rule=rule
@@ -463,13 +465,10 @@ def check_schwartz_envelopes(config: SuiteConfig) -> CheckResult:
     name, theorem = "schwartz-image-envelopes", "Thm 4.2"
     rule = gauss_hermite_rule(config.quad)
     grid = _envelope_grid(config)
-    stable = True
-    for m in range(4):
-        handle = semigroup_handle(
-            Gaussian(1.0), 0.4, "spectral", truncation=config.N, rule=rule
-        )
-        rep = envelope_ratio(handle, schwartz_image_bound(0.4, m), grid)
-        stable &= rep.stable and math.isfinite(rep.sup_ratio)
+    reports = schwartz_image_check(
+        Gaussian(1.0), 0.4, range(4), grid, truncation=config.N, rule=rule
+    )
+    stable = all(rep.stable and math.isfinite(rep.sup_ratio) for rep in reports)
     handle0 = semigroup_handle(
         HermiteBasis((0,)), 0.3, "spectral", truncation=config.N, rule=rule
     )

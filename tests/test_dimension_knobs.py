@@ -27,11 +27,8 @@ from mehler import (
     bergman_weight_dt,
     bridge_constant,
     expand,
-    expansion_from_csv,
-    expansion_to_csv,
     gauss_hermite_rule,
     integrate_rn,
-    laguerre_function,
     laguerre_function_entire,
     mehler_kernel,
     multi_indices,
@@ -52,54 +49,46 @@ W2 = [0.1 - 0.3j, 0.5]
 P4 = [0.3 + 0.1j, -0.2, 0.4, 0.1 - 0.2j]
 
 
-def _csv_round_trip(tmp_path):
-    e = expand(Dirac((0.5, -0.3)), 3, dimension=2)
-    expansion_to_csv(e, tmp_path / "e.csv")
-    return expansion_from_csv(tmp_path / "e.csv", 2, 3).values
-
-
 SMOKE = {
-    "mehler.indices.as_point": lambda _: as_point(Z2, dimension=2),
-    "mehler.indices.multi_indices": lambda _: np.array(multi_indices(2, 3)),
-    "mehler.indices.oscillator_eigenvalue": lambda _: oscillator_eigenvalue((1, 2), 2),
-    "mehler.kernels.mehler_kernel": lambda _: mehler_kernel(0.3, Z2, W2, 2),
-    "mehler.kernels.bergman_weight": lambda _: bergman_weight(0.3, Z2, 2),
-    "mehler.kernels.bergman_weight_dt": lambda _: bergman_weight_dt(0.3, 1, Z2, 2),
-    "mehler.kernels.reproducing_kernel": lambda _: [
+    "mehler.indices.as_point": lambda: as_point(Z2, dimension=2),
+    "mehler.indices.multi_indices": lambda: np.array(multi_indices(2, 3)),
+    "mehler.indices.oscillator_eigenvalue": lambda: oscillator_eigenvalue((1, 2), 2),
+    "mehler.kernels.mehler_kernel": lambda: mehler_kernel(0.3, Z2, W2, 2),
+    "mehler.kernels.bergman_weight": lambda: bergman_weight(0.3, Z2, 2),
+    "mehler.kernels.bergman_weight_dt": lambda: bergman_weight_dt(0.3, 1, Z2, 2),
+    "mehler.kernels.reproducing_kernel": lambda: [
         reproducing_kernel(0.3, m, Z2, W2, 2) for m in (0, 1)
     ],
-    "mehler.kernels.special_heat_kernel": lambda _: special_heat_kernel(0.3, P4, 2),
-    "mehler.kernels.special_heat_from_square": lambda _: special_heat_from_square(
+    "mehler.kernels.special_heat_kernel": lambda: special_heat_kernel(0.3, P4, 2),
+    "mehler.kernels.special_heat_from_square": lambda: special_heat_from_square(
         0.3, 0.5 + 0.1j, 2
     ),
-    "mehler.kernels.twisted_weight_profile": lambda _: twisted_weight_profile(
+    "mehler.kernels.twisted_weight_profile": lambda: twisted_weight_profile(
         0.3, 1, 0.5, 2
     ),
-    "mehler.kernels.twisted_bergman_weight": lambda _: twisted_bergman_weight(
+    "mehler.kernels.twisted_bergman_weight": lambda: twisted_bergman_weight(
         0.3, 1, Z2, W2, 2
     ),
-    "mehler.quadrature.integrate_rn": lambda _: integrate_rn(
+    "mehler.quadrature.integrate_rn": lambda: integrate_rn(
         lambda x, y: np.exp(-(x**2) - y**2), gauss_hermite_rule(16), 2
     ),
-    "mehler.semigroup.semigroup_handle": lambda _: [
+    "mehler.semigroup.semigroup_handle": lambda: [
         semigroup_handle(f, 0.3, mode, 2, truncation=6, rule=gauss_hermite_rule(16)).eval(Z2)
         for f, mode in ((Gaussian(1.0), "spectral"), (Dirac((0.5, -0.3)), "kernel"))
     ],
-    "mehler.semigroup.semigroup_apply": lambda _: semigroup_apply(
+    "mehler.semigroup.semigroup_apply": lambda: semigroup_apply(
         Gaussian(1.0), 0.3, Z2, "spectral", 2, truncation=6, rule=gauss_hermite_rule(16)
     ),
-    "mehler.semigroup.MehlerSliceHandle": lambda _: MehlerSliceHandle(
+    "mehler.semigroup.MehlerSliceHandle": lambda: MehlerSliceHandle(
         0.3, (0.5, -0.3), 2
     ).eval(Z2),
-    "mehler.specfun.laguerre_function": lambda _: laguerre_function(2, Z2, 2),
-    "mehler.specfun.laguerre_function_entire": lambda _: laguerre_function_entire(
+    "mehler.specfun.laguerre_function_entire": lambda: laguerre_function_entire(
         2, 1.5 + 0.5j, 2
     ),
-    "mehler.spectral.expand": lambda _: expand(
+    "mehler.spectral.expand": lambda: expand(
         Gaussian(1.0), 4, rule=gauss_hermite_rule(16), dimension=2
     ).values,
-    "mehler.spectral.expansion_from_csv": _csv_round_trip,
-    "mehler.stft.bridge_constant": lambda _: bridge_constant(2.0, 2),
+    "mehler.stft.bridge_constant": lambda: bridge_constant(2.0, 2),
 }
 
 # Knobs kept although only n = 1 runs, each with the reason it stays.
@@ -149,7 +138,7 @@ def test_every_dimension_knob_runs_at_n2_or_is_allowed():
 
 
 @pytest.mark.parametrize("name", sorted(SMOKE))
-def test_dimension_knob_smoke_at_n2(name, tmp_path):
-    vals = np.asarray(SMOKE[name](tmp_path), dtype=complex)
+def test_dimension_knob_smoke_at_n2(name):
+    vals = np.asarray(SMOKE[name](), dtype=complex)
     assert vals.size > 0
     assert np.all(np.isfinite(vals))

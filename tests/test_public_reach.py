@@ -1,0 +1,111 @@
+"""Every public function and class of the package is reached from outside tests.
+
+A public name that only tests call is code kept alive for its own tests.
+The rule: each module-level public ``def`` or ``class`` of a ``mehler``
+module must be referenced by name (an AST ``Name`` or ``Attribute``)
+somewhere other than its own definition and ``__init__.py``, in one of
+
+- the package itself (``src/mehler/``),
+- the non-test files of ``perfbench/``, including the tracer's
+  (module, attribute path) target strings,
+- the console-script entry points in ``pyproject.toml``.
+
+``ALLOWED`` lists the names kept although only tests reach them, each with
+its reason; an entry whose name is reached (or gone) fails as stale.
+
+The rule is name-based, so it over-counts reach. A class reached only by
+type dispatch on its instances (an ``isinstance`` branch with no
+constructor call) counts as reached, and a name that collides with another
+(a module function ``power`` and a method ``TaylorScalar.power``) counts
+the other's references as its own. Such names have to be found by reading
+the code.
+"""
+
+import ast
+import tomllib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "mehler"
+PERFBENCH = ROOT / "perfbench"
+
+# Names that only tests reach, each with the reason it stays.
+ALLOWED = {
+    "hermite_tensor": "test oracle: the product basis function, checked against the ladders",
+    "integrate_plane": "test oracle: flattened plane integration behind the contracted sums",
+    "reproducing_kernel": "to be promoted into a suite check, which moves pinned report values",
+    "special_expand": "to be promoted into a suite check, which moves pinned report values",
+    "laguerre_sobolev_norm": "to be promoted into a suite check, which moves pinned report values",
+}
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _definitions() -> set[str]:
+    """Public module-level function and class names of the package."""
+    return {
+        node.name
+        for path in PACKAGE.glob("*.py")
+        if path.name != "__init__.py"
+        for node in _parse(path).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+
+
+def _names_in(tree: ast.AST) -> set[str]:
+    """Names referenced in ``tree`` as a ``Name`` or an ``Attribute``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def _references() -> set[str]:
+    """Names referenced from the places the rule counts.
+
+    A reference inside a name's own definition (a recursive call) does not
+    count as reach.
+    """
+    refs = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in _parse(path).body:
+            own = {node.name} if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else set()
+            refs |= _names_in(node) - own
+    for path in sorted(PERFBENCH.glob("*.py")):
+        if path.name.startswith("test_"):
+            continue
+        tree = _parse(path)
+        refs |= _names_in(tree)
+        # tracer targets are (module, "Class.method") strings
+        refs |= {
+            part
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for part in node.value.split(".")
+            if part.isidentifier()
+        }
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    refs |= {target.rpartition(":")[2] for target in scripts.values()}
+    return refs
+
+
+def _unreached() -> set[str]:
+    return _definitions() - _references()
+
+
+def test_every_public_name_is_reached_or_allowed():
+    unlisted = _unreached() - ALLOWED.keys()
+    assert not unlisted, f"public names only tests reach: {sorted(unlisted)}"
+
+
+def test_allowlist_has_no_stale_entries():
+    stale = ALLOWED.keys() - _unreached()
+    assert not stale, f"allowlisted names now reached or gone: {sorted(stale)}"
+

@@ -20,7 +20,6 @@ from mehler import (
     expand,
     integrate_rn,
     mehler_kernel,
-    recover_coefficients,
     reproduce,
     schwartz_image_check,
     semigroup_apply,
@@ -302,13 +301,6 @@ def test_tempered_envelope_for_coefficient_growth(gh128):
         assert math.isfinite(rep.sup_ratio) and rep.sup_ratio > 0
         assert rep.stable
 
-
-def test_roundtrip_coefficient_recovery(gh128):
-    f = PolyGaussian((0.7, -0.4, 0.2), 1.0)
-    e = expand(f, 24, rule=gh128, dimension=1)
-    handle = semigroup_handle(f, 0.3, "spectral", truncation=24, rule=gh128)
-    back = recover_coefficients(handle, 0.3, 24, gh128)
-    assert np.allclose(back.values, e.values, atol=1e-9)
 
 
 def test_sobolev_image_isometry_nontrivial_input(gh128):

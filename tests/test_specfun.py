@@ -12,11 +12,9 @@ from mehler import (
     hermite_log_eval,
     hermite_log_ladder,
     hermite_tensor,
-    laguerre_eval,
-    laguerre_function,
     laguerre_function_entire,
 )
-from mehler.specfun import hermite_series
+from mehler.specfun import hermite_series, laguerre_ladder
 
 PI14 = math.pi ** -0.25
 
@@ -223,23 +221,24 @@ def test_nonfinite_rejected():
 
 def test_laguerre_low_order():
     # L_1^a(r) = 1 + a - r
-    assert laguerre_eval(1, 0, 2.0) == pytest.approx(-1.0, abs=1e-14)
-    assert laguerre_eval(1, 3, 0.5) == pytest.approx(3.5, abs=1e-14)
+    assert laguerre_ladder(1, 0, 2.0)[1] == pytest.approx(-1.0, abs=1e-14)
+    assert laguerre_ladder(1, 3, 0.5)[1] == pytest.approx(3.5, abs=1e-14)
 
 
 def test_laguerre_matches_scipy(rng):
     from scipy.special import eval_genlaguerre
 
     r = rng.uniform(0, 10, 40)
-    for k in (0, 1, 2, 5, 11):
-        for a in (0, 1, 2):
+    for a in (0, 1, 2):
+        ladder = laguerre_ladder(11, a, r)
+        for k in (0, 1, 2, 5, 11):
             ref = eval_genlaguerre(k, a, r)
-            got = np.array([laguerre_eval(k, a, v) for v in r])
+            got = ladder[k]
             assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-12
 
 
 def test_laguerre_function_values():
-    assert laguerre_function(0, [0j]) == pytest.approx(1.0)
+    assert laguerre_function_entire(0, 0.0, 1) == pytest.approx(1.0)
     # L_3^0(1) e^{-1/2} with |z|^2 = 2
     l31 = 1.0 - 3.0 + 1.5 - 1.0 / 6.0
     expected = l31 * math.exp(-0.5)
@@ -249,6 +248,8 @@ def test_laguerre_function_values():
 
 def test_laguerre_rejects_negative_orders():
     with pytest.raises(ValueError):
-        laguerre_eval(-1, 0, 1.0)
+        laguerre_ladder(-1, 0, 1.0)
     with pytest.raises(ValueError):
-        laguerre_eval(2, -1, 1.0)
+        laguerre_ladder(2, -1, 1.0)
+    with pytest.raises(ValueError):
+        laguerre_function_entire(-1, 1.0, 1)

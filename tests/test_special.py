@@ -8,7 +8,6 @@ import pytest
 from mehler import (
     Gaussian2n,
     PolyGaussian2n,
-    SampledGrid,
     SpecialHermiteBasis,
     bergman_norm_special,
     calibrate_weight_special,
@@ -175,18 +174,6 @@ def test_twisted_conv_heat_eigenfunction(tw_grid):
     assert got == pytest.approx(expected, rel=1e-10)
 
 
-def test_twisted_conv_refuses_sampled_data_at_complex_points(tw_grid):
-    f = SampledGrid((0.0, 1.0), (0.0, 1.0), ((0.0, 1.0), (1.0, 2.0)))
-    with pytest.raises(ValueError, match="entire"):
-        twisted_conv(laguerre_profile(0), f, 0.5j, 0.0, tw_grid)
-
-
-def test_sampled_grid_interpolation():
-    f = SampledGrid((0.0, 1.0), (0.0, 1.0), ((0.0, 1.0), (1.0, 2.0)))
-    from mehler.special import twisted_eval
-
-    assert twisted_eval(f, 0.5, 0.5) == pytest.approx(1.0)
-    assert twisted_eval(f, 0.0, 1.0) == pytest.approx(1.0)
 
 
 def test_semigroup_eigen_relation_origin(tw_grid):

@@ -1,4 +1,4 @@
-"""Expansions, multipliers, Sobolev norms, entire evaluation."""
+"""Expansions, Sobolev norms, entire evaluation."""
 
 import math
 import warnings
@@ -14,19 +14,13 @@ from mehler import (
     HermiteBasis,
     HermiteOverflowError,
     PolyGaussian,
-    apply_multiplier,
-    complex_heat,
     eval_entire,
     expand,
-    expansion_from_csv,
-    expansion_to_csv,
     gauss_hermite_rule,
-    heat,
     hermite_log_eval,
     hermite_log_ladder,
     integrate_rn,
     mehler_kernel,
-    power,
     sobolev_norm,
 )
 from mehler.spectral import SpectralHandle, eval_test_function
@@ -98,36 +92,9 @@ def test_expand_bump_has_compact_support_coefficients():
     assert abs(e.coefficient((0,))) > 0.1
 
 
-def test_heat_multiplier_on_basis(gh128):
-    e = expand(HermiteBasis((1,)), 8, rule=gh128, dimension=1)
-    out = apply_multiplier(e, heat(0.3))
-    assert out.coefficient((1,)) == pytest.approx(math.exp(-0.9), rel=1e-14)
 
 
-def test_power_multiplier_on_basis(gh128):
-    e = expand(HermiteBasis((2,)), 8, rule=gh128, dimension=1)
-    out = apply_multiplier(e, power(-1))
-    assert out.coefficient((2,)) == pytest.approx(0.2, rel=1e-14)
 
-
-def test_complex_heat_multiplier(gh128):
-    e = expand(HermiteBasis((0,)), 4, rule=gh128, dimension=1)
-    out = apply_multiplier(e, complex_heat(0.2, math.pi / 4))
-    expected = math.exp(-0.2) * complex(math.cos(math.pi / 4), -math.sin(math.pi / 4))
-    assert out.coefficient((0,)) == pytest.approx(expected, rel=1e-14)
-
-
-def test_semigroup_law_exact(gh128):
-    e = expand(PolyGaussian((1.0, 0.5, -0.2), 1.0), 12, rule=gh128, dimension=1)
-    two_step = apply_multiplier(apply_multiplier(e, heat(0.2)), heat(0.3))
-    one_step = apply_multiplier(e, heat(0.5))
-    assert np.allclose(two_step.values, one_step.values, rtol=1e-15, atol=0)
-
-
-def test_power_inverse_law(gh128):
-    e = expand(PolyGaussian((0.3, 1.0), 2.0), 12, rule=gh128, dimension=1)
-    back = apply_multiplier(apply_multiplier(e, power(3)), power(-3))
-    assert np.allclose(back.values, e.values, rtol=1e-13)
 
 
 def test_sobolev_norm_on_basis(gh128):
@@ -250,13 +217,6 @@ def test_overflow_raises_named_error(gh128):
         eval_entire(e, 0.3, [z], with_tail=True)
 
 
-def test_coefficient_csv_round_trip(tmp_path, gh128):
-    e = expand(PolyGaussian((0.2, 1.0, -0.3), 1.5), 10, rule=gh128, dimension=1)
-    path = tmp_path / "coeffs.csv"
-    expansion_to_csv(e, path)
-    back = expansion_from_csv(path, dimension=1, truncation=10)
-    assert np.allclose(back.values, e.values, rtol=0, atol=0)  # exact repr round-trip
-
 
 def test_coefficient_list_expansion():
     entries = (((0,), 1.0 + 0j), ((3,), -2.0 + 1.0j))
@@ -265,11 +225,6 @@ def test_coefficient_list_expansion():
     assert e.coefficient((3,)) == -2.0 + 1.0j
     assert e.coefficient((2,)) == 0.0
 
-
-def test_last_shell_energy():
-    entries = (((2,), 3.0 + 0j),)
-    e = expand(CoefficientList(1, 2, entries), 2, dimension=1)
-    assert e.last_shell_energy() == pytest.approx(9.0)
 
 
 def test_enumeration_is_graded_lexicographic():

@@ -1,4 +1,4 @@
-"""Windowed Fourier transform, the bridge identity, and growth checks."""
+"""Gaussian-windowed Fourier transform, the bridge identity, and growth checks."""
 
 import math
 
@@ -15,10 +15,7 @@ from mehler import (
     compact_growth_check,
     gauss_hermite_rule,
     gauss_stft,
-    gaussian_window,
-    general_window,
     pw_envelope,
-    windowed_transform,
 )
 from mehler.quadrature import PlaneGrid
 
@@ -32,32 +29,8 @@ def stft_gaussian_oracle(a, z, c=1.0):
     return c * PI14 * (1 + a) ** -0.5 * np.exp(-(z * z) / (2 * (1 + a)))
 
 
-def test_windowed_transform_self_window(gh128):
-    # window = the function itself: value (2 pi)^{-1/2} <h0, h0>
-    got = windowed_transform(
-        HermiteBasis((0,)), general_window(HermiteBasis((0,))), 0.0, 0.0, gh128
-    )
-    assert got == pytest.approx(INV_SQRT_2PI, rel=1e-12)
 
 
-def test_windowed_transform_point_mass():
-    got = windowed_transform(Dirac(0.5), gaussian_window(2.0, 1.0), 1.0, 0.0)
-    expected = INV_SQRT_2PI * math.exp(-0.25) * complex(math.cos(0.5), -math.sin(0.5))
-    assert got == pytest.approx(expected, rel=1e-13)
-
-
-def test_windowed_transform_odd_function_parity(gh128):
-    got = windowed_transform(
-        HermiteBasis((1,)), gaussian_window(1.0), 0.0, 0.0, gh128
-    )
-    assert abs(got) < 1e-14
-
-
-def test_windowed_transform_translation(gh128):
-    # translated window picks up the Gaussian overlap, no oscillation at x=0
-    got = windowed_transform(Gaussian(1.0), gaussian_window(1.0), 0.0, 1.0, gh128)
-    ref = INV_SQRT_2PI * math.sqrt(math.pi) * math.exp(-0.25)
-    assert got == pytest.approx(ref, rel=1e-12)
 
 
 def test_gauss_stft_ground_state(gh128):

@@ -9,6 +9,7 @@ import pytest
 
 from mehler.cli import cli_main, parse_test_function
 from mehler.kernels import special_schwartz_bound
+from mehler.semigroup import bergman_norm
 from mehler.special import special_hermite_eval
 from mehler.spectral import Dirac, Gaussian, HermiteBasis, PolyGaussian
 from mehler.suite import (
@@ -153,8 +154,10 @@ def test_invalid_configs_rejected():
         {"seed": 1.5},
         {"grid": {"res": 64.5}},
         {"m": [0, 1.5]},
+        {"m": []},
+        {"m": [-1]},
     ],
-    ids=["grid-key", "grid-list", "tol-list", "N", "seed", "res", "m"],
+    ids=["grid-key", "grid-list", "tol-list", "N", "seed", "res", "m", "m-empty", "m-negative"],
 )
 def test_config_refuses_what_the_checks_would_ignore(data):
     # each of these used to run at a default or a truncated value, or
@@ -206,6 +209,21 @@ def test_crashed_check_keeps_registered_name_and_strict_json(monkeypatch):
     assert data["checks"][0]["metric"] is None
     assert data["checks"][1]["metric"] == 0.5
     assert data["summary"]["fail"] == 2
+
+
+def test_derivative_weight_check_runs_exactly_the_configured_orders(monkeypatch):
+    from mehler import suite
+
+    orders = []
+
+    def recording(handle, t, m, grid, kappa=1.0):
+        orders.append(m)
+        return bergman_norm(handle, t, m, grid, kappa)
+
+    monkeypatch.setattr(suite, "bergman_norm", recording)
+    res = suite.check_derivative_weight_identity(SuiteConfig(m=(0,)))
+    assert res.status == "pass"
+    assert set(orders) == {0}
 
 
 def test_single_check_determinism():
@@ -430,7 +448,7 @@ def test_cli_suite_reduced(tmp_path, capsys):
 def test_cli_suite_bad_config(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     # a non-object grid used to escape as AttributeError
-    for text in ('{"n": 3}', '{"grid": [1, 2]}'):
+    for text in ('{"n": 3}', '{"grid": [1, 2]}', '{"m": []}'):
         cfg_path.write_text(text)
         code = cli_main(["suite", "--config", str(cfg_path)])
         assert code == 2
