@@ -77,9 +77,15 @@ class CalibrationResult:
     def from_ratios(
         cls, ratios: dict, max_off: float, t: float, dimension: int, flatness: float
     ) -> "CalibrationResult":
-        """kappa as the geometric mean of ``ratios``; RuntimeError when their
-        spread exceeds ``flatness``."""
+        """kappa as the geometric mean of ``ratios``; RuntimeError when one
+        is non-finite or not positive, or when their spread exceeds
+        ``flatness``."""
         vals = np.array(list(ratios.values()))
+        if not np.all(np.isfinite(vals) & (vals > 0)):
+            raise RuntimeError(
+                "calibration ratio is non-finite or not positive: the probe "
+                "integrals overflowed or vanished"
+            )
         if vals.max() / vals.min() - 1.0 > flatness:
             raise RuntimeError(
                 f"calibration ratios vary beyond {flatness:g} across indices: "

@@ -57,10 +57,21 @@ of the weight W_t(x, y, u, v) = 4 e^{yu - xv} S(y^2 + v^2), with S the
 :func:`mehler.kernels.twisted_weight_profile`.  The weight factors over
 coordinate pairs: the 4-D quadrature weight is the product of a (y, u), an
 (x, v) and a (y, v) table, so the time-derivative jet of S runs on the
-(y, v) table alone.  The sums run over x-slices of the grid's open mesh
-(the same blocks the envelope scan walks), each holding at most 2^18
-entries, so memory stays bounded at any resolution and no plane is
-flattened.
+(y, v) table alone.  ``bergman_norm_special`` takes any handle, so it sums
+over x-slices of the grid's open mesh (the same blocks the envelope scan
+walks), each holding at most 2^18 entries, so memory stays bounded at any
+resolution and no plane is flattened.
+
+The calibration probes need no 4-D sum.  Each is a polynomial P in
+(x, y, u, v) times e^{-(z^2 + w^2)/4}, and that Gaussian's squared modulus
+folds into W_t at m = 0 as a product of an (x, v) and a (y, u) table, each
+at most 1.  The probe integrals are then contractions of P conj(P') against
+two tables of monomial moments, each built by two matrix products over the
+grid's axes; nothing grows with res^4 and no exponent overflows on the wide
+boxes of moderate t.  The norms keep the dense sum: a handle need not have
+a polynomial form.  :func:`default_special_grid` gives a trapezoid grid;
+the integrands are analytic with Gaussian decay, so the rule converges
+geometrically (Trefethen and Weideman, SIAM Review 56, 2014).
 
 Twisted heat images are :class:`mehler.spectral.EntireHandle` objects on
 C^2, evaluated by ``eval_grid(X, Y, U, V)`` on broadcastable real arrays;
@@ -141,6 +152,16 @@ class PolyGaussian2n:
 # ---------------------------------------------------------------------------
 
 
+def _phi1_constants(a: int, b: int) -> tuple[int, int, complex]:
+    """d = |a - b|, k = min(a, b) and the constant
+    i^d (k!/(k+d)!)^{1/2} 2^{-d/2} (2 pi)^{-1/2} of the closed form."""
+    d, k = abs(a - b), min(a, b)
+    coef = 1j**d * math.sqrt(
+        math.factorial(k) / math.factorial(k + d) / (2.0**d * 2.0 * math.pi)
+    )
+    return d, k, coef
+
+
 def _phi1(a: int, b: int, z, w):
     """One-dimensional Phi_{ab}(z, w) by the Laguerre closed form,
     broadcast over arrays z, w."""
@@ -148,10 +169,7 @@ def _phi1(a: int, b: int, z, w):
     w = np.asarray(w)
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(w))):
         raise ValueError("argument must be finite")
-    d, k = abs(a - b), min(a, b)
-    coef = 1j**d * math.sqrt(
-        math.factorial(k) / math.factorial(k + d) / (2.0**d * 2.0 * math.pi)
-    )
+    d, k, coef = _phi1_constants(a, b)
     # the Gaussian and the constant per coordinate, before broadcasting: one
     # exp per value of z and of w, not per (z, w) pair
     z2, w2 = z * z, w * w
@@ -163,6 +181,51 @@ def _phi1(a: int, b: int, z, w):
     if k:
         val *= laguerre_ladder(k, d, 0.5 * (z2 + w2))[k]
     return val
+
+
+def _times(P: np.ndarray, terms: dict) -> np.ndarray:
+    """P times the polynomial ``terms`` ({(p, q, r, s): c} for c x^p y^q u^r
+    v^s), both as coefficient arrays over (x, y, u, v) of P's shape; terms
+    past that shape's degree are dropped."""
+    out = np.zeros_like(P)
+    n = P.shape[0]
+    for powers, c in terms.items():
+        src = tuple(slice(0, n - e) for e in powers)
+        out[tuple(slice(e, n) for e in powers)] += c * P[src]
+    return out
+
+
+def _phi1_poly(a: int, b: int, n: int) -> np.ndarray:
+    """Coefficients P[p, q, r, s] of x^p y^q u^r v^s, shape (n,) * 4, with
+    Phi_ab(z, w) = P(x, y, u, v) e^{-(z^2 + w^2)/4} at z = x + iy, w = u + iv.
+
+    P = coef zeta^d L_k^d((z^2 + w^2)/2) as in :func:`_phi1`: zeta^d by
+    repeated products and L_k^d by the recurrence of
+    :func:`mehler.specfun.laguerre_ladder`, both on coefficient arrays.  The
+    degree d + 2k must be below n.
+    """
+    d, k, coef = _phi1_constants(a, b)
+    if d + 2 * k >= n:
+        raise ValueError(f"Phi_{a}{b} has degree {d + 2 * k}; need n > degree")
+    # zeta = z - iw = (x + v) + i(y - u) for a >= b, z + iw = (x - v) + i(y + u)
+    sign = 1.0 if a >= b else -1.0
+    zeta = {(1, 0, 0, 0): 1.0, (0, 1, 0, 0): 1j, (0, 0, 1, 0): -sign * 1j, (0, 0, 0, 1): sign}
+    # (z^2 + w^2)/2 = (x^2 - y^2 + u^2 - v^2)/2 + i(xy + uv)
+    half_square = {
+        (2, 0, 0, 0): 0.5, (0, 2, 0, 0): -0.5, (0, 0, 2, 0): 0.5, (0, 0, 0, 2): -0.5,
+        (1, 1, 0, 0): 1j, (0, 0, 1, 1): 1j,
+    }
+    one = np.zeros((n,) * 4, dtype=complex)
+    one[0, 0, 0, 0] = 1.0
+    lag_prev, lag = one, (1.0 + d) * one - _times(one, half_square)
+    for j in range(1, k):
+        lag_prev, lag = lag, (
+            (2 * j + 1 + d) * lag - _times(lag, half_square) - (j + d) * lag_prev
+        ) / (j + 1.0)
+    P = coef * (lag if k else one)
+    for _ in range(d):
+        P = _times(P, zeta)
+    return P
 
 
 def special_hermite_eval(alpha, beta, z, w):
@@ -722,15 +785,49 @@ def default_special_grid(t: float = 0.4, resolution: int = 40, drop: float = 1e-
 
     The weighted integrand decays like exp(-(u-y)^2/2 - (coth 2t - 1) y^2)
     in the (u, y) pair and symmetrically in (x, v), so the real-part boxes
-    must be wider than the imaginary-part boxes by the shear.
+    must be wider than the imaginary-part boxes by the shear.  The rule is
+    the trapezoid one: on an analytic integrand with Gaussian decay it
+    converges geometrically, where Gauss-Legendre spends its nodes near the
+    box edges (at resolution 32 and t = 0.4, the calibrated isometry is off
+    by 2e-14 against 2e-6).
     """
+    if t <= 0:
+        raise ValueError("t must be positive")
     budget = -math.log(drop)
-    c = 1.0 / math.tanh(2 * t) - 1.0
+    c = 2.0 / math.expm1(4 * t)  # coth 2t - 1, without the cancellation
     h_im = math.sqrt(budget / c) + 1.5
     h_re = math.sqrt(budget * (1 + 2 * c) / c) + 1.5
     box_z = (-h_re, h_re, -h_im, h_im)
     box_w = (-h_re, h_re, -h_im, h_im)
-    return PlaneGrid(boxes=(box_z, box_w), resolution=resolution)
+    return PlaneGrid(boxes=(box_z, box_w), resolution=resolution, kind="trapezoid")
+
+
+def _folded_moments(grid: PlaneGrid, t: float, n: int):
+    """Moment matrices of the folded weight over the grid's nodes (n = 1).
+
+    With c = coth 2t, the probe Gaussian |e^{-(z^2 + w^2)/4}|^2 times W_t
+    is 4 (2 pi sinh 2t)^{-1} A(x, v) B(y, u) with
+    A = e^{-(x + v)^2/2 - (c - 1) v^2} and B = e^{-(u - y)^2/2 - (c - 1) y^2},
+    both at most 1.  The tables a[p, s] = sum x^p v^s A w_x w_v and
+    b[q, r] = sum y^q u^r B w_y w_u (powers below 2n - 1) come out as
+    ma[(p, s), (p', s')] = a[p + p', s + s'] and mb[(q, r), (q', r')] =
+    b[q + q', r + r'], the constant joining ma.
+    """
+    (x, wx), (y, wy), (u, wu), (v, wv) = (grid.axis(k) for k in range(4))
+    g = 2.0 / math.expm1(4 * t)  # coth 2t - 1
+    A = np.exp(-0.5 * np.add.outer(x, v) ** 2 - g * v**2)
+    B = np.exp(-0.5 * np.subtract.outer(y, u) ** 2 - g * (y**2)[:, None])
+    powers = np.arange(2 * n - 1)
+
+    def moments(left, wl, table, right, wr):
+        weighted = wl[:, None] * table * wr
+        return (left[:, None] ** powers).T @ weighted @ (right[:, None] ** powers)
+
+    a = 4.0 / (2.0 * math.pi * math.sinh(2 * t)) * moments(x, wx, A, v, wv)
+    b = moments(y, wy, B, u, wu)
+    i, j = np.divmod(np.arange(n * n), n)
+    rows, cols = np.add.outer(i, i), np.add.outer(j, j)
+    return a[rows, cols], b[rows, cols]
 
 
 def _weight_blocks(grid: PlaneGrid, t: float, m: int):
@@ -768,6 +865,8 @@ def bergman_norm_special(
     x-slices of the grid's open mesh, each at most 2^18 entries (one x-node
     at least), so memory stays bounded at any resolution.
     """
+    if t <= 0:
+        raise ValueError("t must be positive")
     if grid.ncoords != 2:
         raise ValueError("need a two-coordinate grid over C^2")
     if m < 0:
@@ -788,26 +887,43 @@ def calibrate_weight_special(
     e^{2(2|b|+n)t} / integral must be flat over (a, b); off-diagonals
     between the first pair and the next two must vanish.  kappa* comes out
     near 2^{-n}: the weight is built from the (2 pi sinh t)^{-n}-normalized
-    profile, 2^n times the spectral one.  All probes share one sweep over
-    the weight blocks.
+    profile, 2^n times the spectral one.
+
+    The sums are those of the grid's 4-D quadrature, in another order.  A
+    probe is P e^{-(z^2 + w^2)/4} with P a polynomial (:func:`_phi1_poly`),
+    and the Gaussian's squared modulus folds into W_t as a product of an
+    (x, v) and a (y, u) table (:func:`_folded_moments`).  So each integral
+    of P conj(Q) is sum P[p, q, r, s] conj(Q)[p', q', r', s']
+    a[p + p', s + s'] b[q + q', r + r'] over the tables' monomial moments a
+    and b.  That is two matrix products per table and coefficient matrices
+    with (degree + 1)^2 rows; no array spans the 4-D mesh, and the folded
+    tables are at most 1, so nothing overflows on wide boxes.
     """
+    if t <= 0:
+        raise ValueError("t must be positive")
     if pairs is None:
         pairs = [((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (1,))]
     if not pairs:
         raise ValueError("pairs must name at least one (alpha, beta) probe")
     pairs = [(as_index(a), as_index(b)) for a, b in pairs]
+    if any(len(a) != 1 or len(b) != 1 for a, b in pairs):
+        raise ValueError("calibration probes are one-dimensional (n = 1)")
 
-    raw = [0.0] * len(pairs)
-    off = [0j] * len(pairs[1:3])
-    for (X, Y, U, V), weight in _weight_blocks(grid, t, 0):
-        Z, W = X + 1j * Y, U + 1j * V
-        for k, (a, b) in enumerate(pairs):
-            F = special_hermite_eval(a, b, Z, W)
-            if k == 0:
-                F0 = F
-            raw[k] += float(np.sum((F.real**2 + F.imag**2) * weight))
-            if 0 < k < 3:
-                off[k - 1] += complex(np.sum(F0 * np.conj(F) * weight))
+    n = 1 + max(abs(a[0] - b[0]) + 2 * min(a[0], b[0]) for a, b in pairs)
+    ma, mb = _folded_moments(grid, t, n)
+    # P[p, q, r, s] as a matrix over (p, s) by (q, r), the index pairs of
+    # the (x, v) and (y, u) moment tables
+    polys = [
+        _phi1_poly(a[0], b[0], n).transpose(0, 3, 1, 2).reshape(n * n, n * n)
+        for a, b in pairs
+    ]
+
+    def integral(P, Q):
+        """The quadrature sum of P conj(Q) e^{-Re(z^2 + w^2)/2} W_t."""
+        return np.sum(P * (ma @ np.conj(Q) @ mb))
+
+    raw = [float(integral(P, P).real) for P in polys]
+    off = [complex(integral(polys[0], P)) for P in polys[1:3]]
 
     ratios = {
         (a, b): math.exp(2 * oscillator_eigenvalue(b) * t) / r

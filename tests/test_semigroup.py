@@ -139,6 +139,14 @@ def test_calibration_finish_is_geometric_mean_within_flatness():
         CalibrationResult.from_ratios(ratios, 0.0, 0.3, 1, 1e-3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_calibration_finish_rejects_non_finite_or_non_positive_ratio(bad):
+    # a NaN ratio compares False against the flatness bound, so it needs its
+    # own test before the spread
+    with pytest.raises(RuntimeError, match="non-finite or not positive"):
+        CalibrationResult.from_ratios({(0,): 1.0, (1,): bad}, 0.0, 0.3, 1, 1e-2)
+
+
 def test_calibration_time_independent(calibration_025):
     grid = default_bergman_grid(0.4, resolution=128)
     cal2 = calibrate_weight(0.4, 1, [(k,) for k in range(5)], grid)

@@ -1,6 +1,8 @@
 """Special Hermite basis, twisted convolution, twisted semigroup, weights."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -378,23 +380,33 @@ _RAGGED = 5 * 32**3
 
 
 @pytest.mark.parametrize(
-    "pairs, entries",
+    "pairs, entries, t, kind",
     [
-        (None, None),
-        ([((0,), (0,))], None),
-        ([((1,), (1,)), ((0,), (1,))], None),
-        ([((0,), (0,)), ((2,), (0,)), ((1,), (1,)), ((0,), (2,)), ((2,), (2,))], None),
-        (None, _RAGGED),
+        (None, None, 0.4, None),
+        ([((0,), (0,))], None, 0.4, None),
+        ([((1,), (1,)), ((0,), (1,))], None, 0.4, None),
+        (
+            [((0,), (0,)), ((2,), (0,)), ((1,), (1,)), ((0,), (2,)), ((2,), (2,))],
+            None, 0.4, None,
+        ),
+        (None, _RAGGED, 0.4, None),
+        (None, None, 0.25, None),
+        (None, None, 0.6, None),
+        # the default grid is trapezoid; keep the other rule covered
+        (None, None, 0.4, "gauss-legendre"),
     ],
-    ids=["default", "one-pair", "two-pairs", "five-pairs", "ragged"],
+    ids=["default", "one-pair", "two-pairs", "five-pairs", "ragged", "t0.25", "t0.6",
+         "gauss-legendre"],
 )
-def test_calibration_matches_dense_reference(monkeypatch, grid4, pairs, entries):
+def test_calibration_matches_dense_reference(monkeypatch, grid4, pairs, entries, t, kind):
     if entries is not None:
         monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", entries)
-    t = 0.4
-    cal = calibrate_weight_special(t, pairs, grid4)
+    grid = grid4 if t == 0.4 else default_special_grid(t, resolution=32)
+    if kind is not None:
+        grid = dataclasses.replace(grid, kind=kind)
+    cal = calibrate_weight_special(t, pairs, grid)
     ref_pairs = pairs or [((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (1,))]
-    ratios, max_off, diag_scale = _dense_calibration(t, ref_pairs, grid4)
+    ratios, max_off, diag_scale = _dense_calibration(t, ref_pairs, grid)
     assert list(cal.ratios) == list(ratios)
     for key, r in ratios.items():
         assert cal.ratios[key] == pytest.approx(r, rel=1e-12)
@@ -403,6 +415,85 @@ def test_calibration_matches_dense_reference(monkeypatch, grid4, pairs, entries)
     assert abs(cal.max_offdiagonal - max_off) <= 1e-15 * diag_scale
     if len(ref_pairs) == 1:
         assert cal.max_offdiagonal == 0.0
+
+
+def test_probe_polynomial_matches_closed_form():
+    rng = np.random.default_rng(20261018)
+    z = rng.uniform(-2.0, 2.0, 200) + 1j * rng.uniform(-2.0, 2.0, 200)
+    w = rng.uniform(-2.0, 2.0, 200) + 1j * rng.uniform(-2.0, 2.0, 200)
+    gauss = np.exp(-(z * z + w * w) / 4.0)
+    for a in range(5):
+        for b in range(5):
+            n = abs(a - b) + 2 * min(a, b) + 1
+            P = special._phi1_poly(a, b, n)
+            mono = [c[:, None] ** np.arange(n) for c in (z.real, z.imag, w.real, w.imag)]
+            got = np.einsum("pqrs,np,nq,nr,ns->n", P, *mono) * gauss
+            ref = special_hermite_eval((a,), (b,), z, w)
+            # near a zero of the Laguerre factor the monomial sum and the
+            # closed form agree to the scale of the values, not to the value
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+            with pytest.raises(ValueError, match="degree"):
+                special._phi1_poly(a, b, n - 1)
+
+
+def test_calibration_sweeps_no_four_dimensional_mesh(monkeypatch):
+    # at resolution 128 the 4-D mesh holds 268 M nodes; the calibration
+    # contracts per-axis moment tables and evaluates no probe on it
+    def refuse(*args, **kwargs):
+        raise AssertionError("the calibration walked the 4-D mesh")
+
+    for module, name in [
+        (special, "special_hermite_eval"),
+        (special, "_phi1"),
+        (special, "_weight_blocks"),
+        (special, "_mesh_blocks"),
+        (semigroup, "_mesh_blocks"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    cal = calibrate_weight_special(0.4, None, default_special_grid(0.4, resolution=128))
+    assert abs(cal.kappa - 0.5) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [0.0, -0.4])
+def test_default_special_grid_rejects_non_positive_t(t):
+    with pytest.raises(ValueError, match="t must be positive"):
+        default_special_grid(t)
+
+
+def test_default_special_grid_at_large_t():
+    # coth 2t - 1 rounds to 0 beyond t ~ 9.5; 2/expm1(4t) does not
+    grid = default_special_grid(10.0)
+    assert all(math.isfinite(v) for box in grid.boxes for v in box)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.4])
+def test_calibration_rejects_non_positive_t(grid4, t):
+    with pytest.raises(ValueError, match="t must be positive"):
+        calibrate_weight_special(t, None, grid4)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.4])
+def test_twisted_norm_rejects_non_positive_t(grid4, t):
+    handle = SpecialEigenHandle((0,), (0,), 0.4)
+    with pytest.raises(ValueError, match="t must be positive"):
+        bergman_norm_special(handle, t, 0, grid4)
+
+
+def test_calibration_at_moderate_t():
+    # the probe Gaussian folded into the weight keeps every table <= 1, so
+    # the wide boxes at t = 1 neither overflow nor warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cal = calibrate_weight_special(1.0, None, default_special_grid(1.0, resolution=64))
+    assert abs(cal.kappa / 0.5 - 1.0) <= 1e-7
+
+
+@pytest.mark.parametrize("t", [1.0, 1.5])
+def test_under_resolved_calibration_fails_loudly(t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="vary beyond"):
+            calibrate_weight_special(t, None, default_special_grid(t, resolution=32))
 
 
 @pytest.mark.parametrize(

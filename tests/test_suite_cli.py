@@ -60,8 +60,8 @@ PINNED_REPORT = [
     ("sobolev-embedding-envelopes", "Thm 4.1", 0.05, "pass", 0.013465995903673702),
     ("schwartz-image-envelopes", "Thm 4.2", 0.01, "pass", 2.220446049250313e-16),
     ("intertwining-relations", "Lemma 4.3", 1e-06, "pass", 6.657017524033023e-16),
-    ("twisted-isometry", "Thm 3.1", 0.0001, "pass", 1.940752088813724e-06),
-    ("twisted-sobolev-identity", "Thm 3.2", 0.001, "pass", 1.6320292112305247e-06),
+    ("twisted-isometry", "Thm 3.1", 0.0001, "pass", 1.9539925233402755e-14),
+    ("twisted-sobolev-identity", "Thm 3.2", 0.001, "pass", 7.841628581041328e-13),
     ("projection-algebra", "Thm 3.1", 1e-06, "pass", 8.500525886227588e-13),
     ("tempered-envelope", "Thm 5.1", 0.01, "pass", 1.1324274851176597e-14),
     ("stft-bridge", "Thm 5.3", 1e-06, "pass", 5.295391274202732e-16),
