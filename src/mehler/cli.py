@@ -300,13 +300,13 @@ def _cmd_envelope(args) -> int:
     handle = semigroup_handle(args.f, args.t, "spectral", truncation=args.N, rule=rule)
     bound = _BOUNDS[args.bound](args.t, args.m)
     grid = _grid_from_args(args)
+    rep = envelope_ratio(handle, bound, grid)
+    # the coarse scan's |F| comes in the node order of grid.nodes()
     X, Y, _ = grid.nodes()
-    F = handle.eval_grid(X, Y)
-    absF2 = np.abs(F) ** 2
+    absF2 = rep.coarse_abs.ravel() ** 2
     bvals = bound.eval(X, Y)
     ratio = absF2 / bvals
     _write_rows(args.out, ["x", "y", "absF2", "bound", "ratio"], zip(X, Y, absF2, bvals, ratio))
-    rep = envelope_ratio(handle, bound, grid)
     print(f"sup ratio {rep.sup_ratio!r} at {rep.argmax} stable={rep.stable}", file=sys.stderr)
     return 0
 
@@ -354,11 +354,9 @@ def _cmd_stft(args) -> int:
     rule = gauss_hermite_rule(args.quad)
     grid = _grid_from_args(args)
     rep = pw_envelope(args.f, args.a, args.m, grid, rule=rule)
+    # the coarse scan's |F| comes in the node order of grid.nodes()
     X, Y, _ = grid.nodes()
-    from .stft import gauss_stft
-
-    F = gauss_stft(args.f, args.a, X + 1j * Y, rule=rule)
-    absF2 = np.abs(F) ** 2
+    absF2 = rep.coarse_abs.ravel() ** 2
     bvals = np.exp(2.0 * rep.bound.log_eval(X, Y))
     _write_rows(
         args.out, ["x", "y", "absF2", "bound", "ratio"],

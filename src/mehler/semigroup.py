@@ -20,7 +20,7 @@ and on C^2 share it and no flattened nodes are built.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,7 +97,12 @@ class CalibrationResult:
 
 @dataclass(frozen=True)
 class EnvelopeReport:
-    """Measured sup of |F|^2 (or |F|) against a growth bound on a grid."""
+    """Measured sup of |F|^2 (or |F|) against a growth bound on a grid.
+
+    ``coarse_abs`` holds |F| at the nodes of ``grid`` (the coarse scan),
+    shaped like its open mesh, one axis per real coordinate; None when no
+    scan ran.
+    """
 
     sup_ratio: float
     argmax: tuple[float, ...]
@@ -105,6 +110,7 @@ class EnvelopeReport:
     grid: PlaneGrid
     stable: bool
     sup_coarse: float
+    coarse_abs: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def refinement_change(self) -> float:
@@ -424,13 +430,18 @@ def _mesh_blocks(grid: PlaneGrid):
         yield rows, np.ix_(x[rows], *rest)
 
 
-def _sup_ratio_on(handle: EntireHandle, bound: BoundSpec, grid: PlaneGrid):
+def _sup_ratio_on(handle: EntireHandle, bound: BoundSpec, grid: PlaneGrid, tables=None):
     """Sup of |F|^p / bound over the grid's nodes and the node attaining it
-    (p = 1 for bounds on the modulus, 2 otherwise)."""
+    (p = 1 for bounds on the modulus, 2 otherwise).  |F| of each block is
+    appended to the list ``tables`` when one is given."""
     best, arg = -math.inf, None
     for _, block in _mesh_blocks(grid):
+        abs_F = np.abs(handle.eval_grid(*block))
+        if tables is not None:
+            tables.append(abs_F)
         with np.errstate(divide="ignore"):
-            log_abs = np.log(np.abs(handle.eval_grid(*block)))
+            log_abs = np.log(abs_F)
+        del abs_F  # unless tabled, |F| goes before the ratio is formed
         log_ratio = (log_abs if bound.on_modulus else 2.0 * log_abs) - bound.log_eval(*block)
         # argmax lands on the first NaN if there is one
         i = np.unravel_index(int(np.argmax(log_ratio)), log_ratio.shape)
@@ -448,15 +459,19 @@ def envelope(handle: EntireHandle, bound: BoundSpec, grid: PlaneGrid) -> Envelop
 
     The sup is recomputed at doubled resolution; ``stable`` records whether
     it moved by less than 5% relatively.  Grids over one complex coordinate
-    and over two (with ``handle.eval_grid(X, Y, U, V)``) scan alike.
+    and over two (with ``handle.eval_grid(X, Y, U, V)``) scan alike.  The
+    coarse scan's |F| comes back as ``coarse_abs``, so a caller that tables
+    the coarse grid need not evaluate it again.
     """
-    sup_coarse, _ = _sup_ratio_on(handle, bound, grid)
+    tables = []
+    sup_coarse, _ = _sup_ratio_on(handle, bound, grid, tables)
     sup_fine, argmax = _sup_ratio_on(handle, bound, grid.refine(2))
     if sup_fine == 0.0:
         stable = sup_coarse == 0.0
     else:
         stable = abs(sup_fine - sup_coarse) / sup_fine < _STABILITY
-    return EnvelopeReport(sup_fine, argmax, bound, grid, stable, sup_coarse)
+    coarse_abs = np.concatenate(tables)
+    return EnvelopeReport(sup_fine, argmax, bound, grid, stable, sup_coarse, coarse_abs)
 
 
 def envelope_ratio(handle: EntireHandle, bound: BoundSpec, grid: PlaneGrid) -> EnvelopeReport:

@@ -13,9 +13,23 @@ grows like exp(y^2/2), so one rescaled recurrence over arrays of points
 carries only the polynomial parts P_k = h_k / h_0 and keeps the Gaussian
 factor and the scale as exponents.  It yields per-order log-domain values
 (:func:`hermite_log_ladder`, :func:`hermite_log_eval` for one order) and
-weighted sums (:func:`hermite_series`), and never overflows at desk scale
-(|Im z| <= 30, k <= 128); a value whose modulus does not fit a double
-raises :class:`HermiteOverflowError`.  :func:`hermite_eval` is the plain
+never overflows at desk scale (|Im z| <= 30, k <= 128).
+
+Weighted sums sum_k c_k h_k(z) over arrays of points
+(:func:`hermite_series`) need no per-order values: one backward Clenshaw
+sweep (Clenshaw, "A note on the summation of Chebyshev series", 1955)
+
+    beta_k = c_k + a_k z beta_{k+1} - b_{k+1} beta_{k+2},
+    a_k = sqrt(2/(k+1)), b_k = sqrt(k/(k+1)),
+
+gives sum_k c_k P_k(z) = beta_0, in place on three buffers.  The same sweep
+on |c_k| at r = max|z| bounds every |beta_k|; only when that majorant
+passes 1e290 (far outside desk scale) is the series summed inside the
+rescaled recurrence instead.  h_0(z) multiplies beta_0 directly where its
+real exponent lies within +-700 and in log form elsewhere.
+
+A value whose modulus does not fit a double raises
+:class:`HermiteOverflowError`.  :func:`hermite_eval` is the plain
 linear-domain ladder for real or near-real nodes; it raises the same error
 when its top order leaves the doubles.
 
@@ -38,6 +52,7 @@ LOG_DBL_MAX = float(np.log(np.finfo(float).max))
 
 _RESCALE = 1e140
 _RESCALE_PART = _RESCALE / math.sqrt(2.0)
+_SWEEP_LIMIT = 1e290
 
 
 class HermiteOverflowError(OverflowError):
@@ -155,14 +170,55 @@ def hermite_log_eval(k: int, z) -> tuple[float, float]:
     return float(log_mod[k]), float(arg[k])
 
 
-def hermite_series(coef, z) -> np.ndarray:
-    """sum_k coef[k] h_k(z) over an array of points.
+def _sweep_constants(c: np.ndarray) -> tuple[list, list]:
+    """(c_k / s_k, g_k) for the scaled Clenshaw sweep of :func:`hermite_series`.
 
-    Accumulated inside the rescaled recurrence up to the last nonzero
-    coefficient, with h_0 and the scale applied in log form at the end.
-    Raises :class:`HermiteOverflowError` if a modulus exceeds a double.
+    The scales s_0 = s_1 = 1, s_{k+2} = s_k / b_{k+1} (so s_k grows like
+    k^{1/4}) turn beta_k = c_k + a_k z beta_{k+1} - b_{k+1} beta_{k+2} into
+    e_k = c_k / s_k + g_k z e_{k+1} - e_{k+2} for e_k = beta_k / s_k, with
+    g_k = a_k s_{k+1} / s_k: one multiply fewer per step, and e_0 = beta_0.
     """
-    z = np.asarray(_check_finite(z), dtype=complex)
+    top = len(c) - 1
+    s = np.ones(top + 2)
+    for k in range(top):
+        s[k + 2] = s[k] * math.sqrt((k + 2) / (k + 1.0))
+    k = np.arange(top + 1)
+    g = np.sqrt(2.0 / (k + 1)) * s[1:] / s[:-1]
+    return (c / s[:-1]).tolist(), g.tolist()
+
+
+def _majorant(c: list, g: list, r: float) -> float:
+    """max_k M_k for M_k = |c_k| + g_k r M_{k+1} + M_{k+2}: the same sweep
+    on moduli, so M_k bounds |e_k| at every point with |z| <= r."""
+    m1 = m2 = peak = 0.0
+    for k in range(len(c) - 1, -1, -1):
+        m1, m2 = abs(c[k]) + g[k] * r * m1 + m2, m1
+        peak = max(peak, m1)
+    return peak
+
+
+def _clenshaw(c: list, g: list, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """e_0 = sum_k c_k P_k(z), from c and g as given by
+    :func:`_sweep_constants`, swept backwards in place; ``out`` is the
+    scratch buffer, and e_0 lands in one of two further buffers."""
+    # both sums in one allocation: separate large buffers were page-faulted
+    # afresh on every call ([i, ...] keeps the rows of 0-d input arrays)
+    work = np.zeros((2,) + z.shape, dtype=complex)
+    e1, e2 = work[0, ...], work[1, ...]
+    for k in range(len(c) - 1, -1, -1):
+        # e_k = g_k z e_{k+1} - e_{k+2} + c_k, written over e_{k+2}
+        np.multiply(z, e1, out=out)
+        out *= g[k]
+        np.subtract(out, e2, out=e2)
+        if c[k]:
+            e2 += c[k]
+        e1, e2 = e2, e1
+    return e1
+
+
+def _rescaled_series(coef, z: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] h_k(z) accumulated inside the rescaled recurrence
+    :func:`_poly_parts`, with h_0 and the scale applied in log form."""
     top = int(np.max(np.flatnonzero(coef), initial=0))
     acc = np.zeros_like(z)
     log_m = np.zeros(z.shape)
@@ -172,6 +228,42 @@ def hermite_series(coef, z) -> np.ndarray:
             log_m = log_m + np.log(m)
         acc += coef[k] * p
     return mul_exp(acc, LOG_H0 - 0.5 * z * z + log_m)
+
+
+def hermite_series(coef, z) -> np.ndarray:
+    """sum_k coef[k] h_k(z) over an array of points.
+
+    The polynomial part sum_k coef[k] P_k(z), P_k = h_k / h_0, comes from
+    one backward Clenshaw sweep up to the last nonzero coefficient (scaled
+    as in :func:`_sweep_constants`), in place on three buffers, skipping
+    the add of a zero coefficient.  Before it, the same sweep on |coef|
+    at r = max|z| bounds every intermediate; if that majorant passes 1e290
+    the sum is accumulated in the rescaled recurrence instead
+    (:func:`_rescaled_series`).  The factor h_0(z) = exp(LOG_H0 - z^2/2)
+    multiplies directly where its real exponent lies within +-700 and the
+    product is finite, and in log form (:func:`mul_exp`) otherwise.
+    Raises :class:`HermiteOverflowError` if a modulus exceeds a double.
+    """
+    z = np.asarray(_check_finite(z), dtype=complex)
+    top = int(np.max(np.flatnonzero(coef), initial=0))
+    c, g = _sweep_constants(np.asarray(coef, dtype=complex)[: top + 1])
+    r = float(np.abs(z).max(initial=0.0))
+    if not (math.isfinite(r) and _majorant(c, g, r) <= _SWEEP_LIMIT):
+        return _rescaled_series(coef, z)
+    # the sweep's scratch buffer then takes log h_0(z), h_0(z) and the result
+    out = np.empty_like(z)
+    total = _clenshaw(c, g, z, out)
+    np.multiply(z, z, out=out)
+    out *= -0.5
+    out += LOG_H0
+    # |Re z^2| <= r^2 settles the range test without a pass in most calls
+    if 0.5 * r * r - LOG_H0 <= 700 or np.all(np.abs(out.real) <= 700):
+        np.exp(out, out=out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out *= total
+        if np.all(np.isfinite(out)):
+            return out
+    return mul_exp(total, LOG_H0 - 0.5 * z * z)
 
 
 def mul_exp(value, log_scale) -> np.ndarray:

@@ -89,7 +89,7 @@ from .indices import MultiIndex, as_index, multi_indices, oscillator_eigenvalue
 from .kernels import special_plain_bound, special_schwartz_bound, twisted_weight_profile
 from .quadrature import PlaneGrid, real_matmul
 from .semigroup import CalibrationResult, EnvelopeReport, _mesh_blocks, envelope
-from .specfun import laguerre_ladder
+from .specfun import HermiteOverflowError, laguerre_ladder
 from .spectral import EntireHandle
 
 
@@ -164,22 +164,33 @@ def _phi1_constants(a: int, b: int) -> tuple[int, int, complex]:
 
 def _phi1(a: int, b: int, z, w):
     """One-dimensional Phi_{ab}(z, w) by the Laguerre closed form,
-    broadcast over arrays z, w."""
+    broadcast over arrays z, w.  Raises :class:`HermiteOverflowError` where
+    a value does not fit a double."""
     z = np.asarray(z)
     w = np.asarray(w)
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(w))):
         raise ValueError("argument must be finite")
     d, k, coef = _phi1_constants(a, b)
-    # the Gaussian and the constant per coordinate, before broadcasting: one
-    # exp per value of z and of w, not per (z, w) pair
     z2, w2 = z * z, w * w
-    val = (coef * np.exp(-0.25 * z2)) * np.exp(-0.25 * w2)
-    if d:
-        zeta = z - 1j * w if a >= b else z + 1j * w
-        for _ in range(d):
-            val *= zeta
-    if k:
-        val *= laguerre_ladder(k, d, 0.5 * (z2 + w2))[k]
+    gz, gw = -0.25 * z2, -0.25 * w2
+    # the Gaussian and the constant per coordinate, before broadcasting: one
+    # exp per value of z and of w, not per (z, w) pair.  Each factor within
+    # e^{+-350} can neither overflow nor vanish where the product fits; past
+    # that (the wide boxes of moderate t) the exponents are joined first
+    per_coordinate = np.all(np.abs(gz.real) <= 350) and np.all(np.abs(gw.real) <= 350)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if per_coordinate:
+            val = (coef * np.exp(gz)) * np.exp(gw)
+        else:
+            val = coef * np.exp(gz + gw)
+        if d:
+            zeta = z - 1j * w if a >= b else z + 1j * w
+            for _ in range(d):
+                val *= zeta
+        if k:
+            val *= laguerre_ladder(k, d, 0.5 * (z2 + w2))[k]
+    if not np.all(np.isfinite(val)):
+        raise HermiteOverflowError(f"Phi_{a}{b} exceeds the largest double at a requested point")
     return val
 
 
@@ -863,7 +874,9 @@ def bergman_norm_special(
     per-axis tables over (y, u), (x, v) and (y, v); the jet for S_m runs on
     the (y, v) table alone.  The 4-dimensional quadrature is summed over
     x-slices of the grid's open mesh, each at most 2^18 entries (one x-node
-    at least), so memory stays bounded at any resolution.
+    at least), so memory stays bounded at any resolution.  On the wide
+    boxes of moderate t (t >= 1 at the default drop) e^{yu} or |F|^2 can
+    pass the largest double; that raises :class:`HermiteOverflowError`.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -872,9 +885,16 @@ def bergman_norm_special(
     if m < 0:
         raise ValueError("m must be >= 0")
     total = 0.0
-    for mesh, weight in _weight_blocks(grid, t, m):
-        F = handle.eval_grid(*mesh)
-        total += float(np.sum((F.real**2 + F.imag**2) * weight))
+    # on the wide boxes of moderate t, e^{yu} and |F|^2 can pass the largest
+    # double before the weight damps them; that shows as a non-finite total
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mesh, weight in _weight_blocks(grid, t, m):
+            F = handle.eval_grid(*mesh)
+            total += float(np.sum((F.real**2 + F.imag**2) * weight))
+    if not math.isfinite(total):
+        raise HermiteOverflowError(
+            "the weighted integrand exceeds the largest double on this grid"
+        )
     return kappa_star * total
 
 

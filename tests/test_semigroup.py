@@ -322,3 +322,33 @@ def test_sobolev_image_isometry_nontrivial_input(gh128):
     val = bergman_norm(handle, t, m, grid, kappa=cal.kappa)
     ref = 4.0 * sobolev_norm(e, m) ** 2
     assert val == pytest.approx(ref, rel=1e-6)
+
+
+@pytest.mark.parametrize("t", [0.25, 0.6])
+def test_grid_jobs_sum_hermite_series_by_the_sweep(monkeypatch, t):
+    # on desk-scale grids the Clenshaw sweep alone sums every spectral image:
+    # the rescaled recurrence, its fallback, refuses to run
+    from mehler import schwartz_image_bound, specfun
+
+    kappa = (2 * math.pi) ** -0.5
+    pts = [0.7 - 0.4j, -1.2 + 1.1j]
+    handles = [
+        semigroup_handle(f, t, "spectral", truncation=48)
+        for f in (Gaussian(0.7), Gaussian(1.6), HermiteBasis((3,)))
+    ]
+    refs = [[h.eval(z) for z in pts] for h in handles]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rescaled recurrence ran on a desk-scale grid")
+
+    monkeypatch.setattr(specfun, "_poly_parts", refuse)
+    grid = default_bergman_grid(t)
+    env_grid = PlaneGrid(boxes=((-8.0, 8.0, -6.0, 6.0),), resolution=81, kind="trapezoid")
+    for handle, ref in zip(handles, refs):
+        for z, r in zip(pts, ref):
+            assert reproduce(handle, t, z, grid, kappa) == pytest.approx(r, rel=1e-6)
+        # the heat isometry: the Bergman norm of the image is that of f
+        norm2 = float(np.sum(np.abs(handle.expansion.values) ** 2))
+        assert bergman_norm(handle, t, 0, grid, kappa=kappa) == pytest.approx(norm2, rel=1e-6)
+        rep = envelope_ratio(handle, schwartz_image_bound(t, 1), env_grid)
+        assert 0.0 < rep.sup_ratio < math.inf

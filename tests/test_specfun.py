@@ -14,6 +14,7 @@ from mehler import (
     hermite_tensor,
     laguerre_function_entire,
 )
+from mehler import specfun
 from mehler.specfun import hermite_series, laguerre_ladder
 
 PI14 = math.pi ** -0.25
@@ -157,6 +158,88 @@ def test_rescaled_recurrence_past_1e140_on_arrays():
     assert np.all(np.abs(got - ref) <= 1e-12 * scale)
     for j, z_j in enumerate(z):
         assert hermite_series(coef, z_j) == pytest.approx(got[j], rel=1e-13)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this route must not run here")
+
+
+def _mp_series(coef, z):
+    """50-digit sum_k coef[k] h_k(z) and sum_k |coef[k] h_k(z)|."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        z = mpmath.mpc(z.real, z.imag)
+        prev, cur = mpmath.mpc(0), mpmath.pi ** mpmath.mpf("-0.25") * mpmath.exp(-(z**2) / 2)
+        total, scale = mpmath.mpc(0), mpmath.mpf(0)
+        for k, c in enumerate(coef):
+            term = mpmath.mpc(c.real, c.imag) * cur
+            total, scale = total + term, scale + abs(term)
+            prev, cur = cur, z * mpmath.sqrt(mpmath.mpf(2) / (k + 1)) * cur - mpmath.sqrt(
+                mpmath.mpf(k) / (k + 1)
+            ) * prev
+        return complex(total), float(scale)
+
+
+def test_series_sweep_matches_extended_precision(monkeypatch):
+    # orders up to 128 and |Im z| up to 30: the Clenshaw sweep alone, as
+    # the rescaled recurrence refuses to run
+    monkeypatch.setattr(specfun, "_poly_parts", _refuse)
+    rng = np.random.default_rng(20261018)
+    k = np.arange(129)
+    z = np.concatenate(
+        [rng.uniform(-30, 30, 20) + 1j * rng.uniform(-30, 30, 20),
+         [30j, -30j, 30.0, 0.0, 12 + 30j, -7.5 + 0.1j]]
+    )
+    sparse = np.exp(-0.25 * k) * (1 - 0.5j) ** (k % 7)
+    sparse[1::2] = 0.0  # zero coefficients skip their add
+    sparse[101:] = 0.0  # and the sweep starts at the last nonzero one
+    for coef in (
+        rng.normal(size=129) + 1j * rng.normal(size=129),
+        np.exp(-0.5 * k) * (rng.normal(size=129) + 1j * rng.normal(size=129)),
+        sparse,
+    ):
+        got = hermite_series(coef, z)
+        ref, scale = (np.array(v) for v in zip(*(_mp_series(coef, z_j) for z_j in z)))
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
+
+def test_series_falls_back_past_the_majorant_limit(monkeypatch):
+    # with the far real point in the array the majorant at r = 400 passes
+    # 1e290, so the rescaled recurrence sums the series; on the other points
+    # alone the sweep runs, and the two agree
+    z = np.array([20 + 30j, 0.5 + 30j, 5 + 5j, -25 - 12j])
+    k = np.arange(201)
+    coef = np.exp(-0.5 * k) * ((1 - 0.5j) / abs(1 - 0.5j)) ** k
+    c, g = specfun._sweep_constants(coef)
+    assert not specfun._majorant(c, g, 400.0) <= specfun._SWEEP_LIMIT
+    with monkeypatch.context() as patch:
+        patch.setattr(specfun, "_clenshaw", _refuse)
+        rescaled = hermite_series(coef, np.append(z, 400.0))
+    with monkeypatch.context() as patch:
+        patch.setattr(specfun, "_poly_parts", _refuse)
+        swept = hermite_series(coef, z)
+    log_mod, arg = hermite_log_ladder(200, z)
+    log_terms = np.log(np.abs(coef))[:, None] + log_mod
+    scale = np.sum(np.exp(log_terms), axis=0)
+    ref = np.sum(np.exp(log_terms + 1j * (np.angle(coef)[:, None] + arg)), axis=0)
+    assert np.all(np.abs(rescaled[:4] - swept) <= 1e-12 * scale)
+    assert np.all(np.abs(swept - ref) <= 1e-12 * scale)
+    assert rescaled[4] == 0.0  # |h_k(400)| < e^{-79000}
+
+
+def test_series_overflow_is_named():
+    # h_0(40j) = pi^{-1/4} e^{800}: the exponent leaves +-700; at 30j the
+    # exponent is in range but the product with 1e150 is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HermiteOverflowError):
+            hermite_series(np.array([1.0]), np.array([0.5, 40j]))
+        with pytest.raises(HermiteOverflowError):
+            hermite_series(np.array([1e150]), np.array([0.5, 30j]))
+        # past +-700 but representable: the log-form finish
+        got = hermite_series(np.array([1e-300]), np.array([38j]))
+    assert got[0] == pytest.approx(PI14 * math.exp(722.0 + math.log(1e-300)), rel=1e-13)
 
 
 def test_log_eval_never_overflows_at_desk_scale():

@@ -380,27 +380,20 @@ _RAGGED = 5 * 32**3
 
 
 @pytest.mark.parametrize(
-    "pairs, entries, t, kind",
+    "pairs, t, kind",
     [
-        (None, None, 0.4, None),
-        ([((0,), (0,))], None, 0.4, None),
-        ([((1,), (1,)), ((0,), (1,))], None, 0.4, None),
-        (
-            [((0,), (0,)), ((2,), (0,)), ((1,), (1,)), ((0,), (2,)), ((2,), (2,))],
-            None, 0.4, None,
-        ),
-        (None, _RAGGED, 0.4, None),
-        (None, None, 0.25, None),
-        (None, None, 0.6, None),
+        (None, 0.4, None),
+        ([((0,), (0,))], 0.4, None),
+        ([((1,), (1,)), ((0,), (1,))], 0.4, None),
+        ([((0,), (0,)), ((2,), (0,)), ((1,), (1,)), ((0,), (2,)), ((2,), (2,))], 0.4, None),
+        (None, 0.25, None),
+        (None, 0.6, None),
         # the default grid is trapezoid; keep the other rule covered
-        (None, None, 0.4, "gauss-legendre"),
+        (None, 0.4, "gauss-legendre"),
     ],
-    ids=["default", "one-pair", "two-pairs", "five-pairs", "ragged", "t0.25", "t0.6",
-         "gauss-legendre"],
+    ids=["default", "one-pair", "two-pairs", "five-pairs", "t0.25", "t0.6", "gauss-legendre"],
 )
-def test_calibration_matches_dense_reference(monkeypatch, grid4, pairs, entries, t, kind):
-    if entries is not None:
-        monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", entries)
+def test_calibration_matches_dense_reference(grid4, pairs, t, kind):
     grid = grid4 if t == 0.4 else default_special_grid(t, resolution=32)
     if kind is not None:
         grid = dataclasses.replace(grid, kind=kind)
@@ -415,6 +408,22 @@ def test_calibration_matches_dense_reference(monkeypatch, grid4, pairs, entries,
     assert abs(cal.max_offdiagonal - max_off) <= 1e-15 * diag_scale
     if len(ref_pairs) == 1:
         assert cal.max_offdiagonal == 0.0
+
+
+@pytest.mark.parametrize("m", [0, 1], ids=["m0", "m1"])
+def test_blocked_norm_matches_dense_reference(monkeypatch, grid4, m):
+    # the calibration no longer walks the 4-D mesh, but the norm does: with
+    # 5 x-nodes per block its last block is ragged
+    monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", _RAGGED)
+    blocks = [rows for rows, _ in semigroup._mesh_blocks(grid4)]
+    assert len(blocks) == 7 and blocks[-1] == slice(30, 32)
+    t = 0.4
+    handle = SpecialEigenHandle((1,), (2,), t)
+    Z, _, W, _ = _grid_planes(grid4)
+    F = handle.eval_grid(Z.real[:, None], Z.imag[:, None], W.real[None, :], W.imag[None, :])
+    terms = np.abs(F) ** 2 * _dense_weight(t, m, grid4)
+    got = bergman_norm_special(handle, t, m, grid4)
+    assert abs(got - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
 
 
 def test_probe_polynomial_matches_closed_form():
@@ -486,6 +495,37 @@ def test_calibration_at_moderate_t():
         warnings.simplefilter("error")
         cal = calibrate_weight_special(1.0, None, default_special_grid(1.0, resolution=64))
     assert abs(cal.kappa / 0.5 - 1.0) <= 1e-7
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("t", [1.0, 1.5])
+def test_norm_overflow_on_wide_boxes_is_named(t, m):
+    # at t = 1 e^{yu} and |F|^2 pass the largest double on the default box;
+    # at t = 1.5 so does Phi_00 itself.  Both used to come back as NaN
+    grid = default_special_grid(t, resolution=64)
+    handle = SpecialEigenHandle((0,), (0,), t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(special.HermiteOverflowError):
+            bergman_norm_special(handle, t, m, grid)
+
+
+def test_phi1_joins_exponents_on_wide_boxes():
+    # e^{-z^2/4} underflows to 0 and e^{-w^2/4} overflows at these points,
+    # but their product fits a double (it used to come back as NaN); a
+    # point where the product does not fit is named
+    z = np.array([60.0, 60.0 + 1j])
+    w = np.array([59.0j, 59.0j + 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = special._phi1(1, 2, z, w)
+        with pytest.raises(special.HermiteOverflowError):
+            special._phi1(0, 0, 0.0, 60.0j)
+    # d = 1, k = 1: coef (z + iw) L_1^1(q/2) e^{-q/4}, L_1^1(r) = 2 - r
+    _, _, coef = special._phi1_constants(1, 2)
+    q = z * z + w * w
+    expected = coef * (z + 1j * w) * (2.0 - 0.5 * q) * np.exp(-q / 4)
+    np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("t", [1.0, 1.5])

@@ -9,9 +9,10 @@ import pytest
 
 from mehler.cli import cli_main, parse_test_function
 from mehler.kernels import special_schwartz_bound
-from mehler.semigroup import bergman_norm
+from mehler.semigroup import bergman_norm, semigroup_handle
 from mehler.special import special_hermite_eval
-from mehler.spectral import Dirac, Gaussian, HermiteBasis, PolyGaussian
+from mehler.stft import _StftHandle
+from mehler.spectral import Dirac, Gaussian, HermiteBasis, PolyGaussian, SpectralHandle
 from mehler.suite import (
     CHECKS,
     REQUIRED_THEOREMS,
@@ -315,6 +316,48 @@ def test_cli_envelope_csv(tmp_path):
     assert r == pytest.approx(a2 / b, rel=1e-12)
     # IEEE round-trip formatting: parsing the text reproduces the float
     assert repr(float(rows[1][2])) == rows[1][2]
+
+
+def _record_eval_grid(monkeypatch, cls):
+    """Wrap cls.eval_grid to record the number of points of each call."""
+    sizes = []
+    inner = cls.eval_grid
+
+    def recording(self, *coords):
+        sizes.append(np.broadcast(*coords).size)
+        return inner(self, *coords)
+
+    monkeypatch.setattr(cls, "eval_grid", recording)
+    return sizes
+
+
+def test_cli_envelope_evaluates_the_coarse_grid_once(tmp_path, monkeypatch):
+    # the CSV comes from the envelope's own coarse scan, then the fine one
+    sizes = _record_eval_grid(monkeypatch, SpectralHandle)
+    out = tmp_path / "env.csv"
+    code = cli_main(
+        ["envelope", "--t", "0.3", "--m", "2", "--out", str(out), "--res", "24"]
+    )
+    assert code == 0
+    assert sizes == [24 * 24, 48 * 48]
+    with open(out) as fh:
+        rows = list(csv.reader(fh))[1:]
+    # each row tables |F|^2 at its own node (the default f is h_0)
+    handle = semigroup_handle(HermiteBasis((0,)), 0.3, "spectral", truncation=48)
+    for row in rows[::97]:
+        x, y, a2 = (float(v) for v in row[:3])
+        assert a2 == pytest.approx(abs(handle.eval(complex(x, y))) ** 2, rel=1e-12)
+
+
+def test_cli_stft_evaluates_the_coarse_grid_once(tmp_path, monkeypatch):
+    sizes = _record_eval_grid(monkeypatch, _StftHandle)
+    out = tmp_path / "stft.csv"
+    code = cli_main(
+        ["stft", "--f", "h0", "--a", "2.0", "--out", str(out), "--res", "16",
+         "--box", "-4", "4", "-3", "3"]
+    )
+    assert code == 0
+    assert sizes == [16 * 16, 32 * 32]
 
 
 def test_cli_kernels_csv(tmp_path):
