@@ -21,6 +21,7 @@ from mehler import (
     integrate_rn,
     mehler_kernel,
     reproduce,
+    schwartz_image_bound,
     schwartz_image_check,
     semigroup_apply,
     semigroup_handle,
@@ -28,6 +29,7 @@ from mehler import (
     sobolev_norm,
     tempered_bound,
 )
+from mehler import specfun
 from mehler.quadrature import PlaneGrid
 from mehler.semigroup import CalibrationResult, MehlerSliceHandle
 from mehler.specfun import HermiteOverflowError
@@ -328,8 +330,6 @@ def test_sobolev_image_isometry_nontrivial_input(gh128):
 def test_grid_jobs_sum_hermite_series_by_the_sweep(monkeypatch, t):
     # on desk-scale grids the Clenshaw sweep alone sums every spectral image:
     # the rescaled recurrence, its fallback, refuses to run
-    from mehler import schwartz_image_bound, specfun
-
     kappa = (2 * math.pi) ** -0.5
     pts = [0.7 - 0.4j, -1.2 + 1.1j]
     handles = [

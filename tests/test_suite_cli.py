@@ -11,8 +11,8 @@ from mehler.cli import cli_main, parse_test_function
 from mehler.kernels import special_schwartz_bound
 from mehler.semigroup import bergman_norm, semigroup_handle
 from mehler.special import special_hermite_eval
-from mehler.stft import _StftHandle
 from mehler.spectral import Dirac, Gaussian, HermiteBasis, PolyGaussian, SpectralHandle
+from mehler.stft import _StftHandle
 from mehler.suite import (
     CHECKS,
     REQUIRED_THEOREMS,
