@@ -295,6 +295,16 @@ _BOUNDS = {
 }
 
 
+def _coarse_abs2(rep) -> np.ndarray:
+    """|F|^2 on an envelope's coarse grid, in the node order of
+    grid.nodes(); HermiteOverflowError where it passes the largest double."""
+    with np.errstate(over="ignore"):
+        absF2 = rep.coarse_abs.ravel() ** 2
+    if not np.all(np.isfinite(absF2)):
+        raise HermiteOverflowError("|F|^2 exceeds the largest double at a node of the CSV grid")
+    return absF2
+
+
 def _cmd_envelope(args) -> int:
     rule = gauss_hermite_rule(args.quad)
     handle = semigroup_handle(args.f, args.t, "spectral", truncation=args.N, rule=rule)
@@ -303,7 +313,7 @@ def _cmd_envelope(args) -> int:
     rep = envelope_ratio(handle, bound, grid)
     # the coarse scan's |F| comes in the node order of grid.nodes()
     X, Y, _ = grid.nodes()
-    absF2 = rep.coarse_abs.ravel() ** 2
+    absF2 = _coarse_abs2(rep)
     bvals = bound.eval(X, Y)
     ratio = absF2 / bvals
     _write_rows(args.out, ["x", "y", "absF2", "bound", "ratio"], zip(X, Y, absF2, bvals, ratio))
@@ -356,7 +366,7 @@ def _cmd_stft(args) -> int:
     rep = pw_envelope(args.f, args.a, args.m, grid, rule=rule)
     # the coarse scan's |F| comes in the node order of grid.nodes()
     X, Y, _ = grid.nodes()
-    absF2 = rep.coarse_abs.ravel() ** 2
+    absF2 = _coarse_abs2(rep)
     bvals = np.exp(2.0 * rep.bound.log_eval(X, Y))
     _write_rows(
         args.out, ["x", "y", "absF2", "bound", "ratio"],

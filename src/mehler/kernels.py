@@ -106,10 +106,41 @@ def bergman_weight(t: float, z, dimension: int = 1):
     return np.exp(log_pref + math.tanh(2 * t) * x2 - (1.0 / math.tanh(2 * t)) * y2)
 
 
+def _shifted_exp_jet(f: TaylorScalar, s) -> np.ndarray:
+    """Taylor coefficients in t of e^{(f(t) - f(t_0)) s} at the expansion
+    point t_0 of ``f``, elementwise over a real array ``s``: shape
+    (order + 1,) + shape(s), row 0 all ones."""
+    s = np.asarray(s, dtype=float)
+    shifted = TaylorScalar([np.zeros_like(s)] + [c * s for c in f.coef[1:]])
+    return np.array(shifted.exp().coef)
+
+
+def _weight_jets(t: float, m: int, x2, y2, dimension: int = 1):
+    """Per-axis jets of U_t in t: (H, jx, jy) with
+
+        d^{2m}/dt^{2m} U_t = e^{tanh(2t) x2 - coth(2t) y2} sum_{j,k} jx[j] H[j, k] jy[k],
+
+    jx and jy the Taylor coefficients (rows 0..2m, elementwise over the
+    real arrays ``x2`` and ``y2``) of e^{(tanh 2s - tanh 2t) x2} and
+    e^{-(coth 2s - coth 2t) y2} in s at t, and H[j, k] = (2m)! p[2m - j - k]
+    (0 past j + k = 2m) the Hankel matrix of the jet p of the prefactor
+    2^n (sinh 4s)^{-n/2}.  Each jet runs on its own axis, so on a tensor
+    grid no Taylor arithmetic touches the mesh.
+    """
+    T = TaylorScalar.variable(t, 2 * m)
+    pref = (taylor.sinh(T * 4.0).power(-0.5 * dimension) * (2.0**dimension)).coef
+    jx = _shifted_exp_jet(taylor.tanh(T * 2.0), x2)
+    jy = _shifted_exp_jet(-taylor.coth(T * 2.0), y2)
+    rank = 2 * m - np.add.outer(np.arange(2 * m + 1), np.arange(2 * m + 1))
+    H = np.where(rank >= 0, np.array(pref)[np.maximum(rank, 0)], 0.0)
+    return math.factorial(2 * m) * H, jx, jy
+
+
 def bergman_weight_dt(t: float, m: int, z, dimension: int = 1):
     """2m-th time derivative of U_t at fixed z (signed), by jet arithmetic.
 
-    m = 0 reduces to the plain weight.  Vectorized over z.
+    m = 0 reduces to the plain weight.  Vectorized over z; the jets of
+    :func:`_weight_jets` are joined pointwise.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -120,13 +151,9 @@ def bergman_weight_dt(t: float, m: int, z, dimension: int = 1):
     zs = _coord_arrays(z, dimension)
     x2 = sum(np.asarray(a.real, dtype=float) ** 2 for a in zs)
     y2 = sum(np.asarray(a.imag, dtype=float) ** 2 for a in zs)
-    T = TaylorScalar.variable(t, 2 * m)
-    sinh4 = taylor.sinh(T * 4.0)
-    pref = sinh4.power(-0.5 * dimension) * (2.0**dimension)
-    th = taylor.tanh(T * 2.0)
-    ch = taylor.coth(T * 2.0)
-    series = pref * (th * x2 - ch * y2).exp()
-    return series.derivative(2 * m)
+    H, jx, jy = _weight_jets(t, m, x2, y2, dimension)
+    gauss = np.exp(math.tanh(2 * t) * x2 - (1.0 / math.tanh(2 * t)) * y2)
+    return gauss * np.sum(jx * np.tensordot(H, jy, axes=1), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +262,18 @@ def special_heat_from_square(t: float, q, dimension: int = 1):
     return pref * np.exp(-0.25 / math.tanh(t) * np.asarray(q, dtype=complex))
 
 
+def _twisted_profile_jet(t: float, m: int, q, dimension: int = 1):
+    """e^{coth(2t) q} times :func:`twisted_weight_profile`, elementwise over
+    a real array ``q``: the polynomial in q that the 2m-th time derivative
+    leaves beside the Gaussian, from the jets of the prefactor
+    (2 pi sinh 2s)^{-n} and of e^{-(coth 2s - coth 2t) q} in s at t.
+    """
+    T = TaylorScalar.variable(t, 2 * m)
+    pref = (taylor.sinh(T * 2.0).power(-float(dimension)) * (2.0 * math.pi) ** (-dimension)).coef
+    jq = _shifted_exp_jet(-taylor.coth(T * 2.0), q)
+    return math.factorial(2 * m) * np.tensordot(pref[::-1], jq, axes=1)
+
+
 def twisted_weight_profile(t: float, m: int, q, dimension: int = 1):
     """The factor of the twisted weight that depends on q = |y|^2 + |v|^2
     alone: d^{2m}/dt^{2m} of p_{2t}(2y, 2v) = (2 pi sinh 2t)^{-n}
@@ -244,11 +283,7 @@ def twisted_weight_profile(t: float, m: int, q, dimension: int = 1):
     if m == 0:
         pref = (2.0 * math.pi * math.sinh(2 * t)) ** (-dimension)
         return pref * np.exp(-(1.0 / math.tanh(2 * t)) * q)
-    T = TaylorScalar.variable(t, 2 * m)
-    sinh2 = taylor.sinh(T * 2.0)
-    pref = sinh2.power(-float(dimension)) * (2.0 * math.pi) ** (-dimension)
-    series = pref * (taylor.coth(T * 2.0) * (-q)).exp()
-    return series.derivative(2 * m)
+    return np.exp(-(1.0 / math.tanh(2 * t)) * q) * _twisted_profile_jet(t, m, q, dimension)
 
 
 def twisted_bergman_weight(t: float, m: int, z, w, dimension: int = 1):

@@ -15,8 +15,21 @@ table and a z-side table on y joined by one matrix product.
 ``envelope`` is the package's one growth-envelope scan: the sup of
 |F|^2 / bound (or |F| / bound) on a plane grid and at twice its resolution,
 over x-slices of one open mesh of the grid's real axes (x, y on C; x, y, u,
-v on C^2) fed to ``handle.eval_grid`` and ``bound.log_eval``, so images on C
-and on C^2 share it and no flattened nodes are built.
+v on C^2) fed to ``handle.eval_grid_parts`` and ``bound.log_eval``, so
+images on C and on C^2 share it and no flattened nodes are built.
+
+Every grid job here walks the open mesh of the grid's axes and takes F in
+split form P e^E (``EntireHandle.eval_grid_parts``; for a spectral image
+E = log h_0(z), whose real part (y^2 - x^2)/2 separates over the axes).
+Each job joins E with its own Gaussians before exponentiating: the
+envelope scans log|P| + Re E and never exponentiates; ``bergman_norm``
+forms |P|^2 e^{2 Re E + tanh(2t) x^2 - coth(2t) y^2} in one real exp and
+contracts it with per-axis jet tables of the weight's time derivatives;
+``calibrate_weight`` contracts the probes' polynomial parts with the
+separable table |h_0|^2 U_t; ``reproduce`` puts E inside its table's one
+complex exp, the only one per node, since its phase e^{icxy} does not
+factor over the axes.  No array holds |F|^2, U_t or e^{y^2} alone, so wide
+boxes do not overflow where the weighted quantities are finite.
 """
 
 import math
@@ -25,13 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .indices import MultiIndex, as_index, as_point, oscillator_eigenvalue
-from .kernels import (
-    BoundSpec,
-    bergman_weight,
-    bergman_weight_dt,
-    mehler_kernel,
-    schwartz_image_bound,
-)
+from .kernels import BoundSpec, _weight_jets, mehler_kernel, schwartz_image_bound
 from .quadrature import (
     PlaneGrid,
     QuadRule,
@@ -50,7 +57,7 @@ from .spectral import (
     expand,
     gaussian_decay_rate,
 )
-from .specfun import HermiteOverflowError, hermite_eval
+from .specfun import HermiteOverflowError, _poly_parts
 
 
 @dataclass(frozen=True)
@@ -101,7 +108,8 @@ class EnvelopeReport:
 
     ``coarse_abs`` holds |F| at the nodes of ``grid`` (the coarse scan),
     shaped like its open mesh, one axis per real coordinate; None when no
-    scan ran.
+    scan ran.  The scan forms log|F|, so an entry whose |F| passes the
+    largest double reads inf while the ratio and its sup stay finite.
     """
 
     sup_ratio: float
@@ -286,12 +294,40 @@ def bergman_norm(
     m = 0 is the plain Bergman squared norm; higher m weights with the
     (signed) derivative of the weight, which the spectral identity
     guarantees to be a positive quadratic form on the image space.
+
+    The sum runs over the open mesh of the grid's axes.  With F = P e^E
+    (``handle.eval_grid_parts``), |F|^2 and the weight's Gaussian
+    e^{tanh(2t) x^2 - coth(2t) y^2} are joined in one real exponential, and
+    the rest of the weight is the per-axis jet tables of
+    :func:`mehler.kernels._weight_jets`, so the integral is two matrix
+    products with the (2m + 1)-row jet tables and a contraction with their
+    Hankel matrix.  A non-finite total raises :class:`HermiteOverflowError`.
     """
-    X, Y, W = grid.nodes()
-    F = handle.eval_grid(X, Y)
-    weight = bergman_weight_dt(t, m, X + 1j * Y)
-    val = np.sum(W * np.abs(F) ** 2 * weight)
-    return float(kappa * val.real)
+    x, wx = grid.axis(0)
+    y, wy = grid.axis(1)
+    P, E = handle.eval_grid_parts(x[:, None], y[None, :])
+    # |F|^2 U_t / (jets) = |P|^2 e^{2 Re E + tanh(2t) x^2 - coth(2t) y^2}
+    expo = np.add.outer(
+        0.5 * math.tanh(2 * t) * x * x, -0.5 / math.tanh(2 * t) * y * y
+    )
+    expo += np.real(E)
+    del E
+    expo *= 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.exp(expo, out=expo)
+        abs_P = np.abs(P)
+        del P
+        abs_P *= abs_P
+        expo *= abs_P
+        del abs_P
+        H, jx, jy = _weight_jets(t, m, x * x, y * y)
+        moments = (jx * wx) @ expo @ (jy * wy).T
+        total = kappa * float(np.sum(H * moments))
+    if not math.isfinite(total):
+        raise HermiteOverflowError(
+            "the weighted integrand exceeds the largest double on this grid"
+        )
+    return total
 
 
 def calibrate_weight(
@@ -306,7 +342,14 @@ def calibrate_weight(
     For each probe index, integrate |Phi_alpha|^2 U_t over the grid and
     form e^{2(2|alpha|+n)t} / integral.  Constancy across indices validates
     the weight shape; the geometric mean is kappa.  Off-diagonal integrals
-    Phi_alpha conj(Phi_beta) U_t must vanish to quadrature accuracy.
+    Phi_alpha conj(Phi_beta) U_t must vanish to quadrature accuracy; with
+    ``offdiag_pairs`` None they run over every pair of probes.
+
+    The probes are h_k = h_0 P_k, and |h_0|^2 U_t = 2 (pi sinh 4t)^{-1/2}
+    e^{-(1 - tanh 2t) x^2 - (coth 2t - 1) y^2} separates over the grid's
+    axes, so each integral is P_k conj(P_l) (the ladder of
+    :func:`mehler.specfun._poly_parts` on the open mesh) contracted with
+    two per-axis tables, both Gaussians bounded by 1.
     """
     if dimension != 1:
         raise ValueError("calibration grids are one-dimensional at desk scale")
@@ -315,27 +358,33 @@ def calibrate_weight(
     if not alphas:
         raise ValueError("alphas must name at least one probe index")
     alphas = [as_index(a) for a in alphas]
-    kmax = max(sum(a) for a in alphas)
-    pairs = offdiag_pairs or [
-        (a, b) for i, a in enumerate(alphas) for b in alphas[i + 1 :]
-    ]
+    if offdiag_pairs is None:
+        offdiag_pairs = [(a, b) for i, a in enumerate(alphas) for b in alphas[i + 1 :]]
+    pairs = [(as_index(a), as_index(b)) for a, b in offdiag_pairs]
+    kmax = max(sum(a) for a in alphas + [a for pair in pairs for a in pair])
 
-    X, Y, W = grid.nodes()
-    Z = X + 1j * Y
-    ladder = hermite_eval(max(kmax, max(max(sum(a), sum(b)) for a, b in pairs)), Z)
-    U = bergman_weight(t, Z)
-    WU = W * U
+    x, wx = grid.axis(0)
+    y, wy = grid.axis(1)
+    ladder = np.empty((kmax + 1, len(x), len(y)), dtype=complex)
+    for k, (p, scale) in enumerate(_poly_parts(kmax, x[:, None] + 1j * y[None, :])):
+        if scale is not None:
+            raise HermiteOverflowError("probe ladder leaves the doubles on this grid")
+        ladder[k] = p
+    tx = wx * np.exp(-(1.0 - math.tanh(2 * t)) * x * x)
+    ty = wy * np.exp(-(1.0 / math.tanh(2 * t) - 1.0) * y * y)
+    pref = 2.0 / math.sqrt(math.pi * math.sinh(4 * t))
+
+    def integral(a, b):
+        # real products only: a complex matrix-vector product at this size
+        # already wakes the BLAS thread pool (see quadrature.real_matmul)
+        prod = ladder[sum(a)] * np.conj(ladder[sum(b)])
+        return pref * complex(tx @ prod.real @ ty, tx @ prod.imag @ ty)
 
     ratios: dict[MultiIndex, float] = {}
     for a in alphas:
-        k = sum(a)
-        diag = float(np.sum(WU * np.abs(ladder[k]) ** 2).real)
         lam = oscillator_eigenvalue(a, dimension)
-        ratios[a] = math.exp(2 * lam * t) / diag
-    max_off = 0.0
-    for a, b in pairs:
-        val = np.sum(WU * ladder[sum(a)] * np.conj(ladder[sum(b)]))
-        max_off = max(max_off, float(abs(val)))
+        ratios[a] = math.exp(2 * lam * t) / float(integral(a, a).real)
+    max_off = max((float(abs(integral(a, b))) for a, b in pairs), default=0.0)
 
     return CalibrationResult.from_ratios(ratios, max_off, t, dimension, 1e-3)
 
@@ -360,8 +409,10 @@ def reproduce(
     with A = e^{-c(z^2 + x^2)/2 + zx/s - icab} (z = a + ib), the x-part with
     every Gaussian in z that goes with the z-linear term, so |A| <= 1;
     B = e^{cb^2/2 - izy/s}; and one cross table T = e^{cy^2/2 + icxy}, where
-    s = sinh 4t and c = coth 4t.  T joins F, the weight U_t and the node
-    weights in one (x, y) table, and all points cost one matrix product.
+    s = sinh 4t and c = coth 4t.  T joins F = P e^E (``eval_grid_parts``),
+    the weight U_t and the node weights in one (x, y) table, with E, the
+    Gaussian of U_t and the exponent of T in one complex exp, and all
+    points cost one matrix product.
     """
     zs = np.asarray(z, dtype=complex)
     single = zs.ndim < 2
@@ -375,19 +426,18 @@ def reproduce(
     x, wx = grid.axis(0)
     y, wy = grid.axis(1)
     X, Y = x[:, None], y[None, :]
-    F = handle.eval_grid(X, Y)
+    P, E = handle.eval_grid_parts(X, Y)
     s = math.sinh(4 * t)
     c = math.cosh(4 * t) / s
     # U_t(x + iy) = 2 (sinh 4t)^{-1/2} e^{tanh(2t) x^2 - coth(2t) y^2}, in one
-    # exponent with the kernel's w-only part
-    table = (
-        (2.0 / math.sqrt(s)) * np.multiply.outer(wx, wy) * F
-        * np.exp(
-            math.tanh(2 * t) * X * X
-            + (0.5 * c - 1.0 / math.tanh(2 * t)) * Y * Y
-            + 1j * c * X * Y
-        )
-    )
+    # exponent with the kernel's w-only part and the exponent E of F
+    expo = 1j * c * X * Y
+    expo += math.tanh(2 * t) * X * X + (0.5 * c - 1.0 / math.tanh(2 * t)) * Y * Y
+    expo += E
+    del E
+    table = np.exp(expo, out=expo)
+    table *= P
+    table *= (2.0 / math.sqrt(s)) * np.multiply.outer(wx, wy)
     a, b = zs.real[:, None], zs.imag[:, None]
     zc = zs[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -436,13 +486,21 @@ def _sup_ratio_on(handle: EntireHandle, bound: BoundSpec, grid: PlaneGrid, table
     appended to the list ``tables`` when one is given."""
     best, arg = -math.inf, None
     for _, block in _mesh_blocks(grid):
-        abs_F = np.abs(handle.eval_grid(*block))
-        if tables is not None:
-            tables.append(abs_F)
+        # log|F| = log|P| + Re E, formed in place with P freed first, so no
+        # modulus is exponentiated and at most two mesh arrays live at once
+        P, E = handle.eval_grid_parts(*block)
+        log_ratio = np.abs(P)
+        del P
         with np.errstate(divide="ignore"):
-            log_abs = np.log(abs_F)
-        del abs_F  # unless tabled, |F| goes before the ratio is formed
-        log_ratio = (log_abs if bound.on_modulus else 2.0 * log_abs) - bound.log_eval(*block)
+            np.log(log_ratio, out=log_ratio)
+        log_ratio += np.real(E)
+        del E
+        if tables is not None:
+            with np.errstate(over="ignore"):
+                tables.append(np.exp(log_ratio))
+        if not bound.on_modulus:
+            log_ratio *= 2.0
+        log_ratio -= bound.log_eval(*block)
         # argmax lands on the first NaN if there is one
         i = np.unravel_index(int(np.argmax(log_ratio)), log_ratio.shape)
         if not log_ratio[i] < math.inf:

@@ -25,8 +25,14 @@ sweep (Clenshaw, "A note on the summation of Chebyshev series", 1955)
 gives sum_k c_k P_k(z) = beta_0, in place on three buffers.  The same sweep
 on |c_k| at r = max|z| bounds every |beta_k|; only when that majorant
 passes 1e290 (far outside desk scale) is the series summed inside the
-rescaled recurrence instead.  h_0(z) multiplies beta_0 directly where its
-real exponent lies within +-700 and in log form elsewhere.
+rescaled recurrence instead.  The sum comes in split form, P e^E
+(:func:`hermite_series_parts`): P = beta_0 and E = log h_0(z) =
+LOG_H0 - z^2/2, whose real part (y^2 - x^2)/2 separates over the real axes
+of a grid.  Grid consumers join E with Gaussians of their own (a weight, a
+kernel, a bound) before any exponential is taken, so a modulus that only
+the product keeps finite never overflows.  :func:`hermite_series`
+multiplies the parts out: directly where Re E lies within +-700, in log
+form elsewhere.
 
 A value whose modulus does not fit a double raises
 :class:`HermiteOverflowError`.  :func:`hermite_eval` is the plain
@@ -216,9 +222,9 @@ def _clenshaw(c: list, g: list, z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return e1
 
 
-def _rescaled_series(coef, z: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] h_k(z) accumulated inside the rescaled recurrence
-    :func:`_poly_parts`, with h_0 and the scale applied in log form."""
+def _rescaled_series(coef, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P, E) with sum_k coef[k] h_k(z) = P e^E, P accumulated inside the
+    rescaled recurrence :func:`_poly_parts` and its scale folded into E."""
     top = int(np.max(np.flatnonzero(coef), initial=0))
     acc = np.zeros_like(z)
     log_m = np.zeros(z.shape)
@@ -227,22 +233,22 @@ def _rescaled_series(coef, z: np.ndarray) -> np.ndarray:
             acc /= m
             log_m = log_m + np.log(m)
         acc += coef[k] * p
-    return mul_exp(acc, LOG_H0 - 0.5 * z * z + log_m)
+    return acc, LOG_H0 - 0.5 * z * z + log_m
 
 
-def hermite_series(coef, z) -> np.ndarray:
-    """sum_k coef[k] h_k(z) over an array of points.
+def hermite_series_parts(coef, z) -> tuple[np.ndarray, np.ndarray]:
+    """(P, E) with sum_k coef[k] h_k(z) = P e^E over an array of points.
 
-    The polynomial part sum_k coef[k] P_k(z), P_k = h_k / h_0, comes from
+    P is the polynomial part sum_k coef[k] P_k(z), P_k = h_k / h_0, from
     one backward Clenshaw sweep up to the last nonzero coefficient (scaled
     as in :func:`_sweep_constants`), in place on three buffers, skipping
-    the add of a zero coefficient.  Before it, the same sweep on |coef|
-    at r = max|z| bounds every intermediate; if that majorant passes 1e290
-    the sum is accumulated in the rescaled recurrence instead
-    (:func:`_rescaled_series`).  The factor h_0(z) = exp(LOG_H0 - z^2/2)
-    multiplies directly where its real exponent lies within +-700 and the
-    product is finite, and in log form (:func:`mul_exp`) otherwise.
-    Raises :class:`HermiteOverflowError` if a modulus exceeds a double.
+    the add of a zero coefficient; E = LOG_H0 - z^2/2 is the exponent of
+    h_0, written into the sweep's scratch buffer.  Before the sweep, the
+    same sweep on |coef| at r = max|z| bounds every intermediate; if that
+    majorant passes 1e290 the sum is accumulated in the rescaled recurrence
+    instead (:func:`_rescaled_series`), and E also carries its log-scale.
+    No exponential is taken, so callers with Gaussians of their own join
+    them to E first.
     """
     z = np.asarray(_check_finite(z), dtype=complex)
     top = int(np.max(np.flatnonzero(coef), initial=0))
@@ -250,20 +256,29 @@ def hermite_series(coef, z) -> np.ndarray:
     r = float(np.abs(z).max(initial=0.0))
     if not (math.isfinite(r) and _majorant(c, g, r) <= _SWEEP_LIMIT):
         return _rescaled_series(coef, z)
-    # the sweep's scratch buffer then takes log h_0(z), h_0(z) and the result
-    out = np.empty_like(z)
-    total = _clenshaw(c, g, z, out)
-    np.multiply(z, z, out=out)
-    out *= -0.5
-    out += LOG_H0
-    # |Re z^2| <= r^2 settles the range test without a pass in most calls
-    if 0.5 * r * r - LOG_H0 <= 700 or np.all(np.abs(out.real) <= 700):
-        np.exp(out, out=out)
+    log_h0 = np.empty_like(z)
+    total = _clenshaw(c, g, z, log_h0)
+    np.multiply(z, z, out=log_h0)
+    log_h0 *= -0.5
+    log_h0 += LOG_H0
+    return total, log_h0
+
+
+def hermite_series(coef, z) -> np.ndarray:
+    """sum_k coef[k] h_k(z) over an array of points: P e^E from
+    :func:`hermite_series_parts`, multiplied out directly where Re E lies
+    within +-700 and the product is finite, and in log form
+    (:func:`mul_exp`) otherwise.  Raises :class:`HermiteOverflowError` if
+    a modulus exceeds a double.
+    """
+    total, log_h0 = hermite_series_parts(coef, z)
+    if np.all(np.abs(log_h0.real) <= 700):
+        out = np.exp(log_h0)
         with np.errstate(over="ignore", invalid="ignore"):
             out *= total
         if np.all(np.isfinite(out)):
             return out
-    return mul_exp(total, LOG_H0 - 0.5 * z * z)
+    return mul_exp(total, log_h0)
 
 
 def mul_exp(value, log_scale) -> np.ndarray:

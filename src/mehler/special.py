@@ -60,7 +60,11 @@ coordinate pairs: the 4-D quadrature weight is the product of a (y, u), an
 (y, v) table alone.  ``bergman_norm_special`` takes any handle, so it sums
 over x-slices of the grid's open mesh (the same blocks the envelope scan
 walks), each holding at most 2^18 entries, so memory stays bounded at any
-resolution and no plane is flattened.
+resolution and no plane is flattened.  It takes F in split form P e^E
+(``eval_grid_parts``; for a basis image E = log damp - (z^2 + w^2)/4) and
+joins 2 Re E, the exponent yu - xv and the Gaussian of S in one real
+exponential, which is bounded, so the wide boxes of moderate t do not
+overflow.
 
 The calibration probes need no 4-D sum.  Each is a polynomial P in
 (x, y, u, v) times e^{-(z^2 + w^2)/4}, and that Gaussian's squared modulus
@@ -68,8 +72,8 @@ folds into W_t at m = 0 as a product of an (x, v) and a (y, u) table, each
 at most 1.  The probe integrals are then contractions of P conj(P') against
 two tables of monomial moments, each built by two matrix products over the
 grid's axes; nothing grows with res^4 and no exponent overflows on the wide
-boxes of moderate t.  The norms keep the dense sum: a handle need not have
-a polynomial form.  :func:`default_special_grid` gives a trapezoid grid;
+boxes of moderate t.  The norms keep the sum over the mesh: a handle need
+not have a polynomial form.  :func:`default_special_grid` gives a trapezoid grid;
 the integrands are analytic with Gaussian decay, so the rule converges
 geometrically (Trefethen and Weideman, SIAM Review 56, 2014).
 
@@ -86,7 +90,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .indices import MultiIndex, as_index, multi_indices, oscillator_eigenvalue
-from .kernels import special_plain_bound, special_schwartz_bound, twisted_weight_profile
+from .kernels import _twisted_profile_jet, special_plain_bound, special_schwartz_bound
 from .quadrature import PlaneGrid, real_matmul
 from .semigroup import CalibrationResult, EnvelopeReport, _mesh_blocks, envelope
 from .specfun import HermiteOverflowError, laguerre_ladder
@@ -183,15 +187,43 @@ def _phi1(a: int, b: int, z, w):
             val = (coef * np.exp(gz)) * np.exp(gw)
         else:
             val = coef * np.exp(gz + gw)
-        if d:
-            zeta = z - 1j * w if a >= b else z + 1j * w
-            for _ in range(d):
-                val *= zeta
-        if k:
-            val *= laguerre_ladder(k, d, 0.5 * (z2 + w2))[k]
+        val = _times_polynomial(val, a, b, z, w, z2 + w2 if k else None)
     if not np.all(np.isfinite(val)):
         raise HermiteOverflowError(f"Phi_{a}{b} exceeds the largest double at a requested point")
     return val
+
+
+def _times_polynomial(val: np.ndarray, a: int, b: int, z, w, q) -> np.ndarray:
+    """``val`` times zeta^d L_k^d(q/2), in place for arrays: the factor of
+    Phi_ab beside coef e^{-q/4}, with q = z^2 + w^2 (needed only when
+    k > 0)."""
+    d, k = abs(a - b), min(a, b)
+    if d:
+        zeta = z - 1j * w if a >= b else z + 1j * w
+        for _ in range(d):
+            val *= zeta
+    if k:
+        val *= laguerre_ladder(k, d, 0.5 * q)[k]
+    return val
+
+
+def _phi1_parts(a: int, b: int, z, w) -> tuple[np.ndarray, np.ndarray]:
+    """(P, E) with Phi_ab(z, w) = P e^E, broadcast over arrays z, w:
+    E = -(z^2 + w^2)/4 and P = coef zeta^d L_k^d((z^2 + w^2)/2), as in
+    :func:`_phi1` but with no exponential taken.  Raises
+    :class:`HermiteOverflowError` where P does not fit a double."""
+    z = np.asarray(z)
+    w = np.asarray(w)
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(w))):
+        raise ValueError("argument must be finite")
+    _, _, coef = _phi1_constants(a, b)
+    q = z * z + w * w
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = _times_polynomial(np.full(q.shape, coef), a, b, z, w, q)
+    if not np.all(np.isfinite(P)):
+        raise HermiteOverflowError(f"Phi_{a}{b} exceeds the largest double at a requested point")
+    q *= -0.25
+    return P, q
 
 
 def _times(P: np.ndarray, terms: dict) -> np.ndarray:
@@ -766,6 +798,15 @@ class SpecialEigenHandle(EntireHandle):
         W = np.asarray(U) + 1j * np.asarray(V)
         return self._damp() * _phi1(self.alpha[0], self.beta[0], Z, W)
 
+    def eval_grid_parts(self, X, Y, U, V):
+        """(P, E) of :func:`_phi1_parts`, with log damp joining
+        E = log damp - (z^2 + w^2)/4."""
+        Z = np.asarray(X) + 1j * np.asarray(Y)
+        W = np.asarray(U) + 1j * np.asarray(V)
+        P, E = _phi1_parts(self.alpha[0], self.beta[0], Z, W)
+        E -= oscillator_eigenvalue(self.beta) * self.time
+        return P, E
+
 
 @dataclass(frozen=True)
 class ClosedFormSpecialHandle(EntireHandle):
@@ -842,23 +883,22 @@ def _folded_moments(grid: PlaneGrid, t: float, n: int):
 
 
 def _weight_blocks(grid: PlaneGrid, t: float, m: int):
-    """(coordinates, weight) pairs over the blocks of
+    """(coordinates, a, b, R) over the blocks of
     :func:`mehler.semigroup._mesh_blocks`, dimension 1.
 
-    The weight is the quadrature weight times d^{2m}/dt^{2m} W_t on the
-    block's open mesh, shaped (x-nodes, y, u, v).  W_t = 4 e^{yu - xv}
-    S_m(y^2 + v^2) factors over coordinate pairs, so the weight is a product
-    of three per-axis tables and the jet S_m runs on the (y, v) table only.
+    The quadrature weight times d^{2m}/dt^{2m} W_t on a block's open mesh,
+    shaped (x-nodes, y, u, v), is e^{a + b} R: with c = coth 2t,
+    a = log(w_x w_v) - xv - c v^2 on (x, v) and b = log(4 w_y w_u) + yu -
+    c y^2 on (y, u), broadcast against the block, and R = e^{cq} S_m(q)
+    (q = y^2 + v^2) the polynomial the jet leaves on the (y, v) table.
     """
     (x, wx), (y, wy), (u, wu), (v, wv) = (grid.axis(k) for k in range(4))
-    yu = 4.0 * np.exp(np.multiply.outer(y, u)) * np.multiply.outer(wy, wu)
-    xv = np.exp(-np.multiply.outer(x, v)) * np.multiply.outer(wx, wv)
-    s = twisted_weight_profile(t, m, np.add.outer(y**2, v**2))
-    # S_m joins the (y, u) table before the (x, v) one, so no intermediate
-    # grows past e^{yu - xv}
-    yuv = yu[:, :, None] * s[:, None, :]
+    c = 1.0 / math.tanh(2 * t)
+    a = np.log(np.multiply.outer(wx, wv)) - np.multiply.outer(x, v) - c * v * v
+    b = np.log(4.0 * np.multiply.outer(wy, wu)) + np.multiply.outer(y, u) - c * (y * y)[:, None]
+    R = _twisted_profile_jet(t, m, np.add.outer(y * y, v * v))
     for rows, mesh in _mesh_blocks(grid):
-        yield mesh, xv[rows, None, None, :] * yuv
+        yield mesh, a[rows, None, None, :], b[:, :, None], R
 
 
 def bergman_norm_special(
@@ -871,12 +911,16 @@ def bergman_norm_special(
     """kappa* int |F|^2 d^{2m}/dt^{2m} W_t over C^2 (n = 1 only).
 
     The weight W_t(x, y, u, v) = 4 e^{yu - xv} S_m(y^2 + v^2) factors into
-    per-axis tables over (y, u), (x, v) and (y, v); the jet for S_m runs on
-    the (y, v) table alone.  The 4-dimensional quadrature is summed over
-    x-slices of the grid's open mesh, each at most 2^18 entries (one x-node
-    at least), so memory stays bounded at any resolution.  On the wide
-    boxes of moderate t (t >= 1 at the default drop) e^{yu} or |F|^2 can
-    pass the largest double; that raises :class:`HermiteOverflowError`.
+    per-axis tables over (x, v), (y, u) and (y, v) (:func:`_weight_blocks`);
+    the jet for S_m runs on the (y, v) table alone.  With F = P e^E
+    (``handle.eval_grid_parts``), 2 Re E joins the exponents of e^{yu - xv}
+    and of the Gaussian of S_m in one real exponential, which for a twisted
+    image is bounded (e^{-(x + v)^2/2 - (u - y)^2/2 - (coth 2t - 1)(y^2 + v^2)}
+    times constants), so neither |F|^2 nor e^{yu} is formed and the wide
+    boxes of moderate t do not overflow.  The 4-dimensional quadrature is
+    summed over x-slices of the grid's open mesh, each at most 2^18 entries
+    (one x-node at least), in two block buffers reused across slices.  A
+    non-finite total raises :class:`HermiteOverflowError`.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -885,12 +929,25 @@ def bergman_norm_special(
     if m < 0:
         raise ValueError("m must be >= 0")
     total = 0.0
-    # on the wide boxes of moderate t, e^{yu} and |F|^2 can pass the largest
-    # double before the weight damps them; that shows as a non-finite total
+    buf = None
+    # a handle without a split form can pass the largest double in |F|^2;
+    # that shows as a non-finite total
     with np.errstate(over="ignore", invalid="ignore"):
-        for mesh, weight in _weight_blocks(grid, t, m):
-            F = handle.eval_grid(*mesh)
-            total += float(np.sum((F.real**2 + F.imag**2) * weight))
+        for mesh, a, b, R in _weight_blocks(grid, t, m):
+            P, E = handle.eval_grid_parts(*mesh)
+            if buf is None:
+                buf = np.empty((2, P.size))
+            expo, abs2 = (row[: P.size].reshape(P.shape) for row in buf)
+            np.multiply(np.real(E), 2.0, out=expo)
+            del E
+            expo += a
+            expo += b
+            np.exp(expo, out=expo)
+            np.abs(P, out=abs2)
+            del P
+            abs2 *= abs2
+            abs2 *= expo
+            total += float(np.sum(abs2.sum(axis=(0, 2)) * R))
     if not math.isfinite(total):
         raise HermiteOverflowError(
             "the weighted integrand exceeds the largest double on this grid"

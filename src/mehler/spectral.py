@@ -13,7 +13,9 @@ recurrence in :mod:`mehler.specfun`.  At a point, :func:`eval_entire`
 takes one log-domain ladder per coordinate, gathers the terms of all
 multi-indices at once and reports the magnitude of the last coefficient
 shell as a truncation indicator.  On a grid, ``SpectralHandle.eval_grid``
-accumulates the weighted sum inside the recurrence.  A value whose modulus
+sums the series by one Clenshaw sweep, and ``eval_grid_parts`` returns it
+in split form P e^E (E = log h_0(z)), so grid consumers can join the
+Gaussian with their own before exponentiating.  A value whose modulus
 exceeds the largest double raises :class:`~mehler.specfun.HermiteOverflowError`.
 """
 
@@ -24,7 +26,13 @@ import numpy as np
 
 from .indices import MultiIndex, as_index, as_point, multi_indices
 from .quadrature import QuadRule, gauss_legendre_rule
-from .specfun import hermite_eval, hermite_log_ladder, hermite_series, mul_exp
+from .specfun import (
+    hermite_eval,
+    hermite_log_ladder,
+    hermite_series,
+    hermite_series_parts,
+    mul_exp,
+)
 
 # ---------------------------------------------------------------------------
 # Test functions (tagged union)
@@ -369,6 +377,17 @@ class EntireHandle:
         """Vectorized values at the points of broadcastable real arrays."""
         raise NotImplementedError
 
+    def eval_grid_parts(self, *coords: np.ndarray):
+        """(P, E) with F = P e^E at the points of ``eval_grid``'s arrays.
+
+        P has the broadcast shape of the coordinates and E broadcasts
+        against it.  Handles whose values carry a Gaussian factor return
+        it as the exponent E, so that grid consumers can join it with their
+        own Gaussians before exponentiating; the default is
+        ``(self.eval_grid(*coords), 0.0)``.
+        """
+        return self.eval_grid(*coords), 0.0
+
 
 @dataclass(frozen=True)
 class SpectralHandle(EntireHandle):
@@ -392,12 +411,19 @@ class SpectralHandle(EntireHandle):
     def eval(self, z) -> complex:
         return eval_entire(self.expansion, self.time, z)
 
-    def eval_grid(self, X, Y) -> np.ndarray:
+    def _grid_coefficients(self) -> np.ndarray:
         if self.expansion.dimension != 1:
             raise ValueError("grid evaluation is one-dimensional")
         lam = self.expansion.eigenvalues()
-        coef = self.expansion.values * np.exp(-lam * self.time)
-        return hermite_series(coef, np.asarray(X) + 1j * np.asarray(Y))
+        return self.expansion.values * np.exp(-lam * self.time)
+
+    def eval_grid(self, X, Y) -> np.ndarray:
+        return hermite_series(self._grid_coefficients(), np.asarray(X) + 1j * np.asarray(Y))
+
+    def eval_grid_parts(self, X, Y):
+        """(P, E) of :func:`~mehler.specfun.hermite_series_parts`:
+        E = log h_0(z), or that plus the rescaled sum's log-scale."""
+        return hermite_series_parts(self._grid_coefficients(), np.asarray(X) + 1j * np.asarray(Y))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ The windowed transform, the twisted heat convolution and the reproducing
 integral each factor over the real axes of a plane grid and run as one
 matrix product over all requested points.  Every such path is checked here
 against the sum over ``grid.nodes()`` written out in the test, and every
-``EntireHandle.eval_grid`` against the shape contract of the envelope
-scan's open mesh.
+``EntireHandle.eval_grid`` and ``eval_grid_parts`` against the shape
+contract of the envelope scan's open mesh.
 """
 
 import math
@@ -91,6 +91,10 @@ def test_eval_grid_returns_the_broadcast_shape(name):
     assert mesh.shape == (5, 4)
     flat = handle.eval_grid(*(np.broadcast_to(c, (5, 4)).ravel() for c in cols))
     np.testing.assert_allclose(mesh, flat.reshape(5, 4), rtol=1e-12, atol=0)
+    # the split form F = P e^E: P on the mesh, E broadcasting against it
+    P, E = handle.eval_grid_parts(*cols)
+    assert P.shape == (5, 4) and np.broadcast(P, E).shape == (5, 4)
+    np.testing.assert_allclose(P * np.exp(E), mesh, rtol=1e-13, atol=0)
 
 
 # ---------------------------------------------------------------------------

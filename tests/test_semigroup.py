@@ -13,11 +13,14 @@ from mehler import (
     HermiteBasis,
     PolyGaussian,
     bergman_norm,
+    bergman_weight,
+    bergman_weight_dt,
     calibrate_weight,
     compact_bound,
     default_bergman_grid,
     envelope_ratio,
     expand,
+    hermite_eval,
     integrate_rn,
     mehler_kernel,
     reproduce,
@@ -33,7 +36,12 @@ from mehler import specfun
 from mehler.quadrature import PlaneGrid
 from mehler.semigroup import CalibrationResult, MehlerSliceHandle
 from mehler.specfun import HermiteOverflowError
-from mehler.spectral import ClosedFormHandle, CoefficientList, eval_test_function
+from mehler.spectral import (
+    ClosedFormHandle,
+    CoefficientList,
+    SpectralHandle,
+    eval_test_function,
+)
 
 PI14 = math.pi ** -0.25
 
@@ -352,3 +360,109 @@ def test_grid_jobs_sum_hermite_series_by_the_sweep(monkeypatch, t):
         assert bergman_norm(handle, t, 0, grid, kappa=kappa) == pytest.approx(norm2, rel=1e-6)
         rep = envelope_ratio(handle, schwartz_image_bound(t, 1), env_grid)
         assert 0.0 < rep.sup_ratio < math.inf
+
+
+@pytest.mark.parametrize("t", [0.25, 0.6])
+def test_grid_jobs_take_the_split_form(monkeypatch, t):
+    # the 1-D grid jobs join F = P e^E with their own Gaussians: none of them
+    # multiplies F out through SpectralHandle.eval_grid
+    kappa = (2 * math.pi) ** -0.5
+    handle = semigroup_handle(Gaussian(0.7), t, "spectral", truncation=48)
+    z = -1.2 + 1.1j
+    ref = handle.eval(z)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid job multiplied F out on the mesh")
+
+    monkeypatch.setattr(SpectralHandle, "eval_grid", refuse)
+    grid = default_bergman_grid(t)
+    env_grid = PlaneGrid(boxes=((-8.0, 8.0, -6.0, 6.0),), resolution=49, kind="trapezoid")
+    assert reproduce(handle, t, z, grid, kappa) == pytest.approx(ref, rel=1e-6)
+    norm2 = float(np.sum(np.abs(handle.expansion.values) ** 2))
+    assert bergman_norm(handle, t, 0, grid, kappa=kappa) == pytest.approx(norm2, rel=1e-6)
+    assert 0.0 < envelope_ratio(handle, schwartz_image_bound(t, 1), env_grid).sup_ratio < math.inf
+    assert calibrate_weight(t, 1, None, grid).kappa == pytest.approx(kappa, rel=1e-7)
+
+
+@pytest.mark.parametrize("y_half", [30.0, 40.0])
+def test_wide_y_box_keeps_the_norm_and_envelope_finite(y_half):
+    # |F|^2 of the h_1 image passes the largest double past |y| ~ 26.6 and
+    # U_t underflows: joined in one exponent the integrand stays bounded
+    # (at y = 30 the product used to come back NaN, at y = 40 both jobs
+    # raised)
+    t, kappa = 0.3, (2 * math.pi) ** -0.5
+    x0, x1, _, _ = default_bergman_grid(t).boxes[0]
+    grid = PlaneGrid(boxes=((x0, x1, -y_half, y_half),), resolution=400)
+    handle = semigroup_handle(HermiteBasis((1,)), t, "spectral", truncation=48)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = bergman_norm(handle, t, 0, grid, kappa=kappa)
+        rep = envelope_ratio(handle, schwartz_image_bound(t, 1), grid)
+    assert val == pytest.approx(1.0, abs=1e-12)
+    # the sup sits near the origin, inside both boxes; only the sampling
+    # of the two grids differs
+    assert rep.sup_ratio == pytest.approx(3.405, rel=2e-3) and rep.stable
+
+
+def test_bergman_norm_raises_on_a_non_finite_total():
+    grid = default_bergman_grid(0.3, resolution=16)
+    handle = ClosedFormHandle(fn=lambda Z: np.where(Z.real > 0, 1e200, 1.0) + 0j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HermiteOverflowError):
+            bergman_norm(handle, 0.3, 0, grid)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_bergman_norm_matches_dense_reference(m):
+    # per-axis jets joined by their Hankel matrix against the weight formed
+    # at every flattened node
+    t = 0.45
+    f = CoefficientList(1, 4, (((1,), 0.8 - 0.3j), ((4,), -0.5 + 1.1j)))
+    handle = semigroup_handle(f, t, "spectral", truncation=48)
+    grid = default_bergman_grid(t, resolution=96, degree_margin=24)
+    X, Y, W = grid.nodes()
+    F = handle.eval_grid(X, Y)
+    ref = float(np.sum(W * np.abs(F) ** 2 * bergman_weight_dt(t, m, X + 1j * Y)))
+    assert bergman_norm(handle, t, m, grid) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "alphas, pairs",
+    [(None, None), ([(0,), (3,)], [((1,), (4,)), ((0,), (2,))])],
+    ids=["default", "pairs-past-the-probes"],
+)
+def test_calibration_matches_dense_reference(alphas, pairs):
+    t = 0.35
+    grid = default_bergman_grid(t, resolution=64)
+    cal = calibrate_weight(t, 1, alphas, grid, pairs)
+    probes = [(k,) for k in range(5)] if alphas is None else alphas
+    if pairs is None:
+        pairs = [(a, b) for i, a in enumerate(probes) for b in probes[i + 1 :]]
+    X, Y, W = grid.nodes()
+    Z = X + 1j * Y
+    ladder = hermite_eval(4, Z)
+    WU = W * bergman_weight(t, Z)
+    diag = [float(np.sum(WU * np.abs(row) ** 2)) for row in ladder]
+    for a in probes:
+        assert cal.ratios[a] == pytest.approx(math.exp(2 * (2 * a[0] + 1) * t) / diag[a[0]], rel=1e-12)
+    # the off-diagonals vanish: both sums are roundoff on the scale of the
+    # diagonals they sit between
+    scale = max(math.sqrt(diag[a[0]] * diag[b[0]]) for a, b in pairs)
+    max_off = max(abs(np.sum(WU * ladder[a[0]] * np.conj(ladder[b[0]]))) for a, b in pairs)
+    assert max(cal.max_offdiagonal, max_off) <= 1e-15 * scale
+
+
+def test_calibration_probe_and_pair_edge_cases(bergman_grid_025):
+    # one probe has no default pairs: the ladder top comes from the probes
+    # and max_offdiagonal is 0
+    single = calibrate_weight(0.25, 1, [(2,)], bergman_grid_025)
+    assert single.kappa == pytest.approx((2 * math.pi) ** -0.5, rel=1e-7)
+    assert single.max_offdiagonal == 0.0
+    # an explicit empty pair list is honoured, not replaced by the default
+    probes = [(k,) for k in range(5)]
+    none = calibrate_weight(0.25, 1, probes, bergman_grid_025, offdiag_pairs=[])
+    assert none.max_offdiagonal == 0.0
+    default = calibrate_weight(0.25, 1, probes, bergman_grid_025)
+    assert default.max_offdiagonal > 0.0
+    assert none.ratios == default.ratios

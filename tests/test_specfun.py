@@ -164,8 +164,9 @@ def _refuse(*args, **kwargs):
     raise AssertionError("this route must not run here")
 
 
-def _mp_series(coef, z):
-    """50-digit sum_k coef[k] h_k(z) and sum_k |coef[k] h_k(z)|."""
+def _mp_series_exact(coef, z):
+    """50-digit sum_k coef[k] h_k(z) and sum_k |coef[k] h_k(z)|, as mpmath
+    numbers (neither under- nor overflows)."""
     import mpmath
 
     with mpmath.workdps(50):
@@ -178,7 +179,13 @@ def _mp_series(coef, z):
             prev, cur = cur, z * mpmath.sqrt(mpmath.mpf(2) / (k + 1)) * cur - mpmath.sqrt(
                 mpmath.mpf(k) / (k + 1)
             ) * prev
-        return complex(total), float(scale)
+        return total, scale
+
+
+def _mp_series(coef, z):
+    """50-digit sum_k coef[k] h_k(z) and sum_k |coef[k] h_k(z)|."""
+    total, scale = _mp_series_exact(coef, z)
+    return complex(total), float(scale)
 
 
 def test_series_sweep_matches_extended_precision(monkeypatch):
@@ -226,6 +233,36 @@ def test_series_falls_back_past_the_majorant_limit(monkeypatch):
     assert np.all(np.abs(rescaled[:4] - swept) <= 1e-12 * scale)
     assert np.all(np.abs(swept - ref) <= 1e-12 * scale)
     assert rescaled[4] == 0.0  # |h_k(400)| < e^{-79000}
+
+
+def test_series_parts_match_extended_precision():
+    # P e^E against 50 digits, joined in mpmath so that no double under- or
+    # overflows: the sweep on desk-scale points, and the rescaled recurrence
+    # (its log-scale folded into E) once the far real point 400 takes the
+    # majorant past 1e290
+    import mpmath
+
+    rng = np.random.default_rng(20261019)
+    desk = np.array([30j, -12 + 30j, 7.5 - 0.1j, 0.0])
+    far = np.array([20 + 30j, 0.5 + 30j, 5 + 5j, -25 - 12j, 400.0])
+    k = np.arange(201)
+    cases = [
+        (rng.normal(size=129) + 1j * rng.normal(size=129), desk, False),
+        (np.exp(-0.5 * k) * ((1 - 0.5j) / abs(1 - 0.5j)) ** k, far, True),
+    ]
+    for coef, z, rescaled in cases:
+        c, g = specfun._sweep_constants(coef)
+        assert (specfun._majorant(c, g, float(np.abs(z).max())) > specfun._SWEEP_LIMIT) == rescaled
+        P, E = specfun.hermite_series_parts(coef, z)
+        assert P.shape == E.shape == z.shape
+        with mpmath.workdps(50):
+            for P_j, E_j, z_j in zip(P, E, z):
+                got = mpmath.mpc(P_j.real, P_j.imag) * mpmath.exp(mpmath.mpc(E_j.real, E_j.imag))
+                ref, scale = _mp_series_exact(coef, z_j)
+                # E is a double: at z = 400 (Re E ~ -8e4) its rounding alone
+                # moves e^E by 1e-11 relatively
+                slack = 4 * abs(E_j) * np.finfo(float).eps if abs(E_j) > 1e3 else 0.0
+                assert abs(got - ref) <= (1e-12 + slack) * scale
 
 
 def test_series_overflow_is_named():

@@ -341,7 +341,11 @@ def test_weight_blocks_match_pointwise_weight(monkeypatch, t, m, entries):
     blocks = list(special._weight_blocks(grid, t, m))
     assert len(blocks) > 2
     stop = 0
-    for (X, Y, U, V), block in blocks:
+    for (X, Y, U, V), a, b, R in blocks:
+        # the weight is e^{a + b} R, its exponents and jet on per-axis tables
+        assert a.shape == (X.size, 1, 1, 48) and b.shape == (48, 48, 1)
+        assert R.shape == (48, 48)
+        block = np.exp(a + b) * R[:, None, :]
         # the open mesh of the four axes, cut along x in order
         rows = slice(stop, stop + X.size)
         assert X.shape == (X.size, 1, 1, 1) and np.array_equal(X.ravel(), x[rows])
@@ -500,14 +504,33 @@ def test_calibration_at_moderate_t():
 @pytest.mark.parametrize("m", [0, 1])
 @pytest.mark.parametrize("t", [1.0, 1.5])
 def test_norm_overflow_on_wide_boxes_is_named(t, m):
-    # at t = 1 e^{yu} and |F|^2 pass the largest double on the default box;
-    # at t = 1.5 so does Phi_00 itself.  Both used to come back as NaN
+    # a handle with no split form hands the norm F itself: at t = 1 |F|^2
+    # passes the largest double on the default box, at t = 1.5 so does
+    # Phi_00.  Both used to come back as NaN
     grid = default_special_grid(t, resolution=64)
-    handle = SpecialEigenHandle((0,), (0,), t)
+    eigen = SpecialEigenHandle((0,), (0,), t)
+    handle = special.ClosedFormSpecialHandle(
+        fn=lambda Z, W: eigen.eval_grid(Z.real, Z.imag, W.real, W.imag), label="dense"
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(special.HermiteOverflowError):
             bergman_norm_special(handle, t, m, grid)
+
+
+def test_split_norm_on_wide_boxes_is_the_isometry():
+    # with F = P e^E the exponent 2 Re E + yu - xv - coth(2t) q is bounded,
+    # so at t = 1 the norms come out finite and match Thm 3.1 and 3.2 with
+    # the moment-table kappa*
+    t = 1.0
+    grid = default_special_grid(t, resolution=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kappa = calibrate_weight_special(t, None, grid).kappa
+        iso = bergman_norm_special(SpecialEigenHandle((0,), (0,), t), t, 0, grid, kappa)
+        sob = bergman_norm_special(SpecialEigenHandle((0,), (1,), t), t, 1, grid, kappa)
+    assert iso == pytest.approx(1.0, abs=1e-7)
+    assert sob == pytest.approx(36.0, rel=1e-7)
 
 
 def test_phi1_joins_exponents_on_wide_boxes():

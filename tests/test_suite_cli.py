@@ -318,22 +318,23 @@ def test_cli_envelope_csv(tmp_path):
     assert repr(float(rows[1][2])) == rows[1][2]
 
 
-def _record_eval_grid(monkeypatch, cls):
-    """Wrap cls.eval_grid to record the number of points of each call."""
+def _record_eval_grid(monkeypatch, cls, method="eval_grid"):
+    """Wrap a grid method of cls to record the number of points of each call."""
     sizes = []
-    inner = cls.eval_grid
+    inner = getattr(cls, method)
 
     def recording(self, *coords):
         sizes.append(np.broadcast(*coords).size)
         return inner(self, *coords)
 
-    monkeypatch.setattr(cls, "eval_grid", recording)
+    monkeypatch.setattr(cls, method, recording)
     return sizes
 
 
 def test_cli_envelope_evaluates_the_coarse_grid_once(tmp_path, monkeypatch):
-    # the CSV comes from the envelope's own coarse scan, then the fine one
-    sizes = _record_eval_grid(monkeypatch, SpectralHandle)
+    # the CSV comes from the envelope's own coarse scan, then the fine one;
+    # the scan takes the split form P e^E of the spectral image
+    sizes = _record_eval_grid(monkeypatch, SpectralHandle, "eval_grid_parts")
     out = tmp_path / "env.csv"
     code = cli_main(
         ["envelope", "--t", "0.3", "--m", "2", "--out", str(out), "--res", "24"]
