@@ -350,6 +350,19 @@ def test_cli_envelope_evaluates_the_coarse_grid_once(tmp_path, monkeypatch):
         assert a2 == pytest.approx(abs(handle.eval(complex(x, y))) ** 2, rel=1e-12)
 
 
+def test_cli_envelope_csv_overflow_is_named(tmp_path, capsys):
+    # the scan's sup stays finite at |y| = 40, but |F|^2 of the h_0 image
+    # (about e^{1600}) does not fit the CSV: the command fails by name and
+    # writes nothing
+    out = tmp_path / "env.csv"
+    code = cli_main(
+        ["envelope", "--t", "0.3", "--out", str(out), "--res", "16",
+         "--box", "-6", "6", "-40", "40"]
+    )
+    assert code == 1 and not out.exists()
+    assert "largest double" in capsys.readouterr().err
+
+
 def test_cli_stft_evaluates_the_coarse_grid_once(tmp_path, monkeypatch):
     sizes = _record_eval_grid(monkeypatch, _StftHandle)
     out = tmp_path / "stft.csv"
