@@ -22,7 +22,9 @@ _MAX_PLANE_NODES = 20_000_000
 
 
 class QuadratureError(RuntimeError):
-    """Raised when an integrand sample is non-finite; carries the node."""
+    """Raised when a quadrature sum cannot be trusted: an integrand sample
+    is non-finite (the node is carried), or the sum moves at half the
+    resolution (the grid is too coarse for the integrand)."""
 
     def __init__(self, message, node=None):
         super().__init__(message)

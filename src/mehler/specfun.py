@@ -236,6 +236,22 @@ def _rescaled_series(coef, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return acc, LOG_H0 - 0.5 * z * z + log_m
 
 
+def _swept_parts(coef, z: np.ndarray):
+    """(P, E, r) of :func:`hermite_series_parts` from the Clenshaw sweep,
+    with r = max|z|; None where the majorant passes 1e290."""
+    top = int(np.max(np.flatnonzero(coef), initial=0))
+    c, g = _sweep_constants(np.asarray(coef, dtype=complex)[: top + 1])
+    r = float(np.abs(z).max(initial=0.0))
+    if not (math.isfinite(r) and _majorant(c, g, r) <= _SWEEP_LIMIT):
+        return None
+    log_h0 = np.empty_like(z)
+    total = _clenshaw(c, g, z, log_h0)
+    np.multiply(z, z, out=log_h0)
+    log_h0 *= -0.5
+    log_h0 += LOG_H0
+    return total, log_h0, r
+
+
 def hermite_series_parts(coef, z) -> tuple[np.ndarray, np.ndarray]:
     """(P, E) with sum_k coef[k] h_k(z) = P e^E over an array of points.
 
@@ -251,34 +267,33 @@ def hermite_series_parts(coef, z) -> tuple[np.ndarray, np.ndarray]:
     them to E first.
     """
     z = np.asarray(_check_finite(z), dtype=complex)
-    top = int(np.max(np.flatnonzero(coef), initial=0))
-    c, g = _sweep_constants(np.asarray(coef, dtype=complex)[: top + 1])
-    r = float(np.abs(z).max(initial=0.0))
-    if not (math.isfinite(r) and _majorant(c, g, r) <= _SWEEP_LIMIT):
+    parts = _swept_parts(coef, z)
+    if parts is None:
         return _rescaled_series(coef, z)
-    log_h0 = np.empty_like(z)
-    total = _clenshaw(c, g, z, log_h0)
-    np.multiply(z, z, out=log_h0)
-    log_h0 *= -0.5
-    log_h0 += LOG_H0
-    return total, log_h0
+    return parts[:2]
 
 
 def hermite_series(coef, z) -> np.ndarray:
-    """sum_k coef[k] h_k(z) over an array of points: P e^E from
-    :func:`hermite_series_parts`, multiplied out directly where Re E lies
-    within +-700 and the product is finite, and in log form
-    (:func:`mul_exp`) otherwise.  Raises :class:`HermiteOverflowError` if
-    a modulus exceeds a double.
+    """sum_k coef[k] h_k(z) over an array of points: P e^E as
+    :func:`hermite_series_parts` forms them, multiplied out in the buffer
+    of E where Re E lies within +-700 and the product is finite, and in
+    log form (:func:`mul_exp`) otherwise.  Raises
+    :class:`HermiteOverflowError` if a modulus exceeds a double.
     """
-    total, log_h0 = hermite_series_parts(coef, z)
-    if np.all(np.abs(log_h0.real) <= 700):
-        out = np.exp(log_h0)
+    z = np.asarray(_check_finite(z), dtype=complex)
+    parts = _swept_parts(coef, z)
+    if parts is None:
+        return mul_exp(*_rescaled_series(coef, z))
+    # E's buffer then takes h_0(z) and the result
+    total, out, r = parts
+    # |Re z^2| <= r^2 settles the range test without a pass in most calls
+    if 0.5 * r * r - LOG_H0 <= 700 or np.all(np.abs(out.real) <= 700):
+        np.exp(out, out=out)
         with np.errstate(over="ignore", invalid="ignore"):
             out *= total
         if np.all(np.isfinite(out)):
             return out
-    return mul_exp(total, log_h0)
+    return mul_exp(total, LOG_H0 - 0.5 * z * z)
 
 
 def mul_exp(value, log_scale) -> np.ndarray:

@@ -64,7 +64,11 @@ resolution and no plane is flattened.  It takes F in split form P e^E
 (``eval_grid_parts``; for a basis image E = log damp - (z^2 + w^2)/4) and
 joins 2 Re E, the exponent yu - xv and the Gaussian of S in one real
 exponential, which is bounded, so the wide boxes of moderate t do not
-overflow.
+overflow.  On a trapezoid grid the same pass sums the nested rule of twice
+the step, and a norm that moves by more than 1e-2 between the two raises
+:class:`mehler.quadrature.QuadratureError`: the box grows with t while the
+integrand's ridges keep unit width, so a resolution fit for small t can be
+too coarse at large t.
 
 The calibration probes need no 4-D sum.  Each is a polynomial P in
 (x, y, u, v) times e^{-(z^2 + w^2)/4}, and that Gaussian's squared modulus
@@ -91,7 +95,7 @@ import numpy as np
 
 from .indices import MultiIndex, as_index, multi_indices, oscillator_eigenvalue
 from .kernels import _twisted_profile_jet, special_plain_bound, special_schwartz_bound
-from .quadrature import PlaneGrid, real_matmul
+from .quadrature import PlaneGrid, QuadratureError, real_matmul
 from .semigroup import CalibrationResult, EnvelopeReport, _mesh_blocks, envelope
 from .specfun import HermiteOverflowError, laguerre_ladder
 from .spectral import EntireHandle
@@ -901,34 +905,24 @@ def _weight_blocks(grid: PlaneGrid, t: float, m: int):
         yield mesh, a[rows, None, None, :], b[:, :, None], R
 
 
-def bergman_norm_special(
-    handle: EntireHandle,
-    t: float,
-    m: int,
-    grid: PlaneGrid,
-    kappa_star: float = 1.0,
-) -> float:
-    """kappa* int |F|^2 d^{2m}/dt^{2m} W_t over C^2 (n = 1 only).
+# largest move of the weighted norm at twice the step, relative to the sum
+# of its terms' moduli.  On the images of Phi_ab (a, b <= 2, m <= 2,
+# 0.25 <= t <= 1.5, default boxes) every grid within it gave the norm to
+# 2e-4, and those beyond it were off by 6e-5 up to 35%
+_HALF_STEP_TOL = 1e-2
 
-    The weight W_t(x, y, u, v) = 4 e^{yu - xv} S_m(y^2 + v^2) factors into
-    per-axis tables over (x, v), (y, u) and (y, v) (:func:`_weight_blocks`);
-    the jet for S_m runs on the (y, v) table alone.  With F = P e^E
-    (``handle.eval_grid_parts``), 2 Re E joins the exponents of e^{yu - xv}
-    and of the Gaussian of S_m in one real exponential, which for a twisted
-    image is bounded (e^{-(x + v)^2/2 - (u - y)^2/2 - (coth 2t - 1)(y^2 + v^2)}
-    times constants), so neither |F|^2 nor e^{yu} is formed and the wide
-    boxes of moderate t do not overflow.  The 4-dimensional quadrature is
-    summed over x-slices of the grid's open mesh, each at most 2^18 entries
-    (one x-node at least), in two block buffers reused across slices.  A
-    non-finite total raises :class:`HermiteOverflowError`.
+
+def _weighted_sums(handle: EntireHandle, t: float, m: int, grid: PlaneGrid):
+    """(sum, half-step sum, sum of moduli) of the quadrature terms of
+    int |F|^2 d^{2m}/dt^{2m} W_t over the grid, one x-slice of the open
+    mesh at a time in two block buffers reused across slices.
+
+    The half-step sum takes every second node of each axis from node 0 at
+    2^4 times its weight: on a trapezoid grid that is the rule of twice the
+    step up to the last node's weight, where the integrand has decayed.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if grid.ncoords != 2:
-        raise ValueError("need a two-coordinate grid over C^2")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    total = 0.0
+    total = half = size = 0.0
+    x0 = 0
     buf = None
     # a handle without a split form can pass the largest double in |F|^2;
     # that shows as a non-finite total
@@ -947,10 +941,62 @@ def bergman_norm_special(
             del P
             abs2 *= abs2
             abs2 *= expo
-            total += float(np.sum(abs2.sum(axis=(0, 2)) * R))
+            plane = abs2.sum(axis=(0, 2))
+            total += float(np.sum(plane * R))
+            size += float(np.sum(plane * np.abs(R)))
+            plane = abs2[x0 % 2 :: 2, ::2, ::2, ::2].sum(axis=(0, 2))
+            half += 16.0 * float(np.sum(plane * R[::2, ::2]))
+            x0 += abs2.shape[0]
+    return total, half, size
+
+
+def bergman_norm_special(
+    handle: EntireHandle,
+    t: float,
+    m: int,
+    grid: PlaneGrid,
+    kappa_star: float = 1.0,
+) -> float:
+    """kappa* int |F|^2 d^{2m}/dt^{2m} W_t over C^2 (n = 1 only).
+
+    The weight W_t(x, y, u, v) = 4 e^{yu - xv} S_m(y^2 + v^2) factors into
+    per-axis tables over (x, v), (y, u) and (y, v) (:func:`_weight_blocks`);
+    the jet for S_m runs on the (y, v) table alone.  With F = P e^E
+    (``handle.eval_grid_parts``), 2 Re E joins the exponents of e^{yu - xv}
+    and of the Gaussian of S_m in one real exponential, which for a twisted
+    image is bounded (e^{-(x + v)^2/2 - (u - y)^2/2 - (coth 2t - 1)(y^2 + v^2)}
+    times constants), so neither |F|^2 nor e^{yu} is formed and the wide
+    boxes of moderate t do not overflow.  The 4-dimensional quadrature is
+    summed over x-slices of the grid's open mesh, each at most 2^18 entries
+    (one x-node at least), in two block buffers reused across slices
+    (:func:`_weighted_sums`).  A non-finite total raises
+    :class:`HermiteOverflowError`.
+
+    On a trapezoid grid the same pass sums the nested rule of twice the
+    step.  Where the two differ by more than 1e-2 of the sum of the terms'
+    moduli, the step is too coarse for the integrand's ridges
+    (e^{-(x + v)^2/2} has unit width at every t, while the default box
+    grows with t), and :class:`mehler.quadrature.QuadratureError` is raised
+    rather than a wrong value returned.  Gauss-Legendre nodes do not nest,
+    so those grids go unchecked.
+    """
+    if t <= 0:
+        raise ValueError("t must be positive")
+    if grid.ncoords != 2:
+        raise ValueError("need a two-coordinate grid over C^2")
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    total, half, size = _weighted_sums(handle, t, m, grid)
     if not math.isfinite(total):
         raise HermiteOverflowError(
             "the weighted integrand exceeds the largest double on this grid"
+        )
+    move = abs(total - half)
+    if grid.kind == "trapezoid" and not move <= _HALF_STEP_TOL * size:
+        raise QuadratureError(
+            f"the weighted norm moves by {move:.3g} (terms of total size "
+            f"{size:.3g}) at twice the step: {grid.resolution} nodes per axis "
+            "are too few for this integrand on this box"
         )
     return kappa_star * total
 

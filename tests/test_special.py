@@ -30,7 +30,7 @@ from mehler import (
 )
 from mehler import semigroup, special
 from mehler.kernels import twisted_bergman_weight
-from mehler.quadrature import PlaneGrid, gauss_hermite_rule
+from mehler.quadrature import PlaneGrid, QuadratureError, gauss_hermite_rule
 from mehler.special import (
     GaussianImage,
     SpecialEigenHandle,
@@ -516,6 +516,35 @@ def test_norm_overflow_on_wide_boxes_is_named(t, m):
         warnings.simplefilter("error")
         with pytest.raises(special.HermiteOverflowError):
             bergman_norm_special(handle, t, m, grid)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("t, res", [(1.5, 64), (1.0, 32)])
+def test_eigen_norm_on_a_coarse_grid_is_named(t, res, m):
+    # the split form keeps these sums finite, but the step is too coarse for
+    # the unit-width ridges: the eigen handle's norm came back 14% (t = 1.5)
+    # and 1.7% (t = 1, resolution 32) off the isometry, with no warning
+    grid = default_special_grid(t, resolution=res)
+    handle = SpecialEigenHandle((0,), (m,), t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="twice the step"):
+            bergman_norm_special(handle, t, m, grid, 0.5)
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_half_step_sum_is_the_nested_trapezoid_rule(monkeypatch, m):
+    # at odd resolution every second node is the grid of twice the step;
+    # 5 x-nodes per block start blocks at odd and even x-nodes alike
+    monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", 5 * 33**3)
+    t = 0.4
+    fine = default_special_grid(t, resolution=33)
+    coarse = dataclasses.replace(fine, resolution=17)
+    handle = SpecialEigenHandle((2,), (1,), t)
+    total, half, size = special._weighted_sums(handle, t, m, fine)
+    want, _, want_size = special._weighted_sums(handle, t, m, coarse)
+    assert abs(half - want) <= 1e-13 * want_size
+    assert size >= abs(total) > 0.0
 
 
 def test_split_norm_on_wide_boxes_is_the_isometry():
