@@ -54,32 +54,23 @@ runs both relations under both signs of a and records which sign passes.
 Weighted norms on C^2 (n = 1) integrate against the 2m-th time derivative
 of the weight W_t(x, y, u, v) = 4 e^{yu - xv} S(y^2 + v^2), with S the
 (2 pi sinh 2t)^{-1}-normalized profile of
-:func:`mehler.kernels.twisted_weight_profile`.  The weight factors over
-coordinate pairs: the 4-D quadrature weight is the product of a (y, u), an
-(x, v) and a (y, v) table, so the time-derivative jet of S runs on the
-(y, v) table alone.  ``bergman_norm_special`` takes any handle, so it sums
-over x-slices of the grid's open mesh (the same blocks the envelope scan
-walks), each holding at most 2^18 entries, so memory stays bounded at any
-resolution and no plane is flattened.  It takes F in split form P e^E
-(``eval_grid_parts``; for a basis image E = log damp - (z^2 + w^2)/4) and
-joins 2 Re E, the exponent yu - xv and the Gaussian of S in one real
-exponential, which is bounded, so the wide boxes of moderate t do not
-overflow.  On a trapezoid grid the same pass sums the nested rule of twice
-the step, and a norm that moves by more than 1e-2 between the two raises
-:class:`mehler.quadrature.QuadratureError`: the box grows with t while the
-integrand's ridges keep unit width, so a resolution fit for small t can be
-too coarse at large t.
-
-The calibration probes need no 4-D sum.  Each is a polynomial P in
-(x, y, u, v) times e^{-(z^2 + w^2)/4}, and that Gaussian's squared modulus
-folds into W_t at m = 0 as a product of an (x, v) and a (y, u) table, each
-at most 1.  The probe integrals are then contractions of P conj(P') against
-two tables of monomial moments, each built by two matrix products over the
-grid's axes; nothing grows with res^4 and no exponent overflows on the wide
-boxes of moderate t.  The norms keep the sum over the mesh: a handle need
-not have a polynomial form.  :func:`default_special_grid` gives a trapezoid grid;
-the integrands are analytic with Gaussian decay, so the rule converges
-geometrically (Trefethen and Weideman, SIAM Review 56, 2014).
+:func:`mehler.kernels.twisted_weight_profile`.  The integrands are images
+of basis members, F = damp P e^{-(z^2 + w^2)/4} with P a polynomial in
+(x, y, u, v), and that Gaussian's squared modulus folds into W_t as an
+(x, v) table times a (y, u) table, each at most 1, beside the jet of S on
+the (y, v) table.  The calibration probes and the norms both contract P's
+coefficients against monomial moments of the two folded tables
+(``_folded_tables``): the calibration over all four axes, the norm over x
+and u, which leaves a (y, v) plane to meet the jet.  Nothing grows with
+res^4 and no exponent overflows on the wide boxes of moderate t.  On a
+trapezoid grid the norm also sums the nested rule of twice the step, from
+the same tables on every second node, and a norm that moves by more than
+1e-2 between the two raises :class:`mehler.quadrature.QuadratureError`:
+the box grows with t while the integrand's ridges keep unit width, so a
+resolution fit for small t can be too coarse at large t.
+:func:`default_special_grid` gives a trapezoid grid; the integrands are
+analytic with Gaussian decay, so the rule converges geometrically
+(Trefethen and Weideman, SIAM Review 56, 2014).
 
 Twisted heat images are :class:`mehler.spectral.EntireHandle` objects on
 C^2, evaluated by ``eval_grid(X, Y, U, V)`` on broadcastable real arrays;
@@ -96,7 +87,7 @@ import numpy as np
 from .indices import MultiIndex, as_index, multi_indices, oscillator_eigenvalue
 from .kernels import _twisted_profile_jet, special_plain_bound, special_schwartz_bound
 from .quadrature import PlaneGrid, QuadratureError, real_matmul
-from .semigroup import CalibrationResult, EnvelopeReport, _mesh_blocks, envelope
+from .semigroup import CalibrationResult, EnvelopeReport, envelope
 from .specfun import HermiteOverflowError, laguerre_ladder
 from .spectral import EntireHandle
 
@@ -381,7 +372,9 @@ class GaussianImage:
 
 
 def twisted_eval(f, X, U):
-    """Values of f at real phase-space points (vectorized)."""
+    """Values of f at phase-space points (vectorized): real, or complex
+    for the entire continuation of a closed form, a basis member or an
+    entire callable."""
     X = np.asarray(X)
     U = np.asarray(U)
     if isinstance(f, SpecialHermiteBasis):
@@ -398,16 +391,6 @@ def twisted_eval(f, X, U):
     if callable(f):
         return f(X, U)
     raise TypeError(f"cannot evaluate {type(f).__name__}")
-
-
-def twisted_eval_entire(g, Z, W):
-    """Values of g (a closed form, a basis member or an entire callable) at
-    complexified phase-space points."""
-    if isinstance(g, (Gaussian2n, PolyGaussian2n, SpecialHermiteBasis)):
-        return twisted_eval(g, np.asarray(Z, dtype=complex), np.asarray(W, dtype=complex))
-    if callable(g):
-        return g(np.asarray(Z, dtype=complex), np.asarray(W, dtype=complex))
-    raise TypeError(f"cannot evaluate {type(g).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +438,7 @@ def twisted_conv(f, g, z, w, grid: PlaneGrid):
     else:
         X, U, Wt = grid.nodes()
         fv = Wt * twisted_eval(f, X, U)
-        gv = twisted_eval_entire(g, zs - X, ws - U)
+        gv = twisted_eval(g, zs - X, ws - U)
         phase = np.exp(-0.5j * (X * ws - zs * U))
         vals = np.sum(fv * gv * phase, axis=1)
     return complex(vals[0]) if not shape else vals.reshape(shape)
@@ -781,7 +764,8 @@ def composed_intertwine_residual(
 
 @dataclass(frozen=True)
 class SpecialEigenHandle(EntireHandle):
-    """Twisted heat image of a basis member: e^{-(2|b|+n)t} Phi_ab."""
+    """Twisted heat image of a basis member: e^{-(2|b|+1)t} Phi_ab on C^2
+    (n = 1; its grids are the four real axes of one (z, w) pair)."""
 
     alpha: MultiIndex
     beta: MultiIndex
@@ -790,6 +774,8 @@ class SpecialEigenHandle(EntireHandle):
     def __post_init__(self):
         object.__setattr__(self, "alpha", as_index(self.alpha))
         object.__setattr__(self, "beta", as_index(self.beta))
+        if len(self.alpha) != 1 or len(self.beta) != 1:
+            raise ValueError("alpha and beta must be one-dimensional (n = 1)")
         if self.time <= 0:
             raise ValueError("time must be positive")
 
@@ -817,7 +803,6 @@ class ClosedFormSpecialHandle(EntireHandle):
     """Wraps a vectorized closed form fn(Z, W) on C^2."""
 
     fn: object
-    label: str = ""
 
     def eval_grid(self, X, Y, U, V) -> np.ndarray:
         return self.fn(np.asarray(X) + 1j * np.asarray(Y), np.asarray(U) + 1j * np.asarray(V))
@@ -829,7 +814,7 @@ def special_image_handle(f, t: float) -> EntireHandle:
     if isinstance(f, SpecialHermiteBasis):
         return SpecialEigenHandle(f.alpha, f.beta, t)
     if isinstance(f, Gaussian2n):
-        return ClosedFormSpecialHandle(GaussianImage(f.a, t), label="gaussian-image")
+        return ClosedFormSpecialHandle(GaussianImage(f.a, t))
     raise ValueError(
         "4-D scans support basis members and Gaussians; other members are "
         "available pointwise through special_semigroup_apply"
@@ -858,51 +843,31 @@ def default_special_grid(t: float = 0.4, resolution: int = 40, drop: float = 1e-
     return PlaneGrid(boxes=(box_z, box_w), resolution=resolution, kind="trapezoid")
 
 
-def _folded_moments(grid: PlaneGrid, t: float, n: int):
-    """Moment matrices of the folded weight over the grid's nodes (n = 1).
+def _folded_tables(grid: PlaneGrid, t: float, n: int, step: int = 1):
+    """The probe Gaussian folded into W_t, as moment tables over x and u
+    (n = 1).
 
-    With c = coth 2t, the probe Gaussian |e^{-(z^2 + w^2)/4}|^2 times W_t
-    is 4 (2 pi sinh 2t)^{-1} A(x, v) B(y, u) with
-    A = e^{-(x + v)^2/2 - (c - 1) v^2} and B = e^{-(u - y)^2/2 - (c - 1) y^2},
-    both at most 1.  The tables a[p, s] = sum x^p v^s A w_x w_v and
-    b[q, r] = sum y^q u^r B w_y w_u (powers below 2n - 1) come out as
-    ma[(p, s), (p', s')] = a[p + p', s + s'] and mb[(q, r), (q', r')] =
-    b[q + q', r + r'], the constant joining ma.
+    With c = coth 2t, |e^{-(z^2 + w^2)/4}|^2 times d^{2m}/dt^{2m} W_t is
+    4 A(x, v) B(y, u) R_m(y^2 + v^2) with A = e^{-(x + v)^2/2 - (c - 1) v^2},
+    B = e^{-(u - y)^2/2 - (c - 1) y^2}, both at most 1, and R_m the
+    polynomial of :func:`mehler.kernels._twisted_profile_jet`.  Returns
+    alpha[k, v] = sum_x w_x x^k A(x, v) and beta[k, y] = sum_u w_u u^k
+    B(y, u) for k < 2n - 1, with the (y, w_y) and (v, w_v) axes they are
+    tabled on.  ``step = 2`` takes every second node of each axis at twice
+    its weight: on a trapezoid grid, the rule of twice the step.
     """
-    (x, wx), (y, wy), (u, wu), (v, wv) = (grid.axis(k) for k in range(4))
+    if grid.ncoords != 2:
+        raise ValueError("need a two-coordinate grid over C^2")
+    (x, wx), (y, wy), (u, wu), (v, wv) = (
+        (nodes[::step], step * weights[::step]) for nodes, weights in map(grid.axis, range(4))
+    )
     g = 2.0 / math.expm1(4 * t)  # coth 2t - 1
     A = np.exp(-0.5 * np.add.outer(x, v) ** 2 - g * v**2)
-    B = np.exp(-0.5 * np.subtract.outer(y, u) ** 2 - g * (y**2)[:, None])
+    B = np.exp(-0.5 * np.subtract.outer(u, y) ** 2 - g * y**2)
     powers = np.arange(2 * n - 1)
-
-    def moments(left, wl, table, right, wr):
-        weighted = wl[:, None] * table * wr
-        return (left[:, None] ** powers).T @ weighted @ (right[:, None] ** powers)
-
-    a = 4.0 / (2.0 * math.pi * math.sinh(2 * t)) * moments(x, wx, A, v, wv)
-    b = moments(y, wy, B, u, wu)
-    i, j = np.divmod(np.arange(n * n), n)
-    rows, cols = np.add.outer(i, i), np.add.outer(j, j)
-    return a[rows, cols], b[rows, cols]
-
-
-def _weight_blocks(grid: PlaneGrid, t: float, m: int):
-    """(coordinates, a, b, R) over the blocks of
-    :func:`mehler.semigroup._mesh_blocks`, dimension 1.
-
-    The quadrature weight times d^{2m}/dt^{2m} W_t on a block's open mesh,
-    shaped (x-nodes, y, u, v), is e^{a + b} R: with c = coth 2t,
-    a = log(w_x w_v) - xv - c v^2 on (x, v) and b = log(4 w_y w_u) + yu -
-    c y^2 on (y, u), broadcast against the block, and R = e^{cq} S_m(q)
-    (q = y^2 + v^2) the polynomial the jet leaves on the (y, v) table.
-    """
-    (x, wx), (y, wy), (u, wu), (v, wv) = (grid.axis(k) for k in range(4))
-    c = 1.0 / math.tanh(2 * t)
-    a = np.log(np.multiply.outer(wx, wv)) - np.multiply.outer(x, v) - c * v * v
-    b = np.log(4.0 * np.multiply.outer(wy, wu)) + np.multiply.outer(y, u) - c * (y * y)[:, None]
-    R = _twisted_profile_jet(t, m, np.add.outer(y * y, v * v))
-    for rows, mesh in _mesh_blocks(grid):
-        yield mesh, a[rows, None, None, :], b[:, :, None], R
+    alpha = real_matmul((wx[:, None] * x[:, None] ** powers).T, A)
+    beta = real_matmul((wu[:, None] * u[:, None] ** powers).T, B)
+    return alpha, beta, (y, wy), (v, wv)
 
 
 # largest move of the weighted norm at twice the step, relative to the sum
@@ -912,81 +877,78 @@ def _weight_blocks(grid: PlaneGrid, t: float, m: int):
 _HALF_STEP_TOL = 1e-2
 
 
-def _weighted_sums(handle: EntireHandle, t: float, m: int, grid: PlaneGrid):
+def _plane_sums(handle: SpecialEigenHandle, t: float, m: int, grid: PlaneGrid):
     """(sum, half-step sum, sum of moduli) of the quadrature terms of
-    int |F|^2 d^{2m}/dt^{2m} W_t over the grid, one x-slice of the open
-    mesh at a time in two block buffers reused across slices.
+    int |F|^2 d^{2m}/dt^{2m} W_t over the grid.
 
+    Summed over x and u, the terms of |P|^2 A B are the (y, v) plane
+    sum PP[j, q, l, s] y^q beta[l, y] alpha[j, v] v^s w_y w_v over the
+    coefficients PP of |P|^2 and the tables of :func:`_folded_tables`: two
+    real matrix products.  The plane meets the jet R_m on the (y, v) table.
     The half-step sum takes every second node of each axis from node 0 at
     2^4 times its weight: on a trapezoid grid that is the rule of twice the
     step up to the last node's weight, where the integrand has decayed.
     """
-    total = half = size = 0.0
-    x0 = 0
-    buf = None
-    # a handle without a split form can pass the largest double in |F|^2;
-    # that shows as a non-finite total
-    with np.errstate(over="ignore", invalid="ignore"):
-        for mesh, a, b, R in _weight_blocks(grid, t, m):
-            P, E = handle.eval_grid_parts(*mesh)
-            if buf is None:
-                buf = np.empty((2, P.size))
-            expo, abs2 = (row[: P.size].reshape(P.shape) for row in buf)
-            np.multiply(np.real(E), 2.0, out=expo)
-            del E
-            expo += a
-            expo += b
-            np.exp(expo, out=expo)
-            np.abs(P, out=abs2)
-            del P
-            abs2 *= abs2
-            abs2 *= expo
-            plane = abs2.sum(axis=(0, 2))
-            total += float(np.sum(plane * R))
-            size += float(np.sum(plane * np.abs(R)))
-            plane = abs2[x0 % 2 :: 2, ::2, ::2, ::2].sum(axis=(0, 2))
-            half += 16.0 * float(np.sum(plane * R[::2, ::2]))
-            x0 += abs2.shape[0]
-    return total, half, size
+    a, b = handle.alpha[0], handle.beta[0]
+    k = 2 * (abs(a - b) + 2 * min(a, b)) + 1  # powers of |P|^2 per variable
+    P = _phi1_poly(a, b, k)
+    PP = _times(P, {idx: np.conj(P[idx]) for idx in zip(*np.nonzero(P))}).real
+    middle = PP.transpose(1, 2, 0, 3).reshape(k * k, k * k)
+    powers = np.arange(k)
+    sums = []
+    for step in (1, 2):
+        alpha, beta, (y, wy), (v, wv) = _folded_tables(grid, t, (k + 1) // 2, step)
+        left = (y[:, None, None] ** powers[:, None] * beta.T[:, None, :]).reshape(len(y), -1)
+        right = (alpha[:, None, :] * v ** powers[:, None]).reshape(-1, len(v))
+        plane = wy[:, None] * real_matmul(real_matmul(left, middle), right) * wv
+        R = _twisted_profile_jet(t, m, np.add.outer(y * y, v * v))
+        sums.append((float(np.sum(plane * R)), float(np.sum(plane * np.abs(R)))))
+    (total, size), (half, _) = sums
+    scale = 4.0 * handle._damp() ** 2
+    return scale * total, scale * half, scale * size
 
 
 def bergman_norm_special(
-    handle: EntireHandle,
+    handle: SpecialEigenHandle,
     t: float,
     m: int,
     grid: PlaneGrid,
     kappa_star: float = 1.0,
 ) -> float:
-    """kappa* int |F|^2 d^{2m}/dt^{2m} W_t over C^2 (n = 1 only).
+    """kappa* int |F|^2 d^{2m}/dt^{2m} W_t over C^2 (n = 1 only), for F the
+    twisted heat image of a basis member (a :class:`SpecialEigenHandle`;
+    any other handle raises ``TypeError``).
 
-    The weight W_t(x, y, u, v) = 4 e^{yu - xv} S_m(y^2 + v^2) factors into
-    per-axis tables over (x, v), (y, u) and (y, v) (:func:`_weight_blocks`);
-    the jet for S_m runs on the (y, v) table alone.  With F = P e^E
-    (``handle.eval_grid_parts``), 2 Re E joins the exponents of e^{yu - xv}
-    and of the Gaussian of S_m in one real exponential, which for a twisted
-    image is bounded (e^{-(x + v)^2/2 - (u - y)^2/2 - (coth 2t - 1)(y^2 + v^2)}
-    times constants), so neither |F|^2 nor e^{yu} is formed and the wide
-    boxes of moderate t do not overflow.  The 4-dimensional quadrature is
-    summed over x-slices of the grid's open mesh, each at most 2^18 entries
-    (one x-node at least), in two block buffers reused across slices
-    (:func:`_weighted_sums`).  A non-finite total raises
-    :class:`HermiteOverflowError`.
+    F = damp P e^{-(z^2 + w^2)/4} with P a polynomial (:func:`_phi1_poly`),
+    and the Gaussian's squared modulus folds into W_t as an (x, v) and a
+    (y, u) table, each at most 1, beside the jet R_m on the (y, v) table
+    (:func:`_folded_tables`, shared with the calibration).  The integral is
+    then the sum over the (y, v) table of R_m times a (y, v) plane that
+    contracts the coefficients of |P|^2 against monomial moments of the
+    two folded tables (:func:`_plane_sums`).  Nothing spans more
+    than one axis pair, so memory stays at a few (y, v) tables at any
+    resolution, and no exponent overflows on the wide boxes of moderate t.
+    A non-finite total raises :class:`HermiteOverflowError`.
 
-    On a trapezoid grid the same pass sums the nested rule of twice the
+    The same tables on every second node sum the nested rule of twice the
     step.  Where the two differ by more than 1e-2 of the sum of the terms'
     moduli, the step is too coarse for the integrand's ridges
     (e^{-(x + v)^2/2} has unit width at every t, while the default box
     grows with t), and :class:`mehler.quadrature.QuadratureError` is raised
-    rather than a wrong value returned.  Gauss-Legendre nodes do not nest,
-    so those grids go unchecked.
+    on a trapezoid grid rather than a wrong value returned.
+    Gauss-Legendre nodes do not nest, so those grids go unchecked.
     """
+    if not isinstance(handle, SpecialEigenHandle):
+        raise TypeError(
+            f"the twisted norm takes a SpecialEigenHandle, not {type(handle).__name__}"
+        )
     if t <= 0:
         raise ValueError("t must be positive")
     if grid.ncoords != 2:
         raise ValueError("need a two-coordinate grid over C^2")
     if m < 0:
         raise ValueError("m must be >= 0")
-    total, half, size = _weighted_sums(handle, t, m, grid)
+    total, half, size = _plane_sums(handle, t, m, grid)
     if not math.isfinite(total):
         raise HermiteOverflowError(
             "the weighted integrand exceeds the largest double on this grid"
@@ -1015,12 +977,14 @@ def calibrate_weight_special(
     The sums are those of the grid's 4-D quadrature, in another order.  A
     probe is P e^{-(z^2 + w^2)/4} with P a polynomial (:func:`_phi1_poly`),
     and the Gaussian's squared modulus folds into W_t as a product of an
-    (x, v) and a (y, u) table (:func:`_folded_moments`).  So each integral
-    of P conj(Q) is sum P[p, q, r, s] conj(Q)[p', q', r', s']
-    a[p + p', s + s'] b[q + q', r + r'] over the tables' monomial moments a
-    and b.  That is two matrix products per table and coefficient matrices
-    with (degree + 1)^2 rows; no array spans the 4-D mesh, and the folded
-    tables are at most 1, so nothing overflows on wide boxes.
+    (x, v) and a (y, u) table (:func:`_folded_tables`, shared with the
+    norm).  So each integral of P conj(Q) is sum P[p, q, r, s]
+    conj(Q)[p', q', r', s'] a[p + p', s + s'] b[q + q', r + r'] over the
+    monomial moments a[p, s] = sum_v alpha[p, v] v^s w_v (times the
+    constant) and b[q, r] = sum_y y^q beta[r, y] w_y of those tables.  That is one matrix
+    product per table and coefficient matrices with (degree + 1)^2 rows; no
+    array spans the 4-D mesh, and the folded tables are at most 1, so
+    nothing overflows on wide boxes.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -1033,7 +997,16 @@ def calibrate_weight_special(
         raise ValueError("calibration probes are one-dimensional (n = 1)")
 
     n = 1 + max(abs(a[0] - b[0]) + 2 * min(a[0], b[0]) for a, b in pairs)
-    ma, mb = _folded_moments(grid, t, n)
+    alpha, beta, (y, wy), (v, wv) = _folded_tables(grid, t, n)
+    powers = np.arange(2 * n - 1)
+    const = 4.0 / (2.0 * math.pi * math.sinh(2 * t))
+    xv = const * (alpha @ (wv[:, None] * v[:, None] ** powers))
+    yu = (wy[:, None] * y[:, None] ** powers).T @ beta.T
+    # the moments of the (x, v) pairs (p, s), (p', s') and of the (y, u)
+    # pairs (q, r), (q', r')
+    i, j = np.divmod(np.arange(n * n), n)
+    rows, cols = np.add.outer(i, i), np.add.outer(j, j)
+    ma, mb = xv[rows, cols], yu[rows, cols]
     # P[p, q, r, s] as a matrix over (p, s) by (q, r), the index pairs of
     # the (x, v) and (y, u) moment tables
     polys = [

@@ -44,7 +44,6 @@ from mehler.special import (
     heat_profile,
     laguerre_profile,
     twisted_eval,
-    twisted_eval_entire,
 )
 from mehler.spectral import ClosedFormHandle, EntireHandle
 from mehler.stft import _StftHandle
@@ -128,7 +127,7 @@ def _dense_conv(f, g, z, w, grid):
     the moduli of its terms."""
     X, U, Wt = grid.nodes()
     terms = (
-        Wt * twisted_eval(f, X, U) * twisted_eval_entire(g, z - X, w - U)
+        Wt * twisted_eval(f, X, U) * twisted_eval(g, z - X, w - U)
         * np.exp(-0.5j * (X * w - z * U))
     )
     return terms.sum(), np.abs(terms).sum()

@@ -32,10 +32,11 @@ from mehler import semigroup, special
 from mehler.kernels import twisted_bergman_weight
 from mehler.quadrature import PlaneGrid, QuadratureError, gauss_hermite_rule
 from mehler.special import (
+    ClosedFormSpecialHandle,
     GaussianImage,
     SpecialEigenHandle,
     special_hermite_matrix,
-    twisted_eval_entire,
+    twisted_eval,
 )
 from mehler.specfun import hermite_eval
 
@@ -286,16 +287,6 @@ def test_twisted_sobolev_identity(grid4, kappa_star):
     assert val == pytest.approx(36.0, rel=1e-3)
 
 
-def test_twisted_norm_zero_function(grid4):
-    from mehler.special import ClosedFormSpecialHandle
-
-    zero = ClosedFormSpecialHandle(
-        fn=lambda Z, W: np.zeros(np.broadcast(Z, W).shape, dtype=complex),
-        label="zero",
-    )
-    assert bergman_norm_special(zero, 0.4, 0, grid4) == 0.0
-
-
 def test_calibration_rejects_empty_pairs(grid4):
     with pytest.raises(ValueError, match="pairs"):
         calibrate_weight_special(0.4, [], grid4)
@@ -322,51 +313,6 @@ def _dense_weight(t, m, grid):
     return wz[:, None] * twisted_bergman_weight(t, m, Z[:, None], W[None, :]) * ww[None, :]
 
 
-@pytest.mark.parametrize(
-    "t, m, entries",
-    [(t, m, None) for t in (0.25, 0.6) for m in (0, 1, 2)] + [(0.6, 2, 5 * 48**3)],
-)
-def test_weight_blocks_match_pointwise_weight(monkeypatch, t, m, entries):
-    # the default budget gives 24 blocks of 2 x-nodes at resolution 48;
-    # 5 x-nodes per block leaves a ragged last block of 3
-    if entries is not None:
-        monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", entries)
-    grid = default_special_grid(t, resolution=48)
-    (x, wx), (y, wy), (u, wu), (v, wv) = (grid.axis(k) for k in range(4))
-    # e^{yu} e^{-xv} against e^{yu - xv}: both round the exponent, whose
-    # terms reach |yu| + |xv|; subnormal entries keep only absolute accuracy
-    reach = 2 * max(abs(y).max() * abs(u).max(), 1.0)
-    rtol = 4 * reach * np.finfo(float).eps
-    atol = np.finfo(float).tiny
-    blocks = list(special._weight_blocks(grid, t, m))
-    assert len(blocks) > 2
-    stop = 0
-    for (X, Y, U, V), a, b, R in blocks:
-        # the weight is e^{a + b} R, its exponents and jet on per-axis tables
-        assert a.shape == (X.size, 1, 1, 48) and b.shape == (48, 48, 1)
-        assert R.shape == (48, 48)
-        block = np.exp(a + b) * R[:, None, :]
-        # the open mesh of the four axes, cut along x in order
-        rows = slice(stop, stop + X.size)
-        assert X.shape == (X.size, 1, 1, 1) and np.array_equal(X.ravel(), x[rows])
-        for axis, c in ((1, Y), (2, U), (3, V)):
-            assert c.shape[axis] == c.size == 48
-        assert np.array_equal(Y.ravel(), y)
-        assert np.array_equal(U.ravel(), u) and np.array_equal(V.ravel(), v)
-        assert block.shape == (X.size, 48, 48, 48)
-        assert block.size <= max(semigroup._BLOCK_ENTRIES, 48**3)
-        ref = (
-            wx[rows, None, None, None] * wy[:, None, None]
-            * twisted_bergman_weight(t, m, X + 1j * Y, U + 1j * V)
-            * wu[:, None] * wv
-        )
-        np.testing.assert_allclose(block, ref, rtol=rtol, atol=atol)
-        stop = rows.stop
-    assert stop == 48
-    if entries is not None:
-        assert blocks[-1][0][0].size == 3
-
-
 def _dense_calibration(t, pairs, grid):
     Z, _, W, _ = _grid_planes(grid)
     weight = _dense_weight(t, 0, grid)
@@ -377,10 +323,6 @@ def _dense_calibration(t, pairs, grid):
     }
     off = [abs(np.sum(mats[0] * np.conj(F) * weight)) for F in mats[1:3]]
     return ratios, max(off, default=0.0), max(raw)
-
-
-# 5 x-nodes per block at resolution 32: six blocks and a ragged last one of 2
-_RAGGED = 5 * 32**3
 
 
 @pytest.mark.parametrize(
@@ -414,19 +356,27 @@ def test_calibration_matches_dense_reference(grid4, pairs, t, kind):
         assert cal.max_offdiagonal == 0.0
 
 
-@pytest.mark.parametrize("m", [0, 1], ids=["m0", "m1"])
-def test_blocked_norm_matches_dense_reference(monkeypatch, grid4, m):
-    # the calibration no longer walks the 4-D mesh, but the norm does: with
-    # 5 x-nodes per block its last block is ragged
-    monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", _RAGGED)
-    blocks = [rows for rows, _ in semigroup._mesh_blocks(grid4)]
-    assert len(blocks) == 7 and blocks[-1] == slice(30, 32)
-    t = 0.4
-    handle = SpecialEigenHandle((1,), (2,), t)
-    Z, _, W, _ = _grid_planes(grid4)
+def _dense_norm_terms(handle, t, m, grid):
+    """|F|^2 times the quadrature weights and d^{2m}/dt^{2m} W_t, on the
+    whole 4-D product of the grid's planes."""
+    Z, _, W, _ = _grid_planes(grid)
     F = handle.eval_grid(Z.real[:, None], Z.imag[:, None], W.real[None, :], W.imag[None, :])
-    terms = np.abs(F) ** 2 * _dense_weight(t, m, grid4)
-    got = bergman_norm_special(handle, t, m, grid4)
+    return np.abs(F) ** 2 * _dense_weight(t, m, grid)
+
+
+@pytest.mark.parametrize(
+    "m, kind",
+    [(0, "trapezoid"), (1, "trapezoid"), (1, "gauss-legendre")],
+    ids=["m0", "m1", "m1-gauss-legendre"],
+)
+def test_blocked_norm_matches_dense_reference(grid4, m, kind):
+    # the folded tables sum the dense quadrature's terms in another order;
+    # the default grid is trapezoid, so keep the other rule covered
+    t = 0.4
+    grid = dataclasses.replace(grid4, kind=kind)
+    handle = SpecialEigenHandle((1,), (2,), t)
+    terms = _dense_norm_terms(handle, t, m, grid)
+    got = bergman_norm_special(handle, t, m, grid)
     assert abs(got - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
 
 
@@ -450,21 +400,28 @@ def test_probe_polynomial_matches_closed_form():
 
 
 def test_calibration_sweeps_no_four_dimensional_mesh(monkeypatch):
-    # at resolution 128 the 4-D mesh holds 268 M nodes; the calibration
-    # contracts per-axis moment tables and evaluates no probe on it
+    # at resolution 128 the 4-D mesh holds 268 M nodes; the calibration and
+    # the norms contract per-axis moment tables and evaluate nothing on it
     def refuse(*args, **kwargs):
-        raise AssertionError("the calibration walked the 4-D mesh")
+        raise AssertionError("the 4-D mesh was walked")
 
     for module, name in [
         (special, "special_hermite_eval"),
         (special, "_phi1"),
-        (special, "_weight_blocks"),
-        (special, "_mesh_blocks"),
         (semigroup, "_mesh_blocks"),
+        (SpecialEigenHandle, "eval_grid"),
+        (SpecialEigenHandle, "eval_grid_parts"),
     ]:
         monkeypatch.setattr(module, name, refuse)
-    cal = calibrate_weight_special(0.4, None, default_special_grid(0.4, resolution=128))
-    assert abs(cal.kappa - 0.5) <= 1e-12
+    t = 0.4
+    grid = default_special_grid(t, resolution=128)
+    kappa = calibrate_weight_special(t, None, grid).kappa
+    assert abs(kappa - 0.5) <= 1e-12
+    # Thm 3.1 and 3.2 on Phi_01: eigenvalue 3, so the order-m norm is 6^{2m}
+    # (m = 2 reads 1.1e-10 off, as the mesh sum did at resolutions 32-64)
+    for m in (0, 1, 2):
+        val = bergman_norm_special(SpecialEigenHandle((0,), (1,), t), t, m, grid, kappa)
+        assert val == pytest.approx(36.0**m, rel=1e-9)
 
 
 @pytest.mark.parametrize("t", [0.0, -0.4])
@@ -492,6 +449,34 @@ def test_twisted_norm_rejects_non_positive_t(grid4, t):
         bergman_norm_special(handle, t, 0, grid4)
 
 
+def test_twisted_norm_takes_eigen_handles_only(grid4):
+    # the norm folds the Gaussian of Phi_ab into the weight; a handle with
+    # no polynomial form is refused, not summed over the mesh
+    zero = ClosedFormSpecialHandle(lambda Z, W: np.zeros(np.broadcast(Z, W).shape, complex))
+    with pytest.raises(TypeError, match="SpecialEigenHandle"):
+        bergman_norm_special(zero, 0.4, 0, grid4)
+
+
+def test_eigen_handle_rejects_n_above_one():
+    # its grids are the four real axes of one (z, w) pair; at n = 2 it used
+    # to drop the second coordinate pair without a word
+    for alpha, beta in [((0, 0), (0, 0)), ((1,), (0, 0)), ((0, 1), (2,))]:
+        with pytest.raises(ValueError, match="one-dimensional"):
+            SpecialEigenHandle(alpha, beta, 0.4)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        special_envelope(SpecialHermiteBasis((0, 0), (0, 0)), 0.4, 0, _env_grid())
+
+
+@pytest.mark.parametrize("call", ["calibrate", "norm"])
+def test_weighted_integrals_need_two_coordinates(call):
+    grid = PlaneGrid(((-6.0, 6.0, -6.0, 6.0),), 32, "trapezoid")
+    with pytest.raises(ValueError, match="two-coordinate grid over C\\^2"):
+        if call == "calibrate":
+            calibrate_weight_special(0.4, None, grid)
+        else:
+            bergman_norm_special(SpecialEigenHandle((0,), (0,), 0.4), 0.4, 0, grid)
+
+
 def test_calibration_at_moderate_t():
     # the probe Gaussian folded into the weight keeps every table <= 1, so
     # the wide boxes at t = 1 neither overflow nor warn
@@ -499,23 +484,6 @@ def test_calibration_at_moderate_t():
         warnings.simplefilter("error")
         cal = calibrate_weight_special(1.0, None, default_special_grid(1.0, resolution=64))
     assert abs(cal.kappa / 0.5 - 1.0) <= 1e-7
-
-
-@pytest.mark.parametrize("m", [0, 1])
-@pytest.mark.parametrize("t", [1.0, 1.5])
-def test_norm_overflow_on_wide_boxes_is_named(t, m):
-    # a handle with no split form hands the norm F itself: at t = 1 |F|^2
-    # passes the largest double on the default box, at t = 1.5 so does
-    # Phi_00.  Both used to come back as NaN
-    grid = default_special_grid(t, resolution=64)
-    eigen = SpecialEigenHandle((0,), (0,), t)
-    handle = special.ClosedFormSpecialHandle(
-        fn=lambda Z, W: eigen.eval_grid(Z.real, Z.imag, W.real, W.imag), label="dense"
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(special.HermiteOverflowError):
-            bergman_norm_special(handle, t, m, grid)
 
 
 @pytest.mark.parametrize("m", [0, 1])
@@ -533,16 +501,14 @@ def test_eigen_norm_on_a_coarse_grid_is_named(t, res, m):
 
 
 @pytest.mark.parametrize("m", [0, 2])
-def test_half_step_sum_is_the_nested_trapezoid_rule(monkeypatch, m):
-    # at odd resolution every second node is the grid of twice the step;
-    # 5 x-nodes per block start blocks at odd and even x-nodes alike
-    monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", 5 * 33**3)
+def test_half_step_sum_is_the_nested_trapezoid_rule(m):
+    # at odd resolution every second node is the grid of twice the step
     t = 0.4
     fine = default_special_grid(t, resolution=33)
     coarse = dataclasses.replace(fine, resolution=17)
     handle = SpecialEigenHandle((2,), (1,), t)
-    total, half, size = special._weighted_sums(handle, t, m, fine)
-    want, _, want_size = special._weighted_sums(handle, t, m, coarse)
+    total, half, size = special._plane_sums(handle, t, m, fine)
+    want, _, want_size = special._plane_sums(handle, t, m, coarse)
     assert abs(half - want) <= 1e-13 * want_size
     assert size >= abs(total) > 0.0
 
@@ -589,21 +555,22 @@ def test_under_resolved_calibration_fails_loudly(t):
 
 
 @pytest.mark.parametrize(
-    "ab, entries",
-    [(((0,), (1,)), None), (((2,), (1,)), None), (((2,), (1,)), _RAGGED)],
-    ids=["ab0", "ab1", "ragged"],
+    "ab, kind",
+    [
+        (((0,), (1,)), "trapezoid"),
+        (((2,), (1,)), "trapezoid"),
+        (((2,), (1,)), "gauss-legendre"),
+    ],
+    ids=["ab0", "ab1", "ab1-gauss-legendre"],
 )
-def test_order_two_norm_matches_dense_reference(monkeypatch, grid4, ab, entries):
-    if entries is not None:
-        monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", entries)
+def test_order_two_norm_matches_dense_reference(grid4, ab, kind):
     t = 0.4
-    Z, _, W, _ = _grid_planes(grid4)
+    grid = dataclasses.replace(grid4, kind=kind)
     handle = SpecialEigenHandle(*ab, t)
-    F = handle.eval_grid(Z.real[:, None], Z.imag[:, None], W.real[None, :], W.imag[None, :])
-    terms = np.abs(F) ** 2 * _dense_weight(t, 2, grid4)
+    terms = _dense_norm_terms(handle, t, 2, grid)
     # the order-2 weight changes sign, so judge the two summation orders
     # against the sum of |terms|
-    got = bergman_norm_special(handle, t, 2, grid4)
+    got = bergman_norm_special(handle, t, 2, grid)
     assert abs(got - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
 
 
@@ -686,5 +653,5 @@ def test_entire_evaluation_consistency(tw_grid):
     v = special_hermite_eval((1,), (1,), z, w)
     v_conj = special_hermite_eval((1,), (1,), np.conj(z), np.conj(w))
     assert abs(np.conj(v) - v_conj) < 1e-12
-    g = twisted_eval_entire(Gaussian2n(2.0), np.array([z]), np.array([w]))
+    g = twisted_eval(Gaussian2n(2.0), np.array([z]), np.array([w]))
     assert g[0] == pytest.approx(np.exp(-1.0 * (z * z + w * w)), rel=1e-12)
