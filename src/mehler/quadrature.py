@@ -1,10 +1,21 @@
 """Quadrature rules and grids for R^n, C^n and C^{2n} integrals.
 
-Gauss-Hermite rules handle integrals over R^n of Gaussian-decay integrands
-(the weight compensation factor exp(+x^2) is applied to samples).  Plane
-integrals over C^n ~ R^{2n} use tensor-product Gauss-Legendre (optionally
-trapezoid) rules on truncated boxes sized from the integrand's Gaussian
-decay rate; truncation error is then certifiable a priori.
+Gauss-Hermite rules handle integrals over R^n of Gaussian-decay integrands.
+Plane integrals over C^n ~ R^{2n} use tensor-product Gauss-Legendre
+(optionally trapezoid) rules on truncated boxes sized from the integrand's
+Gaussian decay rate; truncation error is then certifiable a priori.
+
+Both Gauss rules come from their three-term recurrences: Newton's method
+on the nonnegative nodes, started from asymptotic zeros, then mirrored
+(Golub & Welsch, "Calculation of Gauss quadrature rules", 1969, for the
+weights; Hale & Townsend, SIAM J. Sci. Comput. 35, 2013, for Newton from
+asymptotic starts).  No eigen-solve is needed, so building a rule makes no
+LAPACK call and wakes no BLAS thread pool; the work is O(q^2).
+
+A Gauss-Hermite rule also carries its compensated weights w e^{x^2} =
+1 / (q h_{q-1}(x)^2), formed once from the bounded Hermite functions.  At
+q >= 384 the outer weights w underflow to 0 where e^{x^2} overflows, so
+forming w * exp(x^2) at the point of use would give 0 * inf = NaN.
 
 All integration sums run through ``np.sum`` on arrays in fixed node order,
 so results are bit-reproducible for a given rule/grid.
@@ -15,10 +26,15 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import roots_hermite, roots_legendre
+
+from .specfun import hermite_eval
 
 MAX_GAUSS_HERMITE = 512
 _MAX_PLANE_NODES = 20_000_000
+# Newton stops after a step below this (relative to the node past 1).  The
+# convergence is quadratic, so that last step leaves the node at roundoff.
+_NEWTON_STEP = 1e-13
+_NEWTON_MAX = 10
 
 
 class QuadratureError(RuntimeError):
@@ -37,16 +53,24 @@ class QuadRule:
 
     For ``kind == "gauss-hermite"`` the weights integrate against
     exp(-x^2) dx on R; for ``kind == "gauss-legendre"`` against dx on
-    [interval[0], interval[1]].
+    [interval[0], interval[1]].  ``plain_weights`` integrate the plain
+    integrand g against dx in both cases, sum(plain_weights * g(nodes)).
+    For Gauss-Hermite they are the compensated weights w e^{x^2}, finite
+    where w underflows; for Gauss-Legendre they are the weights.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     kind: str
     interval: tuple[float, float] | None = None
+    plain_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.nodes.shape != self.weights.shape:
+        if self.plain_weights is None:
+            if self.kind == "gauss-hermite":
+                raise ValueError("a gauss-hermite rule needs its compensated weights")
+            object.__setattr__(self, "plain_weights", self.weights)
+        if not self.nodes.shape == self.weights.shape == self.plain_weights.shape:
             raise ValueError("nodes and weights must have matching lengths")
 
     @property
@@ -54,9 +78,96 @@ class QuadRule:
         return len(self.nodes)
 
 
-# (nodes, weights) per order; the rules below never hand out these arrays
-_hermite_nodes = lru_cache(maxsize=64)(roots_hermite)
-_legendre_nodes = lru_cache(maxsize=64)(roots_legendre)
+def _order(q) -> int:
+    """``q`` as an int; a non-integer order is a ValueError."""
+    if not float(q).is_integer():
+        raise ValueError(f"q must be an integer, got {q}")
+    return int(q)
+
+
+def _mirror(v: np.ndarray, odd: bool, sign: float = 1.0) -> np.ndarray:
+    """A symmetric rule's array from its values at the nonnegative nodes,
+    in increasing order (v[0] belongs to the node 0 when ``odd``)."""
+    return np.concatenate([sign * v[int(odd) :][::-1], v])
+
+
+@lru_cache(maxsize=64)
+def _hermite_nodes(q: int):
+    """(nodes, weights, compensated weights) of the q-point Gauss-Hermite
+    rule; the rules below never hand out these arrays.
+
+    The k-th largest node starts at sqrt(nu) cos(T/2), where
+    T - sin T = (4k - 1) pi / nu and nu = 2q + 1: the WKB zero of h_q,
+    within a few percent of the node spacing up to the turning point.
+    Newton on h_q, with h_q' = sqrt(2q) h_{q-1} - x h_q, then converges in
+    three steps at every q <= 512.  The ladder runs in linear form: at the
+    nodes of q <= 512, h_0 = pi^(-1/4) e^{-x^2/2} > 1e-223 and h_k only
+    grows with k, so no value leaves the doubles.
+    """
+    odd = bool(q % 2)
+    nu = 2.0 * q + 1.0
+    r = (4.0 * np.arange(q // 2, 0, -1) - 1.0) * math.pi / nu
+    t = np.cbrt(6.0 * r)  # T - sin T <= T^3/6, so T starts left of its root
+    for _ in range(_NEWTON_MAX):
+        step = (t - np.sin(t) - r) / (1.0 - np.cos(t))
+        t -= step
+        if np.max(np.abs(step), initial=0.0) < _NEWTON_STEP:
+            break
+    x = math.sqrt(nu) * np.cos(0.5 * t)
+    if odd:
+        x = np.concatenate([[0.0], x])
+    for _ in range(_NEWTON_MAX):
+        h_low, h_q = hermite_eval(q, x)[q - 1 :]
+        step = h_q / (math.sqrt(2.0 * q) * h_low - x * h_q)
+        x -= step
+        if np.max(np.abs(step) / np.maximum(1.0, x)) < _NEWTON_STEP:
+            break
+    else:
+        raise RuntimeError(f"Gauss-Hermite nodes did not converge at q = {q}")
+    ladder = hermite_eval(q, x)
+    h0, h_low = ladder[0], ladder[q - 1]
+    compensated = 1.0 / (q * h_low * h_low)
+    # w = e^{-x^2} / (q h_{q-1}^2) = sqrt(pi) (h_0 / h_{q-1})^2 / q: the ratio
+    # takes no exponential, and its square underflows only where w does
+    weights = (h0 / h_low) ** 2 * (math.sqrt(math.pi) / q)
+    return _mirror(x, odd, -1.0), _mirror(weights, odd), _mirror(compensated, odd)
+
+
+def _legendre_top(q: int, x: np.ndarray):
+    """(P_{q-1}, P_q) at x, by (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}."""
+    prev, cur = np.ones_like(x), x
+    for k in range(1, q):
+        prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
+    return prev, cur
+
+
+@lru_cache(maxsize=64)
+def _legendre_nodes(q: int):
+    """(nodes, weights) of the q-point Gauss-Legendre rule on [-1, 1]; the
+    rules below never hand out these arrays.
+
+    The k-th largest node starts at (1 - 1/(8q^2) + 1/(8q^3))
+    cos(pi (k - 1/4) / (q + 1/2)) (Tricomi), and Newton on P_q, with
+    P_q' = q (P_{q-1} - x P_q) / (1 - x^2), takes at most four steps.  The
+    weight is 2 / ((1 - x^2) P_q'(x)^2), with 1 - x^2 as (1 - x)(1 + x).
+    """
+    odd = bool(q % 2)
+    k = np.arange(q // 2, 0, -1)
+    x = (1.0 - (1.0 - 1.0 / q) / (8.0 * q * q)) * np.cos(math.pi * (k - 0.25) / (q + 0.5))
+    if odd:
+        x = np.concatenate([[0.0], x])
+    for _ in range(_NEWTON_MAX):
+        p_low, p_q = _legendre_top(q, x)
+        step = p_q * (1.0 - x) * (1.0 + x) / (q * (p_low - x * p_q))
+        x -= step
+        if np.max(np.abs(step)) < _NEWTON_STEP:
+            break
+    else:
+        raise RuntimeError(f"Gauss-Legendre nodes did not converge at q = {q}")
+    p_low, p_q = _legendre_top(q, x)
+    one_minus_x2 = (1.0 - x) * (1.0 + x)
+    weights = 2.0 * one_minus_x2 / (q * (p_low - x * p_q)) ** 2
+    return _mirror(x, odd, -1.0), _mirror(weights, odd)
 
 
 def gauss_hermite_rule(q: int) -> QuadRule:
@@ -64,20 +175,24 @@ def gauss_hermite_rule(q: int) -> QuadRule:
 
     Nodes are the roots of the degree-q Hermite polynomial; the rule is
     exact on polynomials of degree <= 2q - 1 and sum(weights) = sqrt(pi).
+    Nodes and weights are symmetric about 0, and ``plain_weights`` holds
+    the compensated weights w e^{x^2} = 1 / (q h_{q-1}(x)^2), which stay
+    finite where w underflows (the outer nodes of q >= 384).
     """
     if not 1 <= q <= MAX_GAUSS_HERMITE:
         raise ValueError(f"q must be in [1, {MAX_GAUSS_HERMITE}], got {q}")
-    x, w = _hermite_nodes(q)
-    return QuadRule(nodes=x.copy(), weights=w.copy(), kind="gauss-hermite")
+    x, w, wc = _hermite_nodes(_order(q))
+    return QuadRule(nodes=x.copy(), weights=w.copy(), kind="gauss-hermite", plain_weights=wc.copy())
 
 
 def gauss_legendre_rule(q: int, a: float = -1.0, b: float = 1.0) -> QuadRule:
-    """The q-point Gauss-Legendre rule on [a, b]."""
+    """The q-point Gauss-Legendre rule on [a, b], symmetric about its
+    midpoint."""
     if q < 1:
         raise ValueError("q must be >= 1")
     if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
         raise ValueError(f"invalid interval [{a}, {b}]")
-    x, w = _legendre_nodes(q)
+    x, w = _legendre_nodes(_order(q))
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return QuadRule(
         nodes=mid + half * x, weights=half * w, kind="gauss-legendre", interval=(a, b)
@@ -88,8 +203,8 @@ def integrate_rn(g, rule: QuadRule, dimension: int, scale: float = 1.0):
     """Integrate g over R^dimension with a tensorized Gauss-Hermite rule.
 
     ``g`` must be vectorized: it receives ``dimension`` flat coordinate
-    arrays and returns samples.  The exp(+x^2) compensation per axis is
-    applied here, so ``g`` is the plain integrand; it should decay at
+    arrays and returns samples.  The rule's compensated weights carry the
+    exp(+x^2) per axis, so ``g`` is the plain integrand; it should decay at
     least like a Gaussian times a polynomial.  ``scale`` substitutes
     x -> scale * x per axis, matching the rule to slower Gaussian decay.
     """
@@ -98,7 +213,7 @@ def integrate_rn(g, rule: QuadRule, dimension: int, scale: float = 1.0):
     if not 1 <= dimension <= 4:
         raise ValueError("integrate_rn supports 1 <= dimension <= 4")
     x = scale * rule.nodes
-    w = scale * rule.weights * np.exp(rule.nodes**2)
+    w = scale * rule.plain_weights
     if dimension == 1:
         coords = [x]
         weights = w

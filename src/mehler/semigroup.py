@@ -187,7 +187,7 @@ class KernelImageHandle(EntireHandle):
                 raise ValueError(f"{type(f).__name__} has no kernel-mode image")
             scale = 1.0 / math.sqrt(gamma + 0.5 / math.tanh(2 * time))
             self._nodes = scale * rule.nodes
-            self._weights = scale * rule.weights * np.exp(rule.nodes**2)
+            self._weights = scale * rule.plain_weights
         self._samples = self._weights * eval_test_function(self.f, self._nodes)
 
     def eval(self, z) -> complex:

@@ -265,8 +265,7 @@ def expand(
         leg = gauss_legendre_rule(
             max(64, 2 * truncation), -f.radius, f.radius
         )
-        nodes, weights = leg.nodes, leg.weights
-        compensate = None
+        nodes, w = leg.nodes, leg.weights
     else:
         if rule is None:
             raise ValueError("a Gauss-Hermite rule is required for this member")
@@ -274,10 +273,8 @@ def expand(
             raise ValueError(
                 f"rule order {rule.order} too coarse for truncation {truncation}"
             )
-        nodes, weights = rule.nodes, rule.weights
-        compensate = np.exp(nodes**2)
+        nodes, w = rule.nodes, rule.plain_weights
 
-    w = weights if compensate is None else weights * compensate
     if dimension == 1:
         ladder = hermite_eval(truncation, nodes)
         samples = eval_test_function(f, nodes)

@@ -104,7 +104,7 @@ def _stft_nodes(f: TestFunction, a: float, c: float, rule: QuadRule | None, x):
         scale = 1.0 / math.sqrt(rate)
         _oscillation_guard(rule, max_x, scale)
         u = scale * rule.nodes
-        wq = scale * rule.weights * np.exp(rule.nodes**2)
+        wq = scale * rule.plain_weights
     window = c * np.exp(-0.5 * a * u**2)
     return u, wq * eval_test_function(f, u) * window
 

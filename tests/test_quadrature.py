@@ -2,14 +2,17 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from mehler import (
     PlaneGrid,
     QuadratureError,
+    QuadRule,
     bergman_weight,
     gauss_hermite_rule,
+    gauss_legendre_rule,
     gaussian_box,
     hermite_eval,
     integrate_plane,
@@ -66,6 +69,126 @@ def test_order_bounds():
         gauss_hermite_rule(0)
     with pytest.raises(ValueError):
         gauss_hermite_rule(513)
+
+
+@pytest.mark.parametrize("q", [0, -3, 2.5, float("nan"), float("inf")])
+def test_legendre_order_bounds(q):
+    with pytest.raises(ValueError):
+        gauss_legendre_rule(q)
+
+
+@pytest.mark.parametrize("rule", [gauss_hermite_rule, gauss_legendre_rule])
+def test_integer_valued_orders(rule):
+    with pytest.raises(ValueError):
+        rule(7.5)
+    assert np.array_equal(rule(7.0).nodes, rule(np.int64(7)).nodes)
+
+
+def _mp_roots(q, guesses, value, slope, weight):
+    """(node, weight, ...) at 40 digits: Newton from each double guess on
+    mpmath's own polynomial, then ``weight(x)`` at the polished node."""
+    out = []
+    with mpmath.workdps(40):
+        for g in guesses:
+            x = mpmath.mpf(float(g))
+            for _ in range(3):  # the guesses hold ~15 digits
+                x -= value(x) / slope(x)
+            out.append((x, *weight(x)))
+    return out
+
+
+def _positive_sample(q):
+    """Indices of the positive nodes checked at order q: all of them at
+    small q; at q >= 384 every eighth plus the outer 40, which hold the
+    nodes whose plain weight leaves the doubles.  At odd q the first is 0."""
+    idx = np.arange(q // 2, q)
+    if q >= 384:
+        idx = np.union1d(idx[::8], idx[-40:])
+    return idx
+
+
+@pytest.mark.parametrize("q", [1, 2, 64, 128, 129, 384, 512])
+def test_gauss_hermite_matches_mpmath(q):
+    rule = gauss_hermite_rule(q)
+    x, w, wc = rule.nodes, rule.weights, rule.plain_weights
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.array_equal(wc, wc[::-1])
+    assert np.all(np.diff(x) > 0.05)
+    assert abs(w.sum() - SQRT_PI) < 1e-14 * SQRT_PI * max(1.0, math.sqrt(q))
+    if q % 2:
+        assert x[q // 2] == 0.0
+
+    # w = 2^{q-1} q! sqrt(pi) / (q H_{q-1}(x))^2, and w e^{x^2}
+    c = mpmath.mpf(2) ** (q - 1) * mpmath.factorial(q) * mpmath.sqrt(mpmath.pi) / q**2
+
+    def weight(xm):
+        wm = c / mpmath.hermite(q - 1, xm) ** 2
+        return wm, wm * mpmath.exp(xm * xm)
+
+    idx = _positive_sample(q)
+    ref = _mp_roots(
+        q, x[idx], lambda xm: mpmath.hermite(q, xm),
+        lambda xm: 2 * q * mpmath.hermite(q - 1, xm), weight,
+    )
+    X, W, WC = (np.array([float(r[k]) for r in ref]) for k in range(3))
+    assert np.max(np.abs(x[idx] - X)) <= 1e-14
+    assert np.max(np.abs(wc[idx] - WC) / WC) <= 1e-12
+    normal = W > 1e-300
+    assert np.all(np.abs(w[idx] - W)[normal] <= 1e-12 * W[normal])
+    # where w leaves the doubles it is 0 or a subnormal, never NaN
+    assert np.all(np.abs(w[idx] - W)[~normal] <= 1e-310)
+    if q == 512:
+        assert np.count_nonzero(w == 0.0) > 0 and np.all(np.isfinite(wc))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 8, 16, 96, 128, 129, 160, 320])
+def test_gauss_legendre_matches_mpmath(q):
+    rule = gauss_legendre_rule(q)
+    x, w = rule.nodes, rule.weights
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert rule.plain_weights is rule.weights
+    assert np.all(np.diff(x) > 0)
+    assert abs(w.sum() - 2.0) < 1e-14 * max(1.0, math.sqrt(q))
+
+    def slope(xm):
+        return q * (xm * mpmath.legendre(q, xm) - mpmath.legendre(q - 1, xm)) / (xm * xm - 1)
+
+    idx = _positive_sample(q)
+    ref = _mp_roots(
+        q, x[idx], lambda xm: mpmath.legendre(q, xm), slope,
+        lambda xm: (2 / ((1 - xm * xm) * slope(xm) ** 2),),
+    )
+    X, W = (np.array([float(r[k]) for r in ref]) for k in range(2))
+    assert np.max(np.abs(x[idx] - X)) <= np.finfo(float).eps
+    # roundoff: ~sqrt(q) eps from the recurrence, and ~eps / (1 - x^2) from
+    # rounding the node itself to the doubles, which dominates at the ends
+    bound = np.finfo(float).eps * (4 * math.sqrt(q) + 8 / ((1 - X) * (1 + X)))
+    assert np.all(np.abs(w[idx] - W) <= bound * W)
+
+
+def test_gauss_legendre_rule_on_an_interval():
+    a, b = -0.5, 3.25
+    rule = gauss_legendre_rule(33, a, b)
+    mid = 0.5 * (a + b)
+    assert np.array_equal(rule.weights, rule.weights[::-1])
+    assert np.max(np.abs(rule.nodes + rule.nodes[::-1] - 2 * mid)) < 1e-15 * (b - a)
+    assert rule.nodes[16] == mid
+    assert abs(rule.weights.sum() - (b - a)) < 1e-14 * (b - a)
+    exact = (b**9 - a**9) / 9
+    assert abs(np.sum(rule.weights * rule.nodes**8) - exact) < 1e-13 * abs(exact)
+
+
+def test_hermite_rule_requires_compensated_weights():
+    with pytest.raises(ValueError):
+        QuadRule(nodes=np.zeros(1), weights=np.ones(1), kind="gauss-hermite")
+
+
+def test_integrate_rn_at_the_largest_order():
+    # the outer plain weights underflow where e^{x^2} overflows
+    rule = gauss_hermite_rule(512)
+    val = integrate_rn(lambda x: np.exp(-x * x), rule, 1)
+    assert math.isfinite(val)
+    assert abs(val - SQRT_PI) < 1e-14
 
 
 def test_integrate_normalization(gh64):

@@ -87,6 +87,15 @@ def test_determinism_byte_identical():
     assert a == b
 
 
+@pytest.mark.parametrize("quad", [384, 512])
+def test_largest_quadrature_orders_pass(quad):
+    # the outer Gauss-Hermite weights underflow at these orders; the rule's
+    # compensated weights keep every weighted sum finite
+    report = run_suite(SuiteConfig(quad=quad))
+    failed = [(c.name, c.metric, c.details) for c in report.checks if c.status != "pass"]
+    assert not failed
+
+
 def test_under_truncation_fails_with_diagnostics():
     report = run_suite(SuiteConfig(N=4))
     by_name = {c.name: c for c in report.checks}
