@@ -101,8 +101,9 @@ def _hermite_nodes(q: int):
     within a few percent of the node spacing up to the turning point.
     Newton on h_q, with h_q' = sqrt(2q) h_{q-1} - x h_q, then converges in
     three steps at every q <= 512.  The ladder runs in linear form: at the
-    nodes of q <= 512, h_0 = pi^(-1/4) e^{-x^2/2} > 1e-223 and h_k only
-    grows with k, so no value leaves the doubles.
+    nodes of q <= 512, h_0 = pi^(-1/4) e^{-x^2/2} > 1e-223, |h_k| grows
+    with k up to the turning point k ~ x^2/2 and stays below 1 past it, so
+    no value leaves the doubles.
     """
     odd = bool(q % 2)
     nu = 2.0 * q + 1.0
@@ -127,8 +128,8 @@ def _hermite_nodes(q: int):
     ladder = hermite_eval(q, x)
     h0, h_low = ladder[0], ladder[q - 1]
     compensated = 1.0 / (q * h_low * h_low)
-    # w = e^{-x^2} / (q h_{q-1}^2) = sqrt(pi) (h_0 / h_{q-1})^2 / q: the ratio
-    # takes no exponential, and its square underflows only where w does
+    # w = e^{-x^2} / (q h_{q-1}^2) = sqrt(pi) (h_0 / h_{q-1})^2 / q: e^{-x^2/2}
+    # cancels in the ratio, whose square underflows only where w does
     weights = (h0 / h_low) ** 2 * (math.sqrt(math.pi) / q)
     return _mirror(x, odd, -1.0), _mirror(weights, odd), _mirror(compensated, odd)
 
