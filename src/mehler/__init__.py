@@ -51,6 +51,7 @@ from .semigroup import (
     default_bergman_grid,
     envelope,
     envelope_ratio,
+    envelopes,
     reproduce,
     schwartz_image_check,
     semigroup_apply,

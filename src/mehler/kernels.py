@@ -349,34 +349,43 @@ class BoundSpec:
         return self.kind in _MODULUS_KINDS
 
     def log_eval(self, X, Y, U=None, V=None) -> np.ndarray:
+        """log of the bound at broadcastable real coordinate arrays, shaped
+        like their broadcast.  The order-m power is left out at m = 0, and
+        on an open mesh each term is formed on the axes it depends on; the
+        terms are summed in one fixed order, whatever m."""
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
-        if self.kind in ("sobolev-embed", "schwartz-image"):
-            r2 = X**2 + Y**2
-            return (
-                -2 * self.m * np.log1p(r2)
-                - math.tanh(2 * self.t) * X**2
-                + (1.0 / math.tanh(2 * self.t)) * Y**2
-            )
-        if self.kind == "tempered":
-            r2 = X**2 + Y**2
-            return (
-                2 * self.m * np.log1p(r2)
-                - math.tanh(2 * self.t) * X**2
-                + (1.0 / math.tanh(2 * self.t)) * Y**2
-            )
+        if self.kind in ("sobolev-embed", "schwartz-image", "tempered"):
+            x2, y2 = X**2, Y**2
+            gauss_x = math.tanh(2 * self.t) * x2
+            gauss_y = (1.0 / math.tanh(2 * self.t)) * y2
+            if self.m == 0:
+                return gauss_y - gauss_x
+            power = 2 * self.m if self.kind == "tempered" else -2 * self.m
+            return power * np.log1p(x2 + y2) - gauss_x + gauss_y
         if self.kind in ("special-schwartz", "special-plain"):
             if U is None or V is None:
                 raise ValueError("this bound lives on C^{2n}: need U and V")
             U = np.asarray(U, dtype=float)
             V = np.asarray(V, dtype=float)
             c4 = 1.0 / math.tanh(4 * self.t)
-            core = V * X - U * Y + c4 * (Y**2 + V**2)
+            y2, v2 = Y**2, V**2
+            # vx - uy + c4 (y^2 + v^2) in this order, later terms in place
+            core = V * X - U * Y
+            core += c4 * (y2 + v2)
+            if self.m == 0:
+                return core
             if self.kind == "special-schwartz":
-                return core - 2 * self.m * np.log1p(X**2 + Y**2 + U**2 + V**2)
-            return core - 2 * self.m * np.log1p(Y**2 + V**2)
+                core -= 2 * self.m * np.log1p(X**2 + y2 + U**2 + v2)
+            else:
+                core -= 2 * self.m * np.log1p(y2 + v2)
+            return core
         if self.kind == "pw-stft":
-            return self.m * np.log1p(X**2 + Y**2) + Y**2 / (2.0 * self.a)
+            y2 = Y**2
+            gauss = y2 / (2.0 * self.a)
+            if self.m == 0:
+                return np.broadcast_to(gauss, np.broadcast_shapes(X.shape, Y.shape))
+            return self.m * np.log1p(X**2 + y2) + gauss
         if self.kind == "compact":
             c2 = 1.0 / math.tanh(2 * self.t)
             return -0.5 * c2 * (X**2 - Y**2) + self.radius * np.abs(X) / math.sinh(

@@ -16,7 +16,9 @@ table and a z-side table on y joined by one matrix product.
 |F|^2 / bound (or |F| / bound) on a plane grid and at twice its resolution,
 over x-slices of one open mesh of the grid's real axes (x, y on C; x, y, u,
 v on C^2) fed to ``handle.eval_grid_parts`` and ``bound.log_eval``, so
-images on C and on C^2 share it and no flattened nodes are built.
+images on C and on C^2 share it and no flattened nodes are built.  A
+trapezoid grid's refinement keeps its nodes, so one scan of the refined
+grid gives both sups; ``envelopes`` runs several bounds on that one scan.
 
 Every grid job here walks the open mesh of the grid's axes and takes F in
 split form P e^E (``EntireHandle.eval_grid_parts``; for a spectral image
@@ -106,10 +108,13 @@ class CalibrationResult:
 class EnvelopeReport:
     """Measured sup of |F|^2 (or |F|) against a growth bound on a grid.
 
-    ``coarse_abs`` holds |F| at the nodes of ``grid`` (the coarse scan),
-    shaped like its open mesh, one axis per real coordinate; None when no
-    scan ran.  The scan forms log|F|, so an entry whose |F| passes the
-    largest double reads inf while the ratio and its sup stay finite.
+    ``coarse_abs`` holds |F| at the nodes of ``grid``, shaped like its
+    open mesh, one axis per real coordinate; None when no scan ran.  On a
+    trapezoid grid it is read off the scan of the refined grid, whose every
+    second node on each axis is a node of ``grid``; on a Gauss-Legendre
+    grid it comes from the scan of ``grid`` itself.  The scan forms
+    log|F|, so an entry whose |F| passes the largest double reads inf while
+    the ratio and its sup stay finite.
     """
 
     sup_ratio: float
@@ -480,35 +485,94 @@ def _mesh_blocks(grid: PlaneGrid):
         yield rows, np.ix_(x[rows], *rest)
 
 
-def _sup_ratio_on(handle: EntireHandle, bound: BoundSpec, grid: PlaneGrid, tables=None):
-    """Sup of |F|^p / bound over the grid's nodes and the node attaining it
-    (p = 1 for bounds on the modulus, 2 otherwise).  |F| of each block is
-    appended to the list ``tables`` when one is given."""
-    best, arg = -math.inf, None
-    for _, block in _mesh_blocks(grid):
-        # log|F| = log|P| + Re E, formed in place with P freed first, so no
-        # modulus is exponentiated and at most two mesh arrays live at once
+def _scan(handle: EntireHandle, bounds, grid: PlaneGrid, stride: int | None = None):
+    """One scan of the grid's nodes against every bound of ``bounds``.
+
+    Returns (sups, argmaxes, nested sups, nested |F|): per bound, the sup
+    of |F|^p / bound over the nodes and the node attaining it (p = 1 for
+    bounds on the modulus, 2 otherwise).  With ``stride``, also the sup per
+    bound over the nested sub-lattice of every ``stride``-th node on each
+    axis, counted from the first, and |F| on that sub-lattice, shaped like
+    its open mesh; without, those two are None.  F is evaluated once per
+    block, whatever the number of bounds.
+    """
+    sups = [-math.inf] * len(bounds)
+    args: list = [None] * len(bounds)
+    nested_sups = [-math.inf] * len(bounds)
+    tables = []
+    for rows, block in _mesh_blocks(grid):
+        shape = np.broadcast_shapes(*(c.shape for c in block))
+        # log|F| = log|P| + Re E, with P freed first and the sum broadcast
+        # to the mesh once (P and E may be smaller, as for Phi_00): no
+        # modulus is exponentiated, and against one bound at most two mesh
+        # arrays live at once
         P, E = handle.eval_grid_parts(*block)
-        log_ratio = np.abs(P)
+        log_abs = np.abs(P, out=np.empty(np.shape(P)))
         del P
         with np.errstate(divide="ignore"):
-            np.log(log_ratio, out=log_ratio)
-        log_ratio += np.real(E)
-        del E
-        if tables is not None:
+            np.log(log_abs, out=log_abs)
+        if log_abs.shape == shape:
+            log_F = log_abs
+            log_F += np.real(E)
+        else:
+            log_F = np.add(log_abs, np.real(E), out=np.empty(shape))
+        del E, log_abs
+        if stride is not None:
+            # the block's first row on the sub-lattice: blocks may start at
+            # any row of the grid
+            nested = (slice(-rows.start % stride, None, stride),)
+            nested += (slice(None, None, stride),) * (len(shape) - 1)
             with np.errstate(over="ignore"):
-                tables.append(np.exp(log_ratio))
-        if not bound.on_modulus:
-            log_ratio *= 2.0
-        log_ratio -= bound.log_eval(*block)
-        # argmax lands on the first NaN if there is one
-        i = np.unravel_index(int(np.argmax(log_ratio)), log_ratio.shape)
-        if not log_ratio[i] < math.inf:
-            raise HermiteOverflowError("envelope ratio is NaN or infinite at a grid node")
-        if arg is None or log_ratio[i] > best:
-            best = float(log_ratio[i])
-            arg = tuple(float(np.broadcast_to(c, log_ratio.shape)[i]) for c in block)
-    return (float(np.exp(best)) if best > -math.inf else 0.0), arg
+                tables.append(np.exp(log_F[nested]))
+        for j, bound in enumerate(bounds):
+            # the last bound takes log|F| itself
+            log_ratio = log_F if j == len(bounds) - 1 else log_F.copy()
+            if not bound.on_modulus:
+                log_ratio *= 2.0
+            log_ratio -= bound.log_eval(*block)
+            # argmax lands on the first NaN if there is one
+            i = np.unravel_index(int(np.argmax(log_ratio)), shape)
+            if not log_ratio[i] < math.inf:
+                raise HermiteOverflowError("envelope ratio is NaN or infinite at a grid node")
+            if args[j] is None or log_ratio[i] > sups[j]:
+                sups[j] = float(log_ratio[i])
+                args[j] = tuple(float(np.broadcast_to(c, shape)[i]) for c in block)
+            if stride is not None and log_ratio[nested].size:
+                nested_sups[j] = max(nested_sups[j], float(np.max(log_ratio[nested])))
+    sups = [_exp_sup(s) for s in sups]
+    if stride is None:
+        return sups, args, None, None
+    return sups, args, [_exp_sup(s) for s in nested_sups], np.concatenate(tables)
+
+
+def _exp_sup(log_sup: float) -> float:
+    return float(np.exp(log_sup)) if log_sup > -math.inf else 0.0
+
+
+def envelopes(handle: EntireHandle, bounds, grid: PlaneGrid) -> list[EnvelopeReport]:
+    """:func:`envelope` against each bound of ``bounds``, in order, from
+    one evaluation of F per node: the scan forms log|F| once per block and
+    each bound subtracts its own log from it.  The reports share one
+    ``coarse_abs`` table."""
+    bounds = tuple(bounds)
+    fine = grid.refine(2)
+    if grid.kind == "trapezoid":
+        # the refined trapezoid grid keeps every node of the grid (every
+        # second node on each axis), so one scan gives both sups
+        sups, argmaxes, coarse_sups, coarse_abs = _scan(handle, bounds, fine, stride=2)
+    else:
+        coarse_sups, _, _, coarse_abs = _scan(handle, bounds, grid, stride=1)
+        sups, argmaxes, _, _ = _scan(handle, bounds, fine)
+    reports = []
+    for bound, sup_fine, argmax, sup_coarse in zip(bounds, sups, argmaxes, coarse_sups):
+        if sup_fine == 0.0:
+            stable = sup_coarse == 0.0
+        else:
+            stable = abs(sup_fine - sup_coarse) / sup_fine < _STABILITY
+        reports.append(
+            EnvelopeReport(sup_fine, argmax, bound, grid, stable, sup_coarse, coarse_abs)
+        )
+    return reports
 
 
 def envelope(handle: EntireHandle, bound: BoundSpec, grid: PlaneGrid) -> EnvelopeReport:
@@ -516,20 +580,18 @@ def envelope(handle: EntireHandle, bound: BoundSpec, grid: PlaneGrid) -> Envelop
     on the modulus), with the argmax and a refinement-stability flag.
 
     The sup is recomputed at doubled resolution; ``stable`` records whether
-    it moved by less than 5% relatively.  Grids over one complex coordinate
-    and over two (with ``handle.eval_grid(X, Y, U, V)``) scan alike.  The
-    coarse scan's |F| comes back as ``coarse_abs``, so a caller that tables
-    the coarse grid need not evaluate it again.
+    it moved by less than 5% relatively.  A trapezoid grid refines by
+    halving its step, so the refined grid keeps every node of the grid
+    (the nested trapezoid rule) and one scan of it gives the refined sup,
+    the grid's sup over the nested nodes and |F| there; a Gauss-Legendre
+    grid shares no nodes with its refinement, and both are scanned.  Grids
+    over one complex coordinate and over two (with
+    ``handle.eval_grid(X, Y, U, V)``) scan alike.  |F| at the grid's nodes
+    comes back as ``coarse_abs``, so a caller that tables the grid need
+    not evaluate it again.  :func:`envelopes` runs several bounds on one
+    scan.
     """
-    tables = []
-    sup_coarse, _ = _sup_ratio_on(handle, bound, grid, tables)
-    sup_fine, argmax = _sup_ratio_on(handle, bound, grid.refine(2))
-    if sup_fine == 0.0:
-        stable = sup_coarse == 0.0
-    else:
-        stable = abs(sup_fine - sup_coarse) / sup_fine < _STABILITY
-    coarse_abs = np.concatenate(tables)
-    return EnvelopeReport(sup_fine, argmax, bound, grid, stable, sup_coarse, coarse_abs)
+    return envelopes(handle, (bound,), grid)[0]
 
 
 def envelope_ratio(handle: EntireHandle, bound: BoundSpec, grid: PlaneGrid) -> EnvelopeReport:
@@ -551,4 +613,4 @@ def schwartz_image_check(
     finite and refinement-stable.
     """
     handle = semigroup_handle(f, t, "spectral", truncation=truncation, rule=rule)
-    return [envelope_ratio(handle, schwartz_image_bound(t, m), grid) for m in m_list]
+    return envelopes(handle, [schwartz_image_bound(t, m) for m in m_list], grid)

@@ -188,24 +188,25 @@ def _phi1(a: int, b: int, z, w):
     return val
 
 
-def _times_polynomial(val: np.ndarray, a: int, b: int, z, w, q) -> np.ndarray:
-    """``val`` times zeta^d L_k^d(q/2), in place for arrays: the factor of
-    Phi_ab beside coef e^{-q/4}, with q = z^2 + w^2 (needed only when
-    k > 0)."""
+def _times_polynomial(val, a: int, b: int, z, w, q) -> np.ndarray:
+    """``val`` times zeta^d L_k^d(q/2), out of place, so a scalar ``val``
+    broadcasts to the factors' shape: the factor of Phi_ab beside
+    coef e^{-q/4}, with q = z^2 + w^2 (needed only when k > 0)."""
     d, k = abs(a - b), min(a, b)
     if d:
         zeta = z - 1j * w if a >= b else z + 1j * w
         for _ in range(d):
-            val *= zeta
+            val = val * zeta
     if k:
-        val *= laguerre_ladder(k, d, 0.5 * q)[k]
-    return val
+        val = val * laguerre_ladder(k, d, 0.5 * q)[k]
+    return np.asarray(val)
 
 
 def _phi1_parts(a: int, b: int, z, w) -> tuple[np.ndarray, np.ndarray]:
     """(P, E) with Phi_ab(z, w) = P e^E, broadcast over arrays z, w:
     E = -(z^2 + w^2)/4 and P = coef zeta^d L_k^d((z^2 + w^2)/2), as in
-    :func:`_phi1` but with no exponential taken.  Raises
+    :func:`_phi1` but with no exponential taken.  P keeps the broadcast
+    shape of its factors: 0-d for Phi_00, whose P is the constant.  Raises
     :class:`HermiteOverflowError` where P does not fit a double."""
     z = np.asarray(z)
     w = np.asarray(w)
@@ -214,7 +215,7 @@ def _phi1_parts(a: int, b: int, z, w) -> tuple[np.ndarray, np.ndarray]:
     _, _, coef = _phi1_constants(a, b)
     q = z * z + w * w
     with np.errstate(over="ignore", invalid="ignore"):
-        P = _times_polynomial(np.full(q.shape, coef), a, b, z, w, q)
+        P = _times_polynomial(coef, a, b, z, w, q)
     if not np.all(np.isfinite(P)):
         raise HermiteOverflowError(f"Phi_{a}{b} exceeds the largest double at a requested point")
     q *= -0.25

@@ -34,6 +34,7 @@ from .semigroup import (
     calibrate_weight,
     default_bergman_grid,
     envelope_ratio,
+    envelopes,
     reproduce,
     schwartz_image_check,
     semigroup_handle,
@@ -449,8 +450,7 @@ def check_sobolev_envelopes(config: SuiteConfig) -> CheckResult:
         handle = semigroup_handle(
             HermiteBasis((k,)), t, "spectral", truncation=config.N, rule=rule
         )
-        for m in range(4):
-            rep = envelope_ratio(handle, sobolev_embed_bound(t, m), grid)
+        for rep in envelopes(handle, [sobolev_embed_bound(t, m) for m in range(4)], grid):
             all_finite &= math.isfinite(rep.sup_ratio) and rep.sup_ratio > 0
             worst_change = max(worst_change, rep.refinement_change)
     return _result(

@@ -13,11 +13,14 @@ from mehler import (
     SpecialHermiteBasis,
     compact_bound,
     compact_growth_check,
+    envelope,
     envelope_ratio,
+    envelopes,
     gauss_stft,
     hermite_eval,
     mehler_kernel,
     pw_envelope,
+    schwartz_image_bound,
     semigroup_handle,
     sobolev_embed_bound,
     special_envelope,
@@ -25,12 +28,13 @@ from mehler import (
     special_plain_bound,
     special_schwartz_bound,
     stft_bound,
+    tempered_bound,
 )
 from mehler import semigroup
 from mehler.quadrature import PlaneGrid
-from mehler.special import GaussianImage
+from mehler.special import GaussianImage, SpecialEigenHandle
 from mehler.specfun import HermiteOverflowError
-from mehler.spectral import ClosedFormHandle
+from mehler.spectral import ClosedFormHandle, EntireHandle
 
 
 def _dense_sup(values, bound, grid):
@@ -47,8 +51,8 @@ def _plane(box, res, kind="trapezoid"):
     return PlaneGrid(boxes=(box,), resolution=res, kind=kind)
 
 
-def _space(res, box_z=(-6.0, 6.0, -6.0, 6.0)):
-    return PlaneGrid(boxes=(box_z, (-6.0, 6.0, -6.0, 6.0)), resolution=res)
+def _space(res, box_z=(-6.0, 6.0, -6.0, 6.0), kind="gauss-legendre"):
+    return PlaneGrid(boxes=(box_z, (-6.0, 6.0, -6.0, 6.0)), resolution=res, kind=kind)
 
 
 def _hermite_image(k, t):
@@ -92,25 +96,64 @@ CASES = {
         _gaussian_image(1.0, 0.5), special_plain_bound(0.5, 1),
         _space(10, box_z=(-2.0, 4.6, -6.0, 6.0)),
     ),
+    # the cases above on the other grid kind: Gauss-Legendre on C, the
+    # nested trapezoid rule on C^2
+    "envelope_ratio-gauss": (
+        lambda g: envelope_ratio(
+            semigroup_handle(HermiteBasis((2,)), 0.3, "spectral"),
+            sobolev_embed_bound(0.3, 1), g,
+        ),
+        _hermite_image(2, 0.3), sobolev_embed_bound(0.3, 1),
+        _plane((-6.0, 6.0, -4.0, 4.0), 32, kind="gauss-legendre"),
+    ),
+    "special_envelope-trapezoid": (
+        lambda g: special_envelope(SpecialHermiteBasis((1,), (0,)), 0.5, 1, g),
+        _special_image(1, 0, 0.5), special_schwartz_bound(0.5, 1),
+        _space(8, kind="trapezoid"),
+    ),
+    # blocks of the refined trapezoid grid that start at odd rows, whose
+    # nodes of the coarse grid sit at their odd local rows
+    "envelope_ratio-odd-blocks": (
+        lambda g: envelope_ratio(
+            semigroup_handle(HermiteBasis((3,)), 0.3, "spectral"),
+            tempered_bound(0.3, 1), g,
+        ),
+        _hermite_image(3, 0.3), tempered_bound(0.3, 1),
+        _plane((-6.0, 6.0, -4.0, 4.0), 17),
+    ),
+    "special_envelope-trapezoid-odd-blocks": (
+        lambda g: special_envelope(Gaussian2n(1.0), 0.5, 1, g, kind="special-plain"),
+        _gaussian_image(1.0, 0.5), special_plain_bound(0.5, 1),
+        _space(10, box_z=(-2.0, 4.6, -6.0, 6.0), kind="trapezoid"),
+    ),
+}
+
+# x-rows per block of the refined grid, and the block sizes that gives
+BLOCK_ROWS = {
+    "special_envelope-ragged": (3, [3] * 6 + [2]),
+    "envelope_ratio-odd-blocks": (5, [5] * 6 + [3]),
+    "special_envelope-trapezoid-odd-blocks": (3, [3] * 6 + [1]),
 }
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_envelope_matches_dense_reference(monkeypatch, case):
     run, values, bound, grid = CASES[case]
-    ragged = case.endswith("ragged")
-    if ragged:
-        # the refined grid (resolution 20) scans in slices of 3 x-nodes, the
-        # last one 2
-        monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", 3 * 20**3)
-        sizes = [s.stop - s.start for s, _ in semigroup._mesh_blocks(grid.refine(2))]
-        assert sizes == [3] * 6 + [2]
+    fine_grid = grid.refine(2)
+    if case in BLOCK_ROWS:
+        rows, expected = BLOCK_ROWS[case]
+        n = fine_grid.resolution
+        monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", rows * n ** (2 * grid.ncoords - 1))
+        blocks = [s for s, _ in semigroup._mesh_blocks(fine_grid)]
+        assert [s.stop - s.start for s in blocks] == expected
+        if grid.kind == "trapezoid":
+            assert any(s.start % 2 for s in blocks)
     rep = run(grid)
-    if ragged:
+    if case == "special_envelope-ragged":
         # the sup sits in the last, ragged block
-        assert rep.argmax[0] >= grid.refine(2).axis(0)[0][18]
-    coarse, _, _, _ = _dense_sup(values, bound, grid)
-    fine, argmax, coords, ratio = _dense_sup(values, bound, grid.refine(2))
+        assert rep.argmax[0] >= fine_grid.axis(0)[0][18]
+    coarse, _, coarse_coords, _ = _dense_sup(values, bound, grid)
+    fine, argmax, coords, ratio = _dense_sup(values, bound, fine_grid)
     assert rep.sup_coarse == pytest.approx(coarse, rel=1e-12)
     assert rep.sup_ratio == pytest.approx(fine, rel=1e-12)
     assert len(rep.argmax) == len(argmax)
@@ -121,6 +164,120 @@ def test_envelope_matches_dense_reference(monkeypatch, case):
     assert ratio[at[0]] == pytest.approx(fine, rel=1e-12)
     assert rep.stable == (abs(rep.sup_ratio - rep.sup_coarse) / rep.sup_ratio < 0.05)
     assert rep.bound == bound and rep.grid == grid
+    # |F| at the coarse grid's nodes, shaped like its open mesh
+    assert rep.coarse_abs.shape == (grid.resolution,) * (2 * grid.ncoords)
+    dense = np.abs(values(*coarse_coords))
+    np.testing.assert_allclose(
+        rep.coarse_abs.ravel(), dense, rtol=1e-12, atol=1e-14 * np.max(dense)
+    )
+
+
+class _CountingHandle(EntireHandle):
+    """Delegates to ``inner`` and records the open mesh of every
+    ``eval_grid_parts`` call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def eval_grid(self, *coords):
+        raise AssertionError("the scan evaluates F in split form")
+
+    def eval_grid_parts(self, *coords):
+        self.calls.append(tuple(np.ravel(c) for c in coords))
+        return self.inner.eval_grid_parts(*coords)
+
+
+def _counted_scan(inner, bounds, grid):
+    handle = _CountingHandle(inner)
+    reports = envelopes(handle, bounds, grid)
+    assert len(reports) == len(bounds)
+    return handle.calls
+
+
+def _covers(calls, grid):
+    """The calls walk every node of ``grid`` once: their x-slices tile its
+    x-axis in order, and every call spans its other axes."""
+    axes = [grid.axis(k)[0] for k in range(2 * grid.ncoords)]
+    np.testing.assert_array_equal(np.concatenate([c[0] for c in calls]), axes[0])
+    for call in calls:
+        for got, axis in zip(call[1:], axes[1:]):
+            np.testing.assert_array_equal(got, axis)
+    return True
+
+
+PLANE_BOUNDS = (
+    sobolev_embed_bound(0.3, 0), sobolev_embed_bound(0.3, 3),
+    schwartz_image_bound(0.3, 2), tempered_bound(0.3, 1),
+)
+SPACE_BOUNDS = (
+    special_schwartz_bound(0.5, 0), special_schwartz_bound(0.5, 1),
+    special_plain_bound(0.5, 0), special_plain_bound(0.5, 2),
+)
+
+
+@pytest.mark.parametrize(
+    "inner, bounds, grid",
+    [
+        (semigroup_handle(HermiteBasis((2,)), 0.3, "spectral"), PLANE_BOUNDS,
+         _plane((-6.0, 6.0, -4.0, 4.0), 33)),
+        (SpecialEigenHandle((1,), (0,), 0.5), SPACE_BOUNDS, _space(8, kind="trapezoid")),
+    ],
+    ids=["plane", "space"],
+)
+def test_trapezoid_envelope_evaluates_only_the_refined_grid(monkeypatch, inner, bounds, grid):
+    # the coarse sup comes from the refined grid's nested nodes, so F is
+    # evaluated once per node of the refined grid and nowhere else; in
+    # several blocks, one of them starting at an odd row
+    n = grid.refine(2).resolution
+    monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", 5 * n ** (2 * grid.ncoords - 1))
+    one = _counted_scan(inner, bounds[:1], grid)
+    assert len(one) > 2 and _covers(one, grid.refine(2))
+    # one scan serves every bound
+    assert len(_counted_scan(inner, bounds, grid)) <= len(one)
+
+
+@pytest.mark.parametrize(
+    "inner, bounds, grid",
+    [
+        (semigroup_handle(HermiteBasis((2,)), 0.3, "spectral"), PLANE_BOUNDS,
+         _plane((-6.0, 6.0, -4.0, 4.0), 32, kind="gauss-legendre")),
+        (SpecialEigenHandle((1,), (0,), 0.5), SPACE_BOUNDS, _space(8)),
+    ],
+    ids=["plane", "space"],
+)
+def test_gauss_legendre_envelope_scans_each_grid_once(inner, bounds, grid):
+    # Gauss-Legendre grids do not nest: the grid and its refinement are
+    # each scanned once, for one bound or several
+    for some in (bounds[:1], bounds):
+        calls = _counted_scan(inner, some, grid)
+        coarse = [c for c in calls if len(c[1]) == grid.resolution]
+        fine = [c for c in calls if len(c[1]) == grid.refine(2).resolution]
+        assert len(coarse) + len(fine) == len(calls)
+        assert _covers(coarse, grid) and _covers(fine, grid.refine(2))
+
+
+@pytest.mark.parametrize("kind", ["trapezoid", "gauss-legendre"])
+@pytest.mark.parametrize("space", [False, True], ids=["plane", "space"])
+def test_envelopes_equal_one_envelope_per_bound(kind, space):
+    # bounds on |F|^2 and on |F| mixed in one scan
+    if space:
+        handle = SpecialEigenHandle((2,), (1,), 0.5)
+        bounds = SPACE_BOUNDS
+        grid = _space(7, kind=kind)
+    else:
+        handle = semigroup_handle(HermiteBasis((1,)), 0.3, "spectral")
+        bounds = (
+            sobolev_embed_bound(0.3, 2), stft_bound(2.0, 1), tempered_bound(0.3, 0),
+            compact_bound(0.3, 0.5), schwartz_image_bound(0.3, 1), stft_bound(0.5, 0),
+        )
+        grid = _plane((-6.0, 6.0, -4.0, 4.0), 25 if kind == "trapezoid" else 24, kind)
+    reports = envelopes(handle, bounds, grid)
+    assert [r.bound for r in reports] == list(bounds)
+    for bound, rep in zip(bounds, reports):
+        single = envelope(handle, bound, grid)
+        assert rep == single
+        np.testing.assert_array_equal(rep.coarse_abs, single.coarse_abs)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

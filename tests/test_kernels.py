@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mehler import (
     HermiteOverflowError,
+    schwartz_image_bound,
     bergman_weight,
     bergman_weight_dt,
     compact_bound,
@@ -21,10 +22,13 @@ from mehler import (
     reproducing_kernel_spectral,
     sobolev_embed_bound,
     special_heat_kernel,
+    special_plain_bound,
+    special_schwartz_bound,
     stft_bound,
     tempered_bound,
     twisted_bergman_weight,
 )
+from mehler.kernels import BoundSpec
 from mehler.quadrature import PlaneGrid
 
 
@@ -315,6 +319,59 @@ def test_bound_stft_is_modulus_kind():
     b = stft_bound(2.0, 1)
     assert b.on_modulus
     assert b.eval(0.0, 0.0) == pytest.approx(1.0)
+
+
+def _log_bound_unsimplified(b: BoundSpec, X, Y, U, V):
+    """Each bound's log as written, with the order-m term at every m."""
+    if b.kind in ("sobolev-embed", "schwartz-image", "tempered"):
+        power = 2 * b.m if b.kind == "tempered" else -2 * b.m
+        return (
+            power * np.log1p(X**2 + Y**2)
+            - math.tanh(2 * b.t) * X**2
+            + (1.0 / math.tanh(2 * b.t)) * Y**2
+        )
+    if b.kind in ("special-schwartz", "special-plain"):
+        c4 = 1.0 / math.tanh(4 * b.t)
+        core = V * X - U * Y + c4 * (Y**2 + V**2)
+        if b.kind == "special-schwartz":
+            return core - 2 * b.m * np.log1p(X**2 + Y**2 + U**2 + V**2)
+        return core - 2 * b.m * np.log1p(Y**2 + V**2)
+    if b.kind == "pw-stft":
+        return b.m * np.log1p(X**2 + Y**2) + Y**2 / (2.0 * b.a)
+    return -0.5 / math.tanh(2 * b.t) * (X**2 - Y**2) + b.radius * np.abs(X) / math.sinh(2 * b.t)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda m: sobolev_embed_bound(0.3, m),
+        lambda m: schwartz_image_bound(0.4, m),
+        lambda m: tempered_bound(0.3, m),
+        lambda m: special_schwartz_bound(0.5, m),
+        lambda m: special_plain_bound(0.5, m),
+        lambda m: stft_bound(2.0, m),
+        lambda m: compact_bound(0.5, 0.3 * m),
+    ],
+    ids=["sobolev-embed", "schwartz-image", "tempered", "special-schwartz",
+         "special-plain", "pw-stft", "compact"],
+)
+def test_bound_log_matches_unsimplified_formula(make, m, rng):
+    # on an open mesh and on flat node arrays the log is the formula's to
+    # the last bit, shaped like the coordinates' broadcast, at m = 0 too,
+    # where the order-m term is not formed
+    b = make(m)
+    axes = [np.sort(rng.uniform(-6.0, 6.0, n)) for n in (5, 6, 7, 8)]
+    mesh = np.ix_(*axes)
+    flat = [c.ravel() for c in np.meshgrid(*axes, indexing="ij")]
+    for coords in (mesh, flat):
+        ncoords = 4 if b.kind.startswith("special") else 2
+        got = b.log_eval(*coords[:ncoords])
+        expected = _log_bound_unsimplified(b, *coords)
+        shape = np.broadcast_shapes(*(c.shape for c in coords[:ncoords]))
+        expected = np.broadcast_to(expected, shape)
+        assert got.shape == expected.shape
+        np.testing.assert_array_equal(got, expected)
 
 
 def test_bound_rejects_bad_parameters():
