@@ -350,9 +350,10 @@ class BoundSpec:
 
     def log_eval(self, X, Y, U=None, V=None) -> np.ndarray:
         """log of the bound at broadcastable real coordinate arrays, shaped
-        like their broadcast.  The order-m power is left out at m = 0, and
-        on an open mesh each term is formed on the axes it depends on; the
-        terms are summed in one fixed order, whatever m."""
+        like their broadcast.  At m = 0 the order-m power is not formed.
+        Each term is formed on the axes it depends on, and the terms are
+        summed in a fixed order: reassociating them moves envelope sups in
+        their last digits."""
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
         if self.kind in ("sobolev-embed", "schwartz-image", "tempered"):

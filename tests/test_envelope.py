@@ -195,7 +195,7 @@ def _counted_scan(inner, bounds, grid):
     return handle.calls
 
 
-def _covers(calls, grid):
+def _assert_covers(calls, grid):
     """The calls walk every node of ``grid`` once: their x-slices tile its
     x-axis in order, and every call spans its other axes."""
     axes = [grid.axis(k)[0] for k in range(2 * grid.ncoords)]
@@ -203,7 +203,6 @@ def _covers(calls, grid):
     for call in calls:
         for got, axis in zip(call[1:], axes[1:]):
             np.testing.assert_array_equal(got, axis)
-    return True
 
 
 PLANE_BOUNDS = (
@@ -232,7 +231,8 @@ def test_trapezoid_envelope_evaluates_only_the_refined_grid(monkeypatch, inner, 
     n = grid.refine(2).resolution
     monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", 5 * n ** (2 * grid.ncoords - 1))
     one = _counted_scan(inner, bounds[:1], grid)
-    assert len(one) > 2 and _covers(one, grid.refine(2))
+    assert len(one) > 2
+    _assert_covers(one, grid.refine(2))
     # one scan serves every bound
     assert len(_counted_scan(inner, bounds, grid)) <= len(one)
 
@@ -254,7 +254,8 @@ def test_gauss_legendre_envelope_scans_each_grid_once(inner, bounds, grid):
         coarse = [c for c in calls if len(c[1]) == grid.resolution]
         fine = [c for c in calls if len(c[1]) == grid.refine(2).resolution]
         assert len(coarse) + len(fine) == len(calls)
-        assert _covers(coarse, grid) and _covers(fine, grid.refine(2))
+        _assert_covers(coarse, grid)
+        _assert_covers(fine, grid.refine(2))
 
 
 @pytest.mark.parametrize("kind", ["trapezoid", "gauss-legendre"])
