@@ -96,7 +96,7 @@ def _write_rows(path, header, rows):
 
 def _grid_from_args(args) -> PlaneGrid:
     box = tuple(args.box) if args.box else (-6.0, 6.0, -4.0, 4.0)
-    return PlaneGrid(boxes=(box,), resolution=args.res)
+    return PlaneGrid(boxes=(box,), resolution=args.res, kind="trapezoid")
 
 
 _FLAGS = {

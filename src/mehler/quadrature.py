@@ -334,10 +334,9 @@ class PlaneGrid:
         return out
 
     def refine(self, factor: int = 2) -> "PlaneGrid":
-        if self.kind == "trapezoid":
-            # keep node nesting (and any midpoint) under refinement
-            return replace(self, resolution=factor * (self.resolution - 1) + 1)
-        return replace(self, resolution=self.resolution * factor)
+        """The grid with ``factor`` times as many intervals per axis: a
+        trapezoid grid keeps every node (and any midpoint) of its own."""
+        return replace(self, resolution=factor * (self.resolution - 1) + 1)
 
     def widen(self, factor: float) -> "PlaneGrid":
         boxes = tuple(

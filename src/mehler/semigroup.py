@@ -13,12 +13,13 @@ point or a batch of points: its kernel K_{2t}(z, conj w) factors over the
 real axes of the grid, so the integral is a z-side table on x, one (x, y)
 table and a z-side table on y joined by one matrix product.
 ``envelope`` is the package's one growth-envelope scan: the sup of
-|F|^2 / bound (or |F| / bound) on a plane grid and at twice its resolution,
-over x-slices of one open mesh of the grid's real axes (x, y on C; x, y, u,
-v on C^2) fed to ``handle.eval_grid_parts`` and ``bound.log_eval``, so
-images on C and on C^2 share it and no flattened nodes are built.  A
-trapezoid grid's refinement keeps its nodes, so one scan of the refined
-grid gives both sups; ``envelopes`` runs several bounds on that one scan.
+|F|^2 / bound (or |F| / bound) on a trapezoid plane grid and at twice its
+resolution, over x-slices of one open mesh of the grid's real axes (x, y on
+C; x, y, u, v on C^2) fed to ``handle.eval_grid_parts`` and
+``bound.log_eval``, so images on C and on C^2 share it and no flattened
+nodes are built.  The refined grid keeps every node of the grid, so one
+scan of it gives both sups; ``envelopes`` runs several bounds on that one
+scan.
 
 Every grid job here walks the open mesh of the grid's axes and takes F in
 split form P e^E (``EntireHandle.eval_grid_parts``; for a spectral image
@@ -109,10 +110,9 @@ class EnvelopeReport:
     """Measured sup of |F|^2 (or |F|) against a growth bound on a grid.
 
     ``coarse_abs`` holds |F| at the nodes of ``grid``, shaped like its
-    open mesh, one axis per real coordinate; None when no scan ran.  On a
-    trapezoid grid it is read off the scan of the refined grid, whose every
-    second node on each axis is a node of ``grid``; on a Gauss-Legendre
-    grid it comes from the scan of ``grid`` itself.  The scan forms
+    open mesh, one axis per real coordinate; None when no scan ran.  It is
+    read off the scan of the refined grid, whose every second node on each
+    axis is a node of ``grid``.  The scan forms
     log|F|, so an entry whose |F| passes the largest double reads inf while
     the ratio and its sup stay finite.
     """
@@ -485,22 +485,22 @@ def _mesh_blocks(grid: PlaneGrid):
         yield rows, np.ix_(x[rows], *rest)
 
 
-def _scan(handle: EntireHandle, bounds, grid: PlaneGrid, stride: int | None = None):
-    """One scan of the grid's nodes against every bound of ``bounds``.
+def _scan(handle: EntireHandle, bounds, grid: PlaneGrid):
+    """One scan of the nodes of ``grid.refine(2)`` against every bound of
+    ``bounds``.
 
-    Returns (sups, argmaxes, nested sups, nested |F|): per bound, the sup
-    of |F|^p / bound over the nodes and the node attaining it (p = 1 for
-    bounds on the modulus, 2 otherwise).  With ``stride``, also the sup per
-    bound over the nested sub-lattice of every ``stride``-th node on each
-    axis, counted from the first, and |F| on that sub-lattice, shaped like
-    its open mesh; without, those two are None.  F is evaluated once per
-    block, whatever the number of bounds.
+    Returns (sups, argmaxes, coarse sups, coarse |F|): per bound, the sup
+    of |F|^p / bound over the refined nodes and the node attaining it
+    (p = 1 for bounds on the modulus, 2 otherwise), the sup per bound over
+    the nodes of ``grid`` itself, every second node on each refined axis
+    counted from the first, and |F| there, shaped like the grid's open
+    mesh.  F is evaluated once per block, whatever the number of bounds.
     """
     sups = [-math.inf] * len(bounds)
     args: list = [None] * len(bounds)
-    nested_sups = [-math.inf] * len(bounds)
+    coarse_sups = [-math.inf] * len(bounds)
     tables = []
-    for rows, block in _mesh_blocks(grid):
+    for rows, block in _mesh_blocks(grid.refine(2)):
         shape = np.broadcast_shapes(*(c.shape for c in block))
         # log|F| = log|P| + Re E, with P freed first and the sum broadcast
         # to the mesh once (P and E may be smaller, as for Phi_00): no
@@ -517,13 +517,11 @@ def _scan(handle: EntireHandle, bounds, grid: PlaneGrid, stride: int | None = No
         else:
             log_F = np.add(log_abs, np.real(E), out=np.empty(shape))
         del E, log_abs
-        if stride is not None:
-            # the block's first row on the sub-lattice: blocks may start at
-            # any row of the grid
-            nested = (slice(-rows.start % stride, None, stride),)
-            nested += (slice(None, None, stride),) * (len(shape) - 1)
-            with np.errstate(over="ignore"):
-                tables.append(np.exp(log_F[nested]))
+        # the grid's nodes in the block: blocks may start at any row of the
+        # refined grid
+        coarse = (slice(rows.start % 2, None, 2),) + (slice(None, None, 2),) * (len(shape) - 1)
+        with np.errstate(over="ignore"):
+            tables.append(np.exp(log_F[coarse]))
         for j, bound in enumerate(bounds):
             # the last bound takes log|F| itself
             log_ratio = log_F if j == len(bounds) - 1 else log_F.copy()
@@ -537,12 +535,12 @@ def _scan(handle: EntireHandle, bounds, grid: PlaneGrid, stride: int | None = No
             if args[j] is None or log_ratio[i] > sups[j]:
                 sups[j] = float(log_ratio[i])
                 args[j] = tuple(float(np.broadcast_to(c, shape)[i]) for c in block)
-            if stride is not None and log_ratio[nested].size:
-                nested_sups[j] = max(nested_sups[j], float(np.max(log_ratio[nested])))
-    sups = [_exp_sup(s) for s in sups]
-    if stride is None:
-        return sups, args, None, None
-    return sups, args, [_exp_sup(s) for s in nested_sups], np.concatenate(tables)
+            if log_ratio[coarse].size:
+                coarse_sups[j] = max(coarse_sups[j], float(np.max(log_ratio[coarse])))
+    return (
+        [_exp_sup(s) for s in sups], args,
+        [_exp_sup(s) for s in coarse_sups], np.concatenate(tables),
+    )
 
 
 def _exp_sup(log_sup: float) -> float:
@@ -554,15 +552,13 @@ def envelopes(handle: EntireHandle, bounds, grid: PlaneGrid) -> list[EnvelopeRep
     one evaluation of F per node: the scan forms log|F| once per block and
     each bound subtracts its own log from it.  The reports share one
     ``coarse_abs`` table."""
+    if grid.kind != "trapezoid":
+        raise ValueError(
+            f"an envelope needs a trapezoid grid, whose refinement keeps its "
+            f"nodes; got a {grid.kind} grid"
+        )
     bounds = tuple(bounds)
-    fine = grid.refine(2)
-    if grid.kind == "trapezoid":
-        # the refined trapezoid grid keeps every node of the grid (every
-        # second node on each axis), so one scan gives both sups
-        sups, argmaxes, coarse_sups, coarse_abs = _scan(handle, bounds, fine, stride=2)
-    else:
-        coarse_sups, _, _, coarse_abs = _scan(handle, bounds, grid, stride=1)
-        sups, argmaxes, _, _ = _scan(handle, bounds, fine)
+    sups, argmaxes, coarse_sups, coarse_abs = _scan(handle, bounds, grid)
     reports = []
     for bound, sup_fine, argmax, sup_coarse in zip(bounds, sups, argmaxes, coarse_sups):
         if sup_fine == 0.0:
@@ -580,16 +576,15 @@ def envelope(handle: EntireHandle, bound: BoundSpec, grid: PlaneGrid) -> Envelop
     on the modulus), with the argmax and a refinement-stability flag.
 
     The sup is recomputed at doubled resolution; ``stable`` records whether
-    it moved by less than 5% relatively.  A trapezoid grid refines by
-    halving its step, so the refined grid keeps every node of the grid
-    (the nested trapezoid rule) and one scan of it gives the refined sup,
-    the grid's sup over the nested nodes and |F| there; a Gauss-Legendre
-    grid shares no nodes with its refinement, and both are scanned.  Grids
-    over one complex coordinate and over two (with
-    ``handle.eval_grid(X, Y, U, V)``) scan alike.  |F| at the grid's nodes
-    comes back as ``coarse_abs``, so a caller that tables the grid need
-    not evaluate it again.  :func:`envelopes` runs several bounds on one
-    scan.
+    it moved by less than 5% relatively.  The grid must be a trapezoid one
+    (any other kind raises ``ValueError``): it refines by halving its step,
+    so the refined grid keeps every node of the grid (the nested trapezoid
+    rule) and one scan of it gives the refined sup, the grid's sup over the
+    nested nodes and |F| there.  Grids over one complex coordinate and over
+    two (with ``handle.eval_grid(X, Y, U, V)``) scan alike.  |F| at the
+    grid's nodes comes back as ``coarse_abs``, so a caller that tables the
+    grid need not evaluate it again.  :func:`envelopes` runs several bounds
+    on one scan.
     """
     return envelopes(handle, (bound,), grid)[0]
 

@@ -202,24 +202,29 @@ def _times_polynomial(val, a: int, b: int, z, w, q) -> np.ndarray:
     return np.asarray(val)
 
 
-def _phi1_parts(a: int, b: int, z, w) -> tuple[np.ndarray, np.ndarray]:
-    """(P, E) with Phi_ab(z, w) = P e^E, broadcast over arrays z, w:
-    E = -(z^2 + w^2)/4 and P = coef zeta^d L_k^d((z^2 + w^2)/2), as in
-    :func:`_phi1` but with no exponential taken.  P keeps the broadcast
+def _phi1_parts(a: int, b: int, z, w, shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(P, E) with e^{-shift} Phi_ab(z, w) = P e^E, broadcast over arrays
+    z, w: E = -(z^2 + w^2)/4 - shift and P = coef zeta^d L_k^d((z^2 +
+    w^2)/2), as in :func:`_phi1` but with no exponential taken.  E is
+    formed per coordinate and broadcast once, by adding the z-table
+    -z^2/4 - shift to the w-table -w^2/4, and z^2 + w^2 spans the
+    broadcast shape only when P needs it (k > 0).  P keeps the broadcast
     shape of its factors: 0-d for Phi_00, whose P is the constant.  Raises
     :class:`HermiteOverflowError` where P does not fit a double."""
     z = np.asarray(z)
     w = np.asarray(w)
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(w))):
         raise ValueError("argument must be finite")
-    _, _, coef = _phi1_constants(a, b)
-    q = z * z + w * w
+    _, k, coef = _phi1_constants(a, b)
+    z2, w2 = z * z, w * w
     with np.errstate(over="ignore", invalid="ignore"):
-        P = _times_polynomial(coef, a, b, z, w, q)
+        P = _times_polynomial(coef, a, b, z, w, z2 + w2 if k else None)
     if not np.all(np.isfinite(P)):
         raise HermiteOverflowError(f"Phi_{a}{b} exceeds the largest double at a requested point")
-    q *= -0.25
-    return P, q
+    z2 *= -0.25
+    z2 -= shift
+    w2 *= -0.25
+    return P, z2 + w2
 
 
 def _times(P: np.ndarray, terms: dict) -> np.ndarray:
@@ -361,10 +366,12 @@ class GaussianImage:
         g = 0.25 / math.tanh(self.t)
         pref = (2.0 * math.pi) ** -1 * (2.0 * math.sinh(self.t)) ** -1
         kap = 0.5 * self.a + g
-        ex = np.exp(-g * (z**2 + w**2))
-        ix = np.exp((2 * g * z - 0.5j * w) ** 2 / (4 * kap))
-        iu = np.exp((2 * g * w + 0.5j * z) ** 2 / (4 * kap))
-        return pref * (math.pi / kap) * ex * ix * iu
+        with np.errstate(over="ignore", invalid="ignore"):
+            ex = np.exp(-g * (z**2 + w**2))
+            ix = np.exp((2 * g * z - 0.5j * w) ** 2 / (4 * kap))
+            iu = np.exp((2 * g * w + 0.5j * z) ** 2 / (4 * kap))
+            val = pref * (math.pi / kap) * ex * ix * iu
+        return _finite_twisted(val)
 
 
 # ---------------------------------------------------------------------------
@@ -423,26 +430,39 @@ def twisted_conv(f, g, z, w, grid: PlaneGrid):
     c = coth(t)/4, so every point is pref sum_ij A_i (W o F)_ij B_j and all
     points cost one matrix product against the weighted table of f.
     Profiles that do not factor (:class:`LaguerreProfile`, callables) keep
-    the dense sum over the nodes, broadcast over the points.
+    the dense sum over the nodes, broadcast over the points.  A value past
+    the largest double raises :class:`HermiteOverflowError`.
     """
     zs, ws = np.broadcast_arrays(np.asarray(z), np.asarray(w))
     shape = zs.shape
     zs, ws = zs.reshape(-1, 1), ws.reshape(-1, 1)
-    if isinstance(g, HeatProfile):
-        (x, wx), (u, wu) = grid.axis(0), grid.axis(1)
-        table = np.multiply.outer(wx, wu) * twisted_eval(f, x[:, None], u[None, :])
-        c = 0.25 / math.tanh(g.t)
-        A = np.exp(-c * (zs - x) ** 2 - 0.5j * x * ws)
-        B = np.exp(-c * (ws - u) ** 2 + 0.5j * zs * u)
-        pref = ((2.0 * math.pi) * (2.0 * math.sinh(g.t))) ** -1
-        vals = pref * np.sum(real_matmul(A, table) * B, axis=1)
-    else:
-        X, U, Wt = grid.nodes()
-        fv = Wt * twisted_eval(f, X, U)
-        gv = twisted_eval(g, zs - X, ws - U)
-        phase = np.exp(-0.5j * (X * ws - zs * U))
-        vals = np.sum(fv * gv * phase, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(g, HeatProfile):
+            (x, wx), (u, wu) = grid.axis(0), grid.axis(1)
+            table = np.multiply.outer(wx, wu) * twisted_eval(f, x[:, None], u[None, :])
+            c = 0.25 / math.tanh(g.t)
+            A = np.exp(-c * (zs - x) ** 2 - 0.5j * x * ws)
+            B = np.exp(-c * (ws - u) ** 2 + 0.5j * zs * u)
+            pref = ((2.0 * math.pi) * (2.0 * math.sinh(g.t))) ** -1
+            vals = pref * np.sum(real_matmul(A, table) * B, axis=1)
+        else:
+            X, U, Wt = grid.nodes()
+            fv = Wt * twisted_eval(f, X, U)
+            gv = twisted_eval(g, zs - X, ws - U)
+            phase = np.exp(-0.5j * (X * ws - zs * U))
+            vals = np.sum(fv * gv * phase, axis=1)
+    _finite_twisted(vals)
     return complex(vals[0]) if not shape else vals.reshape(shape)
+
+
+def _finite_twisted(vals):
+    """``vals``, or HermiteOverflowError where a twisted image left the
+    doubles."""
+    if not np.all(np.isfinite(vals)):
+        raise HermiteOverflowError(
+            "twisted heat image exceeds the largest double at a requested point"
+        )
+    return vals
 
 
 def special_semigroup_apply(
@@ -551,14 +571,26 @@ def laguerre_sobolev_norm(e: SpecialExpansion, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _as_polygauss(f) -> PolyGaussian2n | None:
+def _as_polygauss(f) -> PolyGaussian2n:
+    """``f`` as a polynomial Gaussian on the real plane, exactly.
+
+    An n = 1 basis member is P(x, y, u, v) e^{-(z^2 + w^2)/4}
+    (:func:`_phi1_poly`); at y = v = 0 that is the polynomial P(x, 0, u, 0)
+    times e^{-(x^2 + u^2)/4}, the width a = 1/2.  Any other input raises
+    ``ValueError``.
+    """
     if isinstance(f, PolyGaussian2n):
         return f
     if isinstance(f, Gaussian2n):
         return PolyGaussian2n((((0, 0), 1.0),), f.a)
-    if isinstance(f, SpecialHermiteBasis) and f.alpha == (0,) and f.beta == (0,):
-        return PolyGaussian2n((((0, 0), (2.0 * math.pi) ** -0.5),), 0.5)
-    return None
+    if isinstance(f, SpecialHermiteBasis) and f.dimension == 1:
+        a, b = f.alpha[0], f.beta[0]
+        P = _phi1_poly(a, b, abs(a - b) + 2 * min(a, b) + 1)[:, 0, :, 0]
+        return PolyGaussian2n(tuple(((j, k), P[j, k]) for j, k in zip(*np.nonzero(P))), 0.5)
+    raise ValueError(
+        "the intertwining checks take a polynomial Gaussian: PolyGaussian2n, "
+        f"Gaussian2n or an n = 1 SpecialHermiteBasis, not {type(f).__name__}"
+    )
 
 
 def _pg_combine(terms: dict, key, coeff):
@@ -608,38 +640,13 @@ def pg_add(f: PolyGaussian2n, g: PolyGaussian2n) -> PolyGaussian2n:
     return PolyGaussian2n(tuple(out.items()), f.a)
 
 
-@dataclass(frozen=True)
-class _FiniteDiffFunction:
-    """4th-order central difference of a twisted function (step 1e-3)."""
-
-    f: object
-    which: str  # "x" or "u"
-    step: float = 1e-3
-
-    def __call__(self, X, U):
-        h = self.step
-        if self.which == "x":
-            shifts = [(2 * h, 0), (h, 0), (-h, 0), (-2 * h, 0)]
-        else:
-            shifts = [(0, 2 * h), (0, h), (0, -h), (0, -2 * h)]
-        c = [-1.0, 8.0, -8.0, 1.0]
-        acc = 0.0
-        for (dx, du), cc in zip(shifts, c):
-            acc = acc + cc * twisted_eval(self.f, X + dx, U + du)
-        return acc / (12 * h)
-
-
-def _derivative_op(f, which: str, a_coef: float):
-    """(d/dx - a x) f or (d/du - a u) f, analytic when f is closed form."""
+def _derivative_op(f, which: str, a_coef: float) -> PolyGaussian2n:
+    """(d/dx - a x) f or (d/du - a u) f, exactly, for an ``f`` that
+    :func:`_as_polygauss` converts."""
     pg = _as_polygauss(f)
-    if pg is not None:
-        d = pg_dx(pg) if which == "x" else pg_du(pg)
-        mul = pg_mul_x(pg) if which == "x" else pg_mul_u(pg)
-        return pg_add(d, pg_scale(mul, -a_coef))
-    base = _FiniteDiffFunction(f, which)
-    if which == "x":
-        return lambda X, U: base(X, U) - a_coef * X * twisted_eval(f, X, U)
-    return lambda X, U: base(X, U) - a_coef * U * twisted_eval(f, X, U)
+    d = pg_dx(pg) if which == "x" else pg_du(pg)
+    mul = pg_mul_x(pg) if which == "x" else pg_mul_u(pg)
+    return pg_add(d, pg_scale(mul, -a_coef))
 
 
 @dataclass(frozen=True)
@@ -738,8 +745,6 @@ def composed_intertwine_residual(
         raise ValueError("t must be positive")
     grid = grid or default_twisted_grid(t)
     pg = _as_polygauss(f)
-    if pg is None:
-        raise ValueError("the composed check needs a closed-form test function")
     a = 0.5 / math.tanh(t)
     b = 0.5j
     det = a * a + b * b
@@ -791,12 +796,11 @@ class SpecialEigenHandle(EntireHandle):
 
     def eval_grid_parts(self, X, Y, U, V):
         """(P, E) of :func:`_phi1_parts`, with log damp joining
-        E = log damp - (z^2 + w^2)/4."""
+        E = log damp - (z^2 + w^2)/4 on the (x, y) table."""
         Z = np.asarray(X) + 1j * np.asarray(Y)
         W = np.asarray(U) + 1j * np.asarray(V)
-        P, E = _phi1_parts(self.alpha[0], self.beta[0], Z, W)
-        E -= oscillator_eigenvalue(self.beta) * self.time
-        return P, E
+        lam_t = oscillator_eigenvalue(self.beta) * self.time
+        return _phi1_parts(self.alpha[0], self.beta[0], Z, W, shift=lam_t)
 
 
 @dataclass(frozen=True)
@@ -1041,7 +1045,8 @@ def special_envelope(
 
     ``kind`` selects the full polynomial denominator ("special-schwartz")
     or the plain variant with the (1 + y^2 + v^2) denominator
-    ("special-plain").  The scan is :func:`mehler.semigroup.envelope`.
+    ("special-plain").  The scan is :func:`mehler.semigroup.envelope`, so
+    ``grid`` must be a trapezoid grid.
     """
     if grid.ncoords != 2:
         raise ValueError("need a two-coordinate grid over C^2")

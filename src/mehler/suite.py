@@ -666,7 +666,10 @@ def check_sobolev_image_isometry(config: SuiteConfig) -> CheckResult:
 
 
 def _special_envelope_grid() -> PlaneGrid:
-    return PlaneGrid(boxes=((-6.0, 6.0, -6.0, 6.0), (-6.0, 6.0, -6.0, 6.0)), resolution=16)
+    """Uniform nodes, odd count, so the origin (where Phi_00's sup sits) is
+    a node, as on :func:`_envelope_grid`."""
+    box = (-6.0, 6.0, -6.0, 6.0)
+    return PlaneGrid(boxes=(box, box), resolution=17, kind="trapezoid")
 
 
 def check_special_schwartz_envelope(config: SuiteConfig) -> CheckResult:

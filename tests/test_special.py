@@ -220,6 +220,24 @@ def test_semigroup_matches_gaussian_closed_form(tw_grid):
     assert abs(got - oracle) / abs(oracle) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: special_semigroup_apply(Gaussian2n(1.0), 0.4, 0.0, 40j, "kernel"),
+        lambda: special_semigroup_apply(SpecialHermiteBasis((1,), (0,)), 0.4, 0.0, 40j, "kernel"),
+        lambda: GaussianImage(1.0, 0.4)(0.0, 40j),
+    ],
+    ids=["gaussian-kernel", "phi10-kernel", "gaussian-closed-form"],
+)
+def test_twisted_image_overflow_is_loud(run):
+    # at w = 40i the twisted heat image leaves the doubles; the value must
+    # not come back as NaN, nor as a RuntimeWarning before the named error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(special.HermiteOverflowError, match="largest double"):
+            run()
+
+
 def test_laguerre_projection_identity(tw_grid):
     got = laguerre_project(SpecialHermiteBasis((0,), (0,)), 0, 0.0, 0.0, tw_grid)
     assert got == pytest.approx(TWO_PI**-0.5, rel=1e-10)
@@ -254,11 +272,32 @@ def test_intertwine_exactly_one_convention():
             assert plus.passes() and not minus.passes()
 
 
-def test_intertwine_finite_difference_route():
-    # a basis member beyond the closed-form table exercises the FD path
-    f = SpecialHermiteBasis((1,), (0,))
-    rep = intertwine_check(f, 0.4, +1)
-    assert rep.residual <= 1e-6
+@pytest.mark.parametrize("ab", [(1, 0), (2, 1), (0, 3)], ids=["phi10", "phi21", "phi03"])
+def test_intertwine_exact_route_for_basis_members(ab):
+    # every n = 1 member is a polynomial Gaussian on the real plane, so its
+    # derivatives are exact: the residual is roundoff (a 4th-order finite
+    # difference read 2.1e-14 for Phi_10 and 7.7e-14 for Phi_21)
+    f = SpecialHermiteBasis((ab[0],), (ab[1],))
+    x = np.linspace(-4.0, 4.0, 41)[:, None]
+    u = np.linspace(-3.5, 4.5, 37)[None, :]
+    np.testing.assert_allclose(
+        twisted_eval(special._as_polygauss(f), x, u), twisted_eval(f, x, u), rtol=0, atol=1e-15
+    )
+    assert intertwine_check(f, 0.4, +1).residual <= 1e-14
+    assert intertwine_check(f, 0.4, -1).residual > 1e-3
+    assert composed_intertwine_residual(f, 0.4) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "f",
+    [lambda X, U: np.exp(-(X * X + U * U)), SpecialHermiteBasis((0, 1), (1, 0))],
+    ids=["callable", "n2-member"],
+)
+def test_intertwine_refuses_inputs_without_a_polynomial_gaussian_form(f):
+    with pytest.raises(ValueError, match="polynomial Gaussian"):
+        intertwine_check(f, 0.4, +1)
+    with pytest.raises(ValueError, match="polynomial Gaussian"):
+        composed_intertwine_residual(f, 0.4)
 
 
 def test_composed_relation():
@@ -576,7 +615,7 @@ def test_order_two_norm_matches_dense_reference(grid4, ab, kind):
 
 def _env_grid():
     return PlaneGrid(
-        boxes=((-6.0, 6.0, -6.0, 6.0), (-6.0, 6.0, -6.0, 6.0)), resolution=16
+        boxes=((-6.0, 6.0, -6.0, 6.0), (-6.0, 6.0, -6.0, 6.0)), resolution=17, kind="trapezoid"
     )
 
 
