@@ -348,51 +348,53 @@ class BoundSpec:
         """True when the bound is stated on |F| rather than |F|^2."""
         return self.kind in _MODULUS_KINDS
 
-    def log_eval(self, X, Y, U=None, V=None) -> np.ndarray:
-        """log of the bound at broadcastable real coordinate arrays, shaped
-        like their broadcast.  At m = 0 the order-m power is not formed.
-        Each term is formed on the axes it depends on, and the terms are
-        summed in a fixed order: reassociating them moves envelope sups in
-        their last digits."""
+    def log_parts(self, X, Y, U=None, V=None) -> tuple[tuple, int, tuple]:
+        """The log of the bound in pieces, (terms, power, squares): the log
+        is the sum of ``terms`` plus power * log1p(sum of ``squares``),
+        every array formed on the axes of the coordinates it depends on.
+        ``power`` is 0 at m = 0 (and for ``compact``), where the order-m
+        term is not formed."""
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
+        x2, y2 = X**2, Y**2
         if self.kind in ("sobolev-embed", "schwartz-image", "tempered"):
-            x2, y2 = X**2, Y**2
             gauss_x = math.tanh(2 * self.t) * x2
             gauss_y = (1.0 / math.tanh(2 * self.t)) * y2
-            if self.m == 0:
-                return gauss_y - gauss_x
             power = 2 * self.m if self.kind == "tempered" else -2 * self.m
-            return power * np.log1p(x2 + y2) - gauss_x + gauss_y
+            return (-gauss_x, gauss_y), power, (x2, y2)
         if self.kind in ("special-schwartz", "special-plain"):
             if U is None or V is None:
                 raise ValueError("this bound lives on C^{2n}: need U and V")
             U = np.asarray(U, dtype=float)
             V = np.asarray(V, dtype=float)
             c4 = 1.0 / math.tanh(4 * self.t)
-            y2, v2 = Y**2, V**2
-            # vx - uy + c4 (y^2 + v^2) in this order, later terms in place
-            core = V * X - U * Y
-            core += c4 * (y2 + v2)
-            if self.m == 0:
-                return core
-            if self.kind == "special-schwartz":
-                core -= 2 * self.m * np.log1p(X**2 + y2 + U**2 + v2)
-            else:
-                core -= 2 * self.m * np.log1p(y2 + v2)
-            return core
+            v2 = V**2
+            terms = (V * X, -(U * Y), c4 * (y2 + v2))
+            squares = (x2, y2, U**2, v2) if self.kind == "special-schwartz" else (y2, v2)
+            return terms, -2 * self.m, squares
         if self.kind == "pw-stft":
-            y2 = Y**2
-            gauss = y2 / (2.0 * self.a)
-            if self.m == 0:
-                return np.broadcast_to(gauss, np.broadcast_shapes(X.shape, Y.shape))
-            return self.m * np.log1p(X**2 + y2) + gauss
+            return (y2 / (2.0 * self.a),), self.m, (x2, y2)
         if self.kind == "compact":
             c2 = 1.0 / math.tanh(2 * self.t)
-            return -0.5 * c2 * (X**2 - Y**2) + self.radius * np.abs(X) / math.sinh(
-                2 * self.t
-            )
+            gauss = x2 - y2
+            gauss *= -0.5 * c2
+            return (gauss, self.radius * np.abs(X) / math.sinh(2 * self.t)), 0, ()
         raise AssertionError(self.kind)
+
+    def log_eval(self, X, Y, U=None, V=None) -> np.ndarray:
+        """log of the bound at broadcastable real coordinate arrays, as a
+        fresh array shaped like their broadcast: the pieces of
+        :meth:`log_parts` summed in the order the bound is written, the
+        order-m term first on C and last on C^2 (reassociating them moves
+        envelope sups in their last digits)."""
+        terms, power, squares = self.log_parts(X, Y, U, V)
+        coords = [c for c in (X, Y, U, V) if c is not None]
+        out = np.zeros(np.broadcast_shapes(*(np.shape(c) for c in coords)))
+        radial = [power * np.log1p(sum(squares))] if power else []
+        parts = radial + list(terms) if len(coords) == 2 else list(terms) + radial
+        for part in parts:
+            out += part
+        return out
 
     def eval(self, X, Y, U=None, V=None) -> np.ndarray:
         return np.exp(self.log_eval(X, Y, U, V))

@@ -16,10 +16,11 @@ table and a z-side table on y joined by one matrix product.
 |F|^2 / bound (or |F| / bound) on a trapezoid plane grid and at twice its
 resolution, over x-slices of one open mesh of the grid's real axes (x, y on
 C; x, y, u, v on C^2) fed to ``handle.eval_grid_parts`` and
-``bound.log_eval``, so images on C and on C^2 share it and no flattened
-nodes are built.  The refined grid keeps every node of the grid, so one
-scan of it gives both sups; ``envelopes`` runs several bounds on that one
-scan.
+``bound.log_parts``, so images on C and on C^2 share it and no flattened
+nodes are built.  Both logs come in pieces that each lie on the axes they
+depend on, and the scan joins them per bound in one reused block buffer.
+The refined grid keeps every node of the grid, so one scan of it gives
+both sups; ``envelopes`` runs several bounds on that one scan.
 
 Every grid job here walks the open mesh of the grid's axes and takes F in
 split form P e^E (``EntireHandle.eval_grid_parts``; for a spectral image
@@ -485,6 +486,43 @@ def _mesh_blocks(grid: PlaneGrid):
         yield rows, np.ix_(x[rows], *rest)
 
 
+def _sum_into(out: np.ndarray, pieces, add: bool = False) -> None:
+    """Write the sum of ``pieces`` to ``out``, or add it there with ``add``.
+
+    Each piece lies on its own axes and broadcasts to ``out``.  The pair
+    whose sum spans the fewest entries is joined first, for as long as that
+    sum stays smaller than ``out``; only the joins left over pass over all
+    of ``out``, in place.
+    """
+    pieces = list(pieces)
+    while len(pieces) > 1:
+        size, i, j = min(
+            (np.broadcast(a, b).size, i, j)
+            for i, a in enumerate(pieces) for j, b in enumerate(pieces) if i < j
+        )
+        if size >= out.size:
+            break
+        b = pieces.pop(j)
+        pieces[i] = pieces[i] + b
+    if not add and pieces:
+        first = pieces.pop(0)
+        if pieces:
+            np.add(first, pieces.pop(0), out=out)
+        else:
+            out[...] = first
+    for piece in pieces:
+        out += piece
+
+
+def _at_nodes(piece, coarse: tuple) -> np.ndarray:
+    """``piece`` at the nodes of the grid: the slices ``coarse`` of the
+    block, aligned to its trailing axes, on the axes where it has more
+    than one entry."""
+    piece = np.asarray(piece)
+    axes = coarse[len(coarse) - piece.ndim:]
+    return piece[tuple(s if n > 1 else slice(None) for s, n in zip(axes, piece.shape))]
+
+
 def _scan(handle: EntireHandle, bounds, grid: PlaneGrid):
     """One scan of the nodes of ``grid.refine(2)`` against every bound of
     ``bounds``.
@@ -495,51 +533,79 @@ def _scan(handle: EntireHandle, bounds, grid: PlaneGrid):
     the nodes of ``grid`` itself, every second node on each refined axis
     counted from the first, and |F| there, shaped like the grid's open
     mesh.  F is evaluated once per block, whatever the number of bounds.
+
+    log|F| = log|P| + Re E and the log of each bound
+    (:meth:`~mehler.kernels.BoundSpec.log_parts`) are sums of pieces that
+    each lie on the axes they depend on, and they stay there until one
+    joined sum per bound is written to a block buffer.  The scan holds two
+    block-sized arrays at most, allocated once: that buffer, and a second
+    one for a log|P| that spans the block (with any part of Re E that does
+    too), formed once per block.  The log ratio is summed divided by p,
+    which is exact for p = 2, and its maxima are scaled back.
     """
     sups = [-math.inf] * len(bounds)
     args: list = [None] * len(bounds)
     coarse_sups = [-math.inf] * len(bounds)
-    tables = []
+    coarse_abs = np.empty((grid.resolution,) * (2 * grid.ncoords))
+    buf = tmp = None
     for rows, block in _mesh_blocks(grid.refine(2)):
         shape = np.broadcast_shapes(*(c.shape for c in block))
-        # log|F| = log|P| + Re E, with P freed first and the sum broadcast
-        # to the mesh once (P and E may be smaller, as for Phi_00): no
-        # modulus is exponentiated, and against one bound at most two mesh
-        # arrays live at once
+        if buf is None:
+            buf = np.empty(shape)
+        out = buf[: shape[0]]
         P, E = handle.eval_grid_parts(*block)
-        log_abs = np.abs(P, out=np.empty(np.shape(P)))
-        del P
+        pieces = [np.real(e) for e in (E if isinstance(E, tuple) else (E,))]
         with np.errstate(divide="ignore"):
-            np.log(log_abs, out=log_abs)
-        if log_abs.shape == shape:
-            log_F = log_abs
-            log_F += np.real(E)
-        else:
-            log_F = np.add(log_abs, np.real(E), out=np.empty(shape))
-        del E, log_abs
+            if np.shape(P) == shape:
+                if tmp is None:
+                    tmp = np.empty_like(buf)
+                log_P = np.abs(P, out=tmp[: shape[0]])
+                np.log(log_P, out=log_P)
+                for e in pieces:
+                    if np.shape(e) == shape:
+                        log_P += e
+                pieces = [e for e in pieces if np.shape(e) != shape]
+            else:
+                log_P = np.log(np.abs(P))
+        pieces.insert(0, log_P)
+        del P, E
         # the grid's nodes in the block: blocks may start at any row of the
         # refined grid
         coarse = (slice(rows.start % 2, None, 2),) + (slice(None, None, 2),) * (len(shape) - 1)
-        with np.errstate(over="ignore"):
-            tables.append(np.exp(log_F[coarse]))
+        first = (rows.start + 1) // 2
+        count = len(range(rows.start % 2, shape[0], 2))
+        _sum_into(coarse_abs[first : first + count], [_at_nodes(e, coarse) for e in pieces])
         for j, bound in enumerate(bounds):
-            # the last bound takes log|F| itself
-            log_ratio = log_F if j == len(bounds) - 1 else log_F.copy()
-            if not bound.on_modulus:
-                log_ratio *= 2.0
-            log_ratio -= bound.log_eval(*block)
+            p = 1 if bound.on_modulus else 2
+            terms, power, squares = bound.log_parts(*block)
+            # log ratio / p = log|F| - terms / p - (power / p) log1p(squares);
+            # a term that spans the block is subtracted in place, not negated
+            spanning = [term for term in terms if np.size(term) == out.size]
+            negated = [term * (-1.0 / p) for term in terms if np.size(term) < out.size]
+            if power:
+                _sum_into(out, squares)
+                np.log1p(out, out=out)
+                if power != -p:
+                    out *= -power / p
+                _sum_into(out, pieces + negated, add=True)
+            else:
+                _sum_into(out, pieces + negated)
+            for term in spanning:
+                out -= term if p == 1 else term / p
             # argmax lands on the first NaN if there is one
-            i = np.unravel_index(int(np.argmax(log_ratio)), shape)
-            if not log_ratio[i] < math.inf:
+            i = np.unravel_index(int(np.argmax(out)), shape)
+            if not out[i] < math.inf:
                 raise HermiteOverflowError("envelope ratio is NaN or infinite at a grid node")
-            if args[j] is None or log_ratio[i] > sups[j]:
-                sups[j] = float(log_ratio[i])
+            if args[j] is None or p * float(out[i]) > sups[j]:
+                sups[j] = p * float(out[i])
                 args[j] = tuple(float(np.broadcast_to(c, shape)[i]) for c in block)
-            if log_ratio[coarse].size:
-                coarse_sups[j] = max(coarse_sups[j], float(np.max(log_ratio[coarse])))
+            if out[coarse].size:
+                coarse_sups[j] = max(coarse_sups[j], p * float(np.max(out[coarse])))
+    with np.errstate(over="ignore"):
+        np.exp(coarse_abs, out=coarse_abs)
     return (
         [_exp_sup(s) for s in sups], args,
-        [_exp_sup(s) for s in coarse_sups], np.concatenate(tables),
+        [_exp_sup(s) for s in coarse_sups], coarse_abs,
     )
 
 

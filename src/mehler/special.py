@@ -202,15 +202,18 @@ def _times_polynomial(val, a: int, b: int, z, w, q) -> np.ndarray:
     return np.asarray(val)
 
 
-def _phi1_parts(a: int, b: int, z, w, shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """(P, E) with e^{-shift} Phi_ab(z, w) = P e^E, broadcast over arrays
-    z, w: E = -(z^2 + w^2)/4 - shift and P = coef zeta^d L_k^d((z^2 +
-    w^2)/2), as in :func:`_phi1` but with no exponential taken.  E is
-    formed per coordinate and broadcast once, by adding the z-table
-    -z^2/4 - shift to the w-table -w^2/4, and z^2 + w^2 spans the
-    broadcast shape only when P needs it (k > 0).  P keeps the broadcast
-    shape of its factors: 0-d for Phi_00, whose P is the constant.  Raises
-    :class:`HermiteOverflowError` where P does not fit a double."""
+def _phi1_parts(
+    a: int, b: int, z, w, shift: float = 0.0
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """(P, (E_z, E_w)) with e^{-shift} Phi_ab(z, w) = P e^{E_z + E_w},
+    broadcast over arrays z, w: E_z = -z^2/4 - shift on the axes of z,
+    E_w = -w^2/4 on those of w, and P = coef zeta^d L_k^d((z^2 + w^2)/2),
+    as in :func:`_phi1` but with no exponential taken.  The exponent stays
+    a pair of per-coordinate tables and is never summed over the broadcast
+    shape; z^2 + w^2 spans it only when P needs it (k > 0).  P keeps the
+    broadcast shape of its factors: 0-d for Phi_00, whose P is the
+    constant.  Raises :class:`HermiteOverflowError` where P does not fit a
+    double."""
     z = np.asarray(z)
     w = np.asarray(w)
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(w))):
@@ -224,7 +227,7 @@ def _phi1_parts(a: int, b: int, z, w, shift: float = 0.0) -> tuple[np.ndarray, n
     z2 *= -0.25
     z2 -= shift
     w2 *= -0.25
-    return P, z2 + w2
+    return P, (z2, w2)
 
 
 def _times(P: np.ndarray, terms: dict) -> np.ndarray:
@@ -795,8 +798,9 @@ class SpecialEigenHandle(EntireHandle):
         return self._damp() * _phi1(self.alpha[0], self.beta[0], Z, W)
 
     def eval_grid_parts(self, X, Y, U, V):
-        """(P, E) of :func:`_phi1_parts`, with log damp joining
-        E = log damp - (z^2 + w^2)/4 on the (x, y) table."""
+        """(P, (E_z, E_w)) of :func:`_phi1_parts`: the exponent
+        log damp - (z^2 + w^2)/4 as the pair of its (x, y) table, which
+        carries log damp, and its (u, v) table."""
         Z = np.asarray(X) + 1j * np.asarray(Y)
         W = np.asarray(U) + 1j * np.asarray(V)
         lam_t = oscillator_eigenvalue(self.beta) * self.time

@@ -377,10 +377,13 @@ class EntireHandle:
     def eval_grid_parts(self, *coords: np.ndarray):
         """(P, E) with F = P e^E at the points of ``eval_grid``'s arrays.
 
-        P has the broadcast shape of the coordinates and E broadcasts
-        against it.  Handles whose values carry a Gaussian factor return
-        it as the exponent E, so that grid consumers can join it with their
-        own Gaussians before exponentiating; the default is
+        P has the broadcast shape of the coordinates, or any shape that
+        broadcasts to it.  E is an array that broadcasts against P, or, for
+        a handle on C^2, a pair of such arrays whose sum is the exponent,
+        each on the axes of one complex coordinate, so the exponent is never
+        formed on the whole mesh.  Handles whose values carry a Gaussian
+        factor return it as the exponent E, so that grid consumers can join
+        it with their own Gaussians before exponentiating; the default is
         ``(self.eval_grid(*coords), 0.0)``.
         """
         return self.eval_grid(*coords), 0.0

@@ -90,8 +90,13 @@ def test_eval_grid_returns_the_broadcast_shape(name):
     assert mesh.shape == (5, 4)
     flat = handle.eval_grid(*(np.broadcast_to(c, (5, 4)).ravel() for c in cols))
     np.testing.assert_allclose(mesh, flat.reshape(5, 4), rtol=1e-12, atol=0)
-    # the split form F = P e^E: P on the mesh, E broadcasting against it
+    # the split form F = P e^E: P on the mesh, E broadcasting against it;
+    # on C^2 E may be the pair of its z- and w-tables, whose sum is E
     P, E = handle.eval_grid_parts(*cols)
+    if isinstance(handle, SpecialEigenHandle):
+        E_z, E_w = E
+        assert E_z.shape == (5, 1) and E_w.shape == (1, 4)
+        E = E_z + E_w
     assert P.shape == (5, 4) and np.broadcast(P, E).shape == (5, 4)
     np.testing.assert_allclose(P * np.exp(E), mesh, rtol=1e-13, atol=0)
 

@@ -161,6 +161,87 @@ def test_envelope_matches_dense_reference(monkeypatch, case):
     )
 
 
+def _brute_force(values, bound, grid):
+    """Sup and argmax of |F|^p / exp(log_eval) over the open mesh of the
+    refined grid, formed in full, and the sup over the grid's nodes: every
+    second refined node on each axis."""
+    fine = grid.refine(2)
+    mesh = np.ix_(*(fine.axis(k)[0] for k in range(2 * grid.ncoords)))
+    p = 1 if bound.on_modulus else 2
+    ratio = np.abs(values(*mesh)) ** p
+    ratio /= np.exp(bound.log_eval(*mesh))
+    i = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+    argmax = tuple(float(np.broadcast_to(c, ratio.shape)[i]) for c in mesh)
+    coarse = ratio[(slice(None, None, 2),) * ratio.ndim]
+    return float(ratio[i]), argmax, float(coarse.max())
+
+
+def _plane_kinds():
+    # an off-centre box, so no node mirrors another and the argmax is one node
+    grid = _plane((-5.3, 6.1, -3.7, 4.2), 25)
+    handle = semigroup_handle(HermiteBasis((2,)), 0.3, "spectral")
+    makers = {
+        "sobolev-embed": lambda m: sobolev_embed_bound(0.3, m),
+        "schwartz-image": lambda m: schwartz_image_bound(0.3, m),
+        "tempered": lambda m: tempered_bound(0.3, m),
+        "pw-stft": lambda m: stft_bound(2.0, m),
+        "compact": lambda m: compact_bound(0.3, 0.5 * m),
+    }
+    for kind, make in makers.items():
+        for m in (0, 1, 2):
+            yield pytest.param(handle, make(m), grid, id=f"plane-{kind}-{m}")
+
+
+def _space_kinds():
+    from mehler.suite import _special_envelope_grid
+
+    # the suite's two twisted checks, and Phi_10, whose P spans the block
+    phi00 = SpecialEigenHandle((0,), (0,), 0.5)
+    yield pytest.param(phi00, special_schwartz_bound(0.5, 1), _special_envelope_grid(),
+                       id="space-special-schwartz-1")
+    yield pytest.param(phi00, special_plain_bound(0.5, 0), _special_envelope_grid(),
+                       id="space-special-plain-0")
+    phi10 = SpecialEigenHandle((1,), (0,), 0.5)
+    for bound in (special_schwartz_bound(0.5, 2), special_plain_bound(0.5, 1)):
+        yield pytest.param(phi10, bound, _space(9, box_z=(-5.3, 6.1, -3.7, 4.2)),
+                           id=f"space-phi10-{bound.kind}-{bound.m}")
+
+
+@pytest.mark.parametrize("handle, bound, grid", [*_plane_kinds(), *_space_kinds()])
+def test_scan_matches_brute_force_ratio(handle, bound, grid):
+    # the scan sums per-axis pieces of log|F| and of the bound's log in its
+    # block buffers; the reference forms |F|^p / bound on the whole mesh
+    sup, argmax, coarse = _brute_force(handle.eval_grid, bound, grid)
+    rep = envelope(handle, bound, grid)
+    assert rep.sup_ratio == pytest.approx(sup, rel=1e-13)
+    assert rep.sup_coarse == pytest.approx(coarse, rel=1e-13)
+    assert rep.argmax == argmax
+
+
+@pytest.mark.parametrize(
+    "kind, m, limit_mib",
+    [("special-schwartz", 1, 5.5), ("special-plain", 0, 3.5)],
+    ids=["twisted-schwartz", "twisted-plain"],
+)
+def test_twisted_scan_memory(kind, m, limit_mib):
+    # the suite's twisted checks scan 33^4 nodes in blocks of 2^18 entries;
+    # the scan holds one block buffer (Phi_00's P is a constant), the
+    # grid's |F| table and per-axis pieces, where it once held some 8 MiB
+    import tracemalloc
+
+    from mehler.suite import _special_envelope_grid
+
+    grid = _special_envelope_grid()
+    special_envelope(SpecialHermiteBasis((0,), (0,)), 0.5, m, grid, kind=kind)
+    tracemalloc.start()
+    try:
+        special_envelope(SpecialHermiteBasis((0,), (0,)), 0.5, m, grid, kind=kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20
+
+
 class _CountingHandle(EntireHandle):
     """Delegates to ``inner`` and records the open mesh of every
     ``eval_grid_parts`` call."""

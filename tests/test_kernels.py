@@ -374,6 +374,57 @@ def test_bound_log_matches_unsimplified_formula(make, m, rng):
         np.testing.assert_array_equal(got, expected)
 
 
+BOUND_KINDS = {
+    "sobolev-embed": lambda m: sobolev_embed_bound(0.3, m),
+    "schwartz-image": lambda m: schwartz_image_bound(0.4, m),
+    "tempered": lambda m: tempered_bound(0.3, m),
+    "special-schwartz": lambda m: special_schwartz_bound(0.5, m),
+    "special-plain": lambda m: special_plain_bound(0.5, m),
+    "pw-stft": lambda m: stft_bound(2.0, m),
+    "compact": lambda m: compact_bound(0.5, 0.3 * m),
+}
+
+
+def _open_mesh(kind):
+    axes = [np.linspace(-3.0, 3.0, n) + 0.1 * n for n in (5, 6, 7, 8)]
+    return np.ix_(*axes)[: 4 if kind.startswith("special") else 2]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("kind", list(BOUND_KINDS))
+def test_bound_log_is_a_fresh_writable_array(kind, m):
+    # pw-stft at m = 0 once returned a read-only broadcast view
+    mesh = _open_mesh(kind)
+    got = BOUND_KINDS[kind](m).log_eval(*mesh)
+    assert got.flags.writeable and got.flags.owndata
+    assert got.shape == np.broadcast_shapes(*(c.shape for c in mesh))
+    before = got.copy()
+    got += 1.0
+    np.testing.assert_array_equal(got, before + 1.0)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("kind", list(BOUND_KINDS))
+def test_bound_log_parts_stay_on_their_axes(kind, m):
+    # the log is the sum of the terms plus power log1p(sum of squares), and
+    # on an open mesh no piece spans an axis it does not depend on: on C^2
+    # every piece lies on two axes at most, on C only compact's Gaussian
+    # spans the plane
+    b = BOUND_KINDS[kind](m)
+    mesh = _open_mesh(kind)
+    terms, power, squares = b.log_parts(*mesh)
+    if kind == "compact":
+        assert power == 0 and squares == ()
+    else:
+        assert power == (m if kind == "pw-stft" else 2 * m if kind == "tempered" else -2 * m)
+    widest = 2 if len(mesh) == 4 else 1
+    for piece in list(terms if kind != "compact" else terms[1:]) + list(squares):
+        assert sum(n > 1 for n in np.shape(piece)) <= widest
+    total = sum(terms) + (power * np.log1p(sum(squares)) if power else 0.0)
+    got = b.log_eval(*mesh)
+    np.testing.assert_allclose(np.broadcast_to(total, got.shape), got, rtol=1e-14, atol=1e-14)
+
+
 def test_bound_rejects_bad_parameters():
     with pytest.raises(ValueError):
         sobolev_embed_bound(0.0, 1)

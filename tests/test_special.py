@@ -699,14 +699,16 @@ def test_entire_evaluation_consistency(tw_grid):
 @pytest.mark.parametrize("a, b", [(0, 0), (1, 0), (0, 2), (2, 1)])
 def test_split_form_matches_eval_grid_on_open_meshes(a, b):
     # P keeps the broadcast shape of its factors (0-d for Phi_00, whose P
-    # is its constant), and P e^E is the image on the open mesh
+    # is its constant), E is the pair of an (x, y) and a (u, v) table, and
+    # P e^{E_z + E_w} is the image on the open mesh
     t = 0.5
     handle = SpecialEigenHandle((a,), (b,), t)
     mesh = np.ix_(*(np.linspace(-3.0, 3.0, n) for n in (5, 6, 7, 8)))
-    P, E = handle.eval_grid_parts(*mesh)
+    P, (E_z, E_w) = handle.eval_grid_parts(*mesh)
     if (a, b) == (0, 0):
         assert P.shape == ()
-    assert np.broadcast_shapes(P.shape, E.shape) == (5, 6, 7, 8)
+    assert E_z.shape == (5, 6, 1, 1) and E_w.shape == (1, 1, 7, 8)
+    assert np.broadcast_shapes(P.shape, E_z.shape, E_w.shape) == (5, 6, 7, 8)
     expected = handle.eval_grid(*mesh)
     floor = 1e-15 * np.max(np.abs(expected))
-    np.testing.assert_allclose(P * np.exp(E), expected, rtol=1e-13, atol=floor)
+    np.testing.assert_allclose(P * np.exp(E_z + E_w), expected, rtol=1e-13, atol=floor)
