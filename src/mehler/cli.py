@@ -28,7 +28,7 @@ from .kernels import (
     tempered_bound,
     twisted_bergman_weight,
 )
-from .quadrature import PlaneGrid, gauss_hermite_rule
+from .quadrature import PlaneGrid, QuadratureError, gauss_hermite_rule
 from .semigroup import (
     calibrate_weight,
     default_bergman_grid,
@@ -96,7 +96,7 @@ def _write_rows(path, header, rows):
 
 def _grid_from_args(args) -> PlaneGrid:
     box = tuple(args.box) if args.box else (-6.0, 6.0, -4.0, 4.0)
-    return PlaneGrid(boxes=(box,), resolution=args.res, kind="trapezoid")
+    return PlaneGrid(boxes=(box,), resolution=args.res)
 
 
 _FLAGS = {
@@ -408,7 +408,7 @@ def cli_main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, HermiteOverflowError) as exc:
+    except (OSError, ValueError, HermiteOverflowError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -33,7 +33,11 @@ contracts it with per-axis jet tables of the weight's time derivatives;
 separable table |h_0|^2 U_t; ``reproduce`` puts E inside its table's one
 complex exp, the only one per node, since its phase e^{icxy} does not
 factor over the axes.  No array holds |F|^2, U_t or e^{y^2} alone, so wide
-boxes do not overflow where the weighted quantities are finite.
+boxes do not overflow where the weighted quantities are finite.  Plane grids
+are trapezoid ones, and ``bergman_norm`` and ``calibrate_weight`` sum the
+nested rule of twice the step in the same pass: a sum that moves there by
+more than 1e-2 of its terms' moduli raises
+:class:`mehler.quadrature.QuadratureError`.
 """
 
 import math
@@ -46,6 +50,7 @@ from .kernels import BoundSpec, _weight_jets, mehler_kernel, schwartz_image_boun
 from .quadrature import (
     PlaneGrid,
     QuadRule,
+    _check_half_step,
     gauss_hermite_rule,
     gauss_legendre_rule,
     gaussian_box,
@@ -275,16 +280,19 @@ def default_bergman_grid(
     degree_margin: int = 10,
     drop: float = 1e-15,
 ) -> PlaneGrid:
-    """Grid sized so poly * Gaussian integrands against U_t are contained.
+    """Trapezoid grid sized so poly * Gaussian integrands against U_t are
+    contained.
 
     Decay rates of |F|^2 U_t for F in the image of L^2:
-    1 - tanh(2t) along x, coth(2t) - 1 along y.
+    1 - tanh(2t) along x, coth(2t) - 1 along y.  An even ``resolution`` is
+    rounded up to odd, so every second node of each axis is the rule of
+    twice the step, which the weighted sums check themselves against.
     """
     gx = 1.0 - math.tanh(2 * t)
     gy = 1.0 / math.tanh(2 * t) - 1.0
     return PlaneGrid(
         boxes=(gaussian_box(gx, gy, drop=drop, degree=degree_margin),),
-        resolution=resolution,
+        resolution=resolution + 1 - resolution % 2,
     )
 
 
@@ -305,9 +313,16 @@ def bergman_norm(
     (``handle.eval_grid_parts``), |F|^2 and the weight's Gaussian
     e^{tanh(2t) x^2 - coth(2t) y^2} are joined in one real exponential, and
     the rest of the weight is the per-axis jet tables of
-    :func:`mehler.kernels._weight_jets`, so the integral is two matrix
-    products with the (2m + 1)-row jet tables and a contraction with their
-    Hankel matrix.  A non-finite total raises :class:`HermiteOverflowError`.
+    :func:`mehler.kernels._weight_jets`, joined by their Hankel matrix in
+    one matrix product into the (x, y) table of the weight's derivative, so
+    no Taylor arithmetic runs on the mesh.  A non-finite total raises
+    :class:`HermiteOverflowError`.
+
+    The same table on every second node of each axis, at twice its weight,
+    sums the nested rule of twice the step.  Where the two differ by more
+    than 1e-2 of the sum of the terms' moduli, the grid is too coarse for
+    the integrand and :class:`mehler.quadrature.QuadratureError` is raised
+    rather than a wrong value returned.
     """
     x, wx = grid.axis(0)
     y, wy = grid.axis(1)
@@ -327,12 +342,17 @@ def bergman_norm(
         expo *= abs_P
         del abs_P
         H, jx, jy = _weight_jets(t, m, x * x, y * y)
-        moments = (jx * wx) @ expo @ (jy * wy).T
-        total = kappa * float(np.sum(H * moments))
+        # the quadrature terms: node weights times |F|^2 d^{2m}/dt^{2m} U_t
+        terms = (jx * wx).T @ H @ (jy * wy)
+        terms *= expo
+        total = kappa * float(np.sum(terms))
+        half = 4.0 * kappa * float(np.sum(terms[::2, ::2]))
+        size = abs(kappa) * float(np.sum(np.abs(terms, out=terms)))
     if not math.isfinite(total):
         raise HermiteOverflowError(
             "the weighted integrand exceeds the largest double on this grid"
         )
+    _check_half_step(total, half, size, grid.resolution, "weighted norm")
     return total
 
 
@@ -355,7 +375,12 @@ def calibrate_weight(
     e^{-(1 - tanh 2t) x^2 - (coth 2t - 1) y^2} separates over the grid's
     axes, so each integral is P_k conj(P_l) (the ladder of
     :func:`mehler.specfun._poly_parts` on the open mesh) contracted with
-    two per-axis tables, both Gaussians bounded by 1.
+    two per-axis tables, both Gaussians bounded by 1.  Each diagonal
+    integral, a sum of positive terms, also sums the nested rule of twice
+    the step (every second node of each axis at twice its weight) and raises
+    :class:`mehler.quadrature.QuadratureError` where the two differ by more
+    than 1e-2 of it; the off-diagonal integrals must vanish, which checks
+    the rule on them.
     """
     if dimension != 1:
         raise ValueError("calibration grids are one-dimensional at desk scale")
@@ -378,18 +403,24 @@ def calibrate_weight(
         ladder[k] = p
     tx = wx * np.exp(-(1.0 - math.tanh(2 * t)) * x * x)
     ty = wy * np.exp(-(1.0 / math.tanh(2 * t) - 1.0) * y * y)
+    tx2, ty2 = 2.0 * tx[::2], 2.0 * ty[::2]
     pref = 2.0 / math.sqrt(math.pi * math.sinh(4 * t))
 
+    # real products only: a complex matrix-vector product at this size
+    # already wakes the BLAS thread pool (see quadrature.real_matmul)
     def integral(a, b):
-        # real products only: a complex matrix-vector product at this size
-        # already wakes the BLAS thread pool (see quadrature.real_matmul)
         prod = ladder[sum(a)] * np.conj(ladder[sum(b)])
         return pref * complex(tx @ prod.real @ ty, tx @ prod.imag @ ty)
 
     ratios: dict[MultiIndex, float] = {}
     for a in alphas:
-        lam = oscillator_eigenvalue(a, dimension)
-        ratios[a] = math.exp(2 * lam * t) / float(integral(a, a).real)
+        p = ladder[sum(a)]
+        square = p.real * p.real
+        square += p.imag * p.imag
+        total = pref * float(tx @ square @ ty)
+        half = pref * float(tx2 @ square[::2, ::2] @ ty2)
+        _check_half_step(total, half, total, grid.resolution, "calibration integral")
+        ratios[a] = math.exp(2 * oscillator_eigenvalue(a, dimension) * t) / total
     max_off = max((float(abs(integral(a, b))) for a, b in pairs), default=0.0)
 
     return CalibrationResult.from_ratios(ratios, max_off, t, dimension, 1e-3)
@@ -618,11 +649,6 @@ def envelopes(handle: EntireHandle, bounds, grid: PlaneGrid) -> list[EnvelopeRep
     one evaluation of F per node: the scan forms log|F| once per block and
     each bound subtracts its own log from it.  The reports share one
     ``coarse_abs`` table."""
-    if grid.kind != "trapezoid":
-        raise ValueError(
-            f"an envelope needs a trapezoid grid, whose refinement keeps its "
-            f"nodes; got a {grid.kind} grid"
-        )
     bounds = tuple(bounds)
     sups, argmaxes, coarse_sups, coarse_abs = _scan(handle, bounds, grid)
     reports = []
@@ -642,15 +668,14 @@ def envelope(handle: EntireHandle, bound: BoundSpec, grid: PlaneGrid) -> Envelop
     on the modulus), with the argmax and a refinement-stability flag.
 
     The sup is recomputed at doubled resolution; ``stable`` records whether
-    it moved by less than 5% relatively.  The grid must be a trapezoid one
-    (any other kind raises ``ValueError``): it refines by halving its step,
-    so the refined grid keeps every node of the grid (the nested trapezoid
-    rule) and one scan of it gives the refined sup, the grid's sup over the
-    nested nodes and |F| there.  Grids over one complex coordinate and over
-    two (with ``handle.eval_grid(X, Y, U, V)``) scan alike.  |F| at the
-    grid's nodes comes back as ``coarse_abs``, so a caller that tables the
-    grid need not evaluate it again.  :func:`envelopes` runs several bounds
-    on one scan.
+    it moved by less than 5% relatively.  A plane grid refines by halving
+    its step, so the refined grid keeps every node of the grid (the nested
+    trapezoid rule) and one scan of it gives the refined sup, the grid's
+    sup over the nested nodes and |F| there.  Grids over one complex
+    coordinate and over two (with ``handle.eval_grid(X, Y, U, V)``) scan
+    alike.  |F| at the grid's nodes comes back as ``coarse_abs``, so a
+    caller that tables the grid need not evaluate it again.
+    :func:`envelopes` runs several bounds on one scan.
     """
     return envelopes(handle, (bound,), grid)[0]
 

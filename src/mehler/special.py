@@ -34,12 +34,15 @@ square).  The variant normalized as (2 pi sinh t)^{-n}, exposed by
 what the weight on C^{2n} is built from, and the weight calibration
 constant kappa* absorbs exactly that factor (kappa* ~ 2^{-n}).
 
-``twisted_conv`` takes arrays of points.  With the heat profile the
-displaced profile and the phase factor into an x-part and a u-part,
-e^{-c(z-x)^2 - ixw/2} and e^{-c(w-u)^2 + izu/2} with c = coth(t)/4, so all
-points cost one matrix product against the weighted table of f on the
-grid's tensor nodes.  Profiles that do not factor (Laguerre profiles,
-callables) keep the dense sum over the nodes, broadcast over the points.
+``twisted_conv`` takes arrays of points.  Every profile it takes is a
+short sum of products of an x-factor and a u-factor: the heat profile one
+product, e^{-c(z-x)^2} e^{-c(w-u)^2} with c = coth(t)/4, and the Laguerre
+profile phi_k its k + 1 products of Hermite functions (Thangavelu 1993).
+The phase splits the same way, e^{-ixw/2} e^{izu/2}, so each product costs
+one matrix product against the weighted table of f on the grid's tensor
+nodes, for all points at once.  The grid is the trapezoid one: the
+integrands are entire with Gaussian decay, where it converges
+geometrically.
 
 Intertwining relations: with a = coth(t)/2 and b = i/2, the validated
 first-order relations are
@@ -62,14 +65,13 @@ the (y, v) table.  The calibration probes and the norms both contract P's
 coefficients against monomial moments of the two folded tables
 (``_folded_tables``): the calibration over all four axes, the norm over x
 and u, which leaves a (y, v) plane to meet the jet.  Nothing grows with
-res^4 and no exponent overflows on the wide boxes of moderate t.  On a
-trapezoid grid the norm also sums the nested rule of twice the step, from
-the same tables on every second node, and a norm that moves by more than
-1e-2 between the two raises :class:`mehler.quadrature.QuadratureError`:
-the box grows with t while the integrand's ridges keep unit width, so a
-resolution fit for small t can be too coarse at large t.
-:func:`default_special_grid` gives a trapezoid grid; the integrands are
-analytic with Gaussian decay, so the rule converges geometrically
+res^4 and no exponent overflows on the wide boxes of moderate t.  The
+norm also sums the nested trapezoid rule of twice the step, from the same
+tables on every second node, and a norm that moves by more than 1e-2
+between the two raises :class:`mehler.quadrature.QuadratureError`: the box
+grows with t while the integrand's ridges keep unit width, so a resolution
+fit for small t can be too coarse at large t.  The integrands are analytic
+with Gaussian decay, so the trapezoid rule converges geometrically
 (Trefethen and Weideman, SIAM Review 56, 2014).
 
 Twisted heat images are :class:`mehler.spectral.EntireHandle` objects on
@@ -86,9 +88,9 @@ import numpy as np
 
 from .indices import MultiIndex, as_index, multi_indices, oscillator_eigenvalue
 from .kernels import _twisted_profile_jet, special_plain_bound, special_schwartz_bound
-from .quadrature import PlaneGrid, QuadratureError, real_matmul
+from .quadrature import PlaneGrid, _check_half_step, real_matmul
 from .semigroup import CalibrationResult, EnvelopeReport, envelope
-from .specfun import HermiteOverflowError, laguerre_ladder
+from .specfun import HermiteOverflowError, hermite_eval, laguerre_ladder
 from .spectral import EntireHandle
 
 
@@ -330,6 +332,15 @@ class HeatProfile:
         pref = ((2.0 * math.pi) * (2.0 * math.sinh(self.t))) ** -1
         return pref * np.exp(-0.25 / math.tanh(self.t) * q)
 
+    def axis_factors(self, a, b):
+        """(c, A, B) with the profile at (a, b) equal to
+        sum_j c[j] A[j] B[j]: one term, A = e^{-coth(t) a^2/4} and
+        B = e^{-coth(t) b^2/4}."""
+        c = 0.25 / math.tanh(self.t)
+        pref = ((2.0 * math.pi) * (2.0 * math.sinh(self.t))) ** -1
+        a, b = np.asarray(a), np.asarray(b)
+        return np.array([pref]), np.exp(-c * a * a)[None], np.exp(-c * b * b)[None]
+
 
 @dataclass(frozen=True)
 class LaguerreProfile:
@@ -342,6 +353,25 @@ class LaguerreProfile:
         q = np.asarray(z) ** 2 + np.asarray(w) ** 2
         lad = laguerre_ladder(self.k, 0, q / 2.0)
         return lad[self.k] * np.exp(-q / 4.0)
+
+    def axis_factors(self, a, b):
+        """(c, A, B) with the profile at (a, b) equal to
+        sum_j c[j] A[j] B[j] over j = 0..k: A[j] = h_{2j}(a/sqrt 2),
+        B[j] = h_{2k-2j}(b/sqrt 2) and
+        c[j] = (-1)^k sqrt(pi) C(k, j) sqrt((2j)! (2k-2j)!) / (2^k k!)
+        = (-1)^k sqrt(pi) sqrt(C(2j, j) C(2k-2j, k-j)) / 2^k.
+
+        That is L_k(x^2 + y^2) = (-1)^k / (4^k k!) sum_j C(k, j) H_{2j}(x)
+        H_{2k-2j}(y) (Thangavelu 1993) with the Gaussian shared out.  Each
+        |c[j]| is at most sqrt(pi), so at real points no term is much larger
+        than the profile's bound 1.
+        """
+        k = self.k
+        central = np.array([float(math.comb(2 * j, j)) for j in range(k + 1)])
+        c = (-1) ** k * np.sqrt(math.pi * central * central[::-1]) / 2.0**k
+        ha = hermite_eval(2 * k, np.asarray(a) / math.sqrt(2.0))[::2]
+        hb = hermite_eval(2 * k, np.asarray(b) / math.sqrt(2.0))[::-2]
+        return c, ha, hb
 
 
 def heat_profile(t: float) -> HeatProfile:
@@ -410,8 +440,8 @@ def twisted_eval(f, X, U):
 
 
 @functools.lru_cache(maxsize=64)
-def default_twisted_grid(t: float = 0.4, resolution: int = 96) -> PlaneGrid:
-    """Integration grid for twisted convolutions at desk scale.
+def default_twisted_grid(t: float = 0.4, resolution: int = 65) -> PlaneGrid:
+    """Trapezoid integration grid for twisted convolutions at desk scale.
 
     Memoized: value-equal calls share one grid and so one node build.
     """
@@ -427,33 +457,33 @@ def twisted_conv(f, g, z, w, grid: PlaneGrid):
     runs over the real plane grid; for complex (z, w) the displaced factor
     g and the phase use the entire continuation of g.
 
-    With the heat profile the sum factors over the grid's x and u axes:
-    g(z - x, w - u) e^{-i(xw - zu)/2} = pref A(z, w, x) B(z, w, u) with
-    A = e^{-c(z - x)^2 - ixw/2}, B = e^{-c(w - u)^2 + izu/2} and
-    c = coth(t)/4, so every point is pref sum_ij A_i (W o F)_ij B_j and all
-    points cost one matrix product against the weighted table of f.
-    Profiles that do not factor (:class:`LaguerreProfile`, callables) keep
-    the dense sum over the nodes, broadcast over the points.  A value past
-    the largest double raises :class:`HermiteOverflowError`.
+    The profile ``g`` gives its per-axis factors
+    (``g.axis_factors(a, b)``): g(a, b) = sum_j c_j A_j(a) B_j(b), one term
+    for :class:`HeatProfile` and k + 1 for :class:`LaguerreProfile`.  With
+    the phase e^{-i(xw - zu)/2} = e^{-ixw/2} e^{izu/2}, formed once, every
+    point is sum_j c_j sum_il (A_j e^{-ixw/2})_i (W o F)_il (B_j e^{izu/2})_l,
+    so each term costs one real matrix product against the weighted table
+    of f, for all points.  A profile without per-axis factors raises
+    ``TypeError``; a value past the largest double raises
+    :class:`HermiteOverflowError`.
     """
+    factors = getattr(g, "axis_factors", None)
+    if factors is None:
+        raise TypeError(
+            f"twisted_conv takes a profile with per-axis factors, not {type(g).__name__}"
+        )
     zs, ws = np.broadcast_arrays(np.asarray(z), np.asarray(w))
     shape = zs.shape
     zs, ws = zs.reshape(-1, 1), ws.reshape(-1, 1)
+    (x, wx), (u, wu) = grid.axis(0), grid.axis(1)
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(g, HeatProfile):
-            (x, wx), (u, wu) = grid.axis(0), grid.axis(1)
-            table = np.multiply.outer(wx, wu) * twisted_eval(f, x[:, None], u[None, :])
-            c = 0.25 / math.tanh(g.t)
-            A = np.exp(-c * (zs - x) ** 2 - 0.5j * x * ws)
-            B = np.exp(-c * (ws - u) ** 2 + 0.5j * zs * u)
-            pref = ((2.0 * math.pi) * (2.0 * math.sinh(g.t))) ** -1
-            vals = pref * np.sum(real_matmul(A, table) * B, axis=1)
-        else:
-            X, U, Wt = grid.nodes()
-            fv = Wt * twisted_eval(f, X, U)
-            gv = twisted_eval(g, zs - X, ws - U)
-            phase = np.exp(-0.5j * (X * ws - zs * U))
-            vals = np.sum(fv * gv * phase, axis=1)
+        table = np.multiply.outer(wx, wu) * twisted_eval(f, x[:, None], u[None, :])
+        coefs, A, B = factors(zs - x, ws - u)
+        phase_x = np.exp(-0.5j * x * ws)
+        acc = 0.0
+        for c, A_j, B_j in zip(coefs, A, B):
+            acc = acc + c * (real_matmul(A_j * phase_x, table) * B_j)
+        vals = np.sum(acc * np.exp(0.5j * zs * u), axis=1)
     _finite_twisted(vals)
     return complex(vals[0]) if not shape else vals.reshape(shape)
 
@@ -508,8 +538,9 @@ def special_semigroup_apply(
     return complex(total / (2.0 * math.pi))
 
 
-def laguerre_project(f, k: int, z, w, grid: PlaneGrid) -> complex:
-    """Eigenspace projection (2 pi)^{-n} (f x phi_k) at a real point."""
+def laguerre_project(f, k: int, z, w, grid: PlaneGrid):
+    """Eigenspace projection (2 pi)^{-n} (f x phi_k) at real points: a
+    complex for scalars, an array for arrays, as :func:`twisted_conv`."""
     if k < 0:
         raise ValueError("k must be >= 0")
     val = twisted_conv(f, laguerre_profile(k), z, w, grid)
@@ -835,11 +866,11 @@ def default_special_grid(t: float = 0.4, resolution: int = 40, drop: float = 1e-
 
     The weighted integrand decays like exp(-(u-y)^2/2 - (coth 2t - 1) y^2)
     in the (u, y) pair and symmetrically in (x, v), so the real-part boxes
-    must be wider than the imaginary-part boxes by the shear.  The rule is
-    the trapezoid one: on an analytic integrand with Gaussian decay it
-    converges geometrically, where Gauss-Legendre spends its nodes near the
-    box edges (at resolution 32 and t = 0.4, the calibrated isometry is off
-    by 2e-14 against 2e-6).
+    must be wider than the imaginary-part boxes by the shear.  On an
+    analytic integrand with Gaussian decay the trapezoid rule converges
+    geometrically, where Gauss-Legendre spent its nodes near the box edges
+    (at resolution 32 and t = 0.4, the calibrated isometry was off by 2e-14
+    against 2e-6).
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -849,7 +880,7 @@ def default_special_grid(t: float = 0.4, resolution: int = 40, drop: float = 1e-
     h_re = math.sqrt(budget * (1 + 2 * c) / c) + 1.5
     box_z = (-h_re, h_re, -h_im, h_im)
     box_w = (-h_re, h_re, -h_im, h_im)
-    return PlaneGrid(boxes=(box_z, box_w), resolution=resolution, kind="trapezoid")
+    return PlaneGrid(boxes=(box_z, box_w), resolution=resolution)
 
 
 def _folded_tables(grid: PlaneGrid, t: float, n: int, step: int = 1):
@@ -877,13 +908,6 @@ def _folded_tables(grid: PlaneGrid, t: float, n: int, step: int = 1):
     alpha = real_matmul((wx[:, None] * x[:, None] ** powers).T, A)
     beta = real_matmul((wu[:, None] * u[:, None] ** powers).T, B)
     return alpha, beta, (y, wy), (v, wv)
-
-
-# largest move of the weighted norm at twice the step, relative to the sum
-# of its terms' moduli.  On the images of Phi_ab (a, b <= 2, m <= 2,
-# 0.25 <= t <= 1.5, default boxes) every grid within it gave the norm to
-# 2e-4, and those beyond it were off by 6e-5 up to 35%
-_HALF_STEP_TOL = 1e-2
 
 
 def _plane_sums(handle: SpecialEigenHandle, t: float, m: int, grid: PlaneGrid):
@@ -944,8 +968,7 @@ def bergman_norm_special(
     moduli, the step is too coarse for the integrand's ridges
     (e^{-(x + v)^2/2} has unit width at every t, while the default box
     grows with t), and :class:`mehler.quadrature.QuadratureError` is raised
-    on a trapezoid grid rather than a wrong value returned.
-    Gauss-Legendre nodes do not nest, so those grids go unchecked.
+    rather than a wrong value returned.
     """
     if not isinstance(handle, SpecialEigenHandle):
         raise TypeError(
@@ -962,13 +985,7 @@ def bergman_norm_special(
         raise HermiteOverflowError(
             "the weighted integrand exceeds the largest double on this grid"
         )
-    move = abs(total - half)
-    if grid.kind == "trapezoid" and not move <= _HALF_STEP_TOL * size:
-        raise QuadratureError(
-            f"the weighted norm moves by {move:.3g} (terms of total size "
-            f"{size:.3g}) at twice the step: {grid.resolution} nodes per axis "
-            "are too few for this integrand on this box"
-        )
+    _check_half_step(total, half, size, grid.resolution, "weighted norm")
     return kappa_star * total
 
 

@@ -147,12 +147,22 @@ def _points(kind):
     return z, w
 
 
+# profile id -> profile at t; "laguerre" is phi_2
+PROFILES = {
+    "heat": heat_profile,
+    "laguerre": lambda t: laguerre_profile(2),
+    **{f"laguerre{k}": lambda t, k=k: laguerre_profile(k) for k in (0, 1, 7, 12)},
+}
+
+
 @pytest.mark.parametrize("kind", ["real", "complex"])
-@pytest.mark.parametrize("profile", ["heat", "laguerre"])
+@pytest.mark.parametrize("profile", list(PROFILES))
 @pytest.mark.parametrize("t", [0.4, 0.5])
 def test_twisted_conv_point_arrays_match_dense_sum(t, profile, kind):
+    # every profile runs as a sum of per-axis products (one for the heat
+    # profile, k + 1 for phi_k); the oracle is the dense sum of g itself
     grid = default_twisted_grid(t)
-    g = heat_profile(t) if profile == "heat" else laguerre_profile(2)
+    g = PROFILES[profile](t)
     f = PolyGaussian2n((((0, 0), 1.0), ((1, 0), 0.5j), ((0, 2), -0.3)), 1.0)
     z, w = _points(kind)
     got = twisted_conv(f, g, z, w, grid)
@@ -163,6 +173,31 @@ def test_twisted_conv_point_arrays_match_dense_sum(t, profile, kind):
     # one point still gives a complex
     one = twisted_conv(f, g, z[0], w[0], grid)
     assert isinstance(one, complex) and one == pytest.approx(got[0], rel=1e-12)
+
+
+def test_twisted_conv_refuses_a_profile_without_axis_factors():
+    f = Gaussian2n(1.0)
+    with pytest.raises(TypeError, match="per-axis factors"):
+        twisted_conv(f, lambda z, w: np.exp(-(z * z + w * w)), 0.1, 0.2, default_twisted_grid(0.4))
+
+
+def test_twisted_kernel_route_holds_to_im_six():
+    # the trusted region of the twisted kernel route on its default grid
+    # (trapezoid, 65 nodes), at |Re z|, |Re w| <= 1 and
+    # |Im z|^2 + |Im w|^2 <= 36: 3.6e-9 at most (5.7e-10 at z = 1 + 6i,
+    # w = 0), where the 96-node Gauss-Legendre grid gave 3.0e-7.  The error
+    # grows about 10x per 0.5 of radius and passes 1e-5 by radius 7
+    t = 0.4
+    angle = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    im = np.concatenate([[0.0], 3.0 * np.exp(1j * angle), 6.0 * np.exp(1j * angle)])
+    re = np.array([-1.0, 0.0, 1.0])
+    rz, rw, i = np.meshgrid(re, re, im)
+    z, w = rz + 1j * i.real, rw + 1j * i.imag
+    got = special_semigroup_apply(Gaussian2n(1.0), t, z, w, "kernel", default_twisted_grid(t))
+    ref = GaussianImage(1.0, t)(z, w)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-8
+    one = special_semigroup_apply(Gaussian2n(1.0), t, 1.0 + 6.0j, 0.0, "kernel")
+    assert abs(one / GaussianImage(1.0, t)(1.0 + 6.0j, 0.0) - 1.0) <= 1e-9
 
 
 def test_semigroup_kernel_mode_takes_point_arrays():

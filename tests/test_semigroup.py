@@ -32,8 +32,8 @@ from mehler import (
     sobolev_norm,
     tempered_bound,
 )
-from mehler import specfun
-from mehler.quadrature import PlaneGrid
+from mehler import semigroup, specfun
+from mehler.quadrature import PlaneGrid, QuadratureError
 from mehler.semigroup import CalibrationResult, MehlerSliceHandle
 from mehler.specfun import HermiteOverflowError
 from mehler.spectral import (
@@ -411,6 +411,57 @@ def test_bergman_norm_raises_on_a_non_finite_total():
         warnings.simplefilter("error")
         with pytest.raises(HermiteOverflowError):
             bergman_norm(handle, 0.3, 0, grid)
+
+
+def test_bergman_grid_resolution_is_odd():
+    # odd, so every second node of an axis is the rule of twice the step
+    assert default_bergman_grid(0.3, resolution=64).resolution == 65
+    assert default_bergman_grid(0.3, resolution=65).resolution == 65
+    assert default_bergman_grid(0.3).resolution == 129
+
+
+@pytest.mark.parametrize("job", ["norm-m0", "norm-m2", "calibration"])
+def test_c_sums_on_a_coarse_grid_are_named(job):
+    # at 9 nodes per axis the sums move by far more than 1e-2 of their
+    # terms at twice the step: a named error, not a wrong value
+    t = 0.4
+    grid = default_bergman_grid(t, resolution=9)
+    handle = semigroup_handle(HermiteBasis((2,)), t, "spectral")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="twice the step: 9 nodes"):
+            if job == "calibration":
+                calibrate_weight(t, 1, None, grid)
+            else:
+                bergman_norm(handle, t, int(job[-1]), grid)
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_c_half_step_sum_is_the_nested_trapezoid_rule(monkeypatch, m):
+    # the half-step sum of a grid of 2n - 1 nodes is the sum on n nodes
+    t = 0.35
+    seen = []
+
+    def spy(total, half, size, resolution, what):
+        seen.append((total, half, size))
+
+    monkeypatch.setattr(semigroup, "_check_half_step", spy)
+    fine = default_bergman_grid(t, resolution=65)
+    coarse = default_bergman_grid(t, resolution=33)
+    handle = semigroup_handle(PolyGaussian((1.0, 0.0, 0.5), 1.0), t, "spectral")
+    bergman_norm(handle, t, m, fine)
+    bergman_norm(handle, t, m, coarse)
+    (total, half, size), (want, _, want_size) = seen
+    assert abs(half - want) <= 1e-13 * want_size
+    # summed in another order: equal to roundoff where the weight is >= 0
+    assert size >= abs(total) * (1.0 - 1e-13) > 0.0
+    seen.clear()
+    calibrate_weight(t, 1, [(0,), (3,)], fine)
+    calibrate_weight(t, 1, [(0,), (3,)], coarse)
+    assert len(seen) == 4  # the two diagonal integrals per grid
+    for (total, half, size), (want, _, _) in zip(seen[:2], seen[2:]):
+        assert half == pytest.approx(want, rel=1e-13)
+        assert size == total > 0.0
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])

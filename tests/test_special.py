@@ -365,23 +365,19 @@ def _dense_calibration(t, pairs, grid):
 
 
 @pytest.mark.parametrize(
-    "pairs, t, kind",
+    "pairs, t",
     [
-        (None, 0.4, None),
-        ([((0,), (0,))], 0.4, None),
-        ([((1,), (1,)), ((0,), (1,))], 0.4, None),
-        ([((0,), (0,)), ((2,), (0,)), ((1,), (1,)), ((0,), (2,)), ((2,), (2,))], 0.4, None),
-        (None, 0.25, None),
-        (None, 0.6, None),
-        # the default grid is trapezoid; keep the other rule covered
-        (None, 0.4, "gauss-legendre"),
+        (None, 0.4),
+        ([((0,), (0,))], 0.4),
+        ([((1,), (1,)), ((0,), (1,))], 0.4),
+        ([((0,), (0,)), ((2,), (0,)), ((1,), (1,)), ((0,), (2,)), ((2,), (2,))], 0.4),
+        (None, 0.25),
+        (None, 0.6),
     ],
-    ids=["default", "one-pair", "two-pairs", "five-pairs", "t0.25", "t0.6", "gauss-legendre"],
+    ids=["default", "one-pair", "two-pairs", "five-pairs", "t0.25", "t0.6"],
 )
-def test_calibration_matches_dense_reference(grid4, pairs, t, kind):
+def test_calibration_matches_dense_reference(grid4, pairs, t):
     grid = grid4 if t == 0.4 else default_special_grid(t, resolution=32)
-    if kind is not None:
-        grid = dataclasses.replace(grid, kind=kind)
     cal = calibrate_weight_special(t, pairs, grid)
     ref_pairs = pairs or [((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (1,))]
     ratios, max_off, diag_scale = _dense_calibration(t, ref_pairs, grid)
@@ -403,19 +399,13 @@ def _dense_norm_terms(handle, t, m, grid):
     return np.abs(F) ** 2 * _dense_weight(t, m, grid)
 
 
-@pytest.mark.parametrize(
-    "m, kind",
-    [(0, "trapezoid"), (1, "trapezoid"), (1, "gauss-legendre")],
-    ids=["m0", "m1", "m1-gauss-legendre"],
-)
-def test_blocked_norm_matches_dense_reference(grid4, m, kind):
-    # the folded tables sum the dense quadrature's terms in another order;
-    # the default grid is trapezoid, so keep the other rule covered
+@pytest.mark.parametrize("m", [0, 1], ids=["m0", "m1"])
+def test_blocked_norm_matches_dense_reference(grid4, m):
+    # the folded tables sum the dense quadrature's terms in another order
     t = 0.4
-    grid = dataclasses.replace(grid4, kind=kind)
     handle = SpecialEigenHandle((1,), (2,), t)
-    terms = _dense_norm_terms(handle, t, m, grid)
-    got = bergman_norm_special(handle, t, m, grid)
+    terms = _dense_norm_terms(handle, t, m, grid4)
+    got = bergman_norm_special(handle, t, m, grid4)
     assert abs(got - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
 
 
@@ -593,23 +583,14 @@ def test_under_resolved_calibration_fails_loudly(t):
             calibrate_weight_special(t, None, default_special_grid(t, resolution=32))
 
 
-@pytest.mark.parametrize(
-    "ab, kind",
-    [
-        (((0,), (1,)), "trapezoid"),
-        (((2,), (1,)), "trapezoid"),
-        (((2,), (1,)), "gauss-legendre"),
-    ],
-    ids=["ab0", "ab1", "ab1-gauss-legendre"],
-)
-def test_order_two_norm_matches_dense_reference(grid4, ab, kind):
+@pytest.mark.parametrize("ab", [((0,), (1,)), ((2,), (1,))], ids=["ab0", "ab1"])
+def test_order_two_norm_matches_dense_reference(grid4, ab):
     t = 0.4
-    grid = dataclasses.replace(grid4, kind=kind)
     handle = SpecialEigenHandle(*ab, t)
-    terms = _dense_norm_terms(handle, t, 2, grid)
+    terms = _dense_norm_terms(handle, t, 2, grid4)
     # the order-2 weight changes sign, so judge the two summation orders
     # against the sum of |terms|
-    got = bergman_norm_special(handle, t, 2, grid)
+    got = bergman_norm_special(handle, t, 2, grid4)
     assert abs(got - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
 
 

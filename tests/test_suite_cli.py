@@ -326,6 +326,14 @@ def test_cli_calibrate(capsys):
     assert data["kappa"] == pytest.approx((2 * math.pi) ** -0.5, rel=1e-5)
 
 
+def test_cli_calibrate_on_a_coarse_grid_exits_1(capsys):
+    # the weighted sums check their own step: a named error, not a traceback
+    assert cli_main(["calibrate", "--t", "0.25", "--res", "9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "twice the step" in captured.err
+
+
 def test_cli_envelope_csv(tmp_path):
     out = tmp_path / "env.csv"
     code = cli_main(
