@@ -27,7 +27,9 @@ Twisted convolution
 
 diagonalizes on Laguerre functions: (2 pi)^{-n} f x phi_k projects onto the
 k-th eigenspace, and the twisted heat semigroup is the damped sum of those
-projections.  Its convolution kernel here is the spectrally normalized
+projections: ``special_semigroup_apply``'s spectral mode sums them, its
+kernel mode convolves with the heat profile, both through
+``twisted_conv``.  Its convolution kernel here is the spectrally normalized
 profile (2 pi)^{-n} (2 sinh t)^{-n} exp(-coth(t) q / 4) (q the bilinear
 square).  The variant normalized as (2 pi sinh t)^{-n}, exposed by
 :func:`mehler.kernels.special_heat_kernel`, is 2^n times this one; it is
@@ -53,6 +55,10 @@ first-order relations are
 (the u-direction multiplier differs in sign from the x-direction one; this
 is forced by the phase convention of the twisted convolution).  The check
 runs both relations under both signs of a and records which sign passes.
+Its inputs are polynomial Gaussians sum C[j, k] x^j u^k e^{-r (x^2 + u^2)/2}
+on the real plane: a ``Gaussian2n``, a ``PolyGaussian2n`` or an n = 1 basis
+member becomes its coefficient array C, on which both operators act
+exactly (``_lower``).
 
 Weighted norms on C^2 (n = 1) integrate against the 2m-th time derivative
 of the weight W_t(x, y, u, v) = 4 e^{yu - xv} S(y^2 + v^2), with S the
@@ -75,8 +81,9 @@ with Gaussian decay, so the trapezoid rule converges geometrically
 (Trefethen and Weideman, SIAM Review 56, 2014).
 
 Twisted heat images are :class:`mehler.spectral.EntireHandle` objects on
-C^2, evaluated by ``eval_grid(X, Y, U, V)`` on broadcastable real arrays;
-``special_envelope`` hands one and its bound to
+C^2, evaluated by ``eval_grid(X, Y, U, V)`` on broadcastable real arrays
+(a Gaussian's is the :class:`mehler.spectral.ClosedFormHandle` of its
+closed form); ``special_envelope`` hands one and its bound to
 :func:`mehler.semigroup.envelope`.
 """
 
@@ -91,7 +98,7 @@ from .kernels import _twisted_profile_jet, special_plain_bound, special_schwartz
 from .quadrature import PlaneGrid, _check_half_step, real_matmul
 from .semigroup import CalibrationResult, EnvelopeReport, envelope
 from .specfun import HermiteOverflowError, hermite_eval, laguerre_ladder
-from .spectral import EntireHandle
+from .spectral import ClosedFormHandle, EntireHandle
 
 
 # ---------------------------------------------------------------------------
@@ -132,18 +139,22 @@ class Gaussian2n:
 class PolyGaussian2n:
     """sum c_{jk} x^j u^k exp(-a (x^2+u^2)/2) on R^2 (one complex variable).
 
-    ``terms`` maps (j, k) powers to complex coefficients.  Closed under the
-    first-order intertwining operators, which is its purpose.
+    ``terms`` pairs (j, k) powers, whole numbers >= 0, with complex
+    coefficients; the coefficients of a repeated power are summed.  Closed
+    under the first-order intertwining operators, which is its purpose.
     """
 
     terms: tuple[tuple[tuple[int, int], complex], ...]
     a: float = 0.5
 
     def __post_init__(self):
-        terms = tuple(
-            ((int(j), int(k)), complex(c)) for (j, k), c in dict(self.terms).items()
-        )
-        object.__setattr__(self, "terms", terms)
+        summed: dict = {}
+        for (j, k), c in self.terms:
+            powers = int(j), int(k)
+            if powers != (j, k) or min(powers) < 0:
+                raise ValueError(f"PolyGaussian2n powers must be whole numbers >= 0, not {(j, k)}")
+            summed[powers] = summed.get(powers, 0j) + complex(c)
+        object.__setattr__(self, "terms", tuple(summed.items()))
         if self.a <= 0:
             raise ValueError("PolyGaussian2n width parameter must be positive")
 
@@ -165,43 +176,22 @@ def _phi1_constants(a: int, b: int) -> tuple[int, int, complex]:
 
 def _phi1(a: int, b: int, z, w):
     """One-dimensional Phi_{ab}(z, w) by the Laguerre closed form,
-    broadcast over arrays z, w.  Raises :class:`HermiteOverflowError` where
-    a value does not fit a double."""
-    z = np.asarray(z)
-    w = np.asarray(w)
-    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(w))):
-        raise ValueError("argument must be finite")
-    d, k, coef = _phi1_constants(a, b)
-    z2, w2 = z * z, w * w
-    gz, gw = -0.25 * z2, -0.25 * w2
-    # the Gaussian and the constant per coordinate, before broadcasting: one
-    # exp per value of z and of w, not per (z, w) pair.  Each factor within
-    # e^{+-350} can neither overflow nor vanish where the product fits; past
-    # that (the wide boxes of moderate t) the exponents are joined first
-    per_coordinate = np.all(np.abs(gz.real) <= 350) and np.all(np.abs(gw.real) <= 350)
+    broadcast over arrays z, w: :func:`_phi1_parts` multiplied out.  Raises
+    :class:`HermiteOverflowError` where a value does not fit a double."""
+    P, (E_z, E_w) = _phi1_parts(a, b, z, w)
+    # one exp per value of z and of w, not per (z, w) pair.  Each factor
+    # within e^{+-350} can neither overflow nor vanish where the product
+    # fits; past that (the wide boxes of moderate t) the exponents are
+    # joined first
+    per_coordinate = np.all(np.abs(E_z.real) <= 350) and np.all(np.abs(E_w.real) <= 350)
     with np.errstate(over="ignore", invalid="ignore"):
         if per_coordinate:
-            val = (coef * np.exp(gz)) * np.exp(gw)
+            val = P * np.exp(E_z) * np.exp(E_w)
         else:
-            val = coef * np.exp(gz + gw)
-        val = _times_polynomial(val, a, b, z, w, z2 + w2 if k else None)
+            val = P * np.exp(E_z + E_w)
     if not np.all(np.isfinite(val)):
         raise HermiteOverflowError(f"Phi_{a}{b} exceeds the largest double at a requested point")
     return val
-
-
-def _times_polynomial(val, a: int, b: int, z, w, q) -> np.ndarray:
-    """``val`` times zeta^d L_k^d(q/2), out of place, so a scalar ``val``
-    broadcasts to the factors' shape: the factor of Phi_ab beside
-    coef e^{-q/4}, with q = z^2 + w^2 (needed only when k > 0)."""
-    d, k = abs(a - b), min(a, b)
-    if d:
-        zeta = z - 1j * w if a >= b else z + 1j * w
-        for _ in range(d):
-            val = val * zeta
-    if k:
-        val = val * laguerre_ladder(k, d, 0.5 * q)[k]
-    return np.asarray(val)
 
 
 def _phi1_parts(
@@ -210,7 +200,7 @@ def _phi1_parts(
     """(P, (E_z, E_w)) with e^{-shift} Phi_ab(z, w) = P e^{E_z + E_w},
     broadcast over arrays z, w: E_z = -z^2/4 - shift on the axes of z,
     E_w = -w^2/4 on those of w, and P = coef zeta^d L_k^d((z^2 + w^2)/2),
-    as in :func:`_phi1` but with no exponential taken.  The exponent stays
+    the closed form with no exponential taken.  The exponent stays
     a pair of per-coordinate tables and is never summed over the broadcast
     shape; z^2 + w^2 spans it only when P needs it (k > 0).  P keeps the
     broadcast shape of its factors: 0-d for Phi_00, whose P is the
@@ -220,10 +210,16 @@ def _phi1_parts(
     w = np.asarray(w)
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(w))):
         raise ValueError("argument must be finite")
-    _, k, coef = _phi1_constants(a, b)
+    d, k, P = _phi1_constants(a, b)
     z2, w2 = z * z, w * w
     with np.errstate(over="ignore", invalid="ignore"):
-        P = _times_polynomial(coef, a, b, z, w, z2 + w2 if k else None)
+        if d:
+            zeta = z - 1j * w if a >= b else z + 1j * w
+            for _ in range(d):
+                P = P * zeta
+        if k:
+            P = P * laguerre_ladder(k, d, 0.5 * (z2 + w2))[k]
+    P = np.asarray(P)
     if not np.all(np.isfinite(P)):
         raise HermiteOverflowError(f"Phi_{a}{b} exceeds the largest double at a requested point")
     z2 *= -0.25
@@ -422,13 +418,8 @@ def twisted_eval(f, X, U):
         if f.dimension != 1:
             raise ValueError("vectorized evaluation is one-dimensional")
         return special_hermite_eval(f.alpha, f.beta, X, U)
-    if isinstance(f, Gaussian2n):
-        return np.exp(-0.5 * f.a * (X**2 + U**2))
-    if isinstance(f, PolyGaussian2n):
-        acc = np.zeros(np.broadcast(X, U).shape, dtype=complex)
-        for (j, k), c in f.terms:
-            acc += c * X**j * U**k
-        return acc * np.exp(-0.5 * f.a * (X**2 + U**2))
+    if isinstance(f, (Gaussian2n, PolyGaussian2n)):
+        return _polygauss_eval(*_as_polygauss(f), X, U)
     if callable(f):
         return f(X, U)
     raise TypeError(f"cannot evaluate {type(f).__name__}")
@@ -509,11 +500,11 @@ def special_semigroup_apply(
 ):
     """Twisted heat semigroup applied to f, evaluated at (z, w) in C^2.
 
-    Kernel mode convolves with the spectrally normalized heat profile and
-    takes arrays of points as :func:`twisted_conv` does; spectral mode sums
-    the damped Laguerre projections up to ``truncation`` at one point.
-    Both agree, and on basis members reproduce the eigenvalue damping
-    e^{-(2|beta|+n) t}.
+    Kernel mode convolves with the spectrally normalized heat profile;
+    spectral mode sums the damped Laguerre projections
+    e^{-(2k+1)t} :func:`laguerre_project` up to ``truncation``.  Both take
+    arrays of points as :func:`twisted_conv` does, agree, and on basis
+    members reproduce the eigenvalue damping e^{-(2|beta|+n) t}.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -522,20 +513,12 @@ def special_semigroup_apply(
         return twisted_conv(f, heat_profile(t), z, w, grid)
     if mode != "spectral":
         raise ValueError(f"unknown mode {mode!r}")
-    if np.ndim(z) or np.ndim(w):
-        raise ValueError("spectral mode evaluates one point (z, w)")
-    X, U, Wt = grid.nodes()
-    fv = twisted_eval(f, X, U)
-    phase = np.exp(-0.5j * (X * w - z * U))
-    base = Wt * fv * phase
-    q = (z - X) ** 2 + (w - U) ** 2
-    lad = laguerre_ladder(truncation, 0, q / 2.0)
-    damp = np.exp(-q / 4.0)
-    total = 0j
-    for k in range(truncation + 1):
-        term = np.sum(base * lad[k] * damp)
-        total += math.exp(-(2 * k + 1) * t) * term
-    return complex(total / (2.0 * math.pi))
+    if truncation < 0:
+        raise ValueError("truncation must be >= 0")
+    return sum(
+        math.exp(-(2 * k + 1) * t) * laguerre_project(f, k, z, w, grid)
+        for k in range(truncation + 1)
+    )
 
 
 def laguerre_project(f, k: int, z, w, grid: PlaneGrid):
@@ -605,8 +588,9 @@ def laguerre_sobolev_norm(e: SpecialExpansion, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _as_polygauss(f) -> PolyGaussian2n:
-    """``f`` as a polynomial Gaussian on the real plane, exactly.
+def _as_polygauss(f) -> tuple[np.ndarray, float]:
+    """(C, a) with f = sum C[j, k] x^j u^k e^{-a (x^2 + u^2)/2} on the real
+    plane, exactly.
 
     An n = 1 basis member is P(x, y, u, v) e^{-(z^2 + w^2)/4}
     (:func:`_phi1_poly`); at y = v = 0 that is the polynomial P(x, 0, u, 0)
@@ -614,73 +598,41 @@ def _as_polygauss(f) -> PolyGaussian2n:
     ``ValueError``.
     """
     if isinstance(f, PolyGaussian2n):
-        return f
+        shape = np.max([powers for powers, _ in f.terms] or [(0, 0)], axis=0) + 1
+        C = np.zeros(shape, dtype=complex)
+        for powers, c in f.terms:
+            C[powers] = c
+        return C, f.a
     if isinstance(f, Gaussian2n):
-        return PolyGaussian2n((((0, 0), 1.0),), f.a)
+        return np.ones((1, 1)), f.a
     if isinstance(f, SpecialHermiteBasis) and f.dimension == 1:
         a, b = f.alpha[0], f.beta[0]
-        P = _phi1_poly(a, b, abs(a - b) + 2 * min(a, b) + 1)[:, 0, :, 0]
-        return PolyGaussian2n(tuple(((j, k), P[j, k]) for j, k in zip(*np.nonzero(P))), 0.5)
+        return _phi1_poly(a, b, abs(a - b) + 2 * min(a, b) + 1)[:, 0, :, 0], 0.5
     raise ValueError(
         "the intertwining checks take a polynomial Gaussian: PolyGaussian2n, "
         f"Gaussian2n or an n = 1 SpecialHermiteBasis, not {type(f).__name__}"
     )
 
 
-def _pg_combine(terms: dict, key, coeff):
-    if coeff != 0:
-        terms[key] = terms.get(key, 0j) + coeff
+def _polygauss_eval(C: np.ndarray, a: float, X, U):
+    """sum C[j, k] X^j U^k e^{-a (X^2 + U^2)/2}, broadcast over X and U."""
+    acc = 0.0
+    for j, k in zip(*np.nonzero(C)):
+        acc = acc + C[j, k] * X**j * U**k
+    return acc * np.exp(-0.5 * a * (X**2 + U**2))
 
 
-def pg_dx(f: PolyGaussian2n) -> PolyGaussian2n:
-    """d/dx of a polynomial Gaussian, exactly."""
-    out: dict = {}
-    for (j, k), c in f.terms:
-        if j > 0:
-            _pg_combine(out, (j - 1, k), j * c)
-        _pg_combine(out, (j + 1, k), -f.a * c)
-    return PolyGaussian2n(tuple(out.items()), f.a)
-
-
-def pg_du(f: PolyGaussian2n) -> PolyGaussian2n:
-    out: dict = {}
-    for (j, k), c in f.terms:
-        if k > 0:
-            _pg_combine(out, (j, k - 1), k * c)
-        _pg_combine(out, (j, k + 1), -f.a * c)
-    return PolyGaussian2n(tuple(out.items()), f.a)
-
-
-def pg_mul_x(f: PolyGaussian2n) -> PolyGaussian2n:
-    return PolyGaussian2n(tuple(((j + 1, k), c) for (j, k), c in f.terms), f.a)
-
-
-def pg_mul_u(f: PolyGaussian2n) -> PolyGaussian2n:
-    return PolyGaussian2n(tuple(((j, k + 1), c) for (j, k), c in f.terms), f.a)
-
-
-def pg_scale(f: PolyGaussian2n, s: complex) -> PolyGaussian2n:
-    return PolyGaussian2n(tuple(((j, k), s * c) for (j, k), c in f.terms), f.a)
-
-
-def pg_add(f: PolyGaussian2n, g: PolyGaussian2n) -> PolyGaussian2n:
-    if f.a != g.a:
-        raise ValueError("mismatched Gaussian rates")
-    out: dict = {}
-    for (j, k), c in f.terms:
-        _pg_combine(out, (j, k), c)
-    for (j, k), c in g.terms:
-        _pg_combine(out, (j, k), c)
-    return PolyGaussian2n(tuple(out.items()), f.a)
-
-
-def _derivative_op(f, which: str, a_coef: float) -> PolyGaussian2n:
-    """(d/dx - a x) f or (d/du - a u) f, exactly, for an ``f`` that
-    :func:`_as_polygauss` converts."""
-    pg = _as_polygauss(f)
-    d = pg_dx(pg) if which == "x" else pg_du(pg)
-    mul = pg_mul_x(pg) if which == "x" else pg_mul_u(pg)
-    return pg_add(d, pg_scale(mul, -a_coef))
+def _lower(C: np.ndarray, rate: float, a: float, axis: int) -> np.ndarray:
+    """Coefficients of (d/dx - a x) f (axis 0) or (d/du - a u) f (axis 1)
+    for f = sum C[j, k] x^j u^k e^{-rate (x^2 + u^2)/2}, exactly; one
+    power longer on both axes, so the two operators' results add."""
+    if axis:
+        return _lower(C.T, rate, a, 0).T
+    n, m = C.shape
+    out = np.zeros((n + 1, m + 1), dtype=complex)
+    out[: n - 1, :m] = np.arange(1, n)[:, None] * C[1:]
+    out[1:, :m] -= (rate + a) * C
+    return out
 
 
 @dataclass(frozen=True)
@@ -733,15 +685,16 @@ def intertwine_check(
     a = convention * 0.5 / math.tanh(t)
     b = 0.5j
 
-    fx = _derivative_op(f, "x", a)
-    fu = _derivative_op(f, "u", a)
-
+    C, rate = _as_polygauss(f)
     z, w = _point_arrays(points)
     Ef = twisted_conv(f, heat_profile(t), z, w, grid)
     rhs_x = (-a * z + b * w) * Ef
     rhs_u = -(b * z + a * w) * Ef
-    lhs_x = twisted_conv(fx, heat_profile(t), z, w, grid)
-    lhs_u = twisted_conv(fu, heat_profile(t), z, w, grid)
+    lhs_x, lhs_u = (
+        twisted_conv(functools.partial(_polygauss_eval, _lower(C, rate, a, axis), rate),
+                     heat_profile(t), z, w, grid)
+        for axis in (0, 1)
+    )
     return IntertwineReport(
         convention=convention,
         a_value=a,
@@ -778,22 +731,19 @@ def composed_intertwine_residual(
     if t <= 0:
         raise ValueError("t must be positive")
     grid = grid or default_twisted_grid(t)
-    pg = _as_polygauss(f)
+    C, rate = _as_polygauss(f)
     a = 0.5 / math.tanh(t)
     b = 0.5j
     det = a * a + b * b
 
-    def op_zw(g: PolyGaussian2n, c_x: complex, c_u: complex) -> PolyGaussian2n:
-        dx = pg_add(pg_dx(g), pg_scale(pg_mul_x(g), -a))
-        du = pg_add(pg_du(g), pg_scale(pg_mul_u(g), -a))
-        return pg_scale(pg_add(pg_scale(dx, c_x), pg_scale(du, c_u)), 1.0 / det)
+    def op_zw(P, c_x: complex, c_u: complex) -> np.ndarray:
+        return (c_x * _lower(P, rate, a, 0) + c_u * _lower(P, rate, a, 1)) / det
 
-    Wf = op_zw(pg, b, -a)
-    Tf = op_zw(Wf, -a, -b)
+    Tf = op_zw(op_zw(C, b, -a), -a, -b)
 
     z, w = _point_arrays(points)
-    Ef = twisted_conv(pg, heat_profile(t), z, w, grid)
-    lhs = twisted_conv(Tf, heat_profile(t), z, w, grid)
+    Ef = twisted_conv(f, heat_profile(t), z, w, grid)
+    lhs = twisted_conv(functools.partial(_polygauss_eval, Tf, rate), heat_profile(t), z, w, grid)
     return _max_residual(lhs, z * w * Ef)
 
 
@@ -838,23 +788,13 @@ class SpecialEigenHandle(EntireHandle):
         return _phi1_parts(self.alpha[0], self.beta[0], Z, W, shift=lam_t)
 
 
-@dataclass(frozen=True)
-class ClosedFormSpecialHandle(EntireHandle):
-    """Wraps a vectorized closed form fn(Z, W) on C^2."""
-
-    fn: object
-
-    def eval_grid(self, X, Y, U, V) -> np.ndarray:
-        return self.fn(np.asarray(X) + 1j * np.asarray(Y), np.asarray(U) + 1j * np.asarray(V))
-
-
 def special_image_handle(f, t: float) -> EntireHandle:
     """Image of a twisted test function under the twisted heat semigroup,
     in a form evaluable on 4-dimensional grids."""
     if isinstance(f, SpecialHermiteBasis):
         return SpecialEigenHandle(f.alpha, f.beta, t)
     if isinstance(f, Gaussian2n):
-        return ClosedFormSpecialHandle(GaussianImage(f.a, t))
+        return ClosedFormHandle(GaussianImage(f.a, t))
     raise ValueError(
         "4-D scans support basis members and Gaussians; other members are "
         "available pointwise through special_semigroup_apply"
@@ -1077,6 +1017,4 @@ def special_envelope(
         bound = special_plain_bound(t, m)
     else:
         raise ValueError(f"unknown envelope kind {kind!r}")
-    if f is None:
-        return EnvelopeReport(0.0, (0.0, 0.0, 0.0, 0.0), bound, grid, True, 0.0)
     return envelope(special_image_handle(f, t), bound, grid)

@@ -428,13 +428,16 @@ class SpectralHandle(EntireHandle):
 
 @dataclass(frozen=True)
 class ClosedFormHandle(EntireHandle):
-    """Wraps a vectorized closed form fn(Z) of one complex variable."""
+    """Wraps a vectorized closed form fn(Z) on C, or fn(Z, W) on C^2
+    (``eval`` takes a point of C)."""
 
     fn: object
 
     def eval(self, z) -> complex:
         return complex(self.fn(as_point(z, dimension=1))[0])
 
-    def eval_grid(self, X, Y) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(X) + 1j * np.asarray(Y)))
+    def eval_grid(self, X, Y, *UV) -> np.ndarray:
+        """fn at the complex coordinates X + iY (and U + iV)."""
+        coords = [np.asarray(c) for c in (X, Y, *UV)]
+        return np.asarray(self.fn(*(re + 1j * im for re, im in zip(coords[::2], coords[1::2]))))
 

@@ -32,13 +32,13 @@ from mehler import semigroup, special
 from mehler.kernels import twisted_bergman_weight
 from mehler.quadrature import PlaneGrid, QuadratureError, gauss_hermite_rule
 from mehler.special import (
-    ClosedFormSpecialHandle,
     GaussianImage,
     SpecialEigenHandle,
     special_hermite_matrix,
     twisted_eval,
 )
 from mehler.specfun import hermite_eval
+from mehler.spectral import ClosedFormHandle
 
 TWO_PI = 2 * math.pi
 
@@ -281,7 +281,8 @@ def test_intertwine_exact_route_for_basis_members(ab):
     x = np.linspace(-4.0, 4.0, 41)[:, None]
     u = np.linspace(-3.5, 4.5, 37)[None, :]
     np.testing.assert_allclose(
-        twisted_eval(special._as_polygauss(f), x, u), twisted_eval(f, x, u), rtol=0, atol=1e-15
+        special._polygauss_eval(*special._as_polygauss(f), x, u), twisted_eval(f, x, u),
+        rtol=0, atol=1e-15,
     )
     assert intertwine_check(f, 0.4, +1).residual <= 1e-14
     assert intertwine_check(f, 0.4, -1).residual > 1e-3
@@ -481,7 +482,7 @@ def test_twisted_norm_rejects_non_positive_t(grid4, t):
 def test_twisted_norm_takes_eigen_handles_only(grid4):
     # the norm folds the Gaussian of Phi_ab into the weight; a handle with
     # no polynomial form is refused, not summed over the mesh
-    zero = ClosedFormSpecialHandle(lambda Z, W: np.zeros(np.broadcast(Z, W).shape, complex))
+    zero = ClosedFormHandle(lambda Z, W: np.zeros(np.broadcast(Z, W).shape, complex))
     with pytest.raises(TypeError, match="SpecialEigenHandle"):
         bergman_norm_special(zero, 0.4, 0, grid4)
 
@@ -621,11 +622,6 @@ def test_special_envelope_gaussian_member():
     assert math.isfinite(rep.sup_ratio) and rep.sup_ratio > 0
 
 
-def test_special_envelope_zero_function():
-    rep = special_envelope(None, 0.5, 0, _env_grid())
-    assert rep.sup_ratio == 0.0
-
-
 def test_special_envelope_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown envelope kind"):
         special_envelope(SpecialHermiteBasis((0,), (0,)), 0.5, 0, _env_grid(), kind="x")
@@ -652,18 +648,36 @@ def test_special_expand_eigenfunction(tw_grid):
 
 
 def test_polygaussian_calculus():
-    from mehler.special import pg_dx, pg_du, twisted_eval
-
-    f = PolyGaussian2n((((1, 0), 1.0),), 0.5)  # x e^{-(x^2+u^2)/4}
-    d = pg_dx(f)
+    # the lowering operators D_x = d/dx - a x and D_u = d/du - a u on the
+    # coefficient array, against central differences of the function
+    f = PolyGaussian2n((((1, 0), 1.0), ((2, 1), -0.5j)), 0.5)  # (x - i x^2 u/2) e^{-(x^2+u^2)/4}
+    C, rate = special._as_polygauss(f)
     X = np.array([0.3, -1.2])
     U = np.array([0.5, 0.0])
-    h = 1e-6
+    h, a = 1e-6, 0.7
     fd = (twisted_eval(f, X + h, U) - twisted_eval(f, X - h, U)) / (2 * h)
-    assert np.allclose(twisted_eval(d, X, U), fd, atol=1e-8)
-    du = pg_du(f)
+    dx = special._polygauss_eval(special._lower(C, rate, a, 0), rate, X, U)
+    assert np.allclose(dx, fd - a * X * twisted_eval(f, X, U), atol=1e-8)
     fdu = (twisted_eval(f, X, U + h) - twisted_eval(f, X, U - h)) / (2 * h)
-    assert np.allclose(twisted_eval(du, X, U), fdu, atol=1e-8)
+    du = special._polygauss_eval(special._lower(C, rate, a, 1), rate, X, U)
+    assert np.allclose(du, fdu - a * U * twisted_eval(f, X, U), atol=1e-8)
+
+
+def test_polygaussian_sums_repeated_powers():
+    f = PolyGaussian2n((((0, 0), 1.0), ((0, 0), 2.0)))
+    assert twisted_eval(f, 0.0, 0.0) == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("powers", [(-1, 0), (0, -2)], ids=["negative-x", "negative-u"])
+def test_polygaussian_refuses_negative_powers(powers):
+    with pytest.raises(ValueError, match="whole numbers"):
+        PolyGaussian2n(((powers, 1.0),))
+
+
+@pytest.mark.parametrize("powers", [(1.5, 0), (0, 0.25)], ids=["fractional-x", "fractional-u"])
+def test_polygaussian_refuses_fractional_powers(powers):
+    with pytest.raises(ValueError, match="whole numbers"):
+        PolyGaussian2n(((powers, 1.0),))
 
 
 def test_entire_evaluation_consistency(tw_grid):

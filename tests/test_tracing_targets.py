@@ -1,10 +1,12 @@
-"""The benchmark tracer's targets resolve in the package.
+"""The names the benchmark reaches resolve in the package.
 
 ``perfbench/tracing.py`` wraps package functions and methods by
-(module, attribute path); a renamed target breaks traced benchmark runs,
-so every target is resolved here.
+(module, attribute path), and ``perfbench/workloads.py`` and
+``perfbench/run.py`` call the package as ``M.<name>``; a renamed or
+deleted name breaks benchmark runs, so every one is resolved here.
 """
 
+import ast
 import importlib.util
 import inspect
 from pathlib import Path
@@ -12,10 +14,11 @@ from pathlib import Path
 import pytest
 
 import mehler
+import mehler.suite  # perfbench imports it beside the package
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+_spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
 _tracing = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_tracing)
 
@@ -32,3 +35,34 @@ def test_tracer_target_resolves(mod, path, counter):
         # the eval_grid counter reads X and Y as the first positional arguments
         params = list(inspect.signature(target).parameters)
         assert params[1:3] == ["X", "Y"]
+
+
+def _package_references(path: Path) -> set[str]:
+    """Every dotted ``M.<name>...`` attribute path in a perfbench source,
+    ``M`` being the loaded package."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id == "M":
+            found.add(".".join(reversed(parts)))
+    return found
+
+
+REFERENCES = sorted(
+    set().union(*(_package_references(PERFBENCH / name) for name in ("workloads.py", "run.py")))
+)
+
+
+def test_perfbench_references_are_found():
+    # the walk sees the calls the workloads are built from
+    assert {"suite.CHECKS", "semigroup_handle", "calibrate_weight", "pw_envelope"} <= set(REFERENCES)
+
+
+@pytest.mark.parametrize("path", REFERENCES)
+def test_perfbench_reference_resolves(path):
+    target = mehler
+    for part in path.split("."):
+        target = getattr(target, part)
