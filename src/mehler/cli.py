@@ -36,7 +36,7 @@ from .semigroup import (
     semigroup_apply,
     semigroup_handle,
 )
-from .specfun import HermiteOverflowError
+from .specfun import HermiteOverflowError, _finite
 from .special import (
     Gaussian2n,
     SpecialEigenHandle,
@@ -240,7 +240,7 @@ def _cmd_suite(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     grid = default_bergman_grid(args.t, resolution=args.res)
-    cal = calibrate_weight(args.t, 1, [(k,) for k in range(5)], grid)
+    cal = calibrate_weight(args.t, 1, None, grid)
     _emit(
         args,
         {
@@ -300,9 +300,7 @@ def _coarse_abs2(rep) -> np.ndarray:
     grid.nodes(); HermiteOverflowError where it passes the largest double."""
     with np.errstate(over="ignore"):
         absF2 = rep.coarse_abs.ravel() ** 2
-    if not np.all(np.isfinite(absF2)):
-        raise HermiteOverflowError("|F|^2 exceeds the largest double at a node of the CSV grid")
-    return absF2
+    return _finite(absF2, "|F|^2", "at a node of the CSV grid")
 
 
 def _cmd_envelope(args) -> int:

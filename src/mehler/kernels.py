@@ -31,7 +31,7 @@ import numpy as np
 
 from . import taylor
 from .quadrature import gauss_legendre_rule
-from .specfun import HermiteOverflowError, hermite_eval
+from .specfun import _finite, hermite_eval
 from .taylor import TaylorScalar
 
 # ---------------------------------------------------------------------------
@@ -74,10 +74,7 @@ def _spectral_sum(coef, a, b):
     n = len(coef) - 1
     ha = hermite_eval(n, np.asarray(a, dtype=complex))
     hb = hermite_eval(n, np.asarray(b, dtype=complex))
-    total = np.tensordot(coef, ha * hb, axes=(0, 0))
-    if not np.all(np.isfinite(total)):
-        raise HermiteOverflowError("spectral kernel sum exceeds the largest double")
-    return total
+    return _finite(np.tensordot(coef, ha * hb, axes=(0, 0)), "spectral kernel sum")
 
 
 def mehler_spectral(t: float, z, w, truncation: int = 48):

@@ -66,7 +66,7 @@ from .spectral import (
     expand,
     gaussian_decay_rate,
 )
-from .specfun import HermiteOverflowError, _poly_parts
+from .specfun import HermiteOverflowError, _finite, _poly_parts
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ class MehlerSliceHandle(EntireHandle):
                 val = mehler_kernel(self.time, z[0], self.source[0])
             else:
                 val = mehler_kernel(self.time, z, self.source, self.dimension)
-        return complex(_finite_kernel_sum(val))
+        return complex(_finite(val, "kernel-mode image"))
 
     def eval_grid(self, X, Y) -> np.ndarray:
         if self.dimension != 1:
@@ -173,7 +173,7 @@ class MehlerSliceHandle(EntireHandle):
         Z = np.asarray(X) + 1j * np.asarray(Y)
         with np.errstate(over="ignore", invalid="ignore"):
             vals = mehler_kernel(self.time, Z, self.source[0])
-        return _finite_kernel_sum(vals)
+        return _finite(vals, "kernel-mode image")
 
 
 class KernelImageHandle(EntireHandle):
@@ -206,23 +206,14 @@ class KernelImageHandle(EntireHandle):
         with np.errstate(over="ignore", invalid="ignore"):
             ker = mehler_kernel(self.time, z[0], self._nodes)
             val = np.sum(self._samples * ker)
-        return complex(_finite_kernel_sum(val))
+        return complex(_finite(val, "kernel-mode image"))
 
     def eval_grid(self, X, Y) -> np.ndarray:
         Z = np.asarray(X) + 1j * np.asarray(Y)
         with np.errstate(over="ignore", invalid="ignore"):
             ker = mehler_kernel(self.time, Z[..., None], self._nodes)
             vals = ker @ self._samples
-        return _finite_kernel_sum(vals)
-
-
-def _finite_kernel_sum(vals):
-    """``vals``, or HermiteOverflowError where a kernel sum left the doubles."""
-    if not np.all(np.isfinite(vals)):
-        raise HermiteOverflowError(
-            "kernel-mode image exceeds the largest double at a requested point"
-        )
-    return vals
+        return _finite(vals, "kernel-mode image")
 
 
 def semigroup_handle(
@@ -348,10 +339,7 @@ def bergman_norm(
         total = kappa * float(np.sum(terms))
         half = 4.0 * kappa * float(np.sum(terms[::2, ::2]))
         size = abs(kappa) * float(np.sum(np.abs(terms, out=terms)))
-    if not math.isfinite(total):
-        raise HermiteOverflowError(
-            "the weighted integrand exceeds the largest double on this grid"
-        )
+    _finite(total, "the weighted integrand", "on this grid")
     _check_half_step(total, half, size, grid.resolution, "weighted norm")
     return total
 
@@ -482,10 +470,7 @@ def reproduce(
         B = np.exp(0.5 * c * b * b - 1j * zc * y / s)
         vals = np.sum(real_matmul(A, table) * B, axis=1)
         vals *= (2.0 * math.pi * s) ** -0.5 * kappa
-    if not np.all(np.isfinite(vals)):
-        raise HermiteOverflowError(
-            "reproducing integral exceeds the largest double at a requested point"
-        )
+    _finite(vals, "reproducing integral")
     return complex(vals[0]) if single else vals
 
 

@@ -65,6 +65,14 @@ class HermiteOverflowError(OverflowError):
     """A Hermite-series value whose modulus exceeds the largest double."""
 
 
+def _finite(vals, what: str, where: str = "at a requested point"):
+    """``vals``, or :class:`HermiteOverflowError` saying that ``what``
+    exceeds the largest double ``where`` one of them is not finite."""
+    if not np.all(np.isfinite(vals)):
+        raise HermiteOverflowError(f"{what} exceeds the largest double {where}")
+    return vals
+
+
 def _check_finite(z) -> np.ndarray:
     z = np.asarray(z)
     if not np.all(np.isfinite(z)):
@@ -109,11 +117,9 @@ def hermite_eval(k_max: int, z) -> np.ndarray:
                 z * math.sqrt(2.0 / (k + 1)) * out[k]
                 - math.sqrt(k / (k + 1.0)) * out[k - 1]
             )
-    if not np.all(np.isfinite(out[k_max])):
-        raise HermiteOverflowError(
-            f"h_{k_max} exceeds the largest double at a requested point; "
-            "use hermite_log_ladder off the real axis"
-        )
+    _finite(
+        out[k_max], f"h_{k_max}", "at a requested point; use hermite_log_ladder off the real axis"
+    )
     return out
 
 

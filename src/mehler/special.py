@@ -67,14 +67,15 @@ of the weight W_t(x, y, u, v) = 4 e^{yu - xv} S(y^2 + v^2), with S the
 of basis members, F = damp P e^{-(z^2 + w^2)/4} with P a polynomial in
 (x, y, u, v), and that Gaussian's squared modulus folds into W_t as an
 (x, v) table times a (y, u) table, each at most 1, beside the jet of S on
-the (y, v) table.  The calibration probes and the norms both contract P's
-coefficients against monomial moments of the two folded tables
-(``_folded_tables``): the calibration over all four axes, the norm over x
-and u, which leaves a (y, v) plane to meet the jet.  Nothing grows with
-res^4 and no exponent overflows on the wide boxes of moderate t.  The
-norm also sums the nested trapezoid rule of twice the step, from the same
-tables on every second node, and a norm that moves by more than 1e-2
-between the two raises :class:`mehler.quadrature.QuadratureError`: the box
+the (y, v) table.  One weighted form serves the norms and the calibration
+probes (``_plane_sums``): for coefficient arrays P and Q it contracts the
+coefficients of P conj(Q) against monomial moments over x and u of the two
+folded tables (``_folded_tables``), which leaves a (y, v) plane to meet
+the jet.  Nothing grows with res^4 and no exponent overflows on the wide
+boxes of moderate t.  The form also sums the nested trapezoid rule of
+twice the step, from the same tables on every second node, and a norm or
+a diagonal probe that moves by more than 1e-2 between the two raises
+:class:`mehler.quadrature.QuadratureError`: the box
 grows with t while the integrand's ridges keep unit width, so a resolution
 fit for small t can be too coarse at large t.  The integrands are analytic
 with Gaussian decay, so the trapezoid rule converges geometrically
@@ -97,7 +98,7 @@ from .indices import MultiIndex, as_index, multi_indices, oscillator_eigenvalue
 from .kernels import _twisted_profile_jet, special_plain_bound, special_schwartz_bound
 from .quadrature import PlaneGrid, _check_half_step, real_matmul
 from .semigroup import CalibrationResult, EnvelopeReport, envelope
-from .specfun import HermiteOverflowError, hermite_eval, laguerre_ladder
+from .specfun import HermiteOverflowError, _finite, hermite_eval, laguerre_ladder
 from .spectral import ClosedFormHandle, EntireHandle
 
 
@@ -189,9 +190,7 @@ def _phi1(a: int, b: int, z, w):
             val = P * np.exp(E_z) * np.exp(E_w)
         else:
             val = P * np.exp(E_z + E_w)
-    if not np.all(np.isfinite(val)):
-        raise HermiteOverflowError(f"Phi_{a}{b} exceeds the largest double at a requested point")
-    return val
+    return _finite(val, f"Phi_{a}{b}")
 
 
 def _phi1_parts(
@@ -219,9 +218,7 @@ def _phi1_parts(
                 P = P * zeta
         if k:
             P = P * laguerre_ladder(k, d, 0.5 * (z2 + w2))[k]
-    P = np.asarray(P)
-    if not np.all(np.isfinite(P)):
-        raise HermiteOverflowError(f"Phi_{a}{b} exceeds the largest double at a requested point")
+    P = _finite(np.asarray(P), f"Phi_{a}{b}")
     z2 *= -0.25
     z2 -= shift
     w2 *= -0.25
@@ -400,7 +397,7 @@ class GaussianImage:
             ix = np.exp((2 * g * z - 0.5j * w) ** 2 / (4 * kap))
             iu = np.exp((2 * g * w + 0.5j * z) ** 2 / (4 * kap))
             val = pref * (math.pi / kap) * ex * ix * iu
-        return _finite_twisted(val)
+        return _finite(val, "twisted heat image")
 
 
 # ---------------------------------------------------------------------------
@@ -475,18 +472,8 @@ def twisted_conv(f, g, z, w, grid: PlaneGrid):
         for c, A_j, B_j in zip(coefs, A, B):
             acc = acc + c * (real_matmul(A_j * phase_x, table) * B_j)
         vals = np.sum(acc * np.exp(0.5j * zs * u), axis=1)
-    _finite_twisted(vals)
+    _finite(vals, "twisted heat image")
     return complex(vals[0]) if not shape else vals.reshape(shape)
-
-
-def _finite_twisted(vals):
-    """``vals``, or HermiteOverflowError where a twisted image left the
-    doubles."""
-    if not np.all(np.isfinite(vals)):
-        raise HermiteOverflowError(
-            "twisted heat image exceeds the largest double at a requested point"
-        )
-    return vals
 
 
 def special_semigroup_apply(
@@ -850,35 +837,45 @@ def _folded_tables(grid: PlaneGrid, t: float, n: int, step: int = 1):
     return alpha, beta, (y, wy), (v, wv)
 
 
-def _plane_sums(handle: SpecialEigenHandle, t: float, m: int, grid: PlaneGrid):
+def _plane_sums(pairs, t: float, m: int, grid: PlaneGrid) -> list[tuple]:
     """(sum, half-step sum, sum of moduli) of the quadrature terms of
-    int |F|^2 d^{2m}/dt^{2m} W_t over the grid.
+    int P conj(Q) |e^{-(z^2 + w^2)/4}|^2 d^{2m}/dt^{2m} W_t over the grid,
+    for each pair (P, Q) of coefficient arrays over (x, y, u, v) in
+    ``pairs``, all of one shape (k,) * 4 with k above the degree of
+    P conj(Q).
 
-    Summed over x and u, the terms of |P|^2 A B are the (y, v) plane
-    sum PP[j, q, l, s] y^q beta[l, y] alpha[j, v] v^s w_y w_v over the
-    coefficients PP of |P|^2 and the tables of :func:`_folded_tables`: two
-    real matrix products.  The plane meets the jet R_m on the (y, v) table.
+    Summed over x and u, the terms of P conj(Q) A B are the (y, v) plane
+    sum PQ[j, q, l, s] y^q beta[l, y] alpha[j, v] v^s w_y w_v over the
+    coefficients PQ of P conj(Q) and the tables of :func:`_folded_tables`:
+    two real matrix products.  The plane meets the jet R_m on the (y, v)
+    table.  The tables and the jet are built once per step for all pairs.
     The half-step sum takes every second node of each axis from node 0 at
     2^4 times its weight: on a trapezoid grid that is the rule of twice the
     step up to the last node's weight, where the integrand has decayed.
+    A pair (P, P) sums the real |P|^2 and gives real sums.
     """
-    a, b = handle.alpha[0], handle.beta[0]
-    k = 2 * (abs(a - b) + 2 * min(a, b)) + 1  # powers of |P|^2 per variable
-    P = _phi1_poly(a, b, k)
-    PP = _times(P, {idx: np.conj(P[idx]) for idx in zip(*np.nonzero(P))}).real
-    middle = PP.transpose(1, 2, 0, 3).reshape(k * k, k * k)
+    k = pairs[0][0].shape[0]
+    middles = []
+    for P, Q in pairs:
+        PQ = _times(P, {idx: np.conj(Q[idx]) for idx in zip(*np.nonzero(Q))})
+        if Q is P:
+            PQ = PQ.real
+        middles.append(PQ.transpose(1, 2, 0, 3).reshape(k * k, k * k))
     powers = np.arange(k)
     sums = []
     for step in (1, 2):
         alpha, beta, (y, wy), (v, wv) = _folded_tables(grid, t, (k + 1) // 2, step)
         left = (y[:, None, None] ** powers[:, None] * beta.T[:, None, :]).reshape(len(y), -1)
         right = (alpha[:, None, :] * v ** powers[:, None]).reshape(-1, len(v))
-        plane = wy[:, None] * real_matmul(real_matmul(left, middle), right) * wv
         R = _twisted_profile_jet(t, m, np.add.outer(y * y, v * v))
-        sums.append((float(np.sum(plane * R)), float(np.sum(plane * np.abs(R)))))
-    (total, size), (half, _) = sums
-    scale = 4.0 * handle._damp() ** 2
-    return scale * total, scale * half, scale * size
+        abs_R = np.abs(R)
+        row = []
+        for middle in middles:
+            plane = wy[:, None] * real_matmul(real_matmul(left, middle), right) * wv
+            total = 4.0 * np.sum(plane * R).item()
+            row.append((total, 4.0 * float(np.sum(np.abs(plane) * abs_R))))
+        sums.append(row)
+    return [(total, half, size) for (total, size), (half, _) in zip(*sums)]
 
 
 def bergman_norm_special(
@@ -893,15 +890,14 @@ def bergman_norm_special(
     any other handle raises ``TypeError``).
 
     F = damp P e^{-(z^2 + w^2)/4} with P a polynomial (:func:`_phi1_poly`),
-    and the Gaussian's squared modulus folds into W_t as an (x, v) and a
-    (y, u) table, each at most 1, beside the jet R_m on the (y, v) table
-    (:func:`_folded_tables`, shared with the calibration).  The integral is
-    then the sum over the (y, v) table of R_m times a (y, v) plane that
-    contracts the coefficients of |P|^2 against monomial moments of the
-    two folded tables (:func:`_plane_sums`).  Nothing spans more
-    than one axis pair, so memory stays at a few (y, v) tables at any
-    resolution, and no exponent overflows on the wide boxes of moderate t.
-    A non-finite total raises :class:`HermiteOverflowError`.
+    and the integral is damp^2 times the weighted form of (P, P) that the
+    calibration probes also sum (:func:`_plane_sums`): the Gaussian's
+    squared modulus folds into W_t as an (x, v) and a (y, u) table, each at
+    most 1, and the coefficients of |P|^2 contract against them into a
+    (y, v) plane that meets the jet R_m.  Nothing spans more than one axis
+    pair, so memory stays at a few (y, v) tables at any resolution, and no
+    exponent overflows on the wide boxes of moderate t.  A non-finite
+    total raises :class:`HermiteOverflowError`.
 
     The same tables on every second node sum the nested rule of twice the
     step.  Where the two differ by more than 1e-2 of the sum of the terms'
@@ -920,11 +916,12 @@ def bergman_norm_special(
         raise ValueError("need a two-coordinate grid over C^2")
     if m < 0:
         raise ValueError("m must be >= 0")
-    total, half, size = _plane_sums(handle, t, m, grid)
-    if not math.isfinite(total):
-        raise HermiteOverflowError(
-            "the weighted integrand exceeds the largest double on this grid"
-        )
+    a, b = handle.alpha[0], handle.beta[0]
+    P = _phi1_poly(a, b, 2 * (abs(a - b) + 2 * min(a, b)) + 1)
+    ((total, half, size),) = _plane_sums([(P, P)], t, m, grid)
+    damp2 = handle._damp() ** 2
+    total, half, size = damp2 * total, damp2 * half, damp2 * size
+    _finite(total, "the weighted integrand", "on this grid")
     _check_half_step(total, half, size, grid.resolution, "weighted norm")
     return kappa_star * total
 
@@ -940,17 +937,12 @@ def calibrate_weight_special(
     near 2^{-n}: the weight is built from the (2 pi sinh t)^{-n}-normalized
     profile, 2^n times the spectral one.
 
-    The sums are those of the grid's 4-D quadrature, in another order.  A
-    probe is P e^{-(z^2 + w^2)/4} with P a polynomial (:func:`_phi1_poly`),
-    and the Gaussian's squared modulus folds into W_t as a product of an
-    (x, v) and a (y, u) table (:func:`_folded_tables`, shared with the
-    norm).  So each integral of P conj(Q) is sum P[p, q, r, s]
-    conj(Q)[p', q', r', s'] a[p + p', s + s'] b[q + q', r + r'] over the
-    monomial moments a[p, s] = sum_v alpha[p, v] v^s w_v (times the
-    constant) and b[q, r] = sum_y y^q beta[r, y] w_y of those tables.  That is one matrix
-    product per table and coefficient matrices with (degree + 1)^2 rows; no
-    array spans the 4-D mesh, and the folded tables are at most 1, so
-    nothing overflows on wide boxes.
+    Every probe is the weighted form of :func:`_plane_sums` at order 0 on
+    the probes' polynomials (:func:`_phi1_poly`), the form the norms sum.
+    Each diagonal integral also sums the nested rule of twice the step and
+    raises :class:`mehler.quadrature.QuadratureError` where the two differ
+    by more than 1e-2 of it; the off-diagonals must vanish, which checks
+    the rule on them.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -962,36 +954,15 @@ def calibrate_weight_special(
     if any(len(a) != 1 or len(b) != 1 for a, b in pairs):
         raise ValueError("calibration probes are one-dimensional (n = 1)")
 
-    n = 1 + max(abs(a[0] - b[0]) + 2 * min(a[0], b[0]) for a, b in pairs)
-    alpha, beta, (y, wy), (v, wv) = _folded_tables(grid, t, n)
-    powers = np.arange(2 * n - 1)
-    const = 4.0 / (2.0 * math.pi * math.sinh(2 * t))
-    xv = const * (alpha @ (wv[:, None] * v[:, None] ** powers))
-    yu = (wy[:, None] * y[:, None] ** powers).T @ beta.T
-    # the moments of the (x, v) pairs (p, s), (p', s') and of the (y, u)
-    # pairs (q, r), (q', r')
-    i, j = np.divmod(np.arange(n * n), n)
-    rows, cols = np.add.outer(i, i), np.add.outer(j, j)
-    ma, mb = xv[rows, cols], yu[rows, cols]
-    # P[p, q, r, s] as a matrix over (p, s) by (q, r), the index pairs of
-    # the (x, v) and (y, u) moment tables
-    polys = [
-        _phi1_poly(a[0], b[0], n).transpose(0, 3, 1, 2).reshape(n * n, n * n)
-        for a, b in pairs
-    ]
-
-    def integral(P, Q):
-        """The quadrature sum of P conj(Q) e^{-Re(z^2 + w^2)/2} W_t."""
-        return np.sum(P * (ma @ np.conj(Q) @ mb))
-
-    raw = [float(integral(P, P).real) for P in polys]
-    off = [complex(integral(polys[0], P)) for P in polys[1:3]]
-
-    ratios = {
-        (a, b): math.exp(2 * oscillator_eigenvalue(b) * t) / r
-        for (a, b), r in zip(pairs, raw)
-    }
-    max_off = max((abs(c) for c in off), default=0.0)
+    degree = max(abs(a[0] - b[0]) + 2 * min(a[0], b[0]) for a, b in pairs)
+    polys = [_phi1_poly(a[0], b[0], 2 * degree + 1) for a, b in pairs]
+    probes = [(P, P) for P in polys] + [(polys[0], Q) for Q in polys[1:3]]
+    sums = _plane_sums(probes, t, 0, grid)
+    ratios = {}
+    for (a, b), (total, half, size) in zip(pairs, sums):
+        _check_half_step(total, half, size, grid.resolution, "calibration integral")
+        ratios[a, b] = math.exp(2 * oscillator_eigenvalue(b) * t) / total
+    max_off = max((abs(total) for total, _, _ in sums[len(pairs) :]), default=0.0)
     return CalibrationResult.from_ratios(ratios, max_off, t, 1, 1e-2)
 
 

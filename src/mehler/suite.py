@@ -2,13 +2,20 @@
 
 ``run_suite`` executes a fixed registry of checks against a
 :class:`SuiteConfig` and returns a :class:`SuiteReport`.  Each check is
-isolated (one failure never aborts the rest), deterministic given the
+declared once, by ``@_check(name, theorem, tol)`` over its body: the
+registration appends it to ``CHECKS`` and its default tolerance to
+``DEFAULT_TOLERANCES`` in definition order, which is the report order, and
+attaches the entry to the check as ``entry``.  A body returns only its
+measurement, and the registered callable builds the :class:`CheckResult`.
+Each check is isolated (one failure never aborts the rest, and reports
+under its entry's name, theorem tag and tolerance), deterministic given the
 config seed, and carries a theorem tag so the report doubles as a coverage
 map of the verified statements.  Reports serialize to JSON with stable key
 order; two runs with the same config produce byte-identical output apart
 from the timing fields.
 """
 
+import functools
 import json
 import math
 import numbers
@@ -17,6 +24,7 @@ import time
 import traceback
 import zlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,29 +80,6 @@ SCHEMA = "1"
 
 class ConfigError(ValueError):
     """Raised on structurally invalid suite configuration."""
-
-
-DEFAULT_TOLERANCES: dict[str, float] = {
-    "hermite-orthonormality": 1e-10,
-    "mehler-spectral-bridge": 1e-8,
-    "heat-isometry": 1e-5,
-    "complex-orthogonality": 1e-9,
-    "derivative-weight-identity": 1e-4,
-    "reproducing-property": 1e-5,
-    "sobolev-embedding-envelopes": 0.05,
-    "schwartz-image-envelopes": 0.01,
-    "intertwining-relations": 1e-6,
-    "twisted-isometry": 1e-4,
-    "twisted-sobolev-identity": 1e-3,
-    "projection-algebra": 1e-6,
-    "tempered-envelope": 0.01,
-    "stft-bridge": 1e-6,
-    "compact-support": 0.01,
-    "sobolev-image-isometry": 1e-4,
-    "twisted-schwartz-envelope": 0.05,
-    "twisted-plain-envelope": 0.05,
-    "determinism": 0.0,
-}
 
 
 def _whole(name: str, value) -> int:
@@ -156,7 +141,8 @@ class SuiteConfig:
 
     @property
     def special_res(self) -> int:
-        return max(16, self.grid_res // 4)
+        """Nodes per axis of the C^2 weighted-norm grids (32 at least)."""
+        return max(32, self.grid_res // 4)
 
     @property
     def bergman_res(self) -> int:
@@ -291,13 +277,62 @@ class SuiteReport:
         return out
 
 
-def _rng_for(config: SuiteConfig, name: str) -> np.random.Generator:
-    return np.random.default_rng(config.seed ^ zlib.crc32(name.encode()))
+# ---------------------------------------------------------------------------
+# Registry
+# ---------------------------------------------------------------------------
+
+# Filled by ``_check`` in definition order, which is the report order.
+CHECKS: list = []
+DEFAULT_TOLERANCES: dict[str, float] = {}
 
 
-def _result(name, theorem, metric, tol, ok_extra=True, details=""):
-    status = "pass" if (metric <= tol and ok_extra) else "fail"
-    return CheckResult(name, theorem, status, float(metric), float(tol), details)
+@dataclass(frozen=True)
+class _Entry:
+    """A registered check: its name, the statement it checks and its
+    default tolerance."""
+
+    name: str
+    theorem: str
+    tol: float
+
+    def tolerance(self, config: SuiteConfig) -> float:
+        return float(config.tol.get(self.name, self.tol))
+
+    def rng(self, config: SuiteConfig) -> np.random.Generator:
+        """The check's own stream: the config seed mixed with its name."""
+        return np.random.default_rng(config.seed ^ zlib.crc32(self.name.encode()))
+
+
+class _Measured(NamedTuple):
+    """What a check body returns: its metric, any further pass condition
+    and the details line."""
+
+    metric: float
+    ok: bool = True
+    details: str = ""
+
+
+def _check(name: str, theorem: str, tol: float):
+    """Register a check body under its name, theorem tag and default
+    tolerance.  The body maps (config, entry) to a :class:`_Measured`; the
+    registered callable maps a config to its :class:`CheckResult` and
+    carries the entry as ``entry``."""
+    entry = _Entry(name, theorem, tol)
+
+    def register(body):
+        @functools.wraps(body)
+        def check(config: SuiteConfig) -> CheckResult:
+            metric, ok, details = body(config, entry)
+            limit = entry.tolerance(config)
+            status = "pass" if (metric <= limit and ok) else "fail"
+            return CheckResult(name, theorem, status, float(metric), limit, details)
+
+        check.entry = entry
+        CHECKS.append(check)
+        DEFAULT_TOLERANCES[name] = tol
+        return check
+
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -305,26 +340,26 @@ def _result(name, theorem, metric, tol, ok_extra=True, details=""):
 # ---------------------------------------------------------------------------
 
 
-def check_orthonormality(config: SuiteConfig) -> CheckResult:
+@_check("hermite-orthonormality", "eq. (2.1)", 1e-10)
+def check_orthonormality(config: SuiteConfig, entry: _Entry) -> _Measured:
     """Gram matrix of h_0..h_30 under a 64-point rule vs the identity."""
-    name, theorem = "hermite-orthonormality", "eq. (2.1)"
     rule = gauss_hermite_rule(64)
     ladder = hermite_eval(30, rule.nodes)
     w = rule.plain_weights
     gram = (ladder * w) @ ladder.T
     metric = float(np.max(np.abs(gram - np.eye(31))))
-    return _result(name, theorem, metric, config.tolerance(name))
+    return _Measured(metric)
 
 
-def check_mehler_spectral(config: SuiteConfig) -> CheckResult:
+@_check("mehler-spectral-bridge", "Thm 2.1", 1e-8)
+def check_mehler_spectral(config: SuiteConfig, entry: _Entry) -> _Measured:
     """Closed-form heat kernel vs the truncated spectral sum.
 
     The sampling box shrinks with t: the truncated sum carries a tail of
     size ~ e^{(|Im z|+|Im w|) sqrt(2N) - 2Nt}, which must stay below 1e-8
     relative to the smallest kernel value over the box.
     """
-    name, theorem = "mehler-spectral-bridge", "Thm 2.1"
-    rng = _rng_for(config, name)
+    rng = entry.rng(config)
     worst = 0.0
     for t in config.t:
         re_box, im_box = (1.0, 0.3) if t < 0.4 else (2.0, 1.0)
@@ -333,9 +368,7 @@ def check_mehler_spectral(config: SuiteConfig) -> CheckResult:
         closed = mehler_kernel(t, z, w)
         spectral = mehler_spectral(t, z, w, truncation=config.N)
         worst = max(worst, float(np.max(np.abs(closed - spectral) / np.abs(closed))))
-    return _result(
-        name, theorem, worst, config.tolerance(name), details=f"N={config.N}"
-    )
+    return _Measured(worst, details=f"N={config.N}")
 
 
 def _isometry_test_functions():
@@ -358,16 +391,16 @@ def _l2_norm_squared(f, rule) -> float:
     )
 
 
-def check_isometry(config: SuiteConfig) -> CheckResult:
+@_check("heat-isometry", "Thm 2.1", 1e-5)
+def check_isometry(config: SuiteConfig, entry: _Entry) -> _Measured:
     """Calibrated Bergman norm of the image vs the L^2 norm of the input."""
-    name, theorem = "heat-isometry", "Thm 2.1"
     rule = gauss_hermite_rule(config.quad)
     times = [0.25] + [t for t in config.t if t != 0.25]
     kappas = []
     worst = 0.0
     for t in times:
         grid = default_bergman_grid(t, resolution=config.bergman_res)
-        cal = calibrate_weight(t, 1, [(k,) for k in range(5)], grid)
+        cal = calibrate_weight(t, 1, None, grid)
         kappas.append(cal.kappa)
         for f in _isometry_test_functions():
             handle = semigroup_handle(f, t, "spectral", truncation=config.N, rule=rule)
@@ -379,28 +412,28 @@ def check_isometry(config: SuiteConfig) -> CheckResult:
     kappa_dev = abs(kappas[0] / expected - 1.0)
     details = f"kappa={kappas[0]:.8f} spread={kappa_spread:.2e} res={grid.resolution}"
     ok = kappa_spread <= 1e-5 and kappa_dev <= 1e-5
-    return _result(name, theorem, worst, config.tolerance(name), ok, details)
+    return _Measured(worst, ok, details)
 
 
-def check_complex_orthogonality(config: SuiteConfig) -> CheckResult:
+@_check("complex-orthogonality", "eq. (2.1)", 1e-9)
+def check_complex_orthogonality(config: SuiteConfig, entry: _Entry) -> _Measured:
     """Weighted orthogonality of the complexified basis: flat diagonal
     ratios over |alpha| <= 4 and vanishing off-diagonals."""
-    name, theorem = "complex-orthogonality", "eq. (2.1)"
     t = config.t[0]
     grid = default_bergman_grid(t, resolution=max(config.bergman_res, 81))
-    cal = calibrate_weight(t, 1, [(k,) for k in range(5)], grid)
+    cal = calibrate_weight(t, 1, None, grid)
     ok = cal.spread <= 1e-5
     details = f"diag spread={cal.spread:.2e} res={grid.resolution}"
-    return _result(name, theorem, cal.max_offdiagonal, config.tolerance(name), ok, details)
+    return _Measured(cal.max_offdiagonal, ok, details)
 
 
-def check_derivative_weight_identity(config: SuiteConfig) -> CheckResult:
+@_check("derivative-weight-identity", "Prop 2.2", 1e-4)
+def check_derivative_weight_identity(config: SuiteConfig, entry: _Entry) -> _Measured:
     """Derivative-weight norms vs the spectral form with the 2^{2m} factor."""
-    name, theorem = "derivative-weight-identity", "Prop 2.2"
     t = config.t[0]
     rule = gauss_hermite_rule(config.quad)
     grid = default_bergman_grid(t, resolution=config.bergman_res, degree_margin=14)
-    cal = calibrate_weight(t, 1, [(k,) for k in range(5)], grid)
+    cal = calibrate_weight(t, 1, None, grid)
     worst = 0.0
     for m in config.m:
         for k in range(4):
@@ -411,19 +444,17 @@ def check_derivative_weight_identity(config: SuiteConfig) -> CheckResult:
             lam = 2 * k + 1
             ref = 2.0 ** (2 * m) * lam ** (2 * m)
             worst = max(worst, abs(val - ref) / ref)
-    return _result(
-        name, theorem, worst, config.tolerance(name), details=f"res={grid.resolution}"
-    )
+    return _Measured(worst, details=f"res={grid.resolution}")
 
 
-def check_reproducing(config: SuiteConfig) -> CheckResult:
+@_check("reproducing-property", "Thm 4.1", 1e-5)
+def check_reproducing(config: SuiteConfig, entry: _Entry) -> _Measured:
     """Reproducing identity on heat images of the first basis functions."""
-    name, theorem = "reproducing-property", "Thm 4.1"
     t = config.t[0]
-    rng = _rng_for(config, name)
+    rng = entry.rng(config)
     rule = gauss_hermite_rule(config.quad)
     grid = default_bergman_grid(t, resolution=config.bergman_res)
-    cal = calibrate_weight(t, 1, [(k,) for k in range(5)], grid)
+    cal = calibrate_weight(t, 1, None, grid)
     pts = rng.uniform(-1.5, 1.5, (10, 2))
     zs = (pts[:, 0] + 1j * pts[:, 1])[:, None]
     worst = 0.0
@@ -435,9 +466,7 @@ def check_reproducing(config: SuiteConfig) -> CheckResult:
         direct = np.array([handle.eval(z) for z in zs])
         repro = reproduce(handle, t, zs, grid, kappa=cal.kappa)
         worst = max(worst, float(np.max(np.abs(repro - direct) / (1.0 + np.abs(direct)))))
-    return _result(
-        name, theorem, worst, config.tolerance(name), details=f"res={grid.resolution}"
-    )
+    return _Measured(worst, details=f"res={grid.resolution}")
 
 
 def _envelope_grid(config: SuiteConfig, resolution: int | None = None) -> PlaneGrid:
@@ -449,9 +478,9 @@ def _envelope_grid(config: SuiteConfig, resolution: int | None = None) -> PlaneG
     return PlaneGrid(boxes=(config.grid_box,), resolution=res)
 
 
-def check_sobolev_envelopes(config: SuiteConfig) -> CheckResult:
+@_check("sobolev-embedding-envelopes", "Thm 4.1", 0.05)
+def check_sobolev_envelopes(config: SuiteConfig, entry: _Entry) -> _Measured:
     """Finite, refinement-stable envelopes of basis images, orders <= 3."""
-    name, theorem = "sobolev-embedding-envelopes", "Thm 4.1"
     t = config.t[0]
     rule = gauss_hermite_rule(config.quad)
     grid = _envelope_grid(config)
@@ -464,16 +493,15 @@ def check_sobolev_envelopes(config: SuiteConfig) -> CheckResult:
         for rep in envelopes(handle, [sobolev_embed_bound(t, m) for m in range(4)], grid):
             all_finite &= math.isfinite(rep.sup_ratio) and rep.sup_ratio > 0
             worst_change = max(worst_change, rep.refinement_change)
-    return _result(
-        name, theorem, worst_change, config.tolerance(name), all_finite,
-        "max refinement change of sup over f=h0..h3, m<=3",
+    return _Measured(
+        worst_change, all_finite, "max refinement change of sup over f=h0..h3, m<=3"
     )
 
 
-def check_schwartz_envelopes(config: SuiteConfig) -> CheckResult:
+@_check("schwartz-image-envelopes", "Thm 4.2", 0.01)
+def check_schwartz_envelopes(config: SuiteConfig, entry: _Entry) -> _Measured:
     """Rapid-decrease image envelopes plus the closed-form spot value
     sup = e^{-2t} / sqrt(pi) for the ground state at order 0, t = 0.3."""
-    name, theorem = "schwartz-image-envelopes", "Thm 4.2"
     rule = gauss_hermite_rule(config.quad)
     grid = _envelope_grid(config)
     reports = schwartz_image_check(
@@ -487,14 +515,14 @@ def check_schwartz_envelopes(config: SuiteConfig) -> CheckResult:
     expected = math.exp(-0.6) / math.sqrt(math.pi)
     spot_dev = abs(rep0.sup_ratio / expected - 1.0)
     details = f"spot sup={rep0.sup_ratio:.6f} expected={expected:.6f}"
-    return _result(name, theorem, spot_dev, config.tolerance(name), stable, details)
+    return _Measured(spot_dev, stable, details)
 
 
-def check_intertwine(config: SuiteConfig) -> CheckResult:
+@_check("intertwining-relations", "Lemma 4.3", 1e-6)
+def check_intertwine(config: SuiteConfig, entry: _Entry) -> _Measured:
     """First-order intertwining relations: exactly one sign convention
     passes, and the composed coordinate-product relation holds."""
-    name, theorem = "intertwining-relations", "Lemma 4.3"
-    tol = config.tolerance(name)
+    tol = entry.tolerance(config)
     times = (0.4, 0.5)
     worst_valid = 0.0
     other_min = math.inf
@@ -512,20 +540,20 @@ def check_intertwine(config: SuiteConfig) -> CheckResult:
         f"validated a=+coth(t)/2; other-sign min residual={other_min:.2e}; "
         f"composed={composed:.2e}"
     )
-    return _result(name, theorem, worst_valid, tol, exactly_one, details)
+    return _Measured(worst_valid, exactly_one, details)
 
 
-def check_twisted_isometry(config: SuiteConfig) -> CheckResult:
+@_check("twisted-isometry", "Thm 3.1", 1e-4)
+def check_twisted_isometry(config: SuiteConfig, entry: _Entry) -> _Measured:
     """Calibrated twisted isometry plus the eigen-relation pointwise."""
-    name, theorem = "twisted-isometry", "Thm 3.1"
     t = 0.4
-    grid4 = default_special_grid(t, resolution=max(32, config.special_res))
+    grid4 = default_special_grid(t, resolution=config.special_res)
     cal = calibrate_weight_special(t, None, grid4)
     handle = SpecialEigenHandle((0,), (0,), t)
     iso = bergman_norm_special(handle, t, 0, grid4, kappa_star=cal.kappa)
     metric = abs(iso - 1.0)
 
-    rng = _rng_for(config, name)
+    rng = entry.rng(config)
     grid2 = default_twisted_grid(t)
     pts_real = rng.uniform(-1.5, 1.5, (10, 2))
     pts_cplx = rng.uniform(-1.0, 1.0, (5, 4))
@@ -545,27 +573,24 @@ def check_twisted_isometry(config: SuiteConfig) -> CheckResult:
             )
     ok = eigen_worst <= 1e-6 and cal.spread <= 1e-3
     details = f"kappa*={cal.kappa:.6f} eigen residual={eigen_worst:.2e}"
-    return _result(name, theorem, metric, config.tolerance(name), ok, details)
+    return _Measured(metric, ok, details)
 
 
-def check_twisted_sobolev(config: SuiteConfig) -> CheckResult:
+@_check("twisted-sobolev-identity", "Thm 3.2", 1e-3)
+def check_twisted_sobolev(config: SuiteConfig, entry: _Entry) -> _Measured:
     """Order-1 twisted Sobolev identity on an eigenfunction image."""
-    name, theorem = "twisted-sobolev-identity", "Thm 3.2"
     t = 0.4
-    grid4 = default_special_grid(t, resolution=max(32, config.special_res))
+    grid4 = default_special_grid(t, resolution=config.special_res)
     cal = calibrate_weight_special(t, None, grid4)
     handle = SpecialEigenHandle((0,), (1,), t)
     val = bergman_norm_special(handle, t, 1, grid4, kappa_star=cal.kappa)
     ref = 4.0 * 9.0
-    return _result(
-        name, theorem, abs(val - ref) / ref, config.tolerance(name),
-        details=f"value={val:.6f} expected={ref}",
-    )
+    return _Measured(abs(val - ref) / ref, details=f"value={val:.6f} expected={ref}")
 
 
-def check_projection_algebra(config: SuiteConfig) -> CheckResult:
+@_check("projection-algebra", "Thm 3.1", 1e-6)
+def check_projection_algebra(config: SuiteConfig, entry: _Entry) -> _Measured:
     """Twisted projection algebra and eigenspace reconstruction."""
-    name, theorem = "projection-algebra", "Thm 3.1"
     grid = default_twisted_grid(0.4)
     x = np.array([0.0, 0.4, 1.0, -0.6, 0.8])
     u = np.array([0.0, -0.7, 0.3, -0.2, 0.9])
@@ -580,14 +605,14 @@ def check_projection_algebra(config: SuiteConfig) -> CheckResult:
     recon_err = abs(recon - 1.0)
     ok = recon_err <= 1e-4
     details = f"reconstruction error at origin={recon_err:.2e}"
-    return _result(name, theorem, worst, config.tolerance(name), ok, details)
+    return _Measured(worst, ok, details)
 
 
-def check_tempered_envelope(config: SuiteConfig) -> CheckResult:
+@_check("tempered-envelope", "Thm 5.1", 0.01)
+def check_tempered_envelope(config: SuiteConfig, entry: _Entry) -> _Measured:
     """Point-mass image against the tempered bound: closed-form sup
     (2 pi sinh 2t)^{-1}; polynomially growing coefficients against the
     bound one order up."""
-    name, theorem = "tempered-envelope", "Thm 5.1"
     rule = gauss_hermite_rule(config.quad)
     worst_dev = 0.0
     for t in config.t:
@@ -607,13 +632,13 @@ def check_tempered_envelope(config: SuiteConfig) -> CheckResult:
         handle = semigroup_handle(f, t0, "spectral", truncation=config.N, rule=rule)
         rep = envelope_ratio(handle, tempered_bound(t0, p + 1), grow_grid)
         stable &= rep.stable and math.isfinite(rep.sup_ratio)
-    return _result(name, theorem, worst_dev, config.tolerance(name), stable)
+    return _Measured(worst_dev, stable)
 
 
-def check_bridge(config: SuiteConfig) -> CheckResult:
+@_check("stft-bridge", "Thm 5.3", 1e-6)
+def check_bridge(config: SuiteConfig, entry: _Entry) -> _Measured:
     """Heat-transform / windowed-transform bridge and the transform's
     growth envelopes on both sides of the window-width threshold."""
-    name, theorem = "stft-bridge", "Thm 5.3"
     rule = gauss_hermite_rule(config.quad)
     fns = [
         HermiteBasis((0,)),
@@ -632,13 +657,13 @@ def check_bridge(config: SuiteConfig) -> CheckResult:
     for a in (0.5, 2.0):
         rep = pw_envelope(HermiteBasis((0,)), a, 0, grid, rule=rule)
         stable &= rep.stable and math.isfinite(rep.sup_ratio) and rep.sup_ratio > 0
-    return _result(name, theorem, worst, config.tolerance(name), stable)
+    return _Measured(worst, stable)
 
 
-def check_compact_support(config: SuiteConfig) -> CheckResult:
+@_check("compact-support", "Thm 5.4", 0.01)
+def check_compact_support(config: SuiteConfig, entry: _Entry) -> _Measured:
     """Point-mass compact-support envelope: exact radius passes with the
     closed-form sup; an understated radius blows up under box growth."""
-    name, theorem = "compact-support", "Thm 5.4"
     t = 0.5
     grid = PlaneGrid(boxes=((-14.0, 14.0, -6.0, 6.0),), resolution=97)
     good = compact_growth_check(Dirac(0.5), t, grid)
@@ -651,27 +676,25 @@ def check_compact_support(config: SuiteConfig) -> CheckResult:
     growth = bad_wide.sup_ratio / bad.sup_ratio
     ok = good.stable and growth >= 10.0
     details = f"sup={good.sup_ratio:.6f} violation growth x{growth:.1f}"
-    return _result(name, theorem, metric, config.tolerance(name), ok, details)
+    return _Measured(metric, ok, details)
 
 
-def check_sobolev_image_isometry(config: SuiteConfig) -> CheckResult:
+@_check("sobolev-image-isometry", "Thm 2.3", 1e-4)
+def check_sobolev_image_isometry(config: SuiteConfig, entry: _Entry) -> _Measured:
     """Order-m image isometry for a non-eigenfunction input: the
     calibrated derivative-weight norm equals 2^{2m} times the squared
     oscillator Sobolev norm."""
-    name, theorem = "sobolev-image-isometry", "Thm 2.3"
     t, m = 0.25, 1
     rule = gauss_hermite_rule(config.quad)
     grid = default_bergman_grid(t, resolution=config.bergman_res, degree_margin=14)
-    cal = calibrate_weight(t, 1, [(k,) for k in range(5)], grid)
+    cal = calibrate_weight(t, 1, None, grid)
     f = Gaussian(2.0)
     e = expand(f, config.N, rule=rule, dimension=1)
     handle = semigroup_handle(f, t, "spectral", truncation=config.N, rule=rule)
     val = bergman_norm(handle, t, m, grid, kappa=cal.kappa)
     ref = 2.0 ** (2 * m) * sobolev_norm(e, m) ** 2
-    return _result(
-        name, theorem, abs(val - ref) / ref, config.tolerance(name),
-        details=f"value={val:.8f} expected={ref:.8f} res={grid.resolution}",
-    )
+    details = f"value={val:.8f} expected={ref:.8f} res={grid.resolution}"
+    return _Measured(abs(val - ref) / ref, details=details)
 
 
 def _special_envelope_grid() -> PlaneGrid:
@@ -681,66 +704,38 @@ def _special_envelope_grid() -> PlaneGrid:
     return PlaneGrid(boxes=(box, box), resolution=17)
 
 
-def check_special_schwartz_envelope(config: SuiteConfig) -> CheckResult:
+@_check("twisted-schwartz-envelope", "Thm 4.4", 0.05)
+def check_special_schwartz_envelope(config: SuiteConfig, entry: _Entry) -> _Measured:
     """Twisted rapid-decrease envelope with the full polynomial denominator."""
-    name, theorem = "twisted-schwartz-envelope", "Thm 4.4"
     rep = special_envelope(
         SpecialHermiteBasis((0,), (0,)), 0.5, 1, _special_envelope_grid(),
         kind="special-schwartz",
     )
     ok = math.isfinite(rep.sup_ratio) and rep.sup_ratio > 0 and rep.stable
-    return _result(
-        name, theorem, rep.refinement_change, config.tolerance(name), ok,
-        f"sup={rep.sup_ratio:.6e}",
-    )
+    return _Measured(rep.refinement_change, ok, f"sup={rep.sup_ratio:.6e}")
 
 
-def check_special_plain_envelope(config: SuiteConfig) -> CheckResult:
+@_check("twisted-plain-envelope", "eq. (4.7)", 0.05)
+def check_special_plain_envelope(config: SuiteConfig, entry: _Entry) -> _Measured:
     """Twisted image envelope with the (1 + y^2 + v^2) denominator."""
-    name, theorem = "twisted-plain-envelope", "eq. (4.7)"
     rep = special_envelope(
         SpecialHermiteBasis((0,), (0,)), 0.5, 0, _special_envelope_grid(),
         kind="special-plain",
     )
     ok = math.isfinite(rep.sup_ratio) and rep.sup_ratio > 0 and rep.stable
-    return _result(
-        name, theorem, rep.refinement_change, config.tolerance(name), ok,
-        f"sup={rep.sup_ratio:.6e}",
-    )
+    return _Measured(rep.refinement_change, ok, f"sup={rep.sup_ratio:.6e}")
 
 
-def check_determinism(config: SuiteConfig) -> CheckResult:
+@_check("determinism", "harness", 0.0)
+def check_determinism(config: SuiteConfig, entry: _Entry) -> _Measured:
     """Identical seeds reproduce a representative check byte-for-byte."""
-    name, theorem = "determinism", "harness"
     a = check_mehler_spectral(config).to_dict(include_timing=False)
     b = check_mehler_spectral(config).to_dict(include_timing=False)
     sa = json.dumps(a, sort_keys=True)
     sb = json.dumps(b, sort_keys=True)
     metric = 0.0 if sa == sb else 1.0
-    return _result(name, theorem, metric, config.tolerance(name))
+    return _Measured(metric)
 
-
-CHECKS = [
-    check_orthonormality,
-    check_mehler_spectral,
-    check_isometry,
-    check_complex_orthogonality,
-    check_derivative_weight_identity,
-    check_reproducing,
-    check_sobolev_envelopes,
-    check_schwartz_envelopes,
-    check_intertwine,
-    check_twisted_isometry,
-    check_twisted_sobolev,
-    check_projection_algebra,
-    check_tempered_envelope,
-    check_bridge,
-    check_compact_support,
-    check_sobolev_image_isometry,
-    check_special_schwartz_envelope,
-    check_special_plain_envelope,
-    check_determinism,
-]
 
 REQUIRED_THEOREMS = frozenset(
     {
@@ -763,25 +758,28 @@ REQUIRED_THEOREMS = frozenset(
 
 
 def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
-    """Run every registered check under the config; per-check isolation."""
+    """Run every registered check under the config, in registry order.
+    Checks are isolated: one that raises is a failed row under the name,
+    theorem tag and tolerance of its entry."""
     config = config or SuiteConfig()
     config.validate()
     results: list[CheckResult] = []
-    # CHECKS and DEFAULT_TOLERANCES list the checks in the same order
-    for name, fn in zip(DEFAULT_TOLERANCES, CHECKS, strict=True):
+    for fn in CHECKS:
         start = time.perf_counter()
         try:
             res = fn(config)
         except Exception as exc:  # isolation: a crash is a failed check
+            # a stand-in that was never registered reports untagged
+            entry = getattr(fn, "entry", None) or _Entry(fn.__name__, "", 0.0)
             doc = (fn.__doc__ or fn.__name__).strip().splitlines()[0]
             frame = traceback.extract_tb(exc.__traceback__)[-1]
             where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
             res = CheckResult(
-                name=name,
-                theorem="",
+                name=entry.name,
+                theorem=entry.theorem,
                 status="fail",
                 metric=float("inf"),
-                tol=config.tolerance(name),
+                tol=entry.tolerance(config),
                 details=f"error: {exc!r} ({doc}) at {where}",
             )
         res.seconds = time.perf_counter() - start

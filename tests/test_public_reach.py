@@ -10,6 +10,9 @@ somewhere other than its own definition and ``__init__.py``, in one of
   (module, attribute path) target strings,
 - the console-script entry points in ``pyproject.toml``.
 
+A suite check registered with ``@_check(...)`` counts as reached: the
+registration puts it in ``CHECKS``, which ``run_suite`` runs.
+
 ``ALLOWED`` lists the names kept although only tests reach them, each with
 its reason; an entry whose name is reached (or gone) fails as stale.
 
@@ -65,6 +68,15 @@ def _names_in(tree: ast.AST) -> set[str]:
     return found
 
 
+def _registered_check(node: ast.AST) -> bool:
+    """A suite check registered by ``@_check(...)``: ``run_suite`` reaches
+    it through ``CHECKS``, which holds the decorated function."""
+    return isinstance(node, ast.FunctionDef) and any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_check"
+        for d in node.decorator_list
+    )
+
+
 def _references() -> set[str]:
     """Names referenced from the places the rule counts.
 
@@ -78,6 +90,8 @@ def _references() -> set[str]:
         for node in _parse(path).body:
             own = {node.name} if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else set()
             refs |= _names_in(node) - own
+            if _registered_check(node):
+                refs.add(node.name)
     for path in sorted(PERFBENCH.glob("*.py")):
         if path.name.startswith("test_"):
             continue

@@ -536,9 +536,9 @@ def test_half_step_sum_is_the_nested_trapezoid_rule(m):
     t = 0.4
     fine = default_special_grid(t, resolution=33)
     coarse = dataclasses.replace(fine, resolution=17)
-    handle = SpecialEigenHandle((2,), (1,), t)
-    total, half, size = special._plane_sums(handle, t, m, fine)
-    want, _, want_size = special._plane_sums(handle, t, m, coarse)
+    P = special._phi1_poly(2, 1, 7)  # Phi_21 has degree 3; |P|^2 has 6
+    ((total, half, size),) = special._plane_sums([(P, P)], t, m, fine)
+    ((want, _, want_size),) = special._plane_sums([(P, P)], t, m, coarse)
     assert abs(half - want) <= 1e-13 * want_size
     assert size >= abs(total) > 0.0
 
@@ -578,9 +578,11 @@ def test_phi1_joins_exponents_on_wide_boxes():
 
 @pytest.mark.parametrize("t", [1.0, 1.5])
 def test_under_resolved_calibration_fails_loudly(t):
+    # each diagonal probe sums the nested rule of twice the step, which
+    # moves by 0.26-1.0 of the probe here: named before the flatness test
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(RuntimeError, match="vary beyond"):
+        with pytest.raises(QuadratureError, match="twice the step"):
             calibrate_weight_special(t, None, default_special_grid(t, resolution=32))
 
 

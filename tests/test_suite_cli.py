@@ -1,6 +1,7 @@
 """Verification-suite harness and command-line interface."""
 
 import csv
+import functools
 import json
 import math
 
@@ -211,24 +212,34 @@ def test_report_json_shape(default_report):
 def test_crashed_check_keeps_registered_name_and_strict_json(monkeypatch):
     from mehler import suite
 
-    def crash(config):
-        raise RuntimeError("boom")
+    # stand-ins wrap the registered checks as the benchmark's timers do,
+    # which carries each one's registry entry over
+    def crashing(original):
+        def crash(config):
+            raise RuntimeError("boom")
 
-    def stub(config):
-        return suite.CheckResult("stub", "", "pass", 0.5, 1.0)
+        return functools.wraps(original)(crash)
 
-    checks = [stub] * len(CHECKS)
-    checks[0] = checks[-1] = crash
+    def stubbing(original):
+        def stub(config):
+            return suite.CheckResult("stub", "", "pass", 0.5, 1.0)
+
+        return functools.wraps(original)(stub)
+
+    checks = [stubbing(fn) for fn in CHECKS]
+    checks[0], checks[-1] = crashing(CHECKS[0]), crashing(CHECKS[-1])
     monkeypatch.setattr(suite, "CHECKS", checks)
     report = run_suite(SuiteConfig())
-    raise_line = crash.__code__.co_firstlineno + 1
+    raise_line = checks[0].__code__.co_firstlineno + 1
     for res in (report.checks[0], report.checks[-1]):
         assert res.status == "fail"
         assert isinstance(res.metric, float) and res.metric == math.inf
         assert "boom" in res.details
         assert res.details.endswith(f" at test_suite_cli.py:{raise_line}")
     assert report.checks[0].name == "hermite-orthonormality"
+    assert report.checks[0].theorem == "eq. (2.1)"
     assert report.checks[-1].name == "determinism"
+    assert report.checks[-1].theorem == "harness"
     assert report.checks[0].tol == SuiteConfig().tolerance("hermite-orthonormality")
     data = json.loads(report.to_json(), parse_constant=pytest.fail)
     assert data["checks"][0]["metric"] is None
