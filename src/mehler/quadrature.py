@@ -293,6 +293,10 @@ class PlaneGrid:
     coordinate; ``resolution`` is the number of equispaced nodes per real
     axis, the end nodes at half weight, so the total weight is the box
     volume.  ``kind`` names the rule and accepts only "trapezoid".
+
+    The axes and the flattened nodes are built once per grid, on first use,
+    and shared by every caller, so their arrays are read-only; ``refine``
+    and ``widen`` return new grids with axes of their own.
     """
 
     boxes: tuple[tuple[float, float, float, float], ...]
@@ -321,14 +325,23 @@ class PlaneGrid:
         return len(self.boxes)
 
     def axis(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights of real axis k (0: x, 1: y, 2: u, 3: v)."""
-        box = self.boxes[k // 2]
-        a, b = (box[0], box[1]) if k % 2 == 0 else (box[2], box[3])
-        x = np.linspace(a, b, self.resolution)
-        w = np.full(self.resolution, (b - a) / (self.resolution - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return x, w
+        """Nodes and weights of real axis k (0: x, 1: y, 2: u, 3: v);
+        read-only arrays shared by every caller."""
+        return self._axes[k]
+
+    @cached_property
+    def _axes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        axes = []
+        for box in self.boxes:
+            for a, b in ((box[0], box[1]), (box[2], box[3])):
+                x = np.linspace(a, b, self.resolution)
+                w = np.full(self.resolution, (b - a) / (self.resolution - 1))
+                w[0] *= 0.5
+                w[-1] *= 0.5
+                x.flags.writeable = False
+                w.flags.writeable = False
+                axes.append((x, w))
+        return tuple(axes)
 
     def nodes(self) -> tuple[np.ndarray, ...]:
         """Flattened coordinate arrays plus the weight array (last).
@@ -344,10 +357,9 @@ class PlaneGrid:
             raise ValueError(
                 f"grid would have {n_nodes} nodes; refusing beyond {_MAX_PLANE_NODES}"
             )
-        axes = [self.axis(k) for k in range(2 * self.ncoords)]
-        grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+        grids = np.meshgrid(*[a[0] for a in self._axes], indexing="ij")
         coords = [g.ravel() for g in grids]
-        wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
+        wgrids = np.meshgrid(*[a[1] for a in self._axes], indexing="ij")
         weights = wgrids[0].ravel().copy()
         for wg in wgrids[1:]:
             weights *= wg.ravel()

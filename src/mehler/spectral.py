@@ -7,11 +7,16 @@ Sobolev norms of any integer order (negative orders reach distributions)
 are plain weighted l^2 norms of the coefficients over the oscillator
 eigenvalues 2|alpha| + n.
 
+The enumeration is fixed by (dimension, truncation), so one shared table
+per pair holds the ``indices`` tuple and read-only degree and index arrays;
+every expansion of that shape reads it.
+
 Spectral data evaluates anywhere on C^n through the entire extension of
 the basis, and both evaluators are views of the one rescaled Hermite
 recurrence in :mod:`mehler.specfun`.  At a point, :func:`eval_entire`
-takes one log-domain ladder per coordinate, gathers the terms of all
-multi-indices at once and reports the magnitude of the last coefficient
+takes one log-domain ladder per coordinate, run only to the highest order
+that a nonzero coefficient uses, gathers the terms of the nonzero
+coefficients at once and reports the magnitude of the last coefficient
 shell as a truncation indicator.  On a grid, ``SpectralHandle.eval_grid``
 sums the series by one Clenshaw sweep, and ``eval_grid_parts`` returns it
 in split form P e^E (E = log h_0(z)), so grid consumers can join the
@@ -21,6 +26,8 @@ exceeds the largest double raises :class:`~mehler.specfun.HermiteOverflowError`.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,12 +173,34 @@ def gaussian_decay_rate(f: TestFunction) -> float | None:
 # ---------------------------------------------------------------------------
 
 
+class _IndexTable(NamedTuple):
+    """The canonical enumeration of one (dimension, truncation) pair."""
+
+    indices: tuple[MultiIndex, ...]
+    degrees: np.ndarray  # |alpha| per entry, read-only
+    alphas: np.ndarray  # (entries, dimension) int array, read-only
+
+
+@lru_cache(maxsize=32)
+def _index_table(dimension: int, truncation: int) -> _IndexTable:
+    """Built once per (dimension, truncation) and shared by every expansion
+    of that shape, so its arrays are read-only."""
+    indices = tuple(multi_indices(dimension, truncation))
+    alphas = np.array(indices, dtype=int).reshape(len(indices), dimension)
+    degrees = alphas.sum(axis=1)
+    alphas.flags.writeable = False
+    degrees.flags.writeable = False
+    return _IndexTable(indices, degrees, alphas)
+
+
 @dataclass(frozen=True)
 class HermiteExpansion:
     """Truncated coefficient vector over |alpha| <= truncation.
 
-    ``indices`` is the full graded-lexicographic enumeration and ``values``
-    the aligned complex coefficient array.
+    ``indices`` is the full graded-lexicographic enumeration, the one tuple
+    shared by every expansion of the same dimension and truncation (any
+    other order is a ValueError), and ``values`` the aligned complex
+    coefficient array.
     """
 
     dimension: int
@@ -181,6 +210,14 @@ class HermiteExpansion:
     source: str = ""
 
     def __post_init__(self):
+        table = _index_table(self.dimension, self.truncation)
+        if self.indices is not table.indices:
+            if tuple(self.indices) != table.indices:
+                raise ValueError(
+                    "indices must be the graded-lexicographic enumeration "
+                    f"of |alpha| <= {self.truncation} in dimension {self.dimension}"
+                )
+            object.__setattr__(self, "indices", table.indices)
         vals = np.asarray(self.values, dtype=complex)
         if len(self.indices) != len(vals):
             raise ValueError("indices/values length mismatch")
@@ -188,11 +225,12 @@ class HermiteExpansion:
 
     @classmethod
     def zeros(cls, dimension: int, truncation: int, source: str = "") -> "HermiteExpansion":
-        idx = tuple(multi_indices(dimension, truncation))
+        idx = _index_table(dimension, truncation).indices
         return cls(dimension, truncation, idx, np.zeros(len(idx), complex), source)
 
     def degrees(self) -> np.ndarray:
-        return np.array([sum(a) for a in self.indices])
+        """|alpha| per entry: the shared table's read-only array."""
+        return _index_table(self.dimension, self.truncation).degrees
 
     def eigenvalues(self) -> np.ndarray:
         return 2.0 * self.degrees() + self.dimension
@@ -239,17 +277,13 @@ def expand(
     if isinstance(f, Dirac):
         if len(f.point) != dimension:
             raise ValueError("dimension mismatch")
-        ladders = [
-            hermite_eval(truncation, np.asarray(p)) for p in f.point
+        # row alpha_j of coordinate j's ladder, for every alpha at once
+        alphas = _index_table(dimension, truncation).alphas
+        factors = [
+            hermite_eval(truncation, np.asarray(p))[alphas[:, j]]
+            for j, p in enumerate(f.point)
         ]
-        vals = np.array(
-            [
-                np.prod([ladders[j][a_j] for j, a_j in enumerate(alpha)])
-                for alpha in out.indices
-            ],
-            dtype=complex,
-        )
-        return out.with_values(vals)
+        return out.with_values(np.prod(factors, axis=0))
 
     if isinstance(f, CoefficientList):
         if f.dimension != dimension:
@@ -326,23 +360,30 @@ def eval_entire(
 
     Scalar ``z`` in C^n.  Terms are assembled from log-domain basis values,
     so nothing overflows at desk scale; a result that does not fit a double
-    raises :class:`~mehler.specfun.HermiteOverflowError`.  With ``with_tail=True`` also
-    returns the summed magnitude of the last coefficient shell relative to
-    the result, a truncation indicator (values above ~1e-6 mean the
-    truncation is doing visible damage).
+    raises :class:`~mehler.specfun.HermiteOverflowError`.  Only the nonzero
+    coefficients enter, and the ladder runs to the highest order they use
+    on any coordinate, so a sparse expansion costs what its terms cost, not
+    what its truncation does.  With ``with_tail=True`` also returns the
+    summed magnitude of the last coefficient shell relative to the result,
+    a truncation indicator (values above ~1e-6 mean the truncation is doing
+    visible damage).
     """
     if t <= 0:
         raise ValueError("t must be positive")
     z = as_point(z, dimension=e.dimension)
-    log_mod, arg = hermite_log_ladder(e.truncation, z)
-    # row alpha_j of coordinate j's ladder, for every alpha at once
-    idx = np.array(e.indices), np.arange(e.dimension)
-    logmag = log_mod[idx].sum(axis=1) - e.eigenvalues() * t
-    weights = e.values * np.exp(1j * arg[idx].sum(axis=1))
-    logmag[e.values == 0] = -math.inf
+    table = _index_table(e.dimension, e.truncation)
+    live = np.flatnonzero(e.values)
+    if live.size == 0:
+        return (0j, 0.0) if with_tail else 0j
+    alphas, degrees = table.alphas[live], table.degrees[live]
+    log_mod, arg = hermite_log_ladder(int(alphas.max()), z)
+    # row alpha_j of coordinate j's ladder, for every live alpha at once
+    idx = alphas, np.arange(e.dimension)
+    logmag = log_mod[idx].sum(axis=1) - (2.0 * degrees + e.dimension) * t
+    weights = e.values[live] * np.exp(1j * arg[idx].sum(axis=1))
     peak = float(np.max(logmag))
     if peak == -math.inf:
-        # no coefficients, or every contributing basis value vanishes at z
+        # every contributing basis value vanishes at z
         return (0j, 0.0) if with_tail else 0j
     terms = weights * np.exp(logmag - peak)
     scaled = np.sum(terms)
@@ -350,8 +391,7 @@ def eval_entire(
     if not with_tail:
         return total
     # both sides carry the factor exp(peak), which may itself overflow
-    shell = e.degrees() == e.truncation
-    tail = float(np.sum(np.abs(terms[shell])))
+    tail = float(np.sum(np.abs(terms[degrees == e.truncation])))
     return total, tail / max(abs(scaled), np.finfo(float).tiny)
 
 

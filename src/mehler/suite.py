@@ -12,7 +12,8 @@ under its entry's name, theorem tag and tolerance), deterministic given the
 config seed, and carries a theorem tag so the report doubles as a coverage
 map of the verified statements.  Reports serialize to JSON with stable key
 order; two runs with the same config produce byte-identical output apart
-from the timing fields.
+from the timing fields and the ``environment`` block (Python, numpy and
+BLAS versions, CPU count), which are written only with the timings.
 """
 
 import functools
@@ -20,6 +21,7 @@ import json
 import math
 import numbers
 import os
+import platform
 import time
 import traceback
 import zlib
@@ -236,6 +238,24 @@ class CheckResult:
         return out
 
 
+def _environment() -> dict:
+    """What the timings ran on: Python, numpy and BLAS versions and the
+    CPU count.  numpy before 1.26 has no dict form of its build
+    configuration, so its BLAS reads "unknown"."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": str(blas.get("name", "unknown")),
+        "blas_version": str(blas.get("version", "unknown")),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 @dataclass
 class SuiteReport:
     config: SuiteConfig
@@ -253,12 +273,15 @@ class SuiteReport:
         return self.summary["fail"] > 0
 
     def to_dict(self, include_timing: bool = True) -> dict:
-        return {
+        out = {
             "schema": SCHEMA,
             "config": self.config.to_dict(),
             "checks": [c.to_dict(include_timing) for c in self.checks],
             "summary": self.summary,
         }
+        if include_timing:
+            out["environment"] = _environment()
+        return out
 
     def to_json(self, indent: int | None = 2, include_timing: bool = True) -> str:
         return json.dumps(

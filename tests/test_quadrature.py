@@ -313,3 +313,21 @@ def test_plane_nodes_built_once_and_read_only():
     fresh = PlaneGrid(boxes=((-1.0, 1.0, -2.0, 2.0),), resolution=8).nodes()
     for a, b in zip(first, fresh):
         np.testing.assert_array_equal(a, b)
+
+
+def test_plane_axes_built_once_and_read_only():
+    grid = PlaneGrid(boxes=((-1.0, 1.0, -2.0, 2.0),), resolution=9)
+    x, w = grid.axis(0)
+    assert all(a is b for a, b in zip((x, w), grid.axis(0)))
+    for k in range(2):
+        for a in grid.axis(k):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+    for other, scale in ((grid.refine(), 1.0), (grid.widen(2.0), 2.0)):
+        (u, wu), (v, wv) = other.axis(0), other.axis(1)
+        assert u is not x and wu is not w
+        assert u[0] == scale * x[0] and u[-1] == scale * x[-1]
+        U, V, W = other.nodes()
+        np.testing.assert_array_equal(U, np.repeat(u, other.resolution))
+        np.testing.assert_array_equal(V, np.tile(v, other.resolution))
+        np.testing.assert_array_equal(W, np.outer(wu, wv).ravel())

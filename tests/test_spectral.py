@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from mehler import (
     Dirac,
     Gaussian,
     HermiteBasis,
+    HermiteExpansion,
     HermiteOverflowError,
     PolyGaussian,
     eval_entire,
@@ -56,6 +58,16 @@ def test_expand_dirac_gives_basis_values():
     assert expected[0] == pytest.approx(0.7511255444649425)
     assert expected[2] == pytest.approx(-0.5311259660135985)
     assert expected[4] == pytest.approx(0.45996857917732664)
+
+
+def test_expand_dirac_in_two_dimensions_is_the_product_of_ladders():
+    from mehler import hermite_eval
+
+    point = (0.3, -0.7)
+    e = expand(Dirac(point), 12, dimension=2)
+    hx, hy = (hermite_eval(12, np.asarray(p)) for p in point)
+    # the product of the two basis values, index by index
+    assert [e.coefficient(a) for a in e.indices] == [hx[a] * hy[b] for a, b in e.indices]
 
 
 def test_expand_gaussian_unit_width(gh128):
@@ -237,3 +249,103 @@ def test_enumeration_is_graded_lexicographic():
     # serialization order of expansions follows the same enumeration
     e = expand(CoefficientList(2, 2, ()), 2, dimension=2)
     assert list(e.indices) == idx
+
+
+def mp_hermite(k: int, z: complex) -> complex:
+    """h_k(z) from the three-term recurrence at 50 digits."""
+    with mpmath.workdps(50):
+        zm = mpmath.mpc(z)
+        h = mpmath.pi ** mpmath.mpf("-0.25") * mpmath.exp(-zm * zm / 2)
+        prev = mpmath.mpc(0)
+        for j in range(k):
+            a = mpmath.sqrt(mpmath.mpf(2) / (j + 1))
+            b = mpmath.sqrt(mpmath.mpf(j) / (j + 1))
+            h, prev = a * zm * h - b * prev, h
+        return complex(h)
+
+
+@pytest.mark.parametrize("k", [0, 3, 47])
+def test_sparse_scalar_path_matches_its_own_truncation_and_mpmath(k):
+    t = 0.3
+    wide = expand(HermiteBasis((k,)), 48)
+    tight = expand(HermiteBasis((k,)), k)
+    for z in (0.5 + 0.5j, -1.2 + 2.0j, 2.5 - 1.0j):
+        got = eval_entire(wide, t, [z])
+        assert got == eval_entire(tight, t, [z])  # bit for bit
+        ref = math.exp(-(2 * k + 1) * t) * mp_hermite(k, z)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_all_zero_expansion_evaluates_to_zero(dimension):
+    e = HermiteExpansion.zeros(dimension, 8)
+    z = [0.5 + 1.0j] * dimension
+    assert eval_entire(e, 0.3, z) == 0j
+    assert eval_entire(e, 0.3, z, with_tail=True) == (0j, 0.0)
+
+
+def test_tail_of_an_empty_top_shell_is_zero():
+    entries = (((0,), 1.0 + 0j), ((3,), -0.5 + 2j))
+    e = expand(CoefficientList(1, 10, entries), 10)
+    val, tail = eval_entire(e, 0.4, [0.5 + 1.0j], with_tail=True)
+    assert tail == 0.0
+    assert val == eval_entire(e, 0.4, [0.5 + 1.0j])
+
+
+# the value and tail of the test below, as every coefficient's term gave them
+PARTLY_ZERO_SHELL = (0.26083983510502895 - 0.009848353258736297j, 0.011504487065477256)
+
+
+def test_tail_of_a_partly_zero_top_shell_keeps_its_value():
+    # two of the seven degree-6 members are nonzero; the zero ones added
+    # exactly 0 to the tail when every coefficient entered the sum
+    entries = (((0, 0), 1.0 + 0j), ((1, 2), 0.3j), ((6, 0), 0.2 + 0j), ((3, 3), -0.1j))
+    e = expand(CoefficientList(2, 6, entries), 6, dimension=2)
+    val, tail = eval_entire(e, 0.3, [0.4 + 0.5j, -0.7 + 0.2j], with_tail=True)
+    assert val == PARTLY_ZERO_SHELL[0]
+    assert tail == PARTLY_ZERO_SHELL[1]
+
+
+def test_two_dimensional_sparse_term_matches_the_dense_sum():
+    N, t = 20, 0.25
+    entries = (((0, 0), 1.0 + 0j), ((17, 2), 0.5j))
+    e = expand(CoefficientList(2, N, entries), N, dimension=2)
+    z = np.array([0.4 + 0.3j, -0.6 + 0.9j])
+    # every term of the truncation, each from the full ladder of order N
+    log_mod, arg = hermite_log_ladder(N, z)
+    dense = 0j
+    for alpha, c in zip(e.indices, e.values):
+        rows = list(alpha), [0, 1]
+        lam = 2 * sum(alpha) + 2
+        dense += c * np.exp(log_mod[rows].sum() - lam * t + 1j * arg[rows].sum())
+    got = eval_entire(e, t, z)
+    assert abs(got - dense) <= 1e-14 * abs(dense)
+
+
+def test_scalar_ladder_stops_at_the_last_nonzero_order(monkeypatch):
+    from mehler import spectral
+
+    asked = []
+
+    def recording(k_max, z):
+        asked.append(k_max)
+        return hermite_log_ladder(k_max, z)
+
+    monkeypatch.setattr(spectral, "hermite_log_ladder", recording)
+    eval_entire(expand(HermiteBasis((3,)), 48), 0.3, [0.5 + 1.0j])
+    eval_entire(expand(Dirac(0.3), 48), 0.3, [0.5 + 1.0j])
+    assert asked == [3, 48]
+
+
+def test_expansions_share_one_read_only_index_table():
+    a, b = HermiteExpansion.zeros(1, 48), HermiteExpansion.zeros(1, 48)
+    assert a.indices is b.indices
+    assert a.degrees() is b.degrees()
+    with pytest.raises(ValueError):
+        a.degrees()[0] = 1
+    e = expand(CoefficientList(2, 2, ()), 2, dimension=2)
+    # an equal tuple built anew is taken over by the shared one
+    assert HermiteExpansion(2, 2, tuple(list(e.indices)), e.values).indices is e.indices
+    swapped = (e.indices[0], e.indices[2], e.indices[1], *e.indices[3:])
+    with pytest.raises(ValueError, match="graded-lexicographic"):
+        HermiteExpansion(2, 2, swapped, e.values)

@@ -4,6 +4,7 @@ import csv
 import functools
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -201,12 +202,24 @@ def test_config_accepts_whole_floats():
 def test_report_json_shape(default_report):
     data = json.loads(default_report.to_json())
     assert data["schema"] == "1"
-    assert set(data) == {"schema", "config", "checks", "summary"}
+    assert set(data) == {"schema", "config", "checks", "summary", "environment"}
     assert data["summary"]["pass"] == len(CHECKS)
     for check in data["checks"]:
         assert set(check) == {
             "name", "theorem", "status", "metric", "tol", "details", "seconds",
         }
+
+
+def test_report_environment_block_comes_with_the_timings(default_report):
+    data = json.loads(default_report.to_json(), parse_constant=pytest.fail)
+    env = data["environment"]
+    assert set(env) == {"python", "numpy", "blas", "blas_version", "cpu_count"}
+    assert env["numpy"] == np.__version__
+    assert env["cpu_count"] == os.cpu_count()
+    assert all(isinstance(env[k], str) and env[k] for k in ("python", "blas", "blas_version"))
+    bare = json.loads(default_report.to_json(include_timing=False))
+    assert "environment" not in bare
+    assert all("seconds" not in c for c in bare["checks"])
 
 
 def test_crashed_check_keeps_registered_name_and_strict_json(monkeypatch):
