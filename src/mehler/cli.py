@@ -41,7 +41,6 @@ from .special import (
     Gaussian2n,
     SpecialEigenHandle,
     SpecialHermiteBasis,
-    default_twisted_grid,
     intertwine_check,
     special_hermite_eval,
     special_semigroup_apply,
@@ -322,11 +321,8 @@ def _cmd_envelope(args) -> int:
 def _cmd_special(args) -> int:
     ab = (args.alpha,), (args.beta,)
     if args.action == "eigen":
-        grid = default_twisted_grid(args.t)
         z, w = 0.5, -0.3
-        got = special_semigroup_apply(
-            SpecialHermiteBasis(*ab), args.t, z, w, "kernel", grid
-        )
+        got = special_semigroup_apply(SpecialHermiteBasis(*ab), args.t, z, w)
         lam = 2 * args.beta + 1
         ref = math.exp(-lam * args.t) * special_hermite_eval(*ab, z, w)
         residual = abs(got - ref) / (1 + abs(ref))

@@ -159,6 +159,9 @@ class MehlerSliceHandle(EntireHandle):
             )
 
     def eval(self, z) -> complex:
+        """K_t(z, source) at a point of C^n.  It stays beside the grid
+        evaluator, which is one-dimensional, as the only evaluator for
+        n > 1."""
         z = as_point(z, dimension=self.dimension)
         with np.errstate(over="ignore", invalid="ignore"):
             if self.dimension == 1:
@@ -200,13 +203,6 @@ class KernelImageHandle(EntireHandle):
             self._nodes = scale * rule.nodes
             self._weights = scale * rule.plain_weights
         self._samples = self._weights * eval_test_function(self.f, self._nodes)
-
-    def eval(self, z) -> complex:
-        z = as_point(z, dimension=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ker = mehler_kernel(self.time, z[0], self._nodes)
-            val = np.sum(self._samples * ker)
-        return complex(_finite(val, "kernel-mode image"))
 
     def eval_grid(self, X, Y) -> np.ndarray:
         Z = np.asarray(X) + 1j * np.asarray(Y)
@@ -269,10 +265,9 @@ def default_bergman_grid(
     t: float,
     resolution: int = 128,
     degree_margin: int = 10,
-    drop: float = 1e-15,
 ) -> PlaneGrid:
     """Trapezoid grid sized so poly * Gaussian integrands against U_t are
-    contained.
+    contained: they fall below 1e-15 at the box's edges.
 
     Decay rates of |F|^2 U_t for F in the image of L^2:
     1 - tanh(2t) along x, coth(2t) - 1 along y.  An even ``resolution`` is
@@ -282,7 +277,7 @@ def default_bergman_grid(
     gx = 1.0 - math.tanh(2 * t)
     gy = 1.0 / math.tanh(2 * t) - 1.0
     return PlaneGrid(
-        boxes=(gaussian_box(gx, gy, drop=drop, degree=degree_margin),),
+        boxes=(gaussian_box(gx, gy, drop=1e-15, degree=degree_margin),),
         resolution=resolution + 1 - resolution % 2,
     )
 
@@ -349,15 +344,14 @@ def calibrate_weight(
     dimension: int,
     alphas: list | None,
     grid: PlaneGrid,
-    offdiag_pairs: list[tuple] | None = None,
 ) -> CalibrationResult:
     """Determine the weight constant from the basis orthogonality integrals.
 
     For each probe index, integrate |Phi_alpha|^2 U_t over the grid and
     form e^{2(2|alpha|+n)t} / integral.  Constancy across indices validates
     the weight shape; the geometric mean is kappa.  Off-diagonal integrals
-    Phi_alpha conj(Phi_beta) U_t must vanish to quadrature accuracy; with
-    ``offdiag_pairs`` None they run over every pair of probes.
+    Phi_alpha conj(Phi_beta) U_t over every pair of probes must vanish to
+    quadrature accuracy.
 
     The probes are h_k = h_0 P_k, and |h_0|^2 U_t = 2 (pi sinh 4t)^{-1/2}
     e^{-(1 - tanh 2t) x^2 - (coth 2t - 1) y^2} separates over the grid's
@@ -377,10 +371,8 @@ def calibrate_weight(
     if not alphas:
         raise ValueError("alphas must name at least one probe index")
     alphas = [as_index(a) for a in alphas]
-    if offdiag_pairs is None:
-        offdiag_pairs = [(a, b) for i, a in enumerate(alphas) for b in alphas[i + 1 :]]
-    pairs = [(as_index(a), as_index(b)) for a, b in offdiag_pairs]
-    kmax = max(sum(a) for a in alphas + [a for pair in pairs for a in pair])
+    pairs = [(a, b) for i, a in enumerate(alphas) for b in alphas[i + 1 :]]
+    kmax = max(sum(a) for a in alphas)
 
     x, wx = grid.axis(0)
     y, wy = grid.axis(1)

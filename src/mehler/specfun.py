@@ -16,8 +16,9 @@ factor and the scale as exponents.  It yields per-order log-domain values
 never overflows at desk scale (|Im z| <= 30, k <= 128).
 
 Weighted sums sum_k c_k h_k(z) over arrays of points
-(:func:`hermite_series`) need no per-order values: one backward Clenshaw
-sweep (Clenshaw, "A note on the summation of Chebyshev series", 1955)
+(:func:`hermite_series_parts`) need no per-order values: one backward
+Clenshaw sweep (Clenshaw, "A note on the summation of Chebyshev series",
+1955)
 
     beta_k = c_k + a_k z beta_{k+1} - b_{k+1} beta_{k+2},
     a_k = sqrt(2/(k+1)), b_k = sqrt(k/(k+1)),
@@ -25,14 +26,18 @@ sweep (Clenshaw, "A note on the summation of Chebyshev series", 1955)
 gives sum_k c_k P_k(z) = beta_0, in place on three buffers.  The same sweep
 on |c_k| at r = max|z| bounds every |beta_k|; only when that majorant
 passes 1e290 (far outside desk scale) is the series summed inside the
-rescaled recurrence instead.  The sum comes in split form, P e^E
-(:func:`hermite_series_parts`): P = beta_0 and E = log h_0(z) =
-LOG_H0 - z^2/2, whose real part (y^2 - x^2)/2 separates over the real axes
-of a grid.  Grid consumers join E with Gaussians of their own (a weight, a
-kernel, a bound) before any exponential is taken, so a modulus that only
-the product keeps finite never overflows.  :func:`hermite_series`
-multiplies the parts out: directly where Re E lies within +-700, in log
-form elsewhere.
+rescaled recurrence instead.  The sum comes in split form, P e^E: P = beta_0
+and E = log h_0(z) = LOG_H0 - z^2/2, whose real part (y^2 - x^2)/2
+separates over the real axes of a grid.  Grid consumers join E with
+Gaussians of their own (a weight, a kernel, a bound) before any
+exponential is taken, so a modulus that only the product keeps finite
+never overflows.
+
+Every split form in the package, here and on C^2, where the exponent is a
+pair of per-coordinate tables, is multiplied out by one finish,
+:func:`mul_exp_parts`: factor by factor where each exponent's real part is
+small enough that no factor can overflow or vanish where the product fits,
+and in log form (:func:`mul_exp`) elsewhere.
 
 A value whose modulus does not fit a double raises
 :class:`HermiteOverflowError`.  :func:`hermite_eval` is the plain
@@ -183,7 +188,8 @@ def hermite_log_eval(k: int, z) -> tuple[float, float]:
 
 
 def _sweep_constants(c: np.ndarray) -> tuple[list, list]:
-    """(c_k / s_k, g_k) for the scaled Clenshaw sweep of :func:`hermite_series`.
+    """(c_k / s_k, g_k) for the scaled Clenshaw sweep of
+    :func:`hermite_series_parts`.
 
     The scales s_0 = s_1 = 1, s_{k+2} = s_k / b_{k+1} (so s_k grows like
     k^{1/4}) turn beta_k = c_k + a_k z beta_{k+1} - b_{k+1} beta_{k+2} into
@@ -242,22 +248,6 @@ def _rescaled_series(coef, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return acc, LOG_H0 - 0.5 * z * z + log_m
 
 
-def _swept_parts(coef, z: np.ndarray):
-    """(P, E, r) of :func:`hermite_series_parts` from the Clenshaw sweep,
-    with r = max|z|; None where the majorant passes 1e290."""
-    top = int(np.max(np.flatnonzero(coef), initial=0))
-    c, g = _sweep_constants(np.asarray(coef, dtype=complex)[: top + 1])
-    r = float(np.abs(z).max(initial=0.0))
-    if not (math.isfinite(r) and _majorant(c, g, r) <= _SWEEP_LIMIT):
-        return None
-    log_h0 = np.empty_like(z)
-    total = _clenshaw(c, g, z, log_h0)
-    np.multiply(z, z, out=log_h0)
-    log_h0 *= -0.5
-    log_h0 += LOG_H0
-    return total, log_h0, r
-
-
 def hermite_series_parts(coef, z) -> tuple[np.ndarray, np.ndarray]:
     """(P, E) with sum_k coef[k] h_k(z) = P e^E over an array of points.
 
@@ -270,36 +260,20 @@ def hermite_series_parts(coef, z) -> tuple[np.ndarray, np.ndarray]:
     majorant passes 1e290 the sum is accumulated in the rescaled recurrence
     instead (:func:`_rescaled_series`), and E also carries its log-scale.
     No exponential is taken, so callers with Gaussians of their own join
-    them to E first.
+    them to E first; :func:`mul_exp_parts` multiplies the parts out.
     """
     z = np.asarray(_check_finite(z), dtype=complex)
-    parts = _swept_parts(coef, z)
-    if parts is None:
+    top = int(np.max(np.flatnonzero(coef), initial=0))
+    c, g = _sweep_constants(np.asarray(coef, dtype=complex)[: top + 1])
+    r = float(np.abs(z).max(initial=0.0))
+    if not (math.isfinite(r) and _majorant(c, g, r) <= _SWEEP_LIMIT):
         return _rescaled_series(coef, z)
-    return parts[:2]
-
-
-def hermite_series(coef, z) -> np.ndarray:
-    """sum_k coef[k] h_k(z) over an array of points: P e^E as
-    :func:`hermite_series_parts` forms them, multiplied out in the buffer
-    of E where Re E lies within +-700 and the product is finite, and in
-    log form (:func:`mul_exp`) otherwise.  Raises
-    :class:`HermiteOverflowError` if a modulus exceeds a double.
-    """
-    z = np.asarray(_check_finite(z), dtype=complex)
-    parts = _swept_parts(coef, z)
-    if parts is None:
-        return mul_exp(*_rescaled_series(coef, z))
-    # E's buffer then takes h_0(z) and the result
-    total, out, r = parts
-    # |Re z^2| <= r^2 settles the range test without a pass in most calls
-    if 0.5 * r * r - LOG_H0 <= 700 or np.all(np.abs(out.real) <= 700):
-        np.exp(out, out=out)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out *= total
-        if np.all(np.isfinite(out)):
-            return out
-    return mul_exp(total, LOG_H0 - 0.5 * z * z)
+    E = np.empty_like(z)
+    P = _clenshaw(c, g, z, E)
+    np.multiply(z, z, out=E)
+    E *= -0.5
+    E += LOG_H0
+    return P, E
 
 
 def mul_exp(value, log_scale) -> np.ndarray:
@@ -314,6 +288,30 @@ def mul_exp(value, log_scale) -> np.ndarray:
             f"largest double (log {LOG_DBL_MAX!r})"
         )
     return np.exp(log_mod + 1j * (np.imag(log_scale) + np.angle(value)))
+
+
+def mul_exp_parts(P, E) -> np.ndarray:
+    """P e^E for a split form (P, E), E an array or a tuple of arrays whose
+    sum is the exponent, each broadcasting against P.
+
+    Where every part's real part lies within +-700 / len(parts), no factor
+    e^{E_j} can overflow or vanish where the product fits, so the value is
+    P e^{E_1} e^{E_2} ..., taken in that order with one exp per entry of
+    each part rather than per node of their broadcast; where a part leaves
+    that range or the product is not finite, it is formed in log form from
+    the summed exponent (:func:`mul_exp`).  Raises
+    :class:`HermiteOverflowError` if a modulus exceeds a double.
+    """
+    parts = E if isinstance(E, tuple) else (E,)
+    limit = 700.0 / len(parts)
+    if all(np.all(np.abs(np.real(e)) <= limit) for e in parts):
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = P
+            for e in parts:
+                val = val * np.exp(e)
+        if np.all(np.isfinite(val)):
+            return val
+    return mul_exp(P, sum(parts))
 
 
 def hermite_tensor(alpha, z) -> complex:

@@ -26,11 +26,12 @@ Twisted convolution
                     e^{-i (x' u - x u')/2} dx' du'
 
 diagonalizes on Laguerre functions: (2 pi)^{-n} f x phi_k projects onto the
-k-th eigenspace, and the twisted heat semigroup is the damped sum of those
-projections: ``special_semigroup_apply``'s spectral mode sums them, its
-kernel mode convolves with the heat profile, both through
-``twisted_conv``.  Its convolution kernel here is the spectrally normalized
-profile (2 pi)^{-n} (2 sinh t)^{-n} exp(-coth(t) q / 4) (q the bilinear
+k-th eigenspace (``laguerre_project``), and the twisted heat semigroup is
+the damped sum of those projections (Thangavelu 1993).  That sum in closed
+form is the convolution with the heat profile, and
+``special_semigroup_apply`` evaluates the semigroup by that one route; the
+damped sum is kept only as a test oracle.  The profile is the spectrally
+normalized (2 pi)^{-n} (2 sinh t)^{-n} exp(-coth(t) q / 4) (q the bilinear
 square).  The variant normalized as (2 pi sinh t)^{-n}, exposed by
 :func:`mehler.kernels.special_heat_kernel`, is 2^n times this one; it is
 what the weight on C^{2n} is built from, and the weight calibration
@@ -82,9 +83,11 @@ with Gaussian decay, so the trapezoid rule converges geometrically
 (Trefethen and Weideman, SIAM Review 56, 2014).
 
 Twisted heat images are :class:`mehler.spectral.EntireHandle` objects on
-C^2, evaluated by ``eval_grid(X, Y, U, V)`` on broadcastable real arrays
-(a Gaussian's is the :class:`mehler.spectral.ClosedFormHandle` of its
-closed form); ``special_envelope`` hands one and its bound to
+C^2, evaluated on broadcastable real arrays (X, Y, U, V): a basis member's
+by its split form alone (``SpecialEigenHandle.eval_grid_parts``, multiplied
+out by the one finish :func:`mehler.specfun.mul_exp_parts` as ``_phi1``
+is), a Gaussian's as the :class:`mehler.spectral.ClosedFormHandle` of its
+closed form; ``special_envelope`` hands one and its bound to
 :func:`mehler.semigroup.envelope`.
 """
 
@@ -98,7 +101,7 @@ from .indices import MultiIndex, as_index, multi_indices, oscillator_eigenvalue
 from .kernels import _twisted_profile_jet, special_plain_bound, special_schwartz_bound
 from .quadrature import PlaneGrid, _check_half_step, real_matmul
 from .semigroup import CalibrationResult, EnvelopeReport, envelope
-from .specfun import HermiteOverflowError, _finite, hermite_eval, laguerre_ladder
+from .specfun import HermiteOverflowError, _finite, hermite_eval, laguerre_ladder, mul_exp_parts
 from .spectral import ClosedFormHandle, EntireHandle
 
 
@@ -177,20 +180,11 @@ def _phi1_constants(a: int, b: int) -> tuple[int, int, complex]:
 
 def _phi1(a: int, b: int, z, w):
     """One-dimensional Phi_{ab}(z, w) by the Laguerre closed form,
-    broadcast over arrays z, w: :func:`_phi1_parts` multiplied out.  Raises
-    :class:`HermiteOverflowError` where a value does not fit a double."""
-    P, (E_z, E_w) = _phi1_parts(a, b, z, w)
-    # one exp per value of z and of w, not per (z, w) pair.  Each factor
-    # within e^{+-350} can neither overflow nor vanish where the product
-    # fits; past that (the wide boxes of moderate t) the exponents are
-    # joined first
-    per_coordinate = np.all(np.abs(E_z.real) <= 350) and np.all(np.abs(E_w.real) <= 350)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if per_coordinate:
-            val = P * np.exp(E_z) * np.exp(E_w)
-        else:
-            val = P * np.exp(E_z + E_w)
-    return _finite(val, f"Phi_{a}{b}")
+    broadcast over arrays z, w: :func:`_phi1_parts` multiplied out by
+    :func:`mehler.specfun.mul_exp_parts`, one exp per value of z and of w
+    where that cannot overflow.  Raises :class:`HermiteOverflowError` where
+    a value does not fit a double."""
+    return mul_exp_parts(*_phi1_parts(a, b, z, w))
 
 
 def _phi1_parts(
@@ -476,36 +470,14 @@ def twisted_conv(f, g, z, w, grid: PlaneGrid):
     return complex(vals[0]) if not shape else vals.reshape(shape)
 
 
-def special_semigroup_apply(
-    f,
-    t: float,
-    z,
-    w,
-    mode: str = "kernel",
-    grid: PlaneGrid | None = None,
-    truncation: int = 24,
-):
-    """Twisted heat semigroup applied to f, evaluated at (z, w) in C^2.
-
-    Kernel mode convolves with the spectrally normalized heat profile;
-    spectral mode sums the damped Laguerre projections
-    e^{-(2k+1)t} :func:`laguerre_project` up to ``truncation``.  Both take
-    arrays of points as :func:`twisted_conv` does, agree, and on basis
-    members reproduce the eigenvalue damping e^{-(2|beta|+n) t}.
+def special_semigroup_apply(f, t: float, z, w):
+    """Twisted heat semigroup applied to f, evaluated at (z, w) in C^2: the
+    twisted convolution with the spectrally normalized heat profile on
+    :func:`default_twisted_grid`.  Takes arrays of points as
+    :func:`twisted_conv` does, and on basis members reproduces the
+    eigenvalue damping e^{-(2|beta|+n) t}.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    grid = grid or default_twisted_grid(t)
-    if mode == "kernel":
-        return twisted_conv(f, heat_profile(t), z, w, grid)
-    if mode != "spectral":
-        raise ValueError(f"unknown mode {mode!r}")
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
-    return sum(
-        math.exp(-(2 * k + 1) * t) * laguerre_project(f, k, z, w, grid)
-        for k in range(truncation + 1)
-    )
+    return twisted_conv(f, heat_profile(t), z, w, default_twisted_grid(t))
 
 
 def laguerre_project(f, k: int, z, w, grid: PlaneGrid):
@@ -647,39 +619,35 @@ _DEFAULT_POINTS = (
     (0.5, -0.8),
     (1.2 + 0.1j, 0.9 + 0.5j),
 )
+_POINT_Z, _POINT_W = np.asarray(_DEFAULT_POINTS, dtype=complex).T
 
 
-def intertwine_check(
-    f,
-    t: float,
-    convention: int = +1,
-    grid: PlaneGrid | None = None,
-    points=_DEFAULT_POINTS,
-) -> IntertwineReport:
+def intertwine_check(f, t: float, convention: int = +1) -> IntertwineReport:
     """Residuals of both first-order relations under a sign convention.
 
     ``convention`` selects a = convention * coth(t)/2 (the two candidate
-    conventions differ in this sign).  For each test point the relation
-    residual |LHS - RHS| / (1 + |RHS|) is evaluated with the left side
-    computed through the semigroup quadrature and the right side through
-    the coordinate multipliers; the report keeps the max over points.
+    conventions differ in this sign).  For each point of ``_DEFAULT_POINTS``
+    the relation residual |LHS - RHS| / (1 + |RHS|) is evaluated with the
+    left side computed through the semigroup quadrature and the right side
+    through the coordinate multipliers; the report keeps the max over
+    points.
     """
     if convention not in (+1, -1):
         raise ValueError("convention must be +1 or -1")
     if t <= 0:
         raise ValueError("t must be positive")
-    grid = grid or default_twisted_grid(t)
     a = convention * 0.5 / math.tanh(t)
     b = 0.5j
 
     C, rate = _as_polygauss(f)
-    z, w = _point_arrays(points)
-    Ef = twisted_conv(f, heat_profile(t), z, w, grid)
+    z, w = _POINT_Z, _POINT_W
+    Ef = special_semigroup_apply(f, t, z, w)
     rhs_x = (-a * z + b * w) * Ef
     rhs_u = -(b * z + a * w) * Ef
     lhs_x, lhs_u = (
-        twisted_conv(functools.partial(_polygauss_eval, _lower(C, rate, a, axis), rate),
-                     heat_profile(t), z, w, grid)
+        special_semigroup_apply(
+            functools.partial(_polygauss_eval, _lower(C, rate, a, axis), rate), t, z, w
+        )
         for axis in (0, 1)
     )
     return IntertwineReport(
@@ -687,14 +655,8 @@ def intertwine_check(
         a_value=a,
         residual_x=_max_residual(lhs_x, rhs_x),
         residual_u=_max_residual(lhs_u, rhs_u),
-        points=tuple(points),
+        points=_DEFAULT_POINTS,
     )
-
-
-def _point_arrays(points):
-    """The z and w coordinates of a sequence of (z, w) points, as arrays."""
-    pts = np.asarray(points, dtype=complex).reshape(-1, 2)
-    return pts[:, 0], pts[:, 1]
 
 
 def _max_residual(lhs, rhs) -> float:
@@ -702,13 +664,9 @@ def _max_residual(lhs, rhs) -> float:
     return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
 
 
-def composed_intertwine_residual(
-    f,
-    t: float,
-    grid: PlaneGrid | None = None,
-    points=_DEFAULT_POINTS,
-) -> float:
-    """Residual of the composed relation e^{-tL}(T f) = z w e^{-tL} f.
+def composed_intertwine_residual(f, t: float) -> float:
+    """Residual of the composed relation e^{-tL}(T f) = z w e^{-tL} f at
+    the points of ``_DEFAULT_POINTS``.
 
     T is assembled from the validated first-order relations: with
     D_x = d/dx - a x, D_u = d/du - a u and d = a^2 + b^2, the operators
@@ -717,7 +675,6 @@ def composed_intertwine_residual(
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    grid = grid or default_twisted_grid(t)
     C, rate = _as_polygauss(f)
     a = 0.5 / math.tanh(t)
     b = 0.5j
@@ -728,9 +685,9 @@ def composed_intertwine_residual(
 
     Tf = op_zw(op_zw(C, b, -a), -a, -b)
 
-    z, w = _point_arrays(points)
-    Ef = twisted_conv(f, heat_profile(t), z, w, grid)
-    lhs = twisted_conv(functools.partial(_polygauss_eval, Tf, rate), heat_profile(t), z, w, grid)
+    z, w = _POINT_Z, _POINT_W
+    Ef = special_semigroup_apply(f, t, z, w)
+    lhs = special_semigroup_apply(functools.partial(_polygauss_eval, Tf, rate), t, z, w)
     return _max_residual(lhs, z * w * Ef)
 
 
@@ -759,11 +716,6 @@ class SpecialEigenHandle(EntireHandle):
     def _damp(self) -> float:
         lam = oscillator_eigenvalue(self.beta)
         return math.exp(-lam * self.time)
-
-    def eval_grid(self, X, Y, U, V) -> np.ndarray:
-        Z = np.asarray(X) + 1j * np.asarray(Y)
-        W = np.asarray(U) + 1j * np.asarray(V)
-        return self._damp() * _phi1(self.alpha[0], self.beta[0], Z, W)
 
     def eval_grid_parts(self, X, Y, U, V):
         """(P, (E_z, E_w)) of :func:`_phi1_parts`: the exponent

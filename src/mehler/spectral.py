@@ -17,11 +17,17 @@ recurrence in :mod:`mehler.specfun`.  At a point, :func:`eval_entire`
 takes one log-domain ladder per coordinate, run only to the highest order
 that a nonzero coefficient uses, gathers the terms of the nonzero
 coefficients at once and reports the magnitude of the last coefficient
-shell as a truncation indicator.  On a grid, ``SpectralHandle.eval_grid``
-sums the series by one Clenshaw sweep, and ``eval_grid_parts`` returns it
-in split form P e^E (E = log h_0(z)), so grid consumers can join the
-Gaussian with their own before exponentiating.  A value whose modulus
-exceeds the largest double raises :class:`~mehler.specfun.HermiteOverflowError`.
+shell as a truncation indicator.  On a grid, ``SpectralHandle.eval_grid_parts``
+sums the series by one Clenshaw sweep in split form P e^E (E = log h_0(z)),
+so grid consumers can join the Gaussian with their own before
+exponentiating.  A value whose modulus exceeds the largest double raises
+:class:`~mehler.specfun.HermiteOverflowError`.
+
+Every :class:`EntireHandle` implements one grid evaluator, ``eval_grid``
+or ``eval_grid_parts``, and the base class derives the rest: the split
+form multiplied out by :func:`~mehler.specfun.mul_exp_parts`, or the
+values as a split form with exponent 0, and ``eval`` as ``eval_grid`` at
+one point of C.
 """
 
 import math
@@ -36,9 +42,9 @@ from .quadrature import QuadRule, gauss_legendre_rule
 from .specfun import (
     hermite_eval,
     hermite_log_ladder,
-    hermite_series,
     hermite_series_parts,
     mul_exp,
+    mul_exp_parts,
 )
 
 # ---------------------------------------------------------------------------
@@ -321,13 +327,10 @@ def expand(
             len(nodes), len(nodes)
         )
         weighted = (w[:, None] * w[None, :]) * samples
-        vals = np.array(
-            [
-                np.sum(np.outer(ladder[a[0]], ladder[a[1]]) * weighted)
-                for a in out.indices
-            ],
-            dtype=complex,
-        )
+        # every (j, k) coefficient sum_il h_j(x_i) W_il h_k(x_l) at once,
+        # gathered at the enumeration's multi-indices
+        alphas = _index_table(dimension, truncation).alphas
+        vals = (ladder @ weighted @ ladder.T)[alphas[:, 0], alphas[:, 1]]
     else:
         raise ValueError("expand supports dimension 1 or 2 at desk scale")
     return out.with_values(np.asarray(vals, dtype=complex))
@@ -403,16 +406,25 @@ def eval_entire(
 class EntireHandle:
     """An evaluable entire function on C^n (n = dimension); ``eval_grid``
     takes broadcastable real coordinates, (X, Y) for z = x + iy and
-    (X, Y, U, V) for (x + iy, u + iv) on C^2."""
+    (X, Y, U, V) for (x + iy, u + iv) on C^2.
+
+    A subclass implements exactly one grid evaluator, ``eval_grid`` or
+    ``eval_grid_parts``; each default is written in terms of the other, so
+    one that implements neither recurses.
+    """
 
     dimension: int = 1
 
     def eval(self, z) -> complex:
-        raise NotImplementedError
+        """The value at one point z of C: ``eval_grid`` there."""
+        (z,) = as_point(z, dimension=1)
+        return complex(self.eval_grid(z.real, z.imag))
 
     def eval_grid(self, X: np.ndarray, Y: np.ndarray, *UV: np.ndarray) -> np.ndarray:
-        """Vectorized values at the points of broadcastable real arrays."""
-        raise NotImplementedError
+        """Vectorized values at the points of broadcastable real arrays:
+        ``eval_grid_parts`` multiplied out by
+        :func:`~mehler.specfun.mul_exp_parts`."""
+        return mul_exp_parts(*self.eval_grid_parts(X, Y, *UV))
 
     def eval_grid_parts(self, *coords: np.ndarray):
         """(P, E) with F = P e^E at the points of ``eval_grid``'s arrays.
@@ -449,6 +461,9 @@ class SpectralHandle(EntireHandle):
         return self.expansion.truncation
 
     def eval(self, z) -> complex:
+        """:func:`eval_entire` at a point of C^n.  It stays beside the grid
+        evaluator as the independent per-point evaluator that the suite
+        checks grids against, and it is the whole path of scalar requests."""
         return eval_entire(self.expansion, self.time, z)
 
     def _grid_coefficients(self) -> np.ndarray:
@@ -456,9 +471,6 @@ class SpectralHandle(EntireHandle):
             raise ValueError("grid evaluation is one-dimensional")
         lam = self.expansion.eigenvalues()
         return self.expansion.values * np.exp(-lam * self.time)
-
-    def eval_grid(self, X, Y) -> np.ndarray:
-        return hermite_series(self._grid_coefficients(), np.asarray(X) + 1j * np.asarray(Y))
 
     def eval_grid_parts(self, X, Y):
         """(P, E) of :func:`~mehler.specfun.hermite_series_parts`:
@@ -472,9 +484,6 @@ class ClosedFormHandle(EntireHandle):
     (``eval`` takes a point of C)."""
 
     fn: object
-
-    def eval(self, z) -> complex:
-        return complex(self.fn(as_point(z, dimension=1))[0])
 
     def eval_grid(self, X, Y, *UV) -> np.ndarray:
         """fn at the complex coordinates X + iY (and U + iV)."""

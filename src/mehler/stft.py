@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indices import as_point
 from .kernels import compact_bound, stft_bound
 from .quadrature import (
     PlaneGrid,
@@ -148,38 +147,31 @@ class BridgeReport:
     residuals: tuple[float, ...]
 
 
+# The points of C at which the bridge identity is checked.
+_BRIDGE_POINTS = (
+    0.0, 0.5, -1.0, 1.5, 2.0, 0.3 + 0.4j, -0.7 + 0.2j, 1.0 - 0.5j, 0.2 + 1.0j, -1.2 - 0.3j,
+)
+
+
 def bridge_residual(
     f: TestFunction,
     t: float,
-    points=None,
     rule: QuadRule | None = None,
     truncation: int = 48,
 ) -> BridgeReport:
     """Check e^{-tH} f(z) = e^{-coth(2t) z^2/2} T_a f(iz / sinh 2t) with
-    a = coth 2t and the bridge window constant, both sides computed
-    independently (spectral/kernel transform vs direct quadrature)."""
+    a = coth 2t and the bridge window constant at the points
+    ``_BRIDGE_POINTS``, both sides computed independently (spectral/kernel
+    transform vs direct quadrature)."""
     if t <= 0:
         raise ValueError("t must be positive")
-    if points is None:
-        points = [
-            0.0,
-            0.5,
-            -1.0,
-            1.5,
-            2.0,
-            0.3 + 0.4j,
-            -0.7 + 0.2j,
-            1.0 - 0.5j,
-            0.2 + 1.0j,
-            -1.2 - 0.3j,
-        ]
     a = 1.0 / math.tanh(2 * t)
     c = bridge_constant(a)
     if isinstance(f, Dirac):
         handle: EntireHandle = MehlerSliceHandle(t, f.point)
     else:
         handle = semigroup_handle(f, t, "spectral", truncation=truncation, rule=rule)
-    zs = np.asarray(points, dtype=complex).ravel()
+    zs = np.asarray(_BRIDGE_POINTS, dtype=complex)
     left = handle.eval_grid(zs.real, zs.imag)
     right = np.exp(-0.5 * a * zs * zs) * gauss_stft(
         f, a, 1j * zs / math.sinh(2 * t), c=c, rule=rule
@@ -191,17 +183,13 @@ def bridge_residual(
 
 
 class _StftHandle(EntireHandle):
-    """T_a f as an entire-function handle for envelope scans."""
+    """T_a f, with window constant 1, as an entire-function handle for
+    envelope scans."""
 
-    def __init__(self, f, a, c, rule):
+    def __init__(self, f, a, rule):
         self.f = f
         self.a = a
-        self.c = c
         self.rule = rule
-
-    def eval(self, z) -> complex:
-        z = as_point(z, dimension=1)
-        return complex(gauss_stft(self.f, self.a, z[0], c=self.c, rule=self.rule))
 
     def eval_grid(self, X, Y) -> np.ndarray:
         """Values at broadcastable real X, Y.  A column X by a row Y (the
@@ -211,9 +199,9 @@ class _StftHandle(EntireHandle):
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
         if not (X.ndim == Y.ndim == 2 and X.shape[1] == 1 and Y.shape[0] == 1):
-            return gauss_stft(self.f, self.a, X + 1j * Y, c=self.c, rule=self.rule)
+            return gauss_stft(self.f, self.a, X + 1j * Y, rule=self.rule)
         x, y = X[:, 0], Y[0]
-        u, base = _stft_nodes(self.f, self.a, self.c, self.rule, x)
+        u, base = _stft_nodes(self.f, self.a, 1.0, self.rule, x)
         ex = np.exp(-1j * np.multiply.outer(x, u)) * ((2 * math.pi) ** -0.5 * base)
         with np.errstate(over="ignore", invalid="ignore"):
             return real_matmul(ex, np.exp(np.multiply.outer(u, y)))
@@ -224,15 +212,15 @@ def pw_envelope(
     a: float,
     m: int,
     grid: PlaneGrid,
-    c: float = 1.0,
     rule: QuadRule | None = None,
 ) -> EnvelopeReport:
-    """Sup of |T_a f| / ((1+x^2+y^2)^m e^{y^2/(2a)}) over the grid.
+    """Sup of |T_a f| / ((1+x^2+y^2)^m e^{y^2/(2a)}) over the grid, with
+    window constant 1.
 
     Works in both regimes a > 1 and a < 1; the transform is evaluated by
     direct quadrature either way.
     """
-    return envelope(_StftHandle(f, a, c, rule), stft_bound(a, m), grid)
+    return envelope(_StftHandle(f, a, rule), stft_bound(a, m), grid)
 
 
 def compact_growth_check(

@@ -577,7 +577,6 @@ def check_twisted_isometry(config: SuiteConfig, entry: _Entry) -> _Measured:
     metric = abs(iso - 1.0)
 
     rng = entry.rng(config)
-    grid2 = default_twisted_grid(t)
     pts_real = rng.uniform(-1.5, 1.5, (10, 2))
     pts_cplx = rng.uniform(-1.0, 1.0, (5, 4))
     eigen_worst = 0.0
@@ -589,7 +588,7 @@ def check_twisted_isometry(config: SuiteConfig, entry: _Entry) -> _Measured:
         f = SpecialHermiteBasis(*ab)
         lam = oscillator_eigenvalue(ab[1])
         for z, w in points:
-            got = special_semigroup_apply(f, t, z, w, "kernel", grid2)
+            got = special_semigroup_apply(f, t, z, w)
             ref = math.exp(-lam * t) * special_hermite_eval(*ab, z, w)
             eigen_worst = max(
                 eigen_worst, float(np.max(np.abs(got - ref) / (1.0 + np.abs(ref))))

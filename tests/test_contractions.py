@@ -42,6 +42,7 @@ from mehler.special import (
     default_twisted_grid,
     heat_profile,
     laguerre_profile,
+    laguerre_project,
     twisted_eval,
 )
 from mehler.spectral import ClosedFormHandle, EntireHandle
@@ -60,7 +61,7 @@ HANDLES = {
     "MehlerSliceHandle": lambda: MehlerSliceHandle(0.3, 0.5),
     "KernelImageHandle": lambda: semigroup_handle(Gaussian(1.0), 0.3, "kernel"),
     "SpecialEigenHandle": lambda: SpecialEigenHandle((1,), (0,), 0.4),
-    "_StftHandle": lambda: _StftHandle(HermiteBasis((1,)), 2.0, 1.0, None),
+    "_StftHandle": lambda: _StftHandle(HermiteBasis((1,)), 2.0, None),
 }
 
 
@@ -70,9 +71,36 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
+def _package_handles():
+    return [c for c in _subclasses(EntireHandle) if c.__module__.startswith("mehler.")]
+
+
 def test_every_handle_class_is_covered():
-    names = {c.__name__ for c in _subclasses(EntireHandle) if c.__module__.startswith("mehler.")}
+    names = {c.__name__ for c in _package_handles()}
     assert names == {name.split("-")[0] for name in HANDLES}
+
+
+@pytest.mark.parametrize("cls", _package_handles(), ids=lambda c: c.__name__)
+def test_every_handle_implements_exactly_one_grid_evaluator(cls):
+    # EntireHandle derives each grid evaluator from the other: a handle
+    # that defines neither recurses, one that defines both has two paths
+    own = {"eval_grid", "eval_grid_parts"} & set(vars(cls))
+    assert len(own) == 1, (cls.__name__, sorted(own))
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in HANDLES if n not in ("SpecialEigenHandle", "ClosedFormHandle-C2")]
+)
+@pytest.mark.parametrize("z", [0.4 - 0.7j, -1.2 + 0.3j, 0.8])
+def test_eval_is_eval_grid_at_the_point(name, z):
+    # eval at a point of C: the spectral handle's own per-point evaluator
+    # agrees with its grid sum, every other handle's is that grid sum
+    handle = HANDLES[name]()
+    grid = handle.eval_grid(np.array([z.real]), np.array([z.imag]))[0]
+    point = handle.eval(z)
+    assert isinstance(point, complex)
+    rel = 1e-13 if name == "SpectralHandle" else 1e-15
+    assert point == pytest.approx(grid, rel=rel, abs=0)
 
 
 @pytest.mark.parametrize("name", list(HANDLES))
@@ -113,10 +141,10 @@ def test_eval_grid_returns_the_broadcast_shape(name):
 def test_stft_mesh_product_matches_gauss_stft(f, a):
     x = np.linspace(-5.0, 5.0, 21)
     y = np.linspace(-3.0, 3.0, 13)
-    handle = _StftHandle(f, a, 0.7, None)
+    handle = _StftHandle(f, a, None)
     mesh = handle.eval_grid(x[:, None], y[None, :])
     Z = x[:, None] + 1j * y[None, :]
-    flat = gauss_stft(f, a, Z.ravel(), c=0.7).reshape(Z.shape)
+    flat = gauss_stft(f, a, Z.ravel()).reshape(Z.shape)
     assert mesh.shape == Z.shape
     np.testing.assert_allclose(mesh, flat, rtol=1e-12, atol=1e-12 * np.max(np.abs(flat)))
 
@@ -192,23 +220,34 @@ def test_twisted_kernel_route_holds_to_im_six():
     re = np.array([-1.0, 0.0, 1.0])
     rz, rw, i = np.meshgrid(re, re, im)
     z, w = rz + 1j * i.real, rw + 1j * i.imag
-    got = special_semigroup_apply(Gaussian2n(1.0), t, z, w, "kernel", default_twisted_grid(t))
+    got = special_semigroup_apply(Gaussian2n(1.0), t, z, w)
     ref = GaussianImage(1.0, t)(z, w)
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-8
-    one = special_semigroup_apply(Gaussian2n(1.0), t, 1.0 + 6.0j, 0.0, "kernel")
+    one = special_semigroup_apply(Gaussian2n(1.0), t, 1.0 + 6.0j, 0.0)
     assert abs(one / GaussianImage(1.0, t)(1.0 + 6.0j, 0.0) - 1.0) <= 1e-9
 
 
 def test_semigroup_kernel_mode_takes_point_arrays():
     z, w = _points("complex")
-    got = special_semigroup_apply(Gaussian2n(1.0), 0.4, z, w, "kernel")
-    np.testing.assert_allclose(got, GaussianImage(1.0, 0.4)(z, w), rtol=1e-9)
-    # spectral mode sums the damped Laguerre projections over the same arrays
-    got = special_semigroup_apply(Gaussian2n(1.0), 0.4, z, w, "spectral")
+    got = special_semigroup_apply(Gaussian2n(1.0), 0.4, z, w)
     assert got.shape == z.shape
-    np.testing.assert_allclose(got, GaussianImage(1.0, 0.4)(z, w), rtol=1e-12)
-    with pytest.raises(ValueError, match="truncation"):
-        special_semigroup_apply(Gaussian2n(1.0), 0.4, z, w, "spectral", truncation=-1)
+    np.testing.assert_allclose(got, GaussianImage(1.0, 0.4)(z, w), rtol=1e-9)
+
+
+def test_twisted_semigroup_is_the_damped_laguerre_sum():
+    # the spectral identity e^{-tL} f = sum_k e^{-(2k+1)t} (2 pi)^{-1} f x phi_k
+    # (Thangavelu 1993) as an oracle for the heat-profile route and the
+    # closed form, on the same grid and at the same point arrays
+    t = 0.4
+    z, w = _points("complex")
+    f = Gaussian2n(1.0)
+    grid = default_twisted_grid(t)
+    damped = sum(
+        math.exp(-(2 * k + 1) * t) * laguerre_project(f, k, z, w, grid) for k in range(25)
+    )
+    assert damped.shape == z.shape
+    np.testing.assert_allclose(special_semigroup_apply(f, t, z, w), damped, rtol=1e-12)
+    np.testing.assert_allclose(GaussianImage(1.0, t)(z, w), damped, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

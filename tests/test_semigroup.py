@@ -478,18 +478,13 @@ def test_bergman_norm_matches_dense_reference(m):
     assert bergman_norm(handle, t, m, grid) == pytest.approx(ref, rel=1e-12)
 
 
-@pytest.mark.parametrize(
-    "alphas, pairs",
-    [(None, None), ([(0,), (3,)], [((1,), (4,)), ((0,), (2,))])],
-    ids=["default", "pairs-past-the-probes"],
-)
-def test_calibration_matches_dense_reference(alphas, pairs):
+@pytest.mark.parametrize("alphas", [None, [(0,), (3,)]], ids=["default", "two-probes"])
+def test_calibration_matches_dense_reference(alphas):
     t = 0.35
     grid = default_bergman_grid(t, resolution=64)
-    cal = calibrate_weight(t, 1, alphas, grid, pairs)
+    cal = calibrate_weight(t, 1, alphas, grid)
     probes = [(k,) for k in range(5)] if alphas is None else alphas
-    if pairs is None:
-        pairs = [(a, b) for i, a in enumerate(probes) for b in probes[i + 1 :]]
+    pairs = [(a, b) for i, a in enumerate(probes) for b in probes[i + 1 :]]
     X, Y, W = grid.nodes()
     Z = X + 1j * Y
     ladder = hermite_eval(4, Z)
@@ -505,15 +500,11 @@ def test_calibration_matches_dense_reference(alphas, pairs):
 
 
 def test_calibration_probe_and_pair_edge_cases(bergman_grid_025):
-    # one probe has no default pairs: the ladder top comes from the probes
-    # and max_offdiagonal is 0
+    # one probe has no pairs: the ladder top comes from the probe and
+    # max_offdiagonal is 0; five probes pair each with each
     single = calibrate_weight(0.25, 1, [(2,)], bergman_grid_025)
     assert single.kappa == pytest.approx((2 * math.pi) ** -0.5, rel=1e-7)
     assert single.max_offdiagonal == 0.0
-    # an explicit empty pair list is honoured, not replaced by the default
-    probes = [(k,) for k in range(5)]
-    none = calibrate_weight(0.25, 1, probes, bergman_grid_025, offdiag_pairs=[])
-    assert none.max_offdiagonal == 0.0
-    default = calibrate_weight(0.25, 1, probes, bergman_grid_025)
+    default = calibrate_weight(0.25, 1, [(k,) for k in range(5)], bergman_grid_025)
     assert default.max_offdiagonal > 0.0
-    assert none.ratios == default.ratios
+    assert default.ratios[(2,)] == single.ratios[(2,)]

@@ -15,9 +15,15 @@ from mehler import (
     laguerre_function_entire,
 )
 from mehler import specfun
-from mehler.specfun import hermite_series, laguerre_ladder
+from mehler.specfun import hermite_series_parts, laguerre_ladder, mul_exp_parts
 
 PI14 = math.pi ** -0.25
+
+
+def hermite_series(coef, z):
+    """sum_k coef[k] h_k(z) as every grid evaluator forms it: the split
+    form of the sweep, multiplied out by the package's one finish."""
+    return mul_exp_parts(*hermite_series_parts(coef, z))
 
 
 def hermite_closed_form(k, z):

@@ -179,52 +179,41 @@ def test_twisted_conv_heat_eigenfunction(tw_grid):
 
 
 
-def test_semigroup_eigen_relation_origin(tw_grid):
-    got = special_semigroup_apply(
-        SpecialHermiteBasis((0,), (0,)), 0.5, 0.0, 0.0, "kernel", tw_grid
-    )
+def test_semigroup_eigen_relation_origin():
+    got = special_semigroup_apply(SpecialHermiteBasis((0,), (0,)), 0.5, 0.0, 0.0)
     assert got == pytest.approx(math.exp(-0.5) * TWO_PI**-0.5, rel=1e-10)
 
 
-def test_semigroup_eigen_relation_beta_one(tw_grid):
+def test_semigroup_eigen_relation_beta_one():
     f = SpecialHermiteBasis((0,), (1,))
     ref = math.exp(-0.9) * special_hermite_eval((0,), (1,), 0.3, -0.2)
-    got = special_semigroup_apply(f, 0.3, 0.3, -0.2, "kernel", default_twisted_grid(0.3))
+    got = special_semigroup_apply(f, 0.3, 0.3, -0.2)
     assert abs(got - ref) < 1e-9
 
 
-def test_semigroup_eigen_relation_complex_points(tw_grid):
+def test_semigroup_eigen_relation_complex_points():
     pts = [(0.6 + 0.3j, -0.4 + 0.5j), (0.2 - 0.6j, 1.0 + 0.4j)]
     for ab in [((0,), (0,)), ((1,), (1,)), ((0,), (1,))]:
         lam = 2 * sum(ab[1]) + 1
         for z, w in pts:
-            got = special_semigroup_apply(
-                SpecialHermiteBasis(*ab), 0.4, z, w, "kernel", tw_grid
-            )
+            got = special_semigroup_apply(SpecialHermiteBasis(*ab), 0.4, z, w)
             ref = math.exp(-lam * 0.4) * special_hermite_eval(*ab, z, w)
             assert abs(got - ref) / (1 + abs(ref)) < 1e-6
 
 
-def test_semigroup_modes_agree_on_gaussian(tw_grid):
-    z, w = 0.5 + 0.4j, -0.3 + 0.6j
-    a = special_semigroup_apply(Gaussian2n(1.0), 0.4, z, w, "kernel", tw_grid)
-    b = special_semigroup_apply(Gaussian2n(1.0), 0.4, z, w, "spectral", tw_grid)
-    assert abs(a - b) / abs(a) < 1e-6
-
-
-def test_semigroup_matches_gaussian_closed_form(tw_grid):
+def test_semigroup_matches_gaussian_closed_form():
     # independent oracle: complete the square in the defining integral
     z, w = 0.5 + 0.4j, -0.3 + 0.6j
     oracle = GaussianImage(1.0, 0.4)(z, w)
-    got = special_semigroup_apply(Gaussian2n(1.0), 0.4, z, w, "kernel", tw_grid)
+    got = special_semigroup_apply(Gaussian2n(1.0), 0.4, z, w)
     assert abs(got - oracle) / abs(oracle) < 1e-12
 
 
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: special_semigroup_apply(Gaussian2n(1.0), 0.4, 0.0, 40j, "kernel"),
-        lambda: special_semigroup_apply(SpecialHermiteBasis((1,), (0,)), 0.4, 0.0, 40j, "kernel"),
+        lambda: special_semigroup_apply(Gaussian2n(1.0), 0.4, 0.0, 40j),
+        lambda: special_semigroup_apply(SpecialHermiteBasis((1,), (0,)), 0.4, 0.0, 40j),
         lambda: GaussianImage(1.0, 0.4)(0.0, 40j),
     ],
     ids=["gaussian-kernel", "phi10-kernel", "gaussian-closed-form"],

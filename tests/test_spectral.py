@@ -96,6 +96,41 @@ def test_expand_two_dimensional(gh128):
     assert d.coefficient((2, 1)) == pytest.approx(ref, rel=1e-13)
 
 
+@pytest.mark.parametrize(
+    "f", [Gaussian(1.0), PolyGaussian((1.0, -0.5, 0.25), 0.8), Bump(1.5)],
+    ids=["gaussian", "poly-gaussian", "bump"],
+)
+def test_expand_two_dimensional_matches_index_by_index_sum(f):
+    # the coefficient matrix ladder @ W @ ladder.T gathered at the
+    # multi-indices, against sum_il h_a(x_i) h_b(x_l) W_il one index at a time
+    from mehler import gauss_legendre_rule, hermite_eval
+
+    N = 12
+    e = expand(f, N, rule=gauss_hermite_rule(64), dimension=2)
+    if isinstance(f, Bump):
+        rule = gauss_legendre_rule(64, -f.radius, f.radius)
+        nodes, w = rule.nodes, rule.weights
+    else:
+        rule = gauss_hermite_rule(64)
+        nodes, w = rule.nodes, rule.plain_weights
+    ladder = hermite_eval(N, nodes)
+    X, Y = np.meshgrid(nodes, nodes, indexing="ij")
+    weighted = np.outer(w, w) * eval_test_function(f, X.ravel(), Y.ravel()).reshape(X.shape)
+    ref = [np.sum(np.outer(ladder[a], ladder[b]) * weighted) for a, b in e.indices]
+    np.testing.assert_allclose(e.values, ref, rtol=0, atol=1e-14)
+
+
+def test_spectral_eval_agrees_with_eval_grid():
+    # the per-point log-domain sum (eval_entire) and the grid's Clenshaw
+    # sweep are two evaluators of one dense series
+    e = expand(Gaussian(1.0), 48, rule=gauss_hermite_rule(128), dimension=1)
+    handle = SpectralHandle(e, 0.3)
+    z = np.array([0.0, 0.7 - 0.2j, -1.5 + 1.0j, 2.0 + 0.5j, -0.3 - 2.0j, 3.5 + 3.0j])
+    grid = handle.eval_grid(z.real, z.imag)
+    for z_j, grid_j in zip(z, grid):
+        assert handle.eval(z_j) == pytest.approx(grid_j, rel=1e-13, abs=0)
+
+
 def test_expand_bump_has_compact_support_coefficients():
     e = expand(Bump(1.0), 12, dimension=1)
     # even function: odd coefficients vanish
