@@ -12,7 +12,10 @@ integrable against the Bergman weight
     U_t(x+iy) = 2^n (sinh 4t)^{-n/2} exp(tanh(2t) x^2 - coth(2t) y^2);
 
 its 2m-th time derivatives weight the holomorphic Sobolev norms and are
-computed exactly with truncated Taylor arithmetic.  Reproducing kernels of
+computed exactly with truncated Taylor arithmetic.  The scalar series in t
+behind them, the jets of the prefactor and of tanh 2t and -coth 2t, depend
+on (t, m, n) alone and are memoized (``_time_jets``); only the per-axis jets
+in x^2 and y^2 are formed per call.  Reproducing kernels of
 the weighted spaces come from the closed form at doubled time (order 0),
 from an integral over shifted times (positive orders), or from the spectral
 sum (negative orders).
@@ -24,6 +27,7 @@ calibration in :mod:`mehler.semigroup` determines that factor
 same applies to the twisted weight below via its own calibration.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,12 +53,10 @@ def _coord_arrays(z, dimension):
     return [z[..., j] for j in range(dimension)]
 
 
-def mehler_kernel(t: float, z, w, dimension: int = 1):
-    """Oscillator heat kernel K_t(z, w), entire in both arguments.
-
-    Vectorized elementwise for dimension 1; for higher dimension the last
-    axis of ``z``/``w`` indexes coordinates.
-    """
+def _mehler_parts(t: float, z, w, dimension: int = 1):
+    """K_t(z, w) as (pref, expo), K_t = pref * e^expo: the prefactor
+    (2 pi sinh 2t)^{-n/2} and the complex exponent, elementwise as in
+    :func:`mehler_kernel`."""
     if t <= 0:
         raise ValueError("t must be positive")
     zs = _coord_arrays(z, dimension)
@@ -62,7 +64,16 @@ def mehler_kernel(t: float, z, w, dimension: int = 1):
     s2t = math.sinh(2 * t)
     c2t = math.cosh(2 * t) / s2t
     expo = sum(-0.5 * c2t * (a * a + b * b) + a * b / s2t for a, b in zip(zs, ws))
-    pref = (2.0 * math.pi * s2t) ** (-0.5 * dimension)
+    return (2.0 * math.pi * s2t) ** (-0.5 * dimension), expo
+
+
+def mehler_kernel(t: float, z, w, dimension: int = 1):
+    """Oscillator heat kernel K_t(z, w), entire in both arguments.
+
+    Vectorized elementwise for dimension 1; for higher dimension the last
+    axis of ``z``/``w`` indexes coordinates.
+    """
+    pref, expo = _mehler_parts(t, z, w, dimension)
     return pref * np.exp(expo)
 
 
@@ -103,13 +114,30 @@ def bergman_weight(t: float, z, dimension: int = 1):
     return np.exp(log_pref + math.tanh(2 * t) * x2 - (1.0 / math.tanh(2 * t)) * y2)
 
 
-def _shifted_exp_jet(f: TaylorScalar, s) -> np.ndarray:
+def _shifted_exp_jet(coef, s) -> np.ndarray:
     """Taylor coefficients in t of e^{(f(t) - f(t_0)) s} at the expansion
-    point t_0 of ``f``, elementwise over a real array ``s``: shape
-    (order + 1,) + shape(s), row 0 all ones."""
+    point t_0, ``coef`` the Taylor coefficients of f there, elementwise
+    over a real array ``s``: shape (len(coef),) + shape(s), row 0 all
+    ones."""
     s = np.asarray(s, dtype=float)
-    shifted = TaylorScalar([np.zeros_like(s)] + [c * s for c in f.coef[1:]])
+    shifted = TaylorScalar([np.zeros_like(s)] + [c * s for c in coef[1:]])
     return np.array(shifted.exp().coef)
+
+
+@functools.lru_cache(maxsize=64)
+def _time_jets(t: float, m: int, dimension: int) -> tuple[tuple, tuple, tuple]:
+    """Taylor coefficients in s at t, orders 0..2m, of the Bergman weight's
+    prefactor 2^n (sinh 4s)^{-n/2}, of tanh 2s and of -coth 2s: the scalar
+    part of :func:`_weight_jets`, which depends on (t, m, n) alone.  Built
+    once per key and kept as tuples of floats; the cache is bounded, since
+    a caller may draw a fresh t for every call."""
+    T = TaylorScalar.variable(t, 2 * m)
+    pref = taylor.sinh(T * 4.0).power(-0.5 * dimension) * (2.0**dimension)
+    return (
+        tuple(pref.coef),
+        tuple(taylor.tanh(T * 2.0).coef),
+        tuple((-taylor.coth(T * 2.0)).coef),
+    )
 
 
 def _weight_jets(t: float, m: int, x2, y2, dimension: int = 1):
@@ -122,12 +150,12 @@ def _weight_jets(t: float, m: int, x2, y2, dimension: int = 1):
     e^{-(coth 2s - coth 2t) y2} in s at t, and H[j, k] = (2m)! p[2m - j - k]
     (0 past j + k = 2m) the Hankel matrix of the jet p of the prefactor
     2^n (sinh 4s)^{-n/2}.  Each jet runs on its own axis, so on a tensor
-    grid no Taylor arithmetic touches the mesh.
+    grid no Taylor arithmetic touches the mesh, and the scalar jets come
+    from :func:`_time_jets`, so none runs twice for one (t, m, n).
     """
-    T = TaylorScalar.variable(t, 2 * m)
-    pref = (taylor.sinh(T * 4.0).power(-0.5 * dimension) * (2.0**dimension)).coef
-    jx = _shifted_exp_jet(taylor.tanh(T * 2.0), x2)
-    jy = _shifted_exp_jet(-taylor.coth(T * 2.0), y2)
+    pref, tanh_jet, coth_jet = _time_jets(t, m, dimension)
+    jx = _shifted_exp_jet(tanh_jet, x2)
+    jy = _shifted_exp_jet(coth_jet, y2)
     rank = 2 * m - np.add.outer(np.arange(2 * m + 1), np.arange(2 * m + 1))
     H = np.where(rank >= 0, np.array(pref)[np.maximum(rank, 0)], 0.0)
     return math.factorial(2 * m) * H, jx, jy
@@ -267,7 +295,7 @@ def _twisted_profile_jet(t: float, m: int, q, dimension: int = 1):
     """
     T = TaylorScalar.variable(t, 2 * m)
     pref = (taylor.sinh(T * 2.0).power(-float(dimension)) * (2.0 * math.pi) ** (-dimension)).coef
-    jq = _shifted_exp_jet(-taylor.coth(T * 2.0), q)
+    jq = _shifted_exp_jet((-taylor.coth(T * 2.0)).coef, q)
     return math.factorial(2 * m) * np.tensordot(pref[::-1], jq, axes=1)
 
 

@@ -24,7 +24,11 @@ both sups; ``envelopes`` runs several bounds on that one scan.
 
 Every grid job here walks the open mesh of the grid's axes and takes F in
 split form P e^E (``EntireHandle.eval_grid_parts``; for a spectral image
-E = log h_0(z), whose real part (y^2 - x^2)/2 separates over the axes).
+E = log h_0(z), whose real part (y^2 - x^2)/2 separates over the axes; for
+the image K_t(z, x0) of a point mass, P is the prefactor
+(2 pi sinh 2t)^{-1/2} and E the kernel's exponent, and the handle raises
+:class:`~mehler.specfun.HermiteOverflowError` where max Re E + log P passes
+the log of the largest double, since no consumer of the split form would).
 Each job joins E with its own Gaussians before exponentiating: the
 envelope scans log|P| + Re E and never exponentiates; ``bergman_norm``
 forms |P|^2 e^{2 Re E + tanh(2t) x^2 - coth(2t) y^2} in one real exp and
@@ -46,7 +50,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .indices import MultiIndex, as_index, as_point, oscillator_eigenvalue
-from .kernels import BoundSpec, _weight_jets, mehler_kernel, schwartz_image_bound
+from .kernels import (
+    BoundSpec,
+    _mehler_parts,
+    _weight_jets,
+    mehler_kernel,
+    schwartz_image_bound,
+)
 from .quadrature import (
     PlaneGrid,
     QuadRule,
@@ -66,7 +76,7 @@ from .spectral import (
     expand,
     gaussian_decay_rate,
 )
-from .specfun import HermiteOverflowError, _finite, _poly_parts
+from .specfun import LOG_DBL_MAX, HermiteOverflowError, _finite, _poly_parts
 
 
 @dataclass(frozen=True)
@@ -170,13 +180,21 @@ class MehlerSliceHandle(EntireHandle):
                 val = mehler_kernel(self.time, z, self.source, self.dimension)
         return complex(_finite(val, "kernel-mode image"))
 
-    def eval_grid(self, X, Y) -> np.ndarray:
+    def eval_grid_parts(self, X, Y):
+        """K_t(z, x0) in split form: P the prefactor (2 pi sinh 2t)^{-1/2}
+        on the broadcast shape, E = -coth(2t)(z^2 + x0^2)/2 + z x0 / sinh 2t,
+        both as :func:`mehler.kernels.mehler_kernel` forms them.
+
+        Raises :class:`HermiteOverflowError` where |K_t| would pass the
+        largest double, as the kernel's own values would, although the
+        split form itself stays finite there."""
         if self.dimension != 1:
             raise ValueError("grid evaluation is one-dimensional")
         Z = np.asarray(X) + 1j * np.asarray(Y)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = mehler_kernel(self.time, Z, self.source[0])
-        return _finite(vals, "kernel-mode image")
+        pref, E = _mehler_parts(self.time, Z, self.source[0])
+        if E.size and not float(np.max(E.real)) + math.log(pref) <= LOG_DBL_MAX:
+            raise HermiteOverflowError("kernel-mode image exceeds the largest double on this grid")
+        return np.broadcast_to(pref, E.shape), E
 
 
 class KernelImageHandle(EntireHandle):

@@ -388,3 +388,42 @@ def test_scan_runs_past_the_flattened_node_limit():
     assert rep.stable
     with pytest.raises(ValueError, match="20151121 nodes"):
         grid.refine(2).nodes()
+
+
+@pytest.mark.parametrize("t, x0", [(0.3, 0.0), (0.5, 0.5), (0.4, -1.3)])
+def test_point_mass_split_form_multiplies_out_to_the_kernel(t, x0):
+    x = np.linspace(-14.0, 14.0, 29)
+    y = np.linspace(-6.0, 6.0, 13)
+    P, E = semigroup.MehlerSliceHandle(t, x0).eval_grid_parts(x[:, None], y[None, :])
+    assert P.shape == E.shape == (29, 13)
+    ref = mehler_kernel(t, x[:, None] + 1j * y[None, :], x0)
+    np.testing.assert_allclose(P * np.exp(E), ref, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("radius", [0.5, 0.3])
+def test_point_mass_envelope_split_form_matches_the_exp_route(radius):
+    # the kernel's values, exponentiated and logged again by the scan, give
+    # the sups that the split form gives; the argmax is not compared, since
+    # for these bounds the ratio is constant along y
+    t = 0.5
+    grid = _plane((-14.0, 14.0, -6.0, 6.0), 49)
+    bound = compact_bound(t, radius)
+    split = envelope(semigroup.MehlerSliceHandle(t, 0.5), bound, grid)
+    exp_route = envelope(ClosedFormHandle(fn=lambda Z: mehler_kernel(t, Z, 0.5)), bound, grid)
+    assert split.sup_ratio == pytest.approx(exp_route.sup_ratio, rel=1e-13, abs=0)
+    assert split.sup_coarse == pytest.approx(exp_route.sup_coarse, rel=1e-13, abs=0)
+    assert split.stable == exp_route.stable
+
+
+def test_one_scan_of_two_compact_bounds_equals_two_checks():
+    # compact-support's grid: the exact and the understated radius share a scan
+    t = 0.5
+    grid = _plane((-14.0, 14.0, -6.0, 6.0), 97)
+    shared = envelopes(
+        semigroup.MehlerSliceHandle(t, 0.5), [compact_bound(t, 0.5), compact_bound(t, 0.3)], grid
+    )
+    for rep, radius in zip(shared, (None, 0.3)):
+        alone = compact_growth_check(Dirac(0.5), t, grid, radius=radius)
+        assert rep.sup_ratio == alone.sup_ratio
+        assert rep.argmax == alone.argmax
+        assert rep.stable == alone.stable

@@ -28,7 +28,9 @@ from mehler import (
     tempered_bound,
     twisted_bergman_weight,
 )
-from mehler.kernels import BoundSpec
+from mehler import taylor
+from mehler.kernels import BoundSpec, _time_jets, _weight_jets
+from mehler.taylor import TaylorScalar
 from mehler.quadrature import PlaneGrid
 
 
@@ -147,6 +149,38 @@ def test_weight_derivative_hand_value():
         1.0
     ) ** -2.5
     assert bergman_weight_dt(0.25, 1, 0j) == pytest.approx(expected, rel=1e-13)
+
+
+def _fresh_weight_jets(t, m, x2, y2, dimension=1):
+    """The jets of :func:`mehler.kernels._weight_jets` with every Taylor
+    series built afresh."""
+    T = TaylorScalar.variable(t, 2 * m)
+    pref = (taylor.sinh(T * 4.0).power(-0.5 * dimension) * (2.0**dimension)).coef
+
+    def shifted(f, s):
+        s = np.asarray(s, dtype=float)
+        return np.array(TaylorScalar([np.zeros_like(s)] + [c * s for c in f.coef[1:]]).exp().coef)
+
+    jx = shifted(taylor.tanh(T * 2.0), x2)
+    jy = shifted(-taylor.coth(T * 2.0), y2)
+    rank = 2 * m - np.add.outer(np.arange(2 * m + 1), np.arange(2 * m + 1))
+    H = np.where(rank >= 0, np.array(pref)[np.maximum(rank, 0)], 0.0)
+    return math.factorial(2 * m) * H, jx, jy
+
+
+@pytest.mark.parametrize("t", [0.25, 0.4])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_memoized_weight_jets_match_fresh_taylor_bit_for_bit(t, m):
+    x = np.linspace(-6.0, 6.0, 9)
+    y = np.linspace(-4.0, 4.0, 7)
+    ref = _fresh_weight_jets(t, m, x * x, y * y)
+    first = _weight_jets(t, m, x * x, y * y)
+    hits = _time_jets.cache_info().hits
+    second = _weight_jets(t, m, x * x, y * y)
+    assert _time_jets.cache_info().hits == hits + 1
+    for got, again, want in zip(first, second, ref):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(again, got)
 
 
 def test_weight_derivative_matches_finite_differences():
