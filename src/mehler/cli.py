@@ -12,6 +12,7 @@ errors.
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -213,12 +214,7 @@ def _cmd_suite(args) -> int:
         overrides["quad"] = args.quad
     if args.t:
         overrides["t"] = tuple(args.t)
-    if overrides:
-        data = config.to_dict()
-        grid = data.pop("grid")
-        data.update(overrides)
-        data["grid"] = grid
-        config = SuiteConfig.from_dict(data)
+    config = dataclasses.replace(config, **overrides)
     report = run_suite(config)
     for line in report.lines():
         print(line)
@@ -329,8 +325,7 @@ def _cmd_special(args) -> int:
         _emit(args, {"t": args.t, "eigenvalue": lam, "residual": residual})
         return 0 if residual < 1e-6 else 1
     if args.action == "intertwine":
-        rep_p = intertwine_check(Gaussian2n(1.0), args.t, +1)
-        rep_m = intertwine_check(Gaussian2n(1.0), args.t, -1)
+        rep_p, rep_m = intertwine_check(Gaussian2n(1.0), args.t)
         _emit(
             args,
             {

@@ -22,11 +22,6 @@ def as_index(alpha) -> MultiIndex:
     return alpha
 
 
-def degree(alpha) -> int:
-    """Total degree |alpha|."""
-    return sum(as_index(alpha))
-
-
 def oscillator_eigenvalue(alpha, dimension: int | None = None) -> int:
     """Eigenvalue 2|alpha| + n of the oscillator -Delta + |x|^2 on the
     Hermite basis, or of the twisted Laplacian when indexed by |beta|.

@@ -186,12 +186,12 @@ def bergman_weight_dt(t: float, m: int, z, dimension: int = 1):
 # ---------------------------------------------------------------------------
 
 
-def _integral_upper_limit(t: float, m: int, dimension: int, tail: float = 1e-16) -> float:
-    """S with s^{2m-1} e^{-2 n (t+s)} below ``tail`` for s >= S."""
+def _integral_upper_limit(t: float, m: int, dimension: int) -> float:
+    """S with s^{2m-1} e^{-2 n (t+s)} below 1e-16 for s >= S."""
     S = 1.0
     for _ in range(60):
         val = S ** (2 * m - 1) * math.exp(-2 * dimension * (t + S))
-        if val < tail:
+        if val < 1e-16:
             break
         S *= 1.25
     return S
@@ -204,14 +204,14 @@ def reproducing_kernel(
     w,
     dimension: int = 1,
     truncation: int = 48,
-    quad_points: int = 96,
 ):
     """Reproducing kernel of the order-m weighted space at time t.
 
     m = 0:   closed form, the heat kernel at doubled time with the first
              argument conjugated.
     m > 0:   1/(2m-1)! * int_0^S s^{2m-1} K^{(0)}_{t+s}(z, w) ds with the
-             tail cut where s^{2m-1} e^{-2n(t+s)} < 1e-16 (Gauss-Legendre).
+             tail cut where s^{2m-1} e^{-2n(t+s)} < 1e-16 (96-point
+             Gauss-Legendre).
              Equals the spectral sum with factors (2 lam)^{-2m} e^{-2 lam t}.
     m < 0:   spectral sum sum_alpha lam^{2|m|} e^{-2 lam t}
              Phi_alpha(conj z) Phi_alpha(w), truncated at ``truncation``.
@@ -224,7 +224,7 @@ def reproducing_kernel(
         return mehler_kernel(2 * t, np.conj(z), w, dimension)
     if m > 0:
         S = _integral_upper_limit(t, m, dimension)
-        rule = gauss_legendre_rule(quad_points, 0.0, S)
+        rule = gauss_legendre_rule(96, 0.0, S)
         total = 0.0 + 0.0j
         for s_i, w_i in zip(rule.nodes, rule.weights):
             total += (

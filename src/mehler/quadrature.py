@@ -213,21 +213,20 @@ def gauss_legendre_rule(q: int, a: float = -1.0, b: float = 1.0) -> QuadRule:
     )
 
 
-def integrate_rn(g, rule: QuadRule, dimension: int, scale: float = 1.0):
+def integrate_rn(g, rule: QuadRule, dimension: int):
     """Integrate g over R^dimension with a tensorized Gauss-Hermite rule.
 
     ``g`` must be vectorized: it receives ``dimension`` flat coordinate
     arrays and returns samples.  The rule's compensated weights carry the
     exp(+x^2) per axis, so ``g`` is the plain integrand; it should decay at
-    least like a Gaussian times a polynomial.  ``scale`` substitutes
-    x -> scale * x per axis, matching the rule to slower Gaussian decay.
+    least like a Gaussian times a polynomial.
     """
     if rule.kind != "gauss-hermite":
         raise ValueError("integrate_rn expects a gauss-hermite rule")
     if not 1 <= dimension <= 4:
         raise ValueError("integrate_rn supports 1 <= dimension <= 4")
-    x = scale * rule.nodes
-    w = scale * rule.plain_weights
+    x = rule.nodes
+    w = rule.plain_weights
     if dimension == 1:
         coords = [x]
         weights = w

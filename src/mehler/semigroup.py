@@ -328,6 +328,10 @@ def bergman_norm(
     the integrand and :class:`mehler.quadrature.QuadratureError` is raised
     rather than a wrong value returned.
     """
+    if t <= 0:
+        raise ValueError("t must be positive")
+    if m < 0:
+        raise ValueError("m must be >= 0")
     x, wx = grid.axis(0)
     y, wy = grid.axis(1)
     P, E = handle.eval_grid_parts(x[:, None], y[None, :])
@@ -382,6 +386,8 @@ def calibrate_weight(
     than 1e-2 of it; the off-diagonal integrals must vanish, which checks
     the rule on them.
     """
+    if t <= 0:
+        raise ValueError("t must be positive")
     if dimension != 1:
         raise ValueError("calibration grids are one-dimensional at desk scale")
     if alphas is None:
@@ -449,6 +455,8 @@ def reproduce(
     Gaussian of U_t and the exponent of T in one complex exp, and all
     points cost one matrix product.
     """
+    if t <= 0:
+        raise ValueError("t must be positive")
     zs = np.asarray(z, dtype=complex)
     single = zs.ndim < 2
     if single:

@@ -54,8 +54,10 @@ first-order relations are
     e^{-tL}[(d/du - a u) f] = -(b z + a w) e^{-tL} f
 
 (the u-direction multiplier differs in sign from the x-direction one; this
-is forced by the phase convention of the twisted convolution).  The check
-runs both relations under both signs of a and records which sign passes.
+is forced by the phase convention of the twisted convolution).
+``intertwine_check`` forms the image e^{-tL} f once and runs both relations
+under both signs of a against it, returning the (+, -) pair of reports, so
+a caller reads which sign passes from one image.
 Its inputs are polynomial Gaussians sum C[j, k] x^j u^k e^{-r (x^2 + u^2)/2}
 on the real plane: a ``Gaussian2n``, a ``PolyGaussian2n`` or an n = 1 basis
 member becomes its coefficient array C, on which both operators act
@@ -422,13 +424,14 @@ def twisted_eval(f, X, U):
 
 
 @functools.lru_cache(maxsize=64)
-def default_twisted_grid(t: float = 0.4, resolution: int = 65) -> PlaneGrid:
-    """Trapezoid integration grid for twisted convolutions at desk scale.
+def default_twisted_grid(t: float = 0.4) -> PlaneGrid:
+    """Trapezoid integration grid for twisted convolutions at desk scale:
+    65 nodes per axis.
 
     Memoized: value-equal calls share one grid and so one node build.
     """
     h = math.sqrt(34.5 / (0.25 + 0.25 / math.tanh(t))) + 3.0
-    return PlaneGrid(boxes=((-h, h, -h, h),), resolution=resolution)
+    return PlaneGrid(boxes=((-h, h, -h, h),), resolution=65)
 
 
 def twisted_conv(f, g, z, w, grid: PlaneGrid):
@@ -608,8 +611,9 @@ class IntertwineReport:
     def residual(self) -> float:
         return max(self.residual_x, self.residual_u)
 
-    def passes(self, tol: float = 1e-6) -> bool:
-        return self.residual <= tol
+    def passes(self) -> bool:
+        """Whether both relations hold to 1e-6."""
+        return self.residual <= 1e-6
 
 
 _DEFAULT_POINTS = (
@@ -622,41 +626,42 @@ _DEFAULT_POINTS = (
 _POINT_Z, _POINT_W = np.asarray(_DEFAULT_POINTS, dtype=complex).T
 
 
-def intertwine_check(f, t: float, convention: int = +1) -> IntertwineReport:
-    """Residuals of both first-order relations under a sign convention.
+def intertwine_check(f, t: float) -> tuple[IntertwineReport, IntertwineReport]:
+    """Residuals of both first-order relations under each sign convention.
 
-    ``convention`` selects a = convention * coth(t)/2 (the two candidate
-    conventions differ in this sign).  For each point of ``_DEFAULT_POINTS``
-    the relation residual |LHS - RHS| / (1 + |RHS|) is evaluated with the
-    left side computed through the semigroup quadrature and the right side
-    through the coordinate multipliers; the report keeps the max over
-    points.
+    The two candidate conventions a = +coth(t)/2 and a = -coth(t)/2 differ
+    in this sign; the reports come as the (+, -) pair, both read against
+    one image e^{-tL} f, so a call makes five semigroup evaluations.  For
+    each point of ``_DEFAULT_POINTS`` the relation residual
+    |LHS - RHS| / (1 + |RHS|) is evaluated with the left side computed
+    through the semigroup quadrature and the right side through the
+    coordinate multipliers; each report keeps the max over points.
     """
-    if convention not in (+1, -1):
-        raise ValueError("convention must be +1 or -1")
     if t <= 0:
         raise ValueError("t must be positive")
-    a = convention * 0.5 / math.tanh(t)
     b = 0.5j
 
     C, rate = _as_polygauss(f)
     z, w = _POINT_Z, _POINT_W
     Ef = special_semigroup_apply(f, t, z, w)
-    rhs_x = (-a * z + b * w) * Ef
-    rhs_u = -(b * z + a * w) * Ef
-    lhs_x, lhs_u = (
-        special_semigroup_apply(
-            functools.partial(_polygauss_eval, _lower(C, rate, a, axis), rate), t, z, w
+
+    def report(convention: int) -> IntertwineReport:
+        a = convention * 0.5 / math.tanh(t)
+        lhs_x, lhs_u = (
+            special_semigroup_apply(
+                functools.partial(_polygauss_eval, _lower(C, rate, a, axis), rate), t, z, w
+            )
+            for axis in (0, 1)
         )
-        for axis in (0, 1)
-    )
-    return IntertwineReport(
-        convention=convention,
-        a_value=a,
-        residual_x=_max_residual(lhs_x, rhs_x),
-        residual_u=_max_residual(lhs_u, rhs_u),
-        points=_DEFAULT_POINTS,
-    )
+        return IntertwineReport(
+            convention=convention,
+            a_value=a,
+            residual_x=_max_residual(lhs_x, (-a * z + b * w) * Ef),
+            residual_u=_max_residual(lhs_u, -(b * z + a * w) * Ef),
+            points=_DEFAULT_POINTS,
+        )
+
+    return report(+1), report(-1)
 
 
 def _max_residual(lhs, rhs) -> float:
@@ -740,8 +745,9 @@ def special_image_handle(f, t: float) -> EntireHandle:
     )
 
 
-def default_special_grid(t: float = 0.4, resolution: int = 40, drop: float = 1e-12) -> PlaneGrid:
-    """Grid over C^2 sized for |Phi_ab|^2 W_t integrands (n = 1).
+def default_special_grid(t: float = 0.4, resolution: int = 40) -> PlaneGrid:
+    """Grid over C^2 sized for |Phi_ab|^2 W_t integrands (n = 1), out to
+    where the m = 0 integrand has dropped to 1e-12.
 
     The weighted integrand decays like exp(-(u-y)^2/2 - (coth 2t - 1) y^2)
     in the (u, y) pair and symmetrically in (x, v), so the real-part boxes
@@ -753,7 +759,7 @@ def default_special_grid(t: float = 0.4, resolution: int = 40, drop: float = 1e-
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    budget = -math.log(drop)
+    budget = -math.log(1e-12)
     c = 2.0 / math.expm1(4 * t)  # coth 2t - 1, without the cancellation
     h_im = math.sqrt(budget / c) + 1.5
     h_re = math.sqrt(budget * (1 + 2 * c) / c) + 1.5

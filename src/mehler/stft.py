@@ -83,11 +83,14 @@ def _stft_nodes(f: TestFunction, a: float, c: float, rule: QuadRule | None, x):
     T_a f(z) = (2 pi)^{-1/2} sum base(u) e^{-izu}.  A point mass is one node
     of weight c e^{-a u0^2/2}; a bump runs Gauss-Legendre over its support;
     Gaussian-decay members a scaled Gauss-Hermite rule.  ``x`` holds the
-    requested Re z; rules too coarse for their oscillation raise.
+    requested Re z; rules too coarse for their oscillation raise, and so
+    does a point mass outside R^1.
     """
     max_x = float(np.max(np.abs(x))) if np.size(x) else 0.0
     if isinstance(f, Dirac):
-        u0 = f.point[0]
+        if len(f.point) != 1:
+            raise ValueError(f"point mass in R^{len(f.point)}: the transform is on R^1")
+        (u0,) = f.point
         return np.array([u0]), np.array([c * math.exp(-0.5 * a * u0 * u0)])
     rule = rule or gauss_hermite_rule(128)
     if isinstance(f, Bump):
@@ -228,12 +231,12 @@ def compact_growth_check(
     t: float,
     grid: PlaneGrid,
     radius: float | None = None,
-    rule: QuadRule | None = None,
 ) -> EnvelopeReport:
     """Sup of |e^{-tH} f| / (e^{-coth(2t)(x^2-y^2)/2} e^{R|x|/sinh 2t}).
 
     ``f`` must carry exact support data: a point mass (R defaults to |u0|)
-    or a bump (R defaults to its radius).  A radius smaller than the true
+    or a bump (R defaults to its radius; its image runs the 128-point
+    Gauss-Hermite rule).  A radius smaller than the true
     support makes the sup grow without bound as the grid box widens, which
     is the detection mechanism for support violations.
     """
@@ -241,7 +244,7 @@ def compact_growth_check(
         handle: EntireHandle = MehlerSliceHandle(t, f.point)
         default_radius = abs(f.point[0])
     elif isinstance(f, Bump):
-        handle = KernelImageHandle(f, t, rule or gauss_hermite_rule(128))
+        handle = KernelImageHandle(f, t, gauss_hermite_rule(128))
         default_radius = f.radius
     else:
         raise ValueError("compact-support checks need a point mass or a bump")

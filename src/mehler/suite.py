@@ -14,6 +14,11 @@ map of the verified statements.  Reports serialize to JSON with stable key
 order; two runs with the same config produce byte-identical output apart
 from the timing fields and the ``environment`` block (Python, numpy and
 BLAS versions, CPU count), which are written only with the timings.
+
+The checks run at n = 1 only, so the config has no dimension field, and a
+config key that is absent keeps its field's default.  The intertwining
+check reads both sign conventions from one twisted image per input
+(:func:`mehler.special.intertwine_check`).
 """
 
 import functools
@@ -100,7 +105,6 @@ def _whole(name: str, value) -> int:
 class SuiteConfig:
     """Serializable configuration of the verification suite."""
 
-    n: int = 1
     N: int = 48
     quad: int = 128
     t: tuple[float, ...] = (0.3, 0.5)
@@ -111,7 +115,7 @@ class SuiteConfig:
     seed: int = 12345
 
     def __post_init__(self):
-        for name in ("n", "N", "quad", "grid_res", "seed"):
+        for name in ("N", "quad", "grid_res", "seed"):
             object.__setattr__(self, name, _whole(name, getattr(self, name)))
         object.__setattr__(self, "t", tuple(float(v) for v in self.t))
         object.__setattr__(self, "m", tuple(_whole("m", v) for v in self.m))
@@ -119,8 +123,6 @@ class SuiteConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.n != 1:
-            raise ConfigError("the verification suite runs at dimension n = 1")
         if not 0 <= self.N <= 128:
             raise ConfigError("N must be in [0, 128]")
         if not 1 <= self.quad <= 512:
@@ -141,9 +143,6 @@ class SuiteConfig:
         if not all(math.isfinite(v) for v in (*self.t, *b, *self.tol.values())):
             raise ConfigError("t, grid box and tolerances must be finite")
 
-    def tolerance(self, name: str) -> float:
-        return float(self.tol.get(name, DEFAULT_TOLERANCES[name]))
-
     @property
     def special_res(self) -> int:
         """Nodes per axis of the C^2 weighted-norm grids (32 at least)."""
@@ -159,7 +158,6 @@ class SuiteConfig:
     def to_dict(self) -> dict:
         return {
             "schema": SCHEMA,
-            "n": self.n,
             "N": self.N,
             "quad": self.quad,
             "t": list(self.t),
@@ -169,8 +167,8 @@ class SuiteConfig:
             "seed": self.seed,
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
@@ -178,8 +176,8 @@ class SuiteConfig:
             raise ConfigError("config must be a JSON object")
         if str(data.get("schema", SCHEMA)) != SCHEMA:
             raise ConfigError(f"unsupported schema {data.get('schema')!r}")
-        known = {"schema", "n", "N", "quad", "t", "m", "grid", "tol", "seed"}
-        unknown = set(data) - known
+        top = ("N", "quad", "t", "m", "seed")
+        unknown = set(data) - {"schema", "grid", "tol", *top}
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         grid, tol = data.get("grid", {}), data.get("tol", {})
@@ -188,18 +186,11 @@ class SuiteConfig:
         unknown = set(grid) - {"box", "res"}
         if unknown:
             raise ConfigError(f"unknown grid keys {sorted(unknown)}")
+        # an absent key keeps the field's default
+        present = {key: data[key] for key in top if key in data}
+        present.update({f"grid_{key}": value for key, value in grid.items()})
         try:
-            return cls(
-                n=data.get("n", 1),
-                N=data.get("N", 48),
-                quad=data.get("quad", 128),
-                t=tuple(data.get("t", (0.3, 0.5))),
-                m=tuple(data.get("m", (0, 1, 2))),
-                grid_box=tuple(grid.get("box", (-8.0, 8.0, -6.0, 6.0))),
-                grid_res=grid.get("res", 128),
-                tol={str(k): float(v) for k, v in tol.items()},
-                seed=data.get("seed", 12345),
-            )
+            return cls(**present, tol={str(k): float(v) for k, v in tol.items()})
         except (TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise
@@ -286,9 +277,9 @@ class SuiteReport:
             out["environment"] = _environment()
         return out
 
-    def to_json(self, indent: int | None = 2, include_timing: bool = True) -> str:
+    def to_json(self, include_timing: bool = True) -> str:
         return json.dumps(
-            self.to_dict(include_timing), indent=indent, sort_keys=True, allow_nan=False
+            self.to_dict(include_timing), indent=2, sort_keys=True, allow_nan=False
         )
 
     def lines(self) -> list[str]:
@@ -498,10 +489,10 @@ def check_reproducing(config: SuiteConfig, entry: _Entry) -> _Measured:
     return _Measured(worst, details=f"res={grid.resolution}")
 
 
-def _envelope_grid(config: SuiteConfig, resolution: int | None = None) -> PlaneGrid:
+def _envelope_grid(config: SuiteConfig) -> PlaneGrid:
     """Sup-hunting grid: uniform nodes, odd count, so symmetric boxes hit
     their midpoint (where several closed-form suprema sit) exactly."""
-    res = resolution or max(48, config.grid_res // 2)
+    res = max(48, config.grid_res // 2)
     if res % 2 == 0:
         res += 1
     return PlaneGrid(boxes=(config.grid_box,), resolution=res)
@@ -550,7 +541,8 @@ def check_schwartz_envelopes(config: SuiteConfig, entry: _Entry) -> _Measured:
 @_check("intertwining-relations", "Lemma 4.3", 1e-6)
 def check_intertwine(config: SuiteConfig, entry: _Entry) -> _Measured:
     """First-order intertwining relations: exactly one sign convention
-    passes, and the composed coordinate-product relation holds."""
+    passes, both read against one image per input, and the composed
+    coordinate-product relation holds."""
     tol = entry.tolerance(config)
     times = (0.4, 0.5)
     worst_valid = 0.0
@@ -559,8 +551,7 @@ def check_intertwine(config: SuiteConfig, entry: _Entry) -> _Measured:
     for t in times:
         fns = [Gaussian2n(1.0 / math.tanh(t)), Gaussian2n(1.0), SpecialHermiteBasis((0,), (0,))]
         for f in fns:
-            rep_p = intertwine_check(f, t, +1)
-            rep_m = intertwine_check(f, t, -1)
+            rep_p, rep_m = intertwine_check(f, t)
             worst_valid = max(worst_valid, rep_p.residual)
             other_min = min(other_min, rep_m.residual)
         composed = max(composed, composed_intertwine_residual(Gaussian2n(1.0), t))

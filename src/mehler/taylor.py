@@ -41,9 +41,6 @@ class TaylorScalar:
     def order(self) -> int:
         return len(self.coef) - 1
 
-    def value(self):
-        return self.coef[0]
-
     def derivative(self, k: int):
         """The k-th derivative at the expansion point."""
         if not 0 <= k <= self.order:

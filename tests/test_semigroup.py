@@ -420,6 +420,26 @@ def test_bergman_grid_resolution_is_odd():
     assert default_bergman_grid(0.3).resolution == 129
 
 
+@pytest.mark.parametrize(
+    "job, message",
+    [
+        (lambda h, g: bergman_norm(h, -0.3, 0, g), "t must be positive"),
+        (lambda h, g: bergman_norm(h, 0.0, 0, g), "t must be positive"),
+        (lambda h, g: bergman_norm(h, 0.3, -1, g), "m must be >= 0"),
+        (lambda h, g: calibrate_weight(-0.3, 1, None, g), "t must be positive"),
+        (lambda h, g: reproduce(h, -0.3, 0.5, g, 1.0), "t must be positive"),
+    ],
+    ids=["norm-t<0", "norm-t=0", "norm-m<0", "calibration-t<0", "reproduce-t<0"],
+)
+def test_c_weighted_jobs_name_a_bad_time_or_order(job, message):
+    # as bergman_norm_special does; these once failed inside the weight
+    # ("factorial() not defined for negative values", "math domain error")
+    grid = default_bergman_grid(0.3, resolution=33)
+    handle = semigroup_handle(HermiteBasis((1,)), 0.3, "spectral")
+    with pytest.raises(ValueError, match=message):
+        job(handle, grid)
+
+
 @pytest.mark.parametrize("job", ["norm-m0", "norm-m2", "calibration"])
 def test_c_sums_on_a_coarse_grid_are_named(job):
     # at 9 nodes per axis the sums move by far more than 1e-2 of their

@@ -254,8 +254,9 @@ def test_intertwine_exactly_one_convention():
     for t in (0.4, 0.5):
         for f in (Gaussian2n(1.0 / math.tanh(t)), Gaussian2n(1.0),
                   SpecialHermiteBasis((0,), (0,))):
-            plus = intertwine_check(f, t, +1)
-            minus = intertwine_check(f, t, -1)
+            plus, minus = intertwine_check(f, t)
+            assert (plus.convention, minus.convention) == (+1, -1)
+            assert plus.a_value == -minus.a_value == 0.5 / math.tanh(t)
             assert plus.residual <= 1e-6
             assert minus.residual > 1e-3
             assert plus.passes() and not minus.passes()
@@ -273,8 +274,9 @@ def test_intertwine_exact_route_for_basis_members(ab):
         special._polygauss_eval(*special._as_polygauss(f), x, u), twisted_eval(f, x, u),
         rtol=0, atol=1e-15,
     )
-    assert intertwine_check(f, 0.4, +1).residual <= 1e-14
-    assert intertwine_check(f, 0.4, -1).residual > 1e-3
+    plus, minus = intertwine_check(f, 0.4)
+    assert plus.residual <= 1e-14
+    assert minus.residual > 1e-3
     assert composed_intertwine_residual(f, 0.4) <= 1e-14
 
 
@@ -285,9 +287,25 @@ def test_intertwine_exact_route_for_basis_members(ab):
 )
 def test_intertwine_refuses_inputs_without_a_polynomial_gaussian_form(f):
     with pytest.raises(ValueError, match="polynomial Gaussian"):
-        intertwine_check(f, 0.4, +1)
+        intertwine_check(f, 0.4)
     with pytest.raises(ValueError, match="polynomial Gaussian"):
         composed_intertwine_residual(f, 0.4)
+
+
+def test_intertwine_check_reads_both_signs_from_one_image(monkeypatch):
+    # one image e^{-tL} f and the two left sides of each sign: five
+    # semigroup evaluations, where a call per sign made six each
+    calls = []
+
+    def recording(f, t, z, w):
+        calls.append(f)
+        return special_semigroup_apply(f, t, z, w)
+
+    monkeypatch.setattr(special, "special_semigroup_apply", recording)
+    f = Gaussian2n(1.0)
+    intertwine_check(f, 0.4)
+    assert len(calls) == 5
+    assert calls[0] is f
 
 
 def test_composed_relation():
@@ -325,7 +343,8 @@ def test_default_twisted_grid_is_shared():
     grid = default_twisted_grid(0.3)
     assert default_twisted_grid(0.3) is grid
     assert default_twisted_grid(0.3).nodes()[0] is grid.nodes()[0]
-    assert default_twisted_grid(0.3, 64) is not grid
+    assert default_twisted_grid(0.4) is not grid
+    assert grid.resolution == 65
 
 
 def _grid_planes(grid):

@@ -144,13 +144,27 @@ def test_config_round_trip():
 def test_config_json_schema_shape():
     data = SuiteConfig().to_dict()
     assert data["schema"] == "1"
-    assert set(data) == {"schema", "n", "N", "quad", "t", "m", "grid", "tol", "seed"}
+    assert set(data) == {"schema", "N", "quad", "t", "m", "grid", "tol", "seed"}
     assert set(data["grid"]) == {"box", "res"}
 
 
+def test_config_carrying_n_is_rejected(tmp_path, capsys):
+    # the suite runs at n = 1 only, so the config has no dimension key, and
+    # one that still carries it (even at its one old value) is an error
+    with pytest.raises(ConfigError, match="'n'"):
+        SuiteConfig.from_json('{"n": 1}')
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**SuiteConfig().to_dict(), "n": 1}))
+    assert cli_main(["suite", "--config", str(cfg_path)]) == 2
+    assert "config error: unknown config keys ['n']" in capsys.readouterr().err
+
+
+def test_config_from_dict_keeps_the_defaults_of_absent_keys():
+    assert SuiteConfig.from_dict({}) == SuiteConfig()
+    assert SuiteConfig.from_dict({"grid": {"res": 64}}) == SuiteConfig(grid_res=64)
+
+
 def test_invalid_configs_rejected():
-    with pytest.raises(ConfigError):
-        SuiteConfig(n=2)
     with pytest.raises(ConfigError):
         SuiteConfig(quad=0)
     with pytest.raises(ConfigError):
@@ -253,7 +267,7 @@ def test_crashed_check_keeps_registered_name_and_strict_json(monkeypatch):
     assert report.checks[0].theorem == "eq. (2.1)"
     assert report.checks[-1].name == "determinism"
     assert report.checks[-1].theorem == "harness"
-    assert report.checks[0].tol == SuiteConfig().tolerance("hermite-orthonormality")
+    assert report.checks[0].tol == CHECKS[0].entry.tolerance(SuiteConfig())
     data = json.loads(report.to_json(), parse_constant=pytest.fail)
     assert data["checks"][0]["metric"] is None
     assert data["checks"][1]["metric"] == 0.5
@@ -540,7 +554,6 @@ def test_cli_suite_reduced(tmp_path, capsys):
     # a reduced-accuracy run exercises report writing and the exit status
     config = {
         "schema": "1",
-        "n": 1,
         "N": 48,
         "quad": 128,
         "t": [0.3, 0.5],
@@ -567,3 +580,24 @@ def test_cli_suite_bad_config(tmp_path, capsys):
         code = cli_main(["suite", "--config", str(cfg_path)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+
+def test_cli_suite_overrides_replace_only_their_fields(tmp_path, monkeypatch):
+    from mehler import cli
+    from mehler.suite import SuiteReport
+
+    seen = []
+
+    def recording(config):
+        seen.append(config)
+        return SuiteReport(config=config, checks=[])
+
+    monkeypatch.setattr(cli, "run_suite", recording)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"grid": {"res": 96}, "seed": 7}))
+    argv = ["suite", "--config", str(cfg_path), "--N", "32", "--t", "0.4", "--t", "0.6"]
+    assert cli_main(argv) == 0
+    assert seen == [SuiteConfig(N=32, t=(0.4, 0.6), grid_res=96, seed=7)]
+    # an override out of range is a config error, as in the file
+    assert cli_main(["suite", "--config", str(cfg_path), "--quad", "0"]) == 2
+    assert len(seen) == 1
