@@ -8,7 +8,10 @@ with Gaussian decay, where the trapezoid rule converges geometrically
 (Trefethen and Weideman, SIAM Review 56, 2014).  At an odd resolution
 every second node of an axis, at twice its weight, is the rule of twice
 the step, so a plane sum checks its own step in the same pass
-(:func:`_check_half_step`).  The 1-D Gauss-Legendre rule serves compact
+(:func:`_check_half_step`).  The axes of a box symmetric about 0 are
+exactly antisymmetric, so a summand whose value at x - iy is the conjugate
+of the one at x + iy is summed on the half y <= 0 at folded weights
+(:meth:`PlaneGrid.y_axis`).  The 1-D Gauss-Legendre rule serves compact
 supports (bumps) and the kernel's s-integral.
 
 Both Gauss rules come from their three-term recurrences: Newton's method
@@ -325,22 +328,64 @@ class PlaneGrid:
 
     def axis(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights of real axis k (0: x, 1: y, 2: u, 3: v);
-        read-only arrays shared by every caller."""
+        read-only arrays shared by every caller.
+
+        Node k of n on [a, b] is mid + half (2k - (n - 1)) / (n - 1), with
+        the end nodes set to a and b: the nodes of a box symmetric about 0
+        are then exactly antisymmetric, which ``np.linspace`` is not (it
+        misses by up to 1.8e-15 on ``default_bergman_grid(0.3, 65)``)."""
         return self._axes[k]
+
+    def y_axis(self, mirrored: bool) -> tuple[np.ndarray, np.ndarray, bool]:
+        """(nodes, weights, folded): the y-axis that a sum or scan over a
+        grid on C runs on.
+
+        ``mirrored`` states that the summand at x - iy is the conjugate of
+        the one at x + iy.  So it is for |F|^2, F conj(G) and F times a
+        kernel table when F and G are real on R (F(conj z) = conj F(z),
+        Schwarz reflection), since every weight, kernel factor and growth
+        bound on C depends on y through y^2 alone.  When it holds, the grid
+        is over one complex coordinate, and its y nodes are exactly
+        antisymmetric about a centre node 0 (an odd resolution), the nodes
+        are the half y <= 0, each mirrored node's weight added to its
+        partner's and the centre's counted once, and ``folded`` is True.
+        Every second folded node, at twice its weight, is the folded rule of
+        twice the step, as on the whole axis.  Otherwise they are
+        ``axis(1)``.  The arrays are read-only and shared.
+        """
+        if mirrored and self._folded_y is not None:
+            return (*self._folded_y, True)
+        return (*self._axes[1], False)
 
     @cached_property
     def _axes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        n = self.resolution
+        steps = (2.0 * np.arange(n) - (n - 1)) / (n - 1)
         axes = []
         for box in self.boxes:
             for a, b in ((box[0], box[1]), (box[2], box[3])):
-                x = np.linspace(a, b, self.resolution)
-                w = np.full(self.resolution, (b - a) / (self.resolution - 1))
+                x = 0.5 * (a + b) + 0.5 * (b - a) * steps
+                x[0], x[-1] = a, b
+                w = np.full(n, (b - a) / (n - 1))
                 w[0] *= 0.5
                 w[-1] *= 0.5
                 x.flags.writeable = False
                 w.flags.writeable = False
                 axes.append((x, w))
         return tuple(axes)
+
+    @cached_property
+    def _folded_y(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The y <= 0 nodes and their folded weights, or None where the
+        y-axis does not fold (see :meth:`y_axis`)."""
+        y, w = self._axes[1]
+        if self.ncoords != 1 or self.resolution % 2 == 0 or not np.array_equal(y, -y[::-1]):
+            return None
+        half = self.resolution // 2 + 1
+        folded = w[:half] + w[::-1][:half]
+        folded[-1] = w[half - 1]
+        folded.flags.writeable = False
+        return y[:half], folded
 
     def nodes(self) -> tuple[np.ndarray, ...]:
         """Flattened coordinate arrays plus the weight array (last).

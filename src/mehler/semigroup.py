@@ -22,6 +22,14 @@ depend on, and the scan joins them per bound in one reused block buffer.
 The refined grid keeps every node of the grid, so one scan of it gives
 both sups; ``envelopes`` runs several bounds on that one scan.
 
+An image that is real on R (``EntireHandle.real_on_real_axis``) satisfies
+F(conj z) = conj F(z), and the weight U_t, its t-derivatives, the kernel's
+cross table and every growth bound on C depend on y through y^2 alone.  So
+on a grid symmetric in y, ``bergman_norm``, ``reproduce`` and the envelope
+scan evaluate F on the half y <= 0 only, and ``calibrate_weight`` sums its
+real probes there, at the folded weights of
+:meth:`mehler.quadrature.PlaneGrid.y_axis`.
+
 Every grid job here walks the open mesh of the grid's axes and takes F in
 split form P e^E (``EntireHandle.eval_grid_parts``; for a spectral image
 E = log h_0(z), whose real part (y^2 - x^2)/2 separates over the axes; for
@@ -128,7 +136,8 @@ class EnvelopeReport:
     ``coarse_abs`` holds |F| at the nodes of ``grid``, shaped like its
     open mesh, one axis per real coordinate; None when no scan ran.  It is
     read off the scan of the refined grid, whose every second node on each
-    axis is a node of ``grid``.  The scan forms
+    axis is a node of ``grid``, and mirrored from y <= 0 where the scan ran
+    on that half (F real on R, a grid symmetric in y).  The scan forms
     log|F|, so an entry whose |F| passes the largest double reads inf while
     the ratio and its sup stay finite.
     """
@@ -154,7 +163,10 @@ class EnvelopeReport:
 
 
 class MehlerSliceHandle(EntireHandle):
-    """Heat-transform image of a point mass: z -> K_t(z, source)."""
+    """Heat-transform image of a point mass: z -> K_t(z, source), real on
+    R^n for a real source."""
+
+    real_on_real_axis = True
 
     def __init__(self, time: float, source, dimension: int = 1):
         if time <= 0:
@@ -221,6 +233,7 @@ class KernelImageHandle(EntireHandle):
             self._nodes = scale * rule.nodes
             self._weights = scale * rule.plain_weights
         self._samples = self._weights * eval_test_function(self.f, self._nodes)
+        self.real_on_real_axis = not np.any(np.imag(self._samples))
 
     def eval_grid(self, X, Y) -> np.ndarray:
         Z = np.asarray(X) + 1j * np.asarray(Y)
@@ -327,13 +340,18 @@ def bergman_norm(
     than 1e-2 of the sum of the terms' moduli, the grid is too coarse for
     the integrand and :class:`mehler.quadrature.QuadratureError` is raised
     rather than a wrong value returned.
+
+    The integrand is even in y when F is real on R, so on a grid symmetric
+    in y the table covers the half y <= 0 alone, at the folded weights of
+    :meth:`~mehler.quadrature.PlaneGrid.y_axis`; every second node of that
+    half, at twice its weight, is still the rule of twice the step.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     if m < 0:
         raise ValueError("m must be >= 0")
     x, wx = grid.axis(0)
-    y, wy = grid.axis(1)
+    y, wy, _ = grid.y_axis(handle.real_on_real_axis)
     P, E = handle.eval_grid_parts(x[:, None], y[None, :])
     # |F|^2 U_t / (jets) = |P|^2 e^{2 Re E + tanh(2t) x^2 - coth(2t) y^2}
     expo = np.add.outer(
@@ -385,6 +403,13 @@ def calibrate_weight(
     :class:`mehler.quadrature.QuadratureError` where the two differ by more
     than 1e-2 of it; the off-diagonal integrals must vanish, which checks
     the rule on them.
+
+    The probes are real on R, so on a grid symmetric in y every integrand
+    is summed over the half y <= 0 at the folded weights of
+    :meth:`~mehler.quadrature.PlaneGrid.y_axis`: |P_k|^2 and Re P_k
+    conj(P_l) are even in y, and Im P_k conj(P_l) is odd, so an
+    off-diagonal integral is real there and its imaginary part is exactly
+    0, not summed from roundoff.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -399,7 +424,7 @@ def calibrate_weight(
     kmax = max(sum(a) for a in alphas)
 
     x, wx = grid.axis(0)
-    y, wy = grid.axis(1)
+    y, wy, folded = grid.y_axis(True)
     ladder = np.empty((kmax + 1, len(x), len(y)), dtype=complex)
     for k, (p, scale) in enumerate(_poly_parts(kmax, x[:, None] + 1j * y[None, :])):
         if scale is not None:
@@ -414,7 +439,8 @@ def calibrate_weight(
     # already wakes the BLAS thread pool (see quadrature.real_matmul)
     def integral(a, b):
         prod = ladder[sum(a)] * np.conj(ladder[sum(b)])
-        return pref * complex(tx @ prod.real @ ty, tx @ prod.imag @ ty)
+        imag = 0.0 if folded else tx @ prod.imag @ ty
+        return pref * complex(tx @ prod.real @ ty, imag)
 
     ratios: dict[MultiIndex, float] = {}
     for a in alphas:
@@ -453,7 +479,15 @@ def reproduce(
     s = sinh 4t and c = coth 4t.  T joins F = P e^E (``eval_grid_parts``),
     the weight U_t and the node weights in one (x, y) table, with E, the
     Gaussian of U_t and the exponent of T in one complex exp, and all
-    points cost one matrix product.
+    points cost the four real products of A by the table.
+
+    When F is real on R and the grid is symmetric in y, the table covers the
+    half y <= 0 alone, at the folded weights of
+    :meth:`~mehler.quadrature.PlaneGrid.y_axis`: the table at x - iy is the
+    conjugate of the one at x + iy, so the same four products give A T and
+    A conj(T), which meet B at y and at -y.  Halving their sum undoes the
+    folded weights, which count each mirrored node twice and the centre
+    once (where the table is real).
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -467,7 +501,7 @@ def reproduce(
         raise ValueError("point coordinates must be finite")
     zs = zs.reshape(-1)
     x, wx = grid.axis(0)
-    y, wy = grid.axis(1)
+    y, wy, folded = grid.y_axis(handle.real_on_real_axis)
     X, Y = x[:, None], y[None, :]
     P, E = handle.eval_grid_parts(X, Y)
     s = math.sinh(4 * t)
@@ -485,8 +519,15 @@ def reproduce(
     zc = zs[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         A = np.exp(-0.5 * c * (a * a + x * x) + zc * x / s - 1j * c * a * b)
-        B = np.exp(0.5 * c * b * b - 1j * zc * y / s)
-        vals = np.sum(real_matmul(A, table) * B, axis=1)
+        # log B = gauss - izy; its mirror at -y is gauss + izy
+        gauss, izy = 0.5 * c * b * b, 1j * zc * y / s
+        # A T as real products (quadrature.real_matmul), kept for A conj(T)
+        rr, ii = real_matmul(A.real, table.real), real_matmul(A.imag, table.imag)
+        ri, ir = real_matmul(A.real, table.imag), real_matmul(A.imag, table.real)
+        vals = np.sum(((rr - ii) + 1j * (ri + ir)) * np.exp(gauss - izy), axis=1)
+        if folded:
+            vals += np.sum(((rr + ii) + 1j * (ir - ri)) * np.exp(gauss + izy), axis=1)
+            vals *= 0.5
         vals *= (2.0 * math.pi * s) ** -0.5 * kappa
     _finite(vals, "reproducing integral")
     return complex(vals[0]) if single else vals
@@ -561,6 +602,13 @@ def _scan(handle: EntireHandle, bounds, grid: PlaneGrid):
     """One scan of the nodes of ``grid.refine(2)`` against every bound of
     ``bounds``.
 
+    When F is real on R and the refined grid is symmetric in y, the scan
+    walks its half y <= 0 alone (:meth:`~mehler.quadrature.PlaneGrid.y_axis`)
+    and mirrors |F| into the other half of the coarse table.  |F| is even
+    in y there, and so is every bound on C (each depends on y through y^2),
+    so the sups are those of the whole grid, and so is the argmax: the
+    first row-major maximum of a ratio that is even in y lies at y <= 0.
+
     Returns (sups, argmaxes, coarse sups, coarse |F|): per bound, the sup
     of |F|^p / bound over the refined nodes and the node attaining it
     (p = 1 for bounds on the modulus, 2 otherwise), the sup per bound over
@@ -577,12 +625,20 @@ def _scan(handle: EntireHandle, bounds, grid: PlaneGrid):
     too), formed once per block.  The log ratio is summed divided by p,
     which is exact for p = 2, and its maxima are scaled back.
     """
+    fine = grid.refine(2)
+    y, _, folded = fine.y_axis(handle.real_on_real_axis)
     sups = [-math.inf] * len(bounds)
     args: list = [None] * len(bounds)
     coarse_sups = [-math.inf] * len(bounds)
-    coarse_abs = np.empty((grid.resolution,) * (2 * grid.ncoords))
+    n = grid.resolution
+    coarse_abs = np.empty((n,) * (2 * grid.ncoords))
+    # the grid's y nodes that the scan reaches: all, or the half y <= 0
+    # (the last axis on C; nothing folds on C^2)
+    scanned = coarse_abs[..., : (len(y) + 1) // 2]
     buf = tmp = None
-    for rows, block in _mesh_blocks(grid.refine(2)):
+    for rows, block in _mesh_blocks(fine):
+        if folded:
+            block = (block[0], y.reshape(1, -1))
         shape = np.broadcast_shapes(*(c.shape for c in block))
         if buf is None:
             buf = np.empty(shape)
@@ -608,7 +664,7 @@ def _scan(handle: EntireHandle, bounds, grid: PlaneGrid):
         coarse = (slice(rows.start % 2, None, 2),) + (slice(None, None, 2),) * (len(shape) - 1)
         first = (rows.start + 1) // 2
         count = len(range(rows.start % 2, shape[0], 2))
-        _sum_into(coarse_abs[first : first + count], [_at_nodes(e, coarse) for e in pieces])
+        _sum_into(scanned[first : first + count], [_at_nodes(e, coarse) for e in pieces])
         for j, bound in enumerate(bounds):
             p = 1 if bound.on_modulus else 2
             terms, power, squares = bound.log_parts(*block)
@@ -636,7 +692,10 @@ def _scan(handle: EntireHandle, bounds, grid: PlaneGrid):
             if out[coarse].size:
                 coarse_sups[j] = max(coarse_sups[j], p * float(np.max(out[coarse])))
     with np.errstate(over="ignore"):
-        np.exp(coarse_abs, out=coarse_abs)
+        np.exp(scanned, out=scanned)
+    if folded:
+        # |F| is even in y: column j of the grid is column n - 1 - j
+        coarse_abs[:, scanned.shape[1] :] = scanned[:, n - scanned.shape[1] - 1 :: -1]
     return (
         [_exp_sup(s) for s in sups], args,
         [_exp_sup(s) for s in coarse_sups], coarse_abs,
@@ -651,7 +710,8 @@ def envelopes(handle: EntireHandle, bounds, grid: PlaneGrid) -> list[EnvelopeRep
     """:func:`envelope` against each bound of ``bounds``, in order, from
     one evaluation of F per node: the scan forms log|F| once per block and
     each bound subtracts its own log from it.  The reports share one
-    ``coarse_abs`` table."""
+    ``coarse_abs`` table.  For F real on R on a grid symmetric in y, the
+    nodes evaluated are those of the half y <= 0 (see :func:`envelope`)."""
     bounds = tuple(bounds)
     sups, argmaxes, coarse_sups, coarse_abs = _scan(handle, bounds, grid)
     reports = []
@@ -679,6 +739,12 @@ def envelope(handle: EntireHandle, bound: BoundSpec, grid: PlaneGrid) -> Envelop
     alike.  |F| at the grid's nodes comes back as ``coarse_abs``, so a
     caller that tables the grid need not evaluate it again.
     :func:`envelopes` runs several bounds on one scan.
+
+    When F is real on R (``handle.real_on_real_axis``) and the grid is
+    symmetric in y, the scan evaluates the half y <= 0 of the refined grid
+    alone: there |F| and every bound on C are even in y, so the sups and
+    the argmax (the first row-major maximum, which lies at y <= 0) are the
+    whole grid's, and ``coarse_abs`` mirrors the half it holds.
     """
     return envelopes(handle, (bound,), grid)[0]
 

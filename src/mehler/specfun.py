@@ -218,15 +218,19 @@ def _majorant(c: list, g: list, r: float) -> float:
 def _clenshaw(c: list, g: list, z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """e_0 = sum_k c_k P_k(z), from c and g as given by
     :func:`_sweep_constants`, swept backwards in place; ``out`` is the
-    scratch buffer, and e_0 lands in one of two further buffers."""
+    C-contiguous complex scratch buffer, and e_0 lands in one of two
+    further buffers."""
     # both sums in one allocation: separate large buffers were page-faulted
     # afresh on every call ([i, ...] keeps the rows of 0-d input arrays)
     work = np.zeros((2,) + z.shape, dtype=complex)
     e1, e2 = work[0, ...], work[1, ...]
+    # the real scale g_k multiplies both parts through a float view, not as
+    # the complex g_k + 0i, with the same result for finite values
+    out_parts = out.reshape(-1).view(float)
     for k in range(len(c) - 1, -1, -1):
         # e_k = g_k z e_{k+1} - e_{k+2} + c_k, written over e_{k+2}
         np.multiply(z, e1, out=out)
-        out *= g[k]
+        out_parts *= g[k]
         np.subtract(out, e2, out=e2)
         if c[k]:
             e2 += c[k]
@@ -268,7 +272,7 @@ def hermite_series_parts(coef, z) -> tuple[np.ndarray, np.ndarray]:
     r = float(np.abs(z).max(initial=0.0))
     if not (math.isfinite(r) and _majorant(c, g, r) <= _SWEEP_LIMIT):
         return _rescaled_series(coef, z)
-    E = np.empty_like(z)
+    E = np.empty(z.shape, dtype=complex)
     P = _clenshaw(c, g, z, E)
     np.multiply(z, z, out=E)
     E *= -0.5

@@ -411,9 +411,20 @@ class EntireHandle:
     A subclass implements exactly one grid evaluator, ``eval_grid`` or
     ``eval_grid_parts``; each default is written in terms of the other, so
     one that implements neither recurses.
+
+    ``real_on_real_axis`` is True for a function on C that is real on R, so
+    F(conj z) = conj F(z) (Schwarz reflection) and |F| is even in y: the
+    heat images of real data (a spectral image with real coefficients, the
+    point-mass slice K_t(., x0), a kernel-mode image with real samples).
+    The weighted sums and envelope scans on C then run on the y <= 0 half
+    of a grid that is symmetric in y (:meth:`~mehler.quadrature.PlaneGrid.y_axis`),
+    and a value at y > 0 is the conjugate of its mirror's.  It is derived
+    from the handle's data, and False by default (closed forms, windowed
+    transforms, every handle on C^2), where every node is evaluated.
     """
 
     dimension: int = 1
+    real_on_real_axis: bool = False
 
     def eval(self, z) -> complex:
         """The value at one point z of C: ``eval_grid`` there."""
@@ -465,6 +476,11 @@ class SpectralHandle(EntireHandle):
         evaluator as the independent per-point evaluator that the suite
         checks grids against, and it is the whole path of scalar requests."""
         return eval_entire(self.expansion, self.time, z)
+
+    @property
+    def real_on_real_axis(self) -> bool:
+        """True for real coefficients on C: every Phi_a is real on R."""
+        return self.expansion.dimension == 1 and not np.any(self.expansion.values.imag)
 
     def _grid_coefficients(self) -> np.ndarray:
         if self.expansion.dimension != 1:

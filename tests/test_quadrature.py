@@ -11,6 +11,7 @@ from mehler import (
     QuadratureError,
     QuadRule,
     bergman_weight,
+    default_bergman_grid,
     gauss_hermite_rule,
     gauss_legendre_rule,
     gaussian_box,
@@ -331,3 +332,76 @@ def test_plane_axes_built_once_and_read_only():
         np.testing.assert_array_equal(U, np.repeat(u, other.resolution))
         np.testing.assert_array_equal(V, np.tile(v, other.resolution))
         np.testing.assert_array_equal(W, np.outer(wu, wv).ravel())
+
+
+# the boxes the package builds: the suite's and the benchmark's Bergman
+# grids, the envelope boxes, and their refinements
+SYMMETRIC_GRIDS = [
+    ((-8.0, 8.0, -6.0, 6.0), 97),
+    ((-6.0, 6.0, -4.0, 4.0), 161),
+    ((-6.0, 6.0, -4.0, 4.0), 47),
+    ((-14.0, 14.0, -6.0, 6.0), 29),
+]
+
+
+@pytest.mark.parametrize(
+    "box, n",
+    SYMMETRIC_GRIDS
+    + [(default_bergman_grid(t, r).boxes[0], r + 1 - r % 2) for t, r in
+       ((0.3, 65), (0.25, 81), (0.25, 128), (0.45, 161), (0.5953, 160))],
+)
+def test_plane_axes_on_symmetric_boxes_are_exactly_antisymmetric(box, n):
+    grid = PlaneGrid(boxes=(box,), resolution=n)
+    for k, (a, b) in enumerate((box[:2], box[2:])):
+        x, w = grid.axis(k)
+        assert x[0] == a and x[-1] == b
+        np.testing.assert_array_equal(x, -x[::-1])
+        np.testing.assert_array_equal(w, w[::-1])
+        if n % 2:
+            assert x[n // 2] == 0.0
+        # the equispaced nodes, to the rounding of np.linspace
+        assert np.max(np.abs(x - np.linspace(a, b, n))) <= 2 * np.spacing(b)
+
+
+@pytest.mark.parametrize("n", [3, 9, 47, 161])
+def test_folded_y_axis_is_the_lower_half_at_summed_weights(n):
+    grid = PlaneGrid(boxes=((-3.0, 5.0, -4.0, 4.0),), resolution=n)
+    y, w = grid.axis(1)
+    half, folded, is_folded = grid.y_axis(True)
+    assert is_folded and len(half) == n // 2 + 1
+    np.testing.assert_array_equal(half, y[: n // 2 + 1])
+    assert half[-1] == 0.0 and np.all(half <= 0.0)
+    np.testing.assert_array_equal(folded[:-1], 2.0 * w[: n // 2])
+    assert folded[-1] == w[n // 2]
+    assert folded.sum() == pytest.approx(w.sum(), rel=1e-15)
+    # even and odd functions of y: the folded rule sums the first exactly
+    # as the whole axis does, and the second cancels on it
+    g = np.cos(y) + y**3
+    scale = float(w @ np.abs(g))
+    assert abs(float(folded @ np.cos(half)) - float(w @ g)) <= 1e-14 * scale
+    # the folded rule of twice the step is every second folded node at twice
+    # its weight, as on the whole axis
+    assert float(2.0 * folded[::2] @ np.cos(half[::2])) == pytest.approx(
+        float(2.0 * w[::2] @ np.cos(y[::2])), rel=1e-14
+    )
+    for a in (half, folded):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        PlaneGrid(boxes=((-8.0, 8.0, -6.0, 5.0),), resolution=97),  # not symmetric in y
+        PlaneGrid(boxes=((-8.0, 8.0, -6.0, 6.0),), resolution=96),  # no centre node
+        PlaneGrid(boxes=((-2.0, 2.0, -1.0, 1.0), (-2.0, 2.0, -1.0, 1.0)), resolution=9),
+    ],
+    ids=["asymmetric", "even", "two-coordinates"],
+)
+def test_y_axis_stays_whole_where_it_cannot_fold(grid):
+    for mirrored in (True, False):
+        y, w, folded = grid.y_axis(mirrored)
+        assert not folded
+        assert y is grid.axis(1)[0] and w is grid.axis(1)[1]
+    symmetric = PlaneGrid(boxes=((-8.0, 8.0, -6.0, 6.0),), resolution=97)
+    assert symmetric.y_axis(False)[0] is symmetric.axis(1)[0]

@@ -404,14 +404,15 @@ def _record_eval_grid(monkeypatch, cls, method="eval_grid"):
 def test_cli_envelope_evaluates_the_coarse_grid_once(tmp_path, monkeypatch):
     # the CSV tables the grid's nodes off the envelope's one scan of the
     # refined grid, which nests them; the scan takes the split form P e^E
-    # of the spectral image
+    # of the spectral image, real on R, on the y <= 0 half of the refined
+    # grid (24 of its 47 rows of y), and mirrors the rest
     sizes = _record_eval_grid(monkeypatch, SpectralHandle, "eval_grid_parts")
     out = tmp_path / "env.csv"
     code = cli_main(
         ["envelope", "--t", "0.3", "--m", "2", "--out", str(out), "--res", "24"]
     )
     assert code == 0
-    assert sizes == [47 * 47]
+    assert sizes == [47 * 24]
     with open(out) as fh:
         rows = list(csv.reader(fh))[1:]
     # each row tables |F|^2 at its own node (the default f is h_0)
