@@ -11,7 +11,9 @@ the step, so a plane sum checks its own step in the same pass
 (:func:`_check_half_step`).  The axes of a box symmetric about 0 are
 exactly antisymmetric, so a summand whose value at x - iy is the conjugate
 of the one at x + iy is summed on the half y <= 0 at folded weights
-(:meth:`PlaneGrid.y_axis`).  The 1-D Gauss-Legendre rule serves compact
+(:meth:`PlaneGrid.y_axis`), and a scan whose values repeat at mirrored
+nodes walks the half <= 0 of each mirrored axis it folds
+(:meth:`PlaneGrid.mirrored`).  The 1-D Gauss-Legendre rule serves compact
 supports (bumps) and the kernel's s-integral.
 
 Both Gauss rules come from their three-term recurrences: Newton's method
@@ -337,7 +339,7 @@ class PlaneGrid:
         return self._axes[k]
 
     def y_axis(self, mirrored: bool) -> tuple[np.ndarray, np.ndarray, bool]:
-        """(nodes, weights, folded): the y-axis that a sum or scan over a
+        """(nodes, weights, folded): the y-axis that a weighted sum over a
         grid on C runs on.
 
         ``mirrored`` states that the summand at x - iy is the conjugate of
@@ -356,6 +358,17 @@ class PlaneGrid:
         if mirrored and self._folded_y is not None:
             return (*self._folded_y, True)
         return (*self._axes[1], False)
+
+    def mirrored(self, k: int) -> bool:
+        """Whether the nodes of real axis k are exactly antisymmetric about
+        a centre node 0: an odd resolution on a box symmetric about 0 in
+        that coordinate (see :meth:`axis`)."""
+        return self._mirrored[k]
+
+    @cached_property
+    def _mirrored(self) -> tuple[bool, ...]:
+        odd = self.resolution % 2 == 1
+        return tuple(odd and bool(np.array_equal(x, -x[::-1])) for x, _ in self._axes)
 
     @cached_property
     def _axes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -379,7 +392,7 @@ class PlaneGrid:
         """The y <= 0 nodes and their folded weights, or None where the
         y-axis does not fold (see :meth:`y_axis`)."""
         y, w = self._axes[1]
-        if self.ncoords != 1 or self.resolution % 2 == 0 or not np.array_equal(y, -y[::-1]):
+        if self.ncoords != 1 or not self._mirrored[1]:
             return None
         half = self.resolution // 2 + 1
         folded = w[:half] + w[::-1][:half]

@@ -28,7 +28,11 @@ cross table and every growth bound on C depend on y through y^2 alone.  So
 on a grid symmetric in y, ``bergman_norm``, ``reproduce`` and the envelope
 scan evaluate F on the half y <= 0 only, and ``calibrate_weight`` sums its
 real probes there, at the folded weights of
-:meth:`mehler.quadrature.PlaneGrid.y_axis`.
+:meth:`mehler.quadrature.PlaneGrid.y_axis`.  On C^2, the modulus of a
+special Hermite function (``EntireHandle.reflection_invariant``) and every
+growth bound there are unchanged by rho_1: (x, v) -> (-x, -v) and
+rho_2: (y, u) -> (-y, -u), so on a grid symmetric about 0 the envelope scan
+walks the quarter x <= 0, y <= 0.
 
 Every grid job here walks the open mesh of the grid's axes and takes F in
 split form P e^E (``EntireHandle.eval_grid_parts``; for a spectral image
@@ -136,8 +140,9 @@ class EnvelopeReport:
     ``coarse_abs`` holds |F| at the nodes of ``grid``, shaped like its
     open mesh, one axis per real coordinate; None when no scan ran.  It is
     read off the scan of the refined grid, whose every second node on each
-    axis is a node of ``grid``, and mirrored from y <= 0 where the scan ran
-    on that half (F real on R, a grid symmetric in y).  The scan forms
+    axis is a node of ``grid``, and mirrored from the part the scan walked
+    where it folded (the half y <= 0 on C, the quarter x <= 0, y <= 0 on
+    C^2; see :func:`envelope`).  The scan forms
     log|F|, so an entry whose |F| passes the largest double reads inf while
     the ratio and its sup stay finite.
     """
@@ -545,40 +550,101 @@ _BLOCK_ENTRIES = 1 << 18
 _STABILITY = 0.05
 
 
-def _mesh_blocks(grid: PlaneGrid):
-    """(x-slice, coordinates) pairs walking every node of the grid.
+def _mesh_blocks(axes):
+    """(x-slice, coordinates) pairs walking every node of the open mesh of
+    ``axes``, the node arrays of a grid's real axes (x first).
 
-    The coordinates are the open mesh (``np.ix_``) of all real axes, one
-    complex coordinate or two alike, cut along x into blocks of at most
+    The coordinates are the open mesh (``np.ix_``) of all axes, one complex
+    coordinate or two alike, cut along x into blocks of at most
     _BLOCK_ENTRIES entries (one x-node at least), so no flattened nodes are
-    built.  Row-major order matches ``grid.nodes()``.
+    built.  A last row of its own joins the block before it, so a block of
+    one row comes only with blocks of one row (see :func:`_span`).
+    Row-major order matches ``grid.nodes()``.
     """
-    x, *rest = (grid.axis(k)[0] for k in range(2 * grid.ncoords))
-    n = grid.resolution
-    step = max(1, _BLOCK_ENTRIES // n ** len(rest))
-    for x0 in range(0, n, step):
-        rows = slice(x0, min(x0 + step, n))
-        yield rows, np.ix_(x[rows], *rest)
+    x, *rest = axes
+    step = max(1, _BLOCK_ENTRIES // math.prod(map(len, rest)))
+    starts = list(range(0, len(x), step))
+    if len(starts) > 1 and len(x) - starts[-1] == 1:
+        del starts[-1]
+    for x0, x1 in zip(starts, starts[1:] + [len(x)]):
+        yield slice(x0, x1), np.ix_(x[x0:x1], *rest)
 
 
-def _sum_into(out: np.ndarray, pieces, add: bool = False) -> None:
+def _scan_axes(handle: EntireHandle, fine: PlaneGrid):
+    """(axes, reflections): the node arrays of the refined grid's real axes
+    that the scan walks, and the reflections it folds by.
+
+    A reflection is a tuple of axes whose nodes it negates.  An image real
+    on R is even in y on C: ((1,),).  A handle on C^2 that is
+    ``reflection_invariant`` has rho_1 = (x, v) and rho_2 = (y, u):
+    ((0, 3), (1, 2)).  Every bound is invariant under them as well: on C it
+    depends on y through y^2, and on C^2 through squares, V X and U Y.  A
+    reflection folds where every axis it negates is mirrored
+    (:meth:`~mehler.quadrature.PlaneGrid.mirrored`), and the scan then walks
+    only the half <= 0 of its first axis, centre node included.
+    """
+    if fine.ncoords == 1:
+        reflections = ((1,),) if handle.real_on_real_axis else ()
+    else:
+        reflections = ((0, 3), (1, 2)) if handle.reflection_invariant else ()
+    reflections = tuple(r for r in reflections if all(fine.mirrored(k) for k in r))
+    halved = {r[0] for r in reflections}
+    h = (fine.resolution + 1) // 2
+    axes = [fine.axis(k)[0] for k in range(2 * fine.ncoords)]
+    return [a[:h] if k in halved else a for k, a in enumerate(axes)], reflections
+
+
+def _unfold(table: np.ndarray, reflections) -> None:
+    """Fill ``table`` (one axis per real coordinate, n nodes each) from the
+    part the scan walked, the half <= 0 of each reflection's first axis.
+
+    Node j of an axis mirrors node n - 1 - j.  The reflections are undone
+    last first: each copies its mirror image into the other half of its
+    first axis, within the halves of the axes folded before it.
+    """
+    n = table.shape[0]
+    h = (n + 1) // 2
+    for i in reversed(range(len(reflections))):
+        head, *rest = reflections[i]
+        dst = [slice(None)] * table.ndim
+        for earlier in reflections[:i]:
+            dst[earlier[0]] = slice(h)
+        src = list(dst)
+        dst[head], src[head] = slice(h, None), slice(n - 1 - h, None, -1)
+        for k in rest:
+            src[k] = slice(None, None, -1)
+        table[tuple(dst)] = table[tuple(src)]
+
+
+def _span(piece, nominal: tuple) -> tuple:
+    """The shape ``piece`` would have in a block shaped ``nominal``, with
+    as many axes: the nominal length on each axis it spans (has more than
+    one entry on), its shape aligned to the trailing axes."""
+    shape = (1,) * (len(nominal) - np.ndim(piece)) + np.shape(piece)
+    return tuple(m if k > 1 else 1 for k, m in zip(shape, nominal))
+
+
+def _sum_into(out: np.ndarray, pieces, spans, full: int, add: bool = False) -> None:
     """Write the sum of ``pieces`` to ``out``, or add it there with ``add``.
 
-    Each piece lies on its own axes and broadcasts to ``out``.  The pair
-    whose sum spans the fewest entries is joined first, for as long as that
-    sum stays smaller than ``out``; only the joins left over pass over all
-    of ``out``, in place.
+    Each piece lies on its own axes and broadcasts to ``out``; ``spans``
+    holds its shape in the nominal block (:func:`_span`), of ``full``
+    entries.  The pair whose sum spans the fewest nominal entries is joined
+    first, for as long as that sum is smaller than the nominal block; only
+    the joins left over pass over all of ``out``, in place.  The order, and
+    so every rounding, is that of the nominal block whatever the shape of
+    ``out``.
     """
-    pieces = list(pieces)
+    pieces, spans = list(pieces), list(spans)
     while len(pieces) > 1:
         size, i, j = min(
-            (np.broadcast(a, b).size, i, j)
-            for i, a in enumerate(pieces) for j, b in enumerate(pieces) if i < j
+            (math.prod(map(max, a, b)), i, j)
+            for i, a in enumerate(spans) for j, b in enumerate(spans) if i < j
         )
-        if size >= out.size:
+        if size >= full:
             break
-        b = pieces.pop(j)
-        pieces[i] = pieces[i] + b
+        pieces[i] = pieces[i] + pieces.pop(j)
+        spans[i] = tuple(map(max, spans[i], spans.pop(j)))
     if not add and pieces:
         first = pieces.pop(0)
         if pieces:
@@ -602,12 +668,19 @@ def _scan(handle: EntireHandle, bounds, grid: PlaneGrid):
     """One scan of the nodes of ``grid.refine(2)`` against every bound of
     ``bounds``.
 
-    When F is real on R and the refined grid is symmetric in y, the scan
-    walks its half y <= 0 alone (:meth:`~mehler.quadrature.PlaneGrid.y_axis`)
-    and mirrors |F| into the other half of the coarse table.  |F| is even
-    in y there, and so is every bound on C (each depends on y through y^2),
-    so the sups are those of the whole grid, and so is the argmax: the
-    first row-major maximum of a ratio that is even in y lies at y <= 0.
+    The scan folds by the reflections of :func:`_scan_axes`: the half
+    y <= 0 when F is real on R and the refined grid is symmetric in y, the
+    quarter x <= 0, y <= 0 when F on C^2 is ``reflection_invariant`` and the
+    refined grid is symmetric about 0 in every coordinate (by rho_2 alone,
+    the half y <= 0, when only y and u are).  It mirrors |F| into the rest of
+    the coarse table (:func:`_unfold`).  Every node skipped has a mirror
+    that was walked, with the same |F| and the same bounds, bit for bit, so
+    the sups are those of the whole grid, and so is the argmax: the first
+    row-major maximum lies in the walked part, since each reflection maps a
+    node with a positive halved coordinate to an earlier one.  Every block
+    joins its pieces in the order of a whole block of the unfolded refined
+    grid (:func:`_sum_into`), so the walked nodes read what the whole scan
+    reads there.
 
     Returns (sups, argmaxes, coarse sups, coarse |F|): per bound, the sup
     of |F|^p / bound over the refined nodes and the node attaining it
@@ -626,22 +699,26 @@ def _scan(handle: EntireHandle, bounds, grid: PlaneGrid):
     which is exact for p = 2, and its maxima are scaled back.
     """
     fine = grid.refine(2)
-    y, _, folded = fine.y_axis(handle.real_on_real_axis)
+    axes, reflections = _scan_axes(handle, fine)
     sups = [-math.inf] * len(bounds)
     args: list = [None] * len(bounds)
     coarse_sups = [-math.inf] * len(bounds)
     n = grid.resolution
     coarse_abs = np.empty((n,) * (2 * grid.ncoords))
-    # the grid's y nodes that the scan reaches: all, or the half y <= 0
-    # (the last axis on C; nothing folds on C^2)
-    scanned = coarse_abs[..., : (len(y) + 1) // 2]
-    buf = tmp = None
-    for rows, block in _mesh_blocks(fine):
-        if folded:
-            block = (block[0], y.reshape(1, -1))
+    # the grid's nodes that the scan reaches: the half <= 0 of each axis it
+    # halves, which holds every second node of the refined half
+    scanned = coarse_abs[tuple(slice((len(a) + 1) // 2) for a in axes)]
+    # every block joins its pieces in the order they take in a whole block
+    # of the refined grid walked unfolded, so a node's value does not depend
+    # on the block, or the fold, that reaches it
+    n_fine, d = fine.resolution, len(axes)
+    nominal = (min(n_fine, max(1, _BLOCK_ENTRIES // n_fine ** (d - 1))),) + (n_fine,) * (d - 1)
+    full = math.prod(nominal)
+    blocks = list(_mesh_blocks(axes))
+    buf = np.empty((max(rows.stop - rows.start for rows, _ in blocks), *map(len, axes[1:])))
+    tmp = None
+    for rows, block in blocks:
         shape = np.broadcast_shapes(*(c.shape for c in block))
-        if buf is None:
-            buf = np.empty(shape)
         out = buf[: shape[0]]
         P, E = handle.eval_grid_parts(*block)
         pieces = [np.real(e) for e in (E if isinstance(E, tuple) else (E,))]
@@ -658,13 +735,14 @@ def _scan(handle: EntireHandle, bounds, grid: PlaneGrid):
             else:
                 log_P = np.log(np.abs(P))
         pieces.insert(0, log_P)
+        spans = [_span(e, nominal) for e in pieces]
         del P, E
         # the grid's nodes in the block: blocks may start at any row of the
         # refined grid
         coarse = (slice(rows.start % 2, None, 2),) + (slice(None, None, 2),) * (len(shape) - 1)
         first = (rows.start + 1) // 2
         count = len(range(rows.start % 2, shape[0], 2))
-        _sum_into(scanned[first : first + count], [_at_nodes(e, coarse) for e in pieces])
+        _sum_into(scanned[first : first + count], [_at_nodes(e, coarse) for e in pieces], spans, full)
         for j, bound in enumerate(bounds):
             p = 1 if bound.on_modulus else 2
             terms, power, squares = bound.log_parts(*block)
@@ -672,14 +750,15 @@ def _scan(handle: EntireHandle, bounds, grid: PlaneGrid):
             # a term that spans the block is subtracted in place, not negated
             spanning = [term for term in terms if np.size(term) == out.size]
             negated = [term * (-1.0 / p) for term in terms if np.size(term) < out.size]
+            joined = spans + [_span(term, nominal) for term in negated]
             if power:
-                _sum_into(out, squares)
+                _sum_into(out, squares, [_span(sq, nominal) for sq in squares], full)
                 np.log1p(out, out=out)
                 if power != -p:
                     out *= -power / p
-                _sum_into(out, pieces + negated, add=True)
+                _sum_into(out, pieces + negated, joined, full, add=True)
             else:
-                _sum_into(out, pieces + negated)
+                _sum_into(out, pieces + negated, joined, full)
             for term in spanning:
                 out -= term if p == 1 else term / p
             # argmax lands on the first NaN if there is one
@@ -693,9 +772,7 @@ def _scan(handle: EntireHandle, bounds, grid: PlaneGrid):
                 coarse_sups[j] = max(coarse_sups[j], p * float(np.max(out[coarse])))
     with np.errstate(over="ignore"):
         np.exp(scanned, out=scanned)
-    if folded:
-        # |F| is even in y: column j of the grid is column n - 1 - j
-        coarse_abs[:, scanned.shape[1] :] = scanned[:, n - scanned.shape[1] - 1 :: -1]
+    _unfold(coarse_abs, reflections)
     return (
         [_exp_sup(s) for s in sups], args,
         [_exp_sup(s) for s in coarse_sups], coarse_abs,
@@ -711,7 +788,9 @@ def envelopes(handle: EntireHandle, bounds, grid: PlaneGrid) -> list[EnvelopeRep
     one evaluation of F per node: the scan forms log|F| once per block and
     each bound subtracts its own log from it.  The reports share one
     ``coarse_abs`` table.  For F real on R on a grid symmetric in y, the
-    nodes evaluated are those of the half y <= 0 (see :func:`envelope`)."""
+    nodes evaluated are those of the half y <= 0, and for a special Hermite
+    image on a grid over C^2 symmetric about 0 those of the quarter x <= 0,
+    y <= 0 (see :func:`envelope`)."""
     bounds = tuple(bounds)
     sups, argmaxes, coarse_sups, coarse_abs = _scan(handle, bounds, grid)
     reports = []
@@ -742,9 +821,14 @@ def envelope(handle: EntireHandle, bound: BoundSpec, grid: PlaneGrid) -> Envelop
 
     When F is real on R (``handle.real_on_real_axis``) and the grid is
     symmetric in y, the scan evaluates the half y <= 0 of the refined grid
-    alone: there |F| and every bound on C are even in y, so the sups and
-    the argmax (the first row-major maximum, which lies at y <= 0) are the
-    whole grid's, and ``coarse_abs`` mirrors the half it holds.
+    alone: there |F| and every bound on C are even in y.  When F on C^2 is
+    ``handle.reflection_invariant`` (the special Hermite images) and the
+    grid is symmetric about 0 in x, y, u and v, it evaluates the quarter
+    x <= 0, y <= 0: |F| and every bound on C^2 are unchanged by
+    rho_1: (x, v) -> (-x, -v) and rho_2: (y, u) -> (-y, -u).  Either way the
+    sups and the argmax (the first row-major maximum, which lies in the
+    walked part) are the whole grid's, bit for bit, and ``coarse_abs``
+    mirrors the part it holds.
     """
     return envelopes(handle, (bound,), grid)[0]
 

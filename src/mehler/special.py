@@ -704,7 +704,15 @@ def composed_intertwine_residual(f, t: float) -> float:
 @dataclass(frozen=True)
 class SpecialEigenHandle(EntireHandle):
     """Twisted heat image of a basis member: e^{-(2|b|+1)t} Phi_ab on C^2
-    (n = 1; its grids are the four real axes of one (z, w) pair)."""
+    (n = 1; its grids are the four real axes of one (z, w) pair).
+
+    Its modulus is ``reflection_invariant``: rho_1 (z, w) -> (-conj z,
+    conj w) and rho_2 (z, w) -> (conj z, -conj w) take zeta = z -+ iw to
+    -conj zeta and conj zeta, and z^2 + w^2 to its conjugate, so
+    P = coef zeta^d L_k^d((z^2 + w^2)/2) goes to +-conj P (L_k^d has real
+    coefficients), while Re(z^2 + w^2) does not change."""
+
+    reflection_invariant = True
 
     alpha: MultiIndex
     beta: MultiIndex
@@ -935,8 +943,9 @@ def special_envelope(
 
     ``kind`` selects the full polynomial denominator ("special-schwartz")
     or the plain variant with the (1 + y^2 + v^2) denominator
-    ("special-plain").  The scan is :func:`mehler.semigroup.envelope`, so
-    ``grid`` must be a trapezoid grid.
+    ("special-plain").  The scan is :func:`mehler.semigroup.envelope`; for
+    a basis member on a grid symmetric about 0 it walks the quarter x <= 0,
+    y <= 0 of the refined grid (``SpecialEigenHandle.reflection_invariant``).
     """
     if grid.ncoords != 2:
         raise ValueError("need a two-coordinate grid over C^2")

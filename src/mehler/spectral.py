@@ -420,11 +420,22 @@ class EntireHandle:
     of a grid that is symmetric in y (:meth:`~mehler.quadrature.PlaneGrid.y_axis`),
     and a value at y > 0 is the conjugate of its mirror's.  It is derived
     from the handle's data, and False by default (closed forms, windowed
-    transforms, every handle on C^2), where every node is evaluated.
+    transforms, and handles on C^2, which fold by the attribute below),
+    where every node is evaluated.
+
+    ``reflection_invariant`` is True for a function on C^2 whose modulus is
+    invariant under the two reflections rho_1: (x, v) -> (-x, -v) and
+    rho_2: (y, u) -> (-y, -u) of its real coordinates (x, y, u, v), as that
+    of every special Hermite function Phi_ab is.  The envelope scan on C^2
+    then walks the x <= 0, y <= 0 quarter of a grid whose axes are
+    symmetric about 0.  It is a property of the function that a handle
+    class states, and False by default (closed forms, every handle on C),
+    where every node is evaluated.
     """
 
     dimension: int = 1
     real_on_real_axis: bool = False
+    reflection_invariant: bool = False
 
     def eval(self, z) -> complex:
         """The value at one point z of C: ``eval_grid`` there."""

@@ -718,8 +718,10 @@ def check_sobolev_image_isometry(config: SuiteConfig, entry: _Entry) -> _Measure
 
 
 def _special_envelope_grid() -> PlaneGrid:
-    """Uniform nodes, odd count, so the origin (where Phi_00's sup sits) is
-    a node, as on :func:`_envelope_grid`."""
+    """Uniform nodes on a box symmetric about 0, odd count, so every axis
+    has a centre node and the envelope scan walks the quarter x <= 0,
+    y <= 0 of the refined grid (Phi_00's sup against the m = 1 bound is
+    not at the origin)."""
     box = (-6.0, 6.0, -6.0, 6.0)
     return PlaneGrid(boxes=(box, box), resolution=17)
 

@@ -122,7 +122,8 @@ CASES = {
 BLOCK_ROWS = {
     "special_envelope-ragged": (3, [3] * 7 + [2]),
     "envelope_ratio-odd-blocks": (5, [5] * 6 + [3]),
-    "special_envelope-trapezoid-odd-blocks": (3, [3] * 6 + [1]),
+    # a last row of its own joins the block before it
+    "special_envelope-trapezoid-odd-blocks": (3, [3] * 5 + [4]),
 }
 
 
@@ -134,7 +135,8 @@ def test_envelope_matches_dense_reference(monkeypatch, case):
         rows, expected = BLOCK_ROWS[case]
         n = fine_grid.resolution
         monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", rows * n ** (2 * grid.ncoords - 1))
-        blocks = [s for s, _ in semigroup._mesh_blocks(fine_grid)]
+        axes = [fine_grid.axis(k)[0] for k in range(2 * grid.ncoords)]
+        blocks = [s for s, _ in semigroup._mesh_blocks(axes)]
         assert [s.stop - s.start for s in blocks] == expected
         assert any(s.start % 2 for s in blocks)
     rep = run(grid)
@@ -243,11 +245,13 @@ def test_twisted_scan_memory(kind, m, limit_mib):
 
 
 class _CountingHandle(EntireHandle):
-    """Delegates to ``inner`` and records the open mesh of every
-    ``eval_grid_parts`` call."""
+    """Delegates to ``inner``, declaring its symmetries, and records the
+    open mesh of every ``eval_grid_parts`` call."""
 
     def __init__(self, inner):
         self.inner = inner
+        self.real_on_real_axis = inner.real_on_real_axis
+        self.reflection_invariant = inner.reflection_invariant
         self.calls = []
 
     def eval_grid(self, *coords):
@@ -265,12 +269,22 @@ def _counted_scan(inner, bounds, grid):
     return handle.calls
 
 
-def _assert_covers(calls, grid):
-    """The calls walk every node of ``grid`` once: their x-slices tile its
-    x-axis in order, and every call spans its other axes."""
+def _walked_axes(grid, halved):
+    """The nodes of each real axis of ``grid``: its half <= 0 (centre node
+    included) on the axes in ``halved``, else all of them."""
+    h = (grid.resolution + 1) // 2
     axes = [grid.axis(k)[0] for k in range(2 * grid.ncoords)]
+    return [a[:h] if k in halved else a for k, a in enumerate(axes)]
+
+
+def _assert_covers(calls, grid, halved):
+    """The calls walk every node of ``grid`` once, or of the halves <= 0 of
+    the axes in ``halved``: their x-slices tile the walked x-axis in order,
+    and every call spans the walked part of its other axes."""
+    axes = _walked_axes(grid, halved)
     np.testing.assert_array_equal(np.concatenate([c[0] for c in calls]), axes[0])
     for call in calls:
+        assert len(call) == len(axes)
         for got, axis in zip(call[1:], axes[1:]):
             np.testing.assert_array_equal(got, axis)
 
@@ -286,23 +300,43 @@ SPACE_BOUNDS = (
 
 
 @pytest.mark.parametrize(
-    "inner, bounds, grid",
+    "inner, bounds, grid, halved",
     [
+        # an image real on R, on a box symmetric in y: the half y <= 0
         (semigroup_handle(HermiteBasis((2,)), 0.3, "spectral"), PLANE_BOUNDS,
-         _plane((-6.0, 6.0, -4.0, 4.0), 33)),
-        (SpecialEigenHandle((1,), (0,), 0.5), SPACE_BOUNDS, _space(8)),
+         _plane((-6.0, 6.0, -4.0, 4.0), 33), (1,)),
+        (semigroup_handle(HermiteBasis((2,)), 0.3, "spectral"), PLANE_BOUNDS,
+         _plane((-6.0, 6.0, -4.0, 3.5), 33), ()),
+        # Phi_10 on a box symmetric in every coordinate: the quarter
+        # x <= 0, y <= 0, at an odd resolution and at an even one, whose
+        # refined grid is odd as well
+        (SpecialEigenHandle((1,), (0,), 0.5), SPACE_BOUNDS, _space(9), (0, 1)),
+        (SpecialEigenHandle((1,), (0,), 0.5), SPACE_BOUNDS, _space(8), (0, 1)),
+        # not symmetric in x or y: each reflection negates an axis that is
+        # not mirrored, so nothing folds; symmetric in y and u alone, only
+        # rho_2 folds
+        (SpecialEigenHandle((1,), (0,), 0.5), SPACE_BOUNDS,
+         _space(9, box_z=(-5.3, 6.1, -3.7, 4.2)), ()),
+        (SpecialEigenHandle((1,), (0,), 0.5), SPACE_BOUNDS,
+         _space(9, box_z=(-5.3, 6.1, -6.0, 6.0)), (1,)),
+        # a closed form declares no symmetry
+        (ClosedFormHandle(GaussianImage(1.0, 0.5)), SPACE_BOUNDS, _space(9), ()),
     ],
-    ids=["plane", "space"],
+    ids=["plane", "plane-asymmetric", "space", "space-even", "space-asymmetric",
+         "space-asymmetric-x", "space-gaussian"],
 )
-def test_trapezoid_envelope_evaluates_only_the_refined_grid(monkeypatch, inner, bounds, grid):
+def test_trapezoid_envelope_evaluates_only_the_refined_grid(monkeypatch, inner, bounds, grid, halved):
     # the coarse sup comes from the refined grid's nested nodes, so F is
-    # evaluated once per node of the refined grid and nowhere else; in
-    # several blocks, one of them starting at an odd row
-    n = grid.refine(2).resolution
-    monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", 5 * n ** (2 * grid.ncoords - 1))
+    # evaluated once per node of the refined grid that the scan walks, and
+    # nowhere else; in several blocks of three rows, one of them starting at
+    # an odd row
+    fine = grid.refine(2)
+    walked = _walked_axes(fine, halved)
+    monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", 3 * math.prod(map(len, walked[1:])))
     one = _counted_scan(inner, bounds[:1], grid)
     assert len(one) > 2
-    _assert_covers(one, grid.refine(2))
+    assert any(len(np.concatenate([c[0] for c in one[:k]])) % 2 for k in range(1, len(one)))
+    _assert_covers(one, fine, halved)
     # one scan serves every bound
     assert len(_counted_scan(inner, bounds, grid)) <= len(one)
 

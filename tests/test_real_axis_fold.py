@@ -28,6 +28,7 @@ from mehler import (
     stft_bound,
     tempered_bound,
 )
+from mehler import semigroup
 from mehler.quadrature import PlaneGrid
 from mehler.semigroup import KernelImageHandle
 from mehler.special import SpecialEigenHandle
@@ -153,6 +154,28 @@ def test_folded_envelopes_match_the_whole_grid_bit_for_bit(name, res):
         assert got.argmax == want.argmax
         assert got.argmax[1] <= 0.0
         assert got.stable == want.stable
+    np.testing.assert_array_equal(folded[0].coarse_abs, whole[0].coarse_abs)
+
+
+@pytest.mark.parametrize("rows", [None, 7], ids=["one-block", "blocks-of-7-rows"])
+@pytest.mark.parametrize("name", list(C_BOUNDS))
+@pytest.mark.parametrize("res", [16, 24])
+def test_folded_envelopes_match_the_whole_grid_in_any_blocks(monkeypatch, name, res, rows):
+    # one block, or blocks of a few rows with a ragged last one, on even
+    # grids: every block joins its pieces in the order of a whole block of
+    # the unfolded grid, so a node's value does not depend on the block or
+    # the fold (when the folded block joined them in its own order, the
+    # kernel-mode image's coarse sups moved in their last bits here)
+    if rows is not None:
+        monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", rows * res)
+    handle = _real_images(0.4)[name]
+    bounds = C_BOUNDS[name] + [sobolev_embed_bound(0.4, m) for m in (0, 1, 3)] + [tempered_bound(0.4, 1)]
+    grid = PlaneGrid(boxes=((-10.0, 10.0, -5.0, 5.0),), resolution=res)
+    spy = _Recording(handle, True)
+    folded = envelopes(spy, bounds, grid)
+    whole = envelopes(_Recording(handle, False), bounds, grid)
+    for got, want in zip(folded, whole):
+        assert (got.sup_ratio, got.argmax, got.sup_coarse) == (want.sup_ratio, want.argmax, want.sup_coarse)
     np.testing.assert_array_equal(folded[0].coarse_abs, whole[0].coarse_abs)
 
 
