@@ -29,8 +29,8 @@ on a grid symmetric in y, ``bergman_norm``, ``reproduce`` and the envelope
 scan evaluate F on the half y <= 0 only, and ``calibrate_weight`` sums its
 real probes there, at the folded weights of
 :meth:`mehler.quadrature.PlaneGrid.y_axis`.  On C^2, the modulus of a
-special Hermite function (``EntireHandle.reflection_invariant``) and every
-growth bound there are unchanged by rho_1: (x, v) -> (-x, -v) and
+special Hermite function or of a Gaussian's twisted heat image
+(``EntireHandle.reflection_invariant``) and every growth bound there are unchanged by rho_1: (x, v) -> (-x, -v) and
 rho_2: (y, u) -> (-y, -u), so on a grid symmetric about 0 the envelope scan
 walks the quarter x <= 0, y <= 0.
 
@@ -822,7 +822,7 @@ def envelope(handle: EntireHandle, bound: BoundSpec, grid: PlaneGrid) -> Envelop
     When F is real on R (``handle.real_on_real_axis``) and the grid is
     symmetric in y, the scan evaluates the half y <= 0 of the refined grid
     alone: there |F| and every bound on C are even in y.  When F on C^2 is
-    ``handle.reflection_invariant`` (the special Hermite images) and the
+    ``handle.reflection_invariant`` (the twisted heat images) and the
     grid is symmetric about 0 in x, y, u and v, it evaluates the quarter
     x <= 0, y <= 0: |F| and every bound on C^2 are unchanged by
     rho_1: (x, v) -> (-x, -v) and rho_2: (y, u) -> (-y, -u).  Either way the

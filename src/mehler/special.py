@@ -41,10 +41,16 @@ constant kappa* absorbs exactly that factor (kappa* ~ 2^{-n}).
 short sum of products of an x-factor and a u-factor: the heat profile one
 product, e^{-c(z-x)^2} e^{-c(w-u)^2} with c = coth(t)/4, and the Laguerre
 profile phi_k its k + 1 products of Hermite functions (Thangavelu 1993).
-The phase splits the same way, e^{-ixw/2} e^{izu/2}, so each product costs
-one matrix product against the weighted table of f on the grid's tensor
-nodes, for all points at once.  The grid is the trapezoid one: the
-integrands are entire with Gaussian decay, where it converges
+So is every input it takes: a polynomial Gaussian
+sum C[j, k] x^j u^k e^{-r (x^2 + u^2)/2} (a ``Gaussian2n``, a
+``PolyGaussian2n`` or an n = 1 basis member) couples the columns
+x^j e^{-r x^2/2} and u^k e^{-r u^2/2} by C, and phi_k is the profile
+above.  The phase splits the same way, e^{-ixw/2} e^{izu/2}, and the grid
+is a tensor trapezoid, so each product's plane sum is exactly the product
+of two 1-D moment tables, one over x and one over u, each one matrix
+product for all points at once (Trefethen and Weideman, SIAM Review 56,
+2014); no table of f over the plane is formed.  The trapezoid rule suits
+the integrands: they are entire with Gaussian decay, where it converges
 geometrically.
 
 Intertwining relations: with a = coth(t)/2 and b = i/2, the validated
@@ -61,7 +67,9 @@ a caller reads which sign passes from one image.
 Its inputs are polynomial Gaussians sum C[j, k] x^j u^k e^{-r (x^2 + u^2)/2}
 on the real plane: a ``Gaussian2n``, a ``PolyGaussian2n`` or an n = 1 basis
 member becomes its coefficient array C, on which both operators act
-exactly (``_lower``).
+exactly (``_lower``).  The image and the four left sides are polynomial
+Gaussians of one width, so all five contract against one pair of
+heat-profile moment tables.
 
 Weighted norms on C^2 (n = 1) integrate against the 2m-th time derivative
 of the weight W_t(x, y, u, v) = 4 e^{yu - xv} S(y^2 + v^2), with S the
@@ -88,8 +96,9 @@ Twisted heat images are :class:`mehler.spectral.EntireHandle` objects on
 C^2, evaluated on broadcastable real arrays (X, Y, U, V): a basis member's
 by its split form alone (``SpecialEigenHandle.eval_grid_parts``, multiplied
 out by the one finish :func:`mehler.specfun.mul_exp_parts` as ``_phi1``
-is), a Gaussian's as the :class:`mehler.spectral.ClosedFormHandle` of its
-closed form; ``special_envelope`` hands one and its bound to
+is), a Gaussian's by its closed form (:class:`GaussianImageHandle`); both
+moduli are invariant under two reflections of the real coordinates, which
+fold the envelope scan; ``special_envelope`` hands one and its bound to
 :func:`mehler.semigroup.envelope`.
 """
 
@@ -104,7 +113,7 @@ from .kernels import _twisted_profile_jet, special_plain_bound, special_schwartz
 from .quadrature import PlaneGrid, _check_half_step, real_matmul
 from .semigroup import CalibrationResult, EnvelopeReport, envelope
 from .specfun import HermiteOverflowError, _finite, hermite_eval, laguerre_ladder, mul_exp_parts
-from .spectral import ClosedFormHandle, EntireHandle
+from .spectral import EntireHandle
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +367,11 @@ class LaguerreProfile:
         k = self.k
         central = np.array([float(math.comb(2 * j, j)) for j in range(k + 1)])
         c = (-1) ** k * np.sqrt(math.pi * central * central[::-1]) / 2.0**k
-        ha = hermite_eval(2 * k, np.asarray(a) / math.sqrt(2.0))[::2]
-        hb = hermite_eval(2 * k, np.asarray(b) / math.sqrt(2.0))[::-2]
+        # one ladder for both axes
+        a, b = np.asarray(a), np.asarray(b)
+        h = hermite_eval(2 * k, np.concatenate([a.ravel(), b.ravel()]) / math.sqrt(2.0))
+        ha = h[::2, : a.size].reshape((k + 1,) + a.shape)
+        hb = h[::-2, a.size :].reshape((k + 1,) + b.shape)
         return c, ha, hb
 
 
@@ -434,23 +446,45 @@ def default_twisted_grid(t: float = 0.4) -> PlaneGrid:
     return PlaneGrid(boxes=((-h, h, -h, h),), resolution=65)
 
 
-def twisted_conv(f, g, z, w, grid: PlaneGrid):
-    """(f x g)(z, w) at real or complexified phase-space points.
+def _gauss_columns(x: np.ndarray, rate: float, n: int) -> np.ndarray:
+    """x^j e^{-rate x^2/2} for j < n at the nodes x, shape (n, len(x))."""
+    return x ** np.arange(n)[:, None] * np.exp(-0.5 * rate * x * x)
 
-    ``z`` and ``w`` are scalars, giving a complex, or broadcastable arrays
-    of points, giving an array of their broadcast shape.  The integration
-    runs over the real plane grid; for complex (z, w) the displaced factor
-    g and the phase use the entire continuation of g.
 
-    The profile ``g`` gives its per-axis factors
-    (``g.axis_factors(a, b)``): g(a, b) = sum_j c_j A_j(a) B_j(b), one term
-    for :class:`HeatProfile` and k + 1 for :class:`LaguerreProfile`.  With
-    the phase e^{-i(xw - zu)/2} = e^{-ixw/2} e^{izu/2}, formed once, every
-    point is sum_j c_j sum_il (A_j e^{-ixw/2})_i (W o F)_il (B_j e^{izu/2})_l,
-    so each term costs one real matrix product against the weighted table
-    of f, for all points.  A profile without per-axis factors raises
-    ``TypeError``; a value past the largest double raises
-    :class:`HermiteOverflowError`.
+def _axis_form(f, x: np.ndarray, u: np.ndarray):
+    """(M, A, B) with f(x_i, u_l) = sum_jk M[j, k] A[j, i] B[k, l] at the
+    nodes x and u of a grid's two axes.
+
+    A polynomial Gaussian (:func:`_as_polygauss`) gives its coefficient
+    array C against the columns x^j e^{-rate x^2/2} and u^k e^{-rate u^2/2};
+    phi_k gives the diagonal of :meth:`LaguerreProfile.axis_factors`.  Any
+    other f raises ``TypeError``.
+    """
+    if isinstance(f, LaguerreProfile):
+        c, A, B = f.axis_factors(x, u)
+        return np.diag(c), A, B
+    try:
+        C, rate = _as_polygauss(f)
+    except ValueError:
+        raise TypeError(
+            "twisted_conv takes a polynomial Gaussian (PolyGaussian2n, Gaussian2n or an "
+            f"n = 1 SpecialHermiteBasis) or a LaguerreProfile, not {type(f).__name__}"
+        ) from None
+    return C, _gauss_columns(x, rate, C.shape[0]), _gauss_columns(u, rate, C.shape[1])
+
+
+def _axis_moments(g, z, w, grid: PlaneGrid, A_f: np.ndarray, B_f: np.ndarray):
+    """(c, X, U, shape): the moment tables of the profile g against an
+    input's x-columns A_f (J, nx) and u-columns B_f (K, nu) on the grid's
+    two axes, at the points (z, w) broadcast and flattened, and the
+    broadcast shape.
+
+    With g(a, b) = sum_t c[t] G_t(a) H_t(b) (``g.axis_factors``) and the
+    phase e^{-i(xw - zu)/2} = e^{-ixw/2} e^{izu/2},
+    X[t, p, j] = sum_i w_i G_t(z_p - x_i) e^{-i x_i w_p/2} A_f[j, i] and
+    U[t, p, k] = sum_l w_l H_t(w_p - u_l) e^{i z_p u_l/2} B_f[k, l]: one
+    real matrix product each, for every term and point.  A profile without
+    per-axis factors raises ``TypeError``.
     """
     factors = getattr(g, "axis_factors", None)
     if factors is None:
@@ -462,14 +496,52 @@ def twisted_conv(f, g, z, w, grid: PlaneGrid):
     zs, ws = zs.reshape(-1, 1), ws.reshape(-1, 1)
     (x, wx), (u, wu) = grid.axis(0), grid.axis(1)
     with np.errstate(over="ignore", invalid="ignore"):
-        table = np.multiply.outer(wx, wu) * twisted_eval(f, x[:, None], u[None, :])
-        coefs, A, B = factors(zs - x, ws - u)
-        phase_x = np.exp(-0.5j * x * ws)
-        acc = 0.0
-        for c, A_j, B_j in zip(coefs, A, B):
-            acc = acc + c * (real_matmul(A_j * phase_x, table) * B_j)
-        vals = np.sum(acc * np.exp(0.5j * zs * u), axis=1)
-    _finite(vals, "twisted heat image")
+        coefs, G, H = factors(zs - x, ws - u)
+        G = (G * np.exp(-0.5j * x * ws)).reshape(-1, len(x))
+        H = (H * np.exp(0.5j * zs * u)).reshape(-1, len(u))
+        X = real_matmul(G, (wx * A_f).T).reshape(len(coefs), -1, len(A_f))
+        U = real_matmul(H, (wu * B_f).T).reshape(len(coefs), -1, len(B_f))
+    return coefs, X, U, shape
+
+
+def _contract(coefs, X: np.ndarray, U: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """sum_t c[t] sum_jk M[j, k] X[t, p, j] U[t, p, k] at every point p,
+    from the leading columns of the moment tables of :func:`_axis_moments`;
+    for a stack M of shape (n, J, K), one row of points per matrix.  A
+    value past the largest double raises :class:`HermiteOverflowError`."""
+    J, K = M.shape[-2:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = coefs @ np.sum((X[..., :J] @ M[..., None, :, :]) * U[..., :K], axis=-1)
+    return _finite(vals, "twisted heat image")
+
+
+def twisted_conv(f, g, z, w, grid: PlaneGrid):
+    """(f x g)(z, w) at real or complexified phase-space points.
+
+    ``z`` and ``w`` are scalars, giving a complex, or broadcastable arrays
+    of points, giving an array of their broadcast shape.  The integration
+    runs over the real plane grid; for complex (z, w) the displaced factor
+    g and the phase use the entire continuation of g.
+
+    Both factors come in per-axis form.  The profile ``g`` gives its
+    factors (``g.axis_factors(a, b)``): g(a, b) = sum_t c_t G_t(a) H_t(b),
+    one term for :class:`HeatProfile` and k + 1 for
+    :class:`LaguerreProfile`.  The input f is
+    sum_jk M[j, k] A_j(x) B_k(u) (:func:`_axis_form`): a polynomial
+    Gaussian's coefficients against x^j e^{-rate x^2/2} and
+    u^k e^{-rate u^2/2}, or phi_k's k + 1 Hermite products.  The grid is a
+    tensor trapezoid and the phase splits as e^{-ixw/2} e^{izu/2}, so each
+    term's plane sum is exactly the product of an x-moment table X_t and a
+    u-moment table U_t (:func:`_axis_moments`), and the value is
+    sum_t c_t diag(X_t M U_t^T): no table of f over the plane is formed.
+    Any other f, or a profile without per-axis factors, raises
+    ``TypeError``; a value past the largest double raises
+    :class:`HermiteOverflowError`.
+    """
+    (x, _), (u, _) = grid.axis(0), grid.axis(1)
+    M, A, B = _axis_form(f, x, u)
+    coefs, X, U, shape = _axis_moments(g, z, w, grid, A, B)
+    vals = _contract(coefs, X, U, M)
     return complex(vals[0]) if not shape else vals.reshape(shape)
 
 
@@ -631,11 +703,13 @@ def intertwine_check(f, t: float) -> tuple[IntertwineReport, IntertwineReport]:
 
     The two candidate conventions a = +coth(t)/2 and a = -coth(t)/2 differ
     in this sign; the reports come as the (+, -) pair, both read against
-    one image e^{-tL} f, so a call makes five semigroup evaluations.  For
-    each point of ``_DEFAULT_POINTS`` the relation residual
-    |LHS - RHS| / (1 + |RHS|) is evaluated with the left side computed
-    through the semigroup quadrature and the right side through the
-    coordinate multipliers; each report keeps the max over points.
+    one image e^{-tL} f.  The image and the two left sides of each sign are
+    five polynomial Gaussians of one width, contracted against one pair of
+    heat-profile moment tables (:func:`_heat_images`).  For each point of
+    ``_DEFAULT_POINTS`` the relation residual |LHS - RHS| / (1 + |RHS|) is
+    evaluated with the left side computed through the semigroup quadrature
+    and the right side through the coordinate multipliers; each report
+    keeps the max over points.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -643,16 +717,13 @@ def intertwine_check(f, t: float) -> tuple[IntertwineReport, IntertwineReport]:
 
     C, rate = _as_polygauss(f)
     z, w = _POINT_Z, _POINT_W
-    Ef = special_semigroup_apply(f, t, z, w)
+    lowered = [
+        _lower(C, rate, sign * 0.5 / math.tanh(t), axis) for sign in (+1, -1) for axis in (0, 1)
+    ]
+    Ef, *lhs = _heat_images([C, *lowered], rate, t)
 
-    def report(convention: int) -> IntertwineReport:
+    def report(convention: int, lhs_x, lhs_u) -> IntertwineReport:
         a = convention * 0.5 / math.tanh(t)
-        lhs_x, lhs_u = (
-            special_semigroup_apply(
-                functools.partial(_polygauss_eval, _lower(C, rate, a, axis), rate), t, z, w
-            )
-            for axis in (0, 1)
-        )
         return IntertwineReport(
             convention=convention,
             a_value=a,
@@ -661,7 +732,26 @@ def intertwine_check(f, t: float) -> tuple[IntertwineReport, IntertwineReport]:
             points=_DEFAULT_POINTS,
         )
 
-    return report(+1), report(-1)
+    return report(+1, *lhs[:2]), report(-1, *lhs[2:])
+
+
+def _heat_images(arrays, rate: float, t: float) -> list[np.ndarray]:
+    """e^{-tL} of sum C[j, k] x^j u^k e^{-rate (x^2 + u^2)/2} at the points
+    of ``_DEFAULT_POINTS``, for each coefficient array C in ``arrays``: the
+    convolution of :func:`special_semigroup_apply`, with every array
+    contracted (:func:`_contract`) against one pair of heat-profile moment
+    tables that runs to the largest powers among them.  The arrays are
+    stacked, padded with zeros, and contracted in one pass."""
+    grid = default_twisted_grid(t)
+    (x, _), (u, _) = grid.axis(0), grid.axis(1)
+    stack = np.zeros((len(arrays), *np.max([C.shape for C in arrays], axis=0)), dtype=complex)
+    for C, padded in zip(arrays, stack):
+        padded[: C.shape[0], : C.shape[1]] = C
+    coefs, X, U, _ = _axis_moments(
+        heat_profile(t), _POINT_Z, _POINT_W, grid,
+        _gauss_columns(x, rate, stack.shape[1]), _gauss_columns(u, rate, stack.shape[2]),
+    )
+    return list(_contract(coefs, X, U, stack))
 
 
 def _max_residual(lhs, rhs) -> float:
@@ -690,10 +780,8 @@ def composed_intertwine_residual(f, t: float) -> float:
 
     Tf = op_zw(op_zw(C, b, -a), -a, -b)
 
-    z, w = _POINT_Z, _POINT_W
-    Ef = special_semigroup_apply(f, t, z, w)
-    lhs = special_semigroup_apply(functools.partial(_polygauss_eval, Tf, rate), t, z, w)
-    return _max_residual(lhs, z * w * Ef)
+    Ef, lhs = _heat_images([C, Tf], rate, t)
+    return _max_residual(lhs, _POINT_Z * _POINT_W * Ef)
 
 
 # ---------------------------------------------------------------------------
@@ -740,13 +828,33 @@ class SpecialEigenHandle(EntireHandle):
         return _phi1_parts(self.alpha[0], self.beta[0], Z, W, shift=lam_t)
 
 
+@dataclass(frozen=True)
+class GaussianImageHandle(EntireHandle):
+    """Twisted heat image of a Gaussian on C^2 (n = 1): its closed form
+    ``image`` at (X + iY, U + iV).
+
+    Its modulus is ``reflection_invariant``: the exponent of the closed
+    form is -g (z^2 + w^2) + ((2g z - iw/2)^2 + (2g w + iz/2)^2) / (4 kappa),
+    whose cross terms cancel, so it is a real multiple of z^2 + w^2, and
+    rho_1 and rho_2 take z^2 + w^2, and each factor of the closed form, to
+    its conjugate."""
+
+    reflection_invariant = True
+
+    image: GaussianImage
+
+    def eval_grid(self, X, Y, U, V) -> np.ndarray:
+        """The closed form at z = X + iY, w = U + iV."""
+        return self.image(np.asarray(X) + 1j * np.asarray(Y), np.asarray(U) + 1j * np.asarray(V))
+
+
 def special_image_handle(f, t: float) -> EntireHandle:
     """Image of a twisted test function under the twisted heat semigroup,
     in a form evaluable on 4-dimensional grids."""
     if isinstance(f, SpecialHermiteBasis):
         return SpecialEigenHandle(f.alpha, f.beta, t)
     if isinstance(f, Gaussian2n):
-        return ClosedFormHandle(GaussianImage(f.a, t))
+        return GaussianImageHandle(GaussianImage(f.a, t))
     raise ValueError(
         "4-D scans support basis members and Gaussians; other members are "
         "available pointwise through special_semigroup_apply"
@@ -944,8 +1052,9 @@ def special_envelope(
     ``kind`` selects the full polynomial denominator ("special-schwartz")
     or the plain variant with the (1 + y^2 + v^2) denominator
     ("special-plain").  The scan is :func:`mehler.semigroup.envelope`; for
-    a basis member on a grid symmetric about 0 it walks the quarter x <= 0,
-    y <= 0 of the refined grid (``SpecialEigenHandle.reflection_invariant``).
+    a basis member or a Gaussian on a grid symmetric about 0 it walks the
+    quarter x <= 0, y <= 0 of the refined grid (``reflection_invariant``
+    on :class:`SpecialEigenHandle` and :class:`GaussianImageHandle`).
     """
     if grid.ncoords != 2:
         raise ValueError("need a two-coordinate grid over C^2")

@@ -426,11 +426,11 @@ class EntireHandle:
     ``reflection_invariant`` is True for a function on C^2 whose modulus is
     invariant under the two reflections rho_1: (x, v) -> (-x, -v) and
     rho_2: (y, u) -> (-y, -u) of its real coordinates (x, y, u, v), as that
-    of every special Hermite function Phi_ab is.  The envelope scan on C^2
-    then walks the x <= 0, y <= 0 quarter of a grid whose axes are
-    symmetric about 0.  It is a property of the function that a handle
-    class states, and False by default (closed forms, every handle on C),
-    where every node is evaluated.
+    of every special Hermite function Phi_ab and of a Gaussian's twisted heat
+    image is.  The envelope scan on C^2 then walks the x <= 0, y <= 0
+    quarter of a grid whose axes are symmetric about 0.  It is a property
+    of the function that a handle class states, and False by default
+    (closed forms, every handle on C), where every node is evaluated.
     """
 
     dimension: int = 1

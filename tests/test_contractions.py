@@ -33,12 +33,15 @@ from mehler import (
     special_semigroup_apply,
     twisted_conv,
 )
+from mehler import special
 from mehler.quadrature import PlaneGrid
 from mehler.semigroup import MehlerSliceHandle
 from mehler.special import (
     GaussianImage,
+    GaussianImageHandle,
     PolyGaussian2n,
     SpecialEigenHandle,
+    SpecialHermiteBasis,
     default_twisted_grid,
     heat_profile,
     laguerre_profile,
@@ -61,8 +64,11 @@ HANDLES = {
     "MehlerSliceHandle": lambda: MehlerSliceHandle(0.3, 0.5),
     "KernelImageHandle": lambda: semigroup_handle(Gaussian(1.0), 0.3, "kernel"),
     "SpecialEigenHandle": lambda: SpecialEigenHandle((1,), (0,), 0.4),
+    "GaussianImageHandle": lambda: GaussianImageHandle(GaussianImage(1.0, 0.4)),
     "_StftHandle": lambda: _StftHandle(HermiteBasis((1,)), 2.0, None),
 }
+
+C2_HANDLES = ("SpecialEigenHandle", "ClosedFormHandle-C2", "GaussianImageHandle")
 
 
 def _subclasses(cls):
@@ -89,7 +95,7 @@ def test_every_handle_implements_exactly_one_grid_evaluator(cls):
 
 
 @pytest.mark.parametrize(
-    "name", [n for n in HANDLES if n not in ("SpecialEigenHandle", "ClosedFormHandle-C2")]
+    "name", [n for n in HANDLES if n not in C2_HANDLES]
 )
 @pytest.mark.parametrize("z", [0.4 - 0.7j, -1.2 + 0.3j, 0.8])
 def test_eval_is_eval_grid_at_the_point(name, z):
@@ -108,7 +114,7 @@ def test_eval_grid_returns_the_broadcast_shape(name):
     handle = HANDLES[name]()
     x = np.linspace(-1.5, 1.5, 5)
     y = np.linspace(-1.0, 1.0, 4)
-    if name in ("SpecialEigenHandle", "ClosedFormHandle-C2"):
+    if name in C2_HANDLES:
         # the C^2 scan: z-rows (column) against the w-plane (row)
         cols = (x[:, None], 0.5 * x[:, None], y[None, :], -0.5 * y[None, :])
     else:
@@ -182,30 +188,74 @@ PROFILES = {
 }
 
 
+# input id -> input f: every n = 1 basis member up to degree 3, Gaussians,
+# a polynomial Gaussian with complex coefficients, and Laguerre functions
+INPUTS = {
+    **{
+        f"phi{a}{b}": SpecialHermiteBasis((a,), (b,))
+        for a in range(4) for b in range(4) if abs(a - b) + 2 * min(a, b) <= 3
+    },
+    "gaussian": Gaussian2n(1.0),
+    "gaussian-narrow": Gaussian2n(2.5),
+    "polygauss": PolyGaussian2n((((0, 0), 1.0), ((1, 0), 0.5j), ((0, 2), -0.3)), 1.0),
+    "polygauss-complex": PolyGaussian2n(
+        (((0, 0), 0.2 - 1.0j), ((2, 1), 0.7 + 0.4j), ((1, 3), -0.25j), ((3, 0), 0.1)), 0.8
+    ),
+    **{f"laguerre{k}-input": laguerre_profile(k) for k in (0, 1, 3)},
+}
+
+
 @pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("profile", list(PROFILES))
 @pytest.mark.parametrize("t", [0.4, 0.5])
 def test_twisted_conv_point_arrays_match_dense_sum(t, profile, kind):
     # every profile runs as a sum of per-axis products (one for the heat
-    # profile, k + 1 for phi_k); the oracle is the dense sum of g itself
+    # profile, k + 1 for phi_k), and so does every input kind; the oracle is
+    # the dense sum of f and g themselves over the plane's nodes
     grid = default_twisted_grid(t)
     g = PROFILES[profile](t)
-    f = PolyGaussian2n((((0, 0), 1.0), ((1, 0), 0.5j), ((0, 2), -0.3)), 1.0)
     z, w = _points(kind)
-    got = twisted_conv(f, g, z, w, grid)
-    assert got.shape == z.shape
-    for p in range(len(z)):
-        ref, scale = _dense_conv(f, g, z[p], w[p], grid)
-        assert abs(got[p] - ref) <= 1e-12 * scale
-    # one point still gives a complex
-    one = twisted_conv(f, g, z[0], w[0], grid)
-    assert isinstance(one, complex) and one == pytest.approx(got[0], rel=1e-12)
+    for name, f in INPUTS.items():
+        got = twisted_conv(f, g, z, w, grid)
+        assert got.shape == z.shape
+        for p in range(len(z)):
+            ref, scale = _dense_conv(f, g, z[p], w[p], grid)
+            assert abs(got[p] - ref) <= 1e-12 * scale, (name, p)
+        # one point still gives a complex
+        one = twisted_conv(f, g, z[0], w[0], grid)
+        assert isinstance(one, complex) and one == pytest.approx(got[0], rel=1e-12)
 
 
 def test_twisted_conv_refuses_a_profile_without_axis_factors():
     f = Gaussian2n(1.0)
     with pytest.raises(TypeError, match="per-axis factors"):
         twisted_conv(f, lambda z, w: np.exp(-(z * z + w * w)), 0.1, 0.2, default_twisted_grid(0.4))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [lambda X, U: np.exp(-(X * X + U * U)), heat_profile(0.4), SpecialHermiteBasis((0, 1), (1, 0))],
+    ids=["callable", "heat-profile", "n2-member"],
+)
+def test_twisted_conv_refuses_an_input_without_an_axis_form(f):
+    with pytest.raises(TypeError, match="polynomial Gaussian"):
+        twisted_conv(f, heat_profile(0.4), 0.1, 0.2, default_twisted_grid(0.4))
+    with pytest.raises(TypeError, match="polynomial Gaussian"):
+        special_semigroup_apply(f, 0.4, 0.1, 0.2)
+
+
+def test_twisted_conv_never_tables_the_input_on_the_plane(monkeypatch):
+    # the input enters by its per-axis form alone: no value of f is taken
+    # at the plane's nodes through twisted_eval
+    def refuse(*args):
+        raise AssertionError("twisted_eval ran inside twisted_conv")
+
+    monkeypatch.setattr(special, "twisted_eval", refuse)
+    z, w = _points("complex")
+    grid = default_twisted_grid(0.4)
+    for f in INPUTS.values():
+        for g in (heat_profile(0.4), laguerre_profile(2)):
+            assert np.all(np.isfinite(twisted_conv(f, g, z, w, grid)))
 
 
 def test_twisted_kernel_route_holds_to_im_six():

@@ -32,7 +32,7 @@ from mehler import (
 )
 from mehler import semigroup
 from mehler.quadrature import PlaneGrid
-from mehler.special import GaussianImage, SpecialEigenHandle
+from mehler.special import GaussianImage, SpecialEigenHandle, special_image_handle
 from mehler.specfun import HermiteOverflowError
 from mehler.spectral import ClosedFormHandle, EntireHandle
 
@@ -118,12 +118,19 @@ CASES = {
     ),
 }
 
-# x-rows per block of the refined grid, and the block sizes that gives
+# the image each case scans, x-rows per block of the axes the scan walks,
+# and the block sizes that gives
 BLOCK_ROWS = {
-    "special_envelope-ragged": (3, [3] * 7 + [2]),
-    "envelope_ratio-odd-blocks": (5, [5] * 6 + [3]),
+    "special_envelope-ragged": (
+        lambda: special_image_handle(Gaussian2n(1.0), 0.5), 3, [3] * 7 + [2]
+    ),
+    "envelope_ratio-odd-blocks": (
+        lambda: semigroup_handle(HermiteBasis((3,)), 0.3, "spectral"), 5, [5] * 6 + [3]
+    ),
     # a last row of its own joins the block before it
-    "special_envelope-trapezoid-odd-blocks": (3, [3] * 5 + [4]),
+    "special_envelope-trapezoid-odd-blocks": (
+        lambda: special_image_handle(Gaussian2n(1.0), 0.5), 3, [3] * 5 + [4]
+    ),
 }
 
 
@@ -131,15 +138,29 @@ BLOCK_ROWS = {
 def test_envelope_matches_dense_reference(monkeypatch, case):
     run, values, bound, grid = CASES[case]
     fine_grid = grid.refine(2)
+    walked = []
     if case in BLOCK_ROWS:
-        rows, expected = BLOCK_ROWS[case]
-        n = fine_grid.resolution
-        monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", rows * n ** (2 * grid.ncoords - 1))
-        axes = [fine_grid.axis(k)[0] for k in range(2 * grid.ncoords)]
+        # the layout is read on the axes the scan walks, folded or not
+        handle, rows, expected = BLOCK_ROWS[case]
+        axes, _ = semigroup._scan_axes(handle(), fine_grid)
+        monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", rows * math.prod(map(len, axes[1:])))
         blocks = [s for s, _ in semigroup._mesh_blocks(axes)]
         assert [s.stop - s.start for s in blocks] == expected
         assert any(s.start % 2 for s in blocks)
+        scan_axes = semigroup._scan_axes
+
+        def recording(*args):
+            got = scan_axes(*args)
+            walked.append(got[0])
+            return got
+
+        monkeypatch.setattr(semigroup, "_scan_axes", recording)
     rep = run(grid)
+    if case in BLOCK_ROWS:
+        # the scan walked the axes the layout was read on
+        assert len(walked) == 1 and len(walked[0]) == len(axes)
+        for got, want in zip(walked[0], axes):
+            np.testing.assert_array_equal(got, want)
     if case == "special_envelope-ragged":
         # the sup sits in the last, ragged block
         assert rep.argmax[0] >= fine_grid.axis(0)[0][21]

@@ -1,7 +1,8 @@
 """Grids on C^2 folded by the reflections rho_1: (x, v) -> (-x, -v) and
-rho_2: (y, u) -> (-y, -u), which leave |Phi_ab| and every bound on C^2
-unchanged: the envelope scan walks the x <= 0, y <= 0 quarter of a grid
-symmetric about 0 and agrees with the whole grid bit for bit."""
+rho_2: (y, u) -> (-y, -u), which leave |Phi_ab|, the modulus of a
+Gaussian's twisted heat image and every bound on C^2 unchanged: the
+envelope scan walks the x <= 0, y <= 0 quarter of a grid symmetric about 0
+and agrees with the whole grid bit for bit."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ from mehler import envelopes, special_plain_bound, special_schwartz_bound
 from mehler import semigroup
 from mehler.kernels import _MODULUS_KINDS, _SQUARED_KINDS, BoundSpec
 from mehler.quadrature import PlaneGrid
-from mehler.special import GaussianImage, SpecialEigenHandle
+from mehler.special import (
+    Gaussian2n,
+    GaussianImage,
+    GaussianImageHandle,
+    SpecialEigenHandle,
+    special_image_handle,
+)
 from mehler.spectral import ClosedFormHandle, EntireHandle
 
 SPACE_BOUNDS = (
@@ -65,6 +72,42 @@ def test_quarter_folded_envelopes_match_the_whole_grid_bit_for_bit(monkeypatch, 
         assert got.sup_coarse == want.sup_coarse
         assert got.argmax == want.argmax
         assert got.argmax[0] <= 0.0 and got.argmax[1] <= 0.0
+        assert got.stable == want.stable
+        np.testing.assert_array_equal(got.coarse_abs, want.coarse_abs)
+
+
+@pytest.mark.parametrize(
+    "res, block_entries", [(17, None), (8, None), (9, 2000)], ids=["17", "8", "9-small-blocks"]
+)
+@pytest.mark.parametrize(
+    "boxes",
+    # symmetric about 0; then a box not symmetric in x, folded by rho_2 alone
+    [BOXES, ((-2.0, 4.6, -6.0, 6.0), (-6.0, 6.0, -6.0, 6.0))],
+    ids=["symmetric", "x-asymmetric"],
+)
+@pytest.mark.parametrize("a, t", [(1.0, 0.5), (2.5, 0.3), (0.4, 1.1)])
+def test_gaussian_image_envelopes_fold_bit_for_bit(monkeypatch, a, t, boxes, res, block_entries):
+    # the Gaussian's twisted heat image declares the two reflections too;
+    # folded, it reads what a handle that declares nothing reads, bit for bit
+    if block_entries is not None:
+        monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", block_entries)
+    handle = special_image_handle(Gaussian2n(a), t)
+    assert isinstance(handle, GaussianImageHandle) and handle.reflection_invariant
+    grid = PlaneGrid(boxes=boxes, resolution=res)
+    spy = _Recording(handle, True)
+    folded = envelopes(spy, SPACE_BOUNDS, grid)
+    fine = grid.refine(2)
+    n = fine.resolution
+    walked = sum(len(c[0]) * len(c[1]) for c in spy.calls) * n * n
+    # the quarter x <= 0, y <= 0 on the symmetric boxes, the half y <= 0 on
+    # the other
+    x_nodes = res if boxes[0][0] == -boxes[0][1] else n
+    assert walked == x_nodes * res * n * n
+    whole = envelopes(ClosedFormHandle(GaussianImage(a, t)), SPACE_BOUNDS, grid)
+    for got, want in zip(folded, whole):
+        assert got.sup_ratio == want.sup_ratio
+        assert got.sup_coarse == want.sup_coarse
+        assert got.argmax == want.argmax
         assert got.stable == want.stable
         np.testing.assert_array_equal(got.coarse_abs, want.coarse_abs)
 
@@ -133,10 +176,11 @@ def test_special_eigen_modulus_is_bit_invariant_under_both_reflections(ab):
         np.testing.assert_array_equal(Fw.real, Ew.real)
 
 
-def test_reflection_invariance_is_declared_by_the_eigenfunction_handle_alone():
+def test_reflection_invariance_is_declared_by_the_special_image_handles():
     assert SpecialEigenHandle((2,), (1,), 0.5).reflection_invariant
+    assert special_image_handle(Gaussian2n(1.0), 0.5).reflection_invariant
     assert not EntireHandle.reflection_invariant
-    # the Gaussian's image is not a basis member and declares nothing
+    # a closed form declares nothing unless its handle class does
     assert not ClosedFormHandle(GaussianImage(1.0, 0.5)).reflection_invariant
     # on the suite's grid the fold reaches the quarter of the refined nodes
     from mehler.suite import _special_envelope_grid

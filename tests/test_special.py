@@ -292,20 +292,26 @@ def test_intertwine_refuses_inputs_without_a_polynomial_gaussian_form(f):
         composed_intertwine_residual(f, 0.4)
 
 
-def test_intertwine_check_reads_both_signs_from_one_image(monkeypatch):
-    # one image e^{-tL} f and the two left sides of each sign: five
-    # semigroup evaluations, where a call per sign made six each
+def test_intertwine_checks_evaluate_the_heat_profile_once(monkeypatch):
+    # the image e^{-tL} f and every left side are polynomial Gaussians of
+    # one width, contracted against one pair of heat-profile moment tables:
+    # one evaluation of the profile's axis factors per call
     calls = []
+    axis_factors = special.HeatProfile.axis_factors
 
-    def recording(f, t, z, w):
-        calls.append(f)
-        return special_semigroup_apply(f, t, z, w)
+    def recording(self, a, b):
+        calls.append(self.t)
+        return axis_factors(self, a, b)
 
-    monkeypatch.setattr(special, "special_semigroup_apply", recording)
-    f = Gaussian2n(1.0)
-    intertwine_check(f, 0.4)
-    assert len(calls) == 5
-    assert calls[0] is f
+    monkeypatch.setattr(special.HeatProfile, "axis_factors", recording)
+    for f in (Gaussian2n(1.0), SpecialHermiteBasis((2,), (1,))):
+        calls.clear()
+        plus, minus = intertwine_check(f, 0.4)
+        assert calls == [0.4]
+        assert plus.residual <= 1e-14 and minus.residual > 1e-3
+        calls.clear()
+        assert composed_intertwine_residual(f, 0.5) <= 1e-14
+        assert calls == [0.5]
 
 
 def test_composed_relation():
