@@ -47,7 +47,7 @@ from .special import (
     special_semigroup_apply,
 )
 from .spectral import Bump, Dirac, Gaussian, HermiteBasis, PolyGaussian
-from .stft import bridge_residual, pw_envelope
+from .stft import bridge_residual, gauss_stft, pw_envelope
 from .suite import ConfigError, SuiteConfig, run_suite
 
 
@@ -290,12 +290,14 @@ _BOUNDS = {
 }
 
 
-def _coarse_abs2(rep) -> np.ndarray:
-    """|F|^2 on an envelope's coarse grid, in the node order of
-    grid.nodes(); HermiteOverflowError where it passes the largest double."""
-    with np.errstate(over="ignore"):
-        absF2 = rep.coarse_abs.ravel() ** 2
-    return _finite(absF2, "|F|^2", "at a node of the CSV grid")
+def _csv_abs2(grid: PlaneGrid, evaluate):
+    """(X, Y, |F|^2) at the nodes of the CSV grid, in the order of
+    grid.nodes(), with F = evaluate(X, Y); HermiteOverflowError where |F|^2
+    passes the largest double."""
+    X, Y, _ = grid.nodes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        absF2 = np.abs(evaluate(X, Y)) ** 2
+    return X, Y, _finite(absF2, "|F|^2", "at a node of the CSV grid")
 
 
 def _cmd_envelope(args) -> int:
@@ -304,9 +306,7 @@ def _cmd_envelope(args) -> int:
     bound = _BOUNDS[args.bound](args.t, args.m)
     grid = _grid_from_args(args)
     rep = envelope_ratio(handle, bound, grid)
-    # the coarse scan's |F| comes in the node order of grid.nodes()
-    X, Y, _ = grid.nodes()
-    absF2 = _coarse_abs2(rep)
+    X, Y, absF2 = _csv_abs2(grid, handle.eval_grid)
     bvals = bound.eval(X, Y)
     ratio = absF2 / bvals
     _write_rows(args.out, ["x", "y", "absF2", "bound", "ratio"], zip(X, Y, absF2, bvals, ratio))
@@ -353,9 +353,9 @@ def _cmd_stft(args) -> int:
     rule = gauss_hermite_rule(args.quad)
     grid = _grid_from_args(args)
     rep = pw_envelope(args.f, args.a, args.m, grid, rule=rule)
-    # the coarse scan's |F| comes in the node order of grid.nodes()
-    X, Y, _ = grid.nodes()
-    absF2 = _coarse_abs2(rep)
+    X, Y, absF2 = _csv_abs2(
+        grid, lambda X, Y: gauss_stft(args.f, args.a, X + 1j * Y, rule=rule)
+    )
     bvals = np.exp(2.0 * rep.bound.log_eval(X, Y))
     _write_rows(
         args.out, ["x", "y", "absF2", "bound", "ratio"],

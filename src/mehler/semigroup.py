@@ -57,7 +57,7 @@ more than 1e-2 of its terms' moduli raises
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,14 +137,11 @@ class CalibrationResult:
 class EnvelopeReport:
     """Measured sup of |F|^2 (or |F|) against a growth bound on a grid.
 
-    ``coarse_abs`` holds |F| at the nodes of ``grid``, shaped like its
-    open mesh, one axis per real coordinate; None when no scan ran.  It is
-    read off the scan of the refined grid, whose every second node on each
-    axis is a node of ``grid``, and mirrored from the part the scan walked
-    where it folded (the half y <= 0 on C, the quarter x <= 0, y <= 0 on
-    C^2; see :func:`envelope`).  The scan forms
-    log|F|, so an entry whose |F| passes the largest double reads inf while
-    the ratio and its sup stay finite.
+    ``sup_ratio`` is the sup over the nodes of ``grid.refine(2)``, attained
+    at ``argmax``; ``sup_coarse`` the sup over the nodes of ``grid``
+    itself, which the refined grid nests; ``stable`` whether the two differ
+    by less than 5% of ``sup_ratio``.  The report holds no values of F: a
+    caller that tables F on the grid evaluates it there.
     """
 
     sup_ratio: float
@@ -153,7 +150,6 @@ class EnvelopeReport:
     grid: PlaneGrid
     stable: bool
     sup_coarse: float
-    coarse_abs: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def refinement_change(self) -> float:
@@ -571,8 +567,9 @@ def _mesh_blocks(axes):
 
 
 def _scan_axes(handle: EntireHandle, fine: PlaneGrid):
-    """(axes, reflections): the node arrays of the refined grid's real axes
-    that the scan walks, and the reflections it folds by.
+    """The node arrays of the refined grid's real axes that the scan walks,
+    after folding by the reflections that leave |F| and every bound
+    unchanged.
 
     A reflection is a tuple of axes whose nodes it negates.  An image real
     on R is even in y on C: ((1,),).  A handle on C^2 that is
@@ -587,33 +584,10 @@ def _scan_axes(handle: EntireHandle, fine: PlaneGrid):
         reflections = ((1,),) if handle.real_on_real_axis else ()
     else:
         reflections = ((0, 3), (1, 2)) if handle.reflection_invariant else ()
-    reflections = tuple(r for r in reflections if all(fine.mirrored(k) for k in r))
-    halved = {r[0] for r in reflections}
+    halved = {r[0] for r in reflections if all(fine.mirrored(k) for k in r)}
     h = (fine.resolution + 1) // 2
     axes = [fine.axis(k)[0] for k in range(2 * fine.ncoords)]
-    return [a[:h] if k in halved else a for k, a in enumerate(axes)], reflections
-
-
-def _unfold(table: np.ndarray, reflections) -> None:
-    """Fill ``table`` (one axis per real coordinate, n nodes each) from the
-    part the scan walked, the half <= 0 of each reflection's first axis.
-
-    Node j of an axis mirrors node n - 1 - j.  The reflections are undone
-    last first: each copies its mirror image into the other half of its
-    first axis, within the halves of the axes folded before it.
-    """
-    n = table.shape[0]
-    h = (n + 1) // 2
-    for i in reversed(range(len(reflections))):
-        head, *rest = reflections[i]
-        dst = [slice(None)] * table.ndim
-        for earlier in reflections[:i]:
-            dst[earlier[0]] = slice(h)
-        src = list(dst)
-        dst[head], src[head] = slice(h, None), slice(n - 1 - h, None, -1)
-        for k in rest:
-            src[k] = slice(None, None, -1)
-        table[tuple(dst)] = table[tuple(src)]
+    return [a[:h] if k in halved else a for k, a in enumerate(axes)]
 
 
 def _span(piece, nominal: tuple) -> tuple:
@@ -655,15 +629,6 @@ def _sum_into(out: np.ndarray, pieces, spans, full: int, add: bool = False) -> N
         out += piece
 
 
-def _at_nodes(piece, coarse: tuple) -> np.ndarray:
-    """``piece`` at the nodes of the grid: the slices ``coarse`` of the
-    block, aligned to its trailing axes, on the axes where it has more
-    than one entry."""
-    piece = np.asarray(piece)
-    axes = coarse[len(coarse) - piece.ndim:]
-    return piece[tuple(s if n > 1 else slice(None) for s, n in zip(axes, piece.shape))]
-
-
 def _scan(handle: EntireHandle, bounds, grid: PlaneGrid):
     """One scan of the nodes of ``grid.refine(2)`` against every bound of
     ``bounds``.
@@ -672,42 +637,37 @@ def _scan(handle: EntireHandle, bounds, grid: PlaneGrid):
     y <= 0 when F is real on R and the refined grid is symmetric in y, the
     quarter x <= 0, y <= 0 when F on C^2 is ``reflection_invariant`` and the
     refined grid is symmetric about 0 in every coordinate (by rho_2 alone,
-    the half y <= 0, when only y and u are).  It mirrors |F| into the rest of
-    the coarse table (:func:`_unfold`).  Every node skipped has a mirror
-    that was walked, with the same |F| and the same bounds, bit for bit, so
-    the sups are those of the whole grid, and so is the argmax: the first
-    row-major maximum lies in the walked part, since each reflection maps a
-    node with a positive halved coordinate to an earlier one.  Every block
-    joins its pieces in the order of a whole block of the unfolded refined
-    grid (:func:`_sum_into`), so the walked nodes read what the whole scan
-    reads there.
+    the half y <= 0, when only y and u are).  Every node skipped has a
+    mirror that was walked, with the same |F| and the same bounds, bit for
+    bit, so the sups are those of the whole grid, and so is the argmax: the
+    first row-major maximum lies in the walked part, since each reflection
+    maps a node with a positive halved coordinate to an earlier one.  Every
+    block joins its pieces in the order of a whole block of the unfolded
+    refined grid (:func:`_sum_into`), so the walked nodes read what the
+    whole scan reads there.
 
-    Returns (sups, argmaxes, coarse sups, coarse |F|): per bound, the sup
-    of |F|^p / bound over the refined nodes and the node attaining it
-    (p = 1 for bounds on the modulus, 2 otherwise), the sup per bound over
-    the nodes of ``grid`` itself, every second node on each refined axis
-    counted from the first, and |F| there, shaped like the grid's open
-    mesh.  F is evaluated once per block, whatever the number of bounds.
+    Returns (sups, argmaxes, coarse sups): per bound, the sup of
+    |F|^p / bound over the refined nodes and the node attaining it (p = 1
+    for bounds on the modulus, 2 otherwise), and the sup over the nodes of
+    ``grid`` itself, every second node on each refined axis counted from
+    the first.  F is evaluated once per block, whatever the number of
+    bounds.
 
     log|F| = log|P| + Re E and the log of each bound
     (:meth:`~mehler.kernels.BoundSpec.log_parts`) are sums of pieces that
     each lie on the axes they depend on, and they stay there until one
-    joined sum per bound is written to a block buffer.  The scan holds two
-    block-sized arrays at most, allocated once: that buffer, and a second
-    one for a log|P| that spans the block (with any part of Re E that does
-    too), formed once per block.  The log ratio is summed divided by p,
-    which is exact for p = 2, and its maxima are scaled back.
+    joined sum per bound is written to a block buffer.  A scalar exponent
+    of 0 (the default split form's) adds nothing and is dropped.  The scan
+    holds two block-sized arrays at most, allocated once: that buffer, and
+    a second one for a log|P| that spans the block (with any part of Re E
+    that does too), formed once per block.  The log ratio is summed divided
+    by p, which is exact for p = 2, and its maxima are scaled back.
     """
     fine = grid.refine(2)
-    axes, reflections = _scan_axes(handle, fine)
+    axes = _scan_axes(handle, fine)
     sups = [-math.inf] * len(bounds)
     args: list = [None] * len(bounds)
     coarse_sups = [-math.inf] * len(bounds)
-    n = grid.resolution
-    coarse_abs = np.empty((n,) * (2 * grid.ncoords))
-    # the grid's nodes that the scan reaches: the half <= 0 of each axis it
-    # halves, which holds every second node of the refined half
-    scanned = coarse_abs[tuple(slice((len(a) + 1) // 2) for a in axes)]
     # every block joins its pieces in the order they take in a whole block
     # of the refined grid walked unfolded, so a node's value does not depend
     # on the block, or the fold, that reaches it
@@ -721,7 +681,7 @@ def _scan(handle: EntireHandle, bounds, grid: PlaneGrid):
         shape = np.broadcast_shapes(*(c.shape for c in block))
         out = buf[: shape[0]]
         P, E = handle.eval_grid_parts(*block)
-        pieces = [np.real(e) for e in (E if isinstance(E, tuple) else (E,))]
+        pieces = [np.real(e) for e in (E if isinstance(E, tuple) else (E,)) if np.ndim(e) or e != 0]
         with np.errstate(divide="ignore"):
             if np.shape(P) == shape:
                 if tmp is None:
@@ -740,9 +700,6 @@ def _scan(handle: EntireHandle, bounds, grid: PlaneGrid):
         # the grid's nodes in the block: blocks may start at any row of the
         # refined grid
         coarse = (slice(rows.start % 2, None, 2),) + (slice(None, None, 2),) * (len(shape) - 1)
-        first = (rows.start + 1) // 2
-        count = len(range(rows.start % 2, shape[0], 2))
-        _sum_into(scanned[first : first + count], [_at_nodes(e, coarse) for e in pieces], spans, full)
         for j, bound in enumerate(bounds):
             p = 1 if bound.on_modulus else 2
             terms, power, squares = bound.log_parts(*block)
@@ -770,13 +727,7 @@ def _scan(handle: EntireHandle, bounds, grid: PlaneGrid):
                 args[j] = tuple(float(np.broadcast_to(c, shape)[i]) for c in block)
             if out[coarse].size:
                 coarse_sups[j] = max(coarse_sups[j], p * float(np.max(out[coarse])))
-    with np.errstate(over="ignore"):
-        np.exp(scanned, out=scanned)
-    _unfold(coarse_abs, reflections)
-    return (
-        [_exp_sup(s) for s in sups], args,
-        [_exp_sup(s) for s in coarse_sups], coarse_abs,
-    )
+    return [_exp_sup(s) for s in sups], args, [_exp_sup(s) for s in coarse_sups]
 
 
 def _exp_sup(log_sup: float) -> float:
@@ -786,22 +737,19 @@ def _exp_sup(log_sup: float) -> float:
 def envelopes(handle: EntireHandle, bounds, grid: PlaneGrid) -> list[EnvelopeReport]:
     """:func:`envelope` against each bound of ``bounds``, in order, from
     one evaluation of F per node: the scan forms log|F| once per block and
-    each bound subtracts its own log from it.  The reports share one
-    ``coarse_abs`` table.  For F real on R on a grid symmetric in y, the
-    nodes evaluated are those of the half y <= 0, and for a special Hermite
-    image on a grid over C^2 symmetric about 0 those of the quarter x <= 0,
-    y <= 0 (see :func:`envelope`)."""
+    each bound subtracts its own log from it.  For F real on R on a grid
+    symmetric in y, the nodes evaluated are those of the half y <= 0, and
+    for a special Hermite image on a grid over C^2 symmetric about 0 those
+    of the quarter x <= 0, y <= 0 (see :func:`envelope`)."""
     bounds = tuple(bounds)
-    sups, argmaxes, coarse_sups, coarse_abs = _scan(handle, bounds, grid)
+    sups, argmaxes, coarse_sups = _scan(handle, bounds, grid)
     reports = []
     for bound, sup_fine, argmax, sup_coarse in zip(bounds, sups, argmaxes, coarse_sups):
         if sup_fine == 0.0:
             stable = sup_coarse == 0.0
         else:
             stable = abs(sup_fine - sup_coarse) / sup_fine < _STABILITY
-        reports.append(
-            EnvelopeReport(sup_fine, argmax, bound, grid, stable, sup_coarse, coarse_abs)
-        )
+        reports.append(EnvelopeReport(sup_fine, argmax, bound, grid, stable, sup_coarse))
     return reports
 
 
@@ -812,12 +760,12 @@ def envelope(handle: EntireHandle, bound: BoundSpec, grid: PlaneGrid) -> Envelop
     The sup is recomputed at doubled resolution; ``stable`` records whether
     it moved by less than 5% relatively.  A plane grid refines by halving
     its step, so the refined grid keeps every node of the grid (the nested
-    trapezoid rule) and one scan of it gives the refined sup, the grid's
-    sup over the nested nodes and |F| there.  Grids over one complex
-    coordinate and over two (with ``handle.eval_grid(X, Y, U, V)``) scan
-    alike.  |F| at the grid's nodes comes back as ``coarse_abs``, so a
-    caller that tables the grid need not evaluate it again.
-    :func:`envelopes` runs several bounds on one scan.
+    trapezoid rule) and one scan of it gives both the refined sup and the
+    grid's sup over the nested nodes.  Grids over one complex coordinate and
+    over two (with ``handle.eval_grid(X, Y, U, V)``) scan alike.  The scan
+    works in logs and keeps no values of F, so a caller that tables F on
+    the grid evaluates it there.  :func:`envelopes` runs several bounds on
+    one scan.
 
     When F is real on R (``handle.real_on_real_axis``) and the grid is
     symmetric in y, the scan evaluates the half y <= 0 of the refined grid
@@ -827,8 +775,7 @@ def envelope(handle: EntireHandle, bound: BoundSpec, grid: PlaneGrid) -> Envelop
     x <= 0, y <= 0: |F| and every bound on C^2 are unchanged by
     rho_1: (x, v) -> (-x, -v) and rho_2: (y, u) -> (-y, -u).  Either way the
     sups and the argmax (the first row-major maximum, which lies in the
-    walked part) are the whole grid's, bit for bit, and ``coarse_abs``
-    mirrors the part it holds.
+    walked part) are the whole grid's, bit for bit.
     """
     return envelopes(handle, (bound,), grid)[0]
 

@@ -49,6 +49,7 @@ from .semigroup import (
     envelope,
     semigroup_handle,
 )
+from .specfun import _finite
 from .spectral import (
     Bump,
     Dirac,
@@ -121,13 +122,19 @@ def gauss_stft(
     """T_a f(z) = (2 pi)^{-1/2} int f(u) c e^{-a u^2/2} e^{-i z u} du,
     entire in z.  Vectorized over an array z: one oscillation e^{-izu} per
     point and node.  Grids scan through :class:`_StftHandle`, whose
-    column-by-row form is one matrix product."""
+    column-by-row form is one matrix product.
+
+    Raises :class:`~mehler.specfun.HermiteOverflowError` where a value is
+    not finite: far off the real axis e^{yu} leaves the doubles at the
+    rule's outer nodes."""
     if a <= 0 or c <= 0:
         raise ValueError("a and c must be positive")
     z = np.asarray(z, dtype=complex)
     u, base = _stft_nodes(f, a, c, rule, z.real)
-    osc = np.exp(-1j * z[..., None] * u)
-    out = (2 * math.pi) ** -0.5 * np.sum(base * osc, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        osc = np.exp(-1j * z[..., None] * u)
+        out = (2 * math.pi) ** -0.5 * np.sum(base * osc, axis=-1)
+    _finite(out, "windowed transform")
     return complex(out) if out.ndim == 0 else out
 
 
@@ -198,7 +205,9 @@ class _StftHandle(EntireHandle):
         """Values at broadcastable real X, Y.  A column X by a row Y (the
         envelope scan's open mesh) is one product: e^{-izu} = e^{-ixu} e^{yu},
         so T_a f = (E_x diag(base)) E_y^T with E_x = e^{-ixu}, E_y = e^{yu}
-        over the rule's nodes.  Other shapes go through :func:`gauss_stft`."""
+        over the rule's nodes.  Other shapes go through :func:`gauss_stft`.
+        Either raises :class:`~mehler.specfun.HermiteOverflowError` where a
+        value is not finite."""
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
         if not (X.ndim == Y.ndim == 2 and X.shape[1] == 1 and Y.shape[0] == 1):
@@ -207,7 +216,8 @@ class _StftHandle(EntireHandle):
         u, base = _stft_nodes(self.f, self.a, 1.0, self.rule, x)
         ex = np.exp(-1j * np.multiply.outer(x, u)) * ((2 * math.pi) ** -0.5 * base)
         with np.errstate(over="ignore", invalid="ignore"):
-            return real_matmul(ex, np.exp(np.multiply.outer(u, y)))
+            vals = real_matmul(ex, np.exp(np.multiply.outer(u, y)))
+        return _finite(vals, "windowed transform", "on this grid")
 
 
 def pw_envelope(

@@ -1,14 +1,19 @@
-"""The benchmark's suite adapter runs the registry as the suite does.
+"""The benchmark's adapters run the package as the package runs itself.
 
 ``perfbench/run.py`` times a suite pass by wrapping every registered check
 in place (``_timed_checks``), and ``perfbench/workloads.py`` turns the
-report into one record per check.  Both modules are loaded here by path,
-as ``test_tracing_targets.py`` loads ``tracing.py``.
+report into one record per check and builds the heat-grid jobs.  Both
+modules are loaded here by path, as ``test_tracing_targets.py`` loads
+``tracing.py``.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
 
 import mehler
 import mehler.suite  # perfbench imports it beside the package
@@ -70,3 +75,21 @@ def test_check_crashing_inside_the_timer_keeps_its_tag(monkeypatch):
     assert row.tol == suite.DEFAULT_TOLERANCES["twisted-isometry"]
     assert "boom" in row.details
     assert list(timer) == [0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["sobolev-embed", "schwartz-image", "tempered", "pw"])
+def test_heat_grid_envelope_jobs_pass_their_oracles(kind, seed):
+    # the heat-grid envelope ops, built by the benchmark's own job makers,
+    # pass their off-clock oracles; each judges the report by its sup_ratio
+    # alone, so a report that carries only that field passes the same check
+    rng = np.random.default_rng([seed, 7])
+    if kind == "pw":
+        op = _workloads._pw_job(mehler, rng)
+    else:
+        op = _workloads._envelope_job(mehler, rng, kind)
+    record = _workloads.execute(op)
+    assert record.ok, (record.label, record.error)
+    rep = op.run()
+    bare = _workloads.judge(op, SimpleNamespace(sup_ratio=rep.sup_ratio), 0.0)
+    assert bare.ok and bare.margin == record.margin

@@ -73,7 +73,6 @@ def test_quarter_folded_envelopes_match_the_whole_grid_bit_for_bit(monkeypatch, 
         assert got.argmax == want.argmax
         assert got.argmax[0] <= 0.0 and got.argmax[1] <= 0.0
         assert got.stable == want.stable
-        np.testing.assert_array_equal(got.coarse_abs, want.coarse_abs)
 
 
 @pytest.mark.parametrize(
@@ -109,7 +108,6 @@ def test_gaussian_image_envelopes_fold_bit_for_bit(monkeypatch, a, t, boxes, res
         assert got.sup_coarse == want.sup_coarse
         assert got.argmax == want.argmax
         assert got.stable == want.stable
-        np.testing.assert_array_equal(got.coarse_abs, want.coarse_abs)
 
 
 def _mirrored_nodes(n_points=200, seed=3):

@@ -1,6 +1,7 @@
 """Gaussian-windowed Fourier transform, the bridge identity, and growth checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from mehler import (
     pw_envelope,
 )
 from mehler.quadrature import PlaneGrid
+from mehler.specfun import HermiteOverflowError
+from mehler.stft import _StftHandle
 
 PI14 = math.pi ** -0.25
 INV_SQRT_2PI = (2 * math.pi) ** -0.5
@@ -55,6 +58,26 @@ def test_gauss_stft_imaginary_growth(gh128):
     v1 = abs(gauss_stft(HermiteBasis((0,)), a, 1j, rule=gh128))
     v2 = abs(gauss_stft(HermiteBasis((0,)), a, 2j, rule=gh128))
     assert v2 / v1 == pytest.approx(math.exp((4 - 1) / (2 * (1 + a))), rel=1e-9)
+
+
+def test_windowed_transform_off_axis_fails_by_name(gh128):
+    # far off the real axis e^{yu} leaves the doubles at the rule's outer
+    # nodes: the paired-point and the open-mesh evaluators both raise the
+    # named error, with no numpy warning on the way, while at 20i the
+    # ground state's transform is still its closed form
+    a = 2.0
+    handle = _StftHandle(HermiteBasis((0,)), a, gh128)
+    ref = stft_gaussian_oracle(a, 20j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HermiteOverflowError, match="windowed transform"):
+            gauss_stft(HermiteBasis((0,)), 0.5, 60j, rule=gh128)
+        with pytest.raises(HermiteOverflowError, match="windowed transform"):
+            handle.eval_grid(np.array([[0.0], [1.0]]), np.array([[0.0, 60.0]]))
+        got = gauss_stft(HermiteBasis((0,)), a, 20j, rule=gh128)
+        mesh = handle.eval_grid(np.array([[0.0]]), np.array([[20.0]]))
+    assert got == pytest.approx(ref, rel=1e-12)
+    assert mesh[0, 0] == pytest.approx(ref, rel=1e-12)
 
 
 def test_gauss_stft_point_mass_is_constant():

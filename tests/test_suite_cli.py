@@ -9,12 +9,13 @@ import os
 import numpy as np
 import pytest
 
+from mehler import cli
 from mehler.cli import cli_main, parse_test_function
 from mehler.kernels import special_schwartz_bound
 from mehler.semigroup import bergman_norm, semigroup_handle
 from mehler.special import SpecialHermiteBasis, special_envelope, special_hermite_eval
 from mehler.spectral import Dirac, Gaussian, HermiteBasis, PolyGaussian, SpectralHandle
-from mehler.stft import _StftHandle
+from mehler.stft import _StftHandle, gauss_stft
 from mehler.suite import (
     CHECKS,
     REQUIRED_THEOREMS,
@@ -402,17 +403,17 @@ def _record_eval_grid(monkeypatch, cls, method="eval_grid"):
 
 
 def test_cli_envelope_evaluates_the_coarse_grid_once(tmp_path, monkeypatch):
-    # the CSV tables the grid's nodes off the envelope's one scan of the
-    # refined grid, which nests them; the scan takes the split form P e^E
-    # of the spectral image, real on R, on the y <= 0 half of the refined
-    # grid (24 of its 47 rows of y), and mirrors the rest
+    # the envelope's one scan takes the split form P e^E of the spectral
+    # image, real on R, on the y <= 0 half of the refined grid (24 of its 47
+    # rows of y) and keeps no values of F; the CSV then evaluates the image
+    # once more, at the 24 x 24 nodes of its own grid
     sizes = _record_eval_grid(monkeypatch, SpectralHandle, "eval_grid_parts")
     out = tmp_path / "env.csv"
     code = cli_main(
         ["envelope", "--t", "0.3", "--m", "2", "--out", str(out), "--res", "24"]
     )
     assert code == 0
-    assert sizes == [47 * 24]
+    assert sizes == [47 * 24, 24 * 24]
     with open(out) as fh:
         rows = list(csv.reader(fh))[1:]
     # each row tables |F|^2 at its own node (the default f is h_0)
@@ -436,7 +437,18 @@ def test_cli_envelope_csv_overflow_is_named(tmp_path, capsys):
 
 
 def test_cli_stft_evaluates_the_coarse_grid_once(tmp_path, monkeypatch):
+    # the envelope's one scan is the open-mesh product over the whole
+    # refined grid (a windowed transform is not folded); the CSV then makes
+    # one gauss_stft call at the 16 x 16 nodes of its own grid
     sizes = _record_eval_grid(monkeypatch, _StftHandle)
+    points = []
+    inner = cli.gauss_stft
+
+    def recording(f, a, z, **kwargs):
+        points.append(np.size(z))
+        return inner(f, a, z, **kwargs)
+
+    monkeypatch.setattr(cli, "gauss_stft", recording)
     out = tmp_path / "stft.csv"
     code = cli_main(
         ["stft", "--f", "h0", "--a", "2.0", "--out", str(out), "--res", "16",
@@ -444,6 +456,7 @@ def test_cli_stft_evaluates_the_coarse_grid_once(tmp_path, monkeypatch):
     )
     assert code == 0
     assert sizes == [31 * 31]
+    assert points == [16 * 16]
 
 
 def test_cli_kernels_csv(tmp_path):
@@ -549,6 +562,12 @@ def test_cli_stft_csv(tmp_path):
     with open(out) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["x", "y", "absF2", "bound", "ratio"]
+    assert len(rows) == 1 + 16 * 16
+    # each row tables |T_a f|^2 at its own node, against the squared bound
+    for row in rows[1:]:
+        x, y, a2, b, r = (float(v) for v in row)
+        assert a2 == pytest.approx(abs(gauss_stft(HermiteBasis((0,)), 2.0, complex(x, y))) ** 2, rel=1e-12)
+        assert r == pytest.approx(a2 / b, rel=1e-12)
 
 
 def test_cli_suite_reduced(tmp_path, capsys):
