@@ -57,6 +57,7 @@ more than 1e-2 of its terms' moduli raises
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -314,18 +315,32 @@ def default_bergman_grid(
     )
 
 
+def _check_order(m) -> int:
+    """``m`` as an int: a weighted-norm order, a whole number >= 0; a
+    ValueError that names it otherwise."""
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+        raise ValueError(f"weighted-norm order m must be an integer, got {m!r}")
+    if m < 0:
+        raise ValueError(f"weighted-norm order m must be >= 0, got {m!r}")
+    return int(m)
+
+
 def bergman_norm(
     handle: EntireHandle,
     t: float,
-    m: int,
+    m,
     grid: PlaneGrid,
     kappa: float = 1.0,
-) -> float:
+):
     """Weighted squared norm kappa * int |F|^2 d^{2m}/dt^{2m} U_t dz.
 
     m = 0 is the plain Bergman squared norm; higher m weights with the
     (signed) derivative of the weight, which the spectral identity
-    guarantees to be a positive quadratic form on the image space.
+    guarantees to be a positive quadratic form on the image space.  ``m``
+    is one order, giving a float, or a sequence of orders, giving a list
+    with one norm per order: F, its exponential and |P|^2 are then formed
+    once, and each order's norm is bit for bit the one a call at that order
+    alone gives.  Every order must be an integer >= 0.
 
     The sum runs over the open mesh of the grid's axes.  With F = P e^E
     (``handle.eval_grid_parts``), |F|^2 and the weight's Gaussian
@@ -349,8 +364,10 @@ def bergman_norm(
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    single = np.ndim(m) == 0
+    orders = [_check_order(m)] if single else [_check_order(k) for k in m]
+    if not orders:
+        raise ValueError("m must name at least one order")
     x, wx = grid.axis(0)
     y, wy, _ = grid.y_axis(handle.real_on_real_axis)
     P, E = handle.eval_grid_parts(x[:, None], y[None, :])
@@ -368,16 +385,31 @@ def bergman_norm(
         abs_P *= abs_P
         expo *= abs_P
         del abs_P
-        H, jx, jy = _weight_jets(t, m, x * x, y * y)
-        # the quadrature terms: node weights times |F|^2 d^{2m}/dt^{2m} U_t
-        terms = (jx * wx).T @ H @ (jy * wy)
-        terms *= expo
-        total = kappa * float(np.sum(terms))
-        half = 4.0 * kappa * float(np.sum(terms[::2, ::2]))
-        size = abs(kappa) * float(np.sum(np.abs(terms, out=terms)))
-    _finite(total, "the weighted integrand", "on this grid")
-    _check_half_step(total, half, size, grid.resolution, "weighted norm")
-    return total
+        norms = []
+        for order in orders:
+            H, jx, jy = _weight_jets(t, order, x * x, y * y)
+            # the quadrature terms: node weights times |F|^2 d^{2m}/dt^{2m} U_t
+            terms = (jx * wx).T @ H @ (jy * wy)
+            terms *= expo
+            total = kappa * float(np.sum(terms))
+            half = 4.0 * kappa * float(np.sum(terms[::2, ::2]))
+            size = abs(kappa) * float(np.sum(np.abs(terms, out=terms)))
+            _finite(total, "the weighted integrand", "on this grid")
+            _check_half_step(total, half, size, grid.resolution, "weighted norm")
+            norms.append(total)
+    return norms[0] if single else norms
+
+
+def _distinct_probes(probes: list) -> list:
+    """``probes``, or a ValueError naming the first one that repeats: a
+    repeated probe would be summed as an off-diagonal pair with itself, and
+    its ratio kept once."""
+    seen = set()
+    for probe in probes:
+        if probe in seen:
+            raise ValueError(f"calibration probe {probe} is repeated")
+        seen.add(probe)
+    return probes
 
 
 def calibrate_weight(
@@ -420,7 +452,7 @@ def calibrate_weight(
         alphas = [(k,) for k in range(5)]
     if not alphas:
         raise ValueError("alphas must name at least one probe index")
-    alphas = [as_index(a) for a in alphas]
+    alphas = _distinct_probes([as_index(a) for a in alphas])
     pairs = [(a, b) for i, a in enumerate(alphas) for b in alphas[i + 1 :]]
     kmax = max(sum(a) for a in alphas)
 

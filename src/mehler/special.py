@@ -111,7 +111,13 @@ import numpy as np
 from .indices import MultiIndex, as_index, multi_indices, oscillator_eigenvalue
 from .kernels import _twisted_profile_jet, special_plain_bound, special_schwartz_bound
 from .quadrature import PlaneGrid, _check_half_step, real_matmul
-from .semigroup import CalibrationResult, EnvelopeReport, envelope
+from .semigroup import (
+    CalibrationResult,
+    EnvelopeReport,
+    _check_order,
+    _distinct_probes,
+    envelope,
+)
 from .specfun import HermiteOverflowError, _finite, hermite_eval, laguerre_ladder, mul_exp_parts
 from .spectral import EntireHandle
 
@@ -343,9 +349,13 @@ class HeatProfile:
 @dataclass(frozen=True)
 class LaguerreProfile:
     """phi_k = L_k^0(q/2) e^{-q/4} as an entire function of (z, w) in C^2
-    through the bilinear square q = z^2 + w^2."""
+    through the bilinear square q = z^2 + w^2, for an order k >= 0."""
 
     k: int
+
+    def __post_init__(self):
+        if self.k < 0:
+            raise ValueError(f"Laguerre profile order k must be >= 0, got {self.k!r}")
 
     def __call__(self, z, w):
         q = np.asarray(z) ** 2 + np.asarray(w) ** 2
@@ -362,17 +372,63 @@ class LaguerreProfile:
         That is L_k(x^2 + y^2) = (-1)^k / (4^k k!) sum_j C(k, j) H_{2j}(x)
         H_{2k-2j}(y) (Thangavelu 1993) with the Gaussian shared out.  Each
         |c[j]| is at most sqrt(pi), so at real points no term is much larger
-        than the profile's bound 1.
+        than the profile's bound 1.  The rows come from the one ladder of
+        :func:`_laguerre_factors`.
         """
-        k = self.k
+        C, G, H, ia, ib = _laguerre_factors((self.k,), a, b)
+        return C[0], G[ia], H[ib]
+
+
+def _laguerre_factors(ks, a, b):
+    """(C, G, H, ia, ib) with phi_{ks[r]} at (a, b) equal to
+    sum_t C[r, t] G[ia[t]] H[ib[t]]: the terms of
+    :meth:`LaguerreProfile.axis_factors` for every order in ``ks``.
+
+    Every phi_k reads only even rows of the Hermite ladder at a/sqrt 2 and
+    at b/sqrt 2, so G holds the rows h_0, h_2, ..., h_{2K} (K the largest
+    order) and H the same rows downwards, h_{2K}, ..., h_0, of one ladder
+    for both axes; the term j of phi_k reads G[j] = h_{2j} and
+    H[K - k + j] = h_{2k-2j}.  For one profile, G and H are then its terms'
+    rows in term order.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    top = max(ks)
+    h = hermite_eval(2 * top, np.concatenate([a.ravel(), b.ravel()]) / math.sqrt(2.0))
+    G = h[::2, : a.size].reshape((top + 1,) + a.shape)
+    H = h[::-2, a.size :].reshape((top + 1,) + b.shape)
+    ia = np.concatenate([np.arange(k + 1) for k in ks])
+    C = np.zeros((len(ks), len(ia)))
+    start = 0
+    for r, k in enumerate(ks):
         central = np.array([float(math.comb(2 * j, j)) for j in range(k + 1)])
-        c = (-1) ** k * np.sqrt(math.pi * central * central[::-1]) / 2.0**k
-        # one ladder for both axes
-        a, b = np.asarray(a), np.asarray(b)
-        h = hermite_eval(2 * k, np.concatenate([a.ravel(), b.ravel()]) / math.sqrt(2.0))
-        ha = h[::2, : a.size].reshape((k + 1,) + a.shape)
-        hb = h[::-2, a.size :].reshape((k + 1,) + b.shape)
-        return c, ha, hb
+        C[r, start : start + k + 1] = (-1) ** k * np.sqrt(math.pi * central * central[::-1]) / 2.0**k
+        start += k + 1
+    return C, G, H, ia, np.concatenate([top - k + np.arange(k + 1) for k in ks])
+
+
+def _profile_factors(profiles, a, b):
+    """(C, G, H, ia, ib) with profile r of ``profiles`` at (a, b) equal to
+    sum_t C[r, t] G[ia[t]] H[ib[t]]; ia and ib are index arrays, or slices
+    where term t reads row t.
+
+    Laguerre profiles share the rows of one ladder (:func:`_laguerre_factors`);
+    any other profile comes alone and gives its own terms
+    (``g.axis_factors``).  Several profiles that are not all Laguerre
+    profiles, or a profile without per-axis factors, raise ``TypeError``.
+    """
+    if all(isinstance(g, LaguerreProfile) for g in profiles):
+        return _laguerre_factors([g.k for g in profiles], a, b)
+    if len(profiles) > 1:
+        raise TypeError("twisted_conv takes several profiles only as Laguerre profiles")
+    factors = getattr(profiles[0], "axis_factors", None)
+    if factors is None:
+        raise TypeError(
+            "twisted_conv takes a profile with per-axis factors, "
+            f"not {type(profiles[0]).__name__}"
+        )
+    c, G, H = factors(a, b)
+    # term t reads row t of each table: a slice, which takes a view
+    return c[None, :], G, H, slice(None), slice(None)
 
 
 def heat_profile(t: float) -> HeatProfile:
@@ -473,45 +529,44 @@ def _axis_form(f, x: np.ndarray, u: np.ndarray):
     return C, _gauss_columns(x, rate, C.shape[0]), _gauss_columns(u, rate, C.shape[1])
 
 
-def _axis_moments(g, z, w, grid: PlaneGrid, A_f: np.ndarray, B_f: np.ndarray):
-    """(c, X, U, shape): the moment tables of the profile g against an
-    input's x-columns A_f (J, nx) and u-columns B_f (K, nu) on the grid's
+def _axis_moments(profiles, z, w, grid: PlaneGrid, A_f: np.ndarray, B_f: np.ndarray):
+    """((C, ia, ib), X, U, shape): the moment tables of the profiles against
+    an input's x-columns A_f (J, nx) and u-columns B_f (K, nu) on the grid's
     two axes, at the points (z, w) broadcast and flattened, and the
     broadcast shape.
 
-    With g(a, b) = sum_t c[t] G_t(a) H_t(b) (``g.axis_factors``) and the
-    phase e^{-i(xw - zu)/2} = e^{-ixw/2} e^{izu/2},
-    X[t, p, j] = sum_i w_i G_t(z_p - x_i) e^{-i x_i w_p/2} A_f[j, i] and
-    U[t, p, k] = sum_l w_l H_t(w_p - u_l) e^{i z_p u_l/2} B_f[k, l]: one
-    real matrix product each, for every term and point.  A profile without
-    per-axis factors raises ``TypeError``.
+    With profile r at (a, b) equal to sum_t C[r, t] G[ia[t]](a) H[ib[t]](b)
+    (:func:`_profile_factors`) and the phase
+    e^{-i(xw - zu)/2} = e^{-ixw/2} e^{izu/2},
+    X[i, p, j] = sum_x w_x G_i(z_p - x) e^{-i x w_p/2} A_f[j, x] and
+    U[l, p, k] = sum_u w_u H_l(w_p - u) e^{i z_p u/2} B_f[k, u]: one real
+    matrix product each, for every row and point, and each row serves every
+    term that reads it.
     """
-    factors = getattr(g, "axis_factors", None)
-    if factors is None:
-        raise TypeError(
-            f"twisted_conv takes a profile with per-axis factors, not {type(g).__name__}"
-        )
     zs, ws = np.broadcast_arrays(np.asarray(z), np.asarray(w))
     shape = zs.shape
     zs, ws = zs.reshape(-1, 1), ws.reshape(-1, 1)
     (x, wx), (u, wu) = grid.axis(0), grid.axis(1)
     with np.errstate(over="ignore", invalid="ignore"):
-        coefs, G, H = factors(zs - x, ws - u)
+        C, G, H, ia, ib = _profile_factors(profiles, zs - x, ws - u)
         G = (G * np.exp(-0.5j * x * ws)).reshape(-1, len(x))
         H = (H * np.exp(0.5j * zs * u)).reshape(-1, len(u))
-        X = real_matmul(G, (wx * A_f).T).reshape(len(coefs), -1, len(A_f))
-        U = real_matmul(H, (wu * B_f).T).reshape(len(coefs), -1, len(B_f))
-    return coefs, X, U, shape
+        X = real_matmul(G, (wx * A_f).T).reshape(-1, len(zs), len(A_f))
+        U = real_matmul(H, (wu * B_f).T).reshape(-1, len(zs), len(B_f))
+    return (C, ia, ib), X, U, shape
 
 
-def _contract(coefs, X: np.ndarray, U: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """sum_t c[t] sum_jk M[j, k] X[t, p, j] U[t, p, k] at every point p,
-    from the leading columns of the moment tables of :func:`_axis_moments`;
-    for a stack M of shape (n, J, K), one row of points per matrix.  A
-    value past the largest double raises :class:`HermiteOverflowError`."""
+def _contract(terms, X: np.ndarray, U: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """sum_t C[r, t] sum_jk M[j, k] X[ia[t], p, j] U[ib[t], p, k] for every
+    profile r and point p, shape (R, P), from the leading columns of the
+    moment tables of :func:`_axis_moments`; for a stack M of shape
+    (n, J, K), (n, R, P), one block per matrix.  A value past the largest
+    double raises :class:`HermiteOverflowError`."""
+    C, ia, ib = terms
     J, K = M.shape[-2:]
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = coefs @ np.sum((X[..., :J] @ M[..., None, :, :]) * U[..., :K], axis=-1)
+        XM = X[..., :J] @ M[..., None, :, :]
+        vals = C @ np.sum(XM[..., ia, :, :] * U[ib, :, :K], axis=-1)
     return _finite(vals, "twisted heat image")
 
 
@@ -519,14 +574,18 @@ def twisted_conv(f, g, z, w, grid: PlaneGrid):
     """(f x g)(z, w) at real or complexified phase-space points.
 
     ``z`` and ``w`` are scalars, giving a complex, or broadcastable arrays
-    of points, giving an array of their broadcast shape.  The integration
-    runs over the real plane grid; for complex (z, w) the displaced factor
-    g and the phase use the entire continuation of g.
+    of points, giving an array of their broadcast shape.  ``g`` is one
+    profile, or a list or tuple of R Laguerre profiles, which adds a
+    leading axis of length R (a scalar point gives an array of R values).
+    The integration runs over the real plane grid; for complex (z, w) the
+    displaced factor g and the phase use the entire continuation of g.
 
     Both factors come in per-axis form.  The profile ``g`` gives its
     factors (``g.axis_factors(a, b)``): g(a, b) = sum_t c_t G_t(a) H_t(b),
     one term for :class:`HeatProfile` and k + 1 for
-    :class:`LaguerreProfile`.  The input f is
+    :class:`LaguerreProfile`; Laguerre profiles read the even rows of one
+    Hermite ladder, so a set of them shares one ladder and one pair of
+    moment tables (:func:`_laguerre_factors`).  The input f is
     sum_jk M[j, k] A_j(x) B_k(u) (:func:`_axis_form`): a polynomial
     Gaussian's coefficients against x^j e^{-rate x^2/2} and
     u^k e^{-rate u^2/2}, or phi_k's k + 1 Hermite products.  The grid is a
@@ -534,15 +593,21 @@ def twisted_conv(f, g, z, w, grid: PlaneGrid):
     term's plane sum is exactly the product of an x-moment table X_t and a
     u-moment table U_t (:func:`_axis_moments`), and the value is
     sum_t c_t diag(X_t M U_t^T): no table of f over the plane is formed.
-    Any other f, or a profile without per-axis factors, raises
-    ``TypeError``; a value past the largest double raises
-    :class:`HermiteOverflowError`.
+    Any other f, a profile without per-axis factors, or several profiles
+    that are not all Laguerre profiles, raise ``TypeError``; a value past
+    the largest double raises :class:`HermiteOverflowError`.
     """
+    several = isinstance(g, (list, tuple))
+    profiles = tuple(g) if several else (g,)
+    if not profiles:
+        raise ValueError("g must name at least one profile")
     (x, _), (u, _) = grid.axis(0), grid.axis(1)
     M, A, B = _axis_form(f, x, u)
-    coefs, X, U, shape = _axis_moments(g, z, w, grid, A, B)
-    vals = _contract(coefs, X, U, M)
-    return complex(vals[0]) if not shape else vals.reshape(shape)
+    terms, X, U, shape = _axis_moments(profiles, z, w, grid, A, B)
+    vals = _contract(terms, X, U, M)
+    if several:
+        return vals.reshape((len(profiles),) + shape)
+    return complex(vals[0, 0]) if not shape else vals[0].reshape(shape)
 
 
 def special_semigroup_apply(f, t: float, z, w):
@@ -555,13 +620,14 @@ def special_semigroup_apply(f, t: float, z, w):
     return twisted_conv(f, heat_profile(t), z, w, default_twisted_grid(t))
 
 
-def laguerre_project(f, k: int, z, w, grid: PlaneGrid):
+def laguerre_project(f, k, z, w, grid: PlaneGrid):
     """Eigenspace projection (2 pi)^{-n} (f x phi_k) at real points: a
-    complex for scalars, an array for arrays, as :func:`twisted_conv`."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    val = twisted_conv(f, laguerre_profile(k), z, w, grid)
-    return val / (2.0 * math.pi)
+    complex for scalars, an array for arrays, as :func:`twisted_conv`.
+    ``k`` is one order, or a sequence of R orders, which adds a leading
+    axis of length R: every projection then reads one ladder and one pair
+    of moment tables."""
+    g = [laguerre_profile(j) for j in k] if np.ndim(k) else laguerre_profile(k)
+    return twisted_conv(f, g, z, w, grid) / (2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -747,11 +813,11 @@ def _heat_images(arrays, rate: float, t: float) -> list[np.ndarray]:
     stack = np.zeros((len(arrays), *np.max([C.shape for C in arrays], axis=0)), dtype=complex)
     for C, padded in zip(arrays, stack):
         padded[: C.shape[0], : C.shape[1]] = C
-    coefs, X, U, _ = _axis_moments(
-        heat_profile(t), _POINT_Z, _POINT_W, grid,
+    terms, X, U, _ = _axis_moments(
+        (heat_profile(t),), _POINT_Z, _POINT_W, grid,
         _gauss_columns(x, rate, stack.shape[1]), _gauss_columns(u, rate, stack.shape[2]),
     )
-    return list(_contract(coefs, X, U, stack))
+    return list(_contract(terms, X, U, stack)[:, 0])
 
 
 def _max_residual(lhs, rhs) -> float:
@@ -988,8 +1054,7 @@ def bergman_norm_special(
         raise ValueError("t must be positive")
     if grid.ncoords != 2:
         raise ValueError("need a two-coordinate grid over C^2")
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    m = _check_order(m)
     a, b = handle.alpha[0], handle.beta[0]
     P = _phi1_poly(a, b, 2 * (abs(a - b) + 2 * min(a, b)) + 1)
     ((total, half, size),) = _plane_sums([(P, P)], t, m, grid)
@@ -1024,7 +1089,7 @@ def calibrate_weight_special(
         pairs = [((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (1,))]
     if not pairs:
         raise ValueError("pairs must name at least one (alpha, beta) probe")
-    pairs = [(as_index(a), as_index(b)) for a, b in pairs]
+    pairs = _distinct_probes([(as_index(a), as_index(b)) for a, b in pairs])
     if any(len(a) != 1 or len(b) != 1 for a, b in pairs):
         raise ValueError("calibration probes are one-dimensional (n = 1)")
 

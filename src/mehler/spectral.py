@@ -13,11 +13,12 @@ every expansion of that shape reads it.
 
 Spectral data evaluates anywhere on C^n through the entire extension of
 the basis, and both evaluators are views of the one rescaled Hermite
-recurrence in :mod:`mehler.specfun`.  At a point, :func:`eval_entire`
-takes one log-domain ladder per coordinate, run only to the highest order
-that a nonzero coefficient uses, gathers the terms of the nonzero
-coefficients at once and reports the magnitude of the last coefficient
-shell as a truncation indicator.  On a grid, ``SpectralHandle.eval_grid_parts``
+recurrence in :mod:`mehler.specfun`.  At a point, or at P points in one
+call, :func:`eval_entire` takes one log-domain ladder over every
+coordinate of every point, run only to the highest order that a nonzero
+coefficient uses, gathers the terms of the nonzero coefficients at once
+and reports the magnitude of the last coefficient shell as a truncation
+indicator.  On a grid, ``SpectralHandle.eval_grid_parts``
 sums the series by one Clenshaw sweep in split form P e^E (E = log h_0(z)),
 so grid consumers can join the Gaussian with their own before
 exponentiating.  A value whose modulus exceeds the largest double raises
@@ -361,41 +362,65 @@ def eval_entire(
 ):
     """Value of the heat transform sum_alpha c_alpha e^{-(2|alpha|+n)t} Phi_alpha(z).
 
-    Scalar ``z`` in C^n.  Terms are assembled from log-domain basis values,
-    so nothing overflows at desk scale; a result that does not fit a double
-    raises :class:`~mehler.specfun.HermiteOverflowError`.  Only the nonzero
+    ``z`` is one point of C^n (a scalar for n = 1, or a sequence of length
+    n), giving a complex, or P points shaped (P, n), giving an array of P
+    values.  Terms are assembled from log-domain basis values, so nothing
+    overflows at desk scale; a result that does not fit a double raises
+    :class:`~mehler.specfun.HermiteOverflowError`.  Only the nonzero
     coefficients enter, and the ladder runs to the highest order they use
     on any coordinate, so a sparse expansion costs what its terms cost, not
-    what its truncation does.  With ``with_tail=True`` also returns the
+    what its truncation does.  All points share one ladder call, which
+    rescales each point on its own, and each point's terms are joined along
+    a row of their own, so every value is bit for bit the one a call at
+    that point alone gives.  With ``with_tail=True`` also returns the
     summed magnitude of the last coefficient shell relative to the result,
     a truncation indicator (values above ~1e-6 mean the truncation is doing
-    visible damage).
+    visible damage), as a float or an array of P floats.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    z = as_point(z, dimension=e.dimension)
+    zs = np.asarray(z, dtype=complex)
+    single = zs.ndim < 2
+    if single:
+        zs = as_point(zs, dimension=e.dimension)[None, :]
+    elif zs.ndim != 2 or zs.shape[1] != e.dimension:
+        raise ValueError(f"points must be shaped (P, {e.dimension}), got {zs.shape}")
+    elif not np.all(np.isfinite(zs)):
+        raise ValueError("point coordinates must be finite")
     table = _index_table(e.dimension, e.truncation)
     live = np.flatnonzero(e.values)
-    if live.size == 0:
-        return (0j, 0.0) if with_tail else 0j
-    alphas, degrees = table.alphas[live], table.degrees[live]
-    log_mod, arg = hermite_log_ladder(int(alphas.max()), z)
-    # row alpha_j of coordinate j's ladder, for every live alpha at once
-    idx = alphas, np.arange(e.dimension)
-    logmag = log_mod[idx].sum(axis=1) - (2.0 * degrees + e.dimension) * t
-    weights = e.values[live] * np.exp(1j * arg[idx].sum(axis=1))
-    peak = float(np.max(logmag))
-    if peak == -math.inf:
-        # every contributing basis value vanishes at z
-        return (0j, 0.0) if with_tail else 0j
-    terms = weights * np.exp(logmag - peak)
-    scaled = np.sum(terms)
-    total = complex(mul_exp(scaled, peak))
-    if not with_tail:
-        return total
-    # both sides carry the factor exp(peak), which may itself overflow
-    tail = float(np.sum(np.abs(terms[degrees == e.truncation])))
-    return total, tail / max(abs(scaled), np.finfo(float).tiny)
+    total = np.zeros(len(zs), dtype=complex)
+    tail = np.zeros(len(zs))
+    if live.size:
+        alphas, degrees = table.alphas[live], table.degrees[live]
+        # one ladder over the flat (coordinate, point) list: numpy's
+        # per-step overhead is least on a 1-D array
+        log_mod, arg = hermite_log_ladder(int(alphas.max()), zs.T.ravel())
+        # row alpha_j of coordinate j's ladder, for every live alpha and
+        # every point at once: (P, live) tables, one row per point
+        cols = np.arange(e.dimension)[:, None, None] * len(zs) + np.arange(len(zs))[:, None]
+        idx = alphas.T[:, None, :], cols
+        logmag = log_mod[idx].sum(axis=0) - (2.0 * degrees + e.dimension) * t
+        weights = e.values[live] * np.exp(1j * arg[idx].sum(axis=0))
+        # every finite log-modulus of a double exceeds -1e300, so a point
+        # where every contributing basis value vanishes takes that peak and
+        # sums exact zeros to 0, with a tail of 0
+        peak = np.max(logmag, axis=1, initial=-1e300)
+        terms = weights * np.exp(logmag - peak[:, None])
+        scaled = np.sum(terms, axis=1)
+        total = mul_exp(scaled, peak)
+        if with_tail:
+            # both sides carry the factor exp(peak), which may itself
+            # overflow.  The selection comes out column-major; summed along
+            # contiguous rows, each row is summed as a 1-D array is, and
+            # |scaled| is the scalar modulus (libm hypot), which numpy's
+            # array modulus can miss by an ulp
+            shell = np.ascontiguousarray(terms[:, degrees == e.truncation])
+            size = np.array([abs(s) for s in scaled.tolist()])
+            tail = np.sum(np.abs(shell), axis=1) / np.maximum(size, np.finfo(float).tiny)
+    if single:
+        total, tail = complex(total[0]), float(tail[0])
+    return (total, tail) if with_tail else total
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +509,11 @@ class SpectralHandle(EntireHandle):
 
     def eval(self, z) -> complex:
         """:func:`eval_entire` at a point of C^n.  It stays beside the grid
-        evaluator as the independent per-point evaluator that the suite
-        checks grids against, and it is the whole path of scalar requests."""
+        evaluator because it reaches none of the grid's code: its log-domain
+        ladder (:func:`~mehler.specfun.hermite_log_ladder`) shares nothing
+        with the Clenshaw sweep of ``eval_grid_parts``, so the suite checks
+        grid results against :func:`eval_entire` (batched over points), and
+        it is the whole path of scalar requests."""
         return eval_entire(self.expansion, self.time, z)
 
     @property

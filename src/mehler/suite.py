@@ -19,8 +19,17 @@ The checks run at n = 1 only, so the config has no dimension field, and a
 config key that is absent keeps its field's default.  The intertwining
 check reads both sign conventions from one twisted image per input
 (:func:`mehler.special.intertwine_check`).
+
+A pass builds each shared table once: ``run_suite`` opens a store
+(:func:`_table`) for the pass and drops it when the pass returns or
+raises, and the checks fetch the weight calibrations they share by (t,
+grid) through it.  It holds only builds that returned.  A check run on its
+own finds no store and builds its tables itself, and determinism's two
+inner runs hide the store, so each builds its own.
 """
 
+import contextlib
+import contextvars
 import functools
 import json
 import math
@@ -80,6 +89,7 @@ from .spectral import (
     HermiteBasis,
     PolyGaussian,
     SpectralHandle,
+    eval_entire,
     expand,
     sobolev_norm,
 )
@@ -353,6 +363,53 @@ def _check(name: str, theorem: str, tol: float):
 
 
 # ---------------------------------------------------------------------------
+# Tables shared within one suite pass
+# ---------------------------------------------------------------------------
+
+
+# The store of the pass in progress, a dict of the tables it has built by
+# key, or None outside ``run_suite`` and inside determinism's runs; a
+# context variable, so no pass sees another's store.
+_PASS_TABLES: contextvars.ContextVar = contextvars.ContextVar("pass_tables", default=None)
+
+
+@contextlib.contextmanager
+def _pass_tables(store):
+    """Make ``store`` the pass store for the body, and restore the previous
+    one on leaving, also when the body raises."""
+    token = _PASS_TABLES.set(store)
+    try:
+        yield
+    finally:
+        _PASS_TABLES.reset(token)
+
+
+def _table(key, build):
+    """``build()``, built once per pass: the pass store's table under
+    ``key``, or a fresh build for a check run on its own.  A table enters
+    the store only when its build has returned, so a build that raises
+    stores nothing and the next check that asks builds it afresh."""
+    store = _PASS_TABLES.get()
+    if store is None:
+        return build()
+    if key not in store:
+        store[key] = build()
+    return store[key]
+
+
+def _bergman_calibration(t: float, grid: PlaneGrid):
+    """``calibrate_weight(t, 1, None, grid)``, shared by (t, grid)."""
+    return _table(("calibrate_weight", t, grid), lambda: calibrate_weight(t, 1, None, grid))
+
+
+def _special_calibration(t: float, grid: PlaneGrid):
+    """``calibrate_weight_special(t, None, grid)``, shared by (t, grid)."""
+    return _table(
+        ("calibrate_weight_special", t, grid), lambda: calibrate_weight_special(t, None, grid)
+    )
+
+
+# ---------------------------------------------------------------------------
 # Individual checks
 # ---------------------------------------------------------------------------
 
@@ -422,7 +479,7 @@ def check_isometry(config: SuiteConfig, entry: _Entry) -> _Measured:
     worst = 0.0
     for t in times:
         grid = default_bergman_grid(t, resolution=config.bergman_res)
-        cal = calibrate_weight(t, 1, None, grid)
+        cal = _bergman_calibration(t, grid)
         kappas.append(cal.kappa)
         for e, ref in inputs:
             img = bergman_norm(SpectralHandle(e, t), t, 0, grid, kappa=cal.kappa)
@@ -441,7 +498,7 @@ def check_complex_orthogonality(config: SuiteConfig, entry: _Entry) -> _Measured
     ratios over |alpha| <= 4 and vanishing off-diagonals."""
     t = config.t[0]
     grid = default_bergman_grid(t, resolution=max(config.bergman_res, 81))
-    cal = calibrate_weight(t, 1, None, grid)
+    cal = _bergman_calibration(t, grid)
     ok = cal.spread <= 1e-5
     details = f"diag spread={cal.spread:.2e} res={grid.resolution}"
     return _Measured(cal.max_offdiagonal, ok, details)
@@ -453,15 +510,16 @@ def check_derivative_weight_identity(config: SuiteConfig, entry: _Entry) -> _Mea
     t = config.t[0]
     rule = gauss_hermite_rule(config.quad)
     grid = default_bergman_grid(t, resolution=config.bergman_res, degree_margin=14)
-    cal = calibrate_weight(t, 1, None, grid)
+    cal = _bergman_calibration(t, grid)
     worst = 0.0
-    for m in config.m:
-        for k in range(4):
-            handle = semigroup_handle(
-                HermiteBasis((k,)), t, "spectral", truncation=config.N, rule=rule
-            )
-            val = bergman_norm(handle, t, m, grid, kappa=cal.kappa)
-            lam = 2 * k + 1
+    for k in range(4):
+        handle = semigroup_handle(
+            HermiteBasis((k,)), t, "spectral", truncation=config.N, rule=rule
+        )
+        # one table of the image serves every order
+        vals = bergman_norm(handle, t, config.m, grid, kappa=cal.kappa)
+        lam = 2 * k + 1
+        for m, val in zip(config.m, vals):
             ref = 2.0 ** (2 * m) * lam ** (2 * m)
             worst = max(worst, abs(val - ref) / ref)
     return _Measured(worst, details=f"res={grid.resolution}")
@@ -474,7 +532,7 @@ def check_reproducing(config: SuiteConfig, entry: _Entry) -> _Measured:
     rng = entry.rng(config)
     rule = gauss_hermite_rule(config.quad)
     grid = default_bergman_grid(t, resolution=config.bergman_res)
-    cal = calibrate_weight(t, 1, None, grid)
+    cal = _bergman_calibration(t, grid)
     pts = rng.uniform(-1.5, 1.5, (10, 2))
     zs = (pts[:, 0] + 1j * pts[:, 1])[:, None]
     worst = 0.0
@@ -482,8 +540,10 @@ def check_reproducing(config: SuiteConfig, entry: _Entry) -> _Measured:
         handle = semigroup_handle(
             HermiteBasis((k,)), t, "spectral", truncation=config.N, rule=rule
         )
-        # the direct side stays the independent per-point evaluator
-        direct = np.array([handle.eval(z) for z in zs])
+        # the direct side is the log-domain ladder of eval_entire, one call
+        # for all points; it reaches none of the grid sweep (the Clenshaw
+        # sum of hermite_series_parts) that reproduce integrates
+        direct = eval_entire(handle.expansion, t, zs)
         repro = reproduce(handle, t, zs, grid, kappa=cal.kappa)
         worst = max(worst, float(np.max(np.abs(repro - direct) / (1.0 + np.abs(direct)))))
     return _Measured(worst, details=f"res={grid.resolution}")
@@ -568,7 +628,7 @@ def check_twisted_isometry(config: SuiteConfig, entry: _Entry) -> _Measured:
     """Calibrated twisted isometry plus the eigen-relation pointwise."""
     t = 0.4
     grid4 = default_special_grid(t, resolution=config.special_res)
-    cal = calibrate_weight_special(t, None, grid4)
+    cal = _special_calibration(t, grid4)
     handle = SpecialEigenHandle((0,), (0,), t)
     iso = bergman_norm_special(handle, t, 0, grid4, kappa_star=cal.kappa)
     metric = abs(iso - 1.0)
@@ -600,7 +660,7 @@ def check_twisted_sobolev(config: SuiteConfig, entry: _Entry) -> _Measured:
     """Order-1 twisted Sobolev identity on an eigenfunction image."""
     t = 0.4
     grid4 = default_special_grid(t, resolution=config.special_res)
-    cal = calibrate_weight_special(t, None, grid4)
+    cal = _special_calibration(t, grid4)
     handle = SpecialEigenHandle((0,), (1,), t)
     val = bergman_norm_special(handle, t, 1, grid4, kappa_star=cal.kappa)
     ref = 4.0 * 9.0
@@ -618,9 +678,8 @@ def check_projection_algebra(config: SuiteConfig, entry: _Entry) -> _Measured:
         got = laguerre_project(laguerre_profile(k), j, x, u, grid)
         ref = laguerre_function_entire(k, x * x + u * u, 1) if k == j else 0.0
         worst = max(worst, float(np.max(np.abs(got - ref))))
-    recon = sum(
-        laguerre_project(Gaussian2n(1.0), k, 0.0, 0.0, grid) for k in range(13)
-    )
+    # one ladder and one pair of moment tables for all 13 projections
+    recon = sum(laguerre_project(Gaussian2n(1.0), range(13), 0.0, 0.0, grid))
     recon_err = abs(recon - 1.0)
     ok = recon_err <= 1e-4
     details = f"reconstruction error at origin={recon_err:.2e}"
@@ -708,7 +767,7 @@ def check_sobolev_image_isometry(config: SuiteConfig, entry: _Entry) -> _Measure
     t, m = 0.25, 1
     rule = gauss_hermite_rule(config.quad)
     grid = default_bergman_grid(t, resolution=config.bergman_res, degree_margin=14)
-    cal = calibrate_weight(t, 1, None, grid)
+    cal = _bergman_calibration(t, grid)
     f = Gaussian(2.0)
     e = expand(f, config.N, rule=rule, dimension=1)
     val = bergman_norm(SpectralHandle(e, t), t, m, grid, kappa=cal.kappa)
@@ -750,9 +809,11 @@ def check_special_plain_envelope(config: SuiteConfig, entry: _Entry) -> _Measure
 
 @_check("determinism", "harness", 0.0)
 def check_determinism(config: SuiteConfig, entry: _Entry) -> _Measured:
-    """Identical seeds reproduce a representative check byte-for-byte."""
-    a = check_mehler_spectral(config).to_dict(include_timing=False)
-    b = check_mehler_spectral(config).to_dict(include_timing=False)
+    """Identical seeds reproduce a representative check byte-for-byte.
+    Both runs build their own tables: neither reads the pass store."""
+    with _pass_tables(None):
+        a = check_mehler_spectral(config).to_dict(include_timing=False)
+        b = check_mehler_spectral(config).to_dict(include_timing=False)
     sa = json.dumps(a, sort_keys=True)
     sb = json.dumps(b, sort_keys=True)
     metric = 0.0 if sa == sb else 1.0
@@ -782,28 +843,31 @@ REQUIRED_THEOREMS = frozenset(
 def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
     """Run every registered check under the config, in registry order.
     Checks are isolated: one that raises is a failed row under the name,
-    theorem tag and tolerance of its entry."""
+    theorem tag and tolerance of its entry.  The pass opens a store of
+    shared tables (see :func:`_table`) that lives until it returns or
+    raises, so no table outlives the pass."""
     config = config or SuiteConfig()
     config.validate()
     results: list[CheckResult] = []
-    for fn in CHECKS:
-        start = time.perf_counter()
-        try:
-            res = fn(config)
-        except Exception as exc:  # isolation: a crash is a failed check
-            # a stand-in that was never registered reports untagged
-            entry = getattr(fn, "entry", None) or _Entry(fn.__name__, "", 0.0)
-            doc = (fn.__doc__ or fn.__name__).strip().splitlines()[0]
-            frame = traceback.extract_tb(exc.__traceback__)[-1]
-            where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
-            res = CheckResult(
-                name=entry.name,
-                theorem=entry.theorem,
-                status="fail",
-                metric=float("inf"),
-                tol=entry.tolerance(config),
-                details=f"error: {exc!r} ({doc}) at {where}",
-            )
-        res.seconds = time.perf_counter() - start
-        results.append(res)
+    with _pass_tables({}):
+        for fn in CHECKS:
+            start = time.perf_counter()
+            try:
+                res = fn(config)
+            except Exception as exc:  # isolation: a crash is a failed check
+                # a stand-in that was never registered reports untagged
+                entry = getattr(fn, "entry", None) or _Entry(fn.__name__, "", 0.0)
+                doc = (fn.__doc__ or fn.__name__).strip().splitlines()[0]
+                frame = traceback.extract_tb(exc.__traceback__)[-1]
+                where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+                res = CheckResult(
+                    name=entry.name,
+                    theorem=entry.theorem,
+                    status="fail",
+                    metric=float("inf"),
+                    tol=entry.tolerance(config),
+                    details=f"error: {exc!r} ({doc}) at {where}",
+                )
+            res.seconds = time.perf_counter() - start
+            results.append(res)
     return SuiteReport(config=config, checks=results)

@@ -426,10 +426,22 @@ def test_bergman_grid_resolution_is_odd():
         (lambda h, g: bergman_norm(h, -0.3, 0, g), "t must be positive"),
         (lambda h, g: bergman_norm(h, 0.0, 0, g), "t must be positive"),
         (lambda h, g: bergman_norm(h, 0.3, -1, g), "m must be >= 0"),
+        (lambda h, g: bergman_norm(h, 0.3, 1.5, g), "m must be an integer, got 1.5"),
+        (lambda h, g: bergman_norm(h, 0.3, (0, 1.5), g), "m must be an integer, got 1.5"),
+        (lambda h, g: bergman_norm(h, 0.3, (1, -1), g), "m must be >= 0, got -1"),
+        (lambda h, g: bergman_norm(h, 0.3, (), g), "at least one order"),
         (lambda h, g: calibrate_weight(-0.3, 1, None, g), "t must be positive"),
+        (
+            lambda h, g: calibrate_weight(0.3, 1, [(0,), (0,), (1,)], g),
+            r"calibration probe \(0,\) is repeated",
+        ),
         (lambda h, g: reproduce(h, -0.3, 0.5, g, 1.0), "t must be positive"),
     ],
-    ids=["norm-t<0", "norm-t=0", "norm-m<0", "calibration-t<0", "reproduce-t<0"],
+    ids=[
+        "norm-t<0", "norm-t=0", "norm-m<0", "norm-m=1.5", "norm-orders-1.5",
+        "norm-orders-m<0", "norm-no-orders", "calibration-t<0", "calibration-repeat",
+        "reproduce-t<0",
+    ],
 )
 def test_c_weighted_jobs_name_a_bad_time_or_order(job, message):
     # as bergman_norm_special does; these once failed inside the weight
@@ -438,6 +450,27 @@ def test_c_weighted_jobs_name_a_bad_time_or_order(job, message):
     handle = semigroup_handle(HermiteBasis((1,)), 0.3, "spectral")
     with pytest.raises(ValueError, match=message):
         job(handle, grid)
+
+
+@pytest.mark.parametrize(
+    "f, mode",
+    [
+        (HermiteBasis((2,)), "spectral"),
+        (CoefficientList(1, 5, (((1,), 0.3 - 1.0j), ((4,), 2.0 + 0.5j))), "spectral"),
+        (Gaussian(1.3), "kernel"),
+    ],
+    ids=["basis", "complex-coefficients", "kernel-mode"],
+)
+def test_multi_order_norms_are_the_single_order_norms_bit_for_bit(f, mode):
+    # one table of the image serves every order; each order's sum is the
+    # one a call at that order alone makes
+    t = 0.35
+    grid = default_bergman_grid(t, resolution=81, degree_margin=20)
+    handle = semigroup_handle(f, t, mode)
+    orders = (0, 3, 1, 2)
+    got = bergman_norm(handle, t, orders, grid, kappa=0.4)
+    assert got == [bergman_norm(handle, t, m, grid, kappa=0.4) for m in orders]
+    assert bergman_norm(handle, t, np.array([2]), grid, kappa=0.4) == [got[3]]
 
 
 @pytest.mark.parametrize("job", ["norm-m0", "norm-m2", "calibration"])

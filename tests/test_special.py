@@ -244,10 +244,73 @@ def test_projection_algebra_at_points(tw_grid):
 
 
 def test_reconstruction_from_projections(tw_grid):
-    total = sum(
-        laguerre_project(Gaussian2n(1.0), k, 0.0, 0.0, tw_grid) for k in range(13)
-    )
-    assert abs(total - 1.0) < 1e-4
+    # all 13 projections from one call: one ladder, one pair of moment tables
+    parts = laguerre_project(Gaussian2n(1.0), range(13), 0.0, 0.0, tw_grid)
+    assert parts.shape == (13,)
+    assert abs(sum(parts) - 1.0) < 1e-4
+
+
+# |one call - single-profile call| <= MULTI_PROFILE_TOL (1 + |single|): the
+# shared tables sum their moments in other BLAS blocks than a lone
+# profile's, so the two agree to roundoff (64 ulp), not bit for bit
+MULTI_PROFILE_TOL = 64 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        Gaussian2n(1.0),
+        SpecialHermiteBasis((2,), (1,)),
+        PolyGaussian2n((((0, 0), 1.0), ((1, 0), 0.5j), ((0, 2), -0.3)), 1.0),
+        laguerre_profile(2),
+    ],
+    ids=["gaussian", "phi21", "polygauss", "laguerre2-input"],
+)
+@pytest.mark.parametrize("kind", ["origin", "real", "complex"])
+def test_profile_sets_match_single_profile_calls(tw_grid, f, kind):
+    rng = np.random.default_rng(3)
+    if kind == "origin":
+        z, w = 0.0, 0.0
+    else:
+        z, w = rng.uniform(-1.0, 1.0, (2, 6))
+        if kind == "complex":
+            z, w = z + 1j * rng.uniform(-1.0, 1.0, 6), w + 1j * rng.uniform(-1.0, 1.0, 6)
+    ks = [0, 3, 1, 12, 5]
+    got = twisted_conv(f, [laguerre_profile(k) for k in ks], z, w, tw_grid)
+    assert got.shape == (len(ks),) + np.shape(z)
+    for row, k in zip(got, ks):
+        one = twisted_conv(f, laguerre_profile(k), z, w, tw_grid)
+        assert np.all(np.abs(row - one) <= MULTI_PROFILE_TOL * (1.0 + np.abs(one))), k
+    projected = laguerre_project(f, ks, z, w, tw_grid)
+    np.testing.assert_array_equal(projected, got / TWO_PI)
+
+
+def test_profile_sets_share_one_ladder(tw_grid, monkeypatch):
+    orders = []
+
+    def recording(k_max, z):
+        orders.append(k_max)
+        return hermite_eval(k_max, z)
+
+    monkeypatch.setattr(special, "hermite_eval", recording)
+    laguerre_project(Gaussian2n(1.0), range(13), 0.0, 0.0, tw_grid)
+    assert orders == [24]
+
+
+def test_profile_sets_are_laguerre_profiles(tw_grid):
+    with pytest.raises(TypeError, match="several profiles only as Laguerre"):
+        twisted_conv(Gaussian2n(1.0), [heat_profile(0.4), laguerre_profile(1)], 0.0, 0.0, tw_grid)
+    with pytest.raises(ValueError, match="at least one profile"):
+        twisted_conv(Gaussian2n(1.0), [], 0.0, 0.0, tw_grid)
+
+
+def test_negative_laguerre_order_is_refused_when_built(tw_grid):
+    # it once built LaguerreProfile(k=-1) and failed later, inside the
+    # Hermite ladder, with "k_max must be >= 0"
+    with pytest.raises(ValueError, match="Laguerre profile order k must be >= 0, got -1"):
+        laguerre_profile(-1)
+    with pytest.raises(ValueError, match="Laguerre profile order k must be >= 0, got -2"):
+        laguerre_project(Gaussian2n(1.0), [0, -2], 0.0, 0.0, tw_grid)
 
 
 def test_intertwine_exactly_one_convention():
@@ -343,6 +406,21 @@ def test_twisted_sobolev_identity(grid4, kappa_star):
 def test_calibration_rejects_empty_pairs(grid4):
     with pytest.raises(ValueError, match="pairs"):
         calibrate_weight_special(0.4, [], grid4)
+
+
+def test_calibration_rejects_a_repeated_probe(grid4):
+    # a repeated probe was summed as an off-diagonal pair with itself
+    # (max_offdiagonal 4.45) and its ratio kept once
+    with pytest.raises(ValueError, match=r"probe \(\(0,\), \(0,\)\) is repeated"):
+        calibrate_weight_special(0.4, [((0,), (0,)), ((0,), (0,))], grid4)
+
+
+@pytest.mark.parametrize("m, message", [(1.5, "an integer, got 1.5"), (-1, ">= 0, got -1")])
+def test_twisted_norm_names_a_bad_order(grid4, m, message):
+    # 1.5 once failed inside the Taylor jets with a bare TypeError
+    handle = SpecialEigenHandle((0,), (1,), 0.4)
+    with pytest.raises(ValueError, match=f"weighted-norm order m must be {message}"):
+        bergman_norm_special(handle, 0.4, m, grid4, kappa_star=0.5)
 
 
 def test_default_twisted_grid_is_shared():

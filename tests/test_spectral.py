@@ -357,6 +357,43 @@ def test_two_dimensional_sparse_term_matches_the_dense_sum():
     assert abs(got - dense) <= 1e-14 * abs(dense)
 
 
+@pytest.mark.parametrize("with_tail", [False, True], ids=["value", "with-tail"])
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_points_axis_matches_single_point_calls_bit_for_bit(dimension, with_tail):
+    # one ladder for all points, rescaled per point, and each point's terms
+    # joined along their own row: every value and tail is the single call's
+    rng = np.random.default_rng(11)
+    N = 48 if dimension == 1 else 12
+    e = expand(CoefficientList(dimension, N, ()), N, dimension=dimension)
+    e = e.with_values(rng.normal(size=len(e.values)) + 1j * rng.normal(size=len(e.values)))
+    # off the real axis, out to where the ladder rescales, with a point
+    # where the sum is far from its terms
+    pts = rng.uniform(-3.0, 3.0, (25, dimension)) + 1j * rng.uniform(-12.0, 12.0, (25, dimension))
+    pts[0] = 0.0
+    got = eval_entire(e, 0.3, pts, with_tail=with_tail)
+    singles = [eval_entire(e, 0.3, p, with_tail=with_tail) for p in pts]
+    if with_tail:
+        assert got[0].shape == got[1].shape == (25,)
+        assert list(got[0]) == [v for v, _ in singles]
+        assert list(got[1]) == [tail for _, tail in singles]
+    else:
+        assert got.shape == (25,)
+        assert list(got) == singles
+
+
+def test_points_axis_keeps_zeros_and_refuses_bad_shapes():
+    # h_1 vanishes at 0: that point keeps an exact 0 beside the others
+    e = expand(HermiteBasis((1,)), 8)
+    pts = np.array([[0.0], [0.5 + 0.2j]])
+    vals, tails = eval_entire(e, 0.3, pts, with_tail=True)
+    assert vals[0] == 0j and tails[0] == 0.0
+    assert vals[1] == eval_entire(e, 0.3, pts[1])
+    with pytest.raises(ValueError, match=r"shaped \(P, 1\)"):
+        eval_entire(e, 0.3, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        eval_entire(e, 0.3, np.array([[0.0], [np.nan]]))
+
+
 def test_scalar_ladder_stops_at_the_last_nonzero_order(monkeypatch):
     from mehler import spectral
 

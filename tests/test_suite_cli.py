@@ -287,7 +287,8 @@ def test_derivative_weight_check_runs_exactly_the_configured_orders(monkeypatch)
     monkeypatch.setattr(suite, "bergman_norm", recording)
     res = suite.check_derivative_weight_identity(SuiteConfig(m=(0,)))
     assert res.status == "pass"
-    assert set(orders) == {0}
+    # one multi-order call per image, each naming exactly the configured orders
+    assert orders == [(0,)] * 4
 
 
 def test_single_check_determinism():
