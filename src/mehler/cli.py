@@ -33,7 +33,7 @@ from .quadrature import PlaneGrid, QuadratureError, gauss_hermite_rule
 from .semigroup import (
     calibrate_weight,
     default_bergman_grid,
-    envelope_ratio,
+    envelope,
     semigroup_apply,
     semigroup_handle,
 )
@@ -305,7 +305,7 @@ def _cmd_envelope(args) -> int:
     handle = semigroup_handle(args.f, args.t, "spectral", truncation=args.N, rule=rule)
     bound = _BOUNDS[args.bound](args.t, args.m)
     grid = _grid_from_args(args)
-    rep = envelope_ratio(handle, bound, grid)
+    rep = envelope(handle, bound, grid)
     X, Y, absF2 = _csv_abs2(grid, handle.eval_grid)
     bvals = bound.eval(X, Y)
     ratio = absF2 / bvals

@@ -49,11 +49,12 @@ contracts it with per-axis jet tables of the weight's time derivatives;
 separable table |h_0|^2 U_t; ``reproduce`` puts E inside its table's one
 complex exp, the only one per node, since its phase e^{icxy} does not
 factor over the axes.  No array holds |F|^2, U_t or e^{y^2} alone, so wide
-boxes do not overflow where the weighted quantities are finite.  Plane grids
-are trapezoid ones, and ``bergman_norm`` and ``calibrate_weight`` sum the
-nested rule of twice the step in the same pass: a sum that moves there by
-more than 1e-2 of its terms' moduli raises
-:class:`mehler.quadrature.QuadratureError`.
+boxes do not overflow where the weighted quantities are finite.  These
+sums and their C^2 forms (:mod:`mehler.special`) keep their own arithmetic
+but share their argument checks and their finish: on the trapezoid grids
+each norm and diagonal calibration integral also sums the nested rule of
+twice the step, and one that moves there by more than 1e-2 of its terms'
+moduli raises :class:`mehler.quadrature.QuadratureError`.
 """
 
 import math
@@ -315,6 +316,14 @@ def default_bergman_grid(
     )
 
 
+def _check_grid(grid: PlaneGrid, ncoords: int) -> None:
+    """A ValueError naming ``grid`` unless it spans ``ncoords`` complex
+    coordinates: the jobs on C take grids over one, those on C^2 over two."""
+    if grid.ncoords != ncoords:
+        planes = {1: "one-coordinate grid over C", 2: "two-coordinate grid over C^2"}
+        raise ValueError(f"grid must be a {planes[ncoords]}, not a {planes[grid.ncoords]}")
+
+
 def _check_order(m) -> int:
     """``m`` as an int: a weighted-norm order, a whole number >= 0; a
     ValueError that names it otherwise."""
@@ -348,14 +357,10 @@ def bergman_norm(
     the rest of the weight is the per-axis jet tables of
     :func:`mehler.kernels._weight_jets`, joined by their Hankel matrix in
     one matrix product into the (x, y) table of the weight's derivative, so
-    no Taylor arithmetic runs on the mesh.  A non-finite total raises
-    :class:`HermiteOverflowError`.
-
-    The same table on every second node of each axis, at twice its weight,
-    sums the nested rule of twice the step.  Where the two differ by more
-    than 1e-2 of the sum of the terms' moduli, the grid is too coarse for
-    the integrand and :class:`mehler.quadrature.QuadratureError` is raised
-    rather than a wrong value returned.
+    no Taylor arithmetic runs on the mesh.  The same table on every second
+    node of each axis, at twice its weight, sums the nested rule of twice
+    the step, and :func:`_finish_norm` raises where the total is not
+    finite or the grid is too coarse for the integrand.
 
     The integrand is even in y when F is real on R, so on a grid symmetric
     in y the table covers the half y <= 0 alone, at the folded weights of
@@ -364,6 +369,7 @@ def bergman_norm(
     """
     if t <= 0:
         raise ValueError("t must be positive")
+    _check_grid(grid, 1)
     single = np.ndim(m) == 0
     orders = [_check_order(m)] if single else [_check_order(k) for k in m]
     if not orders:
@@ -394,22 +400,49 @@ def bergman_norm(
             total = kappa * float(np.sum(terms))
             half = 4.0 * kappa * float(np.sum(terms[::2, ::2]))
             size = abs(kappa) * float(np.sum(np.abs(terms, out=terms)))
-            _finite(total, "the weighted integrand", "on this grid")
-            _check_half_step(total, half, size, grid.resolution, "weighted norm")
-            norms.append(total)
+            norms.append(_finish_norm(total, half, size, grid))
     return norms[0] if single else norms
 
 
-def _distinct_probes(probes: list) -> list:
-    """``probes``, or a ValueError naming the first one that repeats: a
-    repeated probe would be summed as an off-diagonal pair with itself, and
-    its ratio kept once."""
+def _check_probes(name: str, probes: list, dimension: int) -> list:
+    """``probes``, each a multi-index or a tuple of them, or a ValueError
+    naming the argument ``name``: when it is empty, or at the first probe
+    with a multi-index of length other than ``dimension``, or that repeats
+    (it would be summed as an off-diagonal pair with itself)."""
+    if not probes:
+        raise ValueError(f"{name} must name at least one calibration probe")
     seen = set()
     for probe in probes:
+        indices = probe if probe and isinstance(probe[0], tuple) else (probe,)
+        if any(len(a) != dimension for a in indices):
+            raise ValueError(f"{name}: calibration probe {probe} is not of dimension {dimension}")
         if probe in seen:
-            raise ValueError(f"calibration probe {probe} is repeated")
+            raise ValueError(f"{name}: calibration probe {probe} is repeated")
         seen.add(probe)
     return probes
+
+
+def _finish_norm(total: float, half: float, size: float, grid: PlaneGrid) -> float:
+    """``total``, a weighted norm's plane sum, once it is finite and agrees
+    with ``half``, the nested rule's (:func:`_check_half_step`)."""
+    _finite(total, "the weighted integrand", "on this grid")
+    _check_half_step(total, half, size, grid.resolution, "weighted norm")
+    return total
+
+
+def _finish_calibration(
+    probes, eigenvalues, diagonals, off_diagonals, t, dimension, grid, flatness
+) -> CalibrationResult:
+    """The calibration from its plane sums: each probe's diagonal (total,
+    half-step sum, sum of moduli) passes :func:`_check_half_step` and gives
+    e^{2 lambda t} / total, lambda its eigenvalue; the off-diagonals, read
+    after those checks, give their largest modulus."""
+    ratios: dict = {}
+    for probe, lam, (total, half, size) in zip(probes, eigenvalues, diagonals):
+        _check_half_step(total, half, size, grid.resolution, "calibration integral")
+        ratios[probe] = math.exp(2 * lam * t) / total
+    max_off = max((abs(v) for v in off_diagonals), default=0.0)
+    return CalibrationResult.from_ratios(ratios, max_off, t, dimension, flatness)
 
 
 def calibrate_weight(
@@ -432,10 +465,9 @@ def calibrate_weight(
     :func:`mehler.specfun._poly_parts` on the open mesh) contracted with
     two per-axis tables, both Gaussians bounded by 1.  Each diagonal
     integral, a sum of positive terms, also sums the nested rule of twice
-    the step (every second node of each axis at twice its weight) and raises
-    :class:`mehler.quadrature.QuadratureError` where the two differ by more
-    than 1e-2 of it; the off-diagonal integrals must vanish, which checks
-    the rule on them.
+    the step (every second node of each axis at twice its weight), which
+    :func:`_finish_calibration` checks; the off-diagonal integrals must
+    vanish, which checks the rule on them.
 
     The probes are real on R, so on a grid symmetric in y every integrand
     is summed over the half y <= 0 at the folded weights of
@@ -448,11 +480,10 @@ def calibrate_weight(
         raise ValueError("t must be positive")
     if dimension != 1:
         raise ValueError("calibration grids are one-dimensional at desk scale")
+    _check_grid(grid, 1)
     if alphas is None:
         alphas = [(k,) for k in range(5)]
-    if not alphas:
-        raise ValueError("alphas must name at least one probe index")
-    alphas = _distinct_probes([as_index(a) for a in alphas])
+    alphas = _check_probes("alphas", [as_index(a) for a in alphas], dimension)
     pairs = [(a, b) for i, a in enumerate(alphas) for b in alphas[i + 1 :]]
     kmax = max(sum(a) for a in alphas)
 
@@ -475,18 +506,17 @@ def calibrate_weight(
         imag = 0.0 if folded else tx @ prod.imag @ ty
         return pref * complex(tx @ prod.real @ ty, imag)
 
-    ratios: dict[MultiIndex, float] = {}
+    diagonals = []
     for a in alphas:
         p = ladder[sum(a)]
         square = p.real * p.real
         square += p.imag * p.imag
         total = pref * float(tx @ square @ ty)
-        half = pref * float(tx2 @ square[::2, ::2] @ ty2)
-        _check_half_step(total, half, total, grid.resolution, "calibration integral")
-        ratios[a] = math.exp(2 * oscillator_eigenvalue(a, dimension) * t) / total
-    max_off = max((float(abs(integral(a, b))) for a, b in pairs), default=0.0)
-
-    return CalibrationResult.from_ratios(ratios, max_off, t, dimension, 1e-3)
+        diagonals.append((total, pref * float(tx2 @ square[::2, ::2] @ ty2), total))
+    return _finish_calibration(
+        alphas, [oscillator_eigenvalue(a, dimension) for a in alphas], diagonals,
+        (integral(a, b) for a, b in pairs), t, dimension, grid, 1e-3,
+    )
 
 
 def reproduce(
@@ -524,6 +554,7 @@ def reproduce(
     """
     if t <= 0:
         raise ValueError("t must be positive")
+    _check_grid(grid, 1)
     zs = np.asarray(z, dtype=complex)
     single = zs.ndim < 2
     if single:
@@ -813,7 +844,8 @@ def envelope(handle: EntireHandle, bound: BoundSpec, grid: PlaneGrid) -> Envelop
 
 
 def envelope_ratio(handle: EntireHandle, bound: BoundSpec, grid: PlaneGrid) -> EnvelopeReport:
-    """The growth envelope of a heat-transform image; see :func:`envelope`."""
+    """:func:`envelope`, which the package calls; only the benchmark in
+    ``perfbench/`` keeps this second name (ROADMAP item 1, part B)."""
     return envelope(handle, bound, grid)
 
 

@@ -84,13 +84,11 @@ coefficients of P conj(Q) against monomial moments over x and u of the two
 folded tables (``_folded_tables``), which leaves a (y, v) plane to meet
 the jet.  Nothing grows with res^4 and no exponent overflows on the wide
 boxes of moderate t.  The form also sums the nested trapezoid rule of
-twice the step, from the same tables on every second node, and a norm or
-a diagonal probe that moves by more than 1e-2 between the two raises
-:class:`mehler.quadrature.QuadratureError`: the box
-grows with t while the integrand's ridges keep unit width, so a resolution
-fit for small t can be too coarse at large t.  The integrands are analytic
-with Gaussian decay, so the trapezoid rule converges geometrically
-(Trefethen and Weideman, SIAM Review 56, 2014).
+twice the step from every second node of the same tables, and the
+argument checks and the finish are those of the sums on C
+(:mod:`mehler.semigroup`).  The integrands are analytic with Gaussian
+decay, so the trapezoid rule converges geometrically (Trefethen and
+Weideman, SIAM Review 56, 2014).
 
 Twisted heat images are :class:`mehler.spectral.EntireHandle` objects on
 C^2, evaluated on broadcastable real arrays (X, Y, U, V): a basis member's
@@ -110,12 +108,15 @@ import numpy as np
 
 from .indices import MultiIndex, as_index, multi_indices, oscillator_eigenvalue
 from .kernels import _twisted_profile_jet, special_plain_bound, special_schwartz_bound
-from .quadrature import PlaneGrid, _check_half_step, real_matmul
+from .quadrature import PlaneGrid, real_matmul
 from .semigroup import (
     CalibrationResult,
     EnvelopeReport,
+    _check_grid,
     _check_order,
-    _distinct_probes,
+    _check_probes,
+    _finish_calibration,
+    _finish_norm,
     envelope,
 )
 from .specfun import HermiteOverflowError, _finite, hermite_eval, laguerre_ladder, mul_exp_parts
@@ -362,34 +363,22 @@ class LaguerreProfile:
         lad = laguerre_ladder(self.k, 0, q / 2.0)
         return lad[self.k] * np.exp(-q / 4.0)
 
-    def axis_factors(self, a, b):
-        """(c, A, B) with the profile at (a, b) equal to
-        sum_j c[j] A[j] B[j] over j = 0..k: A[j] = h_{2j}(a/sqrt 2),
-        B[j] = h_{2k-2j}(b/sqrt 2) and
-        c[j] = (-1)^k sqrt(pi) C(k, j) sqrt((2j)! (2k-2j)!) / (2^k k!)
-        = (-1)^k sqrt(pi) sqrt(C(2j, j) C(2k-2j, k-j)) / 2^k.
-
-        That is L_k(x^2 + y^2) = (-1)^k / (4^k k!) sum_j C(k, j) H_{2j}(x)
-        H_{2k-2j}(y) (Thangavelu 1993) with the Gaussian shared out.  Each
-        |c[j]| is at most sqrt(pi), so at real points no term is much larger
-        than the profile's bound 1.  The rows come from the one ladder of
-        :func:`_laguerre_factors`.
-        """
-        C, G, H, ia, ib = _laguerre_factors((self.k,), a, b)
-        return C[0], G[ia], H[ib]
-
 
 def _laguerre_factors(ks, a, b):
     """(C, G, H, ia, ib) with phi_{ks[r]} at (a, b) equal to
-    sum_t C[r, t] G[ia[t]] H[ib[t]]: the terms of
-    :meth:`LaguerreProfile.axis_factors` for every order in ``ks``.
+    sum_t C[r, t] G[ia[t]] H[ib[t]] for every order in ``ks``.
 
-    Every phi_k reads only even rows of the Hermite ladder at a/sqrt 2 and
-    at b/sqrt 2, so G holds the rows h_0, h_2, ..., h_{2K} (K the largest
-    order) and H the same rows downwards, h_{2K}, ..., h_0, of one ladder
-    for both axes; the term j of phi_k reads G[j] = h_{2j} and
-    H[K - k + j] = h_{2k-2j}.  For one profile, G and H are then its terms'
-    rows in term order.
+    phi_k has the k + 1 terms c[j] h_{2j}(a/sqrt 2) h_{2k-2j}(b/sqrt 2),
+    c[j] = (-1)^k sqrt(pi) sqrt(C(2j, j) C(2k-2j, k-j)) / 2^k, from
+    L_k(x^2 + y^2) = (-1)^k / (4^k k!) sum_j C(k, j) H_{2j}(x) H_{2k-2j}(y)
+    (Thangavelu 1993) with the Gaussian shared out.  Each |c[j]| is at most
+    sqrt(pi), so at real points no term is much larger than the profile's
+    bound 1.  Every phi_k reads only even rows of the Hermite ladder at
+    a/sqrt 2 and at b/sqrt 2, so G holds the rows h_0, h_2, ..., h_{2K}
+    (K the largest order) and H the same rows downwards, h_{2K}, ..., h_0,
+    of one ladder for both axes; the term j of phi_k reads G[j] = h_{2j}
+    and H[K - k + j] = h_{2k-2j}.  For one profile, G and H are then its
+    terms' rows in term order.
     """
     a, b = np.asarray(a), np.asarray(b)
     top = max(ks)
@@ -412,21 +401,20 @@ def _profile_factors(profiles, a, b):
     where term t reads row t.
 
     Laguerre profiles share the rows of one ladder (:func:`_laguerre_factors`);
-    any other profile comes alone and gives its own terms
-    (``g.axis_factors``).  Several profiles that are not all Laguerre
-    profiles, or a profile without per-axis factors, raise ``TypeError``.
+    a :class:`HeatProfile` comes alone and gives its one term
+    (:meth:`HeatProfile.axis_factors`).  Several profiles that are not all
+    Laguerre profiles, or any other profile, raise ``TypeError``.
     """
     if all(isinstance(g, LaguerreProfile) for g in profiles):
         return _laguerre_factors([g.k for g in profiles], a, b)
     if len(profiles) > 1:
         raise TypeError("twisted_conv takes several profiles only as Laguerre profiles")
-    factors = getattr(profiles[0], "axis_factors", None)
-    if factors is None:
+    if not isinstance(profiles[0], HeatProfile):
         raise TypeError(
-            "twisted_conv takes a profile with per-axis factors, "
-            f"not {type(profiles[0]).__name__}"
+            "twisted_conv takes a profile with per-axis factors, a HeatProfile or "
+            f"LaguerreProfile, not {type(profiles[0]).__name__}"
         )
-    c, G, H = factors(a, b)
+    c, G, H = profiles[0].axis_factors(a, b)
     # term t reads row t of each table: a slice, which takes a view
     return c[None, :], G, H, slice(None), slice(None)
 
@@ -513,12 +501,12 @@ def _axis_form(f, x: np.ndarray, u: np.ndarray):
 
     A polynomial Gaussian (:func:`_as_polygauss`) gives its coefficient
     array C against the columns x^j e^{-rate x^2/2} and u^k e^{-rate u^2/2};
-    phi_k gives the diagonal of :meth:`LaguerreProfile.axis_factors`.  Any
+    phi_k gives the diagonal of its terms (:func:`_laguerre_factors`).  Any
     other f raises ``TypeError``.
     """
     if isinstance(f, LaguerreProfile):
-        c, A, B = f.axis_factors(x, u)
-        return np.diag(c), A, B
+        C, G, H, ia, ib = _laguerre_factors((f.k,), x, u)
+        return np.diag(C[0]), G[ia], H[ib]
     try:
         C, rate = _as_polygauss(f)
     except ValueError:
@@ -581,7 +569,7 @@ def twisted_conv(f, g, z, w, grid: PlaneGrid):
     displaced factor g and the phase use the entire continuation of g.
 
     Both factors come in per-axis form.  The profile ``g`` gives its
-    factors (``g.axis_factors(a, b)``): g(a, b) = sum_t c_t G_t(a) H_t(b),
+    factors (:func:`_profile_factors`): g(a, b) = sum_t c_t G_t(a) H_t(b),
     one term for :class:`HeatProfile` and k + 1 for
     :class:`LaguerreProfile`; Laguerre profiles read the even rows of one
     Hermite ladder, so a set of them shares one ladder and one pair of
@@ -593,8 +581,8 @@ def twisted_conv(f, g, z, w, grid: PlaneGrid):
     term's plane sum is exactly the product of an x-moment table X_t and a
     u-moment table U_t (:func:`_axis_moments`), and the value is
     sum_t c_t diag(X_t M U_t^T): no table of f over the plane is formed.
-    Any other f, a profile without per-axis factors, or several profiles
-    that are not all Laguerre profiles, raise ``TypeError``; a value past
+    Any other f, a profile that is neither, or several profiles that are
+    not all Laguerre profiles, raise ``TypeError``; a value past
     the largest double raises :class:`HermiteOverflowError`.
     """
     several = isinstance(g, (list, tuple))
@@ -950,31 +938,34 @@ def default_special_grid(t: float = 0.4, resolution: int = 40) -> PlaneGrid:
     return PlaneGrid(boxes=(box_z, box_w), resolution=resolution)
 
 
-def _folded_tables(grid: PlaneGrid, t: float, n: int, step: int = 1):
-    """The probe Gaussian folded into W_t, as moment tables over x and u
-    (n = 1).
+def _folded_tables(grid: PlaneGrid, t: float, m: int, n: int):
+    """The probe Gaussian folded into d^{2m}/dt^{2m} W_t as moment tables
+    over x and u (n = 1), one set per rule: the grid's, and the nested rule
+    of twice the step.
 
     With c = coth 2t, |e^{-(z^2 + w^2)/4}|^2 times d^{2m}/dt^{2m} W_t is
     4 A(x, v) B(y, u) R_m(y^2 + v^2) with A = e^{-(x + v)^2/2 - (c - 1) v^2},
     B = e^{-(u - y)^2/2 - (c - 1) y^2}, both at most 1, and R_m the
-    polynomial of :func:`mehler.kernels._twisted_profile_jet`.  Returns
-    alpha[k, v] = sum_x w_x x^k A(x, v) and beta[k, y] = sum_u w_u u^k
-    B(y, u) for k < 2n - 1, with the (y, w_y) and (v, w_v) axes they are
-    tabled on.  ``step = 2`` takes every second node of each axis at twice
-    its weight: on a trapezoid grid, the rule of twice the step.
+    polynomial of :func:`mehler.kernels._twisted_profile_jet`.  Each set is
+    (alpha, beta, R_m, (y, w_y), (v, w_v)) with alpha[k, v] = sum_x w_x x^k
+    A(x, v) and beta[k, y] = sum_u w_u u^k B(y, u) for k < 2n - 1.  A, B and
+    R_m are built once, and the nested rule reads every second node of them
+    and of each axis from node 0, at twice its weight (on an even grid, the
+    last node's weight is off, where the integrand has decayed).
     """
-    if grid.ncoords != 2:
-        raise ValueError("need a two-coordinate grid over C^2")
-    (x, wx), (y, wy), (u, wu), (v, wv) = (
-        (nodes[::step], step * weights[::step]) for nodes, weights in map(grid.axis, range(4))
-    )
+    (x, wx), (y, wy), (u, wu), (v, wv) = map(grid.axis, range(4))
     g = 2.0 / math.expm1(4 * t)  # coth 2t - 1
     A = np.exp(-0.5 * np.add.outer(x, v) ** 2 - g * v**2)
     B = np.exp(-0.5 * np.subtract.outer(u, y) ** 2 - g * y**2)
+    R = _twisted_profile_jet(t, m, np.add.outer(y * y, v * v))
     powers = np.arange(2 * n - 1)
-    alpha = real_matmul((wx[:, None] * x[:, None] ** powers).T, A)
-    beta = real_matmul((wu[:, None] * u[:, None] ** powers).T, B)
-    return alpha, beta, (y, wy), (v, wv)
+    rules = []
+    for step in (1, 2):
+        s = slice(None, None, step)
+        alpha = real_matmul((step * wx[s, None] * x[s, None] ** powers).T, A[s, s])
+        beta = real_matmul((step * wu[s, None] * u[s, None] ** powers).T, B[s, s])
+        rules.append((alpha, beta, R[s, s], (y[s], step * wy[s]), (v[s], step * wv[s])))
+    return rules
 
 
 def _plane_sums(pairs, t: float, m: int, grid: PlaneGrid) -> list[tuple]:
@@ -986,13 +977,10 @@ def _plane_sums(pairs, t: float, m: int, grid: PlaneGrid) -> list[tuple]:
 
     Summed over x and u, the terms of P conj(Q) A B are the (y, v) plane
     sum PQ[j, q, l, s] y^q beta[l, y] alpha[j, v] v^s w_y w_v over the
-    coefficients PQ of P conj(Q) and the tables of :func:`_folded_tables`:
-    two real matrix products.  The plane meets the jet R_m on the (y, v)
-    table.  The tables and the jet are built once per step for all pairs.
-    The half-step sum takes every second node of each axis from node 0 at
-    2^4 times its weight: on a trapezoid grid that is the rule of twice the
-    step up to the last node's weight, where the integrand has decayed.
-    A pair (P, P) sums the real |P|^2 and gives real sums.
+    coefficients PQ of P conj(Q) and the tables of :func:`_folded_tables`,
+    built once for all pairs: two real matrix products.  The plane meets
+    the jet R_m on the (y, v) table, at each of the two rules.  A pair
+    (P, P) sums the real |P|^2 and gives real sums.
     """
     k = pairs[0][0].shape[0]
     middles = []
@@ -1003,11 +991,9 @@ def _plane_sums(pairs, t: float, m: int, grid: PlaneGrid) -> list[tuple]:
         middles.append(PQ.transpose(1, 2, 0, 3).reshape(k * k, k * k))
     powers = np.arange(k)
     sums = []
-    for step in (1, 2):
-        alpha, beta, (y, wy), (v, wv) = _folded_tables(grid, t, (k + 1) // 2, step)
+    for alpha, beta, R, (y, wy), (v, wv) in _folded_tables(grid, t, m, (k + 1) // 2):
         left = (y[:, None, None] ** powers[:, None] * beta.T[:, None, :]).reshape(len(y), -1)
         right = (alpha[:, None, :] * v ** powers[:, None]).reshape(-1, len(v))
-        R = _twisted_profile_jet(t, m, np.add.outer(y * y, v * v))
         abs_R = np.abs(R)
         row = []
         for middle in middles:
@@ -1036,15 +1022,11 @@ def bergman_norm_special(
     most 1, and the coefficients of |P|^2 contract against them into a
     (y, v) plane that meets the jet R_m.  Nothing spans more than one axis
     pair, so memory stays at a few (y, v) tables at any resolution, and no
-    exponent overflows on the wide boxes of moderate t.  A non-finite
-    total raises :class:`HermiteOverflowError`.
-
-    The same tables on every second node sum the nested rule of twice the
-    step.  Where the two differ by more than 1e-2 of the sum of the terms'
-    moduli, the step is too coarse for the integrand's ridges
-    (e^{-(x + v)^2/2} has unit width at every t, while the default box
-    grows with t), and :class:`mehler.quadrature.QuadratureError` is raised
-    rather than a wrong value returned.
+    exponent overflows on the wide boxes of moderate t.  The finish is the
+    one of the norms on C (:func:`mehler.semigroup._finish_norm`): a grid
+    too coarse for the integrand's ridges (e^{-(x + v)^2/2} has unit width
+    at every t, while the default box grows with t) raises
+    :class:`mehler.quadrature.QuadratureError`.
     """
     if not isinstance(handle, SpecialEigenHandle):
         raise TypeError(
@@ -1052,17 +1034,13 @@ def bergman_norm_special(
         )
     if t <= 0:
         raise ValueError("t must be positive")
-    if grid.ncoords != 2:
-        raise ValueError("need a two-coordinate grid over C^2")
+    _check_grid(grid, 2)
     m = _check_order(m)
     a, b = handle.alpha[0], handle.beta[0]
     P = _phi1_poly(a, b, 2 * (abs(a - b) + 2 * min(a, b)) + 1)
     ((total, half, size),) = _plane_sums([(P, P)], t, m, grid)
     damp2 = handle._damp() ** 2
-    total, half, size = damp2 * total, damp2 * half, damp2 * size
-    _finite(total, "the weighted integrand", "on this grid")
-    _check_half_step(total, half, size, grid.resolution, "weighted norm")
-    return kappa_star * total
+    return kappa_star * _finish_norm(damp2 * total, damp2 * half, damp2 * size, grid)
 
 
 def calibrate_weight_special(
@@ -1077,32 +1055,25 @@ def calibrate_weight_special(
     profile, 2^n times the spectral one.
 
     Every probe is the weighted form of :func:`_plane_sums` at order 0 on
-    the probes' polynomials (:func:`_phi1_poly`), the form the norms sum.
-    Each diagonal integral also sums the nested rule of twice the step and
-    raises :class:`mehler.quadrature.QuadratureError` where the two differ
-    by more than 1e-2 of it; the off-diagonals must vanish, which checks
-    the rule on them.
+    the probes' polynomials (:func:`_phi1_poly`), the form the norms sum,
+    and the finish is the one of the calibration on C
+    (:func:`mehler.semigroup._finish_calibration`).
     """
     if t <= 0:
         raise ValueError("t must be positive")
+    _check_grid(grid, 2)
     if pairs is None:
         pairs = [((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (1,))]
-    if not pairs:
-        raise ValueError("pairs must name at least one (alpha, beta) probe")
-    pairs = _distinct_probes([(as_index(a), as_index(b)) for a, b in pairs])
-    if any(len(a) != 1 or len(b) != 1 for a, b in pairs):
-        raise ValueError("calibration probes are one-dimensional (n = 1)")
+    pairs = _check_probes("pairs", [(as_index(a), as_index(b)) for a, b in pairs], 1)
 
     degree = max(abs(a[0] - b[0]) + 2 * min(a[0], b[0]) for a, b in pairs)
     polys = [_phi1_poly(a[0], b[0], 2 * degree + 1) for a, b in pairs]
     probes = [(P, P) for P in polys] + [(polys[0], Q) for Q in polys[1:3]]
     sums = _plane_sums(probes, t, 0, grid)
-    ratios = {}
-    for (a, b), (total, half, size) in zip(pairs, sums):
-        _check_half_step(total, half, size, grid.resolution, "calibration integral")
-        ratios[a, b] = math.exp(2 * oscillator_eigenvalue(b) * t) / total
-    max_off = max((abs(total) for total, _, _ in sums[len(pairs) :]), default=0.0)
-    return CalibrationResult.from_ratios(ratios, max_off, t, 1, 1e-2)
+    return _finish_calibration(
+        pairs, [oscillator_eigenvalue(b) for _, b in pairs], sums[: len(pairs)],
+        (total for total, _, _ in sums[len(pairs) :]), t, 1, grid, 1e-2,
+    )
 
 
 def special_envelope(
@@ -1121,8 +1092,7 @@ def special_envelope(
     quarter x <= 0, y <= 0 of the refined grid (``reflection_invariant``
     on :class:`SpecialEigenHandle` and :class:`GaussianImageHandle`).
     """
-    if grid.ncoords != 2:
-        raise ValueError("need a two-coordinate grid over C^2")
+    _check_grid(grid, 2)
     if kind == "special-schwartz":
         bound = special_schwartz_bound(t, m)
     elif kind == "special-plain":

@@ -62,18 +62,14 @@ from .spectral import (
 _EFFECTIVE_SUPPORT = math.sqrt(-math.log(1e-18))  # half-width of e^{-s^2} support
 
 
-def _oscillation_guard(rule: QuadRule, freq: float, scale: float) -> None:
-    """Refuse rules too coarse for the oscillation e^{-i freq u}.
-
-    The effective box half-width is the part of the scaled node range where
-    the Gaussian factor is above 1e-18; the guard is
-    order >= 8 * freq * half_width / pi.
-    """
-    half_width = scale * min(float(np.max(np.abs(rule.nodes))), _EFFECTIVE_SUPPORT)
+def _oscillation_guard(order: int, freq: float, half_width: float) -> None:
+    """Refuse a rule of ``order`` nodes too coarse for the oscillation
+    e^{-i freq u} on the box [-half_width, half_width]: the guard is
+    order >= 8 * freq * half_width / pi."""
     needed = 8.0 * abs(freq) * half_width / math.pi
-    if rule.order < needed:
+    if order < needed:
         raise ValueError(
-            f"rule order {rule.order} too coarse for frequency {freq:.3g} "
+            f"rule order {order} too coarse for frequency {freq:.3g} "
             f"(need >= {math.ceil(needed)})"
         )
 
@@ -84,7 +80,8 @@ def _stft_nodes(f: TestFunction, a: float, c: float, rule: QuadRule | None, x):
     T_a f(z) = (2 pi)^{-1/2} sum base(u) e^{-izu}.  A point mass is one node
     of weight c e^{-a u0^2/2}; a bump runs Gauss-Legendre over its support;
     Gaussian-decay members a scaled Gauss-Hermite rule.  ``x`` holds the
-    requested Re z; rules too coarse for their oscillation raise, and so
+    requested Re z; the rule each branch integrates with raises where it is
+    too coarse for the oscillation (:func:`_oscillation_guard`), and so
     does a point mass outside R^1.
     """
     max_x = float(np.max(np.abs(x))) if np.size(x) else 0.0
@@ -96,16 +93,16 @@ def _stft_nodes(f: TestFunction, a: float, c: float, rule: QuadRule | None, x):
     rule = rule or gauss_hermite_rule(128)
     if isinstance(f, Bump):
         leg = gauss_legendre_rule(max(rule.order, 96), -f.radius, f.radius)
+        _oscillation_guard(leg.order, max_x, f.radius)
         u, wq = leg.nodes, leg.weights
-        if rule.order < 8.0 * max_x * f.radius / math.pi:
-            raise ValueError("rule order too coarse for the requested frequency")
     else:
         gamma = gaussian_decay_rate(f)
         if gamma is None:
             raise ValueError(f"{type(f).__name__} has no quadrature route")
         rate = gamma + 0.5 * a
         scale = 1.0 / math.sqrt(rate)
-        _oscillation_guard(rule, max_x, scale)
+        half_width = scale * min(float(np.max(np.abs(rule.nodes))), _EFFECTIVE_SUPPORT)
+        _oscillation_guard(rule.order, max_x, half_width)
         u = scale * rule.nodes
         wq = scale * rule.plain_weights
     window = c * np.exp(-0.5 * a * u**2)

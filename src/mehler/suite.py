@@ -59,7 +59,7 @@ from .semigroup import (
     bergman_norm,
     calibrate_weight,
     default_bergman_grid,
-    envelope_ratio,
+    envelope,
     envelopes,
     reproduce,
     schwartz_image_check,
@@ -591,7 +591,7 @@ def check_schwartz_envelopes(config: SuiteConfig, entry: _Entry) -> _Measured:
     handle0 = semigroup_handle(
         HermiteBasis((0,)), 0.3, "spectral", truncation=config.N, rule=rule
     )
-    rep0 = envelope_ratio(handle0, schwartz_image_bound(0.3, 0), grid)
+    rep0 = envelope(handle0, schwartz_image_bound(0.3, 0), grid)
     expected = math.exp(-0.6) / math.sqrt(math.pi)
     spot_dev = abs(rep0.sup_ratio / expected - 1.0)
     details = f"spot sup={rep0.sup_ratio:.6f} expected={expected:.6f}"
@@ -696,7 +696,7 @@ def check_tempered_envelope(config: SuiteConfig, entry: _Entry) -> _Measured:
     for t in config.t:
         handle = semigroup_handle(Dirac(0.0), t, "kernel")
         grid = _envelope_grid(config)
-        rep = envelope_ratio(handle, tempered_bound(t, 0), grid)
+        rep = envelope(handle, tempered_bound(t, 0), grid)
         expected = 1.0 / (2 * math.pi * math.sinh(2 * t))
         worst_dev = max(worst_dev, abs(rep.sup_ratio / expected - 1.0))
     stable = True
@@ -708,7 +708,7 @@ def check_tempered_envelope(config: SuiteConfig, entry: _Entry) -> _Measured:
         )
         f = CoefficientList(1, config.N, entries)
         handle = semigroup_handle(f, t0, "spectral", truncation=config.N, rule=rule)
-        rep = envelope_ratio(handle, tempered_bound(t0, p + 1), grow_grid)
+        rep = envelope(handle, tempered_bound(t0, p + 1), grow_grid)
         stable &= rep.stable and math.isfinite(rep.sup_ratio)
     return _Measured(worst_dev, stable)
 

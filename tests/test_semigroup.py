@@ -435,12 +435,17 @@ def test_bergman_grid_resolution_is_odd():
             lambda h, g: calibrate_weight(0.3, 1, [(0,), (0,), (1,)], g),
             r"calibration probe \(0,\) is repeated",
         ),
+        (
+            # read as h_1 and paired with (1,): kappa 0.399, max_offdiagonal 15.2
+            lambda h, g: calibrate_weight(0.3, 1, [(0, 1), (1,)], g),
+            r"alphas: calibration probe \(0, 1\) is not of dimension 1",
+        ),
         (lambda h, g: reproduce(h, -0.3, 0.5, g, 1.0), "t must be positive"),
     ],
     ids=[
         "norm-t<0", "norm-t=0", "norm-m<0", "norm-m=1.5", "norm-orders-1.5",
         "norm-orders-m<0", "norm-no-orders", "calibration-t<0", "calibration-repeat",
-        "reproduce-t<0",
+        "calibration-probe-length", "reproduce-t<0",
     ],
 )
 def test_c_weighted_jobs_name_a_bad_time_or_order(job, message):
@@ -450,6 +455,23 @@ def test_c_weighted_jobs_name_a_bad_time_or_order(job, message):
     handle = semigroup_handle(HermiteBasis((1,)), 0.3, "spectral")
     with pytest.raises(ValueError, match=message):
         job(handle, grid)
+
+
+@pytest.mark.parametrize("job", ["norm", "calibration", "reproduce"])
+def test_c_weighted_jobs_refuse_a_grid_over_c2(job):
+    # each once summed the first two axes of a grid over C^2 and returned
+    # its value on C (the norm 2.5066282746310025), where the jobs on C^2
+    # refuse a grid over C
+    box = default_bergman_grid(0.3, 65).boxes[0]
+    grid = PlaneGrid(boxes=(box, box), resolution=65)
+    handle = semigroup_handle(HermiteBasis((1,)), 0.3, "spectral")
+    jobs = {
+        "norm": lambda: bergman_norm(handle, 0.3, 0, grid),
+        "calibration": lambda: calibrate_weight(0.3, 1, None, grid),
+        "reproduce": lambda: reproduce(handle, 0.3, 0.5, grid, 1.0),
+    }
+    with pytest.raises(ValueError, match=r"grid must be a one-coordinate grid over C, not a two"):
+        jobs[job]()
 
 
 @pytest.mark.parametrize(

@@ -415,6 +415,11 @@ def test_calibration_rejects_a_repeated_probe(grid4):
         calibrate_weight_special(0.4, [((0,), (0,)), ((0,), (0,))], grid4)
 
 
+def test_calibration_names_a_probe_of_the_wrong_length(grid4):
+    with pytest.raises(ValueError, match=r"pairs: calibration probe \(\(0, 1\), \(0,\)\) is not of"):
+        calibrate_weight_special(0.4, [((0,), (0,)), ((0, 1), (0,))], grid4)
+
+
 @pytest.mark.parametrize("m, message", [(1.5, "an integer, got 1.5"), (-1, ">= 0, got -1")])
 def test_twisted_norm_names_a_bad_order(grid4, m, message):
     # 1.5 once failed inside the Taylor jets with a bare TypeError

@@ -18,8 +18,9 @@ from mehler import (
     gauss_stft,
     pw_envelope,
 )
-from mehler.quadrature import PlaneGrid
+from mehler.quadrature import PlaneGrid, gauss_legendre_rule
 from mehler.specfun import HermiteOverflowError
+from mehler.spectral import eval_test_function
 from mehler.stft import _StftHandle
 
 PI14 = math.pi ** -0.25
@@ -116,6 +117,20 @@ def test_oscillation_guard_refuses():
     tiny = gauss_hermite_rule(8)
     with pytest.raises(ValueError, match="too coarse"):
         gauss_stft(HermiteBasis((0,)), 1.0, 6.0, rule=tiny)
+
+
+def test_bump_guard_reads_the_rule_it_integrates_with():
+    # a bump integrates with Gauss-Legendre of max(order, 96) nodes over its
+    # support: 96 meet the guard at z = 20 (8 * 20 / pi = 51), where the
+    # order 32 of the rule passed in was once tested and refused
+    v = gauss_stft(Bump(1.0), 2.0, 20.0, rule=gauss_hermite_rule(32))
+    leg = gauss_legendre_rule(2000, -1.0, 1.0)
+    u = leg.nodes
+    ref = np.sum(leg.weights * eval_test_function(Bump(1.0), u) * np.exp(-u * u - 20j * u))
+    ref *= (2 * math.pi) ** -0.5
+    assert abs(v - ref) <= 1e-11 * abs(ref)
+    with pytest.raises(ValueError, match=r"rule order 96 too coarse for frequency 40 \(need >= 102\)"):
+        gauss_stft(Bump(1.0), 2.0, 40.0, rule=gauss_hermite_rule(32))
 
 
 def test_bridge_constant_value():
