@@ -59,7 +59,6 @@ from .semigroup import (
 )
 from .special import (
     Gaussian2n,
-    PolyGaussian2n,
     SpecialExpansion,
     SpecialHermiteBasis,
     bergman_norm_special,

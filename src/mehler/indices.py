@@ -13,9 +13,14 @@ MultiIndex = tuple[int, ...]
 
 
 def as_index(alpha) -> MultiIndex:
-    """Coerce an int or an iterable of ints to a validated multi-index."""
+    """Coerce an int or an iterable of whole numbers (``2.0`` included) to
+    a validated multi-index; a fractional entry raises ``ValueError``."""
     if isinstance(alpha, (int, np.integer)):
-        alpha = (int(alpha),)
+        alpha = (alpha,)
+    alpha = tuple(alpha)
+    for a in alpha:
+        if not float(a).is_integer():
+            raise ValueError(f"multi-index entries must be whole numbers, got {a!r} in {alpha}")
     alpha = tuple(int(a) for a in alpha)
     if any(a < 0 for a in alpha):
         raise ValueError(f"multi-index entries must be >= 0, got {alpha}")

@@ -70,9 +70,9 @@ class QuadRule:
     """A one-dimensional quadrature rule.
 
     For ``kind == "gauss-hermite"`` the weights integrate against
-    exp(-x^2) dx on R; for ``kind == "gauss-legendre"`` against dx on
-    [interval[0], interval[1]].  ``plain_weights`` integrate the plain
-    integrand g against dx in both cases, sum(plain_weights * g(nodes)).
+    exp(-x^2) dx on R; for ``kind == "gauss-legendre"`` against dx on the
+    rule's interval.  ``plain_weights`` integrate the plain integrand g
+    against dx in both cases, sum(plain_weights * g(nodes)).
     For Gauss-Hermite they are the compensated weights w e^{x^2}, finite
     where w underflows; for Gauss-Legendre they are the weights.
     """
@@ -80,7 +80,6 @@ class QuadRule:
     nodes: np.ndarray
     weights: np.ndarray
     kind: str
-    interval: tuple[float, float] | None = None
     plain_weights: np.ndarray | None = None
 
     def __post_init__(self):
@@ -213,9 +212,7 @@ def gauss_legendre_rule(q: int, a: float = -1.0, b: float = 1.0) -> QuadRule:
         raise ValueError(f"invalid interval [{a}, {b}]")
     x, w = _legendre_nodes(_order(q))
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return QuadRule(
-        nodes=mid + half * x, weights=half * w, kind="gauss-legendre", interval=(a, b)
-    )
+    return QuadRule(nodes=mid + half * x, weights=half * w, kind="gauss-legendre")
 
 
 def integrate_rn(g, rule: QuadRule, dimension: int):

@@ -7,17 +7,20 @@ oscillatory integral
                      Phi_a(xi + u/2) Phi_b(xi - u/2) dxi,
 
 an orthonormal basis of L^2(C^n) and eigenfunctions of the twisted
-Laplacian with eigenvalue 2|b| + n.  They are evaluated by the classical
-Laguerre closed form of that integral (Thangavelu, Lectures on Hermite and
-Laguerre Expansions, 1993, sec. 1.3; Folland, Harmonic Analysis in Phase
-Space, 1989, ch. 1), per coordinate
+Laplacian with eigenvalue 2|b| + n.  The twisted layer is n = 1, decided
+where its inputs are built: a :class:`SpecialHermiteBasis` or an index
+pair handed to :func:`special_hermite_eval` of length other than 1 raises
+``ValueError``.  The functions are evaluated by the classical Laguerre
+closed form of that integral (Thangavelu, Lectures on Hermite and Laguerre
+Expansions, 1993, sec. 1.3; Folland, Harmonic Analysis in Phase Space,
+1989, ch. 1),
 
     Phi_{ab}(x, u) = (2 pi)^{-1/2} i^d (k!/(k+d)!)^{1/2} (zeta/sqrt 2)^d
                      L_k^d((x^2 + u^2)/2) e^{-(x^2 + u^2)/4}
 
 with d = |a - b|, k = min(a, b), and zeta = x - iu for a >= b, x + iu
 otherwise.  Read with the bilinear square x^2 + u^2, the formula is the
-entire extension to complex (z, w) in C^{2n}.  The defining integral
+entire extension to complex (z, w) in C^2.  The defining integral
 survives only as a test oracle.
 
 Twisted convolution
@@ -42,14 +45,14 @@ short sum of products of an x-factor and a u-factor: the heat profile one
 product, e^{-c(z-x)^2} e^{-c(w-u)^2} with c = coth(t)/4, and the Laguerre
 profile phi_k its k + 1 products of Hermite functions (Thangavelu 1993).
 So is every input it takes: a polynomial Gaussian
-sum C[j, k] x^j u^k e^{-r (x^2 + u^2)/2} (a ``Gaussian2n``, a
-``PolyGaussian2n`` or an n = 1 basis member) couples the columns
-x^j e^{-r x^2/2} and u^k e^{-r u^2/2} by C, and phi_k is the profile
-above.  The phase splits the same way, e^{-ixw/2} e^{izu/2}, and the grid
-is a tensor trapezoid, so each product's plane sum is exactly the product
-of two 1-D moment tables, one over x and one over u, each one matrix
-product for all points at once (Trefethen and Weideman, SIAM Review 56,
-2014); no table of f over the plane is formed.  The trapezoid rule suits
+sum C[j, k] x^j u^k e^{-r (x^2 + u^2)/2} (a ``Gaussian2n`` or a basis
+member) couples the columns x^j e^{-r x^2/2} and u^k e^{-r u^2/2} by C,
+and phi_k is the profile above.  The phase splits the same way,
+e^{-ixw/2} e^{izu/2}, and the grid is a tensor trapezoid, so each
+product's plane sum is exactly the product of two 1-D moment tables, one
+over x and one over u, each one matrix product for all points at once
+(Trefethen and Weideman, SIAM Review 56, 2014); no table of f over the
+plane is formed.  The trapezoid rule suits
 the integrands: they are entire with Gaussian decay, where it converges
 geometrically.
 
@@ -65,11 +68,10 @@ is forced by the phase convention of the twisted convolution).
 under both signs of a against it, returning the (+, -) pair of reports, so
 a caller reads which sign passes from one image.
 Its inputs are polynomial Gaussians sum C[j, k] x^j u^k e^{-r (x^2 + u^2)/2}
-on the real plane: a ``Gaussian2n``, a ``PolyGaussian2n`` or an n = 1 basis
-member becomes its coefficient array C, on which both operators act
-exactly (``_lower``).  The image and the four left sides are polynomial
-Gaussians of one width, so all five contract against one pair of
-heat-profile moment tables.
+on the real plane: a ``Gaussian2n`` or a basis member becomes its
+coefficient array C, on which both operators act exactly (``_lower``).
+The image and the four left sides are polynomial Gaussians of one width,
+so all five contract against one pair of heat-profile moment tables.
 
 Weighted norms on C^2 (n = 1) integrate against the 2m-th time derivative
 of the weight W_t(x, y, u, v) = 4 e^{yu - xv} S(y^2 + v^2), with S the
@@ -119,8 +121,15 @@ from .semigroup import (
     _finish_norm,
     envelope,
 )
-from .specfun import HermiteOverflowError, _finite, hermite_eval, laguerre_ladder, mul_exp_parts
-from .spectral import EntireHandle
+from .specfun import (
+    HermiteOverflowError,
+    _finite,
+    hermite_eval,
+    laguerre_function_entire,
+    laguerre_ladder,
+    mul_exp_parts,
+)
+from .spectral import ClosedFormHandle, EntireHandle
 
 
 # ---------------------------------------------------------------------------
@@ -128,22 +137,28 @@ from .spectral import EntireHandle
 # ---------------------------------------------------------------------------
 
 
+def _index_pair(alpha, beta) -> tuple[MultiIndex, MultiIndex]:
+    """(alpha, beta) as multi-indices of length 1, the twisted layer's
+    n = 1, or a ValueError that names them."""
+    alpha, beta = as_index(alpha), as_index(beta)
+    if len(alpha) != 1 or len(beta) != 1:
+        raise ValueError(
+            f"alpha and beta must be one-dimensional (n = 1), got {alpha} and {beta}"
+        )
+    return alpha, beta
+
+
 @dataclass(frozen=True)
 class SpecialHermiteBasis:
-    """The basis member Phi_{alpha beta}."""
+    """The basis member Phi_{alpha beta} (n = 1: alpha and beta of length 1)."""
 
     alpha: MultiIndex
     beta: MultiIndex
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", as_index(self.alpha))
-        object.__setattr__(self, "beta", as_index(self.beta))
-        if len(self.alpha) != len(self.beta):
-            raise ValueError("alpha and beta must have the same dimension")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.alpha)
+        alpha, beta = _index_pair(self.alpha, self.beta)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
 
 @dataclass(frozen=True)
@@ -155,30 +170,6 @@ class Gaussian2n:
     def __post_init__(self):
         if self.a <= 0:
             raise ValueError("Gaussian width parameter must be positive")
-
-
-@dataclass(frozen=True)
-class PolyGaussian2n:
-    """sum c_{jk} x^j u^k exp(-a (x^2+u^2)/2) on R^2 (one complex variable).
-
-    ``terms`` pairs (j, k) powers, whole numbers >= 0, with complex
-    coefficients; the coefficients of a repeated power are summed.  Closed
-    under the first-order intertwining operators, which is its purpose.
-    """
-
-    terms: tuple[tuple[tuple[int, int], complex], ...]
-    a: float = 0.5
-
-    def __post_init__(self):
-        summed: dict = {}
-        for (j, k), c in self.terms:
-            powers = int(j), int(k)
-            if powers != (j, k) or min(powers) < 0:
-                raise ValueError(f"PolyGaussian2n powers must be whole numbers >= 0, not {(j, k)}")
-            summed[powers] = summed.get(powers, 0j) + complex(c)
-        object.__setattr__(self, "terms", tuple(summed.items()))
-        if self.a <= 0:
-            raise ValueError("PolyGaussian2n width parameter must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -283,26 +274,10 @@ def _phi1_poly(a: int, b: int, n: int) -> np.ndarray:
 
 
 def special_hermite_eval(alpha, beta, z, w):
-    """Phi_{alpha beta} at (z, w) in C^{2n}; coordinates broadcast.
-
-    For n > 1 the defining integral factorizes, so the value is the product
-    of one-dimensional factors.
-    """
-    alpha = as_index(alpha)
-    beta = as_index(beta)
-    if len(alpha) != len(beta):
-        raise ValueError("alpha and beta must have the same dimension")
-    n = len(alpha)
-    if n == 1:
-        return _phi1(alpha[0], beta[0], z, w)
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    if z.shape[-1] != n or w.shape[-1] != n:
-        raise ValueError(f"expected trailing coordinate axis of length {n}")
-    val = 1.0
-    for j in range(n):
-        val = val * _phi1(alpha[j], beta[j], z[..., j], w[..., j])
-    return val
+    """Phi_{alpha beta} at (z, w) in C^2; coordinates broadcast.  A
+    multi-index of length other than 1 raises ``ValueError`` (n = 1)."""
+    (a,), (b,) = _index_pair(alpha, beta)
+    return _phi1(a, b, z, w)
 
 
 def special_hermite_matrix(a: int, b: int, Z, W):
@@ -359,9 +334,7 @@ class LaguerreProfile:
             raise ValueError(f"Laguerre profile order k must be >= 0, got {self.k!r}")
 
     def __call__(self, z, w):
-        q = np.asarray(z) ** 2 + np.asarray(w) ** 2
-        lad = laguerre_ladder(self.k, 0, q / 2.0)
-        return lad[self.k] * np.exp(-q / 4.0)
+        return laguerre_function_entire(self.k, np.asarray(z) ** 2 + np.asarray(w) ** 2, 1)
 
 
 def _laguerre_factors(ks, a, b):
@@ -464,10 +437,8 @@ def twisted_eval(f, X, U):
     X = np.asarray(X)
     U = np.asarray(U)
     if isinstance(f, SpecialHermiteBasis):
-        if f.dimension != 1:
-            raise ValueError("vectorized evaluation is one-dimensional")
         return special_hermite_eval(f.alpha, f.beta, X, U)
-    if isinstance(f, (Gaussian2n, PolyGaussian2n)):
+    if isinstance(f, Gaussian2n):
         return _polygauss_eval(*_as_polygauss(f), X, U)
     if callable(f):
         return f(X, U)
@@ -511,8 +482,8 @@ def _axis_form(f, x: np.ndarray, u: np.ndarray):
         C, rate = _as_polygauss(f)
     except ValueError:
         raise TypeError(
-            "twisted_conv takes a polynomial Gaussian (PolyGaussian2n, Gaussian2n or an "
-            f"n = 1 SpecialHermiteBasis) or a LaguerreProfile, not {type(f).__name__}"
+            "twisted_conv takes a polynomial Gaussian (Gaussian2n or SpecialHermiteBasis) "
+            f"or a LaguerreProfile, not {type(f).__name__}"
         ) from None
     return C, _gauss_columns(x, rate, C.shape[0]), _gauss_columns(u, rate, C.shape[1])
 
@@ -614,6 +585,8 @@ def laguerre_project(f, k, z, w, grid: PlaneGrid):
     ``k`` is one order, or a sequence of R orders, which adds a leading
     axis of length R: every projection then reads one ladder and one pair
     of moment tables."""
+    if np.ndim(k) and not len(k):
+        raise ValueError("k must name at least one order")
     g = [laguerre_profile(j) for j in k] if np.ndim(k) else laguerre_profile(k)
     return twisted_conv(f, g, z, w, grid) / (2.0 * math.pi)
 
@@ -680,25 +653,19 @@ def _as_polygauss(f) -> tuple[np.ndarray, float]:
     """(C, a) with f = sum C[j, k] x^j u^k e^{-a (x^2 + u^2)/2} on the real
     plane, exactly.
 
-    An n = 1 basis member is P(x, y, u, v) e^{-(z^2 + w^2)/4}
-    (:func:`_phi1_poly`); at y = v = 0 that is the polynomial P(x, 0, u, 0)
-    times e^{-(x^2 + u^2)/4}, the width a = 1/2.  Any other input raises
-    ``ValueError``.
+    A Gaussian is C = [[1]].  A basis member is P(x, y, u, v)
+    e^{-(z^2 + w^2)/4} (:func:`_phi1_poly`); at y = v = 0 that is the
+    polynomial P(x, 0, u, 0) times e^{-(x^2 + u^2)/4}, the width a = 1/2.
+    Any other input raises ``ValueError``.
     """
-    if isinstance(f, PolyGaussian2n):
-        shape = np.max([powers for powers, _ in f.terms] or [(0, 0)], axis=0) + 1
-        C = np.zeros(shape, dtype=complex)
-        for powers, c in f.terms:
-            C[powers] = c
-        return C, f.a
     if isinstance(f, Gaussian2n):
         return np.ones((1, 1)), f.a
-    if isinstance(f, SpecialHermiteBasis) and f.dimension == 1:
-        a, b = f.alpha[0], f.beta[0]
+    if isinstance(f, SpecialHermiteBasis):
+        (a,), (b,) = f.alpha, f.beta
         return _phi1_poly(a, b, abs(a - b) + 2 * min(a, b) + 1)[:, 0, :, 0], 0.5
     raise ValueError(
-        "the intertwining checks take a polynomial Gaussian: PolyGaussian2n, "
-        f"Gaussian2n or an n = 1 SpecialHermiteBasis, not {type(f).__name__}"
+        "the intertwining checks take a polynomial Gaussian (Gaussian2n or "
+        f"SpecialHermiteBasis), not {type(f).__name__}"
     )
 
 
@@ -861,10 +828,9 @@ class SpecialEigenHandle(EntireHandle):
     time: float
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", as_index(self.alpha))
-        object.__setattr__(self, "beta", as_index(self.beta))
-        if len(self.alpha) != 1 or len(self.beta) != 1:
-            raise ValueError("alpha and beta must be one-dimensional (n = 1)")
+        alpha, beta = _index_pair(self.alpha, self.beta)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
         if self.time <= 0:
             raise ValueError("time must be positive")
 
@@ -882,10 +848,9 @@ class SpecialEigenHandle(EntireHandle):
         return _phi1_parts(self.alpha[0], self.beta[0], Z, W, shift=lam_t)
 
 
-@dataclass(frozen=True)
-class GaussianImageHandle(EntireHandle):
-    """Twisted heat image of a Gaussian on C^2 (n = 1): its closed form
-    ``image`` at (X + iY, U + iV).
+class GaussianImageHandle(ClosedFormHandle):
+    """Twisted heat image of a Gaussian on C^2 (n = 1): the closed form
+    ``fn``, a :class:`GaussianImage`, at (X + iY, U + iV).
 
     Its modulus is ``reflection_invariant``: the exponent of the closed
     form is -g (z^2 + w^2) + ((2g z - iw/2)^2 + (2g w + iz/2)^2) / (4 kappa),
@@ -894,12 +859,6 @@ class GaussianImageHandle(EntireHandle):
     its conjugate."""
 
     reflection_invariant = True
-
-    image: GaussianImage
-
-    def eval_grid(self, X, Y, U, V) -> np.ndarray:
-        """The closed form at z = X + iY, w = U + iV."""
-        return self.image(np.asarray(X) + 1j * np.asarray(Y), np.asarray(U) + 1j * np.asarray(V))
 
 
 def special_image_handle(f, t: float) -> EntireHandle:

@@ -118,16 +118,30 @@ class Bump:
 
 @dataclass(frozen=True)
 class CoefficientList:
-    """Explicit spectral data: coefficients over |alpha| <= truncation."""
+    """Explicit spectral data: coefficients over |alpha| <= truncation.
+
+    Each multi-index comes once, of length ``dimension`` and degree at most
+    ``truncation``; any other entry raises ``ValueError`` naming it.
+    """
 
     dimension: int
     truncation: int
     entries: tuple[tuple[MultiIndex, complex], ...]
 
     def __post_init__(self):
-        entries = tuple(
-            (as_index(a), complex(c)) for a, c in self.entries
-        )
+        entries = tuple((as_index(a), complex(c)) for a, c in self.entries)
+        seen = set()
+        for alpha, _ in entries:
+            if len(alpha) != self.dimension:
+                problem = f"is not of dimension {self.dimension}"
+            elif sum(alpha) > self.truncation:
+                problem = f"exceeds the truncation {self.truncation}"
+            elif alpha in seen:
+                problem = "is repeated"
+            else:
+                seen.add(alpha)
+                continue
+            raise ValueError(f"coefficient index {alpha} {problem}")
         object.__setattr__(self, "entries", entries)
 
 
@@ -214,7 +228,6 @@ class HermiteExpansion:
     truncation: int
     indices: tuple[MultiIndex, ...]
     values: np.ndarray
-    source: str = ""
 
     def __post_init__(self):
         table = _index_table(self.dimension, self.truncation)
@@ -231,9 +244,9 @@ class HermiteExpansion:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def zeros(cls, dimension: int, truncation: int, source: str = "") -> "HermiteExpansion":
+    def zeros(cls, dimension: int, truncation: int) -> "HermiteExpansion":
         idx = _index_table(dimension, truncation).indices
-        return cls(dimension, truncation, idx, np.zeros(len(idx), complex), source)
+        return cls(dimension, truncation, idx, np.zeros(len(idx), complex))
 
     def degrees(self) -> np.ndarray:
         """|alpha| per entry: the shared table's read-only array."""
@@ -251,9 +264,7 @@ class HermiteExpansion:
         return complex(self.values[pos])
 
     def with_values(self, values: np.ndarray) -> "HermiteExpansion":
-        return HermiteExpansion(
-            self.dimension, self.truncation, self.indices, values, self.source
-        )
+        return HermiteExpansion(self.dimension, self.truncation, self.indices, values)
 
 
 def expand(
@@ -270,7 +281,7 @@ def expand(
     """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    out = HermiteExpansion.zeros(dimension, truncation, source=type(f).__name__)
+    out = HermiteExpansion.zeros(dimension, truncation)
 
     if isinstance(f, HermiteBasis):
         if len(f.alpha) != dimension:
@@ -300,6 +311,10 @@ def expand(
         for alpha, c in f.entries:
             if sum(alpha) <= truncation:
                 vals[lookup[alpha]] = c
+            elif c:
+                raise ValueError(
+                    f"coefficient index {alpha} exceeds the requested truncation {truncation}"
+                )
         return out.with_values(vals)
 
     if isinstance(f, Bump):

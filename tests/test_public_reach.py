@@ -11,17 +11,20 @@ somewhere other than its own definition and ``__init__.py``, in one of
 - the console-script entry points in ``pyproject.toml``.
 
 A suite check registered with ``@_check(...)`` counts as reached: the
-registration puts it in ``CHECKS``, which ``run_suite`` runs.
+registration puts it in ``CHECKS``, which ``run_suite`` runs.  A name in
+the class argument of ``isinstance`` or ``issubclass``, or in an
+annotation, does not count: type dispatch and type hints on a class that
+nothing builds keep its branches alive without running them.
 
 ``ALLOWED`` lists the names kept although only tests reach them, each with
 its reason; an entry whose name is reached (or gone) fails as stale.
 
-The rule is name-based, so it over-counts reach. A class reached only by
-type dispatch on its instances (an ``isinstance`` branch with no
-constructor call) counts as reached, and a name that collides with another
-(a module function ``power`` and a method ``TaylorScalar.power``) counts
-the other's references as its own. Such names have to be found by reading
-the code.
+The rule is name-based, so it over-counts reach. A name that collides
+with another (a module function ``power`` and a method
+``TaylorScalar.power``) counts the other's references as its own, and a
+class that only tests build but that other type dispatch names (a
+``type(f) is`` test, a ``match`` pattern) counts as reached. Such names
+have to be found by reading the code.
 """
 
 import ast
@@ -57,10 +60,33 @@ def _definitions() -> set[str]:
     }
 
 
+def _type_only(tree: ast.AST) -> set[int]:
+    """ids of the nodes in ``tree`` that only name a type: the class
+    argument of an ``isinstance`` or ``issubclass`` call, and annotations."""
+    roots = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("isinstance", "issubclass")
+            and len(node.args) == 2
+        ):
+            roots.append(node.args[1])
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            roots.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            roots.append(node.returns)
+    return {id(sub) for root in roots if root is not None for sub in ast.walk(root)}
+
+
 def _names_in(tree: ast.AST) -> set[str]:
-    """Names referenced in ``tree`` as a ``Name`` or an ``Attribute``."""
+    """Names referenced in ``tree`` as a ``Name`` or an ``Attribute``,
+    except where they only name a type (:func:`_type_only`)."""
+    skip = _type_only(tree)
     found = set()
     for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):

@@ -440,12 +440,17 @@ def test_bergman_grid_resolution_is_odd():
             lambda h, g: calibrate_weight(0.3, 1, [(0, 1), (1,)], g),
             r"alphas: calibration probe \(0, 1\) is not of dimension 1",
         ),
+        (
+            # read as h_1: int() truncated the entry
+            lambda h, g: calibrate_weight(0.3, 1, [(0,), (1.5,)], g),
+            r"whole numbers, got 1.5 in \(1.5,\)",
+        ),
         (lambda h, g: reproduce(h, -0.3, 0.5, g, 1.0), "t must be positive"),
     ],
     ids=[
         "norm-t<0", "norm-t=0", "norm-m<0", "norm-m=1.5", "norm-orders-1.5",
         "norm-orders-m<0", "norm-no-orders", "calibration-t<0", "calibration-repeat",
-        "calibration-probe-length", "reproduce-t<0",
+        "calibration-probe-length", "calibration-probe-fractional", "reproduce-t<0",
     ],
 )
 def test_c_weighted_jobs_name_a_bad_time_or_order(job, message):

@@ -9,7 +9,6 @@ import pytest
 
 from mehler import (
     Gaussian2n,
-    PolyGaussian2n,
     SpecialHermiteBasis,
     bergman_norm_special,
     calibrate_weight_special,
@@ -98,15 +97,33 @@ def test_closed_form_matches_defining_integral():
             assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) < 1e-13
 
 
-def test_closed_form_product_in_two_dimensions():
-    rng = np.random.default_rng(8)
-    z = _complex_points(rng, (50, 2))
-    w = _complex_points(rng, (50, 2))
-    got = special_hermite_eval((1, 3), (2, 0), z, w)
-    ref = _defining_integral(1, 2, z[:, 0], w[:, 0]) * _defining_integral(
-        3, 0, z[:, 1], w[:, 1]
-    )
-    assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) < 1e-13
+@pytest.mark.parametrize(
+    "alpha, beta", [((1, 3), (2, 0)), ((1,), (0, 0)), ((), ())], ids=["n2", "mixed", "empty"]
+)
+def test_twisted_inputs_are_one_dimensional(alpha, beta):
+    # n = 1 is decided where an input is built, and special_hermite_eval
+    # has no product branch for n > 1
+    with pytest.raises(ValueError, match=r"one-dimensional \(n = 1\)"):
+        SpecialHermiteBasis(alpha, beta)
+    with pytest.raises(ValueError, match=r"one-dimensional \(n = 1\)"):
+        special_hermite_eval(alpha, beta, 0.3, -0.2)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, message",
+    [
+        # int() once truncated them: SpecialHermiteBasis((0.7,), (1.2,)) was Phi_01
+        ((0.7,), (1,), "whole numbers, got 0.7"),
+        ((0,), (1.2,), "whole numbers, got 1.2"),
+        ((-1,), (0,), r"must be >= 0, got \(-1,\)"),
+        ((0,), (-2,), r"must be >= 0, got \(-2,\)"),
+    ],
+    ids=["fractional-alpha", "fractional-beta", "negative-alpha", "negative-beta"],
+)
+def test_special_hermite_basis_refuses_entries_that_are_not_whole_numbers(alpha, beta, message):
+    with pytest.raises(ValueError, match=message):
+        SpecialHermiteBasis(alpha, beta)
+    assert SpecialHermiteBasis((2.0,), (1.0,)) == SpecialHermiteBasis((2,), (1,))
 
 
 @pytest.mark.parametrize(
@@ -261,10 +278,10 @@ MULTI_PROFILE_TOL = 64 * np.finfo(float).eps
     [
         Gaussian2n(1.0),
         SpecialHermiteBasis((2,), (1,)),
-        PolyGaussian2n((((0, 0), 1.0), ((1, 0), 0.5j), ((0, 2), -0.3)), 1.0),
+        SpecialHermiteBasis((1,), (3,)),
         laguerre_profile(2),
     ],
-    ids=["gaussian", "phi21", "polygauss", "laguerre2-input"],
+    ids=["gaussian", "phi21", "phi13", "laguerre2-input"],
 )
 @pytest.mark.parametrize("kind", ["origin", "real", "complex"])
 def test_profile_sets_match_single_profile_calls(tw_grid, f, kind):
@@ -302,6 +319,13 @@ def test_profile_sets_are_laguerre_profiles(tw_grid):
         twisted_conv(Gaussian2n(1.0), [heat_profile(0.4), laguerre_profile(1)], 0.0, 0.0, tw_grid)
     with pytest.raises(ValueError, match="at least one profile"):
         twisted_conv(Gaussian2n(1.0), [], 0.0, 0.0, tw_grid)
+
+
+def test_projection_names_an_empty_order_list(tw_grid):
+    # it once raised "g must name at least one profile", an argument
+    # laguerre_project's caller never passed
+    with pytest.raises(ValueError, match="k must name at least one order"):
+        laguerre_project(Gaussian2n(1.0), [], 0.0, 0.0, tw_grid)
 
 
 def test_negative_laguerre_order_is_refused_when_built(tw_grid):
@@ -345,8 +369,8 @@ def test_intertwine_exact_route_for_basis_members(ab):
 
 @pytest.mark.parametrize(
     "f",
-    [lambda X, U: np.exp(-(X * X + U * U)), SpecialHermiteBasis((0, 1), (1, 0))],
-    ids=["callable", "n2-member"],
+    [lambda X, U: np.exp(-(X * X + U * U))],
+    ids=["callable"],
 )
 def test_intertwine_refuses_inputs_without_a_polynomial_gaussian_form(f):
     with pytest.raises(ValueError, match="polynomial Gaussian"):
@@ -749,34 +773,22 @@ def test_special_expand_eigenfunction(tw_grid):
 def test_polygaussian_calculus():
     # the lowering operators D_x = d/dx - a x and D_u = d/du - a u on the
     # coefficient array, against central differences of the function
-    f = PolyGaussian2n((((1, 0), 1.0), ((2, 1), -0.5j)), 0.5)  # (x - i x^2 u/2) e^{-(x^2+u^2)/4}
-    C, rate = special._as_polygauss(f)
+    C = np.zeros((3, 2), dtype=complex)
+    C[1, 0], C[2, 1] = 1.0, -0.5j  # (x - i x^2 u/2) e^{-(x^2+u^2)/4}
+    rate = 0.5
+
+    def f(X, U):
+        return special._polygauss_eval(C, rate, X, U)
+
     X = np.array([0.3, -1.2])
     U = np.array([0.5, 0.0])
     h, a = 1e-6, 0.7
-    fd = (twisted_eval(f, X + h, U) - twisted_eval(f, X - h, U)) / (2 * h)
+    fd = (f(X + h, U) - f(X - h, U)) / (2 * h)
     dx = special._polygauss_eval(special._lower(C, rate, a, 0), rate, X, U)
-    assert np.allclose(dx, fd - a * X * twisted_eval(f, X, U), atol=1e-8)
-    fdu = (twisted_eval(f, X, U + h) - twisted_eval(f, X, U - h)) / (2 * h)
+    assert np.allclose(dx, fd - a * X * f(X, U), atol=1e-8)
+    fdu = (f(X, U + h) - f(X, U - h)) / (2 * h)
     du = special._polygauss_eval(special._lower(C, rate, a, 1), rate, X, U)
-    assert np.allclose(du, fdu - a * U * twisted_eval(f, X, U), atol=1e-8)
-
-
-def test_polygaussian_sums_repeated_powers():
-    f = PolyGaussian2n((((0, 0), 1.0), ((0, 0), 2.0)))
-    assert twisted_eval(f, 0.0, 0.0) == pytest.approx(3.0)
-
-
-@pytest.mark.parametrize("powers", [(-1, 0), (0, -2)], ids=["negative-x", "negative-u"])
-def test_polygaussian_refuses_negative_powers(powers):
-    with pytest.raises(ValueError, match="whole numbers"):
-        PolyGaussian2n(((powers, 1.0),))
-
-
-@pytest.mark.parametrize("powers", [(1.5, 0), (0, 0.25)], ids=["fractional-x", "fractional-u"])
-def test_polygaussian_refuses_fractional_powers(powers):
-    with pytest.raises(ValueError, match="whole numbers"):
-        PolyGaussian2n(((powers, 1.0),))
+    assert np.allclose(du, fdu - a * U * f(X, U), atol=1e-8)
 
 
 def test_entire_evaluation_consistency(tw_grid):

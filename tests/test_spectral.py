@@ -273,6 +273,40 @@ def test_coefficient_list_expansion():
     assert e.coefficient((2,)) == 0.0
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        # the last coefficient once won: c_1 = 2
+        ((((1,), 1.0), ((1,), 2.0)), r"index \(1,\) is repeated"),
+        # once a bare KeyError: (1, 0) inside expand
+        ((((1, 0), 1.0),), r"index \(1, 0\) is not of dimension 1"),
+        ((((5,), 1.0),), r"index \(5,\) exceeds the truncation 4"),
+        ((((1.5,), 1.0),), "whole numbers, got 1.5"),
+    ],
+    ids=["repeated", "wrong-length", "above-truncation", "fractional"],
+)
+def test_coefficient_list_refuses_a_bad_entry_when_built(entries, message):
+    with pytest.raises(ValueError, match=message):
+        CoefficientList(1, 4, entries)
+
+
+def test_expand_refuses_a_coefficient_above_the_requested_truncation():
+    # it once dropped c_55 and the heat image of h_55 evaluated to 0j, where
+    # HermiteBasis((55,)) raises
+    f = CoefficientList(1, 60, (((55,), 1.0), ((60,), 0.0)))
+    with pytest.raises(ValueError, match=r"index \(55,\) exceeds the requested truncation 48"):
+        expand(f, 48)
+    # a zero coefficient above it drops nothing
+    e = expand(CoefficientList(1, 60, (((3,), 1.0), ((60,), 0.0))), 48)
+    assert e.coefficient((3,)) == 1.0
+
+
+def test_hermite_basis_refuses_a_fractional_index():
+    # int() once truncated it: HermiteBasis((1.5,)) was h_1
+    with pytest.raises(ValueError, match=r"whole numbers, got 1.5 in \(1.5,\)"):
+        HermiteBasis((1.5,))
+    assert HermiteBasis((2.0,)) == HermiteBasis((2,))
+
 
 def test_enumeration_is_graded_lexicographic():
     from mehler import multi_indices
