@@ -230,15 +230,21 @@ def test_twisted_conv_refuses_a_profile_without_axis_factors():
 
 
 @pytest.mark.parametrize(
-    "f",
-    [lambda X, U: np.exp(-(X * X + U * U)), heat_profile(0.4)],
-    ids=["callable", "heat-profile"],
+    "make, error, message",
+    [
+        (lambda: lambda X, U: np.exp(-(X * X + U * U)), TypeError, "polynomial Gaussian"),
+        (lambda: heat_profile(0.4), TypeError, "polynomial Gaussian"),
+        # an n = 2 member is refused where it is built, before it reaches
+        # the twisted layer
+        (lambda: SpecialHermiteBasis((0, 1), (1, 0)), ValueError, r"one-dimensional \(n = 1\)"),
+    ],
+    ids=["callable", "heat-profile", "n2-member"],
 )
-def test_twisted_conv_refuses_an_input_without_an_axis_form(f):
-    with pytest.raises(TypeError, match="polynomial Gaussian"):
-        twisted_conv(f, heat_profile(0.4), 0.1, 0.2, default_twisted_grid(0.4))
-    with pytest.raises(TypeError, match="polynomial Gaussian"):
-        special_semigroup_apply(f, 0.4, 0.1, 0.2)
+def test_twisted_conv_refuses_an_input_without_an_axis_form(make, error, message):
+    with pytest.raises(error, match=message):
+        twisted_conv(make(), heat_profile(0.4), 0.1, 0.2, default_twisted_grid(0.4))
+    with pytest.raises(error, match=message):
+        special_semigroup_apply(make(), 0.4, 0.1, 0.2)
 
 
 def test_twisted_conv_never_tables_the_input_on_the_plane(monkeypatch):

@@ -112,18 +112,31 @@ def test_twisted_inputs_are_one_dimensional(alpha, beta):
 @pytest.mark.parametrize(
     "alpha, beta, message",
     [
-        # int() once truncated them: SpecialHermiteBasis((0.7,), (1.2,)) was Phi_01
-        ((0.7,), (1,), "whole numbers, got 0.7"),
-        ((0,), (1.2,), "whole numbers, got 1.2"),
         ((-1,), (0,), r"must be >= 0, got \(-1,\)"),
         ((0,), (-2,), r"must be >= 0, got \(-2,\)"),
     ],
-    ids=["fractional-alpha", "fractional-beta", "negative-alpha", "negative-beta"],
+    ids=["negative-alpha", "negative-beta"],
 )
 def test_special_hermite_basis_refuses_entries_that_are_not_whole_numbers(alpha, beta, message):
     with pytest.raises(ValueError, match=message):
         SpecialHermiteBasis(alpha, beta)
     assert SpecialHermiteBasis((2.0,), (1.0,)) == SpecialHermiteBasis((2,), (1,))
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, message",
+    [
+        # int() once truncated them: SpecialHermiteBasis((0.7,), (1.2,)) was Phi_01
+        ((0.7,), (1,), "whole numbers, got 0.7"),
+        ((0,), (1.2,), "whole numbers, got 1.2"),
+    ],
+    ids=["fractional-x", "fractional-u"],
+)
+def test_polygaussian_refuses_fractional_powers(alpha, beta, message):
+    # the polynomial Gaussians with a polynomial factor are the basis
+    # members, whose indices fix that factor's powers
+    with pytest.raises(ValueError, match=message):
+        SpecialHermiteBasis(alpha, beta)
 
 
 @pytest.mark.parametrize(
@@ -368,15 +381,20 @@ def test_intertwine_exact_route_for_basis_members(ab):
 
 
 @pytest.mark.parametrize(
-    "f",
-    [lambda X, U: np.exp(-(X * X + U * U))],
-    ids=["callable"],
+    "make, message",
+    [
+        (lambda: lambda X, U: np.exp(-(X * X + U * U)), "polynomial Gaussian"),
+        # an n = 2 member is refused where it is built, before it reaches
+        # the intertwining checks
+        (lambda: SpecialHermiteBasis((0, 1), (1, 0)), r"one-dimensional \(n = 1\)"),
+    ],
+    ids=["callable", "n2-member"],
 )
-def test_intertwine_refuses_inputs_without_a_polynomial_gaussian_form(f):
-    with pytest.raises(ValueError, match="polynomial Gaussian"):
-        intertwine_check(f, 0.4)
-    with pytest.raises(ValueError, match="polynomial Gaussian"):
-        composed_intertwine_residual(f, 0.4)
+def test_intertwine_refuses_inputs_without_a_polynomial_gaussian_form(make, message):
+    with pytest.raises(ValueError, match=message):
+        intertwine_check(make(), 0.4)
+    with pytest.raises(ValueError, match=message):
+        composed_intertwine_residual(make(), 0.4)
 
 
 def test_intertwine_checks_evaluate_the_heat_profile_once(monkeypatch):
