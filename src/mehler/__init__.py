@@ -12,7 +12,6 @@ from .indices import (
     MultiIndex,
     as_index,
     as_point,
-    multi_indices,
     oscillator_eigenvalue,
 )
 from .kernels import (
@@ -82,7 +81,6 @@ from .specfun import (
     hermite_eval,
     hermite_log_eval,
     hermite_log_ladder,
-    hermite_tensor,
     laguerre_function_entire,
 )
 from .spectral import (

@@ -1,11 +1,15 @@
-"""Multi-indices and points of complexified Euclidean space.
+"""Multi-indices and points of the complexified line.
 
-Everything in this package is indexed by multi-indices ``alpha`` in N^n and
-evaluated at points ``z`` in C^n.  A multi-index is a plain tuple of
-non-negative ints; a point is a 1-D complex ndarray.  The quadratic form
-``z**2`` always means the bilinear square ``sum(z_j**2)`` (no conjugation),
-which is the convention under which all kernels here are entire.
+The paper states its results on R^n and C^n; this package computes them at
+n = 1, and that is decided where an input is built: a multi-index of a
+basis member, a point mass or a point of evaluation has one entry.  A
+multi-index is a plain 1-tuple of a non-negative int, and a point is a
+complex ndarray of shape (1,).  The quadratic form ``z**2`` always means
+the bilinear square (no conjugation), which is the convention under which
+all kernels here are entire.
 """
+
+import numbers
 
 import numpy as np
 
@@ -13,9 +17,9 @@ MultiIndex = tuple[int, ...]
 
 
 def as_index(alpha) -> MultiIndex:
-    """Coerce an int or an iterable of whole numbers (``2.0`` included) to
-    a validated multi-index; a fractional entry raises ``ValueError``."""
-    if isinstance(alpha, (int, np.integer)):
+    """Coerce a number or an iterable of whole numbers (``2.0`` included)
+    to a validated multi-index; a fractional entry raises ``ValueError``."""
+    if isinstance(alpha, numbers.Real):
         alpha = (alpha,)
     alpha = tuple(alpha)
     for a in alpha:
@@ -27,56 +31,26 @@ def as_index(alpha) -> MultiIndex:
     return alpha
 
 
-def oscillator_eigenvalue(alpha, dimension: int | None = None) -> int:
-    """Eigenvalue 2|alpha| + n of the oscillator -Delta + |x|^2 on the
-    Hermite basis, or of the twisted Laplacian when indexed by |beta|.
-
-    ``alpha`` may be a multi-index (dimension inferred) or an int degree
-    (then ``dimension`` is required).
-    """
-    if isinstance(alpha, (int, np.integer)):
-        if dimension is None:
-            raise ValueError("dimension required when passing a bare degree")
-        return 2 * int(alpha) + dimension
-    alpha = as_index(alpha)
-    n = dimension if dimension is not None else len(alpha)
-    return 2 * sum(alpha) + n
+def one_dimensional(name: str, value: tuple) -> tuple:
+    """``value`` when it has one entry, the package's n = 1, or a
+    ValueError that names ``name``."""
+    if len(value) != 1:
+        raise ValueError(f"{name} must be one-dimensional (n = 1), got {value}")
+    return value
 
 
-def multi_indices(dimension: int, max_degree: int) -> list[MultiIndex]:
-    """All alpha in N^dimension with |alpha| <= max_degree.
-
-    Order is graded lexicographic (by total degree, then lexicographic),
-    which fixes the serialization order of every coefficient vector.
-    """
-    if dimension < 1:
-        raise ValueError("dimension must be >= 1")
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    out: list[MultiIndex] = []
-    for d in range(max_degree + 1):
-        block = sorted(compositions(d, dimension), reverse=True)
-        out.extend(block)
-    return out
+def oscillator_eigenvalue(alpha) -> int:
+    """Eigenvalue 2|alpha| + 1 of the oscillator -d^2/dx^2 + x^2 on the
+    Hermite basis, or of the twisted Laplacian when indexed by |beta|;
+    ``alpha`` is a multi-index or an int degree."""
+    return 2 * sum(as_index(alpha)) + 1
 
 
-def as_point(z, dimension: int | None = None) -> np.ndarray:
-    """Coerce a scalar or sequence to a complex point of C^n (shape (n,))."""
+def as_point(z) -> np.ndarray:
+    """Coerce a scalar or a length-1 sequence to a point of C (shape (1,))."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if z.ndim != 1:
-        raise ValueError(f"a point must be one-dimensional, got shape {z.shape}")
-    if dimension is not None and z.shape[0] != dimension:
-        raise ValueError(f"expected a point of C^{dimension}, got length {z.shape[0]}")
+    if z.shape != (1,):
+        raise ValueError(f"a point must be one-dimensional (n = 1), got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("point coordinates must be finite")
     return z
-

@@ -1,20 +1,20 @@
 """Closed-form kernels, Bergman weights, and pointwise growth bounds.
 
-The heat kernel of the oscillator -Delta + |x|^2 has the closed form
+The heat kernel of the oscillator -d^2/dx^2 + x^2 has the closed form
 
-    K_t(z, w) = (2 pi sinh 2t)^{-n/2}
-                exp(-coth(2t) (z^2 + w^2)/2 + z.w / sinh 2t),
+    K_t(z, w) = (2 pi sinh 2t)^{-1/2}
+                exp(-coth(2t) (z^2 + w^2)/2 + z w / sinh 2t),
 
 entire and symmetric in (z, w) (z^2 means the bilinear square).  The image
 of L^2 under the heat transform sits inside entire functions square
 integrable against the Bergman weight
 
-    U_t(x+iy) = 2^n (sinh 4t)^{-n/2} exp(tanh(2t) x^2 - coth(2t) y^2);
+    U_t(x+iy) = 2 (sinh 4t)^{-1/2} exp(tanh(2t) x^2 - coth(2t) y^2);
 
 its 2m-th time derivatives weight the holomorphic Sobolev norms and are
 computed exactly with truncated Taylor arithmetic.  The scalar series in t
 behind them, the jets of the prefactor and of tanh 2t and -coth 2t, depend
-on (t, m, n) alone and are memoized (``_time_jets``); only the per-axis jets
+on (t, m) alone and are memoized (``_time_jets``); only the per-axis jets
 in x^2 and y^2 are formed per call.  Reproducing kernels of
 the weighted spaces come from the closed form at doubled time (order 0),
 from an integral over shifted times (positive orders), or from the spectral
@@ -23,7 +23,7 @@ sum (negative orders).
 Note on constants: with U_t as normalized here, the complexified basis
 orthogonality holds only up to a fixed multiplicative factor; the
 calibration in :mod:`mehler.semigroup` determines that factor
-((2 pi)^{-n/2}) and the weighted-norm routines accept it explicitly.  The
+((2 pi)^{-1/2}) and the weighted-norm routines accept it explicitly.  The
 same applies to the twisted weight below via its own calibration.
 """
 
@@ -43,37 +43,24 @@ from .taylor import TaylorScalar
 # ---------------------------------------------------------------------------
 
 
-def _coord_arrays(z, dimension):
-    """Split array input into per-coordinate arrays (last axis = coords)."""
-    z = np.asarray(z, dtype=complex)
-    if dimension == 1:
-        return [z]
-    if z.shape[-1] != dimension:
-        raise ValueError(f"last axis must have length {dimension}")
-    return [z[..., j] for j in range(dimension)]
-
-
-def _mehler_parts(t: float, z, w, dimension: int = 1):
+def _mehler_parts(t: float, z, w):
     """K_t(z, w) as (pref, expo), K_t = pref * e^expo: the prefactor
-    (2 pi sinh 2t)^{-n/2} and the complex exponent, elementwise as in
+    (2 pi sinh 2t)^{-1/2} and the complex exponent, elementwise as in
     :func:`mehler_kernel`."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
-    zs = _coord_arrays(z, dimension)
-    ws = _coord_arrays(w, dimension)
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
     s2t = math.sinh(2 * t)
     c2t = math.cosh(2 * t) / s2t
-    expo = sum(-0.5 * c2t * (a * a + b * b) + a * b / s2t for a, b in zip(zs, ws))
-    return (2.0 * math.pi * s2t) ** (-0.5 * dimension), expo
+    expo = -0.5 * c2t * (z * z + w * w) + z * w / s2t
+    return (2.0 * math.pi * s2t) ** -0.5, expo
 
 
-def mehler_kernel(t: float, z, w, dimension: int = 1):
-    """Oscillator heat kernel K_t(z, w), entire in both arguments.
-
-    Vectorized elementwise for dimension 1; for higher dimension the last
-    axis of ``z``/``w`` indexes coordinates.
-    """
-    pref, expo = _mehler_parts(t, z, w, dimension)
+def mehler_kernel(t: float, z, w):
+    """Oscillator heat kernel K_t(z, w), entire in both arguments,
+    vectorized elementwise over ``z`` and ``w``."""
+    pref, expo = _mehler_parts(t, z, w)
     return pref * np.exp(expo)
 
 
@@ -103,14 +90,13 @@ def mehler_spectral(t: float, z, w, truncation: int = 48):
 # ---------------------------------------------------------------------------
 
 
-def bergman_weight(t: float, z, dimension: int = 1):
-    """Weight U_t(x+iy) = 2^n (sinh 4t)^{-n/2} e^{tanh(2t) x^2 - coth(2t) y^2}."""
-    if t <= 0:
+def bergman_weight(t: float, z):
+    """Weight U_t(x+iy) = 2 (sinh 4t)^{-1/2} e^{tanh(2t) x^2 - coth(2t) y^2}."""
+    if not t > 0:
         raise ValueError("t must be positive")
-    zs = _coord_arrays(z, dimension)
-    x2 = sum(a.real**2 for a in zs)
-    y2 = sum(a.imag**2 for a in zs)
-    log_pref = dimension * math.log(2.0) - 0.5 * dimension * math.log(math.sinh(4 * t))
+    z = np.asarray(z, dtype=complex)
+    x2, y2 = z.real**2, z.imag**2
+    log_pref = math.log(2.0) - 0.5 * math.log(math.sinh(4 * t))
     return np.exp(log_pref + math.tanh(2 * t) * x2 - (1.0 / math.tanh(2 * t)) * y2)
 
 
@@ -125,14 +111,14 @@ def _shifted_exp_jet(coef, s) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _time_jets(t: float, m: int, dimension: int) -> tuple[tuple, tuple, tuple]:
+def _time_jets(t: float, m: int) -> tuple[tuple, tuple, tuple]:
     """Taylor coefficients in s at t, orders 0..2m, of the Bergman weight's
-    prefactor 2^n (sinh 4s)^{-n/2}, of tanh 2s and of -coth 2s: the scalar
-    part of :func:`_weight_jets`, which depends on (t, m, n) alone.  Built
+    prefactor 2 (sinh 4s)^{-1/2}, of tanh 2s and of -coth 2s: the scalar
+    part of :func:`_weight_jets`, which depends on (t, m) alone.  Built
     once per key and kept as tuples of floats; the cache is bounded, since
     a caller may draw a fresh t for every call."""
     T = TaylorScalar.variable(t, 2 * m)
-    pref = taylor.sinh(T * 4.0).power(-0.5 * dimension) * (2.0**dimension)
+    pref = taylor.sinh(T * 4.0).power(-0.5) * 2.0
     return (
         tuple(pref.coef),
         tuple(taylor.tanh(T * 2.0).coef),
@@ -140,7 +126,7 @@ def _time_jets(t: float, m: int, dimension: int) -> tuple[tuple, tuple, tuple]:
     )
 
 
-def _weight_jets(t: float, m: int, x2, y2, dimension: int = 1):
+def _weight_jets(t: float, m: int, x2, y2):
     """Per-axis jets of U_t in t: (H, jx, jy) with
 
         d^{2m}/dt^{2m} U_t = e^{tanh(2t) x2 - coth(2t) y2} sum_{j,k} jx[j] H[j, k] jy[k],
@@ -149,11 +135,11 @@ def _weight_jets(t: float, m: int, x2, y2, dimension: int = 1):
     real arrays ``x2`` and ``y2``) of e^{(tanh 2s - tanh 2t) x2} and
     e^{-(coth 2s - coth 2t) y2} in s at t, and H[j, k] = (2m)! p[2m - j - k]
     (0 past j + k = 2m) the Hankel matrix of the jet p of the prefactor
-    2^n (sinh 4s)^{-n/2}.  Each jet runs on its own axis, so on a tensor
+    2 (sinh 4s)^{-1/2}.  Each jet runs on its own axis, so on a tensor
     grid no Taylor arithmetic touches the mesh, and the scalar jets come
-    from :func:`_time_jets`, so none runs twice for one (t, m, n).
+    from :func:`_time_jets`, so none runs twice for one (t, m).
     """
-    pref, tanh_jet, coth_jet = _time_jets(t, m, dimension)
+    pref, tanh_jet, coth_jet = _time_jets(t, m)
     jx = _shifted_exp_jet(tanh_jet, x2)
     jy = _shifted_exp_jet(coth_jet, y2)
     rank = 2 * m - np.add.outer(np.arange(2 * m + 1), np.arange(2 * m + 1))
@@ -161,22 +147,21 @@ def _weight_jets(t: float, m: int, x2, y2, dimension: int = 1):
     return math.factorial(2 * m) * H, jx, jy
 
 
-def bergman_weight_dt(t: float, m: int, z, dimension: int = 1):
+def bergman_weight_dt(t: float, m: int, z):
     """2m-th time derivative of U_t at fixed z (signed), by jet arithmetic.
 
     m = 0 reduces to the plain weight.  Vectorized over z; the jets of
     :func:`_weight_jets` are joined pointwise.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     if m < 0:
         raise ValueError("m must be >= 0")
     if m == 0:
-        return bergman_weight(t, z, dimension)
-    zs = _coord_arrays(z, dimension)
-    x2 = sum(np.asarray(a.real, dtype=float) ** 2 for a in zs)
-    y2 = sum(np.asarray(a.imag, dtype=float) ** 2 for a in zs)
-    H, jx, jy = _weight_jets(t, m, x2, y2, dimension)
+        return bergman_weight(t, z)
+    z = np.asarray(z, dtype=complex)
+    x2, y2 = z.real**2, z.imag**2
+    H, jx, jy = _weight_jets(t, m, x2, y2)
     gauss = np.exp(math.tanh(2 * t) * x2 - (1.0 / math.tanh(2 * t)) * y2)
     return gauss * np.sum(jx * np.tensordot(H, jy, axes=1), axis=0)
 
@@ -186,11 +171,11 @@ def bergman_weight_dt(t: float, m: int, z, dimension: int = 1):
 # ---------------------------------------------------------------------------
 
 
-def _integral_upper_limit(t: float, m: int, dimension: int) -> float:
-    """S with s^{2m-1} e^{-2 n (t+s)} below 1e-16 for s >= S."""
+def _integral_upper_limit(t: float, m: int) -> float:
+    """S with s^{2m-1} e^{-2(t+s)} below 1e-16 for s >= S."""
     S = 1.0
     for _ in range(60):
-        val = S ** (2 * m - 1) * math.exp(-2 * dimension * (t + S))
+        val = S ** (2 * m - 1) * math.exp(-2 * (t + S))
         if val < 1e-16:
             break
         S *= 1.25
@@ -202,7 +187,7 @@ def reproducing_kernel(
     m: int,
     z,
     w,
-    dimension: int = 1,
+    *,
     truncation: int = 48,
 ):
     """Reproducing kernel of the order-m weighted space at time t.
@@ -210,32 +195,30 @@ def reproducing_kernel(
     m = 0:   closed form, the heat kernel at doubled time with the first
              argument conjugated.
     m > 0:   1/(2m-1)! * int_0^S s^{2m-1} K^{(0)}_{t+s}(z, w) ds with the
-             tail cut where s^{2m-1} e^{-2n(t+s)} < 1e-16 (96-point
+             tail cut where s^{2m-1} e^{-2(t+s)} < 1e-16 (96-point
              Gauss-Legendre).
              Equals the spectral sum with factors (2 lam)^{-2m} e^{-2 lam t}.
     m < 0:   spectral sum sum_alpha lam^{2|m|} e^{-2 lam t}
              Phi_alpha(conj z) Phi_alpha(w), truncated at ``truncation``.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
     if m == 0:
-        return mehler_kernel(2 * t, np.conj(z), w, dimension)
+        return mehler_kernel(2 * t, np.conj(z), w)
     if m > 0:
-        S = _integral_upper_limit(t, m, dimension)
+        S = _integral_upper_limit(t, m)
         rule = gauss_legendre_rule(96, 0.0, S)
         total = 0.0 + 0.0j
         for s_i, w_i in zip(rule.nodes, rule.weights):
             total += (
                 w_i
                 * s_i ** (2 * m - 1)
-                * mehler_kernel(2 * (t + s_i), np.conj(z), w, dimension)
+                * mehler_kernel(2 * (t + s_i), np.conj(z), w)
             )
         return total / math.factorial(2 * m - 1)
     # m < 0: distribution-order kernel via the spectral sum
-    if dimension != 1:
-        raise ValueError("negative-order kernels are one-dimensional at desk scale")
     return reproducing_kernel_spectral(t, m, z, w, truncation)
 
 
@@ -259,74 +242,70 @@ def reproducing_kernel_spectral(t: float, m: int, z, w, truncation: int = 48):
 # ---------------------------------------------------------------------------
 
 
-def special_heat_kernel(t: float, p, dimension: int = 1):
-    """Closed form (2 pi sinh t)^{-n} exp(-coth(t) q / 4) where q is the
-    bilinear square of the C^{2n} argument ``p`` (last axis length 2n).
+def special_heat_kernel(t: float, p):
+    """Closed form (2 pi sinh t)^{-1} exp(-coth(t) q / 4) where q is the
+    bilinear square of the C^2 argument ``p`` (last axis of length 2).
 
     The twisted semigroup itself convolves with the spectrally normalized
-    profile (see :func:`mehler.special.heat_profile`), which is 2^{-n}
-    times this one; the weight on C^{2n} uses this normalization, and its
+    profile (see :func:`mehler.special.heat_profile`), which is 1/2 times
+    this one; the weight on C^2 uses this normalization, and its
     calibration constant absorbs the mismatch.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     p = np.asarray(p, dtype=complex)
-    if dimension == 1 and (p.ndim == 0 or p.shape[-1] != 2):
-        raise ValueError("p must have a trailing axis of length 2n")
-    if p.shape[-1] != 2 * dimension:
-        raise ValueError(f"last axis must have length {2 * dimension}")
+    if p.ndim == 0 or p.shape[-1] != 2:
+        raise ValueError("p must have a trailing axis of length 2")
     q = np.sum(p * p, axis=-1)
-    return special_heat_from_square(t, q, dimension)
+    return special_heat_from_square(t, q)
 
 
-def special_heat_from_square(t: float, q, dimension: int = 1):
+def special_heat_from_square(t: float, q):
     """Same kernel as a function of the bilinear square ``q``."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
-    pref = (2.0 * math.pi * math.sinh(t)) ** (-dimension)
+    pref = (2.0 * math.pi * math.sinh(t)) ** -1
     return pref * np.exp(-0.25 / math.tanh(t) * np.asarray(q, dtype=complex))
 
 
-def _twisted_profile_jet(t: float, m: int, q, dimension: int = 1):
+def _twisted_profile_jet(t: float, m: int, q):
     """e^{coth(2t) q} times :func:`twisted_weight_profile`, elementwise over
     a real array ``q``: the polynomial in q that the 2m-th time derivative
     leaves beside the Gaussian, from the jets of the prefactor
-    (2 pi sinh 2s)^{-n} and of e^{-(coth 2s - coth 2t) q} in s at t.
+    (2 pi sinh 2s)^{-1} and of e^{-(coth 2s - coth 2t) q} in s at t.
     """
     T = TaylorScalar.variable(t, 2 * m)
-    pref = (taylor.sinh(T * 2.0).power(-float(dimension)) * (2.0 * math.pi) ** (-dimension)).coef
+    pref = (taylor.sinh(T * 2.0).power(-1.0) * (2.0 * math.pi) ** -1).coef
     jq = _shifted_exp_jet((-taylor.coth(T * 2.0)).coef, q)
     return math.factorial(2 * m) * np.tensordot(pref[::-1], jq, axes=1)
 
 
-def twisted_weight_profile(t: float, m: int, q, dimension: int = 1):
-    """The factor of the twisted weight that depends on q = |y|^2 + |v|^2
-    alone: d^{2m}/dt^{2m} of p_{2t}(2y, 2v) = (2 pi sinh 2t)^{-n}
+def twisted_weight_profile(t: float, m: int, q):
+    """The factor of the twisted weight that depends on q = y^2 + v^2
+    alone: d^{2m}/dt^{2m} of p_{2t}(2y, 2v) = (2 pi sinh 2t)^{-1}
     exp(-coth(2t) q), elementwise over a real array ``q``.
     """
     q = np.asarray(q, dtype=float)
     if m == 0:
-        pref = (2.0 * math.pi * math.sinh(2 * t)) ** (-dimension)
+        pref = (2.0 * math.pi * math.sinh(2 * t)) ** -1
         return pref * np.exp(-(1.0 / math.tanh(2 * t)) * q)
-    return np.exp(-(1.0 / math.tanh(2 * t)) * q) * _twisted_profile_jet(t, m, q, dimension)
+    return np.exp(-(1.0 / math.tanh(2 * t)) * q) * _twisted_profile_jet(t, m, q)
 
 
-def twisted_bergman_weight(t: float, m: int, z, w, dimension: int = 1):
-    """Weight on C^{2n}: 4^n e^{uy - vx} p_{2t}(2y, 2v), and its 2m-th time
-    derivative for m > 0 (signed).  ``z = x + iy``, ``w = u + iv``,
-    elementwise for dimension 1 or with a trailing coordinate axis.
+def twisted_bergman_weight(t: float, m: int, z, w):
+    """Weight on C^2: 4 e^{uy - vx} p_{2t}(2y, 2v), and its 2m-th time
+    derivative for m > 0 (signed), elementwise over ``z = x + iy`` and
+    ``w = u + iv``.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     if m < 0:
         raise ValueError("m must be >= 0")
-    zs = _coord_arrays(z, dimension)
-    ws = _coord_arrays(w, dimension)
-    cross = sum(u.real * a.imag - u.imag * a.real for a, u in zip(zs, ws))
-    y2 = sum(np.asarray(a.imag, dtype=float) ** 2 for a in zs)
-    v2 = sum(np.asarray(u.imag, dtype=float) ** 2 for u in ws)
-    envelope = (4.0**dimension) * np.exp(cross)
-    return envelope * twisted_weight_profile(t, m, y2 + v2, dimension)
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    cross = w.real * z.imag - w.imag * z.real
+    envelope = 4.0 * np.exp(cross)
+    return envelope * twisted_weight_profile(t, m, z.imag**2 + w.imag**2)
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +342,9 @@ class BoundSpec:
         if self.kind not in _SQUARED_KINDS | _MODULUS_KINDS:
             raise ValueError(f"unknown bound kind {self.kind!r}")
         if self.kind in {"sobolev-embed", "schwartz-image", "tempered",
-                         "special-schwartz", "special-plain", "compact"} and self.t <= 0:
+                         "special-schwartz", "special-plain", "compact"} and not self.t > 0:
             raise ValueError("this bound kind requires t > 0")
-        if self.kind == "pw-stft" and self.a <= 0:
+        if self.kind == "pw-stft" and not self.a > 0:
             raise ValueError("pw-stft bound requires a > 0")
 
     @property
@@ -389,7 +368,7 @@ class BoundSpec:
             return (-gauss_x, gauss_y), power, (x2, y2)
         if self.kind in ("special-schwartz", "special-plain"):
             if U is None or V is None:
-                raise ValueError("this bound lives on C^{2n}: need U and V")
+                raise ValueError("this bound lives on C^2: need U and V")
             U = np.asarray(U, dtype=float)
             V = np.asarray(V, dtype=float)
             c4 = 1.0 / math.tanh(4 * self.t)
@@ -450,6 +429,6 @@ def stft_bound(a: float, m: int) -> BoundSpec:
 
 
 def compact_bound(t: float, radius: float) -> BoundSpec:
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError("radius must be >= 0")
     return BoundSpec("compact", t=t, radius=radius)

@@ -1,13 +1,13 @@
-"""Quadrature rules and grids for R^n, C^n and C^{2n} integrals.
+"""Quadrature rules and grids for integrals over R, C and C^2.
 
-Gauss-Hermite rules handle integrals over R^n of Gaussian-decay integrands.
-Plane integrals over C^n ~ R^{2n} use the tensor-product trapezoid rule on
-truncated boxes sized from the integrand's Gaussian decay rate, so the
-truncation error is certifiable a priori.  The plane integrands are entire
-with Gaussian decay, where the trapezoid rule converges geometrically
-(Trefethen and Weideman, SIAM Review 56, 2014).  At an odd resolution
-every second node of an axis, at twice its weight, is the rule of twice
-the step, so a plane sum checks its own step in the same pass
+Gauss-Hermite rules handle integrals over R of Gaussian-decay integrands.
+Plane integrals over C ~ R^2 and C^2 ~ R^4 use the tensor-product trapezoid
+rule on truncated boxes sized from the integrand's Gaussian decay rate, so
+the truncation error is certifiable a priori.  The plane integrands are
+entire with Gaussian decay, where the trapezoid rule converges
+geometrically (Trefethen and Weideman, SIAM Review 56, 2014).  At an odd
+resolution every second node of an axis, at twice its weight, is the rule
+of twice the step, so a plane sum checks its own step in the same pass
 (:func:`_check_half_step`).  The axes of a box symmetric about 0 are
 exactly antisymmetric, so a summand whose value at x - iy is the conjugate
 of the one at x + iy is summed on the half y <= 0 at folded weights
@@ -215,40 +215,29 @@ def gauss_legendre_rule(q: int, a: float = -1.0, b: float = 1.0) -> QuadRule:
     return QuadRule(nodes=mid + half * x, weights=half * w, kind="gauss-legendre")
 
 
-def integrate_rn(g, rule: QuadRule, dimension: int):
-    """Integrate g over R^dimension with a tensorized Gauss-Hermite rule.
+def integrate_rn(g, rule: QuadRule):
+    """Integrate g over R with a Gauss-Hermite rule.
 
-    ``g`` must be vectorized: it receives ``dimension`` flat coordinate
-    arrays and returns samples.  The rule's compensated weights carry the
-    exp(+x^2) per axis, so ``g`` is the plain integrand; it should decay at
-    least like a Gaussian times a polynomial.
+    ``g`` must be vectorized: it receives the rule's nodes as one array and
+    returns samples.  The rule's compensated weights carry the exp(+x^2),
+    so ``g`` is the plain integrand; it should decay at least like a
+    Gaussian times a polynomial.
     """
     if rule.kind != "gauss-hermite":
         raise ValueError("integrate_rn expects a gauss-hermite rule")
-    if not 1 <= dimension <= 4:
-        raise ValueError("integrate_rn supports 1 <= dimension <= 4")
     x = rule.nodes
-    w = rule.plain_weights
-    if dimension == 1:
-        coords = [x]
-        weights = w
-    else:
-        grids = np.meshgrid(*([x] * dimension), indexing="ij")
-        coords = [c.ravel() for c in grids]
-        wgrids = np.meshgrid(*([w] * dimension), indexing="ij")
-        weights = np.prod([c.ravel() for c in wgrids], axis=0)
-    samples = np.asarray(g(*coords))
+    samples = np.asarray(g(x))
     if not np.all(np.isfinite(samples)):
         bad = int(np.argmin(np.isfinite(samples if samples.ndim else [samples])))
-        node = tuple(float(c[bad]) for c in coords)
+        node = (float(x[bad]),)
         raise QuadratureError(f"non-finite integrand sample at node {node}", node=node)
-    total = np.sum(weights * samples)
+    total = np.sum(rule.plain_weights * samples)
     return complex(total) if np.iscomplexobj(samples) else float(total)
 
 
 def _half_width(gamma: float, drop: float, degree: int) -> float:
     """Half-width h with exp(-gamma h^2) * (1+h^2)^(degree/2) <= drop."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("decay rate must be positive")
     budget = -math.log(drop)
     h2 = budget / gamma
@@ -422,10 +411,10 @@ class PlaneGrid:
             a.flags.writeable = False
         return out
 
-    def refine(self, factor: int = 2) -> "PlaneGrid":
-        """The grid with ``factor`` times as many intervals per axis; it
-        keeps every node of its own (the nested trapezoid rule)."""
-        return replace(self, resolution=factor * (self.resolution - 1) + 1)
+    def refine(self) -> "PlaneGrid":
+        """The grid with half the step, twice as many intervals per axis;
+        it keeps every node of its own (the nested trapezoid rule)."""
+        return replace(self, resolution=2 * (self.resolution - 1) + 1)
 
     def widen(self, factor: float) -> "PlaneGrid":
         boxes = tuple(

@@ -5,8 +5,8 @@
 kernel; both routes give the same entire function, which is the basic
 internal consistency check.  ``calibrate_weight`` determines the constant
 kappa that makes the weighted basis orthogonality an exact isometry (the
-raw weight normalization is off by a dimension-dependent factor; for n = 1
-kappa comes out at (2 pi)^{-1/2}, independent of t).  With kappa in hand,
+raw weight normalization is off by a constant factor: kappa comes out at
+(2 pi)^{-1/2}, independent of t).  With kappa in hand,
 ``bergman_norm`` evaluates the weighted squared norms of any integer
 Sobolev order, and ``reproduce`` runs the reproducing identity at one
 point or a batch of points: its kernel K_{2t}(z, conj w) factors over the
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indices import MultiIndex, as_index, as_point, oscillator_eigenvalue
+from .indices import MultiIndex, as_index, as_point, one_dimensional, oscillator_eigenvalue
 from .kernels import (
     BoundSpec,
     _mehler_parts,
@@ -98,7 +98,7 @@ class CalibrationResult:
     """Weight correction kappa with per-index diagnostics.
 
     ``ratios`` maps each probed multi-index to
-    e^{2(2|alpha|+n)t} / integral(|Phi_alpha|^2 U_t); kappa is their
+    e^{2(2|alpha|+1)t} / integral(|Phi_alpha|^2 U_t); kappa is their
     geometric mean and must be flat across indices.
     """
 
@@ -106,7 +106,6 @@ class CalibrationResult:
     ratios: dict[MultiIndex, float]
     max_offdiagonal: float
     t: float
-    dimension: int
 
     @property
     def spread(self) -> float:
@@ -115,7 +114,7 @@ class CalibrationResult:
 
     @classmethod
     def from_ratios(
-        cls, ratios: dict, max_off: float, t: float, dimension: int, flatness: float
+        cls, ratios: dict, max_off: float, t: float, flatness: float
     ) -> "CalibrationResult":
         """kappa as the geometric mean of ``ratios``; RuntimeError when one
         is non-finite or not positive, or when their spread exceeds
@@ -132,14 +131,14 @@ class CalibrationResult:
                 "quadrature or weight-formula defect"
             )
         kappa = float(np.exp(np.mean(np.log(vals))))
-        return cls(kappa, ratios, float(max_off), t, dimension)
+        return cls(kappa, ratios, float(max_off), t)
 
 
 @dataclass(frozen=True)
 class EnvelopeReport:
     """Measured sup of |F|^2 (or |F|) against a growth bound on a grid.
 
-    ``sup_ratio`` is the sup over the nodes of ``grid.refine(2)``, attained
+    ``sup_ratio`` is the sup over the nodes of ``grid.refine()``, attained
     at ``argmax``; ``sup_coarse`` the sup over the nodes of ``grid``
     itself, which the refined grid nests; ``stable`` whether the two differ
     by less than 5% of ``sup_ratio``.  The report holds no values of F: a
@@ -166,34 +165,17 @@ class EnvelopeReport:
 
 
 class MehlerSliceHandle(EntireHandle):
-    """Heat-transform image of a point mass: z -> K_t(z, source), real on
-    R^n for a real source."""
+    """Heat-transform image of a point mass: z -> K_t(z, x0), real on R
+    for the real source (x0,)."""
 
     real_on_real_axis = True
 
-    def __init__(self, time: float, source, dimension: int = 1):
-        if time <= 0:
+    def __init__(self, time: float, source):
+        if not time > 0:
             raise ValueError("time must be positive")
         self.time = time
-        self.dimension = dimension
         self.source = np.atleast_1d(np.asarray(source, dtype=float))
-        if len(self.source) != dimension:
-            raise ValueError(
-                f"dimension mismatch: point mass in R^{len(self.source)}, "
-                f"dimension {dimension}"
-            )
-
-    def eval(self, z) -> complex:
-        """K_t(z, source) at a point of C^n.  It stays beside the grid
-        evaluator, which is one-dimensional, as the only evaluator for
-        n > 1."""
-        z = as_point(z, dimension=self.dimension)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.dimension == 1:
-                val = mehler_kernel(self.time, z[0], self.source[0])
-            else:
-                val = mehler_kernel(self.time, z, self.source, self.dimension)
-        return complex(_finite(val, "kernel-mode image"))
+        one_dimensional("point mass", tuple(self.source.tolist()))
 
     def eval_grid_parts(self, X, Y):
         """K_t(z, x0) in split form: P the prefactor (2 pi sinh 2t)^{-1/2}
@@ -203,8 +185,6 @@ class MehlerSliceHandle(EntireHandle):
         Raises :class:`HermiteOverflowError` where |K_t| would pass the
         largest double, as the kernel's own values would, although the
         split form itself stays finite there."""
-        if self.dimension != 1:
-            raise ValueError("grid evaluation is one-dimensional")
         Z = np.asarray(X) + 1j * np.asarray(Y)
         pref, E = _mehler_parts(self.time, Z, self.source[0])
         if E.size and not float(np.max(E.real)) + math.log(pref) <= LOG_DBL_MAX:
@@ -220,7 +200,7 @@ class KernelImageHandle(EntireHandle):
     """
 
     def __init__(self, f: TestFunction, time: float, rule: QuadRule):
-        if time <= 0:
+        if not time > 0:
             raise ValueError("time must be positive")
         self.f = f
         self.time = time
@@ -250,29 +230,21 @@ def semigroup_handle(
     f: TestFunction,
     t: float,
     mode: str = "spectral",
-    dimension: int = 1,
+    *,
     truncation: int = 48,
     rule: QuadRule | None = None,
 ) -> EntireHandle:
-    """The heat-transform image of ``f`` as an evaluable entire function.
-
-    Kernel mode runs on R^n, n > 1, for point masses only.
-    """
-    if t <= 0:
+    """The heat-transform image of ``f`` as an evaluable entire function."""
+    if not t > 0:
         raise ValueError("t must be positive")
     if isinstance(f, Dirac) and mode == "kernel":
-        return MehlerSliceHandle(t, f.point, dimension)
+        return MehlerSliceHandle(t, f.point)
     if mode == "kernel":
-        if dimension != 1:
-            raise ValueError(
-                f"mode 'kernel' needs dimension 1 for {type(f).__name__} "
-                f"(got {dimension}); only point masses run it on R^n"
-            )
         return KernelImageHandle(f, t, rule or gauss_hermite_rule(128))
     if mode != "spectral":
         raise ValueError(f"unknown mode {mode!r}")
     rule = rule or gauss_hermite_rule(max(128, truncation + 1))
-    e = expand(f, truncation, rule=rule, dimension=dimension)
+    e = expand(f, truncation, rule=rule)
     return SpectralHandle(e, t)
 
 
@@ -281,12 +253,12 @@ def semigroup_apply(
     t: float,
     z,
     mode: str = "spectral",
-    dimension: int = 1,
+    *,
     truncation: int = 48,
     rule: QuadRule | None = None,
 ) -> complex:
     """Entire extension of the heat transform of ``f`` evaluated at z."""
-    handle = semigroup_handle(f, t, mode, dimension, truncation, rule)
+    handle = semigroup_handle(f, t, mode, truncation=truncation, rule=rule)
     return handle.eval(z)
 
 
@@ -367,7 +339,7 @@ def bergman_norm(
     :meth:`~mehler.quadrature.PlaneGrid.y_axis`; every second node of that
     half, at twice its weight, is still the rule of twice the step.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     _check_grid(grid, 1)
     single = np.ndim(m) == 0
@@ -404,18 +376,18 @@ def bergman_norm(
     return norms[0] if single else norms
 
 
-def _check_probes(name: str, probes: list, dimension: int) -> list:
+def _check_probes(name: str, probes: list) -> list:
     """``probes``, each a multi-index or a tuple of them, or a ValueError
     naming the argument ``name``: when it is empty, or at the first probe
-    with a multi-index of length other than ``dimension``, or that repeats
+    with a multi-index of length other than 1 (n = 1), or that repeats
     (it would be summed as an off-diagonal pair with itself)."""
     if not probes:
         raise ValueError(f"{name} must name at least one calibration probe")
     seen = set()
     for probe in probes:
         indices = probe if probe and isinstance(probe[0], tuple) else (probe,)
-        if any(len(a) != dimension for a in indices):
-            raise ValueError(f"{name}: calibration probe {probe} is not of dimension {dimension}")
+        if any(len(a) != 1 for a in indices):
+            raise ValueError(f"{name}: calibration probe {probe} is not of dimension 1")
         if probe in seen:
             raise ValueError(f"{name}: calibration probe {probe} is repeated")
         seen.add(probe)
@@ -431,7 +403,7 @@ def _finish_norm(total: float, half: float, size: float, grid: PlaneGrid) -> flo
 
 
 def _finish_calibration(
-    probes, eigenvalues, diagonals, off_diagonals, t, dimension, grid, flatness
+    probes, eigenvalues, diagonals, off_diagonals, t, grid, flatness
 ) -> CalibrationResult:
     """The calibration from its plane sums: each probe's diagonal (total,
     half-step sum, sum of moduli) passes :func:`_check_half_step` and gives
@@ -442,7 +414,7 @@ def _finish_calibration(
         _check_half_step(total, half, size, grid.resolution, "calibration integral")
         ratios[probe] = math.exp(2 * lam * t) / total
     max_off = max((abs(v) for v in off_diagonals), default=0.0)
-    return CalibrationResult.from_ratios(ratios, max_off, t, dimension, flatness)
+    return CalibrationResult.from_ratios(ratios, max_off, t, flatness)
 
 
 def calibrate_weight(
@@ -453,8 +425,11 @@ def calibrate_weight(
 ) -> CalibrationResult:
     """Determine the weight constant from the basis orthogonality integrals.
 
+    ``dimension`` must be 1 (n = 1); it stays an argument because callers
+    pass it positionally, ``calibrate_weight(t, 1, alphas, grid)``.
+
     For each probe index, integrate |Phi_alpha|^2 U_t over the grid and
-    form e^{2(2|alpha|+n)t} / integral.  Constancy across indices validates
+    form e^{2(2|alpha|+1)t} / integral.  Constancy across indices validates
     the weight shape; the geometric mean is kappa.  Off-diagonal integrals
     Phi_alpha conj(Phi_beta) U_t over every pair of probes must vanish to
     quadrature accuracy.
@@ -476,14 +451,14 @@ def calibrate_weight(
     off-diagonal integral is real there and its imaginary part is exactly
     0, not summed from roundoff.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     if dimension != 1:
-        raise ValueError("calibration grids are one-dimensional at desk scale")
+        raise ValueError(f"dimension must be 1 (n = 1), got {dimension!r}")
     _check_grid(grid, 1)
     if alphas is None:
         alphas = [(k,) for k in range(5)]
-    alphas = _check_probes("alphas", [as_index(a) for a in alphas], dimension)
+    alphas = _check_probes("alphas", [as_index(a) for a in alphas])
     pairs = [(a, b) for i, a in enumerate(alphas) for b in alphas[i + 1 :]]
     kmax = max(sum(a) for a in alphas)
 
@@ -514,8 +489,8 @@ def calibrate_weight(
         total = pref * float(tx @ square @ ty)
         diagonals.append((total, pref * float(tx2 @ square[::2, ::2] @ ty2), total))
     return _finish_calibration(
-        alphas, [oscillator_eigenvalue(a, dimension) for a in alphas], diagonals,
-        (integral(a, b) for a, b in pairs), t, dimension, grid, 1e-3,
+        alphas, [oscillator_eigenvalue(a) for a in alphas], diagonals,
+        (integral(a, b) for a, b in pairs), t, grid, 1e-3,
     )
 
 
@@ -552,15 +527,15 @@ def reproduce(
     folded weights, which count each mirrored node twice and the centre
     once (where the table is real).
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     _check_grid(grid, 1)
     zs = np.asarray(z, dtype=complex)
     single = zs.ndim < 2
     if single:
-        zs = as_point(zs, dimension=1)
+        zs = as_point(zs)
     elif zs.ndim != 2 or zs.shape[1] != 1:
-        raise ValueError(f"points must be shaped (P, 1), got {zs.shape}")
+        raise ValueError(f"points must be shaped (P, 1) (n = 1), got {zs.shape}")
     elif not np.all(np.isfinite(zs)):
         raise ValueError("point coordinates must be finite")
     zs = zs.reshape(-1)
@@ -693,7 +668,7 @@ def _sum_into(out: np.ndarray, pieces, spans, full: int, add: bool = False) -> N
 
 
 def _scan(handle: EntireHandle, bounds, grid: PlaneGrid):
-    """One scan of the nodes of ``grid.refine(2)`` against every bound of
+    """One scan of the nodes of ``grid.refine()`` against every bound of
     ``bounds``.
 
     The scan folds by the reflections of :func:`_scan_axes`: the half
@@ -726,7 +701,7 @@ def _scan(handle: EntireHandle, bounds, grid: PlaneGrid):
     that does too), formed once per block.  The log ratio is summed divided
     by p, which is exact for p = 2, and its maxima are scaled back.
     """
-    fine = grid.refine(2)
+    fine = grid.refine()
     axes = _scan_axes(handle, fine)
     sups = [-math.inf] * len(bounds)
     args: list = [None] * len(bounds)

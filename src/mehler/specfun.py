@@ -46,7 +46,7 @@ when its top order leaves the doubles.
 
 Laguerre polynomials L_k^a and the Laguerre functions
 
-    phi_k(z) = L_k^{n-1}(|z|^2/2) exp(-|z|^2/4),   z in C^n,
+    phi_k(z) = L_k^0(|z|^2/2) exp(-|z|^2/4),   z in C,
 
 are evaluated by the standard recurrence in k at fixed type a.
 """
@@ -54,8 +54,6 @@ are evaluated by the standard recurrence in k at fixed type a.
 import math
 
 import numpy as np
-
-from .indices import as_index, as_point
 
 LOG_H0 = -0.25 * math.log(math.pi)  # log of h_0(0)
 
@@ -318,16 +316,6 @@ def mul_exp_parts(P, E) -> np.ndarray:
     return mul_exp(P, sum(parts))
 
 
-def hermite_tensor(alpha, z) -> complex:
-    """Product basis function prod_j h_{alpha_j}(z_j) at a point of C^n."""
-    alpha = as_index(alpha)
-    z = as_point(z, dimension=len(alpha))
-    val = 1.0 + 0.0j
-    for a_j, z_j in zip(alpha, z):
-        val *= hermite_eval(a_j, z_j)[a_j]
-    return complex(val)
-
-
 def laguerre_ladder(k_max: int, type_a: int, r) -> np.ndarray:
     """L_0^a(r), ..., L_{k_max}^a(r); shape (k_max+1,) + shape(r)."""
     if k_max < 0:
@@ -348,17 +336,16 @@ def laguerre_ladder(k_max: int, type_a: int, r) -> np.ndarray:
     return out
 
 
-def laguerre_function_entire(k: int, s, dimension: int):
-    """phi_k as a function of the (possibly complex) squared radius ``s``.
+def laguerre_function_entire(k: int, s):
+    """phi_k = L_k^0(s/2) e^{-s/4} as a function of the (possibly complex)
+    squared radius ``s``.
 
     At real phase-space points ``s = |z|^2``; the entire continuation to
-    C^{2n} substitutes the bilinear square of the complexified coordinates.
+    C^2 substitutes the bilinear square of the complexified coordinates.
     Vectorized over ``s``.
     """
-    if dimension < 1:
-        raise ValueError("dimension must be >= 1")
     s = np.asarray(s)
-    val = laguerre_ladder(k, dimension - 1, s / 2.0)[k] * np.exp(-s / 4.0)
+    val = laguerre_ladder(k, 0, s / 2.0)[k] * np.exp(-s / 4.0)
     if np.ndim(val) == 0:
         return val.item()
     return val

@@ -34,11 +34,11 @@ the damped sum of those projections (Thangavelu 1993).  That sum in closed
 form is the convolution with the heat profile, and
 ``special_semigroup_apply`` evaluates the semigroup by that one route; the
 damped sum is kept only as a test oracle.  The profile is the spectrally
-normalized (2 pi)^{-n} (2 sinh t)^{-n} exp(-coth(t) q / 4) (q the bilinear
-square).  The variant normalized as (2 pi sinh t)^{-n}, exposed by
-:func:`mehler.kernels.special_heat_kernel`, is 2^n times this one; it is
-what the weight on C^{2n} is built from, and the weight calibration
-constant kappa* absorbs exactly that factor (kappa* ~ 2^{-n}).
+normalized (2 pi)^{-1} (2 sinh t)^{-1} exp(-coth(t) q / 4) (q the bilinear
+square).  The variant normalized as (2 pi sinh t)^{-1}, exposed by
+:func:`mehler.kernels.special_heat_kernel`, is 2 times this one; it is
+what the weight on C^2 is built from, and the weight calibration
+constant kappa* absorbs exactly that factor (kappa* ~ 1/2).
 
 ``twisted_conv`` takes arrays of points.  Every profile it takes is a
 short sum of products of an x-factor and a u-factor: the heat profile one
@@ -108,7 +108,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indices import MultiIndex, as_index, multi_indices, oscillator_eigenvalue
+from .indices import MultiIndex, as_index, oscillator_eigenvalue
 from .kernels import _twisted_profile_jet, special_plain_bound, special_schwartz_bound
 from .quadrature import PlaneGrid, real_matmul
 from .semigroup import (
@@ -163,12 +163,12 @@ class SpecialHermiteBasis:
 
 @dataclass(frozen=True)
 class Gaussian2n:
-    """exp(-a (x^2 + u^2)/2) on R^{2n}; entire in the obvious way."""
+    """exp(-a (x^2 + u^2)/2) on R^2; entire in the obvious way."""
 
     a: float
 
     def __post_init__(self):
-        if self.a <= 0:
+        if not self.a > 0:
             raise ValueError("Gaussian width parameter must be positive")
 
 
@@ -283,6 +283,7 @@ def special_hermite_eval(alpha, beta, z, w):
 def special_hermite_matrix(a: int, b: int, Z, W):
     """Phi_{ab} on the product of a flat Z-plane array and a flat W-plane
     array, returned as a (len(Z), len(W)) matrix."""
+    (a,), (b,) = _index_pair(a, b)
     Z = np.asarray(Z, dtype=complex).ravel()
     W = np.asarray(W, dtype=complex).ravel()
     return _phi1(a, b, Z[:, None], W[None, :])
@@ -304,7 +305,7 @@ class HeatProfile:
     t: float
 
     def __post_init__(self):
-        if self.t <= 0:
+        if not self.t > 0:
             raise ValueError("t must be positive")
 
     def __call__(self, z, w):
@@ -332,9 +333,11 @@ class LaguerreProfile:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError(f"Laguerre profile order k must be >= 0, got {self.k!r}")
+        (k,) = as_index(self.k)
+        object.__setattr__(self, "k", k)
 
     def __call__(self, z, w):
-        return laguerre_function_entire(self.k, np.asarray(z) ** 2 + np.asarray(w) ** 2, 1)
+        return laguerre_function_entire(self.k, np.asarray(z) ** 2 + np.asarray(w) ** 2)
 
 
 def _laguerre_factors(ks, a, b):
@@ -574,7 +577,7 @@ def special_semigroup_apply(f, t: float, z, w):
     twisted convolution with the spectrally normalized heat profile on
     :func:`default_twisted_grid`.  Takes arrays of points as
     :func:`twisted_conv` does, and on basis members reproduces the
-    eigenvalue damping e^{-(2|beta|+n) t}.
+    eigenvalue damping e^{-(2|beta|+1) t}.
     """
     return twisted_conv(f, heat_profile(t), z, w, default_twisted_grid(t))
 
@@ -600,7 +603,6 @@ def laguerre_project(f, k, z, w, grid: PlaneGrid):
 class SpecialExpansion:
     """Coefficients d_{ab} over pairs |alpha|, |beta| <= truncation."""
 
-    dimension: int
     truncation: int
     pairs: tuple[tuple[MultiIndex, MultiIndex], ...]
     values: np.ndarray
@@ -612,8 +614,8 @@ class SpecialExpansion:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def pair_list(cls, dimension: int, truncation: int):
-        idx = multi_indices(dimension, truncation)
+    def pair_list(cls, truncation: int):
+        idx = [(k,) for k in range(truncation + 1)]
         return tuple((a, b) for a in idx for b in idx)
 
     def coefficient(self, alpha, beta) -> complex:
@@ -626,21 +628,19 @@ class SpecialExpansion:
 
 def special_expand(f, truncation: int, grid: PlaneGrid) -> SpecialExpansion:
     """d_{ab} = (f, Phi_ab)_{L^2(C)} by plane quadrature (n = 1)."""
-    pairs = SpecialExpansion.pair_list(1, truncation)
+    pairs = SpecialExpansion.pair_list(truncation)
     X, U, Wt = grid.nodes()
     fv = twisted_eval(f, X, U)
     vals = []
     for a, b in pairs:
         basis = special_hermite_eval(a, b, X, U)
         vals.append(np.sum(Wt * fv * np.conj(basis)))
-    return SpecialExpansion(1, truncation, pairs, np.asarray(vals))
+    return SpecialExpansion(truncation, pairs, np.asarray(vals))
 
 
 def laguerre_sobolev_norm(e: SpecialExpansion, m: int) -> float:
-    """sqrt( sum (2|beta|+n)^{2m} |d_{ab}|^2 )."""
-    lam = np.array(
-        [oscillator_eigenvalue(b, e.dimension) for _, b in e.pairs], dtype=float
-    )
+    """sqrt( sum (2|beta|+1)^{2m} |d_{ab}|^2 )."""
+    lam = np.array([oscillator_eigenvalue(b) for _, b in e.pairs], dtype=float)
     return float(np.sqrt(np.sum(lam ** (2 * m) * np.abs(e.values) ** 2)))
 
 
@@ -732,7 +732,7 @@ def intertwine_check(f, t: float) -> tuple[IntertwineReport, IntertwineReport]:
     and the right side through the coordinate multipliers; each report
     keeps the max over points.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     b = 0.5j
 
@@ -789,7 +789,7 @@ def composed_intertwine_residual(f, t: float) -> float:
     Z = (-a D_x - b D_u)/d and W = (b D_x - a D_u)/d extract the z and w
     coordinate multipliers, and T = Z o W.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     C, rate = _as_polygauss(f)
     a = 0.5 / math.tanh(t)
@@ -806,7 +806,7 @@ def composed_intertwine_residual(f, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Weighted norms on C^{2n} and envelopes
+# Weighted norms on C^2 and envelopes
 # ---------------------------------------------------------------------------
 
 
@@ -831,7 +831,7 @@ class SpecialEigenHandle(EntireHandle):
         alpha, beta = _index_pair(self.alpha, self.beta)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        if self.time <= 0:
+        if not self.time > 0:
             raise ValueError("time must be positive")
 
     def _damp(self) -> float:
@@ -886,7 +886,7 @@ def default_special_grid(t: float = 0.4, resolution: int = 40) -> PlaneGrid:
     (at resolution 32 and t = 0.4, the calibrated isometry was off by 2e-14
     against 2e-6).
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     budget = -math.log(1e-12)
     c = 2.0 / math.expm1(4 * t)  # coth 2t - 1, without the cancellation
@@ -991,7 +991,7 @@ def bergman_norm_special(
         raise TypeError(
             f"the twisted norm takes a SpecialEigenHandle, not {type(handle).__name__}"
         )
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     _check_grid(grid, 2)
     m = _check_order(m)
@@ -1008,22 +1008,22 @@ def calibrate_weight_special(
     """Calibration constant kappa* of the twisted Bergman weight (n = 1).
 
     Diagonal probes integrate |Phi_ab|^2 W_t; ratios
-    e^{2(2|b|+n)t} / integral must be flat over (a, b); off-diagonals
+    e^{2(2|b|+1)t} / integral must be flat over (a, b); off-diagonals
     between the first pair and the next two must vanish.  kappa* comes out
-    near 2^{-n}: the weight is built from the (2 pi sinh t)^{-n}-normalized
-    profile, 2^n times the spectral one.
+    near 1/2: the weight is built from the (2 pi sinh t)^{-1}-normalized
+    profile, 2 times the spectral one.
 
     Every probe is the weighted form of :func:`_plane_sums` at order 0 on
     the probes' polynomials (:func:`_phi1_poly`), the form the norms sum,
     and the finish is the one of the calibration on C
     (:func:`mehler.semigroup._finish_calibration`).
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     _check_grid(grid, 2)
     if pairs is None:
         pairs = [((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (1,))]
-    pairs = _check_probes("pairs", [(as_index(a), as_index(b)) for a, b in pairs], 1)
+    pairs = _check_probes("pairs", [(as_index(a), as_index(b)) for a, b in pairs])
 
     degree = max(abs(a[0] - b[0]) + 2 * min(a[0], b[0]) for a, b in pairs)
     polys = [_phi1_poly(a[0], b[0], 2 * degree + 1) for a, b in pairs]
@@ -1031,7 +1031,7 @@ def calibrate_weight_special(
     sums = _plane_sums(probes, t, 0, grid)
     return _finish_calibration(
         pairs, [oscillator_eigenvalue(b) for _, b in pairs], sums[: len(pairs)],
-        (total for total, _, _ in sums[len(pairs) :]), t, 1, grid, 1e-2,
+        (total for total, _, _ in sums[len(pairs) :]), t, grid, 1e-2,
     )
 
 

@@ -5,24 +5,25 @@ spectral representation is a :class:`HermiteExpansion`, a finite coefficient
 vector over multi-indices |alpha| <= N in graded lexicographic order.
 Sobolev norms of any integer order (negative orders reach distributions)
 are plain weighted l^2 norms of the coefficients over the oscillator
-eigenvalues 2|alpha| + n.
+eigenvalues 2|alpha| + 1.  Every input is one-dimensional (n = 1): a basis
+member's multi-index, a point mass's point and a coefficient list's
+dimension are refused otherwise where they are built.
 
-The enumeration is fixed by (dimension, truncation), so one shared table
-per pair holds the ``indices`` tuple and read-only degree and index arrays;
-every expansion of that shape reads it.
+The enumeration is fixed by the truncation, so one shared table per
+truncation holds the ``indices`` tuple and a read-only degree array; every
+expansion of that truncation reads it.
 
-Spectral data evaluates anywhere on C^n through the entire extension of
-the basis, and both evaluators are views of the one rescaled Hermite
-recurrence in :mod:`mehler.specfun`.  At a point, or at P points in one
-call, :func:`eval_entire` takes one log-domain ladder over every
-coordinate of every point, run only to the highest order that a nonzero
-coefficient uses, gathers the terms of the nonzero coefficients at once
-and reports the magnitude of the last coefficient shell as a truncation
-indicator.  On a grid, ``SpectralHandle.eval_grid_parts``
-sums the series by one Clenshaw sweep in split form P e^E (E = log h_0(z)),
-so grid consumers can join the Gaussian with their own before
-exponentiating.  A value whose modulus exceeds the largest double raises
-:class:`~mehler.specfun.HermiteOverflowError`.
+Spectral data evaluates anywhere on C through the entire extension of the
+basis, and both evaluators are views of the one rescaled Hermite recurrence
+in :mod:`mehler.specfun`.  At a point, or at P points in one call,
+:func:`eval_entire` takes one log-domain ladder over every point, run only
+to the highest order that a nonzero coefficient uses, gathers the terms of
+the nonzero coefficients at once and reports the magnitude of the last
+coefficient shell as a truncation indicator.  On a grid,
+``SpectralHandle.eval_grid_parts`` sums the series by one Clenshaw sweep in
+split form P e^E (E = log h_0(z)), so grid consumers can join the Gaussian
+with their own before exponentiating.  A value whose modulus exceeds the
+largest double raises :class:`~mehler.specfun.HermiteOverflowError`.
 
 Every :class:`EntireHandle` implements one grid evaluator, ``eval_grid``
 or ``eval_grid_parts``, and the base class derives the rest: the split
@@ -31,14 +32,13 @@ values as a split form with exponent 0, and ``eval`` as ``eval_grid`` at
 one point of C.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .indices import MultiIndex, as_index, as_point, multi_indices
+from .indices import MultiIndex, as_index, as_point, one_dimensional
 from .quadrature import QuadRule, gauss_legendre_rule
 from .specfun import (
     hermite_eval,
@@ -55,45 +55,42 @@ from .specfun import (
 
 @dataclass(frozen=True)
 class HermiteBasis:
-    """The basis function with multi-index ``alpha``."""
+    """The basis function h_k with multi-index ``alpha`` = (k,)."""
 
     alpha: MultiIndex
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", as_index(self.alpha))
+        object.__setattr__(self, "alpha", one_dimensional("alpha", as_index(self.alpha)))
 
 
 @dataclass(frozen=True)
 class Gaussian:
-    """exp(-a |x|^2 / 2), a > 0."""
+    """exp(-a x^2 / 2), a > 0."""
 
     a: float
 
     def __post_init__(self):
-        if self.a <= 0:
+        if not self.a > 0:
             raise ValueError("Gaussian width parameter must be positive")
 
 
 @dataclass(frozen=True)
 class PolyGaussian:
-    """p(x_1) * exp(-a |x|^2 / 2) with p given by ``coeffs`` (low order first).
-
-    The polynomial acts on the first coordinate; that is all the desk-scale
-    checks need.
-    """
+    """p(x) * exp(-a x^2 / 2) with p given by ``coeffs`` (low order first)."""
 
     coeffs: tuple[float, ...]
     a: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if self.a <= 0:
+        if not self.a > 0:
             raise ValueError("PolyGaussian width parameter must be positive")
 
 
 @dataclass(frozen=True)
 class Dirac:
-    """Point mass at ``point`` in R^n; coefficients are basis values there."""
+    """Point mass at ``point`` = (x0,) in R; coefficients are basis values
+    there."""
 
     point: tuple[float, ...]
 
@@ -101,7 +98,10 @@ class Dirac:
         p = self.point
         if isinstance(p, (int, float)):
             p = (float(p),)
-        object.__setattr__(self, "point", tuple(float(v) for v in p))
+        p = one_dimensional("point", tuple(float(v) for v in p))
+        if not np.isfinite(p[0]):
+            raise ValueError(f"point coordinates must be finite, got {p}")
+        object.__setattr__(self, "point", p)
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ class Bump:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("Bump radius must be positive")
 
 
@@ -120,8 +120,11 @@ class Bump:
 class CoefficientList:
     """Explicit spectral data: coefficients over |alpha| <= truncation.
 
-    Each multi-index comes once, of length ``dimension`` and degree at most
-    ``truncation``; any other entry raises ``ValueError`` naming it.
+    ``dimension`` is 1 (n = 1), and any other value raises ``ValueError``;
+    it stays a field because callers build ``CoefficientList(1, N,
+    entries)`` positionally.  Each multi-index comes once, of length 1 and
+    degree at most ``truncation``; any other entry raises ``ValueError``
+    naming it.
     """
 
     dimension: int
@@ -129,11 +132,13 @@ class CoefficientList:
     entries: tuple[tuple[MultiIndex, complex], ...]
 
     def __post_init__(self):
+        if self.dimension != 1:
+            raise ValueError(f"dimension must be 1 (n = 1), got {self.dimension!r}")
         entries = tuple((as_index(a), complex(c)) for a, c in self.entries)
         seen = set()
         for alpha, _ in entries:
-            if len(alpha) != self.dimension:
-                problem = f"is not of dimension {self.dimension}"
+            if len(alpha) != 1:
+                problem = "is not of dimension 1"
             elif sum(alpha) > self.truncation:
                 problem = f"exceeds the truncation {self.truncation}"
             elif alpha in seen:
@@ -148,30 +153,24 @@ class CoefficientList:
 TestFunction = HermiteBasis | Gaussian | PolyGaussian | Dirac | Bump | CoefficientList
 
 
-def eval_test_function(f: TestFunction, *coords) -> np.ndarray:
-    """Pointwise values on R^n; coords are per-coordinate arrays.
+def eval_test_function(f: TestFunction, x) -> np.ndarray:
+    """Pointwise values at the points of an array ``x`` of R.
 
     Dirac and CoefficientList have no pointwise values and raise.
     """
-    coords = [np.asarray(c) for c in coords]
+    x = np.asarray(x)
     if isinstance(f, HermiteBasis):
-        if len(coords) != len(f.alpha):
-            raise ValueError("dimension mismatch")
-        val = np.ones_like(coords[0], dtype=float)
-        for a_j, x_j in zip(f.alpha, coords):
-            val = val * hermite_eval(a_j, x_j)[a_j]
-        return val
+        (k,) = f.alpha
+        return hermite_eval(k, x)[k]
     if isinstance(f, Gaussian):
-        r2 = sum(c**2 for c in coords)
-        return np.exp(-0.5 * f.a * r2)
+        return np.exp(-0.5 * f.a * x**2)
     if isinstance(f, PolyGaussian):
-        r2 = sum(c**2 for c in coords)
-        p = np.zeros_like(coords[0], dtype=complex if np.iscomplexobj(coords[0]) else float)
+        p = np.zeros_like(x, dtype=complex if np.iscomplexobj(x) else float)
         for j in reversed(range(len(f.coeffs))):
-            p = p * coords[0] + f.coeffs[j]
-        return p * np.exp(-0.5 * f.a * r2)
+            p = p * x + f.coeffs[j]
+        return p * np.exp(-0.5 * f.a * x**2)
     if isinstance(f, Bump):
-        r2 = sum(np.asarray(c, dtype=float) ** 2 for c in coords) / f.radius**2
+        r2 = np.asarray(x, dtype=float) ** 2 / f.radius**2
         out = np.zeros_like(r2)
         inside = r2 < 1.0
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
@@ -195,47 +194,41 @@ def gaussian_decay_rate(f: TestFunction) -> float | None:
 
 
 class _IndexTable(NamedTuple):
-    """The canonical enumeration of one (dimension, truncation) pair."""
+    """The canonical enumeration of one truncation: (0,), (1,), ..., (N,)."""
 
     indices: tuple[MultiIndex, ...]
     degrees: np.ndarray  # |alpha| per entry, read-only
-    alphas: np.ndarray  # (entries, dimension) int array, read-only
 
 
 @lru_cache(maxsize=32)
-def _index_table(dimension: int, truncation: int) -> _IndexTable:
-    """Built once per (dimension, truncation) and shared by every expansion
-    of that shape, so its arrays are read-only."""
-    indices = tuple(multi_indices(dimension, truncation))
-    alphas = np.array(indices, dtype=int).reshape(len(indices), dimension)
-    degrees = alphas.sum(axis=1)
-    alphas.flags.writeable = False
+def _index_table(truncation: int) -> _IndexTable:
+    """Built once per truncation and shared by every expansion of that
+    truncation, so its array is read-only."""
+    degrees = np.arange(truncation + 1)
     degrees.flags.writeable = False
-    return _IndexTable(indices, degrees, alphas)
+    return _IndexTable(tuple((k,) for k in range(truncation + 1)), degrees)
 
 
 @dataclass(frozen=True)
 class HermiteExpansion:
     """Truncated coefficient vector over |alpha| <= truncation.
 
-    ``indices`` is the full graded-lexicographic enumeration, the one tuple
-    shared by every expansion of the same dimension and truncation (any
-    other order is a ValueError), and ``values`` the aligned complex
-    coefficient array.
+    ``indices`` is the full enumeration (0,), (1,), ..., (truncation,), the
+    one tuple shared by every expansion of the same truncation (any other
+    order is a ValueError), and ``values`` the aligned complex coefficient
+    array.
     """
 
-    dimension: int
     truncation: int
     indices: tuple[MultiIndex, ...]
     values: np.ndarray
 
     def __post_init__(self):
-        table = _index_table(self.dimension, self.truncation)
+        table = _index_table(self.truncation)
         if self.indices is not table.indices:
             if tuple(self.indices) != table.indices:
                 raise ValueError(
-                    "indices must be the graded-lexicographic enumeration "
-                    f"of |alpha| <= {self.truncation} in dimension {self.dimension}"
+                    f"indices must be the enumeration (0,), ..., ({self.truncation},)"
                 )
             object.__setattr__(self, "indices", table.indices)
         vals = np.asarray(self.values, dtype=complex)
@@ -244,16 +237,16 @@ class HermiteExpansion:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def zeros(cls, dimension: int, truncation: int) -> "HermiteExpansion":
-        idx = _index_table(dimension, truncation).indices
-        return cls(dimension, truncation, idx, np.zeros(len(idx), complex))
+    def zeros(cls, truncation: int) -> "HermiteExpansion":
+        idx = _index_table(truncation).indices
+        return cls(truncation, idx, np.zeros(len(idx), complex))
 
     def degrees(self) -> np.ndarray:
         """|alpha| per entry: the shared table's read-only array."""
-        return _index_table(self.dimension, self.truncation).degrees
+        return _index_table(self.truncation).degrees
 
     def eigenvalues(self) -> np.ndarray:
-        return 2.0 * self.degrees() + self.dimension
+        return 2.0 * self.degrees() + 1
 
     def coefficient(self, alpha) -> complex:
         alpha = as_index(alpha)
@@ -264,14 +257,13 @@ class HermiteExpansion:
         return complex(self.values[pos])
 
     def with_values(self, values: np.ndarray) -> "HermiteExpansion":
-        return HermiteExpansion(self.dimension, self.truncation, self.indices, values)
+        return HermiteExpansion(self.truncation, self.indices, values)
 
 
 def expand(
     f: TestFunction,
     truncation: int,
     rule: QuadRule | None = None,
-    dimension: int = 1,
 ) -> HermiteExpansion:
     """Hermite coefficients c_alpha = (f, Phi_alpha) up to |alpha| <= truncation.
 
@@ -281,11 +273,9 @@ def expand(
     """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    out = HermiteExpansion.zeros(dimension, truncation)
+    out = HermiteExpansion.zeros(truncation)
 
     if isinstance(f, HermiteBasis):
-        if len(f.alpha) != dimension:
-            raise ValueError("dimension mismatch")
         if sum(f.alpha) > truncation:
             raise ValueError("basis degree exceeds the requested truncation")
         vals = out.values.copy()
@@ -293,19 +283,9 @@ def expand(
         return out.with_values(vals)
 
     if isinstance(f, Dirac):
-        if len(f.point) != dimension:
-            raise ValueError("dimension mismatch")
-        # row alpha_j of coordinate j's ladder, for every alpha at once
-        alphas = _index_table(dimension, truncation).alphas
-        factors = [
-            hermite_eval(truncation, np.asarray(p))[alphas[:, j]]
-            for j, p in enumerate(f.point)
-        ]
-        return out.with_values(np.prod(factors, axis=0))
+        return out.with_values(hermite_eval(truncation, np.asarray(f.point[0])))
 
     if isinstance(f, CoefficientList):
-        if f.dimension != dimension:
-            raise ValueError("dimension mismatch")
         vals = out.values.copy()
         lookup = {a: i for i, a in enumerate(out.indices)}
         for alpha, c in f.entries:
@@ -331,24 +311,7 @@ def expand(
             )
         nodes, w = rule.nodes, rule.plain_weights
 
-    if dimension == 1:
-        ladder = hermite_eval(truncation, nodes)
-        samples = eval_test_function(f, nodes)
-        vals = ladder @ (w * samples)
-    elif dimension == 2:
-        ladder = hermite_eval(truncation, nodes)
-        X = nodes[:, None] + 0.0 * nodes[None, :]
-        Y = 0.0 * nodes[:, None] + nodes[None, :]
-        samples = eval_test_function(f, X.ravel(), Y.ravel()).reshape(
-            len(nodes), len(nodes)
-        )
-        weighted = (w[:, None] * w[None, :]) * samples
-        # every (j, k) coefficient sum_il h_j(x_i) W_il h_k(x_l) at once,
-        # gathered at the enumeration's multi-indices
-        alphas = _index_table(dimension, truncation).alphas
-        vals = (ladder @ weighted @ ladder.T)[alphas[:, 0], alphas[:, 1]]
-    else:
-        raise ValueError("expand supports dimension 1 or 2 at desk scale")
+    vals = hermite_eval(truncation, nodes) @ (w * eval_test_function(f, nodes))
     return out.with_values(np.asarray(vals, dtype=complex))
 
 
@@ -358,9 +321,9 @@ def expand(
 
 
 def sobolev_norm(e: HermiteExpansion, m: int) -> float:
-    """Oscillator Sobolev norm sqrt(sum (2|alpha|+n)^{2m} |c_alpha|^2).
+    """Oscillator Sobolev norm sqrt(sum (2|alpha|+1)^{2m} |c_alpha|^2).
 
-    Negative m is allowed (the eigenvalues are bounded below by n > 0) and
+    Negative m is allowed (the eigenvalues are bounded below by 1) and
     reaches the distribution scales.
     """
     lam = e.eigenvalues()
@@ -375,16 +338,16 @@ def sobolev_norm(e: HermiteExpansion, m: int) -> float:
 def eval_entire(
     e: HermiteExpansion, t: float, z, with_tail: bool = False
 ):
-    """Value of the heat transform sum_alpha c_alpha e^{-(2|alpha|+n)t} Phi_alpha(z).
+    """Value of the heat transform sum_k c_k e^{-(2k+1)t} h_k(z).
 
-    ``z`` is one point of C^n (a scalar for n = 1, or a sequence of length
-    n), giving a complex, or P points shaped (P, n), giving an array of P
-    values.  Terms are assembled from log-domain basis values, so nothing
-    overflows at desk scale; a result that does not fit a double raises
+    ``z`` is one point of C (a scalar or a sequence of length 1), giving a
+    complex, or P points shaped (P, 1), giving an array of P values.  Terms
+    are assembled from log-domain basis values, so nothing overflows at
+    desk scale; a result that does not fit a double raises
     :class:`~mehler.specfun.HermiteOverflowError`.  Only the nonzero
-    coefficients enter, and the ladder runs to the highest order they use
-    on any coordinate, so a sparse expansion costs what its terms cost, not
-    what its truncation does.  All points share one ladder call, which
+    coefficients enter, and the ladder runs to the highest order they use,
+    so a sparse expansion costs what its terms cost, not what its
+    truncation does.  All points share one ladder call, which
     rescales each point on its own, and each point's terms are joined along
     a row of their own, so every value is bit for bit the one a call at
     that point alone gives.  With ``with_tail=True`` also returns the
@@ -392,31 +355,30 @@ def eval_entire(
     a truncation indicator (values above ~1e-6 mean the truncation is doing
     visible damage), as a float or an array of P floats.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     zs = np.asarray(z, dtype=complex)
     single = zs.ndim < 2
     if single:
-        zs = as_point(zs, dimension=e.dimension)[None, :]
-    elif zs.ndim != 2 or zs.shape[1] != e.dimension:
-        raise ValueError(f"points must be shaped (P, {e.dimension}), got {zs.shape}")
+        zs = as_point(zs)
+    elif zs.ndim != 2 or zs.shape[1] != 1:
+        raise ValueError(f"points must be shaped (P, 1) (n = 1), got {zs.shape}")
     elif not np.all(np.isfinite(zs)):
         raise ValueError("point coordinates must be finite")
-    table = _index_table(e.dimension, e.truncation)
+    zs = zs.reshape(-1)
     live = np.flatnonzero(e.values)
     total = np.zeros(len(zs), dtype=complex)
     tail = np.zeros(len(zs))
     if live.size:
-        alphas, degrees = table.alphas[live], table.degrees[live]
-        # one ladder over the flat (coordinate, point) list: numpy's
-        # per-step overhead is least on a 1-D array
-        log_mod, arg = hermite_log_ladder(int(alphas.max()), zs.T.ravel())
-        # row alpha_j of coordinate j's ladder, for every live alpha and
-        # every point at once: (P, live) tables, one row per point
-        cols = np.arange(e.dimension)[:, None, None] * len(zs) + np.arange(len(zs))[:, None]
-        idx = alphas.T[:, None, :], cols
-        logmag = log_mod[idx].sum(axis=0) - (2.0 * degrees + e.dimension) * t
-        weights = e.values[live] * np.exp(1j * arg[idx].sum(axis=0))
+        degrees = e.degrees()[live]
+        # one ladder over the flat point list: numpy's per-step overhead is
+        # least on a 1-D array
+        log_mod, arg = hermite_log_ladder(int(degrees.max()), zs)
+        # row k of the ladder for every live k and every point at once:
+        # (P, live) tables, one row per point
+        idx = degrees[None, :], np.arange(len(zs))[:, None]
+        logmag = log_mod[idx] - (2.0 * degrees + 1) * t
+        weights = e.values[live] * np.exp(1j * arg[idx])
         # every finite log-modulus of a double exceeds -1e300, so a point
         # where every contributing basis value vanishes takes that peak and
         # sums exact zeros to 0, with a tail of 0
@@ -444,7 +406,7 @@ def eval_entire(
 
 
 class EntireHandle:
-    """An evaluable entire function on C^n (n = dimension); ``eval_grid``
+    """An evaluable entire function on C or on C^2; ``eval_grid``
     takes broadcastable real coordinates, (X, Y) for z = x + iy and
     (X, Y, U, V) for (x + iy, u + iv) on C^2.
 
@@ -473,13 +435,12 @@ class EntireHandle:
     (closed forms, every handle on C), where every node is evaluated.
     """
 
-    dimension: int = 1
     real_on_real_axis: bool = False
     reflection_invariant: bool = False
 
     def eval(self, z) -> complex:
         """The value at one point z of C: ``eval_grid`` there."""
-        (z,) = as_point(z, dimension=1)
+        (z,) = as_point(z)
         return complex(self.eval_grid(z.real, z.imag))
 
     def eval_grid(self, X: np.ndarray, Y: np.ndarray, *UV: np.ndarray) -> np.ndarray:
@@ -511,19 +472,15 @@ class SpectralHandle(EntireHandle):
     time: float
 
     def __post_init__(self):
-        if self.time <= 0:
+        if not self.time > 0:
             raise ValueError("time must be positive")
-
-    @property
-    def dimension(self) -> int:
-        return self.expansion.dimension
 
     @property
     def truncation(self) -> int:
         return self.expansion.truncation
 
     def eval(self, z) -> complex:
-        """:func:`eval_entire` at a point of C^n.  It stays beside the grid
+        """:func:`eval_entire` at a point of C.  It stays beside the grid
         evaluator because it reaches none of the grid's code: its log-domain
         ladder (:func:`~mehler.specfun.hermite_log_ladder`) shares nothing
         with the Clenshaw sweep of ``eval_grid_parts``, so the suite checks
@@ -534,11 +491,9 @@ class SpectralHandle(EntireHandle):
     @property
     def real_on_real_axis(self) -> bool:
         """True for real coefficients on C: every Phi_a is real on R."""
-        return self.expansion.dimension == 1 and not np.any(self.expansion.values.imag)
+        return not np.any(self.expansion.values.imag)
 
     def _grid_coefficients(self) -> np.ndarray:
-        if self.expansion.dimension != 1:
-            raise ValueError("grid evaluation is one-dimensional")
         lam = self.expansion.eigenvalues()
         return self.expansion.values * np.exp(-lam * self.time)
 

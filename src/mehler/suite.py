@@ -139,7 +139,7 @@ class SuiteConfig:
             raise ConfigError("quad must be in [1, 512]")
         if not self.m or any(v < 0 for v in self.m):
             raise ConfigError("m must be a non-empty list of orders >= 0")
-        if not self.t or any(v <= 0 for v in self.t):
+        if not self.t or any(not v > 0 for v in self.t):
             raise ConfigError("t must be a non-empty list of positive reals")
         if self.grid_res < 2:
             raise ConfigError("grid resolution must be >= 2")
@@ -461,7 +461,7 @@ def _l2_norm_squared(f, rule) -> float:
     from .spectral import eval_test_function
 
     return float(
-        integrate_rn(lambda x: np.abs(eval_test_function(f, x)) ** 2, rule, 1)
+        integrate_rn(lambda x: np.abs(eval_test_function(f, x)) ** 2, rule)
     )
 
 
@@ -676,7 +676,7 @@ def check_projection_algebra(config: SuiteConfig, entry: _Entry) -> _Measured:
     worst = 0.0
     for k, j in [(0, 0), (1, 1), (0, 1), (2, 1), (2, 2)]:
         got = laguerre_project(laguerre_profile(k), j, x, u, grid)
-        ref = laguerre_function_entire(k, x * x + u * u, 1) if k == j else 0.0
+        ref = laguerre_function_entire(k, x * x + u * u) if k == j else 0.0
         worst = max(worst, float(np.max(np.abs(got - ref))))
     # one ladder and one pair of moment tables for all 13 projections
     recon = sum(laguerre_project(Gaussian2n(1.0), range(13), 0.0, 0.0, grid))
@@ -769,7 +769,7 @@ def check_sobolev_image_isometry(config: SuiteConfig, entry: _Entry) -> _Measure
     grid = default_bergman_grid(t, resolution=config.bergman_res, degree_margin=14)
     cal = _bergman_calibration(t, grid)
     f = Gaussian(2.0)
-    e = expand(f, config.N, rule=rule, dimension=1)
+    e = expand(f, config.N, rule=rule)
     val = bergman_norm(SpectralHandle(e, t), t, m, grid, kappa=cal.kappa)
     ref = 2.0 ** (2 * m) * sobolev_norm(e, m) ** 2
     details = f"value={val:.8f} expected={ref:.8f} res={grid.resolution}"

@@ -139,7 +139,7 @@ BLOCK_ROWS = {
 @pytest.mark.parametrize("case", list(CASES))
 def test_envelope_matches_dense_reference(monkeypatch, case):
     run, values, bound, grid = CASES[case]
-    fine_grid = grid.refine(2)
+    fine_grid = grid.refine()
     walked = []
     if case in BLOCK_ROWS:
         # the layout is read on the axes the scan walks, folded or not
@@ -184,7 +184,7 @@ def _brute_force(values, bound, grid):
     """Sup and argmax of |F|^p / exp(log_eval) over the open mesh of the
     refined grid, formed in full, and the sup over the grid's nodes: every
     second refined node on each axis."""
-    fine = grid.refine(2)
+    fine = grid.refine()
     mesh = np.ix_(*(fine.axis(k)[0] for k in range(2 * grid.ncoords)))
     p = 1 if bound.on_modulus else 2
     ratio = np.abs(values(*mesh)) ** p
@@ -347,7 +347,7 @@ def test_trapezoid_envelope_evaluates_only_the_refined_grid(monkeypatch, inner, 
     # evaluated once per node of the refined grid that the scan walks, and
     # nowhere else; in several blocks of three rows, one of them starting at
     # an odd row
-    fine = grid.refine(2)
+    fine = grid.refine()
     walked = _walked_axes(fine, halved)
     monkeypatch.setattr(semigroup, "_BLOCK_ENTRIES", 3 * math.prod(map(len, walked[1:])))
     one = _counted_scan(inner, bounds[:1], grid)
@@ -437,7 +437,7 @@ def test_scan_runs_past_the_flattened_node_limit():
     assert math.isfinite(rep.sup_ratio) and rep.sup_ratio > 0
     assert rep.stable
     with pytest.raises(ValueError, match="20151121 nodes"):
-        grid.refine(2).nodes()
+        grid.refine().nodes()
 
 
 @pytest.mark.parametrize("t, x0", [(0.3, 0.0), (0.5, 0.5), (0.4, -1.3)])

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mehler import (
+    Bump,
+    Dirac,
+    Gaussian,
+    Gaussian2n,
     HermiteOverflowError,
+    PolyGaussian,
     schwartz_image_bound,
     bergman_weight,
     bergman_weight_dt,
@@ -30,6 +35,7 @@ from mehler import (
 )
 from mehler import taylor
 from mehler.kernels import BoundSpec, _time_jets, _weight_jets
+from mehler.special import HeatProfile
 from mehler.taylor import TaylorScalar
 from mehler.quadrature import PlaneGrid
 
@@ -84,7 +90,6 @@ def test_heat_kernel_eigenfunction_integral(gh128):
     val = integrate_rn(
         lambda u: mehler_kernel(t, np.full_like(u, x), u) * hermite_eval(0, u)[0],
         gh128,
-        1,
     )
     expected = math.exp(-t) * math.pi**-0.25 * math.exp(-0.5)
     assert val == pytest.approx(expected, rel=1e-12)
@@ -151,11 +156,11 @@ def test_weight_derivative_hand_value():
     assert bergman_weight_dt(0.25, 1, 0j) == pytest.approx(expected, rel=1e-13)
 
 
-def _fresh_weight_jets(t, m, x2, y2, dimension=1):
+def _fresh_weight_jets(t, m, x2, y2):
     """The jets of :func:`mehler.kernels._weight_jets` with every Taylor
     series built afresh."""
     T = TaylorScalar.variable(t, 2 * m)
-    pref = (taylor.sinh(T * 4.0).power(-0.5 * dimension) * (2.0**dimension)).coef
+    pref = (taylor.sinh(T * 4.0).power(-0.5) * 2.0).coef
 
     def shifted(f, s):
         s = np.asarray(s, dtype=float)
@@ -480,3 +485,37 @@ def test_probe_integral_matches_orthogonality_scale():
     val = integrate_plane(g, grid)
     expected = math.sqrt(2 * math.pi) * math.exp(6 * t)
     assert val == pytest.approx(expected, rel=1e-9)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Gaussian(NAN), "width parameter must be positive"),
+        (lambda: PolyGaussian((1.0,), NAN), "width parameter must be positive"),
+        (lambda: Bump(NAN), "radius must be positive"),
+        (lambda: Gaussian2n(NAN), "width parameter must be positive"),
+        (lambda: HeatProfile(NAN), "t must be positive"),
+        (lambda: mehler_kernel(NAN, 0.1, 0.2), "t must be positive"),
+        (lambda: bergman_weight(NAN, 0.5), "t must be positive"),
+        (lambda: special_heat_kernel(NAN, [0.1, 0.2]), "t must be positive"),
+        (lambda: tempered_bound(NAN, 1), "requires t > 0"),
+        (lambda: stft_bound(NAN, 0), "requires a > 0"),
+        (lambda: compact_bound(0.3, NAN), "radius must be >= 0"),
+        (lambda: Dirac(NAN), "point coordinates must be finite"),
+    ],
+    ids=[
+        "gaussian-width", "poly-gaussian-width", "bump-radius", "gaussian2n-width",
+        "heat-profile-time", "mehler-kernel-time", "bergman-weight-time",
+        "special-heat-kernel-time", "bound-time", "bound-window", "compact-radius",
+        "point-mass",
+    ],
+)
+def test_nan_widths_times_and_points_are_refused_by_name(build, message):
+    # a NaN once passed every "<= 0" check: Gaussian(nan) expanded to NaN
+    # coefficients and mehler_kernel(nan, ...) returned nan+nanj, silently;
+    # the image of Dirac(nan) raised an overflow error that named neither
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -13,12 +13,13 @@ A call names its target as ``f(...)`` or ``obj.f(...)``; a call of a class
 ``C(...)`` counts for ``C.__init__``, and ``functools.partial(f, ...)`` for
 ``f``.  A ``*args`` or ``**kwargs`` splat counts as passing every
 parameter it could fill.  A call from inside the function's own body does
-not count.
+not count, and neither does an argument that is the default's own literal
+(``expand(..., dimension=1)`` against ``dimension: int = 1``): it sets the
+option to the one value it already has.
 
-``dimension`` parameters are left to ``test_dimension_knobs.py``, which
-runs each at n = 2.  ``ALLOWED`` lists the options kept although no caller
-outside tests sets them, each with its reason; an entry that a caller
-reaches (or that is gone) fails as stale.
+``ALLOWED`` lists the options kept although no caller outside tests sets
+them, each with its reason; an entry that a caller reaches (or that is
+gone) fails as stale.
 
 The rule is name-based, so it over-counts reach: a call of ``to_json``
 counts for every method of that name.  Options that only such a collision
@@ -53,10 +54,33 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _options() -> dict[str, int | None]:
+_NO_LITERAL = object()
+
+
+def _literal(node: ast.AST):
+    """The value of a literal expression, or ``_NO_LITERAL``."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return _NO_LITERAL
+
+
+def _same_literal(node: ast.AST, default) -> bool:
+    """Whether ``node`` is a literal equal to ``default``, of its type."""
+    value = _literal(node)
+    return (
+        value is not _NO_LITERAL
+        and default is not _NO_LITERAL
+        and type(value) is type(default)
+        and value == default
+    )
+
+
+def _options() -> dict[str, tuple[int | None, object]]:
     """``"module.[Class.]function(param)"`` of every defaulted parameter,
     mapped to the index of its positional argument at a call (``None`` for
-    a keyword-only parameter)."""
+    a keyword-only parameter) and its default's literal value
+    (``_NO_LITERAL`` when the default is not a literal)."""
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in _parse(path).body:
@@ -74,12 +98,14 @@ def _options() -> dict[str, int | None]:
                 args = fn.args
                 positional = args.posonlyargs + args.args
                 first = len(positional) - len(args.defaults)
-                for i, arg in enumerate(positional[first:], start=first):
-                    found[f"{qualname}({arg.arg})"] = i - bound
+                for i, (arg, default) in enumerate(
+                    zip(positional[first:], args.defaults), start=first
+                ):
+                    found[f"{qualname}({arg.arg})"] = (i - bound, _literal(default))
                 for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                     if default is not None:
-                        found[f"{qualname}({arg.arg})"] = None
-    return {key: index for key, index in found.items() if not key.endswith("(dimension)")}
+                        found[f"{qualname}({arg.arg})"] = (None, _literal(default))
+    return found
 
 
 def _bound_arguments(fn: ast.FunctionDef) -> int:
@@ -139,17 +165,20 @@ def _calls() -> list[tuple[str, list, list]]:
 def _unset() -> set[str]:
     calls = _calls()
     unset = set()
-    for key, index in _options().items():
+    for key, (index, default) in _options().items():
         qualname, _, param = key[:-1].rpartition("(")
         parts = qualname.split(".")
         name = ".".join(parts[-2:]) if parts[-1] == "__init__" else parts[-1]
 
         def passes(args, keywords) -> bool:
-            if any(k.arg is None or k.arg == param for k in keywords):
-                return True
+            for k in keywords:
+                if k.arg is None or (k.arg == param and not _same_literal(k.value, default)):
+                    return True
             if index is None:
                 return False
-            return len(args) > index or any(isinstance(a, ast.Starred) for a in args)
+            if any(isinstance(a, ast.Starred) for a in args):
+                return True
+            return len(args) > index and not _same_literal(args[index], default)
 
         if not any(callee == name and passes(args, kws) for callee, args, kws in calls):
             unset.add(key)

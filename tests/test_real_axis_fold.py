@@ -145,7 +145,7 @@ def test_folded_envelopes_match_the_whole_grid_bit_for_bit(name, res):
     grid = PlaneGrid(boxes=((-8.0, 8.0, -6.0, 6.0),), resolution=res)
     spy = _Recording(handle, True)
     folded = envelopes(spy, C_BOUNDS[name], grid)
-    fine_y = grid.refine(2).axis(1)[0]
+    fine_y = grid.refine().axis(1)[0]
     np.testing.assert_array_equal(spy.calls[0], fine_y[: res])
     whole = envelopes(_Recording(handle, False), C_BOUNDS[name], grid)
     for got, want in zip(folded, whole):
@@ -197,7 +197,7 @@ def test_complex_coefficients_are_never_folded():
     bound = sobolev_embed_bound(t, 1)
     coarse = PlaneGrid(((-6.0, 6.0, -4.0, 4.0),), 17)
     (env,) = envelopes(spy, [bound], coarse)
-    fine = coarse.refine(2)
+    fine = coarse.refine()
     np.testing.assert_array_equal(spy.calls[0], fine.axis(1)[0])
     # the whole-grid sup, from F at every flattened node of the refined grid
     X, Y, _ = fine.nodes()
@@ -217,7 +217,7 @@ def test_windowed_transform_is_never_folded(monkeypatch):
 
     monkeypatch.setattr(_StftHandle, "eval_grid", spy)
     rep = pw_envelope(HermiteBasis((0,)), 2.0, 1, grid)
-    fine = grid.refine(2)
+    fine = grid.refine()
     np.testing.assert_array_equal(seen[0], fine.axis(1)[0])
     # the whole-grid sup, from the transform at every flattened node
     X, Y, _ = fine.nodes()
@@ -247,6 +247,6 @@ def test_a_box_not_symmetric_in_y_is_never_folded():
     coarse = PlaneGrid(boxes=(box,), resolution=25)
     bounds = [sobolev_embed_bound(t, 0), tempered_bound(t, 1)]
     folded = envelopes(spy, bounds, coarse)
-    np.testing.assert_array_equal(spy.calls[0], coarse.refine(2).axis(1)[0])
+    np.testing.assert_array_equal(spy.calls[0], coarse.refine().axis(1)[0])
     for got, want in zip(folded, envelopes(_Recording(handle, False), bounds, coarse)):
         assert (got.sup_ratio, got.argmax, got.sup_coarse) == (want.sup_ratio, want.argmax, want.sup_coarse)

@@ -60,7 +60,7 @@ def test_quarter_folded_envelopes_match_the_whole_grid_bit_for_bit(monkeypatch, 
     spy = _Recording(handle, True)
     folded = envelopes(spy, SPACE_BOUNDS, grid)
     # the scan walks x <= 0 and y <= 0, and u and v whole
-    fine = grid.refine(2)
+    fine = grid.refine()
     x, y, u, v = (fine.axis(k)[0] for k in range(4))
     np.testing.assert_array_equal(np.concatenate([c[0] for c in spy.calls]), x[:res])
     for call in spy.calls:
@@ -95,7 +95,7 @@ def test_gaussian_image_envelopes_fold_bit_for_bit(monkeypatch, a, t, boxes, res
     grid = PlaneGrid(boxes=boxes, resolution=res)
     spy = _Recording(handle, True)
     folded = envelopes(spy, SPACE_BOUNDS, grid)
-    fine = grid.refine(2)
+    fine = grid.refine()
     n = fine.resolution
     walked = sum(len(c[0]) * len(c[1]) for c in spy.calls) * n * n
     # the quarter x <= 0, y <= 0 on the symmetric boxes, the half y <= 0 on

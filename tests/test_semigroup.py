@@ -105,26 +105,25 @@ def test_kernel_mode_overflow_raises_named_error(gh128):
 
 
 def test_kernel_mode_refuses_dimension_two():
-    with pytest.raises(ValueError, match="mode 'kernel'"):
+    # a point mass in R^2 is refused where it is built, so kernel mode never
+    # receives one; a dimension passed where it once went is refused too,
+    # not read as the truncation
+    with pytest.raises(ValueError, match=r"\(n = 1\)"):
+        semigroup_handle(Dirac((0.5, -0.3)), 0.3, "kernel")
+    with pytest.raises(TypeError):
         semigroup_handle(Gaussian(1.0), 0.3, "kernel", 2)
-    # point masses run kernel mode on R^2
-    handle = semigroup_handle(Dirac((0.5, -0.3)), 0.3, "kernel", 2)
-    got = handle.eval([0.2 + 0.1j, 0.4])
-    ref = mehler_kernel(0.3, 0.2 + 0.1j, 0.5) * mehler_kernel(0.3, 0.4, -0.3)
-    assert got == pytest.approx(ref, rel=1e-13)
 
 
 def test_point_mass_slice_checks_its_dimension():
-    # a point mass in R^2 at the default dimension 1 used to give the
-    # one-coordinate slice K_t(z, 0.5) silently
-    with pytest.raises(ValueError, match="dimension"):
-        semigroup_handle(Dirac((0.5, -0.3)), 0.3, "kernel")
-    with pytest.raises(ValueError, match="dimension"):
-        MehlerSliceHandle(0.3, 0.5, 2)
-    # at dimension 2 the grid form, which is one-dimensional, refuses
-    handle = MehlerSliceHandle(0.3, (0.5, -0.3), 2)
-    with pytest.raises(ValueError, match="one-dimensional"):
-        handle.eval_grid(np.array([0.0, 0.5]), np.array([0.0, 0.1]))
+    # a point mass in R^2 once gave the one-coordinate slice K_t(z, 0.5)
+    # silently; the point mass and the slice's source both refuse it when
+    # built
+    with pytest.raises(ValueError, match=r"point must be one-dimensional \(n = 1\)"):
+        Dirac((0.5, -0.3))
+    with pytest.raises(ValueError, match=r"point mass must be one-dimensional \(n = 1\)"):
+        MehlerSliceHandle(0.3, (0.5, -0.3))
+    handle = MehlerSliceHandle(0.3, (0.5,))
+    assert handle.eval(0.2 + 0.1j) == complex(mehler_kernel(0.3, 0.2 + 0.1j, 0.5))
 
 
 def test_calibration_constant(calibration_025):
@@ -141,12 +140,12 @@ def test_calibration_rejects_empty_alphas(bergman_grid_025):
 def test_calibration_finish_is_geometric_mean_within_flatness():
     # both calibrations end here: C with flatness 1e-3, C^2 with 1e-2
     ratios = {(0,): 1.0, (1,): 1.005}
-    cal = CalibrationResult.from_ratios(ratios, 2e-17, 0.3, 1, 1e-2)
+    cal = CalibrationResult.from_ratios(ratios, 2e-17, 0.3, 1e-2)
     assert cal.kappa == pytest.approx(math.sqrt(1.005), rel=1e-15)
     assert cal.ratios == ratios and cal.max_offdiagonal == 2e-17
-    assert (cal.t, cal.dimension) == (0.3, 1)
+    assert cal.t == 0.3
     with pytest.raises(RuntimeError, match="vary beyond 0.001"):
-        CalibrationResult.from_ratios(ratios, 0.0, 0.3, 1, 1e-3)
+        CalibrationResult.from_ratios(ratios, 0.0, 0.3, 1e-3)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
@@ -154,7 +153,7 @@ def test_calibration_finish_rejects_non_finite_or_non_positive_ratio(bad):
     # a NaN ratio compares False against the flatness bound, so it needs its
     # own test before the spread
     with pytest.raises(RuntimeError, match="non-finite or not positive"):
-        CalibrationResult.from_ratios({(0,): 1.0, (1,): bad}, 0.0, 0.3, 1, 1e-2)
+        CalibrationResult.from_ratios({(0,): 1.0, (1,): bad}, 0.0, 0.3, 1e-2)
 
 
 def test_calibration_time_independent(calibration_025):
@@ -212,7 +211,7 @@ def test_isometry_six_functions_two_times(gh128):
             handle = semigroup_handle(f, t, "spectral", truncation=48, rule=gh128)
             img = bergman_norm(handle, t, 0, grid, kappa=cal.kappa)
             ref = integrate_rn(
-                lambda x: np.abs(eval_test_function(f, x)) ** 2, gh128, 1
+                lambda x: np.abs(eval_test_function(f, x)) ** 2, gh128
             )
             assert abs(img - ref) <= 1e-5
 
@@ -327,7 +326,7 @@ def test_sobolev_image_isometry_nontrivial_input(gh128):
     grid = default_bergman_grid(t, resolution=128, degree_margin=14)
     cal = calibrate_weight(t, 1, [(k,) for k in range(5)], grid)
     f = Gaussian(2.0)
-    e = expand(f, 48, rule=gh128, dimension=1)
+    e = expand(f, 48, rule=gh128)
     handle = semigroup_handle(f, t, "spectral", truncation=48, rule=gh128)
     val = bergman_norm(handle, t, m, grid, kappa=cal.kappa)
     ref = 4.0 * sobolev_norm(e, m) ** 2

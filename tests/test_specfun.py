@@ -11,7 +11,6 @@ from mehler import (
     hermite_eval,
     hermite_log_eval,
     hermite_log_ladder,
-    hermite_tensor,
     laguerre_function_entire,
 )
 from mehler import specfun
@@ -307,7 +306,7 @@ def test_log_linear_consistency(rng):
 
 
 def test_linear_ladder_overflow_is_named():
-    # h_40(40j) and h_3(40j) exceed the largest double; the linear ladder
+    # h_40(40j) exceeds the largest double; the linear ladder
     # used to hand back inf/nan rows, and then warned before it raised
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -315,27 +314,7 @@ def test_linear_ladder_overflow_is_named():
             hermite_eval(40, 40j)
         with pytest.raises(HermiteOverflowError):
             hermite_eval(40, np.array([0.5, 40j]))
-        with pytest.raises(HermiteOverflowError):
-            hermite_tensor((3,), (40j,))
     assert math.isfinite(hermite_log_eval(40, 40j)[0])
-
-
-def test_tensor_at_origin():
-    assert hermite_tensor((0, 0), [0.0, 0.0]) == pytest.approx(
-        math.pi**-0.5, rel=1e-14
-    )
-    assert hermite_tensor((1,), [0.0]) == 0.0
-
-
-def test_tensor_matches_univariate_product():
-    got = hermite_tensor((2, 1), [0.3, -0.7])
-    ref = hermite_closed_form(2, 0.3) * hermite_closed_form(1, -0.7)
-    assert abs(got - ref) / abs(ref) < 1e-12
-
-
-def test_tensor_dimension_mismatch():
-    with pytest.raises(ValueError):
-        hermite_tensor((1, 2), [0.0])
 
 
 def test_nonfinite_rejected():
@@ -364,11 +343,11 @@ def test_laguerre_matches_scipy(rng):
 
 
 def test_laguerre_function_values():
-    assert laguerre_function_entire(0, 0.0, 1) == pytest.approx(1.0)
+    assert laguerre_function_entire(0, 0.0) == pytest.approx(1.0)
     # L_3^0(1) e^{-1/2} with |z|^2 = 2
     l31 = 1.0 - 3.0 + 1.5 - 1.0 / 6.0
     expected = l31 * math.exp(-0.5)
-    got = laguerre_function_entire(3, 2.0, 1)
+    got = laguerre_function_entire(3, 2.0)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -378,4 +357,4 @@ def test_laguerre_rejects_negative_orders():
     with pytest.raises(ValueError):
         laguerre_ladder(2, -1, 1.0)
     with pytest.raises(ValueError):
-        laguerre_function_entire(-1, 1.0, 1)
+        laguerre_function_entire(-1, 1.0)

@@ -269,7 +269,7 @@ def test_projection_algebra_at_points(tw_grid):
     for k, j in [(0, 0), (1, 1), (2, 2), (0, 1), (2, 1)]:
         for x, u in pts:
             got = laguerre_project(laguerre_profile(k), j, x, u, tw_grid)
-            ref = laguerre_function_entire(k, x * x + u * u, 1) if k == j else 0.0
+            ref = laguerre_function_entire(k, x * x + u * u) if k == j else 0.0
             assert abs(got - ref) < 1e-6
 
 
@@ -348,6 +348,24 @@ def test_negative_laguerre_order_is_refused_when_built(tw_grid):
         laguerre_profile(-1)
     with pytest.raises(ValueError, match="Laguerre profile order k must be >= 0, got -2"):
         laguerre_project(Gaussian2n(1.0), [0, -2], 0.0, 0.0, tw_grid)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda grid: laguerre_profile(1.5),
+        lambda grid: laguerre_project(Gaussian2n(1.0), 1.5, 0.0, 0.0, grid),
+        lambda grid: laguerre_project(Gaussian2n(1.0), [0, 1.5], 0.0, 0.0, grid),
+        lambda grid: special_hermite_matrix(1.5, 0, [0.1], [0.2]),
+    ],
+    ids=["profile", "projection", "projection-list", "matrix"],
+)
+def test_fractional_laguerre_order_is_refused_by_name(call, tw_grid):
+    # LaguerreProfile(1.5) was once built, and its first call raised a bare
+    # TypeError from inside the Laguerre ladder
+    with pytest.raises(ValueError, match=r"whole numbers, got 1.5 in \(1.5,\)"):
+        call(tw_grid)
+    assert laguerre_profile(2.0) == laguerre_profile(2)
 
 
 def test_intertwine_exactly_one_convention():

@@ -186,8 +186,9 @@ def test_pw_envelope_point_mass(gh128):
 )
 def test_point_mass_outside_r1_is_refused(call):
     # the transform is on R^1; a point mass in R^2 once read as the R^1 one
-    # at its first coordinate
-    with pytest.raises(ValueError, match=r"point mass in R\^2"):
+    # at its first coordinate.  It is refused where it is built, so neither
+    # transform receives one
+    with pytest.raises(ValueError, match=r"point must be one-dimensional \(n = 1\)"):
         call(Dirac((0.3, 5.0)))
 
 
