@@ -21,8 +21,6 @@ from .kernels import (
     compact_bound,
     mehler_kernel,
     mehler_spectral,
-    reproducing_kernel,
-    reproducing_kernel_spectral,
     schwartz_image_bound,
     sobolev_embed_bound,
     special_heat_kernel,
@@ -58,7 +56,6 @@ from .semigroup import (
 )
 from .special import (
     Gaussian2n,
-    SpecialExpansion,
     SpecialHermiteBasis,
     bergman_norm_special,
     calibrate_weight_special,
@@ -69,9 +66,7 @@ from .special import (
     intertwine_check,
     laguerre_profile,
     laguerre_project,
-    laguerre_sobolev_norm,
     special_envelope,
-    special_expand,
     special_hermite_eval,
     special_semigroup_apply,
     twisted_conv,

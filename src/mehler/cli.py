@@ -53,8 +53,16 @@ from .suite import ConfigError, SuiteConfig, run_suite
 
 def parse_test_function(spec: str):
     """Small test-function DSL: h<k>, gaussian:a, dirac:u0, bump:R,
-    polygaussian:c0,c1,...:a."""
-    spec = spec.strip().lower()
+    polygaussian:c0,c1,...:a.  A spec that does not build raises
+    ``argparse.ArgumentTypeError`` with the build's own refusal, which
+    names the parameter."""
+    try:
+        return _build_test_function(spec.strip().lower())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _build_test_function(spec: str):
     if spec.startswith("h") and spec[1:].isdigit():
         return HermiteBasis((int(spec[1:]),))
     head, _, rest = spec.partition(":")

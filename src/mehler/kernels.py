@@ -15,10 +15,14 @@ its 2m-th time derivatives weight the holomorphic Sobolev norms and are
 computed exactly with truncated Taylor arithmetic.  The scalar series in t
 behind them, the jets of the prefactor and of tanh 2t and -coth 2t, depend
 on (t, m) alone and are memoized (``_time_jets``); only the per-axis jets
-in x^2 and y^2 are formed per call.  Reproducing kernels of
-the weighted spaces come from the closed form at doubled time (order 0),
-from an integral over shifted times (positive orders), or from the spectral
-sum (negative orders).
+in x^2 and y^2 are formed per call.  The reproducing kernel of the order-0
+space is the closed form at doubled time, which
+:func:`mehler.semigroup.reproduce` factors over the grid's axes.
+
+Every public function here takes its time t > 0, its order m >= 0 and its
+points through the coercions of :mod:`mehler.indices`; the private forms
+behind them (``_mehler_parts``, ``_weight_jets``, ``_twisted_profile_jet``)
+run on a grid's coordinates, which are finite by construction, unchecked.
 
 Note on constants: with U_t as normalized here, the complexified basis
 orthogonality holds only up to a fixed multiplicative factor; the
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import taylor
-from .quadrature import gauss_legendre_rule
+from .indices import as_finite, as_real, as_whole
 from .specfun import _finite, hermite_eval
 from .taylor import TaylorScalar
 
@@ -46,9 +50,7 @@ from .taylor import TaylorScalar
 def _mehler_parts(t: float, z, w):
     """K_t(z, w) as (pref, expo), K_t = pref * e^expo: the prefactor
     (2 pi sinh 2t)^{-1/2} and the complex exponent, elementwise as in
-    :func:`mehler_kernel`."""
-    if not t > 0:
-        raise ValueError("t must be positive")
+    :func:`mehler_kernel`, for a time t > 0."""
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
     s2t = math.sinh(2 * t)
@@ -60,7 +62,7 @@ def _mehler_parts(t: float, z, w):
 def mehler_kernel(t: float, z, w):
     """Oscillator heat kernel K_t(z, w), entire in both arguments,
     vectorized elementwise over ``z`` and ``w``."""
-    pref, expo = _mehler_parts(t, z, w)
+    pref, expo = _mehler_parts(as_real("t", t, 0.0), as_finite("z", z), as_finite("w", w))
     return pref * np.exp(expo)
 
 
@@ -81,8 +83,9 @@ def mehler_spectral(t: float, z, w, truncation: int = 48):
     The independent cross-check for the closed form; truncated at
     ``truncation`` with geometric tail e^{-2t} per step.
     """
-    k = np.arange(truncation + 1)
-    return _spectral_sum(np.exp(-(2 * k + 1) * t), z, w)
+    t = as_real("t", t, 0.0)
+    k = np.arange(as_whole("truncation", truncation) + 1)
+    return _spectral_sum(np.exp(-(2 * k + 1) * t), as_finite("z", z), as_finite("w", w))
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +95,8 @@ def mehler_spectral(t: float, z, w, truncation: int = 48):
 
 def bergman_weight(t: float, z):
     """Weight U_t(x+iy) = 2 (sinh 4t)^{-1/2} e^{tanh(2t) x^2 - coth(2t) y^2}."""
-    if not t > 0:
-        raise ValueError("t must be positive")
-    z = np.asarray(z, dtype=complex)
+    t = as_real("t", t, 0.0)
+    z = np.asarray(as_finite("z", z), dtype=complex)
     x2, y2 = z.real**2, z.imag**2
     log_pref = math.log(2.0) - 0.5 * math.log(math.sinh(4 * t))
     return np.exp(log_pref + math.tanh(2 * t) * x2 - (1.0 / math.tanh(2 * t)) * y2)
@@ -153,88 +155,15 @@ def bergman_weight_dt(t: float, m: int, z):
     m = 0 reduces to the plain weight.  Vectorized over z; the jets of
     :func:`_weight_jets` are joined pointwise.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    m = as_whole("m", m)
     if m == 0:
         return bergman_weight(t, z)
-    z = np.asarray(z, dtype=complex)
+    t = as_real("t", t, 0.0)
+    z = np.asarray(as_finite("z", z), dtype=complex)
     x2, y2 = z.real**2, z.imag**2
     H, jx, jy = _weight_jets(t, m, x2, y2)
     gauss = np.exp(math.tanh(2 * t) * x2 - (1.0 / math.tanh(2 * t)) * y2)
     return gauss * np.sum(jx * np.tensordot(H, jy, axes=1), axis=0)
-
-
-# ---------------------------------------------------------------------------
-# Reproducing kernels of the weighted (Sobolev) Bergman spaces
-# ---------------------------------------------------------------------------
-
-
-def _integral_upper_limit(t: float, m: int) -> float:
-    """S with s^{2m-1} e^{-2(t+s)} below 1e-16 for s >= S."""
-    S = 1.0
-    for _ in range(60):
-        val = S ** (2 * m - 1) * math.exp(-2 * (t + S))
-        if val < 1e-16:
-            break
-        S *= 1.25
-    return S
-
-
-def reproducing_kernel(
-    t: float,
-    m: int,
-    z,
-    w,
-    *,
-    truncation: int = 48,
-):
-    """Reproducing kernel of the order-m weighted space at time t.
-
-    m = 0:   closed form, the heat kernel at doubled time with the first
-             argument conjugated.
-    m > 0:   1/(2m-1)! * int_0^S s^{2m-1} K^{(0)}_{t+s}(z, w) ds with the
-             tail cut where s^{2m-1} e^{-2(t+s)} < 1e-16 (96-point
-             Gauss-Legendre).
-             Equals the spectral sum with factors (2 lam)^{-2m} e^{-2 lam t}.
-    m < 0:   spectral sum sum_alpha lam^{2|m|} e^{-2 lam t}
-             Phi_alpha(conj z) Phi_alpha(w), truncated at ``truncation``.
-    """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    if m == 0:
-        return mehler_kernel(2 * t, np.conj(z), w)
-    if m > 0:
-        S = _integral_upper_limit(t, m)
-        rule = gauss_legendre_rule(96, 0.0, S)
-        total = 0.0 + 0.0j
-        for s_i, w_i in zip(rule.nodes, rule.weights):
-            total += (
-                w_i
-                * s_i ** (2 * m - 1)
-                * mehler_kernel(2 * (t + s_i), np.conj(z), w)
-            )
-        return total / math.factorial(2 * m - 1)
-    # m < 0: distribution-order kernel via the spectral sum
-    return reproducing_kernel_spectral(t, m, z, w, truncation)
-
-
-def reproducing_kernel_spectral(t: float, m: int, z, w, truncation: int = 48):
-    """Spectral evaluation of the order-m kernel on C.
-
-    For m > 0 this includes the (2 lam)^{-2m} scaling that the shifted-time
-    integral produces, so the two routes agree directly.
-    """
-    k = np.arange(truncation + 1)
-    lam = (2 * k + 1).astype(float)
-    if m > 0:
-        coef = (2.0 * lam) ** (-2 * m) * np.exp(-2.0 * lam * t)
-    else:
-        coef = lam ** (-2 * m) * np.exp(-2.0 * lam * t)
-    return _spectral_sum(coef, np.conj(np.asarray(z, dtype=complex)), w)
 
 
 # ---------------------------------------------------------------------------
@@ -251,21 +180,13 @@ def special_heat_kernel(t: float, p):
     this one; the weight on C^2 uses this normalization, and its
     calibration constant absorbs the mismatch.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    p = np.asarray(p, dtype=complex)
+    t = as_real("t", t, 0.0)
+    p = np.asarray(as_finite("p", p), dtype=complex)
     if p.ndim == 0 or p.shape[-1] != 2:
         raise ValueError("p must have a trailing axis of length 2")
     q = np.sum(p * p, axis=-1)
-    return special_heat_from_square(t, q)
-
-
-def special_heat_from_square(t: float, q):
-    """Same kernel as a function of the bilinear square ``q``."""
-    if not t > 0:
-        raise ValueError("t must be positive")
     pref = (2.0 * math.pi * math.sinh(t)) ** -1
-    return pref * np.exp(-0.25 / math.tanh(t) * np.asarray(q, dtype=complex))
+    return pref * np.exp(-0.25 / math.tanh(t) * q)
 
 
 def _twisted_profile_jet(t: float, m: int, q):
@@ -285,7 +206,8 @@ def twisted_weight_profile(t: float, m: int, q):
     alone: d^{2m}/dt^{2m} of p_{2t}(2y, 2v) = (2 pi sinh 2t)^{-1}
     exp(-coth(2t) q), elementwise over a real array ``q``.
     """
-    q = np.asarray(q, dtype=float)
+    t, m = as_real("t", t, 0.0), as_whole("m", m)
+    q = np.asarray(as_finite("q", q), dtype=float)
     if m == 0:
         pref = (2.0 * math.pi * math.sinh(2 * t)) ** -1
         return pref * np.exp(-(1.0 / math.tanh(2 * t)) * q)
@@ -297,12 +219,8 @@ def twisted_bergman_weight(t: float, m: int, z, w):
     derivative for m > 0 (signed), elementwise over ``z = x + iy`` and
     ``w = u + iv``.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
+    z = np.asarray(as_finite("z", z), dtype=complex)
+    w = np.asarray(as_finite("w", w), dtype=complex)
     cross = w.real * z.imag - w.imag * z.real
     envelope = 4.0 * np.exp(cross)
     return envelope * twisted_weight_profile(t, m, z.imag**2 + w.imag**2)
@@ -341,11 +259,13 @@ class BoundSpec:
     def __post_init__(self):
         if self.kind not in _SQUARED_KINDS | _MODULUS_KINDS:
             raise ValueError(f"unknown bound kind {self.kind!r}")
-        if self.kind in {"sobolev-embed", "schwartz-image", "tempered",
-                         "special-schwartz", "special-plain", "compact"} and not self.t > 0:
-            raise ValueError("this bound kind requires t > 0")
-        if self.kind == "pw-stft" and not self.a > 0:
-            raise ValueError("pw-stft bound requires a > 0")
+        if self.kind == "pw-stft":
+            object.__setattr__(self, "a", as_real("a", self.a, 0.0))
+        else:
+            object.__setattr__(self, "t", as_real("t", self.t, 0.0))
+        if self.kind == "compact":
+            object.__setattr__(self, "radius", as_real("radius", self.radius, 0.0, strict=False))
+        object.__setattr__(self, "m", as_whole("m", self.m))
 
     @property
     def on_modulus(self) -> bool:
@@ -429,6 +349,4 @@ def stft_bound(a: float, m: int) -> BoundSpec:
 
 
 def compact_bound(t: float, radius: float) -> BoundSpec:
-    if not radius >= 0:
-        raise ValueError("radius must be >= 0")
     return BoundSpec("compact", t=t, radius=radius)

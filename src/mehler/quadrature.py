@@ -38,6 +38,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .indices import as_real, as_whole
 from .specfun import hermite_eval
 
 MAX_GAUSS_HERMITE = 512
@@ -93,13 +94,6 @@ class QuadRule:
     @property
     def order(self) -> int:
         return len(self.nodes)
-
-
-def _order(q) -> int:
-    """``q`` as an int; a non-integer order is a ValueError."""
-    if not float(q).is_integer():
-        raise ValueError(f"q must be an integer, got {q}")
-    return int(q)
 
 
 def _mirror(v: np.ndarray, odd: bool, sign: float = 1.0) -> np.ndarray:
@@ -197,20 +191,21 @@ def gauss_hermite_rule(q: int) -> QuadRule:
     the compensated weights w e^{x^2} = 1 / (q h_{q-1}(x)^2), which stay
     finite where w underflows (the outer nodes of q >= 384).
     """
-    if not 1 <= q <= MAX_GAUSS_HERMITE:
+    q = as_whole("q", q, 1)
+    if q > MAX_GAUSS_HERMITE:
         raise ValueError(f"q must be in [1, {MAX_GAUSS_HERMITE}], got {q}")
-    x, w, wc = _hermite_nodes(_order(q))
+    x, w, wc = _hermite_nodes(q)
     return QuadRule(nodes=x.copy(), weights=w.copy(), kind="gauss-hermite", plain_weights=wc.copy())
 
 
 def gauss_legendre_rule(q: int, a: float = -1.0, b: float = 1.0) -> QuadRule:
     """The q-point Gauss-Legendre rule on [a, b], symmetric about its
     midpoint."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
-        raise ValueError(f"invalid interval [{a}, {b}]")
-    x, w = _legendre_nodes(_order(q))
+    q = as_whole("q", q, 1)
+    a, b = as_real("a", a), as_real("b", b)
+    if a >= b:
+        raise ValueError(f"the interval [a, b] = [{a}, {b}] must have a < b")
+    x, w = _legendre_nodes(q)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return QuadRule(nodes=mid + half * x, weights=half * w, kind="gauss-legendre")
 
@@ -237,8 +232,6 @@ def integrate_rn(g, rule: QuadRule):
 
 def _half_width(gamma: float, drop: float, degree: int) -> float:
     """Half-width h with exp(-gamma h^2) * (1+h^2)^(degree/2) <= drop."""
-    if not gamma > 0:
-        raise ValueError("decay rate must be positive")
     budget = -math.log(drop)
     h2 = budget / gamma
     for _ in range(4):
@@ -257,8 +250,9 @@ def gaussian_box(
     ``degree`` adds polynomial-growth margin for integrands of the form
     poly * Gaussian.
     """
-    hx = _half_width(gamma_x, drop, degree)
-    hy = _half_width(gamma_y, drop, degree)
+    drop, degree = as_real("drop", drop, 0.0), as_whole("degree", degree)
+    hx = _half_width(as_real("gamma_x", gamma_x, 0.0), drop, degree)
+    hy = _half_width(as_real("gamma_y", gamma_y, 0.0), drop, degree)
     return (-hx, hx, -hy, hy)
 
 
@@ -296,17 +290,16 @@ class PlaneGrid:
     def __post_init__(self):
         if isinstance(self.boxes[0], (int, float)):
             object.__setattr__(self, "boxes", (tuple(self.boxes),))
-        boxes = tuple(tuple(float(v) for v in b) for b in self.boxes)
+        boxes = tuple(tuple(as_real("boxes", v) for v in b) for b in self.boxes)
         object.__setattr__(self, "boxes", boxes)
         if len(boxes) not in (1, 2):
             raise ValueError("PlaneGrid supports 1 or 2 complex coordinates")
         for b in boxes:
-            if len(b) != 4 or not all(math.isfinite(v) for v in b):
+            if len(b) != 4:
                 raise ValueError(f"invalid box {b}")
             if b[0] >= b[1] or b[2] >= b[3]:
                 raise ValueError(f"degenerate box {b}")
-        if self.resolution < 2:
-            raise ValueError("resolution must be >= 2")
+        object.__setattr__(self, "resolution", as_whole("resolution", self.resolution, 2))
         if self.kind != "trapezoid":
             raise ValueError(f"plane grids are trapezoid ones, not {self.kind!r}")
 

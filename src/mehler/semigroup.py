@@ -58,17 +58,24 @@ moduli raises :class:`mehler.quadrature.QuadratureError`.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .indices import MultiIndex, as_index, as_point, one_dimensional, oscillator_eigenvalue
+from .indices import (
+    MultiIndex,
+    as_finite,
+    as_index,
+    as_points,
+    as_real,
+    as_whole,
+    one_dimensional,
+    oscillator_eigenvalue,
+)
 from .kernels import (
     BoundSpec,
     _mehler_parts,
     _weight_jets,
-    mehler_kernel,
     schwartz_image_bound,
 )
 from .quadrature import (
@@ -171,10 +178,8 @@ class MehlerSliceHandle(EntireHandle):
     real_on_real_axis = True
 
     def __init__(self, time: float, source):
-        if not time > 0:
-            raise ValueError("time must be positive")
-        self.time = time
-        self.source = np.atleast_1d(np.asarray(source, dtype=float))
+        self.time = as_real("time", time, 0.0)
+        self.source = np.atleast_1d(as_finite("source", np.asarray(source, dtype=float)))
         one_dimensional("point mass", tuple(self.source.tolist()))
 
     def eval_grid_parts(self, X, Y):
@@ -200,10 +205,8 @@ class KernelImageHandle(EntireHandle):
     """
 
     def __init__(self, f: TestFunction, time: float, rule: QuadRule):
-        if not time > 0:
-            raise ValueError("time must be positive")
         self.f = f
-        self.time = time
+        self.time = as_real("time", time, 0.0)
         if isinstance(f, Bump):
             leg = gauss_legendre_rule(max(rule.order, 64), -f.radius, f.radius)
             self._nodes = leg.nodes
@@ -221,8 +224,8 @@ class KernelImageHandle(EntireHandle):
     def eval_grid(self, X, Y) -> np.ndarray:
         Z = np.asarray(X) + 1j * np.asarray(Y)
         with np.errstate(over="ignore", invalid="ignore"):
-            ker = mehler_kernel(self.time, Z[..., None], self._nodes)
-            vals = ker @ self._samples
+            pref, expo = _mehler_parts(self.time, Z[..., None], self._nodes)
+            vals = (pref * np.exp(expo)) @ self._samples
         return _finite(vals, "kernel-mode image")
 
 
@@ -235,14 +238,14 @@ def semigroup_handle(
     rule: QuadRule | None = None,
 ) -> EntireHandle:
     """The heat-transform image of ``f`` as an evaluable entire function."""
-    if not t > 0:
-        raise ValueError("t must be positive")
+    t = as_real("t", t, 0.0)
     if isinstance(f, Dirac) and mode == "kernel":
         return MehlerSliceHandle(t, f.point)
     if mode == "kernel":
         return KernelImageHandle(f, t, rule or gauss_hermite_rule(128))
     if mode != "spectral":
         raise ValueError(f"unknown mode {mode!r}")
+    truncation = as_whole("truncation", truncation)
     rule = rule or gauss_hermite_rule(max(128, truncation + 1))
     e = expand(f, truncation, rule=rule)
     return SpectralHandle(e, t)
@@ -280,6 +283,9 @@ def default_bergman_grid(
     rounded up to odd, so every second node of each axis is the rule of
     twice the step, which the weighted sums check themselves against.
     """
+    t = as_real("t", t, 0.0)
+    resolution = as_whole("resolution", resolution, 2)
+    degree_margin = as_whole("degree_margin", degree_margin)
     gx = 1.0 - math.tanh(2 * t)
     gy = 1.0 / math.tanh(2 * t) - 1.0
     return PlaneGrid(
@@ -294,16 +300,6 @@ def _check_grid(grid: PlaneGrid, ncoords: int) -> None:
     if grid.ncoords != ncoords:
         planes = {1: "one-coordinate grid over C", 2: "two-coordinate grid over C^2"}
         raise ValueError(f"grid must be a {planes[ncoords]}, not a {planes[grid.ncoords]}")
-
-
-def _check_order(m) -> int:
-    """``m`` as an int: a weighted-norm order, a whole number >= 0; a
-    ValueError that names it otherwise."""
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
-        raise ValueError(f"weighted-norm order m must be an integer, got {m!r}")
-    if m < 0:
-        raise ValueError(f"weighted-norm order m must be >= 0, got {m!r}")
-    return int(m)
 
 
 def bergman_norm(
@@ -339,11 +335,10 @@ def bergman_norm(
     :meth:`~mehler.quadrature.PlaneGrid.y_axis`; every second node of that
     half, at twice its weight, is still the rule of twice the step.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
+    t, kappa = as_real("t", t, 0.0), as_real("kappa", kappa, 0.0)
     _check_grid(grid, 1)
     single = np.ndim(m) == 0
-    orders = [_check_order(m)] if single else [_check_order(k) for k in m]
+    orders = [as_whole("weighted-norm order m", k) for k in ([m] if single else m)]
     if not orders:
         raise ValueError("m must name at least one order")
     x, wx = grid.axis(0)
@@ -451,9 +446,8 @@ def calibrate_weight(
     off-diagonal integral is real there and its imaginary part is exactly
     0, not summed from roundoff.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    if dimension != 1:
+    t = as_real("t", t, 0.0)
+    if as_whole("dimension", dimension) != 1:
         raise ValueError(f"dimension must be 1 (n = 1), got {dimension!r}")
     _check_grid(grid, 1)
     if alphas is None:
@@ -527,18 +521,9 @@ def reproduce(
     folded weights, which count each mirrored node twice and the centre
     once (where the table is real).
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
+    t, kappa = as_real("t", t, 0.0), as_real("kappa", kappa, 0.0)
     _check_grid(grid, 1)
-    zs = np.asarray(z, dtype=complex)
-    single = zs.ndim < 2
-    if single:
-        zs = as_point(zs)
-    elif zs.ndim != 2 or zs.shape[1] != 1:
-        raise ValueError(f"points must be shaped (P, 1) (n = 1), got {zs.shape}")
-    elif not np.all(np.isfinite(zs)):
-        raise ValueError("point coordinates must be finite")
-    zs = zs.reshape(-1)
+    zs, single = as_points("z", z)
     x, wx = grid.axis(0)
     y, wy, folded = grid.y_axis(handle.real_on_real_axis)
     X, Y = x[:, None], y[None, :]

@@ -55,6 +55,8 @@ import math
 
 import numpy as np
 
+from .indices import as_finite, as_whole
+
 LOG_H0 = -0.25 * math.log(math.pi)  # log of h_0(0)
 
 LOG_DBL_MAX = float(np.log(np.finfo(float).max))
@@ -74,13 +76,6 @@ def _finite(vals, what: str, where: str = "at a requested point"):
     if not np.all(np.isfinite(vals)):
         raise HermiteOverflowError(f"{what} exceeds the largest double {where}")
     return vals
-
-
-def _check_finite(z) -> np.ndarray:
-    z = np.asarray(z)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("argument must be finite")
-    return z
 
 
 def hermite_eval(k_max: int, z) -> np.ndarray:
@@ -104,9 +99,8 @@ def hermite_eval(k_max: int, z) -> np.ndarray:
         If h_{k_max}(z) is not finite.  Once a row overflows every later
         row is inf or NaN, so the top row decides.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    z = _check_finite(z)
+    k_max = as_whole("k_max", k_max)
+    z = as_finite("z", z)
     dtype = complex if np.iscomplexobj(z) else float
     z = np.asarray(z, dtype=dtype)
     out = np.empty((k_max + 1,) + z.shape, dtype=dtype)
@@ -161,9 +155,8 @@ def hermite_log_ladder(k_max: int, z) -> tuple[np.ndarray, np.ndarray]:
     comes from one rescaled recurrence, so no intermediate overflows.  The
     argument is not reduced to (-pi, pi]; zeros give log|h_k| = -inf.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    z = np.asarray(_check_finite(z), dtype=complex)
+    k_max = as_whole("k_max", k_max)
+    z = np.asarray(as_finite("z", z), dtype=complex)
     parts = np.empty((k_max + 1,) + z.shape, dtype=complex)
     log_m = np.zeros((k_max + 1,) + z.shape)
     for k, (p, m) in enumerate(_poly_parts(k_max, z)):
@@ -181,6 +174,7 @@ def hermite_log_ladder(k_max: int, z) -> tuple[np.ndarray, np.ndarray]:
 def hermite_log_eval(k: int, z) -> tuple[float, float]:
     """(log|h_k(z)|, arg h_k(z)) at a scalar z: the last row of
     :func:`hermite_log_ladder`, with the argument likewise unreduced."""
+    k = as_whole("k", k)
     log_mod, arg = hermite_log_ladder(k, complex(z))
     return float(log_mod[k]), float(arg[k])
 
@@ -264,7 +258,7 @@ def hermite_series_parts(coef, z) -> tuple[np.ndarray, np.ndarray]:
     No exponential is taken, so callers with Gaussians of their own join
     them to E first; :func:`mul_exp_parts` multiplies the parts out.
     """
-    z = np.asarray(_check_finite(z), dtype=complex)
+    z = np.asarray(as_finite("z", z), dtype=complex)
     top = int(np.max(np.flatnonzero(coef), initial=0))
     c, g = _sweep_constants(np.asarray(coef, dtype=complex)[: top + 1])
     r = float(np.abs(z).max(initial=0.0))
@@ -318,11 +312,8 @@ def mul_exp_parts(P, E) -> np.ndarray:
 
 def laguerre_ladder(k_max: int, type_a: int, r) -> np.ndarray:
     """L_0^a(r), ..., L_{k_max}^a(r); shape (k_max+1,) + shape(r)."""
-    if k_max < 0:
-        raise ValueError("k must be >= 0")
-    if type_a < 0:
-        raise ValueError("type must be >= 0")
-    r = _check_finite(r)
+    k_max, type_a = as_whole("k_max", k_max), as_whole("type_a", type_a)
+    r = as_finite("r", r)
     dtype = complex if np.iscomplexobj(r) else float
     r = np.asarray(r, dtype=dtype)
     out = np.empty((k_max + 1,) + r.shape, dtype=dtype)
@@ -344,7 +335,7 @@ def laguerre_function_entire(k: int, s):
     C^2 substitutes the bilinear square of the complexified coordinates.
     Vectorized over ``s``.
     """
-    s = np.asarray(s)
+    k, s = as_whole("k", k), as_finite("s", np.asarray(s, dtype=np.result_type(s, 1.0)))
     val = laguerre_ladder(k, 0, s / 2.0)[k] * np.exp(-s / 4.0)
     if np.ndim(val) == 0:
         return val.item()

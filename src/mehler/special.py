@@ -108,14 +108,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indices import MultiIndex, as_index, oscillator_eigenvalue
+from .indices import MultiIndex, as_finite, as_index, as_real, as_whole, oscillator_eigenvalue
 from .kernels import _twisted_profile_jet, special_plain_bound, special_schwartz_bound
 from .quadrature import PlaneGrid, real_matmul
 from .semigroup import (
     CalibrationResult,
     EnvelopeReport,
     _check_grid,
-    _check_order,
     _check_probes,
     _finish_calibration,
     _finish_norm,
@@ -168,8 +167,7 @@ class Gaussian2n:
     a: float
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError("Gaussian width parameter must be positive")
+        object.__setattr__(self, "a", as_real("Gaussian2n width parameter a", self.a, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +206,7 @@ def _phi1_parts(
     broadcast shape of its factors: 0-d for Phi_00, whose P is the
     constant.  Raises :class:`HermiteOverflowError` where P does not fit a
     double."""
-    z = np.asarray(z)
-    w = np.asarray(w)
-    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(w))):
-        raise ValueError("argument must be finite")
+    z, w = as_finite("z", z), as_finite("w", w)
     d, k, P = _phi1_constants(a, b)
     z2, w2 = z * z, w * w
     with np.errstate(over="ignore", invalid="ignore"):
@@ -305,8 +300,7 @@ class HeatProfile:
     t: float
 
     def __post_init__(self):
-        if not self.t > 0:
-            raise ValueError("t must be positive")
+        object.__setattr__(self, "t", as_real("t", self.t, 0.0))
 
     def __call__(self, z, w):
         q = np.asarray(z) ** 2 + np.asarray(w) ** 2
@@ -331,10 +325,7 @@ class LaguerreProfile:
     k: int
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError(f"Laguerre profile order k must be >= 0, got {self.k!r}")
-        (k,) = as_index(self.k)
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k", as_whole("Laguerre profile order k", self.k))
 
     def __call__(self, z, w):
         return laguerre_function_entire(self.k, np.asarray(z) ** 2 + np.asarray(w) ** 2)
@@ -414,6 +405,10 @@ class GaussianImage:
     a: float
     t: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "a", as_real("Gaussian2n width parameter a", self.a, 0.0))
+        object.__setattr__(self, "t", as_real("t", self.t, 0.0))
+
     def __call__(self, z, w):
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
@@ -460,7 +455,7 @@ def default_twisted_grid(t: float = 0.4) -> PlaneGrid:
 
     Memoized: value-equal calls share one grid and so one node build.
     """
-    h = math.sqrt(34.5 / (0.25 + 0.25 / math.tanh(t))) + 3.0
+    h = math.sqrt(34.5 / (0.25 + 0.25 / math.tanh(as_real("t", t, 0.0)))) + 3.0
     return PlaneGrid(boxes=((-h, h, -h, h),), resolution=65)
 
 
@@ -563,6 +558,7 @@ def twisted_conv(f, g, z, w, grid: PlaneGrid):
     profiles = tuple(g) if several else (g,)
     if not profiles:
         raise ValueError("g must name at least one profile")
+    z, w = as_finite("z", z), as_finite("w", w)
     (x, _), (u, _) = grid.axis(0), grid.axis(1)
     M, A, B = _axis_form(f, x, u)
     terms, X, U, shape = _axis_moments(profiles, z, w, grid, A, B)
@@ -592,56 +588,6 @@ def laguerre_project(f, k, z, w, grid: PlaneGrid):
         raise ValueError("k must name at least one order")
     g = [laguerre_profile(j) for j in k] if np.ndim(k) else laguerre_profile(k)
     return twisted_conv(f, g, z, w, grid) / (2.0 * math.pi)
-
-
-# ---------------------------------------------------------------------------
-# Expansions over the special Hermite basis
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpecialExpansion:
-    """Coefficients d_{ab} over pairs |alpha|, |beta| <= truncation."""
-
-    truncation: int
-    pairs: tuple[tuple[MultiIndex, MultiIndex], ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if len(self.pairs) != len(vals):
-            raise ValueError("pairs/values length mismatch")
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def pair_list(cls, truncation: int):
-        idx = [(k,) for k in range(truncation + 1)]
-        return tuple((a, b) for a in idx for b in idx)
-
-    def coefficient(self, alpha, beta) -> complex:
-        key = (as_index(alpha), as_index(beta))
-        try:
-            return complex(self.values[self.pairs.index(key)])
-        except ValueError:
-            return 0j
-
-
-def special_expand(f, truncation: int, grid: PlaneGrid) -> SpecialExpansion:
-    """d_{ab} = (f, Phi_ab)_{L^2(C)} by plane quadrature (n = 1)."""
-    pairs = SpecialExpansion.pair_list(truncation)
-    X, U, Wt = grid.nodes()
-    fv = twisted_eval(f, X, U)
-    vals = []
-    for a, b in pairs:
-        basis = special_hermite_eval(a, b, X, U)
-        vals.append(np.sum(Wt * fv * np.conj(basis)))
-    return SpecialExpansion(truncation, pairs, np.asarray(vals))
-
-
-def laguerre_sobolev_norm(e: SpecialExpansion, m: int) -> float:
-    """sqrt( sum (2|beta|+1)^{2m} |d_{ab}|^2 )."""
-    lam = np.array([oscillator_eigenvalue(b) for _, b in e.pairs], dtype=float)
-    return float(np.sqrt(np.sum(lam ** (2 * m) * np.abs(e.values) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -732,8 +678,7 @@ def intertwine_check(f, t: float) -> tuple[IntertwineReport, IntertwineReport]:
     and the right side through the coordinate multipliers; each report
     keeps the max over points.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
+    t = as_real("t", t, 0.0)
     b = 0.5j
 
     C, rate = _as_polygauss(f)
@@ -789,8 +734,7 @@ def composed_intertwine_residual(f, t: float) -> float:
     Z = (-a D_x - b D_u)/d and W = (b D_x - a D_u)/d extract the z and w
     coordinate multipliers, and T = Z o W.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
+    t = as_real("t", t, 0.0)
     C, rate = _as_polygauss(f)
     a = 0.5 / math.tanh(t)
     b = 0.5j
@@ -831,8 +775,7 @@ class SpecialEigenHandle(EntireHandle):
         alpha, beta = _index_pair(self.alpha, self.beta)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        if not self.time > 0:
-            raise ValueError("time must be positive")
+        object.__setattr__(self, "time", as_real("time", self.time, 0.0))
 
     def _damp(self) -> float:
         lam = oscillator_eigenvalue(self.beta)
@@ -886,8 +829,7 @@ def default_special_grid(t: float = 0.4, resolution: int = 40) -> PlaneGrid:
     (at resolution 32 and t = 0.4, the calibrated isometry was off by 2e-14
     against 2e-6).
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
+    t = as_real("t", t, 0.0)
     budget = -math.log(1e-12)
     c = 2.0 / math.expm1(4 * t)  # coth 2t - 1, without the cancellation
     h_im = math.sqrt(budget / c) + 1.5
@@ -991,10 +933,9 @@ def bergman_norm_special(
         raise TypeError(
             f"the twisted norm takes a SpecialEigenHandle, not {type(handle).__name__}"
         )
-    if not t > 0:
-        raise ValueError("t must be positive")
+    t, kappa_star = as_real("t", t, 0.0), as_real("kappa_star", kappa_star, 0.0)
     _check_grid(grid, 2)
-    m = _check_order(m)
+    m = as_whole("weighted-norm order m", m)
     a, b = handle.alpha[0], handle.beta[0]
     P = _phi1_poly(a, b, 2 * (abs(a - b) + 2 * min(a, b)) + 1)
     ((total, half, size),) = _plane_sums([(P, P)], t, m, grid)
@@ -1018,8 +959,7 @@ def calibrate_weight_special(
     and the finish is the one of the calibration on C
     (:func:`mehler.semigroup._finish_calibration`).
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
+    t = as_real("t", t, 0.0)
     _check_grid(grid, 2)
     if pairs is None:
         pairs = [((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (1,))]

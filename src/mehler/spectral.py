@@ -32,13 +32,23 @@ values as a split form with exponent 0, and ``eval`` as ``eval_grid`` at
 one point of C.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .indices import MultiIndex, as_index, as_point, one_dimensional
+from .indices import (
+    MultiIndex,
+    as_finite,
+    as_index,
+    as_point,
+    as_points,
+    as_real,
+    as_whole,
+    one_dimensional,
+)
 from .quadrature import QuadRule, gauss_legendre_rule
 from .specfun import (
     hermite_eval,
@@ -70,8 +80,7 @@ class Gaussian:
     a: float
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError("Gaussian width parameter must be positive")
+        object.__setattr__(self, "a", as_real("Gaussian width parameter a", self.a, 0.0))
 
 
 @dataclass(frozen=True)
@@ -82,9 +91,10 @@ class PolyGaussian:
     a: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if not self.a > 0:
-            raise ValueError("PolyGaussian width parameter must be positive")
+        coeffs = tuple(float(c) for c in self.coeffs)
+        as_finite("PolyGaussian coeffs", coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "a", as_real("PolyGaussian width parameter a", self.a, 0.0))
 
 
 @dataclass(frozen=True)
@@ -96,12 +106,10 @@ class Dirac:
 
     def __post_init__(self):
         p = self.point
-        if isinstance(p, (int, float)):
-            p = (float(p),)
-        p = one_dimensional("point", tuple(float(v) for v in p))
-        if not np.isfinite(p[0]):
-            raise ValueError(f"point coordinates must be finite, got {p}")
-        object.__setattr__(self, "point", p)
+        if isinstance(p, (numbers.Real, np.bool_)):
+            p = (p,)
+        p = tuple(as_real("point coordinates", v) for v in p)
+        object.__setattr__(self, "point", one_dimensional("point", p))
 
 
 @dataclass(frozen=True)
@@ -112,8 +120,7 @@ class Bump:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("Bump radius must be positive")
+        object.__setattr__(self, "radius", as_real("Bump radius", self.radius, 0.0))
 
 
 @dataclass(frozen=True)
@@ -123,8 +130,8 @@ class CoefficientList:
     ``dimension`` is 1 (n = 1), and any other value raises ``ValueError``;
     it stays a field because callers build ``CoefficientList(1, N,
     entries)`` positionally.  Each multi-index comes once, of length 1 and
-    degree at most ``truncation``; any other entry raises ``ValueError``
-    naming it.
+    degree at most ``truncation``, with a finite coefficient; any other
+    entry raises ``ValueError`` naming it.
     """
 
     dimension: int
@@ -132,15 +139,18 @@ class CoefficientList:
     entries: tuple[tuple[MultiIndex, complex], ...]
 
     def __post_init__(self):
-        if self.dimension != 1:
+        if as_whole("dimension", self.dimension) != 1:
             raise ValueError(f"dimension must be 1 (n = 1), got {self.dimension!r}")
+        truncation = as_whole("truncation", self.truncation)
+        object.__setattr__(self, "truncation", truncation)
         entries = tuple((as_index(a), complex(c)) for a, c in self.entries)
+        as_finite("CoefficientList coefficients", [c for _, c in entries])
         seen = set()
         for alpha, _ in entries:
             if len(alpha) != 1:
                 problem = "is not of dimension 1"
-            elif sum(alpha) > self.truncation:
-                problem = f"exceeds the truncation {self.truncation}"
+            elif sum(alpha) > truncation:
+                problem = f"exceeds the truncation {truncation}"
             elif alpha in seen:
                 problem = "is repeated"
             else:
@@ -224,6 +234,7 @@ class HermiteExpansion:
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "truncation", as_whole("truncation", self.truncation))
         table = _index_table(self.truncation)
         if self.indices is not table.indices:
             if tuple(self.indices) != table.indices:
@@ -271,8 +282,7 @@ def expand(
     members use the supplied Gauss-Hermite rule, which must satisfy
     order >= truncation + 1; bumps use Gauss-Legendre on their support.
     """
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
+    truncation = as_whole("truncation", truncation)
     out = HermiteExpansion.zeros(truncation)
 
     if isinstance(f, HermiteBasis):
@@ -326,6 +336,7 @@ def sobolev_norm(e: HermiteExpansion, m: int) -> float:
     Negative m is allowed (the eigenvalues are bounded below by 1) and
     reaches the distribution scales.
     """
+    m = as_whole("m", m, None)
     lam = e.eigenvalues()
     return float(np.sqrt(np.sum(lam ** (2 * m) * np.abs(e.values) ** 2)))
 
@@ -355,17 +366,8 @@ def eval_entire(
     a truncation indicator (values above ~1e-6 mean the truncation is doing
     visible damage), as a float or an array of P floats.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    zs = np.asarray(z, dtype=complex)
-    single = zs.ndim < 2
-    if single:
-        zs = as_point(zs)
-    elif zs.ndim != 2 or zs.shape[1] != 1:
-        raise ValueError(f"points must be shaped (P, 1) (n = 1), got {zs.shape}")
-    elif not np.all(np.isfinite(zs)):
-        raise ValueError("point coordinates must be finite")
-    zs = zs.reshape(-1)
+    t = as_real("t", t, 0.0)
+    zs, single = as_points("z", z)
     live = np.flatnonzero(e.values)
     total = np.zeros(len(zs), dtype=complex)
     tail = np.zeros(len(zs))
@@ -472,8 +474,7 @@ class SpectralHandle(EntireHandle):
     time: float
 
     def __post_init__(self):
-        if not self.time > 0:
-            raise ValueError("time must be positive")
+        object.__setattr__(self, "time", as_real("time", self.time, 0.0))
 
     @property
     def truncation(self) -> int:

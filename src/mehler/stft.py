@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .indices import as_finite, as_real
 from .kernels import compact_bound, stft_bound
 from .quadrature import (
     PlaneGrid,
@@ -121,9 +122,8 @@ def gauss_stft(
     Raises :class:`~mehler.specfun.HermiteOverflowError` where a value is
     not finite: far off the real axis e^{yu} leaves the doubles at the
     rule's outer nodes."""
-    if not (a > 0 and c > 0):
-        raise ValueError("a and c must be positive")
-    z = np.asarray(z, dtype=complex)
+    a, c = as_real("a", a, 0.0), as_real("c", c, 0.0)
+    z = np.asarray(as_finite("z", z), dtype=complex)
     u, base = _stft_nodes(f, a, c, rule, z.real)
     with np.errstate(over="ignore", invalid="ignore"):
         osc = np.exp(-1j * z[..., None] * u)
@@ -135,8 +135,7 @@ def gauss_stft(
 def bridge_constant(a: float) -> float:
     """The window constant (a^2 - 1)^{1/4} that makes the heat-transform
     bridge identity exact (requires a > 1)."""
-    if not a > 1:
-        raise ValueError("the bridge constant lives in the a > 1 regime")
+    a = as_real("a", a, 1.0)
     return (a * a - 1.0) ** 0.25
 
 
@@ -167,8 +166,7 @@ def bridge_residual(
     a = coth 2t and the bridge window constant at the points
     ``_BRIDGE_POINTS``, both sides computed independently (spectral/kernel
     transform vs direct quadrature)."""
-    if not t > 0:
-        raise ValueError("t must be positive")
+    t = as_real("t", t, 0.0)
     a = 1.0 / math.tanh(2 * t)
     c = bridge_constant(a)
     if isinstance(f, Dirac):
@@ -244,6 +242,7 @@ def compact_growth_check(
     support makes the sup grow without bound as the grid box widens, which
     is the detection mechanism for support violations.
     """
+    t = as_real("t", t, 0.0)
     if isinstance(f, Dirac):
         handle: EntireHandle = MehlerSliceHandle(t, f.point)
         default_radius = abs(f.point[0])

@@ -23,8 +23,6 @@ from mehler import (
     integrate_rn,
     mehler_kernel,
     mehler_spectral,
-    reproducing_kernel,
-    reproducing_kernel_spectral,
     sobolev_embed_bound,
     special_heat_kernel,
     special_plain_bound,
@@ -218,64 +216,13 @@ def test_weight_derivative_spectral_identity(calibration_025, bergman_grid_025):
 
 
 @pytest.mark.parametrize(
-    "spectral_sum",
-    [
-        lambda: mehler_spectral(0.3, 30j, 30j),
-        lambda: reproducing_kernel(0.3, -1, 30j, 30j),
-        lambda: reproducing_kernel_spectral(0.3, 1, 30j, 30j),
-    ],
-    ids=["mehler_spectral", "reproducing_kernel", "reproducing_kernel_spectral"],
+    "spectral_sum", [lambda: mehler_spectral(0.3, 30j, 30j)], ids=["mehler_spectral"]
 )
 def test_spectral_sum_overflow_is_named(spectral_sum):
     # each h_k(30j) fits a double, but the products h_k(z) h_k(w) do not
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(HermiteOverflowError):
             spectral_sum()
-
-
-def test_reproducing_kernel_order_zero():
-    got = reproducing_kernel(0.3, 0, 0.0, 0.0)
-    assert got == pytest.approx((2 * math.pi * math.sinh(1.2)) ** -0.5, rel=1e-13)
-
-
-def test_reproducing_kernel_matches_spectral(rng):
-    z, w = 1.0 + 0.5j, -0.3 + 0.0j
-    got = reproducing_kernel(0.3, 0, z, w)
-    ref = reproducing_kernel_spectral(0.3, 0, z, w, truncation=48)
-    assert abs(got - ref) / abs(got) < 1e-8
-
-
-def test_reproducing_kernel_diagonal_closed_form(rng):
-    # the diagonal closed form written directly:
-    # (2 pi)^{-1/2} (sinh 4t)^{-1/2} e^{-coth(4t)(z^2 + conj(z)^2)/2}
-    # e^{|z|^2 / sinh 4t}
-    for t in (0.3, 0.5):
-        for _ in range(5):
-            z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-            got = reproducing_kernel(t, 0, z, z)
-            s4, c4 = math.sinh(4 * t), 1.0 / math.tanh(4 * t)
-            expo = -0.5 * c4 * (z * z + np.conj(z) * np.conj(z)) + abs(z) ** 2 / s4
-            ref = (2 * math.pi * s4) ** -0.5 * np.exp(expo)
-            assert abs(got - ref) / abs(ref) < 1e-10
-
-
-def test_reproducing_kernel_positive_order_two_routes():
-    # shifted-time integral vs the spectral sum with (2 lam)^{-2m}
-    for m in (1, 2):
-        for z, w in [(0.0, 0.0), (1.0 + 0.5j, -0.3), (0.5j, 0.7)]:
-            got = reproducing_kernel(0.3, m, z, w)
-            ref = reproducing_kernel_spectral(0.3, m, z, w, truncation=64)
-            assert abs(got - ref) / abs(ref) < 1e-7
-
-
-def test_reproducing_kernel_negative_order():
-    # distribution-order kernels: plain spectral sums with lam^{2|m|}
-    got = reproducing_kernel(0.3, -1, 0.0, 0.0, truncation=48)
-    k = np.arange(49)
-    lam = 2 * k + 1
-    h0 = hermite_eval(48, 0.0)
-    ref = np.sum(lam**2 * np.exp(-2.0 * lam * 0.3) * h0**2)
-    assert got == pytest.approx(ref, rel=1e-13)
 
 
 @given(
@@ -493,16 +440,16 @@ NAN = float("nan")
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: Gaussian(NAN), "width parameter must be positive"),
-        (lambda: PolyGaussian((1.0,), NAN), "width parameter must be positive"),
+        (lambda: Gaussian(NAN), "width parameter a must be positive"),
+        (lambda: PolyGaussian((1.0,), NAN), "width parameter a must be positive"),
         (lambda: Bump(NAN), "radius must be positive"),
-        (lambda: Gaussian2n(NAN), "width parameter must be positive"),
+        (lambda: Gaussian2n(NAN), "width parameter a must be positive"),
         (lambda: HeatProfile(NAN), "t must be positive"),
         (lambda: mehler_kernel(NAN, 0.1, 0.2), "t must be positive"),
         (lambda: bergman_weight(NAN, 0.5), "t must be positive"),
         (lambda: special_heat_kernel(NAN, [0.1, 0.2]), "t must be positive"),
-        (lambda: tempered_bound(NAN, 1), "requires t > 0"),
-        (lambda: stft_bound(NAN, 0), "requires a > 0"),
+        (lambda: tempered_bound(NAN, 1), "t must be positive"),
+        (lambda: stft_bound(NAN, 0), "a must be positive"),
         (lambda: compact_bound(0.3, NAN), "radius must be >= 0"),
         (lambda: Dirac(NAN), "point coordinates must be finite"),
     ],

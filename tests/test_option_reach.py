@@ -39,10 +39,6 @@ ALLOWED = {
         "the truncation-tail indicator, kept for the trusted-region work on "
         "entire-function evaluation and the suite's diagnostics"
     ),
-    "kernels.reproducing_kernel(truncation)": (
-        "the negative-order kernel's truncation, kept for the suite check "
-        "that is to promote reproducing_kernel"
-    ),
     "cli.cli_main(argv)": "test seam: tests drive the command line in process",
     "suite.SuiteReport.to_json(include_timing)": (
         "test seam: tests compare reports without their timing fields"

@@ -38,9 +38,6 @@ PERFBENCH = ROOT / "perfbench"
 # Names that only tests reach, each with the reason it stays.
 ALLOWED = {
     "integrate_plane": "test oracle: flattened plane integration behind the contracted sums",
-    "reproducing_kernel": "to be promoted into a suite check, which moves pinned report values",
-    "special_expand": "to be promoted into a suite check, which moves pinned report values",
-    "laguerre_sobolev_norm": "to be promoted into a suite check, which moves pinned report values",
 }
 
 

@@ -237,6 +237,25 @@ def test_coefficient_list_refuses_a_bad_entry_when_built(entries, message):
         CoefficientList(1, 4, entries)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda nan: PolyGaussian((1.0, nan), 1.0), "PolyGaussian coeffs must be finite, got nan"),
+        (
+            lambda nan: CoefficientList(1, 4, (((0,), 1.0), ((2,), complex(0.0, nan)))),
+            r"CoefficientList coefficients must be finite, got \(?nan",
+        ),
+    ],
+    ids=["poly-gaussian", "coefficient-list"],
+)
+def test_nan_coefficient_is_refused_when_built(build, message):
+    # semigroup_apply once reported either input as "HermiteOverflowError:
+    # log-modulus nan exceeds the largest double", an overflow that named
+    # neither the coefficient nor the NaN
+    with pytest.raises(ValueError, match=message):
+        build(float("nan"))
+
+
 def test_expand_refuses_a_coefficient_above_the_requested_truncation():
     # it once dropped c_55 and the heat image of h_55 evaluated to 0j, where
     # HermiteBasis((55,)) raises

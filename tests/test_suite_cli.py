@@ -318,6 +318,31 @@ def test_parse_test_function_dsl():
         parse_test_function("nonsense")
 
 
+@pytest.mark.parametrize(
+    "spec, word",
+    [("gaussian:nan", "width parameter a"), ("bump:-1", "radius"), ("dirac:inf", "point")],
+)
+def test_cli_keeps_the_refusal_of_a_test_function(spec, word, capsys):
+    # argparse once replaced the build's refusal with its generic
+    # "invalid parse_test_function value"
+    assert cli_main(["transform", "--f", spec]) == 2
+    err = capsys.readouterr().err
+    assert word in err
+    assert "invalid parse_test_function value" not in err
+
+
+def test_negative_seed_is_a_config_error(capsys):
+    # the check streams seed default_rng(seed ^ crc32(name)), which refuses
+    # a negative value: at seed -1 four checks once failed with numpy's
+    # "expected non-negative integer" and the suite exited 1
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        SuiteConfig(seed=-1)
+    with pytest.raises(ConfigError, match="seed"):
+        SuiteConfig.from_dict({"seed": -1})
+    assert cli_main(["suite", "--seed", "-1"]) == 2
+    assert "config error: seed must be >= 0" in capsys.readouterr().err
+
+
 def test_cli_unknown_flag_exits_2(capsys):
     assert cli_main(["bridge", "--no-such-flag"]) == 2
     assert cli_main(["no-such-command"]) == 2
